@@ -10,12 +10,16 @@ The package splits into layers that can be used independently:
   demonstrations.
 - :mod:`ambigseq.backends` — model access: HTTP chat endpoints plus synthetic
   oracle/random backends for harness validation, with response caching.
-- :mod:`ambigseq.evaluation` — response parsing and the accuracy,
-  consistency, and verbalization metrics.
+- :mod:`ambigseq.evaluation` — response parsing, correctness marking, and
+  the scoring primitives: the cross-context execution check, verbalization
+  precision/recall, and the random-answerer consistency baseline.
 - :mod:`ambigseq.distribution` — top-token logprob analysis: the
   alternative-consideration test and histogram/KL comparisons.
-- :mod:`ambigseq.campaign` / :mod:`ambigseq.analysis` / :mod:`ambigseq.cli` —
-  batch orchestration over a config file.
+- :mod:`ambigseq.campaign` / :mod:`ambigseq.cli` — batch orchestration over
+  a config file.
+- :mod:`ambigseq.analysis` — the one scorer of result lines: accuracy,
+  cross-context and judged consistency, verbalization, and the distribution
+  analyses, per run and averaged.
 """
 
 from .funcspace import (
@@ -82,17 +86,13 @@ from .distribution import (
     kl_divergence_bits,
 )
 from .evaluation import (
-    ConsistencySummary,
     EvalRecord,
     RunMetrics,
     aggregate_runs,
     check_cross_context_consistency,
     expected_random_consistency,
-    model_judged_consistency,
     parse_completion_response,
     parse_explanation_response,
-    score_accuracy,
-    score_cross_context,
     verbalization_scores,
 )
 from .config import CampaignConfig
@@ -111,7 +111,6 @@ __all__ = [
     "CompletionRequest",
     "CompletionResponse",
     "ConcreteFunction",
-    "ConsistencySummary",
     "Dataset",
     "DatasetCounts",
     "DatasetParameters",
@@ -157,7 +156,6 @@ __all__ = [
     "load_dataset",
     "matching_generators",
     "mine",
-    "model_judged_consistency",
     "pairwise_ambiguities",
     "parse",
     "parse_completion_response",
@@ -165,8 +163,6 @@ __all__ = [
     "render_function",
     "run_campaign",
     "save_dataset",
-    "score_accuracy",
-    "score_cross_context",
     "valid_continuations",
     "valid_explanations",
     "verbalization_scores",

@@ -11,7 +11,7 @@ import json
 import math
 from pathlib import Path
 from statistics import fmean
-from typing import Any, Iterable
+from typing import Any
 
 from .campaign import CampaignError, config_convention, read_results
 from .config import CampaignConfig, canonical_json
@@ -60,62 +60,54 @@ _KL_HEADLINE_PAIRS = (
 )
 
 
-def _records_for(
-    lines: Iterable[dict],
-    length: int,
-    run_id: int | None = None,
-    task: Task | None = None,
-    ambiguous: bool | None = None,
-) -> list[dict]:
-    out = []
-    for line in lines:
-        if line["length"] != length:
-            continue
-        if run_id is not None and line["run_id"] != run_id:
-            continue
-        if task is not None and line["task"] != task.value:
-            continue
-        if ambiguous is not None and line["ambiguous"] != ambiguous:
-            continue
-        out.append(line)
-    return out
-
-
 def _pct(outcomes: list[bool]) -> float | None:
     if not outcomes:
         return None
     return 100.0 * sum(outcomes) / len(outcomes)
 
 
-def _accuracy_fields(lines: list[dict], run_id: int, length: int) -> dict[str, Any]:
-    """Accuracy over unambiguous sequences; invalid answers score incorrect."""
-    fields: dict[str, Any] = {}
-    both: list[dict] = []
-    for task, name in (
-        (Task.EXPLANATION, "explanation_accuracy"),
-        (Task.COMPLETION, "completion_accuracy"),
-    ):
-        records = _records_for(lines, length, run_id, task, ambiguous=False)
-        both.extend(records)
-        fields[name] = _pct([bool(r["correct"]) for r in records])
-    fields["valid_fraction"] = _pct([r["valid"] for r in both])
-    return fields
+def _consistency(consistent: int, inconsistent: int, invalid: int) -> dict:
+    """Bucket counts plus the percent consistent among evaluated pairs;
+    invalid ones are excluded from the denominator."""
+    evaluated = consistent + inconsistent
+    return {
+        "consistent": consistent,
+        "inconsistent": inconsistent,
+        "invalid": invalid,
+        "rate": 100.0 * consistent / evaluated if evaluated else None,
+    }
 
 
-def _cross_context(lines: list[dict], run_id: int, length: int, convention) -> dict:
-    """Execution-checked consistency of same-run completion/explanation pairs
-    on ambiguous sequences."""
-    completions = {
-        tuple(r["sequence"]["values"]): r
-        for r in _records_for(lines, length, run_id, Task.COMPLETION, ambiguous=True)
+def accuracy(lines: list[dict]) -> dict[str, Any]:
+    """Accuracy of completion/explanation lines on unambiguous sequences;
+    invalid answers score incorrect and every other line is ignored."""
+    scored = [
+        r
+        for r in lines
+        if not r["ambiguous"]
+        and r["task"] in (Task.EXPLANATION.value, Task.COMPLETION.value)
+    ]
+    return {
+        "explanation_accuracy": _pct(
+            [bool(r["correct"]) for r in scored if r["task"] == Task.EXPLANATION.value]
+        ),
+        "completion_accuracy": _pct(
+            [bool(r["correct"]) for r in scored if r["task"] == Task.COMPLETION.value]
+        ),
+        "valid_fraction": _pct([r["valid"] for r in scored]),
     }
-    explanations = {
-        tuple(r["sequence"]["values"]): r
-        for r in _records_for(lines, length, run_id, Task.EXPLANATION, ambiguous=True)
-    }
+
+
+def cross_context_consistency(
+    completions: list[dict], explanations: list[dict], convention
+) -> dict:
+    """Execution-checked consistency of one run's completion/explanation
+    pairs, paired by sequence values; a duplicated line's last copy wins."""
+    compl_by_values = {tuple(r["sequence"]["values"]): r for r in completions}
+    expl_by_values = {tuple(r["sequence"]["values"]): r for r in explanations}
     consistent = inconsistent = invalid = 0
-    for values in sorted(set(completions) & set(explanations)):
-        compl, expl = completions[values], explanations[values]
+    for values in sorted(compl_by_values.keys() & expl_by_values.keys()):
+        compl, expl = compl_by_values[values], expl_by_values[values]
         if not (compl["valid"] and expl["valid"]):
             invalid += 1
             continue
@@ -124,64 +116,47 @@ def _cross_context(lines: list[dict], run_id: int, length: int, convention) -> d
             consistent += 1
         else:
             inconsistent += 1
-    evaluated = consistent + inconsistent
-    return {
-        "consistent": consistent,
-        "inconsistent": inconsistent,
-        "invalid": invalid,
-        "rate": 100.0 * consistent / evaluated if evaluated else None,
-    }
+    return _consistency(consistent, inconsistent, invalid)
 
 
-def _model_judged(lines: list[dict], run_id: int, length: int) -> dict:
-    records = _records_for(
-        lines, length, run_id, Task.CONSISTENCY_JUDGMENT, ambiguous=True
+def judged_consistency(judgments: list[dict]) -> dict:
+    """The model's own verdicts on its completion/explanation pairs."""
+    verdicts = [r["parsed"]["value"] if r["valid"] else None for r in judgments]
+    return _consistency(
+        verdicts.count(True), verdicts.count(False), verdicts.count(None)
     )
-    consistent = sum(1 for r in records if r["valid"] and r["parsed"]["value"])
-    inconsistent = sum(1 for r in records if r["valid"] and not r["parsed"]["value"])
-    invalid = sum(1 for r in records if not r["valid"])
-    evaluated = consistent + inconsistent
+
+
+def verbalization(lines: list[dict]) -> dict:
+    """Mean precision/recall of verbalized alternatives over valid lines."""
+    scores = [
+        verbalization_scores(r["parsed"]["value"], r["continuations"])
+        for r in lines
+        if r["valid"]
+    ]
     return {
-        "consistent": consistent,
-        "inconsistent": inconsistent,
-        "invalid": invalid,
-        "rate": 100.0 * consistent / evaluated if evaluated else None,
+        "precision": fmean(p for p, _ in scores) if scores else None,
+        "recall": fmean(r for _, r in scores) if scores else None,
+        "scored": len(scores),
+        "invalid": len(lines) - len(scores),
     }
 
 
-def _verbalization(lines: list[dict], run_id: int, length: int) -> dict:
-    precisions, recalls, invalid = [], [], 0
-    for record in _records_for(
-        lines, length, run_id, Task.VERBALIZE_ALTERNATIVES, ambiguous=True
-    ):
-        if not record["valid"]:
-            invalid += 1
-            continue
-        precision, recall = verbalization_scores(
-            record["parsed"]["value"], record["continuations"]
-        )
-        precisions.append(precision)
-        recalls.append(recall)
-    return {
-        "precision": fmean(precisions) if precisions else None,
-        "recall": fmean(recalls) if recalls else None,
-        "scored": len(precisions),
-        "invalid": invalid,
-    }
+def _distribution(line: dict) -> TokenDistribution:
+    return TokenDistribution.from_pairs((t, lp) for t, lp in line["top_logprobs"])
 
 
-def _alternative_test(lines: list[dict], run_id: int, length: int, base: int) -> dict:
+def alternative_test(completions: list[dict], base: int) -> dict:
+    """The alternative-consideration test over completion lines that carry
+    top logprobs."""
     passed = failed = 0
     reasons: dict[str, int] = {}
-    for record in _records_for(
-        lines, length, run_id, Task.COMPLETION, ambiguous=True
-    ):
-        if not record["top_logprobs"]:
+    for line in completions:
+        if not line["top_logprobs"]:
             continue
-        dist = TokenDistribution.from_pairs(
-            (t, lp) for t, lp in record["top_logprobs"]
+        result = alternative_consideration_test(
+            _distribution(line), line["continuations"], base
         )
-        result = alternative_consideration_test(dist, record["continuations"], base)
         passed += result.passed
         failed += not result.passed
         reasons[result.reason.value] = reasons.get(result.reason.value, 0) + 1
@@ -194,18 +169,15 @@ def _alternative_test(lines: list[dict], run_id: int, length: int, base: int) ->
     }
 
 
-def _quadrant_analysis(lines: list[dict], length: int, base: int) -> dict:
+def _quadrant_analysis(completions: list[dict], base: int) -> dict:
     """Pool completion-task logprob captures across runs, bucket by quadrant,
     and compare the smoothed per-quadrant densities."""
     groups: dict[Quadrant, list[float]] = {q: [] for q in Quadrant}
-    for record in _records_for(lines, length, task=Task.COMPLETION):
-        if not record["top_logprobs"]:
+    for line in completions:
+        if not line["top_logprobs"]:
             continue
-        dist = TokenDistribution.from_pairs(
-            (t, lp) for t, lp in record["top_logprobs"]
-        )
         for quadrant, values in group_logprobs_by_quadrant(
-            dist, record["continuations"], base
+            _distribution(line), line["continuations"], base
         ).items():
             groups[quadrant].extend(values)
 
@@ -230,21 +202,13 @@ def _quadrant_analysis(lines: list[dict], length: int, base: int) -> dict:
 
 
 def _random_baseline(dataset: Dataset, mc_samples: int, rng_seed: int) -> dict:
-    ambiguous_only = Dataset(
-        parameters=dataset.parameters, ambiguous=dataset.ambiguous, unambiguous=()
-    )
     closed = expected_random_consistency(
-        100, 100, ambiguous_only, mode="closed_form", which="ambiguous"
+        100, 100, dataset, mode="closed_form", which="ambiguous"
     )
     mc = expected_random_consistency(
-        100,
-        100,
-        ambiguous_only,
-        n_samples=mc_samples,
-        rng_seed=rng_seed,
-        which="ambiguous",
+        100, 100, dataset, n_samples=mc_samples, rng_seed=rng_seed, which="ambiguous"
     )
-    sigma_bound = 100 * 0.5 / math.sqrt(len(ambiguous_only.ambiguous) * mc_samples)
+    sigma_bound = 100 * 0.5 / math.sqrt(len(dataset.ambiguous) * mc_samples)
     return {
         "closed_form": closed,
         "monte_carlo": mc,
@@ -263,16 +227,11 @@ def _reference_comparison(
         per_length_closed = []
         per_length_mc = []
         for length in sorted(datasets):
-            ambiguous_only = Dataset(
-                parameters=datasets[length].parameters,
-                ambiguous=datasets[length].ambiguous,
-                unambiguous=(),
-            )
             per_length_closed.append(
                 expected_random_consistency(
                     ref["p_expl"],
                     ref["p_compl"],
-                    ambiguous_only,
+                    datasets[length],
                     mode="closed_form",
                     which="ambiguous",
                 )
@@ -281,7 +240,7 @@ def _reference_comparison(
                 expected_random_consistency(
                     ref["p_expl"],
                     ref["p_compl"],
-                    ambiguous_only,
+                    datasets[length],
                     n_samples=mc_samples,
                     rng_seed=rng_seed,
                     which="ambiguous",
@@ -330,18 +289,38 @@ def analyze_results(
             )
         datasets[int(length_str)] = load_dataset(path)
 
+    # one pass over the file; each bucket keeps its lines in file order
+    buckets: dict[tuple, list[dict]] = {}
+    for line in lines:
+        key = (line["length"], line["run_id"], line["task"], line["ambiguous"])
+        buckets.setdefault(key, []).append(line)
+
     per_length: dict[str, Any] = {}
     for length in config.lengths:
-        run_ids = sorted({r["run_id"] for r in lines if r["length"] == length})
+        run_ids = sorted({key[1] for key in buckets if key[0] == length})
         per_run = []
         for run_id in run_ids:
-            fields = _accuracy_fields(lines, run_id, length)
+
+            def bucket(task: Task, ambiguous: bool) -> list[dict]:
+                return buckets.get((length, run_id, task.value, ambiguous), [])
+
+            fields = accuracy(
+                bucket(Task.EXPLANATION, False) + bucket(Task.COMPLETION, False)
+            )
             fields["run_id"] = run_id
-            fields["cross_context"] = _cross_context(lines, run_id, length, convention)
-            fields["model_judged"] = _model_judged(lines, run_id, length)
-            fields["verbalization"] = _verbalization(lines, run_id, length)
-            fields["alternative_test"] = _alternative_test(
-                lines, run_id, length, config.base
+            fields["cross_context"] = cross_context_consistency(
+                bucket(Task.COMPLETION, True),
+                bucket(Task.EXPLANATION, True),
+                convention,
+            )
+            fields["model_judged"] = judged_consistency(
+                bucket(Task.CONSISTENCY_JUDGMENT, True)
+            )
+            fields["verbalization"] = verbalization(
+                bucket(Task.VERBALIZE_ALTERNATIVES, True)
+            )
+            fields["alternative_test"] = alternative_test(
+                bucket(Task.COMPLETION, True), config.base
             )
             per_run.append(fields)
         aggregate = (
@@ -374,7 +353,15 @@ def analyze_results(
             "random_baseline": _random_baseline(
                 datasets[length], mc_samples, config.rng_seed
             ),
-            "quadrants": _quadrant_analysis(lines, length, config.base),
+            "quadrants": _quadrant_analysis(
+                [
+                    line
+                    for (line_length, _, task, _), group in buckets.items()
+                    if line_length == length and task == Task.COMPLETION.value
+                    for line in group
+                ],
+                config.base,
+            ),
         }
 
     return {

@@ -1,9 +1,11 @@
-"""Response parsing and scoring.
+"""Response parsing and per-answer scoring.
 
-Turns raw model text into typed answers, scores accuracy against unambiguous
-sequences, and computes the three consistency measures: cross-context
-(execution-based), model-judged, and the expected value under a random-but-
-valid answering policy.
+Turns raw model text into typed, validated records, marks answers on
+unambiguous sequences correct or incorrect, and supplies the primitives the
+analysis scores result lines with: the execution check for cross-context
+consistency, verbalization precision/recall, the expected consistency of a
+random-but-valid answerer, and the per-run metrics and their mean.
+Aggregating result lines into per-run figures is :mod:`ambigseq.analysis`.
 
 Conventions: accuracy, validity, and consistency figures are percentages in
 [0, 100]; verbalization precision/recall are fractions in [0, 1].
@@ -15,14 +17,13 @@ import re
 from dataclasses import dataclass, replace
 from random import Random
 from statistics import fmean
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .distribution import parse_numeral_token
 from .funcspace import (
     ConcreteFunction,
     DEFAULT_CONVENTION,
     FunctionLike,
-    FunctionSpace,
     IndexConvention,
     ParseError,
     ParsedFunction,
@@ -35,13 +36,7 @@ from .mining import (
     SequenceRecord,
     continuations_of,
 )
-from .prompting import (
-    MAX_VERBALIZED_ALTERNATIVES,
-    PromptSpec,
-    Task,
-    Variant,
-    build_prompt,
-)
+from .prompting import MAX_VERBALIZED_ALTERNATIVES, Task
 
 AFFIRMATIVE_VERDICT = "consistent"
 NEGATIVE_VERDICT = "inconsistent"
@@ -197,32 +192,6 @@ def eval_record_to_json(record: EvalRecord) -> dict:
     }
 
 
-def eval_record_from_json(data: Mapping) -> EvalRecord:
-    parsed_field = data["parsed"]
-    kind = parsed_field["kind"]
-    if kind == "invalid":
-        parsed = None
-    elif kind == "function":
-        parsed = parse(parsed_field["value"])
-    elif kind == "ints":
-        parsed = tuple(int(v) for v in parsed_field["value"])
-    elif kind == "bool":
-        parsed = bool(parsed_field["value"])
-    else:
-        parsed = int(parsed_field["value"])
-    return EvalRecord(
-        sequence=SequenceRecord(
-            tuple(data["sequence"]["values"]), data["sequence"]["base"]
-        ),
-        task=Task(data["task"]),
-        raw_response=data["raw_response"],
-        parsed=parsed,
-        valid=data["valid"],
-        correct=data["correct"],
-        run_id=data["run_id"],
-    )
-
-
 _PERCENT_FIELDS = (
     "explanation_accuracy",
     "completion_accuracy",
@@ -260,7 +229,7 @@ class RunMetrics:
 
 
 # ---------------------------------------------------------------------------
-# accuracy
+# correctness
 
 
 def annotate_correctness(
@@ -291,42 +260,6 @@ def _is_correct(record: EvalRecord, ds_record: AmbiguityRecord) -> bool:
     return record.parsed in ds_record.functions
 
 
-def score_accuracy(records: Iterable[EvalRecord], dataset: Dataset) -> RunMetrics:
-    """Accuracy and valid-fraction over completion/explanation records.
-
-    Every record must target an unambiguous sequence of the dataset —
-    accuracy is only well-defined where there is a single right answer.
-    """
-    scorable = [r for r in records if r.task in (Task.COMPLETION, Task.EXPLANATION)]
-    if not scorable:
-        raise ValueError("no completion or explanation records to score")
-    by_task: dict[Task, list[bool]] = {Task.COMPLETION: [], Task.EXPLANATION: []}
-    n_valid = 0
-    for record in scorable:
-        ds_record = dataset.find(record.sequence.values)
-        if ds_record is None or ds_record.is_ambiguous:
-            raise ValueError(
-                f"sequence {record.sequence.values} is not an unambiguous "
-                "sequence of this dataset"
-            )
-        if record.valid:
-            n_valid += 1
-            by_task[record.task].append(_is_correct(record, ds_record))
-        else:
-            by_task[record.task].append(False)
-
-    def pct(outcomes: list[bool]) -> float | None:
-        if not outcomes:
-            return None
-        return 100.0 * sum(outcomes) / len(outcomes)
-
-    return RunMetrics(
-        explanation_accuracy=pct(by_task[Task.EXPLANATION]),
-        completion_accuracy=pct(by_task[Task.COMPLETION]),
-        valid_fraction=100.0 * n_valid / len(scorable),
-    )
-
-
 # ---------------------------------------------------------------------------
 # cross-context consistency
 
@@ -346,118 +279,6 @@ def check_cross_context_consistency(
         sequence.values if isinstance(sequence, SequenceRecord) else tuple(sequence)
     )
     return completion in continuations_of(explanation, values, convention)
-
-
-@dataclass(frozen=True)
-class ConsistencySummary:
-    """Consistent / inconsistent / invalid bucket counts for one run."""
-
-    consistent: int
-    inconsistent: int
-    invalid: int
-
-    @property
-    def evaluated(self) -> int:
-        return self.consistent + self.inconsistent
-
-    @property
-    def total(self) -> int:
-        return self.evaluated + self.invalid
-
-    @property
-    def rate(self) -> float | None:
-        """Percent consistent among pairs where both answers parsed."""
-        if not self.evaluated:
-            return None
-        return 100.0 * self.consistent / self.evaluated
-
-
-def score_cross_context(
-    records: Iterable[EvalRecord],
-    convention: IndexConvention = DEFAULT_CONVENTION,
-) -> ConsistencySummary:
-    """Pair completion/explanation records by (run, sequence) and bucket them.
-
-    A pair with either answer unparseable lands in the invalid bucket and is
-    excluded from the rate's denominator.
-    """
-    pairs: dict[tuple, dict[Task, list[EvalRecord]]] = {}
-    for record in records:
-        if record.task not in (Task.COMPLETION, Task.EXPLANATION):
-            continue
-        key = (record.run_id, record.sequence.values, record.sequence.base)
-        pairs.setdefault(key, {Task.COMPLETION: [], Task.EXPLANATION: []})[
-            record.task
-        ].append(record)
-
-    consistent = inconsistent = invalid = 0
-    for key in sorted(pairs):
-        group = pairs[key]
-        for compl, expl in zip(group[Task.COMPLETION], group[Task.EXPLANATION]):
-            if not (compl.valid and expl.valid):
-                invalid += 1
-            elif check_cross_context_consistency(
-                compl.sequence, compl.parsed, expl.parsed, convention
-            ):
-                consistent += 1
-            else:
-                inconsistent += 1
-    return ConsistencySummary(consistent, inconsistent, invalid)
-
-
-# ---------------------------------------------------------------------------
-# model-judged consistency
-
-
-def model_judged_consistency(
-    backend,
-    sequence: SequenceRecord,
-    completion: int,
-    explanation: FunctionLike,
-    space: FunctionSpace,
-    *,
-    convention: IndexConvention = DEFAULT_CONVENTION,
-    dataset: Dataset | None = None,
-    n_shots: int | None = None,
-    rng_seed: int = 0,
-    variant: Variant = Variant.PLAIN,
-    affirmative: str = AFFIRMATIVE_VERDICT,
-    negative: str = NEGATIVE_VERDICT,
-) -> bool | None:
-    """Ask a backend whether (explanation, completion) go together.
-
-    Returns the parsed verdict, or None when the response has no leading
-    verdict token.
-    """
-    from .backends import CompletionRequest
-
-    spec = PromptSpec(
-        task=Task.CONSISTENCY_JUDGMENT,
-        variant=variant,
-        base=sequence.base,
-        n_shots=n_shots,
-        rng_seed=rng_seed,
-    )
-    prompt = build_prompt(
-        spec,
-        sequence,
-        space,
-        convention=convention,
-        dataset=dataset,
-        judged_explanation=render_function(explanation, sequence.base),
-        judged_completion=completion,
-    )
-    response = backend.complete(CompletionRequest(prompt))
-    return parse_judgment_response(response.text, affirmative, negative)
-
-
-def summarize_judgments(verdicts: Iterable[bool | None]) -> ConsistencySummary:
-    verdicts = list(verdicts)
-    return ConsistencySummary(
-        consistent=sum(v is True for v in verdicts),
-        inconsistent=sum(v is False for v in verdicts),
-        invalid=sum(v is None for v in verdicts),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +331,7 @@ def expected_random_consistency(
     if not 0.0 <= p_expl <= 100.0 or not 0.0 <= p_compl <= 100.0:
         raise ValueError("probabilities are percentages in [0, 100]")
     records = {
-        "all": dataset.records(),
+        "all": tuple(dataset.records()),
         "ambiguous": dataset.ambiguous,
         "unambiguous": dataset.unambiguous,
     }.get(which)

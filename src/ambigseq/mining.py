@@ -146,8 +146,10 @@ class Dataset:
     parameters: DatasetParameters
 
     def __post_init__(self) -> None:
-        assert all(r.is_ambiguous for r in self.ambiguous)
-        assert not any(r.is_ambiguous for r in self.unambiguous)
+        if not all(r.is_ambiguous for r in self.ambiguous):
+            raise ValueError("the ambiguous split holds an unambiguous record")
+        if any(r.is_ambiguous for r in self.unambiguous):
+            raise ValueError("the unambiguous split holds an ambiguous record")
 
     def records(self) -> Iterator[AmbiguityRecord]:
         yield from self.ambiguous

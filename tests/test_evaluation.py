@@ -8,29 +8,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigseq.backends import NO_VALID_ANSWER, OracleBackend, ScriptedBackend
+from ambigseq.analysis import (
+    accuracy,
+    cross_context_consistency,
+    judged_consistency,
+)
+from ambigseq.backends import (
+    NO_VALID_ANSWER,
+    CompletionRequest,
+    OracleBackend,
+    ScriptedBackend,
+)
 from ambigseq.evaluation import (
-    ConsistencySummary,
     EvalRecord,
     RunMetrics,
     aggregate_runs,
     annotate_correctness,
     build_eval_record,
     check_cross_context_consistency,
-    eval_record_from_json,
     eval_record_to_json,
     expected_random_consistency,
-    model_judged_consistency,
     parse_completion_response,
     parse_explanation_response,
     parse_judgment_response,
     parse_verbalized_response,
-    score_accuracy,
-    score_cross_context,
-    summarize_judgments,
     verbalization_scores,
 )
-from ambigseq.funcspace import TemplateKind, enumerate_space, instantiate, parse
+from ambigseq.funcspace import (
+    TemplateKind,
+    enumerate_space,
+    instantiate,
+    render_function,
+)
 from ambigseq.mining import (
     AmbiguityRecord,
     Dataset,
@@ -39,7 +48,7 @@ from ambigseq.mining import (
     SequenceRecord,
     mine,
 )
-from ambigseq.prompting import Task
+from ambigseq.prompting import PromptSpec, Task, build_prompt
 
 ARITH43 = instantiate(TemplateKind.ARITHMETIC, 4, 3)
 BITOR33 = instantiate(TemplateKind.BIT_OR, 3, 3)
@@ -54,6 +63,24 @@ def space():
 @pytest.fixture(scope="module")
 def dataset(space):
     return mine(space, length=3)
+
+
+def result_line(dataset, task, sequence, text, run_id=0):
+    """A results-file line built through the campaign's write path, with the
+    fields the analysis scorers read."""
+    (record,) = annotate_correctness(
+        [build_eval_record(task, sequence, text, run_id=run_id)], dataset
+    )
+    ds_record = dataset.find(sequence.values)
+    return {
+        **eval_record_to_json(record),
+        "ambiguous": ds_record.is_ambiguous,
+        "continuations": sorted(ds_record.continuations),
+    }
+
+
+def by_task(lines, task):
+    return [line for line in lines if line["task"] == task.value]
 
 
 class TestParsers:
@@ -148,26 +175,32 @@ class TestEvalRecord:
         with pytest.raises(ValueError):
             EvalRecord(AMBIG, Task.EXPLANATION, "19", 19, True)
 
-    @pytest.mark.parametrize(
-        "task,text",
-        [
-            (Task.COMPLETION, "19"),
-            (Task.COMPLETION, "garbage"),
-            (Task.EXPLANATION, "Explanation: lambda x: (4 * x) + 3"),
-            (Task.CONSISTENCY_JUDGMENT, "inconsistent"),
-            (Task.VERBALIZE_ALTERNATIVES, "15 \\n 19 \\n"),
-            (Task.VERBALIZE_ALTERNATIVES, ""),
-        ],
-    )
+    # the parsed answer as a results line stores it; analysis reads it back
+    JSON_PARSED = {
+        (Task.COMPLETION, "19"): {"kind": "int", "value": 19},
+        (Task.COMPLETION, "garbage"): {"kind": "invalid"},
+        (Task.EXPLANATION, "Explanation: lambda x: (4 * x) + 3"): {
+            "kind": "function",
+            "value": "lambda x: (4 * x) + 3",
+        },
+        (Task.CONSISTENCY_JUDGMENT, "inconsistent"): {"kind": "bool", "value": False},
+        (Task.VERBALIZE_ALTERNATIVES, "15 \\n 19 \\n"): {
+            "kind": "ints",
+            "value": [15, 19],
+        },
+        (Task.VERBALIZE_ALTERNATIVES, ""): {"kind": "ints", "value": []},
+    }
+
+    @pytest.mark.parametrize("task,text", list(JSON_PARSED))
     def test_json_round_trip(self, task, text):
         record = build_eval_record(task, AMBIG, text, run_id=2)
-        assert eval_record_from_json(eval_record_to_json(record)) == record
+        assert eval_record_to_json(record)["parsed"] == self.JSON_PARSED[task, text]
 
     def test_json_round_trip_base2(self):
         record = build_eval_record(
             Task.COMPLETION, SequenceRecord((7, 11, 15), base=2), "0b10011"
         )
-        assert eval_record_from_json(eval_record_to_json(record)) == record
+        assert eval_record_to_json(record)["parsed"] == {"kind": "int", "value": 19}
 
 
 def unambiguous_sample(dataset, n=25):
@@ -176,58 +209,70 @@ def unambiguous_sample(dataset, n=25):
 
 class TestAccuracy:
     def test_perfect_oracle_is_100(self, space, dataset):
-        records = []
+        lines = []
         for ds_record in unambiguous_sample(dataset):
             seq = ds_record.sequence
             (answer,) = ds_record.continuations
-            records.append(build_eval_record(Task.COMPLETION, seq, str(answer)))
-            records.append(
-                build_eval_record(
-                    Task.EXPLANATION, seq, f"Explanation: {ds_record.functions[0].text}"
+            lines.append(result_line(dataset, Task.COMPLETION, seq, str(answer)))
+            lines.append(
+                result_line(
+                    dataset,
+                    Task.EXPLANATION,
+                    seq,
+                    f"Explanation: {ds_record.functions[0].text}",
                 )
             )
-        metrics = score_accuracy(records, dataset)
-        assert metrics.completion_accuracy == 100.0
-        assert metrics.explanation_accuracy == 100.0
-        assert metrics.valid_fraction == 100.0
+        metrics = accuracy(lines)
+        assert metrics["completion_accuracy"] == 100.0
+        assert metrics["explanation_accuracy"] == 100.0
+        assert metrics["valid_fraction"] == 100.0
 
     def test_always_invalid_is_0(self, dataset):
-        records = [
-            build_eval_record(Task.COMPLETION, r.sequence, "no idea")
+        lines = [
+            result_line(dataset, Task.COMPLETION, r.sequence, "no idea")
             for r in unambiguous_sample(dataset)
         ]
-        metrics = score_accuracy(records, dataset)
-        assert metrics.completion_accuracy == 0.0
-        assert metrics.valid_fraction == 0.0
-        assert metrics.explanation_accuracy is None
+        metrics = accuracy(lines)
+        assert metrics["completion_accuracy"] == 0.0
+        assert metrics["valid_fraction"] == 0.0
+        assert metrics["explanation_accuracy"] is None
 
     def test_wrong_but_valid_counts_invalid_fraction_separately(self, dataset):
         ds_record = unambiguous_sample(dataset)[0]
         (answer,) = ds_record.continuations
-        records = [
-            build_eval_record(Task.COMPLETION, ds_record.sequence, str(answer + 1)),
-            build_eval_record(Task.COMPLETION, ds_record.sequence, str(answer)),
+        lines = [
+            result_line(dataset, Task.COMPLETION, ds_record.sequence, str(answer + 1)),
+            result_line(dataset, Task.COMPLETION, ds_record.sequence, str(answer)),
         ]
-        metrics = score_accuracy(records, dataset)
-        assert metrics.completion_accuracy == 50.0
-        assert metrics.valid_fraction == 100.0
+        metrics = accuracy(lines)
+        assert metrics["completion_accuracy"] == 50.0
+        assert metrics["valid_fraction"] == 100.0
 
     def test_explanation_requires_exact_form(self, space, dataset):
         # find an unambiguous sequence with a single generating function,
         # then answer with some other parseable function
         target = next(r for r in dataset.unambiguous if len(r.functions) == 1)
         other = ARITH43 if ARITH43 not in target.functions else BITOR33
-        records = [
-            build_eval_record(Task.EXPLANATION, target.sequence, other.text)
-        ]
-        metrics = score_accuracy(records, dataset)
-        assert metrics.explanation_accuracy == 0.0
-        assert metrics.valid_fraction == 100.0
+        lines = [result_line(dataset, Task.EXPLANATION, target.sequence, other.text)]
+        metrics = accuracy(lines)
+        assert metrics["explanation_accuracy"] == 0.0
+        assert metrics["valid_fraction"] == 100.0
 
     def test_ambiguous_sequence_rejected(self, dataset):
-        record = build_eval_record(Task.COMPLETION, AMBIG, "19")
-        with pytest.raises(ValueError):
-            score_accuracy([record], dataset)
+        """An ambiguous line does not count toward accuracy."""
+        ds_record = unambiguous_sample(dataset)[0]
+        (answer,) = ds_record.continuations
+        lines = [
+            result_line(dataset, Task.COMPLETION, ds_record.sequence, str(answer)),
+            result_line(dataset, Task.COMPLETION, AMBIG, "no idea"),
+            result_line(dataset, Task.EXPLANATION, AMBIG, ARITH43.text),
+        ]
+        assert lines[1]["ambiguous"] and lines[2]["ambiguous"]
+        assert accuracy(lines) == {
+            "explanation_accuracy": None,
+            "completion_accuracy": 100.0,
+            "valid_fraction": 100.0,
+        }
 
     def test_annotate_correctness(self, dataset):
         ds_record = unambiguous_sample(dataset)[0]
@@ -257,83 +302,105 @@ class TestCrossContext:
     def test_accepts_plain_values(self):
         assert check_cross_context_consistency([7, 11, 15], 19, ARITH43)
 
-    def test_score_buckets(self):
-        records = [
-            build_eval_record(Task.COMPLETION, AMBIG, "19", run_id=0),
-            build_eval_record(Task.EXPLANATION, AMBIG, ARITH43.text, run_id=0),
-            build_eval_record(Task.COMPLETION, AMBIG, "15", run_id=1),
-            build_eval_record(Task.EXPLANATION, AMBIG, ARITH43.text, run_id=1),
-            build_eval_record(Task.COMPLETION, AMBIG, "19", run_id=2),
-            build_eval_record(Task.EXPLANATION, AMBIG, "not a function", run_id=2),
-        ]
-        summary = score_cross_context(records)
-        assert summary == ConsistencySummary(consistent=1, inconsistent=1, invalid=1)
-        assert summary.rate == 50.0
-        assert summary.total == 3
+    def test_score_buckets(self, dataset):
+        answers = {
+            0: ("19", ARITH43.text),
+            1: ("15", ARITH43.text),
+            2: ("19", "not a function"),
+        }
+        per_run = {}
+        for run_id, (completion, explanation) in answers.items():
+            per_run[run_id] = cross_context_consistency(
+                [result_line(dataset, Task.COMPLETION, AMBIG, completion, run_id)],
+                [result_line(dataset, Task.EXPLANATION, AMBIG, explanation, run_id)],
+                dataset.parameters.convention,
+            )
+        assert per_run == {
+            0: {"consistent": 1, "inconsistent": 0, "invalid": 0, "rate": 100.0},
+            1: {"consistent": 0, "inconsistent": 1, "invalid": 0, "rate": 0.0},
+            2: {"consistent": 0, "inconsistent": 0, "invalid": 1, "rate": None},
+        }
+        mean = aggregate_runs(
+            [RunMetrics(cross_context_consistency=s["rate"]) for s in per_run.values()]
+        )
+        assert mean.cross_context_consistency == 50.0
 
-    def test_rate_none_when_all_invalid(self):
-        records = [
-            build_eval_record(Task.COMPLETION, AMBIG, "??"),
-            build_eval_record(Task.EXPLANATION, AMBIG, "??"),
-        ]
-        summary = score_cross_context(records)
-        assert summary.rate is None and summary.invalid == 1
+    def test_rate_none_when_all_invalid(self, dataset):
+        summary = cross_context_consistency(
+            [result_line(dataset, Task.COMPLETION, AMBIG, "??")],
+            [result_line(dataset, Task.EXPLANATION, AMBIG, "??")],
+            dataset.parameters.convention,
+        )
+        assert summary["rate"] is None and summary["invalid"] == 1
+
+    @staticmethod
+    def oracle_lines(backend, space, dataset, sample):
+        lines = []
+        for ds_record in sample:
+            for task in (Task.COMPLETION, Task.EXPLANATION):
+                prompt = build_prompt(
+                    PromptSpec(task=task, n_shots=0), ds_record.sequence, space
+                )
+                text = backend.complete(CompletionRequest(prompt)).text
+                lines.append(result_line(dataset, task, ds_record.sequence, text))
+        return lines
 
     def test_consistent_oracle_everywhere(self, space, dataset):
-        from ambigseq.backends import CompletionRequest
-        from ambigseq.prompting import PromptSpec, build_prompt
-
-        backend = OracleBackend(space)
-        records = []
         sample = dataset.ambiguous[:6] + dataset.unambiguous[:6]
-        for run_id, ds_record in enumerate(sample):
-            for task in (Task.COMPLETION, Task.EXPLANATION):
-                prompt = build_prompt(
-                    PromptSpec(task=task, n_shots=0), ds_record.sequence, space
-                )
-                text = backend.complete(CompletionRequest(prompt)).text
-                records.append(
-                    build_eval_record(task, ds_record.sequence, text, run_id=run_id)
-                )
-        summary = score_cross_context(records)
-        assert summary.rate == 100.0
-        assert summary.invalid == 0
+        lines = self.oracle_lines(OracleBackend(space), space, dataset, sample)
+        summary = cross_context_consistency(
+            by_task(lines, Task.COMPLETION),
+            by_task(lines, Task.EXPLANATION),
+            dataset.parameters.convention,
+        )
+        assert summary["rate"] == 100.0
+        assert summary["invalid"] == 0
 
     def test_adversarial_oracle_zero_on_ambiguous(self, space, dataset):
-        from ambigseq.backends import CompletionRequest
-        from ambigseq.prompting import PromptSpec, build_prompt
-
         backend = OracleBackend(space, mode="adversarial")
-        records = []
-        for run_id, ds_record in enumerate(dataset.ambiguous[:8]):
-            for task in (Task.COMPLETION, Task.EXPLANATION):
-                prompt = build_prompt(
-                    PromptSpec(task=task, n_shots=0), ds_record.sequence, space
-                )
-                text = backend.complete(CompletionRequest(prompt)).text
-                records.append(
-                    build_eval_record(task, ds_record.sequence, text, run_id=run_id)
-                )
-        summary = score_cross_context(records)
-        assert summary.rate == 0.0
-        assert summary.invalid == 0
+        lines = self.oracle_lines(backend, space, dataset, dataset.ambiguous[:8])
+        summary = cross_context_consistency(
+            by_task(lines, Task.COMPLETION),
+            by_task(lines, Task.EXPLANATION),
+            dataset.parameters.convention,
+        )
+        assert summary["rate"] == 0.0
+        assert summary["invalid"] == 0
+
+
+def judge(backend, space, completion, explanation):
+    """The backend's parsed verdict on one (explanation, completion) pair."""
+    prompt = build_prompt(
+        PromptSpec(task=Task.CONSISTENCY_JUDGMENT),
+        AMBIG,
+        space,
+        judged_explanation=render_function(explanation, AMBIG.base),
+        judged_completion=completion,
+    )
+    return parse_judgment_response(backend.complete(CompletionRequest(prompt)).text)
 
 
 class TestModelJudged:
     def test_oracle_judge_agrees_with_execution(self, space):
         backend = OracleBackend(space)
-        assert model_judged_consistency(backend, AMBIG, 19, ARITH43, space) is True
-        assert model_judged_consistency(backend, AMBIG, 15, ARITH43, space) is False
+        assert judge(backend, space, 19, ARITH43) is True
+        assert judge(backend, space, 15, ARITH43) is False
 
     def test_unparseable_verdict_is_invalid(self, space):
         backend = ScriptedBackend({}, default="hard to say")
-        verdict = model_judged_consistency(backend, AMBIG, 19, ARITH43, space)
-        assert verdict is None
+        assert judge(backend, space, 19, ARITH43) is None
 
-    def test_summary(self):
-        assert summarize_judgments([True, True, False, None]) == ConsistencySummary(
-            consistent=2, inconsistent=1, invalid=1
-        )
+    def test_summary(self, dataset):
+        lines = [
+            result_line(dataset, Task.CONSISTENCY_JUDGMENT, AMBIG, text)
+            for text in ("consistent", "consistent", "inconsistent", "hard to say")
+        ]
+        assert judged_consistency(lines) == {
+            "consistent": 2,
+            "inconsistent": 1,
+            "invalid": 1,
+            "rate": 100.0 * 2 / 3,
+        }
 
 
 def two_way_record(values, fn_a, off_a, cont_a, fn_b, off_b, cont_b, base=10):
@@ -454,6 +521,15 @@ class TestExpectedRandomConsistency:
             expected_random_consistency(100, 100, fifty_fifty_dataset, mode="guess")
         with pytest.raises(ValueError):
             expected_random_consistency(100, 100, fifty_fifty_dataset, which="some")
+        empty = Dataset(
+            parameters=fifty_fifty_dataset.parameters, ambiguous=(), unambiguous=()
+        )
+        for which in ("all", "ambiguous"):
+            for mode in ("closed_form", "monte_carlo"):
+                with pytest.raises(ValueError, match="no records to estimate over"):
+                    expected_random_consistency(
+                        100, 100, empty, mode=mode, which=which
+                    )
 
 
 class TestVerbalization:

@@ -7,6 +7,7 @@ bruteforce.py and frozen here; the oracle runs alongside as a cross-check.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,18 @@ from bruteforce import (
 def test_template_texts_match_oracle_copies():
     ours = {k.value: v for k, v in fs.TEMPLATE_TEXTS.items()}
     assert ours == ORACLE_TEMPLATES
+
+
+def test_readme_template_table_matches_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| template | form |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for row in table.splitlines():
+        name, form = row.replace("\\|", "\0").strip("|").split("|")
+        rows[name.strip()] = form.strip().strip("`").replace("\0", "|")
+    assert rows == {
+        kind.value: text.format("c1", "c2") for kind, text in fs.TEMPLATE_TEXTS.items()
+    }
 
 
 class TestInstantiate:

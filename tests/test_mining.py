@@ -292,3 +292,17 @@ class TestRecordInvariants:
         )
         assert rec.functions == (fn,)
         assert rec.is_ambiguous
+
+    def test_dataset_rejects_swapped_splits(self, dataset4):
+        with pytest.raises(ValueError):
+            Dataset(
+                parameters=dataset4.parameters,
+                ambiguous=dataset4.unambiguous[:1],
+                unambiguous=(),
+            )
+        with pytest.raises(ValueError):
+            Dataset(
+                parameters=dataset4.parameters,
+                ambiguous=(),
+                unambiguous=dataset4.ambiguous[:1],
+            )
