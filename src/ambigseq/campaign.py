@@ -5,8 +5,9 @@ config, config digest, dataset filenames) followed by one record per backend
 query. Record lines carry no wall-clock data, so a repeat run with the same
 config and a deterministic backend reproduces the file byte for byte;
 timestamps go to a sidecar ``audit.log``. Reruns resume: records already
-present are skipped, a truncated trailing line from an interrupted run is
-dropped, and the remainder is appended in the same canonical order.
+present are skipped, an unterminated trailing line from an interrupted run
+is truncated away (every line is written with its newline), and the
+remainder is appended in the same canonical order.
 """
 
 from __future__ import annotations
@@ -251,16 +252,26 @@ def _results_header(config: CampaignConfig) -> dict:
     }
 
 
+def _complete_part(data: bytes) -> bytes:
+    """The newline-terminated lines of a results file. Every line is written
+    with its newline, so an unterminated tail is a torn write."""
+    return data[: data.rfind(b"\n") + 1]
+
+
 def read_results(path: str | Path) -> tuple[dict, list[dict]]:
     """Read a results file; raises on missing/incompatible header.
 
-    A malformed trailing line (interrupted write) is dropped; a malformed
-    line elsewhere is an error.
+    A trailing line without its newline (an interrupted write) is dropped,
+    even when it holds a whole record; a malformed line elsewhere is an error.
     """
     path = Path(path)
-    raw_lines = path.read_text().splitlines()
+    return _parse_results(path, _complete_part(path.read_bytes()))
+
+
+def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
+    raw_lines = complete.decode("utf-8").split("\n")[:-1]
     if not raw_lines:
-        raise CampaignError(f"{path}: empty results file")
+        raise CampaignError(f"{path}: empty results file (no complete header line)")
     try:
         header = json.loads(raw_lines[0])
     except json.JSONDecodeError as exc:
@@ -279,8 +290,6 @@ def read_results(path: str | Path) -> tuple[dict, list[dict]]:
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            if i == len(raw_lines):
-                break  # torn final line from an interrupted run
             raise CampaignError(f"{path}:{i}: malformed record line ({exc})") from exc
     return header, records
 
@@ -340,26 +349,29 @@ def run_campaign(
     audit = _Audit(out_dir / AUDIT_FILENAME)
 
     path = results_path(out_dir)
+    header_line = canonical_json(_results_header(config)) + "\n"
+    data = path.read_bytes() if path.exists() else b""
+    complete = _complete_part(data)
     existing: dict[tuple, dict] = {}
-    if path.exists():
-        header, records = read_results(path)
+    if complete:
+        header, records = _parse_results(path, complete)
         if header["config_digest"] != config.digest():
             raise CampaignError(
                 f"{path} belongs to campaign {header['config_digest']}, "
                 f"this config is {config.digest()} — use a fresh output directory"
             )
         existing = {_record_key(line): line for line in records}
-        # drop any torn trailing line so appends start on a clean boundary
-        good_lines = 1 + len(records)
-        raw = path.read_text().splitlines()
-        if len(raw) > good_lines:
-            path.write_text("\n".join(raw[:good_lines]) + "\n")
         audit.log(
             f"resume campaign={config.digest()} existing_records={len(existing)}"
         )
-    else:
-        path.write_text(canonical_json(_results_header(config)) + "\n")
+    elif header_line.encode().startswith(data):
+        # absent, or cut inside this campaign's own header line: start over
         audit.log(f"start campaign={config.digest()} backend={backend.backend_id}")
+    else:
+        raise CampaignError(
+            f"{path} has no complete line and is not this campaign's header cut short "
+            "— use a fresh output directory"
+        )
 
     # answers this run has available for judgment queries, freshest wins
     answered: dict[tuple, dict] = dict(existing)
@@ -367,6 +379,11 @@ def run_campaign(
     logprobs_available = config.want_top_logprobs > 0
 
     with path.open("a") as fh:
+        # drop any torn tail so appends start on a line boundary
+        fh.truncate(len(complete))
+        if not complete:
+            fh.write(header_line)
+            fh.flush()
         for query in plan_queries(config, datasets):
             if query.key in existing:
                 skipped += 1

@@ -183,6 +183,7 @@ def instantiate(
     return ConcreteFunction(kind, c1, c2)
 
 
+@lru_cache(maxsize=4096)
 def _template_ast(kind: TemplateKind, c1: int, c2: int) -> Expr:
     x = Var()
     if kind is TemplateKind.ARITHMETIC:
@@ -252,9 +253,6 @@ def _render_expr(ast: Expr, parent_prec: int = 0, right_side: bool = False) -> s
                 )
             if prec < parent_prec or (prec == parent_prec and right_side):
                 return f"({text})"
-            # same-precedence left operand of a left-assoc chain needs no parens
-            if prec == parent_prec and not right_side:
-                return text
             return text
         case FilteredIndex(c1, c2):
             # only reachable via ParsedFunction rendering of a bare special form
@@ -663,6 +661,15 @@ class FunctionSpace:
     probe_indices: tuple[int, ...]
     max_value: int | None
 
+    def __post_init__(self) -> None:
+        # built once: membership tests and cache keys hit these on every query
+        object.__setattr__(self, "_function_set", frozenset(self.functions))
+        fields = (self.functions, self.excluded, self.constant_range, self.probe_indices)
+        object.__setattr__(self, "_hash", hash((*fields, self.max_value)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __iter__(self) -> Iterator[ConcreteFunction]:
         return iter(self.functions)
 
@@ -674,10 +681,6 @@ class FunctionSpace:
 
     def __contains__(self, fn: object) -> bool:
         return fn in self._function_set
-
-    @property
-    def _function_set(self) -> frozenset[ConcreteFunction]:
-        return frozenset(self.functions)
 
     def by_kind(self, kind: TemplateKind) -> tuple[ConcreteFunction, ...]:
         return tuple(f for f in self.functions if f.kind is kind)
@@ -695,9 +698,12 @@ def enumerate_space(
     """Enumerate every template instance and keep the ones that are usable.
 
     A candidate is valid iff it evaluates without error at every probe index
-    and (when ``max_value`` is set) every probed value has magnitude at most
-    ``max_value``. The probes cover every index mining can touch:
-    ``start_index .. start_index + max_offset + probe_length``.
+    ``start_index .. start_index + max_offset + probe_length`` and (when
+    ``max_value`` is set) every probed value has magnitude at most
+    ``max_value``. The probes cover the indices mining reads for lengths up to
+    ``probe_length``; longer lengths read past them, where a valid function
+    may exceed ``max_value``. No prefix index is built here: mining builds
+    one per length on first use.
     """
     lo, hi = constant_range
     if lo > hi or lo < 0:

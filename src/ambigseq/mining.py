@@ -1,10 +1,13 @@
 """Mining ambiguous sequences from the function space.
 
 A length-L prefix is *ambiguous* when at least two (function, offset) pairs
-generate it with different continuations at step L+1. The miner groups every
-(function, offset) instance by its value prefix, which is equivalent to — and
-much cheaper than — the pairwise definition; :func:`pairwise_ambiguities`
-keeps the literal O(n²) pair scan for auditing.
+generate it with different continuations at step L+1. Every (function,
+offset) instance is grouped by its value prefix once per (space, length,
+convention), into a prefix index kept on the space instance and built on
+first use. :func:`mine` and every query against a space
+(:func:`matching_generators` and what sits on it) read that index;
+:func:`pairwise_ambiguities` keeps the literal O(n²) pair scan for auditing
+and does not.
 """
 
 from __future__ import annotations
@@ -197,23 +200,31 @@ class Dataset:
 # Mining
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Instance:
-    function: ConcreteFunction
-    offset: int
-    prefix: tuple[int, ...]
-    continuation: int
-
-
 def _instances(
     space: FunctionSpace, length: int, convention: IndexConvention
-) -> list[_Instance]:
+) -> list[tuple[tuple[int, ...], Generator]]:
+    """(length-``length`` prefix, generator) of every (function, offset)."""
     out = []
     for fn in space:
         for offset in convention.offsets:
             seq = generate_sequence(fn, offset, length + 1, convention)
-            out.append(_Instance(fn, offset, tuple(seq[:length]), seq[length]))
+            out.append((tuple(seq[:length]), Generator(fn, offset, seq[length])))
     return out
+
+
+def _prefix_index(
+    space: FunctionSpace, length: int, convention: IndexConvention
+) -> dict[tuple[int, ...], tuple[Generator, ...]]:
+    """Length-``length`` prefix → its generators in canonical order, built from
+    one pass over the space's instances and kept on the space instance."""
+    indexes = vars(space).setdefault("_prefix_indexes", {})  # not a field: eq/hash skip it
+    key = (length, convention)
+    if key not in indexes:
+        groups: dict[tuple[int, ...], list[Generator]] = {}
+        for prefix, generator in _instances(space, length, convention):
+            groups.setdefault(prefix, []).append(generator)
+        indexes[key] = {p: tuple(sorted(g, key=Generator.sort_key)) for p, g in groups.items()}
+    return indexes[key]
 
 
 def mine(
@@ -228,17 +239,11 @@ def mine(
     generators; records whose generators disagree on the continuation are the
     ambiguous split.
     """
-    groups: dict[tuple[int, ...], list[_Instance]] = {}
-    for inst in _instances(space, length, convention):
-        groups.setdefault(inst.prefix, []).append(inst)
-
+    index = _prefix_index(space, length, convention)
     ambiguous: list[AmbiguityRecord] = []
     unambiguous: list[AmbiguityRecord] = []
-    for prefix in sorted(groups):
-        gens = tuple(
-            Generator(i.function, i.offset, i.continuation) for i in groups[prefix]
-        )
-        record = AmbiguityRecord(SequenceRecord(prefix, base), gens)
+    for prefix in sorted(index):
+        record = AmbiguityRecord(SequenceRecord(prefix, base), index[prefix])
         (ambiguous if record.is_ambiguous else unambiguous).append(record)
 
     params = DatasetParameters(
@@ -271,17 +276,10 @@ def pairwise_ambiguities(
     Kept as the audit path: quadratic in the instance count, compares value
     prefixes element by element exactly as the definition reads.
     """
-    instances = _instances(space, length, convention)
     found = []
-    for a, b in combinations(instances, 2):
-        if a.prefix == b.prefix and a.continuation != b.continuation:
-            found.append(
-                PairAmbiguity(
-                    Generator(a.function, a.offset, a.continuation),
-                    Generator(b.function, b.offset, b.continuation),
-                    a.prefix,
-                )
-            )
+    for (prefix, a), (other, b) in combinations(_instances(space, length, convention), 2):
+        if prefix == other and a.continuation != b.continuation:
+            found.append(PairAmbiguity(a, b, prefix))
     return tuple(found)
 
 
@@ -304,13 +302,7 @@ def _matching_generators(
     space: FunctionSpace,
     convention: IndexConvention,
 ) -> tuple[Generator, ...]:
-    out = []
-    for fn in space:
-        for offset in convention.offsets:
-            seq = generate_sequence(fn, offset, len(values) + 1, convention)
-            if tuple(seq[: len(values)]) == values:
-                out.append(Generator(fn, offset, seq[len(values)]))
-    return tuple(sorted(out, key=Generator.sort_key))
+    return _prefix_index(space, len(values), convention).get(values, ())
 
 
 def valid_continuations(
@@ -450,6 +442,7 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(tuple(ambiguous), tuple(unambiguous), params)
 
 
+@lru_cache(maxsize=4096)  # a dataset repeats each function text across its records
 def _as_concrete(text: str) -> ConcreteFunction:
     fn = parse(text)
     if not isinstance(fn, ConcreteFunction):

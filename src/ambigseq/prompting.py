@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .funcspace import (
     ConcreteFunction,
@@ -178,6 +179,13 @@ def build_system_prompt(
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=16)
+def _system_prompt(space: FunctionSpace, base: int, role_text: str | None) -> str:
+    """build_system_prompt, rendered once per (space, base, role_text): every
+    query of a campaign shares it."""
+    return build_system_prompt(space, base, role_text)
+
+
 @dataclass(frozen=True)
 class PromptSpec:
     """Everything that determines how a prompt is rendered for one target."""
@@ -304,7 +312,7 @@ def build_prompt(
     if target.base != spec.base:
         target = target.rebase(spec.base)
     rng = random.Random(spec.rng_seed)
-    system = build_system_prompt(space, spec.base, spec.role_text)
+    system = _system_prompt(space, spec.base, spec.role_text)
 
     target_kinds: frozenset[TemplateKind] = frozenset()
     if spec.shot_sampling is not ShotSampling.RANDOM:

@@ -1,8 +1,12 @@
 """Campaign execution: planning, the results file, resume, failure recovery."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +292,53 @@ class TestRunCampaign:
         assert outcome.queried == 2  # the torn record and the missing one
         assert outcome.skipped == 22
         assert path.read_bytes() == reference
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda data: data.index(b"\n") // 2,  # inside the header
+            lambda data: data.index(b"\n", len(data) // 2) - 40,  # mid-record
+            lambda data: data.index(b"\n", len(data) // 2) + 1,  # exactly at a \n
+            lambda data: len(data) - 1,  # just before the final \n
+        ],
+        ids=["inside_header", "mid_record", "at_newline", "before_final_newline"],
+    )
+    def test_resume_after_cut_is_byte_identical(self, tmp_path, mined_l3, cut):
+        config_full = small_config(tmp_path / "full", mined_l3)
+        reference = run_campaign(config_full).results_file.read_bytes()
+
+        config = small_config(tmp_path / "cut", mined_l3)
+        path = results_path(config.output_dir)
+        path.write_bytes(reference[: cut(reference)])
+        outcome = run_campaign(config)
+        assert not outcome.failed
+        assert path.read_bytes() == reference
+        assert len(read_results(path)[1]) == outcome.total == 24
+
+    def test_resume_refuses_a_foreign_unterminated_file(self, tmp_path, mined_l3):
+        config = small_config(tmp_path, mined_l3)
+        path = results_path(config.output_dir)
+        path.write_text('{"format": "something.else"')
+        with pytest.raises(CampaignError, match="fresh output directory"):
+            run_campaign(config)
+        assert path.read_text() == '{"format": "something.else"'
+
+    def test_config_space_leaves_lookup_cache_cold(self):
+        # the benchmark times cold processes and aborts on a warm cache
+        script = (
+            "from ambigseq import campaign, mining\n"
+            "from ambigseq.config import CampaignConfig\n"
+            "space = campaign.config_space(CampaignConfig())\n"
+            "assert mining._matching_generators.cache_info().currsize == 0\n"
+            "assert '_prefix_indexes' not in vars(space)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_backend_failure_preserves_partial_results(
         self, tmp_path, mined_l3

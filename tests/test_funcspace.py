@@ -327,6 +327,12 @@ class TestEnumerateSpace:
     def test_deterministic(self):
         assert enumerate_space() == enumerate_space()
 
+    def test_equal_spaces_hash_equal(self):
+        a, b, small = enumerate_space(), enumerate_space(), enumerate_space((0, 1))
+        assert hash(a) == hash(b) and {a: 1}[b] == 1
+        assert small != a and small.functions[0] in a
+        assert fs.instantiate(fs.TemplateKind.POWER, 4, 4) not in a  # excluded
+
     def test_enumeration_order_is_template_then_constants(self):
         space = enumerate_space()
         keys = [f.sort_key() for f in space]

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambigseq import funcspace, mining
 from ambigseq.funcspace import (
     FunctionSpace,
+    IndexConvention,
     TemplateKind,
     enumerate_space,
     generate_sequence,
@@ -199,6 +201,72 @@ class TestPairwiseAudit:
             assert p.first.continuation != p.second.continuation
 
 
+class TestPrefixIndex:
+    """The prefix index is cached on the space instance, so each test builds a
+    fresh space and empties the process-wide lookup cache: a shared space
+    could hide a bad second build."""
+
+    CONVENTIONS = [IndexConvention(), IndexConvention(0, 2)]
+
+    @pytest.fixture(autouse=True)
+    def cold_lookup_cache(self):
+        mining._matching_generators.cache_clear()
+
+    @staticmethod
+    def fresh_space(convention):
+        return enumerate_space(convention=convention)
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_matches_bruteforce_past_probe_length(self, convention):
+        space = self.fresh_space(convention)
+        first = convention.start_index
+        probes = range(first, first + convention.max_offset + 5 + 1)
+        oracle = oracle_space(probes=probes)
+        assert [(f.kind.value, f.c1, f.c2) for f in space] == oracle
+        for length in range(1, 8):  # probe_length is 5
+            table = oracle_mine(oracle, length, convention.max_offset, first)
+            for prefix, expected in table.items():
+                got = matching_generators(prefix, space, convention)
+                assert [
+                    (g.function.kind.value, g.function.c1, g.function.c2,
+                     g.offset, g.continuation)
+                    for g in got
+                ] == expected
+            assert matching_generators((10**30,) * length, space, convention) == ()
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_mine_agrees_with_lookup(self, convention):
+        space = self.fresh_space(convention)
+        for length in range(1, 8):
+            dataset = mine(space, length, convention)
+            records = list(dataset.records())
+            assert len(records) == len(oracle_mine(
+                oracle_space(probes=space.probe_indices), length,
+                convention.max_offset, convention.start_index,
+            ))
+            for record in records:
+                assert record.generators == matching_generators(
+                    record.sequence.values, space, convention
+                )
+
+    @pytest.mark.parametrize("length", [3, 7])
+    def test_second_miss_evaluates_nothing(self, length, monkeypatch):
+        space = self.fresh_space(IndexConvention())
+        first, second = sorted(oracle_mine(oracle_space(), length))[:2]
+        calls = []
+        evaluate = funcspace.evaluate
+        monkeypatch.setattr(
+            funcspace, "evaluate", lambda fn, x: calls.append(x) or evaluate(fn, x)
+        )
+        matching_generators(first, space)
+        assert calls  # the first miss builds the index
+        calls.clear()
+        matching_generators(second, space)
+        mine(space, length)
+        assert calls == []
+        assert mining._matching_generators.cache_info().misses == 2
+
+
 class TestHandBuiltSpaceCompleteness:
     """A space small enough to verify by hand: exhaustive cross-check."""
 
@@ -273,6 +341,18 @@ class TestSerialization:
         path.write_text('{"format":"something-else","version":1}\n')
         with pytest.raises(ValueError):
             load_dataset(path)
+
+    def test_load_parses_each_function_text_once(self, tmp_path, dataset4, monkeypatch):
+        texts = []
+        monkeypatch.setattr(
+            mining, "parse", lambda t: texts.append(t) or funcspace.parse(t)
+        )
+        mining._as_concrete.cache_clear()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(dataset4, path)
+        assert load_dataset(path) == dataset4
+        distinct = {g.function.text for r in dataset4.records() for g in r.generators}
+        assert sorted(texts) == sorted(distinct)
 
     def test_space_for_rebuilds_same_space(self, space, dataset4):
         rebuilt = space_for(dataset4.parameters)

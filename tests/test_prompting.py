@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ambigseq import prompting
 from ambigseq.funcspace import TemplateKind, enumerate_space, parse
 from ambigseq.mining import SequenceRecord, mine, valid_continuations
 from ambigseq.prompting import (
@@ -71,6 +72,22 @@ class TestSystemPrompt:
 
     def test_no_blank_header_without_role(self, full_space):
         assert not build_system_prompt(full_space, 10).startswith("\n")
+
+    def test_rendered_once_per_space_base_role(self, monkeypatch):
+        renders = []
+        monkeypatch.setattr(
+            prompting,
+            "build_system_prompt",
+            lambda *args: renders.append(args) or build_system_prompt(*args),
+        )
+        prompting._system_prompt.cache_clear()
+        space = enumerate_space()
+        cases = [(1, 10, None), (2, 10, None), (3, 2, None), (4, 10, "Be brief.")]
+        for seed, base, role in cases:
+            spec = PromptSpec(Task.COMPLETION, base=base, rng_seed=seed, role_text=role)
+            prompt = build_prompt(spec, TARGET, space)
+            assert prompt.system == build_system_prompt(space, base, role)
+        assert renders == [(space, 10, None), (space, 2, None), (space, 10, "Be brief.")]
 
 
 def _render(task, variant, small_space, small_dataset, **extra):
