@@ -87,7 +87,6 @@ from .distribution import (
 )
 from .evaluation import (
     EvalRecord,
-    RunMetrics,
     aggregate_runs,
     check_cross_context_consistency,
     expected_random_consistency,
@@ -129,7 +128,6 @@ __all__ = [
     "Quadrant",
     "RandomValidBackend",
     "RenderedPrompt",
-    "RunMetrics",
     "ScriptedBackend",
     "SequenceRecord",
     "ShotSampling",

@@ -26,7 +26,6 @@ from .distribution import (
     shared_edges,
 )
 from .evaluation import (
-    RunMetrics,
     aggregate_runs,
     expected_random_consistency,
     verbalization_scores,
@@ -102,7 +101,8 @@ def cross_context_consistency(
     completions: list[dict], explanations: list[dict], convention
 ) -> dict:
     """Execution-checked consistency of one run's completion/explanation
-    pairs, paired by sequence values; a duplicated line's last copy wins."""
+    pairs, paired by sequence values (``read_results`` refuses a file with
+    two lines for one query)."""
     compl_by_values = {tuple(r["sequence"]["values"]): r for r in completions}
     expl_by_values = {tuple(r["sequence"]["values"]): r for r in explanations}
     consistent = inconsistent = invalid = 0
@@ -259,16 +259,33 @@ def _reference_comparison(
     return rows
 
 
-def _run_metrics(per_run_fields: dict[str, Any]) -> RunMetrics:
-    return RunMetrics(
-        explanation_accuracy=per_run_fields["explanation_accuracy"],
-        completion_accuracy=per_run_fields["completion_accuracy"],
-        valid_fraction=per_run_fields["valid_fraction"],
-        cross_context_consistency=per_run_fields["cross_context"]["rate"],
-        model_judged_consistency=per_run_fields["model_judged"]["rate"],
-        precision=per_run_fields["verbalization"]["precision"],
-        recall=per_run_fields["verbalization"]["recall"],
+#: The headline figures of a run, in metrics-table column order; the
+#: aggregate block holds their means.
+_FIGURE_NAMES = (
+    "explanation_accuracy",
+    "completion_accuracy",
+    "valid_fraction",
+    "cross_context_consistency",
+    "model_judged_consistency",
+    "precision",
+    "recall",
+    "alternative_test_pass_rate",
+)
+
+
+def _figures(run: dict[str, Any]) -> dict[str, float | None]:
+    """The headline figures of one per-run block."""
+    values = (
+        run["explanation_accuracy"],
+        run["completion_accuracy"],
+        run["valid_fraction"],
+        run["cross_context"]["rate"],
+        run["model_judged"]["rate"],
+        run["verbalization"]["precision"],
+        run["verbalization"]["recall"],
+        run["alternative_test"]["pass_rate"],
     )
+    return dict(zip(_FIGURE_NAMES, values))
 
 
 def analyze_results(
@@ -323,32 +340,10 @@ def analyze_results(
                 bucket(Task.COMPLETION, True), config.base
             )
             per_run.append(fields)
-        aggregate = (
-            aggregate_runs([_run_metrics(f) for f in per_run]) if per_run else None
-        )
-        pass_rates = [
-            f["alternative_test"]["pass_rate"]
-            for f in per_run
-            if f["alternative_test"]["pass_rate"] is not None
-        ]
         per_length[str(length)] = {
             "per_run": per_run,
             "aggregate": (
-                {
-                    "explanation_accuracy": aggregate.explanation_accuracy,
-                    "completion_accuracy": aggregate.completion_accuracy,
-                    "valid_fraction": aggregate.valid_fraction,
-                    "cross_context_consistency": aggregate.cross_context_consistency,
-                    "model_judged_consistency": aggregate.model_judged_consistency,
-                    "precision": aggregate.precision,
-                    "recall": aggregate.recall,
-                    "alternative_test_pass_rate": (
-                        fmean(pass_rates) if pass_rates else None
-                    ),
-                    "n_runs": aggregate.n_runs,
-                }
-                if aggregate
-                else None
+                aggregate_runs([_figures(f) for f in per_run]) if per_run else None
             ),
             "random_baseline": _random_baseline(
                 datasets[length], mc_samples, config.rng_seed
@@ -390,58 +385,17 @@ def _cell(value: Any) -> str:
 
 def metrics_table(analysis: dict[str, Any]) -> str:
     """Per-run and aggregate metrics as a tab-separated table."""
-    columns = (
-        "length",
-        "run",
-        "explanation_accuracy",
-        "completion_accuracy",
-        "valid_fraction",
-        "cross_context_consistency",
-        "model_judged_consistency",
-        "precision",
-        "recall",
-        "alternative_test_pass_rate",
-    )
+    columns = ("length", "run", *_FIGURE_NAMES)
     rows = [f"# config_digest={analysis['config_digest']}", "\t".join(columns)]
     for length in sorted(analysis["per_length"], key=int):
         block = analysis["per_length"][length]
         for f in block["per_run"]:
-            rows.append(
-                "\t".join(
-                    _cell(v)
-                    for v in (
-                        length,
-                        f["run_id"],
-                        f["explanation_accuracy"],
-                        f["completion_accuracy"],
-                        f["valid_fraction"],
-                        f["cross_context"]["rate"],
-                        f["model_judged"]["rate"],
-                        f["verbalization"]["precision"],
-                        f["verbalization"]["recall"],
-                        f["alternative_test"]["pass_rate"],
-                    )
-                )
-            )
+            cells = (length, f["run_id"], *_figures(f).values())
+            rows.append("\t".join(_cell(v) for v in cells))
         agg = block["aggregate"]
         if agg:
-            rows.append(
-                "\t".join(
-                    _cell(v)
-                    for v in (
-                        length,
-                        "mean",
-                        agg["explanation_accuracy"],
-                        agg["completion_accuracy"],
-                        agg["valid_fraction"],
-                        agg["cross_context_consistency"],
-                        agg["model_judged_consistency"],
-                        agg["precision"],
-                        agg["recall"],
-                        agg["alternative_test_pass_rate"],
-                    )
-                )
-            )
+            cells = (length, "mean", *(agg[name] for name in _FIGURE_NAMES))
+            rows.append("\t".join(_cell(v) for v in cells))
     return "\n".join(rows) + "\n"
 
 

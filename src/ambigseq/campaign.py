@@ -4,10 +4,11 @@ The results file is line-oriented JSON: a header (format, schema version,
 config, config digest, dataset filenames) followed by one record per backend
 query. Record lines carry no wall-clock data, so a repeat run with the same
 config and a deterministic backend reproduces the file byte for byte;
-timestamps go to a sidecar ``audit.log``. Reruns resume: records already
-present are skipped, an unterminated trailing line from an interrupted run
-is truncated away (every line is written with its newline), and the
-remainder is appended in the same canonical order.
+timestamps go to a sidecar ``audit.log``. Each query has at most one line;
+a file holding two lines for the same query is refused. Reruns resume:
+records already present are skipped, an unterminated trailing line from an
+interrupted run is truncated away (every line is written with its newline),
+and the remainder is appended in the same canonical order.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .backends import (
     ScriptedResponse,
 )
 from .config import CampaignConfig, canonical_json
+from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, enumerate_space, render_function
 from .mining import AmbiguityRecord, Dataset, load_dataset
@@ -262,10 +264,13 @@ def read_results(path: str | Path) -> tuple[dict, list[dict]]:
     """Read a results file; raises on missing/incompatible header.
 
     A trailing line without its newline (an interrupted write) is dropped,
-    even when it holds a whole record; a malformed line elsewhere is an error.
+    even when it holds a whole record; a malformed line elsewhere is an error,
+    and so is a second line for the same query.
     """
     path = Path(path)
-    return _parse_results(path, _complete_part(path.read_bytes()))
+    header, records = _parse_results(path, _complete_part(path.read_bytes()))
+    _index_results(path, records)
+    return header, records
 
 
 def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
@@ -292,6 +297,21 @@ def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
         except json.JSONDecodeError as exc:
             raise CampaignError(f"{path}:{i}: malformed record line ({exc})") from exc
     return header, records
+
+
+def _index_results(path: Path, records: list[dict]) -> dict[tuple, dict]:
+    """The record lines by query key; two lines for one query are an error."""
+    by_key: dict[tuple, dict] = {}
+    for i, record in enumerate(records, start=2):
+        key = _record_key(record)
+        if key in by_key:
+            first = records.index(by_key[key]) + 2
+            raise CampaignError(
+                f"{path}:{i}: duplicate result line; line {first} "
+                "already answers the same query"
+            )
+        by_key[key] = record
+    return by_key
 
 
 def _record_key(line: dict) -> tuple:
@@ -352,7 +372,9 @@ def run_campaign(
     header_line = canonical_json(_results_header(config)) + "\n"
     data = path.read_bytes() if path.exists() else b""
     complete = _complete_part(data)
-    existing: dict[tuple, dict] = {}
+    # every line on file or written by this run, by plan key; judgment
+    # queries read their run's completion and explanation from it
+    answered: dict[tuple, dict] = {}
     if complete:
         header, records = _parse_results(path, complete)
         if header["config_digest"] != config.digest():
@@ -360,9 +382,9 @@ def run_campaign(
                 f"{path} belongs to campaign {header['config_digest']}, "
                 f"this config is {config.digest()} — use a fresh output directory"
             )
-        existing = {_record_key(line): line for line in records}
+        answered = _index_results(path, records)
         audit.log(
-            f"resume campaign={config.digest()} existing_records={len(existing)}"
+            f"resume campaign={config.digest()} existing_records={len(answered)}"
         )
     elif header_line.encode().startswith(data):
         # absent, or cut inside this campaign's own header line: start over
@@ -373,8 +395,6 @@ def run_campaign(
             "— use a fresh output directory"
         )
 
-    # answers this run has available for judgment queries, freshest wins
-    answered: dict[tuple, dict] = dict(existing)
     queried = skipped = 0
     logprobs_available = config.want_top_logprobs > 0
 
@@ -385,7 +405,7 @@ def run_campaign(
             fh.write(header_line)
             fh.flush()
         for query in plan_queries(config, datasets):
-            if query.key in existing:
+            if query.key in answered:
                 skipped += 1
                 continue
             try:
@@ -424,27 +444,15 @@ def _append_line(fh: TextIO, line: dict) -> None:
 def _judged_pair(answered: dict, query: PlannedQuery) -> tuple[str, int] | None:
     """The model's own (explanation text, completion) for this run+sequence,
     if both parsed."""
-    base_key = (
-        query.length,
-        query.run_id,
-        query.record.sequence.values,
-        query.record.sequence.base,
-    )
-    compl = answered.get(
-        (base_key[0], base_key[1], Task.COMPLETION.value, base_key[2], base_key[3])
-    )
-    expl = answered.get(
-        (base_key[0], base_key[1], Task.EXPLANATION.value, base_key[2], base_key[3])
-    )
+    length, run_id, _, values, base = query.key
+    compl = answered.get((length, run_id, Task.COMPLETION.value, values, base))
+    expl = answered.get((length, run_id, Task.EXPLANATION.value, values, base))
     if not (compl and expl and compl["valid"] and expl["valid"]):
         return None
     from .funcspace import parse
 
     fn = parse(expl["parsed"]["value"])
-    return (
-        render_function(fn, query.record.sequence.base),
-        compl["parsed"]["value"],
-    )
+    return render_function(fn, base), compl["parsed"]["value"]
 
 
 def _execute_query(
@@ -457,26 +465,14 @@ def _execute_query(
     answered: dict,
     logprobs_available: bool,
 ) -> tuple[dict, bool]:
-    record = query.record
     judged = None
     note = None
     if query.task is Task.CONSISTENCY_JUDGMENT:
         judged = _judged_pair(answered, query)
         if judged is None:
-            # nothing coherent to judge; file the record as invalid
-            return (
-                _result_line(
-                    query,
-                    raw_response="",
-                    parsed_json={"kind": "invalid"},
-                    valid=False,
-                    correct=None,
-                    top_logprobs=None,
-                    judged=None,
-                    note="no parseable completion/explanation pair to judge",
-                ),
-                logprobs_available,
-            )
+            # nothing coherent to judge; the empty answer files as invalid
+            note = "no parseable completion/explanation pair to judge"
+            return _result_line(query, "", None, None, note), logprobs_available
 
     spec = PromptSpec(
         task=query.task,
@@ -490,7 +486,7 @@ def _execute_query(
     )
     prompt = build_prompt(
         spec,
-        record.sequence,
+        query.record.sequence,
         space,
         convention=convention,
         dataset=dataset,
@@ -511,57 +507,38 @@ def _execute_query(
         note = "top logprobs unavailable from backend"
         response = backend.complete(CompletionRequest(prompt))
 
-    eval_record = build_eval_record(
-        query.task, record.sequence, response.text, run_id=query.run_id
+    line = _result_line(
+        query, response.text, response.first_token_top_logprobs, judged, note
     )
-    (eval_record,) = annotate_correctness([eval_record], dataset)
-    top = response.first_token_top_logprobs
-    from .evaluation import eval_record_to_json
-
-    record_json = eval_record_to_json(eval_record)
-    return (
-        _result_line(
-            query,
-            raw_response=response.text,
-            parsed_json=record_json["parsed"],
-            valid=eval_record.valid,
-            correct=eval_record.correct,
-            top_logprobs=[[e.token, e.logprob] for e in top.entries] if top else None,
-            judged=(
-                {"explanation": judged[0], "completion": judged[1]} if judged else None
-            ),
-            note=note,
-        ),
-        logprobs_available,
-    )
+    return line, logprobs_available
 
 
 def _result_line(
     query: PlannedQuery,
-    *,
-    raw_response: str,
-    parsed_json: dict,
-    valid: bool,
-    correct: bool | None,
-    top_logprobs: list | None,
-    judged: dict | None,
+    text: str,
+    top: TokenDistribution | None,
+    judged: tuple[str, int] | None,
     note: str | None,
 ) -> dict:
+    """The one builder of a result line: the answer ``text`` parsed and
+    scored against the query's sequence, plus the query's plan fields and
+    whatever the backend captured."""
+    # looked up on the module at each call, so a rebinding of it is seen
+    from .evaluation import eval_record_to_json
+
+    record = query.record
+    scored = annotate_correctness(
+        build_eval_record(query.task, record.sequence, text, run_id=query.run_id),
+        record,
+    )
     return {
+        **eval_record_to_json(scored),
         "length": query.length,
-        "run_id": query.run_id,
-        "task": query.task.value,
-        "sequence": {
-            "values": list(query.record.sequence.values),
-            "base": query.record.sequence.base,
-        },
-        "ambiguous": query.record.is_ambiguous,
-        "continuations": sorted(query.record.continuations),
-        "raw_response": raw_response,
-        "parsed": parsed_json,
-        "valid": valid,
-        "correct": correct,
-        "top_logprobs": top_logprobs,
-        "judged": judged,
+        "ambiguous": record.is_ambiguous,
+        "continuations": sorted(record.continuations),
+        "top_logprobs": [[e.token, e.logprob] for e in top.entries] if top else None,
+        "judged": (
+            {"explanation": judged[0], "completion": judged[1]} if judged else None
+        ),
         "note": note,
     }

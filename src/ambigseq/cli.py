@@ -27,7 +27,7 @@ from .campaign import (
     results_path,
     run_campaign,
 )
-from .config import CampaignConfig, ConfigError
+from .config import KNOWN_BACKENDS, KNOWN_TIE_BREAKS, CampaignConfig, ConfigError
 from .mining import load_dataset
 
 REPORT_FILENAME = "report.txt"
@@ -74,11 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--n-runs", type=int)
     common.add_argument("--rng-seed", type=int)
-    common.add_argument(
-        "--backend",
-        choices=("oracle", "adversarial", "random_valid", "scripted", "http"),
-    )
-    common.add_argument("--tie-break", choices=("min_value", "enumeration_order"))
+    common.add_argument("--backend", choices=KNOWN_BACKENDS)
+    common.add_argument("--tie-break", choices=KNOWN_TIE_BREAKS)
     common.add_argument("--backend-seed", type=int)
     common.add_argument("--fixtures-file")
     common.add_argument("--cache-dir")
@@ -103,38 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_FIELDS = (
-    "output_dir",
-    "lengths",
-    "base",
-    "constant_range",
-    "n_runs",
-    "rng_seed",
-    "backend",
-    "tie_break",
-    "backend_seed",
-    "fixtures_file",
-    "cache_dir",
-    "http_base_url",
-    "http_model",
-    "variant",
-    "n_shots",
-    "shot_sampling",
-    "model_name",
-    "tasks",
-    "limit_sequences",
-    "want_top_logprobs",
-)
-
-
 def resolve_config(args: argparse.Namespace) -> CampaignConfig:
+    """The config file (or the defaults) with every flag given on the
+    command line applied; each ``common`` flag's dest is a config field."""
     config = (
         CampaignConfig.from_file(args.config) if args.config else CampaignConfig()
     )
     overrides = {
-        name: getattr(args, name)
-        for name in _OVERRIDE_FIELDS
-        if getattr(args, name) is not None
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "config") and value is not None
     }
     return config.override(**overrides) if overrides else config
 

@@ -26,6 +26,7 @@ DEFAULT_TASKS = (
 )
 
 KNOWN_BACKENDS = ("oracle", "adversarial", "random_valid", "scripted", "http")
+KNOWN_TIE_BREAKS = ("min_value", "enumeration_order")
 
 # Pure storage locations: they never change what a campaign computes, so they
 # are excluded from the campaign digest and from the results-file header.
@@ -93,6 +94,11 @@ class CampaignConfig:
         if self.backend not in KNOWN_BACKENDS:
             raise ConfigError(
                 f"unknown backend {self.backend!r}; expected one of {KNOWN_BACKENDS}"
+            )
+        if self.tie_break not in KNOWN_TIE_BREAKS:
+            raise ConfigError(
+                f"unknown tie_break {self.tie_break!r}; "
+                f"expected one of {KNOWN_TIE_BREAKS}"
             )
         if self.backend == "http" and not (self.http_base_url and self.http_model):
             raise ConfigError("http backend needs http_base_url and http_model")

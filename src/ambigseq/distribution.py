@@ -191,15 +191,6 @@ class Quadrant(Enum):
     INCORRECT_NOT_PREDICTED = "incorrect_not_predicted"
 
 
-def classify_response_quadrant(
-    answer: int, predicted_top1: bool, correct_values: Iterable[int]
-) -> Quadrant:
-    correct = answer in set(correct_values)
-    if correct:
-        return Quadrant.CORRECT_PREDICTED if predicted_top1 else Quadrant.CORRECT_NOT_PREDICTED
-    return Quadrant.INCORRECT_PREDICTED if predicted_top1 else Quadrant.INCORRECT_NOT_PREDICTED
-
-
 def group_logprobs_by_quadrant(
     dist: TokenDistribution,
     correct_values: Iterable[int],

@@ -4,8 +4,9 @@ Turns raw model text into typed, validated records, marks answers on
 unambiguous sequences correct or incorrect, and supplies the primitives the
 analysis scores result lines with: the execution check for cross-context
 consistency, verbalization precision/recall, the expected consistency of a
-random-but-valid answerer, and the per-run metrics and their mean.
-Aggregating result lines into per-run figures is :mod:`ambigseq.analysis`.
+random-but-valid answerer, and the key-wise mean of per-run figures.
+Aggregating result lines into per-run figures is :mod:`ambigseq.analysis`;
+a run's figures stay plain dicts from there to ``analysis.json``.
 
 Conventions: accuracy, validity, and consistency figures are percentages in
 [0, 100]; verbalization precision/recall are fractions in [0, 1].
@@ -116,7 +117,7 @@ def parse_response(task: Task, text: str, base: int = 10):
 
 
 # ---------------------------------------------------------------------------
-# records and metrics
+# records
 
 
 @dataclass(frozen=True)
@@ -192,64 +193,22 @@ def eval_record_to_json(record: EvalRecord) -> dict:
     }
 
 
-_PERCENT_FIELDS = (
-    "explanation_accuracy",
-    "completion_accuracy",
-    "valid_fraction",
-    "cross_context_consistency",
-    "model_judged_consistency",
-)
-_FRACTION_FIELDS = ("precision", "recall")
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    """Headline numbers for one run (or a mean over several)."""
-
-    explanation_accuracy: float | None = None
-    completion_accuracy: float | None = None
-    valid_fraction: float | None = None
-    cross_context_consistency: float | None = None
-    model_judged_consistency: float | None = None
-    precision: float | None = None
-    recall: float | None = None
-    n_runs: int = 1
-
-    def __post_init__(self) -> None:
-        for name in _PERCENT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 100.0:
-                raise ValueError(f"{name}={value} outside [0, 100]")
-        for name in _FRACTION_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} outside [0, 1]")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be at least 1")
-
-
 # ---------------------------------------------------------------------------
 # correctness
 
 
 def annotate_correctness(
-    records: Iterable[EvalRecord], dataset: Dataset
-) -> tuple[EvalRecord, ...]:
-    """Fill in ``correct`` for completion/explanation records on unambiguous
-    sequences; other records pass through untouched."""
-    out = []
-    for record in records:
-        ds_record = dataset.find(record.sequence.values)
-        if (
-            record.task in (Task.COMPLETION, Task.EXPLANATION)
-            and record.valid
-            and ds_record is not None
-            and not ds_record.is_ambiguous
-        ):
-            out.append(replace(record, correct=_is_correct(record, ds_record)))
-        else:
-            out.append(record)
-    return tuple(out)
+    record: EvalRecord, ds_record: AmbiguityRecord
+) -> EvalRecord:
+    """Fill in ``correct`` for a valid completion/explanation record on an
+    unambiguous sequence; any other record is returned untouched."""
+    if (
+        record.task in (Task.COMPLETION, Task.EXPLANATION)
+        and record.valid
+        and not ds_record.is_ambiguous
+    ):
+        return replace(record, correct=_is_correct(record, ds_record))
+    return record
 
 
 def _is_correct(record: EvalRecord, ds_record: AmbiguityRecord) -> bool:
@@ -394,16 +353,14 @@ def verbalization_scores(
 # aggregation
 
 
-def aggregate_runs(per_run: Sequence[RunMetrics]) -> RunMetrics:
-    """Field-wise mean across runs; fields absent everywhere stay absent."""
+def aggregate_runs(per_run: Sequence[dict]) -> dict:
+    """Key-wise mean of per-run figure dicts, plus ``n_runs``; a figure that
+    is None in every run stays None."""
     if not per_run:
         raise ValueError("need at least one run to aggregate")
 
     def mean_of(name: str) -> float | None:
-        values = [v for m in per_run if (v := getattr(m, name)) is not None]
+        values = [v for run in per_run if (v := run[name]) is not None]
         return fmean(values) if values else None
 
-    return RunMetrics(
-        **{name: mean_of(name) for name in _PERCENT_FIELDS + _FRACTION_FIELDS},
-        n_runs=sum(m.n_runs for m in per_run),
-    )
+    return {**{name: mean_of(name) for name in per_run[0]}, "n_runs": len(per_run)}

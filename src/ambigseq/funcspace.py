@@ -682,9 +682,6 @@ class FunctionSpace:
     def __contains__(self, fn: object) -> bool:
         return fn in self._function_set
 
-    def by_kind(self, kind: TemplateKind) -> tuple[ConcreteFunction, ...]:
-        return tuple(f for f in self.functions if f.kind is kind)
-
     def texts(self, base: int = 10) -> list[str]:
         return [render_function(f, base) for f in self.functions]
 

@@ -25,7 +25,6 @@ from .funcspace import (
     FunctionLike,
     FunctionSpace,
     IndexConvention,
-    enumerate_space,
     generate_sequence,
     parse,
 )
@@ -342,16 +341,6 @@ def continuations_of(
         if tuple(seq[: len(values)]) == values:
             out.add(seq[len(values)])
     return frozenset(out)
-
-
-def space_for(params: DatasetParameters, probe_length: int = 5) -> FunctionSpace:
-    """Re-enumerate the function space a dataset was mined from."""
-    return enumerate_space(
-        constant_range=params.constant_range,
-        probe_length=probe_length,
-        convention=params.convention,
-        max_value=params.max_function_value,
-    )
 
 
 # ---------------------------------------------------------------------------

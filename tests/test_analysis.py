@@ -233,6 +233,27 @@ class TestAnalysisDeterminism:
         second = analyze_results(results_file, mc_samples=100)
         assert canonical_json(first) == canonical_json(second)
 
+    def test_duplicated_line_is_an_error(self, tmp_path, mined_l3):
+        # a copy would count twice in accuracy, judged consistency and
+        # verbalization but once in cross-context pairing
+        _, results_file = campaign_results(tmp_path, mined_l3)
+        lines = results_file.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        judgment = next(
+            i for i, r in enumerate(records, start=2)
+            if r["task"] == "consistency_judgment" and r["run_id"] == 0
+        )
+        completion = next(
+            i for i, r in enumerate(records, start=2) if r["task"] == "completion"
+        )
+        with results_file.open("a") as fh:
+            fh.write(lines[judgment - 1] + "\n" + lines[completion - 1] + "\n")
+        with pytest.raises(
+            CampaignError,
+            match=rf":{len(lines) + 1}: duplicate result line; line {judgment} ",
+        ):
+            analyze_results(results_file, mc_samples=100)
+
     def test_missing_dataset_file_is_an_error(self, tmp_path, mined_l3):
         _, results_file = campaign_results(tmp_path, mined_l3)
         (results_file.parent / dataset_filename(3)).unlink()

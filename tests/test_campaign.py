@@ -209,6 +209,16 @@ class TestReadResults:
         with pytest.raises(CampaignError, match="malformed record line"):
             read_results(path)
 
+    def test_duplicated_line_raises(self, tmp_path, mined_l3):
+        _, outcome = self.run_small(tmp_path, mined_l3)
+        path = outcome.results_file
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[3]]) + "\n")
+        with pytest.raises(
+            CampaignError, match=rf":{len(lines) + 1}: duplicate result line; line 4 "
+        ):
+            read_results(path)
+
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "results.jsonl"
         path.write_text('{"format": "something.else", "version": 1}\n')
@@ -314,6 +324,17 @@ class TestRunCampaign:
         assert not outcome.failed
         assert path.read_bytes() == reference
         assert len(read_results(path)[1]) == outcome.total == 24
+
+    def test_resume_refuses_a_duplicated_line(self, tmp_path, mined_l3):
+        config = small_config(tmp_path, mined_l3)
+        path = run_campaign(config).results_file
+        lines = path.read_text().splitlines()
+        # a finished campaign with one answer filed twice, then cut short
+        damaged = "\n".join(lines[:-3] + [lines[2]]) + "\n"
+        path.write_text(damaged)
+        with pytest.raises(CampaignError, match="duplicate result line; line 3 "):
+            run_campaign(config)
+        assert path.read_text() == damaged
 
     def test_resume_refuses_a_foreign_unterminated_file(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, stage wiring, exit codes."""
 
+import dataclasses
 import io
 import json
 import shutil
@@ -68,6 +69,14 @@ class TestArgumentHandling:
         config = resolve_config(args)
         assert config.rng_seed == 3  # from the file
         assert config.n_runs == 2  # overridden
+
+    def test_every_flag_names_a_config_field(self):
+        # resolve_config applies each parsed flag as the config field of
+        # the same name
+        fields = {f.name for f in dataclasses.fields(CampaignConfig)}
+        for command in ("mine", "run", "analyze", "report"):
+            dests = set(vars(parse([command]))) - {"command", "config"}
+            assert dests and dests <= fields
 
     def test_constant_range_flag(self):
         config = resolve_config(parse(["mine", "--constant-range", "0,2"]))

@@ -6,6 +6,7 @@ import pytest
 
 from ambigseq.config import (
     DEFAULT_TASKS,
+    KNOWN_TIE_BREAKS,
     CampaignConfig,
     ConfigError,
     canonical_json,
@@ -49,6 +50,12 @@ class TestValidation:
     def test_bad_values_rejected(self, changes):
         with pytest.raises((ConfigError, ValueError)):
             CampaignConfig(**changes)
+
+    def test_unknown_tie_break_rejected(self):
+        with pytest.raises(ConfigError, match="unknown tie_break 'coin_flip'"):
+            CampaignConfig(tie_break="coin_flip")
+        for tie_break in KNOWN_TIE_BREAKS:
+            CampaignConfig(tie_break=tie_break)
 
     def test_judgment_requires_completion_and_explanation(self):
         with pytest.raises(ConfigError, match="consistency_judgment"):

@@ -17,7 +17,6 @@ from ambigseq.distribution import (
     TokenDistribution,
     alternative_consideration_test,
     build_density_histogram,
-    classify_response_quadrant,
     classify_tokens,
     gaussian_smooth,
     group_logprobs_by_quadrant,
@@ -162,13 +161,6 @@ class TestAlternativeConsiderationTest:
 
 
 class TestQuadrants:
-    def test_classify_response_quadrant(self):
-        C = {19, 15}
-        assert classify_response_quadrant(19, True, C) is Quadrant.CORRECT_PREDICTED
-        assert classify_response_quadrant(15, False, C) is Quadrant.CORRECT_NOT_PREDICTED
-        assert classify_response_quadrant(23, True, C) is Quadrant.INCORRECT_PREDICTED
-        assert classify_response_quadrant(23, False, C) is Quadrant.INCORRECT_NOT_PREDICTED
-
     def test_group_logprobs_partition(self):
         d = dist(("19", -0.5), ("yes", -0.9), ("15", -1.0), ("23", -2.0))
         groups = group_logprobs_by_quadrant(d, {19, 15})

@@ -21,7 +21,6 @@ from ambigseq.backends import (
 )
 from ambigseq.evaluation import (
     EvalRecord,
-    RunMetrics,
     aggregate_runs,
     annotate_correctness,
     build_eval_record,
@@ -68,10 +67,10 @@ def dataset(space):
 def result_line(dataset, task, sequence, text, run_id=0):
     """A results-file line built through the campaign's write path, with the
     fields the analysis scorers read."""
-    (record,) = annotate_correctness(
-        [build_eval_record(task, sequence, text, run_id=run_id)], dataset
-    )
     ds_record = dataset.find(sequence.values)
+    record = annotate_correctness(
+        build_eval_record(task, sequence, text, run_id=run_id), ds_record
+    )
     return {
         **eval_record_to_json(record),
         "ambiguous": ds_record.is_ambiguous,
@@ -277,14 +276,21 @@ class TestAccuracy:
     def test_annotate_correctness(self, dataset):
         ds_record = unambiguous_sample(dataset)[0]
         (answer,) = ds_record.continuations
-        records = [
-            build_eval_record(Task.COMPLETION, ds_record.sequence, str(answer)),
-            build_eval_record(Task.COMPLETION, ds_record.sequence, str(answer + 1)),
-            build_eval_record(Task.COMPLETION, ds_record.sequence, "garbage"),
-            build_eval_record(Task.COMPLETION, AMBIG, "19"),
+        cases = [
+            (ds_record.sequence, str(answer), ds_record),
+            (ds_record.sequence, str(answer + 1), ds_record),
+            (ds_record.sequence, "garbage", ds_record),
+            (AMBIG, "19", dataset.find(AMBIG.values)),
         ]
-        annotated = annotate_correctness(records, dataset)
+        annotated = [
+            annotate_correctness(build_eval_record(Task.COMPLETION, seq, text), rec)
+            for seq, text, rec in cases
+        ]
         assert [r.correct for r in annotated] == [True, False, None, None]
+        judgment = build_eval_record(
+            Task.CONSISTENCY_JUDGMENT, ds_record.sequence, "consistent"
+        )
+        assert annotate_correctness(judgment, ds_record) is judgment
 
 
 class TestCrossContext:
@@ -321,9 +327,9 @@ class TestCrossContext:
             2: {"consistent": 0, "inconsistent": 0, "invalid": 1, "rate": None},
         }
         mean = aggregate_runs(
-            [RunMetrics(cross_context_consistency=s["rate"]) for s in per_run.values()]
+            [{"cross_context_consistency": s["rate"]} for s in per_run.values()]
         )
-        assert mean.cross_context_consistency == 50.0
+        assert mean == {"cross_context_consistency": 50.0, "n_runs": 3}
 
     def test_rate_none_when_all_invalid(self, dataset):
         summary = cross_context_consistency(
@@ -560,33 +566,27 @@ class TestVerbalization:
 
 class TestAggregateRuns:
     def test_identical_runs(self):
-        m = RunMetrics(completion_accuracy=80.0, valid_fraction=100.0)
-        agg = aggregate_runs([m, m, m])
-        assert agg.completion_accuracy == 80.0
-        assert agg.n_runs == 3
+        run = {"completion_accuracy": 80.0, "valid_fraction": 100.0}
+        agg = aggregate_runs([run, run, run])
+        assert agg == {"completion_accuracy": 80.0, "valid_fraction": 100.0, "n_runs": 3}
 
     def test_mean_of_extremes(self):
         runs = [
-            RunMetrics(cross_context_consistency=0.0),
-            RunMetrics(cross_context_consistency=100.0),
+            {"cross_context_consistency": 0.0},
+            {"cross_context_consistency": 100.0},
         ]
-        assert aggregate_runs(runs).cross_context_consistency == 50.0
+        assert aggregate_runs(runs)["cross_context_consistency"] == 50.0
 
     def test_missing_fields_stay_missing(self):
-        runs = [RunMetrics(precision=0.5, recall=1.0), RunMetrics(precision=1.0)]
+        runs = [
+            {"precision": 0.5, "recall": 1.0, "completion_accuracy": None},
+            {"precision": 1.0, "recall": None, "completion_accuracy": None},
+        ]
         agg = aggregate_runs(runs)
-        assert agg.precision == 0.75
-        assert agg.recall == 1.0
-        assert agg.completion_accuracy is None
+        assert agg["precision"] == 0.75
+        assert agg["recall"] == 1.0
+        assert agg["completion_accuracy"] is None
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_runs([])
-
-    def test_metrics_validate_ranges(self):
-        with pytest.raises(ValueError):
-            RunMetrics(completion_accuracy=101.0)
-        with pytest.raises(ValueError):
-            RunMetrics(precision=1.5)
-        with pytest.raises(ValueError):
-            RunMetrics(n_runs=0)

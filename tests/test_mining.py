@@ -32,7 +32,6 @@ from ambigseq.mining import (
     mine,
     pairwise_ambiguities,
     save_dataset,
-    space_for,
     valid_continuations,
     valid_explanations,
 )
@@ -353,10 +352,6 @@ class TestSerialization:
         assert load_dataset(path) == dataset4
         distinct = {g.function.text for r in dataset4.records() for g in r.generators}
         assert sorted(texts) == sorted(distinct)
-
-    def test_space_for_rebuilds_same_space(self, space, dataset4):
-        rebuilt = space_for(dataset4.parameters)
-        assert rebuilt == space
 
 
 class TestRecordInvariants:

@@ -36,3 +36,34 @@ def test_install_tracer_finds_every_rebinding_point(monkeypatch):
     finally:
         recorder.restore()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_tracer_sees_the_write_path(monkeypatch, tmp_path):
+    # each scored answer must pass through the rebound evaluation functions;
+    # a direct reference that bypasses the module attribute would leave
+    # evaluation.score_ms empty in a traced benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import child
+    import tracer
+
+    from ambigseq.config import CampaignConfig
+
+    recorder = tracer.Tracer()
+    child.install_tracer(recorder)
+    try:
+        config = CampaignConfig(
+            lengths=(3,), n_runs=1, limit_sequences=2, output_dir=str(tmp_path)
+        )
+        campaign.mine_datasets(config)
+        outcome = campaign.run_campaign(config)
+    finally:
+        recorder.restore()
+    assert not outcome.failed and outcome.queried > 0
+    names = [span[0] for span in recorder.finished()]
+    for name in (
+        "evaluation.build_eval_record",
+        "evaluation.annotate_correctness",
+        "evaluation.eval_record_to_json",
+    ):
+        assert names.count(name) == outcome.queried, name
+    assert recorder.counts["evaluation.scored"] == outcome.queried
