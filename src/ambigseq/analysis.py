@@ -13,7 +13,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any
 
-from .campaign import CampaignError, config_convention, read_results
+from .campaign import CampaignError, check_dataset, read_results
 from .config import CampaignConfig, canonical_json
 from .distribution import (
     Quadrant,
@@ -295,7 +295,6 @@ def analyze_results(
     results_file = Path(results_file)
     header, lines = read_results(results_file)
     config = CampaignConfig.from_json(header["config"])
-    convention = config_convention(config)
 
     datasets: dict[int, Dataset] = {}
     for length_str, filename in header["datasets"].items():
@@ -304,7 +303,8 @@ def analyze_results(
             raise CampaignError(
                 f"dataset file {path} named by the results header is missing"
             )
-        datasets[int(length_str)] = load_dataset(path)
+        length = int(length_str)
+        datasets[length] = check_dataset(config, length, path, load_dataset(path))
 
     # one pass over the file; each bucket keeps its lines in file order
     buckets: dict[tuple, list[dict]] = {}
@@ -328,7 +328,7 @@ def analyze_results(
             fields["cross_context"] = cross_context_consistency(
                 bucket(Task.COMPLETION, True),
                 bucket(Task.EXPLANATION, True),
-                convention,
+                datasets[length].parameters.convention,
             )
             fields["model_judged"] = judged_consistency(
                 bucket(Task.CONSISTENCY_JUDGMENT, True)

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Protocol
 import requests
 
 from .distribution import TokenDistribution
-from .funcspace import DEFAULT_CONVENTION, FunctionSpace, IndexConvention
+from .funcspace import FunctionSpace
 from .mining import (
     SequenceRecord,
     continuations_of,
@@ -165,13 +165,8 @@ class ScriptedBackend:
 # Oracle answers
 # ---------------------------------------------------------------------------
 
-def _ranked_generators(
-    sequence: SequenceRecord,
-    space: FunctionSpace,
-    convention: IndexConvention,
-    tie_break: str,
-):
-    gens = matching_generators(sequence.values, space, convention)
+def _ranked_generators(sequence: SequenceRecord, space: FunctionSpace, tie_break: str):
+    gens = matching_generators(sequence.values, space)
     if not gens:
         return ()
     if tie_break == "min_value":
@@ -185,7 +180,6 @@ def oracle_answer(
     sequence: SequenceRecord,
     task: Task,
     space: FunctionSpace,
-    convention: IndexConvention = DEFAULT_CONVENTION,
     tie_break: str = "min_value",
 ) -> str:
     """The deterministic correct answer for a task, if one exists.
@@ -194,7 +188,7 @@ def oracle_answer(
     ``min_value`` prefers the smallest continuation value,
     ``enumeration_order`` the first generator in template order.
     """
-    gens = _ranked_generators(sequence, space, convention, tie_break)
+    gens = _ranked_generators(sequence, space, tie_break)
     if not gens:
         return NO_VALID_ANSWER
     chosen = gens[0]
@@ -205,7 +199,7 @@ def oracle_answer(
 
         return f"Explanation: {render_function(chosen.function, sequence.base)}"
     if task is Task.VERBALIZE_ALTERNATIVES:
-        conts = sorted(valid_continuations(sequence.values, space, convention))
+        conts = sorted(valid_continuations(sequence.values, space))
         conts = conts[:MAX_VERBALIZED_ALTERNATIVES]
         body = VERBALIZE_SEPARATOR.join(format_int(v, sequence.base) for v in conts)
         return body + " \\n"
@@ -227,7 +221,6 @@ class OracleBackend:
     def __init__(
         self,
         space: FunctionSpace,
-        convention: IndexConvention = DEFAULT_CONVENTION,
         mode: str = "consistent",
         tie_break: str = "min_value",
         backend_id: str | None = None,
@@ -235,7 +228,6 @@ class OracleBackend:
         if mode not in ("consistent", "adversarial"):
             raise ValueError(f"unknown oracle mode: {mode!r}")
         self.space = space
-        self.convention = convention
         self.mode = mode
         self.tie_break = tie_break
         self.backend_id = backend_id or f"oracle-{mode}"
@@ -251,9 +243,7 @@ class OracleBackend:
         ):
             text = self._adversarial_answer(seq, prompt.task)
         else:
-            text = oracle_answer(
-                seq, prompt.task, self.space, self.convention, self.tie_break
-            )
+            text = oracle_answer(seq, prompt.task, self.space, self.tie_break)
         dist = None
         if request.want_top_logprobs:
             dist = self._synthetic_logprobs(seq, request.want_top_logprobs)
@@ -266,7 +256,7 @@ class OracleBackend:
             fn = parse_function(prompt.judged_explanation)
         except Exception:
             return "inconsistent"
-        conts = continuations_of(fn, prompt.target.values, self.convention)
+        conts = continuations_of(fn, prompt.target.values, self.space.convention)
         return "consistent" if prompt.judged_completion in conts else "inconsistent"
 
     def _adversarial_pair(self, seq: SequenceRecord):
@@ -277,11 +267,11 @@ class OracleBackend:
         (a self-ambiguous sequence), falls back to an out-of-set value so the
         pair still fails an execution-based consistency check.
         """
-        gens = _ranked_generators(seq, self.space, self.convention, self.tie_break)
+        gens = _ranked_generators(seq, self.space, self.tie_break)
         if not gens:
             return None, None
         explainer = gens[0]
-        own = continuations_of(explainer.function, seq.values, self.convention)
+        own = continuations_of(explainer.function, seq.values, self.space.convention)
         for g in gens[1:]:
             if g.continuation not in own:
                 return explainer, g.continuation
@@ -298,11 +288,11 @@ class OracleBackend:
         return format_int(completion, seq.base)
 
     def _synthetic_logprobs(self, seq: SequenceRecord, k: int) -> TokenDistribution:
-        conts = sorted(valid_continuations(seq.values, self.space, self.convention))
+        conts = sorted(valid_continuations(seq.values, self.space))
         ordered: list[int] = []
         if self.mode == "consistent" and conts:
             # the token the oracle would actually answer ranks first
-            gens = _ranked_generators(seq, self.space, self.convention, self.tie_break)
+            gens = _ranked_generators(seq, self.space, self.tie_break)
             ordered.append(gens[0].continuation)
         ordered.extend(v for v in conts if v not in ordered)
         pairs: list[tuple[str, float]] = []
@@ -331,7 +321,6 @@ def random_valid_answer(
     sequence: SequenceRecord,
     task: Task,
     space: FunctionSpace,
-    convention: IndexConvention = DEFAULT_CONVENTION,
     rng_seed: int = 0,
 ) -> str:
     """A uniformly random valid answer; the same seed always returns the same one."""
@@ -340,14 +329,14 @@ def random_valid_answer(
     rng = _random.Random(_derive_seed("random_valid", rng_seed, task.value,
                                       sequence.values, sequence.base))
     if task is Task.COMPLETION:
-        options = sorted(valid_continuations(sequence.values, space, convention))
+        options = sorted(valid_continuations(sequence.values, space))
         if not options:
             return NO_VALID_ANSWER
         return format_int(rng.choice(options), sequence.base)
     if task is Task.EXPLANATION:
         from .funcspace import render_function
 
-        fns = valid_explanations(sequence.values, space, convention)
+        fns = valid_explanations(sequence.values, space)
         if not fns:
             return NO_VALID_ANSWER
         return f"Explanation: {render_function(rng.choice(list(fns)), sequence.base)}"
@@ -365,12 +354,10 @@ class RandomValidBackend:
     def __init__(
         self,
         space: FunctionSpace,
-        convention: IndexConvention = DEFAULT_CONVENTION,
         seed: int = 0,
         backend_id: str = "random-valid",
     ):
         self.space = space
-        self.convention = convention
         self.seed = seed
         self.backend_id = backend_id
 
@@ -381,9 +368,7 @@ class RandomValidBackend:
                 f"random-valid backend does not answer {prompt.task.value} prompts"
             )
         per_request = _derive_seed(self.seed, prompt.rng_seed)
-        text = random_valid_answer(
-            prompt.target, prompt.task, self.space, self.convention, per_request
-        )
+        text = random_valid_answer(prompt.target, prompt.task, self.space, per_request)
         return CompletionResponse(text, self.backend_id)
 
 
@@ -539,7 +524,7 @@ class CachingBackend:
             try:
                 stored = json.loads(path.read_text())
                 return _response_from_json(stored, cached=True)
-            except (ValueError, KeyError):
+            except ValueError:
                 pass  # corrupt entry: fall through and refresh it
         response = self.inner.complete(request)
         blob = json.dumps(_response_to_json(response), sort_keys=True)
@@ -564,10 +549,25 @@ def _response_to_json(response: CompletionResponse) -> dict:
     }
 
 
-def _response_from_json(data: dict, cached: bool = False) -> CompletionResponse:
+def _response_from_json(data: object, cached: bool = False) -> CompletionResponse:
+    """The response a cache entry holds; ``ValueError`` unless the entry has
+    the shape :func:`_response_to_json` writes."""
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("text"), str)
+        and isinstance(data.get("backend_id"), str)
+    ):
+        raise ValueError("cache entry is not a response object")
+    pairs = data.get("top_logprobs")
     dist = None
-    if data.get("top_logprobs") is not None:
-        dist = TokenDistribution.from_pairs(
-            [(t, lp) for t, lp in data["top_logprobs"]]
-        )
+    if pairs is not None:
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list)
+            and len(p) == 2
+            and isinstance(p[0], str)
+            and isinstance(p[1], (int, float))
+            for p in pairs
+        ):
+            raise ValueError("cache entry holds malformed top_logprobs")
+        dist = TokenDistribution.from_pairs(pairs)
     return CompletionResponse(data["text"], data["backend_id"], dist, cached=cached)

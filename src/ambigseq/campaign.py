@@ -35,7 +35,7 @@ from .backends import (
 from .config import CampaignConfig, canonical_json
 from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
-from .funcspace import FunctionSpace, enumerate_space, render_function
+from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
 from .mining import AmbiguityRecord, Dataset, load_dataset
 from .prompting import PromptSpec, Task, build_prompt
 
@@ -87,17 +87,12 @@ def load_scripted_fixtures(path: str | Path) -> ScriptedBackend:
 
 
 def make_backend(config: CampaignConfig, space: FunctionSpace) -> Backend:
-    convention = config_convention(config)
     if config.backend == "oracle":
-        backend: Backend = OracleBackend(
-            space, convention, tie_break=config.tie_break
-        )
+        backend: Backend = OracleBackend(space, tie_break=config.tie_break)
     elif config.backend == "adversarial":
-        backend = OracleBackend(
-            space, convention, mode="adversarial", tie_break=config.tie_break
-        )
+        backend = OracleBackend(space, mode="adversarial", tie_break=config.tie_break)
     elif config.backend == "random_valid":
-        backend = RandomValidBackend(space, convention, seed=config.backend_seed)
+        backend = RandomValidBackend(space, seed=config.backend_seed)
     elif config.backend == "scripted":
         backend = load_scripted_fixtures(config.fixtures_file)
     elif config.backend == "http":
@@ -111,15 +106,10 @@ def make_backend(config: CampaignConfig, space: FunctionSpace) -> Backend:
     return backend
 
 
-def config_convention(config: CampaignConfig):
-    from .funcspace import IndexConvention
-
-    return IndexConvention(config.start_index, config.max_offset)
-
-
 def config_space(config: CampaignConfig) -> FunctionSpace:
     return enumerate_space(
-        constant_range=config.constant_range, convention=config_convention(config)
+        constant_range=config.constant_range,
+        convention=IndexConvention(config.start_index, config.max_offset),
     )
 
 
@@ -134,10 +124,9 @@ def mine_datasets(config: CampaignConfig) -> dict[int, Dataset]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     space = config_space(config)
-    convention = config_convention(config)
     datasets = {}
     for length in config.lengths:
-        dataset = mine(space, length=length, convention=convention, base=config.base)
+        dataset = mine(space, length=length, base=config.base)
         save_dataset(
             dataset,
             out_dir / dataset_filename(length),
@@ -156,28 +145,35 @@ def load_campaign_datasets(config: CampaignConfig) -> dict[int, Dataset]:
             raise CampaignError(
                 f"dataset file {path} not found — run the mine stage first"
             )
-        dataset = load_dataset(path)
-        expected = (
-            tuple(config.constant_range),
-            length,
-            config.start_index,
-            config.max_offset,
-            config.base,
-        )
-        p = dataset.parameters
-        actual = (
-            p.constant_range,
-            p.sequence_length,
-            p.start_index,
-            p.max_offset,
-            p.base,
-        )
-        if actual != expected:
-            raise CampaignError(
-                f"{path} was mined with parameters {actual}, config wants {expected}"
-            )
-        datasets[length] = dataset
+        datasets[length] = check_dataset(config, length, path, load_dataset(path))
     return datasets
+
+
+def check_dataset(
+    config: CampaignConfig, length: int, path: Path, dataset: Dataset
+) -> Dataset:
+    """``dataset`` (read from ``path``) if it was mined with the config's
+    parameters at ``length``; otherwise a :class:`CampaignError`."""
+    expected = (
+        tuple(config.constant_range),
+        length,
+        config.start_index,
+        config.max_offset,
+        config.base,
+    )
+    p = dataset.parameters
+    actual = (
+        p.constant_range,
+        p.sequence_length,
+        p.start_index,
+        p.max_offset,
+        p.base,
+    )
+    if actual != expected:
+        raise CampaignError(
+            f"{path} was mined with parameters {actual}, config wants {expected}"
+        )
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +361,6 @@ def run_campaign(
     datasets = load_campaign_datasets(config)
     if backend is None:
         backend = make_backend(config, space)
-    convention = config_convention(config)
     audit = _Audit(out_dir / AUDIT_FILENAME)
 
     path = results_path(out_dir)
@@ -415,7 +410,6 @@ def run_campaign(
                     backend,
                     space,
                     datasets[query.length],
-                    convention,
                     answered,
                     logprobs_available,
                 )
@@ -461,7 +455,6 @@ def _execute_query(
     backend: Backend,
     space: FunctionSpace,
     dataset: Dataset,
-    convention,
     answered: dict,
     logprobs_available: bool,
 ) -> tuple[dict, bool]:
@@ -488,7 +481,6 @@ def _execute_query(
         spec,
         query.record.sequence,
         space,
-        convention=convention,
         dataset=dataset,
         judged_explanation=judged[0] if judged else None,
         judged_completion=judged[1] if judged else None,

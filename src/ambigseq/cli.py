@@ -23,12 +23,14 @@ from .campaign import (
     CampaignError,
     config_space,
     dataset_filename,
+    load_campaign_datasets,
     mine_datasets,
     results_path,
     run_campaign,
 )
 from .config import KNOWN_BACKENDS, KNOWN_TIE_BREAKS, CampaignConfig, ConfigError
-from .mining import load_dataset
+from .funcspace import FunctionSpace
+from .prompting import ShotSampling, Variant
 
 REPORT_FILENAME = "report.txt"
 
@@ -81,13 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir")
     common.add_argument("--http-base-url")
     common.add_argument("--http-model")
-    common.add_argument(
-        "--variant", choices=("plain", "random", "self_consistent", "most_likely")
-    )
+    common.add_argument("--variant", choices=[v.value for v in Variant])
     common.add_argument("--n-shots", type=int)
-    common.add_argument(
-        "--shot-sampling", choices=("random", "same_class", "exclude_class")
-    )
+    common.add_argument("--shot-sampling", choices=[s.value for s in ShotSampling])
     common.add_argument("--model-name")
     common.add_argument("--tasks", type=_comma_strs, help="comma-separated task list")
     common.add_argument("--limit-sequences", type=int)
@@ -118,8 +116,7 @@ def resolve_config(args: argparse.Namespace) -> CampaignConfig:
 # subcommands
 
 
-def _print_space_summary(config: CampaignConfig, out) -> None:
-    space = config_space(config)
+def _print_space_summary(space: FunctionSpace, out) -> None:
     n = len(space)
     verdict = (
         "matches" if n == REFERENCE_FUNCTION_COUNT
@@ -176,9 +173,9 @@ def _dataset_count_lines(length: int, counts) -> list[str]:
 
 def cmd_mine(config: CampaignConfig, out=None) -> int:
     out = out or sys.stdout
-    _print_space_summary(config, out)
-    datasets = mine_datasets(config)
     space = config_space(config)
+    _print_space_summary(space, out)
+    datasets = mine_datasets(config)
     for length in config.lengths:
         counts = datasets[length].counts(space)
         for line in _dataset_count_lines(length, counts):
@@ -241,17 +238,15 @@ def _report_text(config: CampaignConfig, analysis: dict) -> str:
     push("")
 
     push("== function space ==")
+    space = config_space(config)
     buf = io.StringIO()
-    _print_space_summary(config, buf)
+    _print_space_summary(space, buf)
     lines.extend(buf.getvalue().rstrip("\n").split("\n"))
     push("")
 
     push("== datasets ==")
-    for length_str in sorted(analysis["per_length"], key=int):
-        length = int(length_str)
-        dataset = load_dataset(Path(config.output_dir) / dataset_filename(length))
-        counts = dataset.counts(config_space(config))
-        lines.extend(_dataset_count_lines(length, counts))
+    for length, dataset in sorted(load_campaign_datasets(config).items()):
+        lines.extend(_dataset_count_lines(length, dataset.counts(space)))
     push("")
 
     push("== metrics (mean over runs) ==")

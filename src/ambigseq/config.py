@@ -89,8 +89,11 @@ class CampaignConfig:
             raise ConfigError(f"unsupported base {self.base}")
         if self.max_offset < 0:
             raise ConfigError(f"bad max_offset {self.max_offset}")
-        Variant(self.variant)
-        ShotSampling(self.shot_sampling)
+        try:
+            Variant(self.variant)
+            ShotSampling(self.shot_sampling)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.backend not in KNOWN_BACKENDS:
             raise ConfigError(
                 f"unknown backend {self.backend!r}; expected one of {KNOWN_BACKENDS}"

@@ -653,6 +653,7 @@ class FunctionSpace:
 
     Iterable over the valid functions, in template-enumeration order.
     ``excluded`` records candidates dropped by the validity probe and why.
+    ``convention`` is the start index and offsets every query against it uses.
     """
 
     functions: tuple[ConcreteFunction, ...]
@@ -660,12 +661,13 @@ class FunctionSpace:
     constant_range: tuple[int, int]
     probe_indices: tuple[int, ...]
     max_value: int | None
+    convention: IndexConvention = DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
         # built once: membership tests and cache keys hit these on every query
         object.__setattr__(self, "_function_set", frozenset(self.functions))
         fields = (self.functions, self.excluded, self.constant_range, self.probe_indices)
-        object.__setattr__(self, "_hash", hash((*fields, self.max_value)))
+        object.__setattr__(self, "_hash", hash((*fields, self.max_value, self.convention)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -728,6 +730,7 @@ def enumerate_space(
         constant_range=(lo, hi),
         probe_indices=probes,
         max_value=max_value,
+        convention=convention,
     )
 
 

@@ -2,9 +2,9 @@
 
 A length-L prefix is *ambiguous* when at least two (function, offset) pairs
 generate it with different continuations at step L+1. Every (function,
-offset) instance is grouped by its value prefix once per (space, length,
-convention), into a prefix index kept on the space instance and built on
-first use. :func:`mine` and every query against a space
+offset) instance, under the space's own index convention, is grouped by its
+value prefix once per (space, length), into a prefix index kept on the space
+instance and built on first use. :func:`mine` and every query against a space
 (:func:`matching_generators` and what sits on it) read that index;
 :func:`pairwise_ambiguities` keeps the literal O(n²) pair scan for auditing
 and does not.
@@ -200,45 +200,39 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def _instances(
-    space: FunctionSpace, length: int, convention: IndexConvention
+    space: FunctionSpace, length: int
 ) -> list[tuple[tuple[int, ...], Generator]]:
     """(length-``length`` prefix, generator) of every (function, offset)."""
     out = []
     for fn in space:
-        for offset in convention.offsets:
-            seq = generate_sequence(fn, offset, length + 1, convention)
+        for offset in space.convention.offsets:
+            seq = generate_sequence(fn, offset, length + 1, space.convention)
             out.append((tuple(seq[:length]), Generator(fn, offset, seq[length])))
     return out
 
 
 def _prefix_index(
-    space: FunctionSpace, length: int, convention: IndexConvention
+    space: FunctionSpace, length: int
 ) -> dict[tuple[int, ...], tuple[Generator, ...]]:
     """Length-``length`` prefix → its generators in canonical order, built from
     one pass over the space's instances and kept on the space instance."""
     indexes = vars(space).setdefault("_prefix_indexes", {})  # not a field: eq/hash skip it
-    key = (length, convention)
-    if key not in indexes:
+    if length not in indexes:
         groups: dict[tuple[int, ...], list[Generator]] = {}
-        for prefix, generator in _instances(space, length, convention):
+        for prefix, generator in _instances(space, length):
             groups.setdefault(prefix, []).append(generator)
-        indexes[key] = {p: tuple(sorted(g, key=Generator.sort_key)) for p, g in groups.items()}
-    return indexes[key]
+        indexes[length] = {p: tuple(sorted(g, key=Generator.sort_key)) for p, g in groups.items()}
+    return indexes[length]
 
 
-def mine(
-    space: FunctionSpace,
-    length: int = 4,
-    convention: IndexConvention = DEFAULT_CONVENTION,
-    base: int = 10,
-) -> Dataset:
+def mine(space: FunctionSpace, length: int = 4, base: int = 10) -> Dataset:
     """Mine every distinct length-``length`` sequence the space can generate.
 
     Each distinct value tuple becomes one record carrying all of its
     generators; records whose generators disagree on the continuation are the
     ambiguous split.
     """
-    index = _prefix_index(space, length, convention)
+    index = _prefix_index(space, length)
     ambiguous: list[AmbiguityRecord] = []
     unambiguous: list[AmbiguityRecord] = []
     for prefix in sorted(index):
@@ -248,8 +242,8 @@ def mine(
     params = DatasetParameters(
         constant_range=space.constant_range,
         sequence_length=length,
-        start_index=convention.start_index,
-        max_offset=convention.max_offset,
+        start_index=space.convention.start_index,
+        max_offset=space.convention.max_offset,
         base=base,
         max_function_value=space.max_value,
     )
@@ -266,9 +260,7 @@ class PairAmbiguity:
 
 
 def pairwise_ambiguities(
-    space: FunctionSpace,
-    length: int = 4,
-    convention: IndexConvention = DEFAULT_CONVENTION,
+    space: FunctionSpace, length: int = 4
 ) -> tuple[PairAmbiguity, ...]:
     """Literal pairwise scan over all (function, offset) instances.
 
@@ -276,7 +268,7 @@ def pairwise_ambiguities(
     prefixes element by element exactly as the definition reads.
     """
     found = []
-    for (prefix, a), (other, b) in combinations(_instances(space, length, convention), 2):
+    for (prefix, a), (other, b) in combinations(_instances(space, length), 2):
         if prefix == other and a.continuation != b.continuation:
             found.append(PairAmbiguity(a, b, prefix))
     return tuple(found)
@@ -287,40 +279,32 @@ def pairwise_ambiguities(
 # ---------------------------------------------------------------------------
 
 def matching_generators(
-    values: Iterable[int],
-    space: FunctionSpace,
-    convention: IndexConvention = DEFAULT_CONVENTION,
+    values: Iterable[int], space: FunctionSpace
 ) -> tuple[Generator, ...]:
     """Every (function, offset) in the space that generates the given prefix."""
-    return _matching_generators(tuple(values), space, convention)
+    return _matching_generators(tuple(values), space)
 
 
 @lru_cache(maxsize=4096)
 def _matching_generators(
-    values: tuple[int, ...],
-    space: FunctionSpace,
-    convention: IndexConvention,
+    values: tuple[int, ...], space: FunctionSpace
 ) -> tuple[Generator, ...]:
-    return _prefix_index(space, len(values), convention).get(values, ())
+    return _prefix_index(space, len(values)).get(values, ())
 
 
 def valid_continuations(
-    sequence: SequenceRecord | Iterable[int],
-    space: FunctionSpace,
-    convention: IndexConvention = DEFAULT_CONVENTION,
+    sequence: SequenceRecord | Iterable[int], space: FunctionSpace
 ) -> frozenset[int]:
     values = sequence.values if isinstance(sequence, SequenceRecord) else tuple(sequence)
-    return frozenset(g.continuation for g in matching_generators(values, space, convention))
+    return frozenset(g.continuation for g in matching_generators(values, space))
 
 
 def valid_explanations(
-    sequence: SequenceRecord | Iterable[int],
-    space: FunctionSpace,
-    convention: IndexConvention = DEFAULT_CONVENTION,
+    sequence: SequenceRecord | Iterable[int], space: FunctionSpace
 ) -> tuple[ConcreteFunction, ...]:
     values = sequence.values if isinstance(sequence, SequenceRecord) else tuple(sequence)
     seen: dict[ConcreteFunction, None] = {}
-    for g in matching_generators(values, space, convention):
+    for g in matching_generators(values, space):
         seen.setdefault(g.function)
     return tuple(seen)
 

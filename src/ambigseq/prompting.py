@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from .funcspace import (
     ConcreteFunction,
-    DEFAULT_CONVENTION,
     EvaluationError,
     FunctionSpace,
     IndexConvention,
@@ -281,8 +280,8 @@ def _demo_sequence(
     return SequenceRecord(tuple(values[:length])), values[length]
 
 
-def _verbalize_answer(values: tuple[int, ...], space, convention, base: int) -> str:
-    conts = sorted(valid_continuations(values, space, convention))
+def _verbalize_answer(values: tuple[int, ...], space, base: int) -> str:
+    conts = sorted(valid_continuations(values, space))
     conts = conts[:MAX_VERBALIZED_ALTERNATIVES]
     if not conts:
         raise PromptingError(f"no valid continuations for demo sequence {values}")
@@ -298,7 +297,6 @@ def build_prompt(
     spec: PromptSpec,
     target: SequenceRecord,
     space: FunctionSpace,
-    convention: IndexConvention = DEFAULT_CONVENTION,
     dataset: Dataset | None = None,
     judged_explanation: str | None = None,
     judged_completion: int | None = None,
@@ -320,7 +318,7 @@ def build_prompt(
         fns = (
             record.functions
             if record is not None
-            else valid_explanations(target.values, space, convention)
+            else valid_explanations(target.values, space)
         )
         target_kinds = frozenset(f.kind for f in fns)
 
@@ -331,7 +329,7 @@ def build_prompt(
     demos: list[tuple[str, str]] = []
     for i, fn in enumerate(shots):
         demos.append(
-            _build_demo(spec, fn, target.length, space, convention, rng, flip=i % 2 == 1)
+            _build_demo(spec, fn, target.length, space, rng, flip=i % 2 == 1)
         )
 
     test_query = _build_test_query(
@@ -356,13 +354,12 @@ def _build_demo(
     fn: ConcreteFunction,
     length: int,
     space: FunctionSpace,
-    convention: IndexConvention,
     rng: random.Random,
     flip: bool,
 ) -> tuple[str, str]:
     for _ in range(50):
         try:
-            seq, continuation = _demo_sequence(fn, length, convention, rng)
+            seq, continuation = _demo_sequence(fn, length, space.convention, rng)
         except EvaluationError:
             continue
         break
@@ -382,7 +379,7 @@ def _build_demo(
         # alternate consistent and inconsistent examples
         if flip:
             shown = continuation
-            while shown in continuations_of(fn, seq.values, convention):
+            while shown in continuations_of(fn, seq.values, space.convention):
                 shown += 1
             label = "inconsistent"
         else:
@@ -393,7 +390,7 @@ def _build_demo(
     if spec.task is Task.VERBALIZE_ALTERNATIVES:
         instruction = _interpolate_model(VERBALIZE_DEMO_INSTRUCTION, spec.model_name)
         query = _sequence_block(seq, instruction)
-        return query, _verbalize_answer(seq.values, space, convention, spec.base)
+        return query, _verbalize_answer(seq.values, space, spec.base)
 
     raise PromptingError(f"unknown task: {spec.task!r}")
 

@@ -89,12 +89,12 @@ def report(capsys):
 
 @pytest.fixture(scope="module")
 def space():
-    return enumerate_space()
+    return enumerate_space(convention=CONVENTION)
 
 
 @pytest.fixture(scope="module")
 def datasets(space):
-    return {n: mine(space, length=n, convention=CONVENTION) for n in (2, 3, 4)}
+    return {n: mine(space, length=n) for n in (2, 3, 4)}
 
 
 def test_01_function_space_count(report):
@@ -116,7 +116,7 @@ def test_01_function_space_count(report):
 
 def test_02_dataset_counts(report, space):
     started = time.perf_counter()
-    mined = {n: mine(space, length=n, convention=CONVENTION) for n in (2, 3, 4)}
+    mined = {n: mine(space, length=n) for n in (2, 3, 4)}
     elapsed = time.perf_counter() - started
 
     counts = {n: mined[n].counts(space) for n in mined}
@@ -172,7 +172,7 @@ def test_02_dataset_counts(report, space):
 
 
 def test_03_reference_vector_generators(report, space):
-    gens = matching_generators((7, 11, 15), space, CONVENTION)
+    gens = matching_generators((7, 11, 15), space)
     by_shape = {
         (g.function.kind, g.function.c1, g.function.c2, g.offset): g.continuation
         for g in gens
@@ -230,7 +230,7 @@ def _answer_pair(backend, record, space):
         (Task.EXPLANATION, parse_explanation_response),
     ):
         spec = PromptSpec(task=task, n_shots=0, rng_seed=0)
-        prompt = build_prompt(spec, record.sequence, space, convention=CONVENTION)
+        prompt = build_prompt(spec, record.sequence, space)
         parsed[task] = parser(backend.complete(CompletionRequest(prompt)).text)
     return parsed[Task.COMPLETION], parsed[Task.EXPLANATION]
 
@@ -250,9 +250,9 @@ def test_05_harness_soundness(report, space, datasets):
             )
         return 100.0 * sum(outcomes) / len(outcomes)
 
-    consistent_rate = consistency_rate(OracleBackend(space, CONVENTION))
+    consistent_rate = consistency_rate(OracleBackend(space))
     adversarial_rate = consistency_rate(
-        OracleBackend(space, CONVENTION, mode="adversarial")
+        OracleBackend(space, mode="adversarial")
     )
 
     # random valid answers, >= 10,000 sampled pairs against the closed form
@@ -262,7 +262,6 @@ def test_05_harness_soundness(report, space, datasets):
             PromptSpec(task=task, n_shots=0, rng_seed=0),
             record.sequence,
             space,
-            convention=CONVENTION,
         )
         for record in ambiguous
         for task in (Task.COMPLETION, Task.EXPLANATION)
@@ -270,7 +269,7 @@ def test_05_harness_soundness(report, space, datasets):
     cont_cache = {}
     hits = total = 0
     for seed in range(n_seeds):
-        backend = RandomValidBackend(space, CONVENTION, seed=seed)
+        backend = RandomValidBackend(space, seed=seed)
         for record in ambiguous:
             values = record.sequence.values
             completion = parse_completion_response(

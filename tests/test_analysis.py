@@ -137,7 +137,6 @@ class TestScriptedHandScored:
     def test_mixed_quality_answers(self, tmp_path, mined_l3):
         from ambigseq.campaign import (
             PlannedQuery,
-            config_convention,
             config_space,
             prompt_seed,
         )
@@ -160,7 +159,6 @@ class TestScriptedHandScored:
             output_dir=str(out),
         )
         space = config_space(config)
-        convention = config_convention(config)
         dataset = load_dataset(mined_l3)
         amb = dataset.ambiguous[:2]
         unamb = dataset.unambiguous[:2]
@@ -176,7 +174,7 @@ class TestScriptedHandScored:
                 rng_seed=prompt_seed(config, query),
             )
             prompt = build_prompt(
-                spec, record.sequence, space, convention=convention,
+                spec, record.sequence, space,
                 dataset=dataset,
             )
             return prompt.test_query
@@ -187,7 +185,7 @@ class TestScriptedHandScored:
         # ambiguous 1: a completion no explanation can generate
         rogue_value = max(amb[1].continuations) + 999
         assert rogue_value not in continuations_of(
-            amb[1].generators[0].function, amb[1].sequence.values, convention
+            amb[1].generators[0].function, amb[1].sequence.values, space.convention
         )
         fixtures = {
             test_query(amb[0], Task.COMPLETION): str(agree_value),

@@ -423,6 +423,33 @@ class TestCachingBackend:
         assert resp.text == "15"
         assert json.loads(entry.read_text())["text"] == "15"
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            [1, 2],
+            {"text": "15", "backend_id": "scripted", "top_logprobs": [5]},
+            {"text": None, "backend_id": "scripted", "top_logprobs": None},
+            {"text": 19, "backend_id": "scripted", "top_logprobs": None},
+        ],
+        ids=["list", "bare_logprob", "null_text", "int_text"],
+    )
+    def test_wrong_shape_entry_is_refreshed(self, space, tmp_path, entry):
+        inner = ScriptedBackend({}, default="15")
+        backend = CachingBackend(inner, tmp_path)
+        req = make_request(space)
+        backend.complete(req)
+        path = next(tmp_path.glob("*.json"))
+        path.write_text(json.dumps(entry))
+        calls = []
+        complete = inner.complete
+        inner.complete = lambda request: calls.append(request) or complete(request)
+        resp = backend.complete(req)
+        assert calls == [req]
+        assert resp.text == "15" and not resp.cached
+        assert json.loads(path.read_text()) == {
+            "text": "15", "backend_id": "scripted", "top_logprobs": None
+        }
+
     def test_counts_inner_calls(self, space, tmp_path):
         calls = []
 

@@ -6,9 +6,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ambigseq.backends import (
     BackendError,
@@ -364,12 +367,10 @@ class TestRunCampaign:
     def test_backend_failure_preserves_partial_results(
         self, tmp_path, mined_l3
     ):
-        from ambigseq.campaign import config_convention, config_space
+        from ambigseq.campaign import config_space
 
         config = small_config(tmp_path, mined_l3)
-        oracle = OracleBackend(
-            config_space(config), config_convention(config)
-        )
+        oracle = OracleBackend(config_space(config))
         outcome = run_campaign(config, backend=FailAfter(oracle, 5))
         assert outcome.failed
         assert "synthetic outage" in outcome.error
@@ -380,13 +381,13 @@ class TestRunCampaign:
     def test_resume_after_failure_matches_uninterrupted(
         self, tmp_path, mined_l3
     ):
-        from ambigseq.campaign import config_convention, config_space
+        from ambigseq.campaign import config_space
 
         config_full = small_config(tmp_path / "full", mined_l3)
         reference = run_campaign(config_full).results_file.read_bytes()
 
         config = small_config(tmp_path / "flaky", mined_l3)
-        oracle = OracleBackend(config_space(config), config_convention(config))
+        oracle = OracleBackend(config_space(config))
         failed = run_campaign(config, backend=FailAfter(oracle, 7))
         assert failed.failed
         resumed = run_campaign(config)
@@ -453,6 +454,38 @@ class TestRunCampaign:
 
 # ---------------------------------------------------------------------------
 # backend construction
+
+
+class TestResumeAfterAnyCut:
+    """A finished results file cut at any byte resumes to the same bytes."""
+
+    @staticmethod
+    def config(tmp_path, mined_l3) -> CampaignConfig:
+        return small_config(tmp_path, mined_l3, n_runs=1, limit_sequences=1)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory, mined_l3) -> bytes:
+        config = self.config(tmp_path_factory.mktemp("full"), mined_l3)
+        return run_campaign(config).results_file.read_bytes()
+
+    # the cut lies ``back`` bytes before the end of line ``line`` (taken
+    # modulo the line count, its newline included), but not before its start
+    @given(line=st.integers(0, 20), back=st.integers(0, 4000))
+    @example(line=0, back=10**6)  # offset 0: an empty file
+    @example(line=0, back=100)  # inside the header
+    @example(line=2, back=0)  # exactly at a newline
+    @example(line=-1, back=1)  # one byte before the final newline
+    @settings(max_examples=50, deadline=None)
+    def test_byte_identical(self, uninterrupted, mined_l3, line, back):
+        ends = [i + 1 for i, byte in enumerate(uninterrupted) if byte == ord("\n")]
+        i = line % len(ends)
+        cut = max(ends[i - 1] if i else 0, ends[i] - back)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = self.config(Path(tmp), mined_l3)
+            path = results_path(config.output_dir)
+            path.write_bytes(uninterrupted[:cut])
+            assert not run_campaign(config).failed
+            assert path.read_bytes() == uninterrupted
 
 
 class TestMakeBackend:

@@ -206,6 +206,31 @@ class TestFailureExitCodes:
         assert main(["mine", "--config", str(path)]) == 2
         assert "config error" in capfd.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("mine", "variant", "whimsical"), ("run", "shot_sampling", "alphabetical")],
+    )
+    def test_unknown_enum_value_in_config_file(
+        self, tmp_path, capfd, command, key, value
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value, "output_dir": str(tmp_path)}))
+        assert main([command, "--config", str(path)]) == 2
+        assert "config error:" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_refuses_datasets_mined_with_other_parameters(
+        self, tmp_path, capfd, command
+    ):
+        out = tmp_path / "campaign"
+        for stage in ("mine", "run", "analyze"):
+            assert main([stage, *flags(out)]) == 0
+        # the datasets are mined again over a wider constant range
+        assert main(["mine", *flags(out), "--constant-range", "0,5"]) == 0
+        capfd.readouterr()
+        assert main([command, *flags(out)]) == 1
+        assert "was mined with parameters ((0, 5)" in capfd.readouterr().err
+
     def test_invalid_flag_combination(self, tmp_path, capfd):
         # scripted backend without a fixtures file fails validation
         assert main(["run", "--output-dir", str(tmp_path),

@@ -57,6 +57,14 @@ class TestValidation:
         for tie_break in KNOWN_TIE_BREAKS:
             CampaignConfig(tie_break=tie_break)
 
+    @pytest.mark.parametrize(
+        "changes", [{"variant": "whimsical"}, {"shot_sampling": "alphabetical"}]
+    )
+    def test_unknown_enum_value_is_a_config_error(self, changes):
+        (value,) = changes.values()
+        with pytest.raises(ConfigError, match=repr(value)):
+            CampaignConfig(**changes)
+
     def test_judgment_requires_completion_and_explanation(self):
         with pytest.raises(ConfigError, match="consistency_judgment"):
             CampaignConfig(tasks=("completion", "consistency_judgment"))

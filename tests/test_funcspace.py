@@ -6,6 +6,7 @@ bruteforce.py and frozen here; the oracle runs alongside as a cross-check.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -332,6 +333,14 @@ class TestEnumerateSpace:
         assert hash(a) == hash(b) and {a: 1}[b] == 1
         assert small != a and small.functions[0] in a
         assert fs.instantiate(fs.TemplateKind.POWER, 4, 4) not in a  # excluded
+
+    def test_space_carries_its_convention(self):
+        convention = fs.IndexConvention(0, 2)
+        space = enumerate_space(convention=convention)
+        assert space.convention == convention
+        other = dataclasses.replace(space, convention=fs.IndexConvention(0, 3))
+        assert other != space and other.functions == space.functions
+        assert hash(other) != hash(space)
 
     def test_enumeration_order_is_template_then_constants(self):
         space = enumerate_space()

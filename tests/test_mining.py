@@ -225,19 +225,19 @@ class TestPrefixIndex:
         for length in range(1, 8):  # probe_length is 5
             table = oracle_mine(oracle, length, convention.max_offset, first)
             for prefix, expected in table.items():
-                got = matching_generators(prefix, space, convention)
+                got = matching_generators(prefix, space)
                 assert [
                     (g.function.kind.value, g.function.c1, g.function.c2,
                      g.offset, g.continuation)
                     for g in got
                 ] == expected
-            assert matching_generators((10**30,) * length, space, convention) == ()
+            assert matching_generators((10**30,) * length, space) == ()
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_mine_agrees_with_lookup(self, convention):
         space = self.fresh_space(convention)
         for length in range(1, 8):
-            dataset = mine(space, length, convention)
+            dataset = mine(space, length)
             records = list(dataset.records())
             assert len(records) == len(oracle_mine(
                 oracle_space(probes=space.probe_indices), length,
@@ -245,7 +245,7 @@ class TestPrefixIndex:
             ))
             for record in records:
                 assert record.generators == matching_generators(
-                    record.sequence.values, space, convention
+                    record.sequence.values, space
                 )
 
     @pytest.mark.parametrize("length", [3, 7])
@@ -296,11 +296,10 @@ class TestMonotonicity:
     def test_extending_prefix_never_adds_generators(self, length):
         space = enumerate_space(constant_range=(0, 2))
         ds = mine(space, length=length)
-        conv = ds.parameters.convention
         for record in list(ds.ambiguous)[:10]:
             longer = record.sequence.values + (record.generators[0].continuation,)
-            shorter_fns = set(valid_explanations(record.sequence.values, space, conv))
-            longer_fns = set(valid_explanations(longer, space, conv))
+            shorter_fns = set(valid_explanations(record.sequence.values, space))
+            longer_fns = set(valid_explanations(longer, space))
             assert longer_fns <= shorter_fns
 
 
