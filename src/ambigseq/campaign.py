@@ -9,16 +9,30 @@ a file holding two lines for the same query is refused. Reruns resume:
 records already present are skipped, an unterminated trailing line from an
 interrupted run is truncated away (every line is written with its newline),
 and the remainder is appended in the same canonical order.
+
+Backend calls may overlap. With ``CampaignConfig.workers`` above 1, only
+``backend.complete`` runs on a pool of that many threads; the calling thread
+walks the plan, builds prompts, scores answers and commits lines strictly in
+plan order, so the file is the same for every worker count. A consistency
+judgment is built only once its run's completion and explanation lines are
+committed. While top logprobs are still captured, each completion that asks
+for them is sent alone, once every line before it is committed (the logprob
+lane), so an endpoint that stops sending them stops at the same query every
+run. A backend failure surfaces when its query's turn to be committed comes:
+the lines before it stay on disk, later answers are dropped. With one
+worker each call is made inline as its line is committed, on no thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 from .backends import (
     Backend,
@@ -37,12 +51,14 @@ from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
 from .mining import AmbiguityRecord, Dataset, load_dataset
-from .prompting import PromptSpec, Task, build_prompt
+from .prompting import PromptSpec, RenderedPrompt, Task, build_prompt
 
 RESULTS_FORMAT = "ambigseq.results"
 RESULTS_VERSION = 1
 RESULTS_FILENAME = "results.jsonl"
 AUDIT_FILENAME = "audit.log"
+
+LOGPROBS_UNAVAILABLE_NOTE = "top logprobs unavailable from backend"
 
 
 class CampaignError(RuntimeError):
@@ -391,38 +407,68 @@ def run_campaign(
         )
 
     queried = skipped = 0
-    logprobs_available = config.want_top_logprobs > 0
+    # capture stays off across a resume once a line on file has recorded the
+    # fallback, as it does in an uninterrupted run
+    logprobs_available = config.want_top_logprobs > 0 and all(
+        line["note"] != LOGPROBS_UNAVAILABLE_NOTE for line in answered.values()
+    )
+    # queries whose backend call is dispatched but whose line is not yet
+    # committed, in plan order: (query, judged pair, answer)
+    pending: deque[tuple[PlannedQuery, tuple[str, int] | None, Callable]] = deque()
+    dispatch = _Dispatch(config.workers)
 
-    with path.open("a") as fh:
-        # drop any torn tail so appends start on a line boundary
-        fh.truncate(len(complete))
-        if not complete:
-            fh.write(header_line)
-            fh.flush()
-        for query in plan_queries(config, datasets):
-            if query.key in answered:
-                skipped += 1
-                continue
-            try:
-                line, logprobs_available = _execute_query(
-                    config,
-                    query,
-                    backend,
-                    space,
-                    datasets[query.length],
-                    answered,
-                    logprobs_available,
+    def commit(fh: TextIO) -> None:
+        nonlocal queried, logprobs_available
+        query, judged, answer = pending.popleft()
+        text, top, note = answer()
+        if note == LOGPROBS_UNAVAILABLE_NOTE:
+            logprobs_available = False
+        line = _result_line(query, text, top, judged, note)
+        answered[query.key] = line
+        _append_line(fh, line)
+        queried += 1
+
+    try:
+        with path.open("a") as fh:
+            # drop any torn tail so appends start on a line boundary
+            fh.truncate(len(complete))
+            if not complete:
+                fh.write(header_line)
+                fh.flush()
+            for query in plan_queries(config, datasets):
+                if query.key in answered:
+                    skipped += 1
+                    continue
+                # a completion that may ask for top logprobs (the logprob
+                # lane), and a judgment whose pair is not yet committed, wait
+                # for every line before them
+                if (query.task is Task.COMPLETION and logprobs_available) or (
+                    query.task is Task.CONSISTENCY_JUDGMENT
+                    and not all(key in answered for key in _pair_keys(query))
+                ):
+                    while pending:
+                        commit(fh)
+                pending.append(
+                    _execute_query(
+                        config,
+                        query,
+                        backend,
+                        space,
+                        datasets[query.length],
+                        answered,
+                        logprobs_available,
+                        dispatch.submit,
+                    )
                 )
-            except BackendError as exc:
-                audit.log(
-                    f"abort campaign={config.digest()} after {queried} queries: {exc}"
-                )
-                return CampaignOutcome(
-                    path, queried, skipped, failed=True, error=str(exc)
-                )
-            answered[query.key] = line
-            _append_line(fh, line)
-            queried += 1
+                while len(pending) > dispatch.window:
+                    commit(fh)
+            while pending:
+                commit(fh)
+    except BackendError as exc:
+        audit.log(f"abort campaign={config.digest()} after {queried} queries: {exc}")
+        return CampaignOutcome(path, queried, skipped, failed=True, error=str(exc))
+    finally:
+        dispatch.close()
 
     audit.log(
         f"finish campaign={config.digest()} queried={queried} skipped={skipped}"
@@ -430,23 +476,58 @@ def run_campaign(
     return CampaignOutcome(path, queried, skipped)
 
 
+class _Dispatch:
+    """Where backend calls run. With one worker a call is made inline when
+    its answer is read; with more, on a pool of that many threads, and the
+    run loop keeps at most ``window`` queries dispatched ahead of the oldest
+    uncommitted line."""
+
+    def __init__(self, workers: int):
+        self._pool = None
+        self.window = 0
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(workers, "ambigseq-backend")
+            self.window = 4 * workers
+
+    def submit(self, fn: Callable, *args) -> Callable[[], Any]:
+        """A no-argument callable that returns ``fn(*args)`` or raises what
+        it raised."""
+        if self._pool is None:
+            return partial(fn, *args)
+        return self._pool.submit(fn, *args).result
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+
 def _append_line(fh: TextIO, line: dict) -> None:
     fh.write(canonical_json(line) + "\n")
     fh.flush()
 
 
+def _pair_keys(query: PlannedQuery) -> tuple[tuple, tuple]:
+    """Plan keys of the completion and explanation a judgment query judges:
+    the same run's answers for the same sequence."""
+    length, run_id, _, values, base = query.key
+    return (
+        (length, run_id, Task.COMPLETION.value, values, base),
+        (length, run_id, Task.EXPLANATION.value, values, base),
+    )
+
+
 def _judged_pair(answered: dict, query: PlannedQuery) -> tuple[str, int] | None:
     """The model's own (explanation text, completion) for this run+sequence,
     if both parsed."""
-    length, run_id, _, values, base = query.key
-    compl = answered.get((length, run_id, Task.COMPLETION.value, values, base))
-    expl = answered.get((length, run_id, Task.EXPLANATION.value, values, base))
+    compl, expl = (answered.get(key) for key in _pair_keys(query))
     if not (compl and expl and compl["valid"] and expl["valid"]):
         return None
     from .funcspace import parse
 
     fn = parse(expl["parsed"]["value"])
-    return render_function(fn, base), compl["parsed"]["value"]
+    return render_function(fn, query.record.sequence.base), compl["parsed"]["value"]
 
 
 def _execute_query(
@@ -457,15 +538,20 @@ def _execute_query(
     dataset: Dataset,
     answered: dict,
     logprobs_available: bool,
-) -> tuple[dict, bool]:
+    submit: Callable,
+) -> tuple[PlannedQuery, tuple[str, int] | None, Callable]:
+    """Build the query's prompt and hand its backend call to ``submit``.
+
+    Returns the query's pending line: (query, judged pair, answer), where
+    ``answer()`` gives the (text, top logprobs, note) to build it from.
+    """
     judged = None
-    note = None
     if query.task is Task.CONSISTENCY_JUDGMENT:
         judged = _judged_pair(answered, query)
         if judged is None:
             # nothing coherent to judge; the empty answer files as invalid
             note = "no parseable completion/explanation pair to judge"
-            return _result_line(query, "", None, None, note), logprobs_available
+            return query, None, lambda: ("", None, note)
 
     spec = PromptSpec(
         task=query.task,
@@ -490,19 +576,24 @@ def _execute_query(
         if (query.task is Task.COMPLETION and logprobs_available)
         else 0
     )
-    request = CompletionRequest(prompt, want_top_logprobs=want_logprobs)
+    return query, judged, submit(_ask, backend, prompt, want_logprobs)
+
+
+def _ask(
+    backend: Backend, prompt: RenderedPrompt, want_logprobs: int
+) -> tuple[str, TokenDistribution | None, str | None]:
+    """The backend's (text, top logprobs, note) for ``prompt``; the only
+    step of a query that runs on a worker thread."""
+    note = None
     try:
-        response = backend.complete(request)
+        response = backend.complete(
+            CompletionRequest(prompt, want_top_logprobs=want_logprobs)
+        )
     except LogprobsUnsupportedError:
         # backend cannot report distributions: drop the capture and move on
-        logprobs_available = False
-        note = "top logprobs unavailable from backend"
+        note = LOGPROBS_UNAVAILABLE_NOTE
         response = backend.complete(CompletionRequest(prompt))
-
-    line = _result_line(
-        query, response.text, response.first_token_top_logprobs, judged, note
-    )
-    return line, logprobs_available
+    return response.text, response.first_token_top_logprobs, note
 
 
 def _result_line(

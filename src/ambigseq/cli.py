@@ -81,6 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend-seed", type=int)
     common.add_argument("--fixtures-file")
     common.add_argument("--cache-dir")
+    common.add_argument(
+        "--concurrency", type=int,
+        help="backend calls in flight at once, 1..64 (default: 8 for http, else 1)",
+    )
     common.add_argument("--http-base-url")
     common.add_argument("--http-model")
     common.add_argument("--variant", choices=[v.value for v in Variant])
@@ -310,11 +314,18 @@ def _report_text(config: CampaignConfig, analysis: dict) -> str:
 
 def cmd_report(config: CampaignConfig, out=None) -> int:
     out = out or sys.stdout
-    analysis_path = Path(config.output_dir) / ANALYSIS_FILENAME
-    if analysis_path.exists():
-        analysis = load_analysis(analysis_path)
+    source = Path(config.output_dir) / ANALYSIS_FILENAME
+    if source.exists():
+        analysis = load_analysis(source)
     else:
-        analysis = analyze_results(results_path(config.output_dir))
+        source = results_path(config.output_dir)
+        analysis = analyze_results(source)
+    if analysis["config_digest"] != config.digest():
+        raise CampaignError(
+            f"{source} belongs to campaign {analysis['config_digest']}, "
+            f"this config is {config.digest()} — report from this config's "
+            "output directory"
+        )
     text = _report_text(config, analysis)
     report_file = Path(config.output_dir) / REPORT_FILENAME
     report_file.write_text(text)

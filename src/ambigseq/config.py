@@ -31,6 +31,15 @@ KNOWN_TIE_BREAKS = ("min_value", "enumeration_order")
 # Pure storage locations: they never change what a campaign computes, so they
 # are excluded from the campaign digest and from the results-file header.
 STORAGE_KEYS = ("output_dir", "cache_dir")
+# How a campaign is executed, not what it computes: the results file is the
+# same for every value, so these are excluded likewise.
+EXECUTION_KEYS = ("concurrency",)
+
+MAX_CONCURRENCY = 64
+# backend calls in flight at once when ``concurrency`` is unset: a remote
+# endpoint spends its time waiting on the network, the in-process backends
+# spend theirs computing under the interpreter lock
+DEFAULT_HTTP_CONCURRENCY = 8
 
 
 class ConfigError(ValueError):
@@ -64,6 +73,7 @@ class CampaignConfig:
     api_key_env: str = "AMBIGSEQ_API_KEY"
     fixtures_file: str | None = None
     cache_dir: str | None = None
+    concurrency: int | None = None  # None = by backend, see ``workers``
 
     # campaign
     tasks: tuple[str, ...] = DEFAULT_TASKS
@@ -136,6 +146,15 @@ class CampaignConfig:
             raise ConfigError("want_top_logprobs must be within 0..5")
         if self.limit_sequences is not None and self.limit_sequences < 1:
             raise ConfigError("limit_sequences must be >= 1 when set")
+        if self.concurrency is not None and (
+            isinstance(self.concurrency, bool)
+            or not isinstance(self.concurrency, int)
+            or not 1 <= self.concurrency <= MAX_CONCURRENCY
+        ):
+            raise ConfigError(
+                f"concurrency must be an integer within 1..{MAX_CONCURRENCY} "
+                f"or null, got {self.concurrency!r}"
+            )
 
     # -- serialization ------------------------------------------------------
 
@@ -178,11 +197,12 @@ class CampaignConfig:
         """Config keys that define what is run, excluding where artifacts live.
 
         Two campaigns that differ only in storage locations (output directory,
-        response cache) produce identical result content, so those keys do not
-        participate in the campaign identity.
+        response cache) or in how they are executed (concurrency) produce
+        identical result content, so those keys do not participate in the
+        campaign identity.
         """
         data = self.to_json()
-        for key in STORAGE_KEYS:
+        for key in STORAGE_KEYS + EXECUTION_KEYS:
             data.pop(key, None)
         return data
 
@@ -201,6 +221,14 @@ class CampaignConfig:
     @property
     def shot_sampling_enum(self) -> ShotSampling:
         return ShotSampling(self.shot_sampling)
+
+    @property
+    def workers(self) -> int:
+        """Backend calls a campaign keeps in flight at once: ``concurrency``,
+        or by default 8 for the http backend and 1 for the others."""
+        if self.concurrency is not None:
+            return self.concurrency
+        return DEFAULT_HTTP_CONCURRENCY if self.backend == "http" else 1
 
     @property
     def task_enums(self) -> tuple[Task, ...]:

@@ -1,5 +1,7 @@
-"""Campaign execution: planning, the results file, resume, failure recovery."""
+"""Campaign execution: planning, the results file, resume, failure recovery,
+concurrent dispatch."""
 
+import hashlib
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -17,12 +21,14 @@ from ambigseq.backends import (
     BackendError,
     CachingBackend,
     CompletionResponse,
+    HttpBackend,
     OracleBackend,
     RandomValidBackend,
     ScriptedBackend,
 )
 from ambigseq.campaign import (
     AUDIT_FILENAME,
+    LOGPROBS_UNAVAILABLE_NOTE,
     RESULTS_FORMAT,
     RESULTS_VERSION,
     CampaignError,
@@ -452,10 +458,6 @@ class TestRunCampaign:
         assert "resume" in audit and "finish" in audit
 
 
-# ---------------------------------------------------------------------------
-# backend construction
-
-
 class TestResumeAfterAnyCut:
     """A finished results file cut at any byte resumes to the same bytes."""
 
@@ -486,6 +488,194 @@ class TestResumeAfterAnyCut:
             path.write_bytes(uninterrupted[:cut])
             assert not run_campaign(config).failed
             assert path.read_bytes() == uninterrupted
+
+
+# ---------------------------------------------------------------------------
+# concurrent dispatch
+
+
+def _digest_int(text: str) -> int:
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+class FakeEndpoint:
+    """A chat-completions transport for ``HttpBackend``.
+
+    Each answer is a function of the prompt alone and well formed for its
+    task; it comes after a sleep of 0-2 ms drawn from the prompt, so
+    concurrent requests finish out of order. The first attempt of about one
+    prompt in six is answered 429. Top logprobs are sent until the
+    ``lose_from``-th answered request that asks for them, counted by arrival,
+    and the ``fail_at``-th request of all is answered 401.
+    """
+
+    def __init__(self, lose_from: int | None = None, fail_at: int | None = None):
+        self.lose_from = lose_from
+        self.fail_at = fail_at
+        self.requests: list[tuple[str, list]] = []  # (thread, messages)
+        self.rejected: list | None = None  # messages answered 401
+        self._logprob_requests = 0
+        self._limited: set[str] = set()
+        self._lock = threading.Lock()
+
+    def __call__(self, url, headers, payload, timeout):
+        messages = payload["messages"]
+        user = messages[-1]["content"]
+        h = _digest_int(user)
+        with self._lock:
+            self.requests.append((threading.current_thread().name, messages))
+            if len(self.requests) == self.fail_at:
+                self.rejected = messages
+                return 401, {}
+            if h % 6 == 0 and user not in self._limited:
+                self._limited.add(user)
+                return 429, {}
+            k = 0
+            if payload.get("logprobs"):
+                self._logprob_requests += 1
+                if self.lose_from is None or self._logprob_requests < self.lose_from:
+                    k = payload["top_logprobs"]
+        time.sleep(h % 3 / 1000)
+        block = user.rsplit("\n\n", 1)[-1]
+        if "'consistent' or 'inconsistent'" in block:
+            text = ("consistent", "inconsistent")[h % 2]
+        elif "Explanation: <function>" in block:
+            text = f"Explanation: lambda x: ({h % 4} * x) + {h // 4 % 5}"
+        elif "possible and valid answers" in block:
+            text = f"{h % 7} \\n {h % 7 + 1} \\n"
+        else:
+            text = str(h % 40)
+        choice: dict = {"message": {"content": text}}
+        if k:
+            top = [{"token": str(h % 40 + i), "logprob": -0.1 - i} for i in range(k)]
+            choice["logprobs"] = {"content": [{"top_logprobs": top}]}
+        return 200, {"choices": [choice]}
+
+
+class TestConcurrentDispatch:
+    """Backend calls overlap, result lines are committed in plan order."""
+
+    # each run of the campaign below asks 6 completions, so the endpoint
+    # loses top logprobs on run 1's second completion
+    LOSE_FROM = 8
+
+    @pytest.fixture(autouse=True)
+    def api_key(self, monkeypatch):
+        monkeypatch.setenv("AMBIGSEQ_API_KEY", "test-key")
+
+    @pytest.fixture()
+    def fast_switching(self):
+        # thread switches far more often than by default, so that an
+        # ordering fault in the run loop shows in a short campaign
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def run(tmp_path, mined_l3, endpoint, concurrency):
+        config = small_config(
+            tmp_path,
+            mined_l3,
+            backend="http",
+            http_base_url="http://endpoint.invalid/v1",
+            http_model="fake",
+            limit_sequences=3,
+            concurrency=concurrency,
+        )
+        backend = HttpBackend(
+            config.http_base_url,
+            config.http_model,
+            transport=endpoint,
+            sleep=lambda seconds: None,
+        )
+        return run_campaign(config, backend)
+
+    @pytest.mark.parametrize("concurrency", [2, 8])
+    def test_results_identical_for_every_worker_count(
+        self, tmp_path, mined_l3, fast_switching, concurrency
+    ):
+        serial = FakeEndpoint(lose_from=self.LOSE_FROM)
+        reference = self.run(tmp_path / "serial", mined_l3, serial, 1)
+        pooled = FakeEndpoint(lose_from=self.LOSE_FROM)
+        outcome = self.run(tmp_path / "pooled", mined_l3, pooled, concurrency)
+        assert not reference.failed and not outcome.failed
+        assert outcome.queried == reference.queried == 36
+        assert (
+            outcome.results_file.read_bytes() == reference.results_file.read_bytes()
+        )
+        # one worker calls the backend inline; more call it on the pool only
+        assert {thread for thread, _ in serial.requests} == {"MainThread"}
+        assert all(
+            thread.startswith("ambigseq-backend") for thread, _ in pooled.requests
+        )
+
+    def test_fallback_note_lands_on_the_same_completion(self, tmp_path, mined_l3):
+        outcome = self.run(
+            tmp_path, mined_l3, FakeEndpoint(lose_from=self.LOSE_FROM), 8
+        )
+        _, records = read_results(outcome.results_file)
+        completions = [r for r in records if r["task"] == "completion"]
+        noted = [r for r in records if r["note"] == LOGPROBS_UNAVAILABLE_NOTE]
+        assert noted == [completions[self.LOSE_FROM - 1]]
+        assert all(r["top_logprobs"] for r in completions[: self.LOSE_FROM - 1])
+        assert not any(r["top_logprobs"] for r in completions[self.LOSE_FROM - 1 :])
+
+    def test_judgments_see_their_own_runs_pair(self, tmp_path, mined_l3):
+        outcome = self.run(tmp_path, mined_l3, FakeEndpoint(), 8)
+        _, records = read_results(outcome.results_file)
+        by_task: dict = {}
+        for r in records:
+            key = (r["run_id"], tuple(r["sequence"]["values"]))
+            by_task.setdefault(r["task"], {})[key] = r
+        judgments = by_task["consistency_judgment"]
+        assert len(judgments) == 6
+        for key, judgment in judgments.items():
+            assert judgment["judged"] == {
+                "explanation": by_task["explanation"][key]["parsed"]["value"],
+                "completion": by_task["completion"][key]["parsed"]["value"],
+            }
+        # the two runs answer differently, so a crossed pair would show
+        pairs = [tuple(j["judged"].values()) for j in judgments.values()]
+        assert len(set(pairs)) > len(pairs) // 2
+
+    def test_resume_after_the_fallback_keeps_capture_off(self, tmp_path, mined_l3):
+        # an endpoint that never sends top logprobs: the first completion
+        # files the fallback note and no later one asks for them again
+        full = self.run(tmp_path / "full", mined_l3, FakeEndpoint(lose_from=1), 1)
+        expected = full.results_file.read_bytes()
+        cut = self.run(tmp_path / "cut", mined_l3, FakeEndpoint(lose_from=1), 1)
+        lines = expected.split(b"\n")
+        cut.results_file.write_bytes(b"\n".join(lines[:4]) + b"\n")
+        resumed = self.run(tmp_path / "cut", mined_l3, FakeEndpoint(lose_from=1), 8)
+        assert resumed.skipped == 3
+        assert resumed.results_file.read_bytes() == expected
+
+    @pytest.mark.parametrize("fail_at", [1, 10, 22])
+    def test_crash_keeps_the_plan_order_prefix(self, tmp_path, mined_l3, fail_at):
+        reference = self.run(tmp_path / "full", mined_l3, FakeEndpoint(), 1)
+        expected = reference.results_file.read_bytes()
+
+        crashing = FakeEndpoint(fail_at=fail_at)
+        failed = self.run(tmp_path / "crash", mined_l3, crashing, 8)
+        assert failed.failed and "rejected credentials" in failed.error
+        kept = failed.results_file.read_bytes()
+        assert expected.startswith(kept) and kept.endswith(b"\n")
+        assert kept.count(b"\n") == 1 + failed.queried
+
+        # resumed one call at a time, the first request is the one that was
+        # rejected: every line before its query was kept, none after it
+        healthy = FakeEndpoint()
+        resumed = self.run(tmp_path / "crash", mined_l3, healthy, 1)
+        assert not resumed.failed and resumed.skipped == failed.queried
+        assert healthy.requests[0][1] == crashing.rejected
+        assert resumed.results_file.read_bytes() == expected
+
+
+# ---------------------------------------------------------------------------
+# backend construction
 
 
 class TestMakeBackend:

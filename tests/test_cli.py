@@ -231,6 +231,26 @@ class TestFailureExitCodes:
         assert main([command, *flags(out)]) == 1
         assert "was mined with parameters ((0, 5)" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "65"])
+    def test_out_of_range_concurrency(self, tmp_path, capfd, value):
+        assert main(["run", *flags(tmp_path), "--concurrency", value]) == 2
+        assert "concurrency must be" in capfd.readouterr().err
+
+    def test_report_refuses_another_campaigns_analysis(self, tmp_path, capfd):
+        out = tmp_path / "campaign"
+        for stage in ("mine", "run", "analyze"):
+            assert main([stage, *flags(out)]) == 0
+        # the datasets are mined again for a wider constant range, whose
+        # campaign has no analysis of its own
+        wider = [*flags(out), "--constant-range", "0,5"]
+        assert main(["mine", *wider]) == 0
+        capfd.readouterr()
+        assert main(["report", *wider]) == 1
+        err = capfd.readouterr().err
+        stored = json.loads((out / "analysis.json").read_text())["config_digest"]
+        assert f"analysis.json belongs to campaign {stored}" in err
+        assert not (out / "report.txt").exists()
+
     def test_invalid_flag_combination(self, tmp_path, capfd):
         # scripted backend without a fixtures file fails validation
         assert main(["run", "--output-dir", str(tmp_path),

@@ -65,6 +65,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=repr(value)):
             CampaignConfig(**changes)
 
+    @pytest.mark.parametrize("value", [0, -1, 65, "8", True, 2.0])
+    def test_bad_concurrency_is_a_config_error(self, value):
+        # validation only: no campaign runs, so no pool is ever built
+        with pytest.raises(ConfigError, match="concurrency"):
+            CampaignConfig(concurrency=value)
+
+    def test_workers_default_by_backend(self):
+        http = dict(backend="http", http_base_url="http://x", http_model="m")
+        assert CampaignConfig().workers == 1
+        assert CampaignConfig(**http).workers == 8
+        assert CampaignConfig(**http, concurrency=1).workers == 1
+        assert CampaignConfig(concurrency=64).workers == 64
+
     def test_judgment_requires_completion_and_explanation(self):
         with pytest.raises(ConfigError, match="consistency_judgment"):
             CampaignConfig(tasks=("completion", "consistency_judgment"))
@@ -156,13 +169,17 @@ class TestDigest:
 
     def test_digest_ignores_storage_locations(self):
         base = CampaignConfig()
-        moved = base.override(output_dir="elsewhere", cache_dir="/tmp/cache")
+        moved = base.override(
+            output_dir="elsewhere", cache_dir="/tmp/cache", concurrency=4
+        )
         assert base.digest() == moved.digest()
+        assert base.experiment_json() == moved.experiment_json()
 
     def test_experiment_json_excludes_storage_keys(self):
-        data = CampaignConfig().experiment_json()
+        data = CampaignConfig(concurrency=2).experiment_json()
         assert "output_dir" not in data
         assert "cache_dir" not in data
+        assert "concurrency" not in data
         assert "rng_seed" in data
         assert "backend" in data
 
