@@ -32,7 +32,6 @@ from .funcspace import (
     TemplateKind,
     enumerate_space,
     evaluate,
-    generate_sequence,
     instantiate,
     parse,
     render_function,
@@ -147,7 +146,6 @@ __all__ = [
     "evaluate",
     "expected_random_consistency",
     "gaussian_smooth",
-    "generate_sequence",
     "group_logprobs_by_quadrant",
     "instantiate",
     "kl_divergence_bits",

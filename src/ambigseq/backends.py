@@ -271,7 +271,7 @@ class OracleBackend:
         if not gens:
             return None, None
         explainer = gens[0]
-        own = continuations_of(explainer.function, seq.values, self.space.convention)
+        own = {g.continuation for g in gens if g.function == explainer.function}
         for g in gens[1:]:
             if g.continuation not in own:
                 return explainer, g.continuation

@@ -187,9 +187,6 @@ class CampaignConfig:
             raise ConfigError(f"{path}: expected a JSON object")
         return cls.from_json(data)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(canonical_json(self.to_json()) + "\n")
-
     def override(self, **changes: Any) -> "CampaignConfig":
         return replace(self, **changes)
 

@@ -592,7 +592,7 @@ def _eval(ast: Expr, x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Index convention and sequence generation
+# Index convention
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -620,23 +620,6 @@ class IndexConvention:
 DEFAULT_CONVENTION = IndexConvention()
 
 
-def generate_sequence(
-    fn: FunctionLike | Expr,
-    offset: int,
-    length: int,
-    convention: IndexConvention = DEFAULT_CONVENTION,
-) -> list[int]:
-    """The length-``length`` value sequence of ``fn`` at the given offset."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if offset < 0 or offset > convention.max_offset:
-        raise ValueError(
-            f"offset {offset} outside [0, {convention.max_offset}]"
-        )
-    first = convention.start_index + offset
-    return [evaluate(fn, first + j) for j in range(length)]
-
-
 # ---------------------------------------------------------------------------
 # Space enumeration
 # ---------------------------------------------------------------------------
@@ -654,6 +637,8 @@ class FunctionSpace:
     Iterable over the valid functions, in template-enumeration order.
     ``excluded`` records candidates dropped by the validity probe and why.
     ``convention`` is the start index and offsets every query against it uses.
+    Each function keeps one row of values from ``start_index`` on, read
+    through :meth:`sequence`; ``enumerate_space`` fills it from the probes.
     """
 
     functions: tuple[ConcreteFunction, ...]
@@ -664,8 +649,9 @@ class FunctionSpace:
     convention: IndexConvention = DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
-        # built once: membership tests and cache keys hit these on every query
-        object.__setattr__(self, "_function_set", frozenset(self.functions))
+        # built once: membership tests and cache keys hit these on every query;
+        # the rows are not a field, so eq, hash and dataclasses.replace skip them
+        object.__setattr__(self, "_rows", dict.fromkeys(self.functions, ()))
         fields = (self.functions, self.excluded, self.constant_range, self.probe_indices)
         object.__setattr__(self, "_hash", hash((*fields, self.max_value, self.convention)))
 
@@ -682,10 +668,25 @@ class FunctionSpace:
         return self.functions[i]
 
     def __contains__(self, fn: object) -> bool:
-        return fn in self._function_set
+        return fn in self._rows
 
     def texts(self, base: int = 10) -> list[str]:
         return [render_function(f, base) for f in self.functions]
+
+    def sequence(self, fn: ConcreteFunction, offset: int, length: int) -> tuple[int, ...]:
+        """Member ``fn``'s values ``f(start_index + offset), ...``, sliced from
+        its row. A read past the row evaluates the rest and replaces the row
+        whole, never in place: threads share it, and a racing write costs only
+        a second evaluation."""
+        if offset < 0 or offset > self.convention.max_offset:
+            raise ValueError(f"offset {offset} outside [0, {self.convention.max_offset}]")
+        end = offset + length
+        row = self._rows[fn]  # KeyError: not a member
+        if len(row) < end:
+            first = self.convention.start_index
+            row += tuple(evaluate(fn, first + i) for i in range(len(row), end))
+            self._rows[fn] = row
+        return row[offset:end]
 
 
 def enumerate_space(
@@ -701,8 +702,9 @@ def enumerate_space(
     ``max_value`` is set) every probed value has magnitude at most
     ``max_value``. The probes cover the indices mining reads for lengths up to
     ``probe_length``; longer lengths read past them, where a valid function
-    may exceed ``max_value``. No prefix index is built here: mining builds
-    one per length on first use.
+    may exceed ``max_value``. Each valid function's probed values become its
+    row in the space, so no later reader evaluates them again. No prefix
+    index is built here: mining builds one per length on first use.
     """
     lo, hi = constant_range
     if lo > hi or lo < 0:
@@ -713,35 +715,39 @@ def enumerate_space(
     last = convention.start_index + convention.max_offset + probe_length
     probes = tuple(range(first, last + 1))
 
-    valid: list[ConcreteFunction] = []
+    rows: dict[ConcreteFunction, tuple[int, ...]] = {}
     excluded: list[ExcludedCandidate] = []
     for kind in TEMPLATE_ORDER:
         for c1 in range(lo, hi + 1):
             for c2 in range(lo, hi + 1):
                 fn = ConcreteFunction(kind, c1, c2)
-                reason = _validity_failure(fn, probes, max_value)
-                if reason is None:
-                    valid.append(fn)
-                else:
-                    excluded.append(ExcludedCandidate(fn, reason))
-    return FunctionSpace(
-        functions=tuple(valid),
+                try:
+                    rows[fn] = _probe_row(fn, probes, max_value)
+                except EvaluationError as err:
+                    excluded.append(ExcludedCandidate(fn, str(err)))
+    space = FunctionSpace(
+        functions=tuple(rows),
         excluded=tuple(excluded),
         constant_range=(lo, hi),
         probe_indices=probes,
         max_value=max_value,
         convention=convention,
     )
+    space._rows.update(rows)  # the probes start at start_index, as a row does
+    return space
 
 
-def _validity_failure(
+def _probe_row(
     fn: ConcreteFunction, probes: tuple[int, ...], max_value: int | None
-) -> str | None:
+) -> tuple[int, ...]:
+    """``fn``'s values at the probes, or an EvaluationError saying why it is invalid."""
+    row = []
     for x in probes:
         try:
             v = evaluate(fn, x)
         except EvaluationError as err:
-            return f"evaluation error at index {x}: {err}"
+            raise EvaluationError(f"evaluation error at index {x}: {err}") from None
         if max_value is not None and abs(v) > max_value:
-            return f"value at index {x} exceeds magnitude bound ({v})"
-    return None
+            raise EvaluationError(f"value at index {x} exceeds magnitude bound ({v})")
+        row.append(v)
+    return tuple(row)

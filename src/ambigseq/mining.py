@@ -2,12 +2,12 @@
 
 A length-L prefix is *ambiguous* when at least two (function, offset) pairs
 generate it with different continuations at step L+1. Every (function,
-offset) instance, under the space's own index convention, is grouped by its
-value prefix once per (space, length), into a prefix index kept on the space
-instance and built on first use. :func:`mine` and every query against a space
-(:func:`matching_generators` and what sits on it) read that index;
-:func:`pairwise_ambiguities` keeps the literal O(n²) pair scan for auditing
-and does not.
+offset) instance is a slice of its function's row on the space
+(:meth:`FunctionSpace.sequence`). Instances are grouped by value prefix once
+per (space, length), into a prefix index kept on the space and built on first
+use. :func:`mine` and every query against a space (:func:`matching_generators`
+and what sits on it) read that index; :func:`pairwise_ambiguities` reads the
+rows but keeps the literal O(n²) pair scan for auditing, never the index.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from . import funcspace  # evaluate is looked up per call, so a rebinding of it sees them
 from .funcspace import (
     ConcreteFunction,
     DEFAULT_CONVENTION,
     FunctionLike,
     FunctionSpace,
     IndexConvention,
-    generate_sequence,
     parse,
 )
 
@@ -206,8 +206,8 @@ def _instances(
     out = []
     for fn in space:
         for offset in space.convention.offsets:
-            seq = generate_sequence(fn, offset, length + 1, space.convention)
-            out.append((tuple(seq[:length]), Generator(fn, offset, seq[length])))
+            seq = space.sequence(fn, offset, length + 1)
+            out.append((seq[:length], Generator(fn, offset, seq[length])))
     return out
 
 
@@ -314,12 +314,16 @@ def continuations_of(
     values: Iterable[int],
     convention: IndexConvention = DEFAULT_CONVENTION,
 ) -> frozenset[int]:
-    """Continuations ``fn`` assigns to the prefix, over all offsets that fit."""
+    """Continuations ``fn`` assigns to the prefix, over all offsets that fit.
+
+    ``fn`` may lie outside any space (say, parsed from an answer), so this
+    evaluates it rather than reading rows."""
     values = tuple(values)
     out = set()
     for offset in convention.offsets:
+        first = convention.start_index + offset
         try:
-            seq = generate_sequence(fn, offset, len(values) + 1, convention)
+            seq = [funcspace.evaluate(fn, first + j) for j in range(len(values) + 1)]
         except Exception:
             continue
         if tuple(seq[: len(values)]) == values:

@@ -19,15 +19,12 @@ from .funcspace import (
     ConcreteFunction,
     EvaluationError,
     FunctionSpace,
-    IndexConvention,
     TemplateKind,
-    generate_sequence,
     render_function,
 )
 from .mining import (
     Dataset,
     SequenceRecord,
-    continuations_of,
     format_int,
     valid_continuations,
     valid_explanations,
@@ -269,17 +266,6 @@ def _sequence_block(seq: SequenceRecord, instruction: str) -> str:
     return f"For the sequence: {seq.render()}\n{instruction}"
 
 
-def _demo_sequence(
-    fn: ConcreteFunction,
-    length: int,
-    convention: IndexConvention,
-    rng: random.Random,
-) -> tuple[SequenceRecord, int]:
-    offset = rng.randrange(convention.max_offset + 1)
-    values = generate_sequence(fn, offset, length + 1, convention)
-    return SequenceRecord(tuple(values[:length])), values[length]
-
-
 def _verbalize_answer(values: tuple[int, ...], space, base: int) -> str:
     conts = sorted(valid_continuations(values, space))
     conts = conts[:MAX_VERBALIZED_ALTERNATIVES]
@@ -358,14 +344,15 @@ def _build_demo(
     flip: bool,
 ) -> tuple[str, str]:
     for _ in range(50):
+        offset = rng.randrange(space.convention.max_offset + 1)
         try:
-            seq, continuation = _demo_sequence(fn, length, space.convention, rng)
+            *values, continuation = space.sequence(fn, offset, length + 1)
         except EvaluationError:
             continue
         break
     else:
         raise PromptingError(f"could not generate a demonstration from {fn.text}")
-    seq = seq.rebase(spec.base)
+    seq = SequenceRecord(tuple(values), spec.base)
 
     if spec.task is Task.COMPLETION:
         query = _sequence_block(seq, COMPLETION_INSTRUCTIONS[spec.variant])
@@ -378,8 +365,10 @@ def _build_demo(
     if spec.task is Task.CONSISTENCY_JUDGMENT:
         # alternate consistent and inconsistent examples
         if flip:
+            rows = [space.sequence(fn, o, length + 1) for o in space.convention.offsets]
+            own = {row[-1] for row in rows if row[:-1] == seq.values}
             shown = continuation
-            while shown in continuations_of(fn, seq.values, space.convention):
+            while shown in own:
                 shown += 1
             label = "inconsistent"
         else:

@@ -1,6 +1,7 @@
 """Campaign execution: planning, the results file, resume, failure recovery,
 concurrent dispatch."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,6 +34,7 @@ from ambigseq.campaign import (
     RESULTS_VERSION,
     CampaignError,
     PlannedQuery,
+    config_space,
     dataset_filename,
     load_campaign_datasets,
     load_scripted_fixtures,
@@ -44,7 +46,9 @@ from ambigseq.campaign import (
     results_path,
     run_campaign,
 )
+from ambigseq import mining
 from ambigseq.config import CampaignConfig
+from ambigseq.funcspace import FunctionSpace
 
 ISO_STAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}")
 
@@ -611,6 +615,37 @@ class TestConcurrentDispatch:
         assert all(
             thread.startswith("ambigseq-backend") for thread, _ in pooled.requests
         )
+
+    def test_oracle_results_identical_off_the_inline_path(
+        self, tmp_path, mined_l3, fast_switching, monkeypatch
+    ):
+        # the pooled oracle answers from a copy of the campaign's space that
+        # holds no rows yet, so its rows and prefix index are built by workers
+        readers = []
+        sequence = FunctionSpace.sequence
+
+        def recording(space, fn, offset, length):
+            if space is cold:
+                readers.append(threading.current_thread().name)
+            return sequence(space, fn, offset, length)
+
+        serial = small_config(tmp_path / "serial", mined_l3, limit_sequences=3)
+        reference = run_campaign(serial)
+        pooled = small_config(
+            tmp_path / "pooled", mined_l3, limit_sequences=3, concurrency=4
+        )
+        cold = dataclasses.replace(config_space(pooled))
+        mining._matching_generators.cache_clear()
+        monkeypatch.setattr(FunctionSpace, "sequence", recording)
+        outcome = run_campaign(pooled, OracleBackend(cold, tie_break=pooled.tie_break))
+        assert pooled.backend == "oracle" and pooled.workers == 4
+        assert not reference.failed and not outcome.failed
+        assert outcome.queried == reference.queried == 36
+        assert (
+            outcome.results_file.read_bytes() == reference.results_file.read_bytes()
+        )
+        assert "_prefix_indexes" in vars(cold)
+        assert readers and all(name.startswith("ambigseq-backend") for name in readers)
 
     def test_fallback_note_lands_on_the_same_completion(self, tmp_path, mined_l3):
         outcome = self.run(

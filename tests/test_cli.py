@@ -20,7 +20,7 @@ from ambigseq.cli import (
     main,
     resolve_config,
 )
-from ambigseq.config import CampaignConfig
+from ambigseq.config import CampaignConfig, canonical_json
 from ambigseq.mining import DatasetCounts
 
 
@@ -64,7 +64,7 @@ class TestArgumentHandling:
 
     def test_flags_override_config_file(self, tmp_path):
         path = tmp_path / "config.json"
-        CampaignConfig(rng_seed=3, n_runs=5).save(path)
+        path.write_text(canonical_json(CampaignConfig(rng_seed=3, n_runs=5).to_json()))
         args = parse(["run", "--config", str(path), "--n-runs", "2"])
         config = resolve_config(args)
         assert config.rng_seed == 3  # from the file
@@ -183,7 +183,7 @@ class TestStageWiring:
             lengths=(3,), limit_sequences=2, n_runs=1, output_dir=str(out)
         )
         path = tmp_path / "config.json"
-        config.save(path)
+        path.write_text(canonical_json(config.to_json()))
         for command in ("mine", "run", "analyze"):
             assert main([command, "--config", str(path)]) == 0
         header = json.loads((out / "results.jsonl").read_text().splitlines()[0])

@@ -128,7 +128,7 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         config = CampaignConfig(lengths=(3,), rng_seed=42)
         path = tmp_path / "config.json"
-        config.save(path)
+        path.write_text(canonical_json(config.to_json()))
         assert CampaignConfig.from_file(path) == config
 
     def test_from_file_rejects_bad_json(self, tmp_path):

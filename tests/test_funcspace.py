@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from ambigseq.funcspace import (
     ConcreteFunction,
     EvaluationError,
     ConstantRangeError,
+    FunctionSpace,
     IndexConvention,
     Lit,
     ParseError,
@@ -28,7 +31,6 @@ from ambigseq.funcspace import (
     Var,
     enumerate_space,
     evaluate,
-    generate_sequence,
     instantiate,
     parse,
     render_function,
@@ -36,9 +38,12 @@ from ambigseq.funcspace import (
 
 from bruteforce import (
     ORACLE_TEMPLATES,
+    oracle_sequence,
     oracle_space,
     oracle_value,
 )
+
+CONVENTIONS = [IndexConvention(), IndexConvention(0, 2)]
 
 
 def test_template_texts_match_oracle_copies():
@@ -264,27 +269,90 @@ class TestRenderRoundtrip:
 
 
 class TestGenerateSequence:
+    """``FunctionSpace.sequence``: a member's values, sliced from its row."""
+
+    @staticmethod
+    def hand_built(*fns, convention=IndexConvention()):
+        """A space built without enumerate_space, so it holds no row yet."""
+        return FunctionSpace(
+            functions=fns, excluded=(), constant_range=(0, 4),
+            probe_indices=tuple(range(1, 11)), max_value=None, convention=convention,
+        )
+
     def test_table_vector(self):
         fn = instantiate(TemplateKind.ARITHMETIC, 4, 3)
-        assert generate_sequence(fn, 0, 3) == [7, 11, 15]
-        assert generate_sequence(fn, 0, 4) == [7, 11, 15, 19]
+        for space in (enumerate_space(), self.hand_built(fn)):
+            assert space.sequence(fn, 0, 3) == (7, 11, 15)
+            assert space.sequence(fn, 0, 4) == (7, 11, 15, 19)
 
     def test_offset_shifts_start(self):
         fn = instantiate(TemplateKind.BIT_OR, 3, 3)
-        assert generate_sequence(fn, 1, 3) == [7, 11, 15]
-        assert generate_sequence(fn, 1, 4) == [7, 11, 15, 15]
+        for space in (enumerate_space(), self.hand_built(fn)):
+            assert space.sequence(fn, 1, 3) == (7, 11, 15)
+            assert space.sequence(fn, 1, 4) == (7, 11, 15, 15)
 
     def test_offset_bounds_enforced(self):
         fn = instantiate(TemplateKind.ARITHMETIC, 1, 0)
+        space = enumerate_space()
         with pytest.raises(ValueError):
-            generate_sequence(fn, 5, 3)
+            space.sequence(fn, 5, 3)
         with pytest.raises(ValueError):
-            generate_sequence(fn, -1, 3)
+            space.sequence(fn, -1, 3)
 
     def test_propagates_evaluation_error(self):
         fn = instantiate(TemplateKind.INDEXING_CRITERIA, 0, 0, constant_range=(0, 4))
+        space = self.hand_built(fn)
         with pytest.raises(EvaluationError):
-            generate_sequence(fn, 0, 3)
+            space.sequence(fn, 0, 3)
+        assert space._rows[fn] == ()  # a failed read leaves the row as it was
+
+    def test_refuses_a_function_outside_the_space(self):
+        space = enumerate_space()
+        with pytest.raises(KeyError):
+            space.sequence(instantiate(TemplateKind.POWER, 4, 4), 0, 3)  # excluded
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_matches_bruteforce_past_the_probes(self, convention):
+        enumerated = enumerate_space(convention=convention)
+        cold = self.hand_built(*enumerated.functions, convention=convention)
+        start = convention.start_index
+        for space in (enumerated, cold):
+            for length in range(1, 8):  # probe_length is 5
+                for fn in space:
+                    for offset in convention.offsets:
+                        expected = oracle_sequence(
+                            fn.kind.value, fn.c1, fn.c2, offset, length, start
+                        )
+                        assert space.sequence(fn, offset, length) == tuple(expected)
+
+    def test_a_read_past_the_row_evaluates_only_the_missing_indices(self, monkeypatch):
+        space = enumerate_space()
+        fn = space[0]
+        probed = space._rows[fn]
+        calls = []
+        monkeypatch.setattr(fs, "evaluate", lambda f, x: calls.append(x) or evaluate(f, x))
+        assert space.sequence(fn, 4, 8)[:6] == probed[4:]
+        assert calls == [11, 12]
+        assert space._rows[fn][:10] == probed and len(space._rows[fn]) == 12
+        space.sequence(fn, 3, 9)
+        assert calls == [11, 12]
+
+    def test_threads_sharing_a_cold_space_read_true_values(self):
+        space = self.hand_built(*enumerate_space().functions)
+        rng = random.Random(7)
+        reads = [(fn, rng.randrange(5), rng.randrange(1, 10)) for fn in space for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a torn row would show
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda read: space.sequence(*read), reads, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (fn, offset, length), values in zip(reads, got):
+            oracle = oracle_sequence(fn.kind.value, fn.c1, fn.c2, offset, length)
+            assert values == tuple(oracle)
+        for fn, row in space._rows.items():  # every row kept is a true prefix
+            assert row == tuple(oracle_sequence(fn.kind.value, fn.c1, fn.c2, 0, len(row)))
 
 
 class TestEnumerateSpace:

@@ -17,7 +17,7 @@ from ambigseq.funcspace import (
     IndexConvention,
     TemplateKind,
     enumerate_space,
-    generate_sequence,
+    evaluate,
     instantiate,
 )
 from ambigseq.mining import (
@@ -157,10 +157,12 @@ class TestDatasetCounts:
 
 class TestMiningSoundness:
     def test_every_generator_reproduces_its_sequence(self, space, dataset4):
+        # evaluated directly, not through the space's rows the index came from
         conv = dataset4.parameters.convention
         for record in dataset4.records():
             for g in record.generators:
-                seq = generate_sequence(g.function, g.offset, 5, conv)
+                first = conv.start_index + g.offset
+                seq = [evaluate(g.function, first + j) for j in range(5)]
                 assert tuple(seq[:4]) == record.sequence.values
                 assert seq[4] == g.continuation
 
@@ -253,12 +255,17 @@ class TestPrefixIndex:
         space = self.fresh_space(IndexConvention())
         first, second = sorted(oracle_mine(oracle_space(), length))[:2]
         calls = []
-        evaluate = funcspace.evaluate
         monkeypatch.setattr(
-            funcspace, "evaluate", lambda fn, x: calls.append(x) or evaluate(fn, x)
+            funcspace, "evaluate", lambda fn, x: calls.append((fn, x)) or evaluate(fn, x)
         )
         matching_generators(first, space)
-        assert calls  # the first miss builds the index
+        # the first miss builds the index from the rows the validity probe
+        # filled: it evaluates each (function, index) past the probes once,
+        # and nothing at all when the length stays inside them (length 3)
+        last = space.convention.start_index + space.convention.max_offset + length
+        past = range(space.probe_indices[-1] + 1, last + 1)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(fn, x) for fn in space for x in past}
         calls.clear()
         matching_generators(second, space)
         mine(space, length)
