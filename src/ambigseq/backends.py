@@ -5,6 +5,11 @@ The synthetic backends (scripted playback, answer oracles, seeded random-valid
 responders) let the whole evaluation pipeline run, and be tested, without any
 network access; the HTTP backend speaks the chat-completions JSON shape with
 an injectable transport so its plumbing is testable offline too.
+
+The oracle and random-valid backends pick answer values (a continuation, a
+function, a verdict, a list of alternatives) and write none of the text:
+:func:`ambigseq.prompting.render_answer` does, as it does for the few-shot
+demonstrations, so both carry the format the parsers read.
 """
 
 from __future__ import annotations
@@ -21,22 +26,16 @@ from typing import Callable, Mapping, Protocol
 import requests
 
 from .distribution import TokenDistribution
-from .funcspace import FunctionSpace
+from .evaluation import check_cross_context_consistency
+from .funcspace import FunctionSpace, ParseError, parse as parse_function
 from .mining import (
     SequenceRecord,
-    continuations_of,
     format_int,
     matching_generators,
     valid_continuations,
     valid_explanations,
 )
-from .prompting import (
-    MAX_VERBALIZED_ALTERNATIVES,
-    RenderedPrompt,
-    Task,
-    VERBALIZE_SEPARATOR,
-)
-from .funcspace import parse as parse_function
+from .prompting import RenderedPrompt, Task, render_answer
 
 #: Answer text produced by synthetic backends when no valid answer exists.
 NO_VALID_ANSWER = "no valid answer"
@@ -191,19 +190,15 @@ def oracle_answer(
     gens = _ranked_generators(sequence, space, tie_break)
     if not gens:
         return NO_VALID_ANSWER
-    chosen = gens[0]
     if task is Task.COMPLETION:
-        return format_int(chosen.continuation, sequence.base)
-    if task is Task.EXPLANATION:
-        from .funcspace import render_function
-
-        return f"Explanation: {render_function(chosen.function, sequence.base)}"
-    if task is Task.VERBALIZE_ALTERNATIVES:
-        conts = sorted(valid_continuations(sequence.values, space))
-        conts = conts[:MAX_VERBALIZED_ALTERNATIVES]
-        body = VERBALIZE_SEPARATOR.join(format_int(v, sequence.base) for v in conts)
-        return body + " \\n"
-    raise ValueError(f"oracle_answer does not cover task {task!r}")
+        value = gens[0].continuation
+    elif task is Task.EXPLANATION:
+        value = gens[0].function
+    elif task is Task.VERBALIZE_ALTERNATIVES:
+        value = sorted(valid_continuations(sequence.values, space))
+    else:
+        raise ValueError(f"oracle_answer does not cover task {task!r}")
+    return render_answer(task, value, sequence.base)
 
 
 class OracleBackend:
@@ -254,10 +249,13 @@ class OracleBackend:
             return NO_VALID_ANSWER
         try:
             fn = parse_function(prompt.judged_explanation)
-        except Exception:
-            return "inconsistent"
-        conts = continuations_of(fn, prompt.target.values, self.space.convention)
-        return "consistent" if prompt.judged_completion in conts else "inconsistent"
+        except ParseError:
+            consistent = False
+        else:
+            consistent = check_cross_context_consistency(
+                prompt.target, prompt.judged_completion, fn, self.space.convention
+            )
+        return render_answer(Task.CONSISTENCY_JUDGMENT, consistent, prompt.base)
 
     def _adversarial_pair(self, seq: SequenceRecord):
         """(explanation generator, completion value) that disagree.
@@ -281,11 +279,8 @@ class OracleBackend:
         explainer, completion = self._adversarial_pair(seq)
         if explainer is None:
             return NO_VALID_ANSWER
-        if task is Task.EXPLANATION:
-            from .funcspace import render_function
-
-            return f"Explanation: {render_function(explainer.function, seq.base)}"
-        return format_int(completion, seq.base)
+        value = explainer.function if task is Task.EXPLANATION else completion
+        return render_answer(task, value, seq.base)
 
     def _synthetic_logprobs(self, seq: SequenceRecord, k: int) -> TokenDistribution:
         conts = sorted(valid_continuations(seq.values, self.space))
@@ -330,17 +325,13 @@ def random_valid_answer(
                                       sequence.values, sequence.base))
     if task is Task.COMPLETION:
         options = sorted(valid_continuations(sequence.values, space))
-        if not options:
-            return NO_VALID_ANSWER
-        return format_int(rng.choice(options), sequence.base)
-    if task is Task.EXPLANATION:
-        from .funcspace import render_function
-
-        fns = valid_explanations(sequence.values, space)
-        if not fns:
-            return NO_VALID_ANSWER
-        return f"Explanation: {render_function(rng.choice(list(fns)), sequence.base)}"
-    raise ValueError(f"random_valid_answer does not cover task {task!r}")
+    elif task is Task.EXPLANATION:
+        options = list(valid_explanations(sequence.values, space))
+    else:
+        raise ValueError(f"random_valid_answer does not cover task {task!r}")
+    if not options:
+        return NO_VALID_ANSWER
+    return render_answer(task, rng.choice(options), sequence.base)
 
 
 class RandomValidBackend:

@@ -8,6 +8,10 @@ random-but-valid answerer, and the key-wise mean of per-run figures.
 Aggregating result lines into per-run figures is :mod:`ambigseq.analysis`;
 a run's figures stay plain dicts from there to ``analysis.json``.
 
+This module reads answer text and never writes it: the answer formats, the
+verdict words among them, are :func:`ambigseq.prompting.render_answer`'s,
+and :func:`parse_response` maps each back to the value it was written from.
+
 Conventions: accuracy, validity, and consistency figures are percentages in
 [0, 100]; verbalization precision/recall are fractions in [0, 1].
 """
@@ -37,10 +41,12 @@ from .mining import (
     SequenceRecord,
     continuations_of,
 )
-from .prompting import MAX_VERBALIZED_ALTERNATIVES, Task
-
-AFFIRMATIVE_VERDICT = "consistent"
-NEGATIVE_VERDICT = "inconsistent"
+from .prompting import (
+    AFFIRMATIVE_VERDICT,
+    MAX_VERBALIZED_ALTERNATIVES,
+    NEGATIVE_VERDICT,
+    Task,
+)
 
 # ---------------------------------------------------------------------------
 # response parsing
@@ -62,24 +68,19 @@ def parse_explanation_response(text: str) -> FunctionLike | None:
         return None
 
 
-def parse_judgment_response(
-    text: str,
-    affirmative: str = AFFIRMATIVE_VERDICT,
-    negative: str = NEGATIVE_VERDICT,
-) -> bool | None:
+def parse_judgment_response(text: str) -> bool | None:
     """Map a verdict response to True/False; None when no verdict leads.
 
     The judgment instruction demands a single verdict word, so only the first
     word token counts — a hedged sentence is treated as unparseable rather
-    than guessed at. The verdict vocabulary is configurable for backends
-    that answer with e.g. yes/no.
+    than guessed at.
     """
     tokens = re.findall(r"[a-zA-Z]+", text.lower())
     if not tokens:
         return None
-    if tokens[0] == negative.lower():
+    if tokens[0] == NEGATIVE_VERDICT:
         return False
-    if tokens[0] == affirmative.lower():
+    if tokens[0] == AFFIRMATIVE_VERDICT:
         return True
     return None
 

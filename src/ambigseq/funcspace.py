@@ -74,6 +74,18 @@ DEFAULT_CONSTANT_RANGE: tuple[int, int] = (0, 4)
 #: match a signed 64-bit integer pipeline; see enumerate_space().
 DEFAULT_MAX_VALUE: int = 2**63 - 1
 
+#: Deepest expression :func:`parse` accepts, counting each operator and each
+#: pair of parentheses as a level. Templates nest three levels; far deeper
+#: text (an answer, not a template) would exhaust the interpreter's stack in
+#: parsing, rendering or evaluation.
+MAX_PARSE_DEPTH: int = 100
+
+#: Bit-length bound on ``a ** b``, checked as ``b * a.bit_length()`` before
+#: computing: far above any template value (POWER 19, 19 at index 12 has
+#: about 1,140 bits), far below a power tower such as ``9 ** 9 ** 9 ** x``,
+#: whose value at x = 2 has more bits than any memory holds.
+MAX_POWER_BITS: int = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # AST
@@ -114,8 +126,6 @@ class Recursive:
 
 Expr = Union[Lit, Var, BinOp, FilteredIndex, Recursive]
 
-_BINARY_OPS = ("+", "*", "**", "|", "%")
-
 # precedence: | < + < * % < ** (right-associative)
 _PRECEDENCE = {"|": 1, "+": 2, "*": 3, "%": 3, "**": 4}
 _RIGHT_ASSOC = {"**"}
@@ -150,7 +160,10 @@ class ConcreteFunction:
 
 @dataclass(frozen=True)
 class ParsedFunction:
-    """A well-formed function that does not match any template shape."""
+    """A well-formed function that does not match any template shape.
+
+    Its AST holds only ``Lit``, ``Var`` and ``BinOp`` nodes: :func:`parse`
+    turns either special form into a :class:`ConcreteFunction`."""
 
     ast: Expr
 
@@ -208,10 +221,6 @@ def _template_ast(kind: TemplateKind, c1: int, c2: int) -> Expr:
 def recognize_template(ast: Expr) -> ConcreteFunction | None:
     """Match an AST against the template shapes; None if it is a free-form expr."""
     match ast:
-        case FilteredIndex(c1, c2):
-            return ConcreteFunction(TemplateKind.INDEXING_CRITERIA, c1, c2)
-        case Recursive(c1, c2):
-            return ConcreteFunction(TemplateKind.RECURSIVE, c1, c2)
         case BinOp("+", BinOp("*", Lit(a), Var()), Lit(b)):
             return ConcreteFunction(TemplateKind.ARITHMETIC, a, b)
         case BinOp("*", BinOp("*", Lit(a), Var()), Lit(b)):
@@ -254,11 +263,6 @@ def _render_expr(ast: Expr, parent_prec: int = 0, right_side: bool = False) -> s
             if prec < parent_prec or (prec == parent_prec and right_side):
                 return f"({text})"
             return text
-        case FilteredIndex(c1, c2):
-            # only reachable via ParsedFunction rendering of a bare special form
-            return f"[i for i in range(100) if i % ({c1} + 1) or i % ({c2} + 1)][x]"
-        case Recursive(c1, c2):
-            return TEMPLATE_TEXTS[TemplateKind.RECURSIVE].format(c1, c2) + "(x)"
     raise ValueError(f"unknown AST node: {ast!r}")
 
 
@@ -270,9 +274,6 @@ def render_function(fn: FunctionLike, base: int = 10) -> str:
         raise ValueError(f"unsupported base: {base}")
     if isinstance(fn, ConcreteFunction) and fn.kind is TemplateKind.RECURSIVE:
         return f"lambda x: bin({fn.text}(x))"
-    if isinstance(fn, ParsedFunction) and isinstance(fn.ast, Recursive):
-        text = TEMPLATE_TEXTS[TemplateKind.RECURSIVE].format(fn.ast.c1, fn.ast.c2)
-        return f"lambda x: bin({text}(x))"
     body = fn.text.split(":", 1)[1].strip()
     return f"lambda x: bin({body})"
 
@@ -336,136 +337,84 @@ class _TokenStream:
             raise ParseError(f"expected identifier{'' if name is None else ' ' + name!r}, got {tok[1]!r}")
         return tok[1]
 
-    def expect_int(self, value: int | None = None) -> int:
-        tok = self.next()
-        if tok[0] != "int":
-            raise ParseError(f"expected integer, got {tok[1]!r}")
-        v = int(tok[1])
-        if value is not None and v != value:
-            raise ParseError(f"expected literal {value}, got {v}")
-        return v
-
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
 
-def _try_recursive(ts: _TokenStream) -> Recursive | None:
-    """Match the recursive combinator form starting at the current position.
+#: Names the language keeps for itself; none can be the lambda's variable.
+_RESERVED = ("lambda", "if", "else", "for", "in", "or", "range", "bin")
 
-    Identifier names are free but must be used consistently, mirroring the
-    canonical ``(lambda a: lambda v: a(a,v))(lambda fn,x: 1 if x==0 else
-    c1 * x * fn(fn,x-1) + c2)`` shape.
-    """
-    start = ts.pos
-    try:
-        ts.expect_op("(")
-        ts.expect_name("lambda")
-        a = ts.expect_name()
-        ts.expect_op(":")
-        ts.expect_name("lambda")
-        v = ts.expect_name()
-        ts.expect_op(":")
-        ts.expect_name(a)
-        ts.expect_op("(")
-        ts.expect_name(a)
-        ts.expect_op(",")
-        ts.expect_name(v)
-        ts.expect_op(")")
-        ts.expect_op(")")
-        ts.expect_op("(")
-        ts.expect_name("lambda")
-        f = ts.expect_name()
-        ts.expect_op(",")
-        x = ts.expect_name()
-        ts.expect_op(":")
-        ts.expect_int(1)
-        ts.expect_name("if")
-        ts.expect_name(x)
-        ts.expect_op("==")
-        ts.expect_int(0)
-        ts.expect_name("else")
-        c1 = ts.expect_int()
-        ts.expect_op("*")
-        ts.expect_name(x)
-        ts.expect_op("*")
-        ts.expect_name(f)
-        ts.expect_op("(")
-        ts.expect_name(f)
-        ts.expect_op(",")
-        ts.expect_name(x)
-        ts.expect_op("-")
-        ts.expect_int(1)
-        ts.expect_op(")")
-        ts.expect_op("+")
-        c2 = ts.expect_int()
-        ts.expect_op(")")
-        return Recursive(c1, c2)
-    except ParseError:
-        ts.pos = start
-        return None
+# The two special forms as token shapes, read off their template texts with
+# the constant slots named _0 and _1; the indexing form is its lambda's body.
+_RECURSIVE_FORM = _tokenize(TEMPLATE_TEXTS[TemplateKind.RECURSIVE].format("_0", "_1"))
+_INDEXING_FORM = _tokenize(
+    TEMPLATE_TEXTS[TemplateKind.INDEXING_CRITERIA].format("_0", "_1").split(": ", 1)[1]
+)
 
 
-def _parse_filtered_index(ts: _TokenStream, param: str) -> FilteredIndex:
-    ts.expect_op("[")
-    i = ts.expect_name()
-    ts.expect_name("for")
-    ts.expect_name(i)
-    ts.expect_name("in")
-    ts.expect_name("range")
-    ts.expect_op("(")
-    ts.expect_int(100)
-    ts.expect_op(")")
-    ts.expect_name("if")
-    ts.expect_name(i)
-    ts.expect_op("%")
-    ts.expect_op("(")
-    c1 = ts.expect_int()
-    ts.expect_op("+")
-    ts.expect_int(1)
-    ts.expect_op(")")
-    ts.expect_name("or")
-    ts.expect_name(i)
-    ts.expect_op("%")
-    ts.expect_op("(")
-    c2 = ts.expect_int()
-    ts.expect_op("+")
-    ts.expect_int(1)
-    ts.expect_op(")")
-    ts.expect_op("]")
-    ts.expect_op("[")
-    ts.expect_name(param)
-    ts.expect_op("]")
-    return FilteredIndex(c1, c2)
+def _match_form(
+    ts: _TokenStream, form: list[tuple[str, str]], names: dict[str, str]
+) -> tuple[int, int] | None:
+    """The two constants of the special form at the current position, or None
+    (and the position unmoved) when the tokens do not fit it. The form's
+    variables may be spelled freely but consistently; ``names`` holds those
+    already bound."""
+    start, constants = ts.pos, []
+    for want_kind, want in form:
+        kind, text = ts.peek() or ("end", "")
+        ts.pos += 1
+        if want in ("_0", "_1"):
+            fits = kind == "int"
+            constants.append(text)
+        elif want_kind == "name" and want not in _RESERVED:
+            fits = kind == "name" and names.setdefault(want, text) == text
+        elif want_kind == "int":
+            fits = kind == "int" and int(text) == int(want)
+        else:
+            fits = (kind, text) == (want_kind, want)
+        if not fits:
+            ts.pos = start
+            return None
+    return int(constants[0]), int(constants[1])
 
 
-def _parse_expr(ts: _TokenStream, param: str, min_prec: int = 1) -> Expr:
-    left = _parse_atom(ts, param)
+def _check_depth(levels: int) -> None:
+    if levels > MAX_PARSE_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_PARSE_DEPTH} levels")
+
+
+def _parse_expr(
+    ts: _TokenStream, param: str, min_prec: int = 1, depth: int = 0
+) -> tuple[Expr, int]:
+    """The expression and its height in operators; ``depth`` counts the
+    operators and parentheses that enclose it."""
+    _check_depth(depth)
+    left, height = _parse_atom(ts, param, depth)
     while True:
         tok = ts.peek()
         if tok is None or tok[0] != "op" or tok[1] not in _PRECEDENCE:
-            return left
+            return left, height
         op = tok[1]
         prec = _PRECEDENCE[op]
         if prec < min_prec:
-            return left
+            return left, height
         ts.next()
-        if op in _RIGHT_ASSOC:
-            right = _parse_expr(ts, param, prec)
-        else:
-            right = _parse_expr(ts, param, prec + 1)
-        left = BinOp(op, left, right)
+        next_prec = prec if op in _RIGHT_ASSOC else prec + 1
+        right, right_height = _parse_expr(ts, param, next_prec, depth + 1)
+        left, height = BinOp(op, left, right), max(height, right_height) + 1
+        _check_depth(depth + height)
 
 
-def _parse_atom(ts: _TokenStream, param: str) -> Expr:
+def _parse_atom(ts: _TokenStream, param: str, depth: int) -> tuple[Expr, int]:
     tok = ts.next()
     if tok[0] == "int":
-        return Lit(int(tok[1]))
+        return Lit(int(tok[1])), 0
     if tok[0] == "name":
         if tok[1] == param:
-            return Var()
+            return Var(), 0
         raise ParseError(f"unknown name {tok[1]!r} (variable is {param!r})")
     if tok == ("op", "("):
-        inner = _parse_expr(ts, param)
+        inner = _parse_expr(ts, param, depth=depth + 1)
         ts.expect_op(")")
         return inner
     raise ParseError(f"unexpected token {tok[1]!r}")
@@ -476,7 +425,8 @@ def parse(text: str) -> FunctionLike:
 
     Returns a :class:`ConcreteFunction` when the expression matches a template
     shape (any nonnegative constants), otherwise a :class:`ParsedFunction`.
-    Raises :class:`ParseError` for anything outside the restricted language.
+    Raises :class:`ParseError` for anything outside the restricted language,
+    including expressions nested deeper than :data:`MAX_PARSE_DEPTH`.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected text, got {type(text).__name__}")
@@ -484,15 +434,15 @@ def parse(text: str) -> FunctionLike:
     if ts.at_end():
         raise ParseError("empty input")
 
-    rec = _try_recursive(ts)
-    if rec is not None:
+    constants = _match_form(ts, _RECURSIVE_FORM, {})
+    if constants is not None:
         if not ts.at_end():
             raise ParseError("trailing input after recursive form")
-        return _finish(rec)
+        return ConcreteFunction(TemplateKind.RECURSIVE, *constants)
 
     ts.expect_name("lambda")
     param = ts.expect_name()
-    if param in ("lambda", "if", "else", "for", "in", "or", "range", "bin"):
+    if param in _RESERVED:
         raise ParseError(f"reserved word {param!r} cannot be the variable")
     ts.expect_op(":")
 
@@ -503,30 +453,26 @@ def parse(text: str) -> FunctionLike:
         ts.expect_op("(")
         wrapped = True
 
-    nxt = ts.peek()
-    if nxt == ("op", "["):
-        ast: Expr = _parse_filtered_index(ts, param)
+    if ts.peek() == ("op", "["):
+        constants = _match_form(ts, _INDEXING_FORM, {"x": param})
+        if constants is None:
+            raise ParseError("malformed filtered-list index")
+        fn: FunctionLike = ConcreteFunction(TemplateKind.INDEXING_CRITERIA, *constants)
+    elif (constants := _match_form(ts, _RECURSIVE_FORM, {})) is not None:
+        # applied combinator inside a bin() wrapper: ...(x)
+        ts.expect_op("(")
+        ts.expect_name(param)
+        ts.expect_op(")")
+        fn = ConcreteFunction(TemplateKind.RECURSIVE, *constants)
     else:
-        rec = _try_recursive(ts)
-        if rec is not None:
-            # applied combinator inside a bin() wrapper: ...(x)
-            ts.expect_op("(")
-            ts.expect_name(param)
-            ts.expect_op(")")
-            ast = rec
-        else:
-            ast = _parse_expr(ts, param)
+        ast, _ = _parse_expr(ts, param)
+        fn = recognize_template(ast) or ParsedFunction(ast)
 
     if wrapped:
         ts.expect_op(")")
     if not ts.at_end():
         raise ParseError(f"trailing input at token {ts.pos}")
-    return _finish(ast)
-
-
-def _finish(ast: Expr) -> FunctionLike:
-    concrete = recognize_template(ast)
-    return concrete if concrete is not None else ParsedFunction(ast)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +488,8 @@ def evaluate(fn: FunctionLike | Expr, x: int) -> int:
     """Evaluate a function at index ``x`` (exact integer arithmetic).
 
     Raises :class:`EvaluationError` for anything that does not produce an
-    integer: negative indices, out-of-range list indexing, zero modulus.
+    integer: negative indices, out-of-range list indexing, zero modulus, a
+    power past :data:`MAX_POWER_BITS`.
     """
     ast = fn.ast if isinstance(fn, (ConcreteFunction, ParsedFunction)) else fn
     if not isinstance(x, int) or isinstance(x, bool):
@@ -568,6 +515,8 @@ def _eval(ast: Expr, x: int) -> int:
             if op == "**":
                 if b < 0:
                     raise EvaluationError(f"negative exponent {b}")
+                if b * a.bit_length() > MAX_POWER_BITS:
+                    raise EvaluationError(f"power exceeds {MAX_POWER_BITS} bits")
                 return a**b
             if op == "|":
                 return a | b

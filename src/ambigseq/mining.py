@@ -324,7 +324,7 @@ def continuations_of(
         first = convention.start_index + offset
         try:
             seq = [funcspace.evaluate(fn, first + j) for j in range(len(values) + 1)]
-        except Exception:
+        except funcspace.EvaluationError:
             continue
         if tuple(seq[: len(values)]) == values:
             out.add(seq[len(values)])

@@ -1,4 +1,5 @@
-"""Prompt construction: system prompt, few-shot demonstrations, task blocks.
+"""Prompt construction: system prompt, few-shot demonstrations, task blocks,
+and the answer text of every task.
 
 Every prompt is assembled the same way: a system prompt enumerating the
 function space, then zero or more demonstration blocks, then the test block.
@@ -6,6 +7,10 @@ A block always opens with ``For the sequence: <numerals>`` followed by the
 task's instruction lines; demonstration blocks additionally carry the answer.
 Rendering is deterministic: the same spec and target always produce the same
 text, byte for byte.
+
+:func:`render_answer` is the one writer of answer text, for the
+demonstrations here and for the synthetic backends; ``evaluation`` parses
+that text back.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 from .funcspace import (
     ConcreteFunction,
     EvaluationError,
+    FunctionLike,
     FunctionSpace,
     TemplateKind,
     render_function,
@@ -126,10 +133,13 @@ EXPLANATION_INSTRUCTIONS = {
     ),
 }
 
+AFFIRMATIVE_VERDICT = "consistent"
+NEGATIVE_VERDICT = "inconsistent"
+
 JUDGMENT_INSTRUCTION = (
     "State whether the explanation and continuation are consistent "
     "with one another.\n"
-    "Give the response as either 'consistent' or 'inconsistent', "
+    f"Give the response as either '{AFFIRMATIVE_VERDICT}' or '{NEGATIVE_VERDICT}', "
     "with no additional commentary."
 )
 
@@ -266,13 +276,23 @@ def _sequence_block(seq: SequenceRecord, instruction: str) -> str:
     return f"For the sequence: {seq.render()}\n{instruction}"
 
 
-def _verbalize_answer(values: tuple[int, ...], space, base: int) -> str:
-    conts = sorted(valid_continuations(values, space))
-    conts = conts[:MAX_VERBALIZED_ALTERNATIVES]
-    if not conts:
-        raise PromptingError(f"no valid continuations for demo sequence {values}")
-    rendered = VERBALIZE_SEPARATOR.join(format_int(v, base) for v in conts)
-    return rendered + " \\n"
+def render_answer(
+    task: Task, value: int | FunctionLike | bool | Sequence[int], base: int
+) -> str:
+    """The answer text for a task's value: a numeral (completion), a
+    function (explanation), a verdict (judgment, ``value`` true when the pair
+    is consistent), or the first alternatives of a sorted list (verbalized
+    alternatives)."""
+    if task is Task.COMPLETION:
+        return format_int(value, base)
+    if task is Task.EXPLANATION:
+        return f"Explanation: {render_function(value, base)}"
+    if task is Task.CONSISTENCY_JUDGMENT:
+        return AFFIRMATIVE_VERDICT if value else NEGATIVE_VERDICT
+    if task is Task.VERBALIZE_ALTERNATIVES:
+        kept = value[:MAX_VERBALIZED_ALTERNATIVES]
+        return VERBALIZE_SEPARATOR.join(format_int(v, base) for v in kept) + " \\n"
+    raise PromptingError(f"unknown task: {task!r}")
 
 
 def _interpolate_model(text: str, model_name: str | None) -> str:
@@ -356,32 +376,27 @@ def _build_demo(
 
     if spec.task is Task.COMPLETION:
         query = _sequence_block(seq, COMPLETION_INSTRUCTIONS[spec.variant])
-        return query, format_int(continuation, spec.base)
-
-    if spec.task is Task.EXPLANATION:
+        answer = continuation
+    elif spec.task is Task.EXPLANATION:
         query = _sequence_block(seq, EXPLANATION_INSTRUCTIONS[spec.variant])
-        return query, f"Explanation: {render_function(fn, spec.base)}"
-
-    if spec.task is Task.CONSISTENCY_JUDGMENT:
+        answer = fn
+    elif spec.task is Task.CONSISTENCY_JUDGMENT:
         # alternate consistent and inconsistent examples
+        shown = continuation
         if flip:
             rows = [space.sequence(fn, o, length + 1) for o in space.convention.offsets]
             own = {row[-1] for row in rows if row[:-1] == seq.values}
-            shown = continuation
             while shown in own:
                 shown += 1
-            label = "inconsistent"
-        else:
-            shown, label = continuation, "consistent"
         query = _judgment_block(seq, render_function(fn, spec.base), shown)
-        return query, label
-
-    if spec.task is Task.VERBALIZE_ALTERNATIVES:
+        answer = not flip
+    elif spec.task is Task.VERBALIZE_ALTERNATIVES:
         instruction = _interpolate_model(VERBALIZE_DEMO_INSTRUCTION, spec.model_name)
         query = _sequence_block(seq, instruction)
-        return query, _verbalize_answer(seq.values, space, spec.base)
-
-    raise PromptingError(f"unknown task: {spec.task!r}")
+        answer = sorted(valid_continuations(seq.values, space))
+    else:
+        raise PromptingError(f"unknown task: {spec.task!r}")
+    return query, render_answer(spec.task, answer, spec.base)
 
 
 def _judgment_block(seq: SequenceRecord, explanation: str, continuation: int) -> str:

@@ -31,7 +31,9 @@ from ambigseq.backends import (
     random_valid_answer,
     request_digest,
 )
-from ambigseq.funcspace import enumerate_space
+from ambigseq import funcspace
+from ambigseq.evaluation import check_cross_context_consistency, parse_judgment_response
+from ambigseq.funcspace import enumerate_space, parse
 from ambigseq.mining import SequenceRecord, mine
 from ambigseq.prompting import PromptSpec, Task, build_prompt
 
@@ -187,6 +189,32 @@ class TestOracleBackend:
                               judged_explanation="not a function",
                               judged_completion=19)
         assert backend.complete(CompletionRequest(prompt)).text == "inconsistent"
+
+    @pytest.mark.parametrize("completion", [15, 19, 23])
+    @pytest.mark.parametrize("explanation", [
+        "lambda x: (4 * x) + 3",
+        "lambda x: (3 * x) | 3",
+        "lambda x: x + x + x + x + 3",
+        "lambda x: 9 ** 9 ** 9 ** x",
+    ])
+    def test_judgment_is_the_pair_check(self, space, explanation, completion):
+        backend = OracleBackend(space)
+        spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
+        prompt = build_prompt(spec, AMBIG, space,
+                              judged_explanation=explanation,
+                              judged_completion=completion)
+        verdict = parse_judgment_response(backend.complete(CompletionRequest(prompt)).text)
+        assert verdict == check_cross_context_consistency(
+            AMBIG, completion, parse(explanation), space.convention)
+
+    def test_judgment_lets_a_programming_error_propagate(self, space, monkeypatch):
+        def broken(fn, x):
+            raise TypeError("broken evaluator")
+
+        request = make_request(space, Task.CONSISTENCY_JUDGMENT)
+        monkeypatch.setattr(funcspace, "evaluate", broken)
+        with pytest.raises(TypeError, match="broken evaluator"):
+            OracleBackend(space).complete(request)
 
     def test_synthetic_logprobs_consistent(self, space):
         backend = OracleBackend(space)

@@ -48,6 +48,7 @@ from ambigseq.campaign import (
 )
 from ambigseq import mining
 from ambigseq.config import CampaignConfig
+from ambigseq.prompting import EXPLANATION_INSTRUCTIONS, Task, Variant
 from ambigseq.funcspace import FunctionSpace
 
 ISO_STAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}")
@@ -460,6 +461,60 @@ class TestRunCampaign:
         assert ISO_STAMP.search(audit)
         assert not ISO_STAMP.search(outcome.results_file.read_text())
         assert "resume" in audit and "finish" in audit
+
+
+class TestAnswersTooDeepToHandle:
+    """An explanation nested too deep for the interpreter's stack is filed as
+    an invalid line; the campaign finishes, and resumes byte-identically."""
+
+    NESTED = "Explanation: lambda x: " + "(" * 500 + "x" + ")" * 500
+    CHAIN = "Explanation: lambda x: " + " + ".join(["x"] * 3000)
+
+    @staticmethod
+    def config(tmp_path, mined_l3) -> CampaignConfig:
+        return small_config(
+            tmp_path,
+            mined_l3,
+            backend="scripted",
+            fixtures_file="unused-but-required.json",
+            tasks=("completion", "explanation", "consistency_judgment"),
+            n_runs=1,
+            want_top_logprobs=0,
+        )
+
+    @classmethod
+    def backend(cls, config) -> ScriptedBackend:
+        """Alternates the two answers over the explanation targets; "7" to
+        everything else."""
+        queries = plan_queries(config, load_campaign_datasets(config))
+        targets = [q.record.sequence for q in queries if q.task is Task.EXPLANATION]
+        instruction = EXPLANATION_INSTRUCTIONS[Variant.PLAIN]
+        fixtures = {
+            f"For the sequence: {target.render()}\n{instruction}": answer
+            for target, answer in zip(targets, [cls.NESTED, cls.CHAIN] * len(targets))
+        }
+        return ScriptedBackend(fixtures, default="7")
+
+    def test_lines_are_invalid_and_resume_is_byte_identical(self, tmp_path, mined_l3):
+        config = self.config(tmp_path / "full", mined_l3)
+        outcome = run_campaign(config, backend=self.backend(config))
+        assert not outcome.failed
+        reference = outcome.results_file.read_bytes()
+        _, records = read_results(outcome.results_file)
+        explanations = [r for r in records if r["task"] == "explanation"]
+        assert {r["raw_response"] for r in explanations} == {self.NESTED, self.CHAIN}
+        assert not any(r["valid"] for r in explanations)
+
+        # kill the run halfway through writing each explanation line
+        lines = reference.splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if b'"task":"explanation"' not in line:
+                continue
+            config = self.config(tmp_path / f"cut{i}", mined_l3)
+            path = results_path(config.output_dir)
+            path.write_bytes(b"".join(lines[:i]) + line[: len(line) // 2])
+            assert not run_campaign(config, backend=self.backend(config)).failed
+            assert path.read_bytes() == reference
 
 
 class TestResumeAfterAnyCut:

@@ -125,10 +125,6 @@ class TestParsers:
     def test_judgment(self, text, expected):
         assert parse_judgment_response(text) == expected
 
-    def test_judgment_custom_vocabulary(self):
-        assert parse_judgment_response("yes", "yes", "no") is True
-        assert parse_judgment_response("no", "yes", "no") is False
-
     @pytest.mark.parametrize(
         "text,base,expected",
         [

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from ambigseq.funcspace import (
     parse,
     render_function,
 )
+from ambigseq.mining import continuations_of
 
 from bruteforce import (
     ORACLE_TEMPLATES,
@@ -266,6 +268,53 @@ class TestRenderRoundtrip:
             " ", " " * rng.randint(1, 4)
         ) + (" " * rng.randint(0, 3))
         assert parse(noisy).ast == ast
+
+
+class TestAnswerSizeBounds:
+    """A parsed answer too big to handle is a ParseError or an
+    EvaluationError, never a hang or a RecursionError."""
+
+    def test_power_tower_is_refused_at_once(self):
+        started = time.perf_counter()
+        fn = parse("lambda x: 9 ** 9 ** 9 ** x")
+        assert continuations_of(fn, (1, 2, 3)) == frozenset()
+        assert time.perf_counter() - started < 1.0
+
+    def test_power_bound_is_the_bit_estimate(self):
+        fn = parse("lambda x: 3 ** x")  # 3 has 2 bits
+        last = fs.MAX_POWER_BITS // 2
+        assert evaluate(fn, last) == 3**last
+        with pytest.raises(EvaluationError, match="bits"):
+            evaluate(fn, last + 1)
+
+    def test_largest_template_power_evaluates(self):
+        fn = ConcreteFunction(TemplateKind.POWER, 19, 19)
+        assert evaluate(fn, 12) == 19 ** (19 * 12)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "(" * 500 + "x" + ")" * 500,
+            " + ".join(["x"] * 3000),
+            " ** ".join(["x"] * 3000),
+            "(" * 60 + "x" + " + x" * 60 + ")" * 60,
+        ],
+        ids=["parentheses", "left_chain", "right_chain", "mixed"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, body):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(f"lambda x: {body}")
+
+    def test_depth_bound_is_inclusive(self):
+        depth = fs.MAX_PARSE_DEPTH
+        assert parse("lambda x: " + "(" * depth + "x" + ")" * depth).ast == Var()
+        with pytest.raises(ParseError):
+            parse("lambda x: " + "(" * (depth + 1) + "x" + ")" * (depth + 1))
+        chain = parse("lambda x: " + " + ".join(["x"] * (depth + 1)))
+        assert evaluate(chain, 3) == 3 * (depth + 1)
+        assert parse(render_function(chain, 2)) == chain
+        with pytest.raises(ParseError):
+            parse("lambda x: " + " + ".join(["x"] * (depth + 2)))
 
 
 class TestGenerateSequence:

@@ -326,6 +326,20 @@ class TestContinuationsOf:
         fn = instantiate(TemplateKind.MODULAR, 1, 1)
         assert continuations_of(fn, (7, 11, 15)) == frozenset()
 
+    def test_offsets_that_cannot_be_evaluated_are_skipped(self):
+        # the filtered list of (0, 0) is empty: no offset evaluates
+        fn = instantiate(TemplateKind.INDEXING_CRITERIA, 0, 0)
+        assert continuations_of(fn, (1, 2, 3)) == frozenset()
+
+    def test_a_programming_error_propagates(self, monkeypatch):
+        def broken(fn, x):
+            raise TypeError("broken evaluator")
+
+        monkeypatch.setattr(funcspace, "evaluate", broken)
+        fn = instantiate(TemplateKind.ARITHMETIC, 4, 3)
+        with pytest.raises(TypeError, match="broken evaluator"):
+            continuations_of(fn, (7, 11, 15))
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path, dataset4):

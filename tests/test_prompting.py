@@ -5,8 +5,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambigseq import prompting
+from ambigseq.evaluation import parse_response
 from ambigseq.funcspace import TemplateKind, enumerate_space, parse
 from ambigseq.mining import SequenceRecord, mine, valid_continuations
 from ambigseq.prompting import (
@@ -19,6 +22,7 @@ from ambigseq.prompting import (
     Variant,
     build_prompt,
     build_system_prompt,
+    render_answer,
     sample_few_shot,
 )
 
@@ -315,6 +319,35 @@ class TestDemonstrationSoundness:
             rp = build_prompt(spec, target, full_space)
             for query, _ in rp.demonstrations:
                 assert len(_demo_sequence_values(query)) == length
+
+
+class TestRenderAnswer:
+    """What render_answer writes, the task's parser reads back."""
+
+    @given(data=st.data(), base=st.sampled_from([10, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_inverts_render(self, full_space, data, base):
+        task = data.draw(st.sampled_from(list(Task)))
+        values = {
+            Task.COMPLETION: st.integers(min_value=0),
+            Task.EXPLANATION: st.sampled_from(full_space.functions),
+            Task.CONSISTENCY_JUDGMENT: st.booleans(),
+            Task.VERBALIZE_ALTERNATIVES: st.lists(
+                st.integers(min_value=0), max_size=5, unique=True
+            ).map(lambda v: tuple(sorted(v))),
+        }
+        value = data.draw(values[task])
+        assert parse_response(task, render_answer(task, value, base), base) == value
+
+    @pytest.mark.parametrize("base", [10, 2])
+    def test_every_space_member_round_trips(self, full_space, base):
+        for fn in full_space:
+            text = render_answer(Task.EXPLANATION, fn, base)
+            assert parse_response(Task.EXPLANATION, text, base) == fn
+
+    def test_verbalization_keeps_the_first_alternatives(self):
+        text = render_answer(Task.VERBALIZE_ALTERNATIVES, range(1, 8), 10)
+        assert text == "1 \\n 2 \\n 3 \\n 4 \\n 5 \\n"
 
 
 class TestJudgmentPrompt:

@@ -47,6 +47,6 @@ def test_no_callable_takes_both_a_space_and_a_convention():
         "ambigseq.mining.mine",
         "ambigseq.mining._matching_generators",
         "ambigseq.backends.OracleBackend.__init__",
-        "ambigseq.prompting._verbalize_answer",
+        "ambigseq.prompting._build_demo",
     } <= walked
     assert both == []
