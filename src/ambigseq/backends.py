@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import uuid
@@ -401,12 +402,17 @@ def parse_chat_response(data: dict, want_top_logprobs: int) -> tuple[str, TokenD
         )
     pairs: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for item in raw:
-        token, lp = item["token"], float(item["logprob"])
-        if token in seen:
-            continue  # some endpoints repeat tokens; keep the first (highest)
-        seen.add(token)
-        pairs.append((token, min(lp, 0.0)))
+    try:
+        for item in raw:
+            token, lp = item["token"], float(item["logprob"])
+            if not isinstance(token, str) or not math.isfinite(lp):
+                raise ValueError(f"entry {item!r} needs a text token and a finite logprob")
+            if token in seen:
+                continue  # some endpoints repeat tokens; keep the first (highest)
+            seen.add(token)
+            pairs.append((token, min(lp, 0.0)))
+    except (KeyError, TypeError, ValueError) as err:
+        raise MalformedResponseError(f"malformed top_logprobs: {err!r}") from err
     pairs.sort(key=lambda p: -p[1])
     if not pairs:
         raise LogprobsUnsupportedError("empty top_logprobs list")

@@ -293,10 +293,8 @@ def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
         header = json.loads(raw_lines[0])
     except json.JSONDecodeError as exc:
         raise CampaignError(f"{path}: unreadable header line ({exc})") from exc
-    if header.get("format") != RESULTS_FORMAT:
-        raise CampaignError(
-            f"{path}: not a results file (format={header.get('format')!r})"
-        )
+    if not isinstance(header, dict) or header.get("format") != RESULTS_FORMAT:
+        raise CampaignError(f"{path}: not a results file (header {raw_lines[0][:80]!r})")
     if header.get("version") != RESULTS_VERSION:
         raise CampaignError(
             f"{path}: results schema version {header.get('version')!r} "
@@ -312,11 +310,18 @@ def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
 
 
 def _index_results(path: Path, records: list[dict]) -> dict[tuple, dict]:
-    """The record lines by query key; two lines for one query are an error."""
+    """The record lines by query key; a line without one, or two lines for
+    one query, are an error."""
     by_key: dict[tuple, dict] = {}
     for i, record in enumerate(records, start=2):
-        key = _record_key(record)
-        if key in by_key:
+        try:
+            key = _record_key(record)
+            seen = key in by_key
+        except (KeyError, TypeError) as exc:
+            raise CampaignError(
+                f"{path}:{i}: malformed record line (no query key: {exc!r})"
+            ) from exc
+        if seen:
             first = records.index(by_key[key]) + 2
             raise CampaignError(
                 f"{path}:{i}: duplicate result line; line {first} "
@@ -454,7 +459,6 @@ def run_campaign(
                         query,
                         backend,
                         space,
-                        datasets[query.length],
                         answered,
                         logprobs_available,
                         dispatch.submit,
@@ -535,7 +539,6 @@ def _execute_query(
     query: PlannedQuery,
     backend: Backend,
     space: FunctionSpace,
-    dataset: Dataset,
     answered: dict,
     logprobs_available: bool,
     submit: Callable,
@@ -567,7 +570,6 @@ def _execute_query(
         spec,
         query.record.sequence,
         space,
-        dataset=dataset,
         judged_explanation=judged[0] if judged else None,
         judged_completion=judged[1] if judged else None,
     )

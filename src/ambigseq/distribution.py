@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .funcspace import MAX_NUMERAL_DIGITS
+
 MAX_TOP_K = 5
 
 
@@ -59,11 +61,12 @@ class TokenDistribution:
 # ---------------------------------------------------------------------------
 
 def parse_numeral_token(token: str, base: int = 10) -> int | None:
-    """Interpret a token as a nonnegative numeral in the given base, if possible."""
+    """Interpret a token as a nonnegative numeral in the given base, if possible;
+    None past :data:`~ambigseq.funcspace.MAX_NUMERAL_DIGITS` digits."""
     text = token.strip()
     if base == 2 and text.lower().startswith("0b"):
         text = text[2:]
-    if not text:
+    if not text or len(text) > MAX_NUMERAL_DIGITS:
         return None
     digits = "0123456789" if base == 10 else "01"
     if not all(ch in digits for ch in text):

@@ -86,6 +86,13 @@ MAX_PARSE_DEPTH: int = 100
 #: whose value at x = 2 has more bits than any memory holds.
 MAX_POWER_BITS: int = 1 << 16
 
+#: Most digits a numeral may have: an integer literal in :func:`parse`, and a
+#: numeral in an answer (``distribution.parse_numeral_token``). It is Python's
+#: default limit on integer-string conversion, so every accepted value
+#: converts to and from decimal text, the results file's JSON included; a
+#: longer numeral makes its answer invalid.
+MAX_NUMERAL_DIGITS: int = 4300
+
 
 # ---------------------------------------------------------------------------
 # AST
@@ -299,6 +306,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             raise ParseError(f"illegal character at position {pos}: {text[pos]!r}")
         pos = m.end()
         if m.group("int") is not None:
+            if len(m.group("int")) > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_NUMERAL_DIGITS} digits")
             tokens.append(("int", m.group("int")))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
@@ -426,7 +435,8 @@ def parse(text: str) -> FunctionLike:
     Returns a :class:`ConcreteFunction` when the expression matches a template
     shape (any nonnegative constants), otherwise a :class:`ParsedFunction`.
     Raises :class:`ParseError` for anything outside the restricted language,
-    including expressions nested deeper than :data:`MAX_PARSE_DEPTH`.
+    including expressions nested deeper than :data:`MAX_PARSE_DEPTH` and
+    integer literals longer than :data:`MAX_NUMERAL_DIGITS`.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected text, got {type(text).__name__}")

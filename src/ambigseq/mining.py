@@ -157,17 +157,6 @@ class Dataset:
         yield from self.ambiguous
         yield from self.unambiguous
 
-    def find(self, values: Iterable[int]) -> AmbiguityRecord | None:
-        return self._by_values.get(tuple(values))
-
-    @property
-    def _by_values(self) -> dict[tuple[int, ...], AmbiguityRecord]:
-        cached = getattr(self, "_by_values_cache", None)
-        if cached is None:
-            cached = {r.sequence.values: r for r in self.records()}
-            object.__setattr__(self, "_by_values_cache", cached)
-        return cached
-
     def counts(self, space: FunctionSpace | None = None) -> DatasetCounts:
         ambiguous_fns = {f for r in self.ambiguous for f in r.functions}
         all_fns = {f for r in self.records() for f in r.functions}
@@ -293,16 +282,14 @@ def _matching_generators(
 
 
 def valid_continuations(
-    sequence: SequenceRecord | Iterable[int], space: FunctionSpace
+    values: Iterable[int], space: FunctionSpace
 ) -> frozenset[int]:
-    values = sequence.values if isinstance(sequence, SequenceRecord) else tuple(sequence)
     return frozenset(g.continuation for g in matching_generators(values, space))
 
 
 def valid_explanations(
-    sequence: SequenceRecord | Iterable[int], space: FunctionSpace
+    values: Iterable[int], space: FunctionSpace
 ) -> tuple[ConcreteFunction, ...]:
-    values = sequence.values if isinstance(sequence, SequenceRecord) else tuple(sequence)
     seen: dict[ConcreteFunction, None] = {}
     for g in matching_generators(values, space):
         seen.setdefault(g.function)

@@ -30,7 +30,6 @@ from .funcspace import (
     render_function,
 )
 from .mining import (
-    Dataset,
     SequenceRecord,
     format_int,
     valid_continuations,
@@ -303,15 +302,16 @@ def build_prompt(
     spec: PromptSpec,
     target: SequenceRecord,
     space: FunctionSpace,
-    dataset: Dataset | None = None,
     judged_explanation: str | None = None,
     judged_completion: int | None = None,
 ) -> RenderedPrompt:
     """Render the prompt for one target sequence.
 
-    ``dataset`` (when given) supplies the target's generator classes without a
-    space scan. Consistency judgments additionally need the explanation text
-    and completion value under test.
+    Class-based shot sampling reads the target's template classes from the
+    functions that generate it, :func:`valid_explanations` over the space's
+    prefix index (the index :func:`mining.mine` builds its records from).
+    Consistency judgments additionally need the explanation text and
+    completion value under test.
     """
     if target.base != spec.base:
         target = target.rebase(spec.base)
@@ -320,13 +320,9 @@ def build_prompt(
 
     target_kinds: frozenset[TemplateKind] = frozenset()
     if spec.shot_sampling is not ShotSampling.RANDOM:
-        record = dataset.find(target.values) if dataset is not None else None
-        fns = (
-            record.functions
-            if record is not None
-            else valid_explanations(target.values, space)
+        target_kinds = frozenset(
+            f.kind for f in valid_explanations(target.values, space)
         )
-        target_kinds = frozenset(f.kind for f in fns)
 
     shots = sample_few_shot(
         space, spec.resolved_n_shots, spec.shot_sampling, target_kinds, rng

@@ -432,7 +432,6 @@ def test_08_kl_pipeline(report):
 
 def test_09_prompt_golden_files(report):
     small_space = enumerate_space(constant_range=(0, 1))
-    small_dataset = mine(small_space, length=3)
     target10 = SequenceRecord((2, 3, 4))
     target2 = SequenceRecord((2, 3, 4), base=2)
     cases = [
@@ -464,7 +463,6 @@ def test_09_prompt_golden_files(report):
             spec,
             target2 if base == 2 else target10,
             small_space,
-            dataset=small_dataset,
             **extra,
         ).full_text() + "\n"
         if rendered != (GOLDEN / filename).read_text():

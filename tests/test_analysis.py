@@ -173,10 +173,7 @@ class TestScriptedHandScored:
                 shot_sampling=config.shot_sampling_enum,
                 rng_seed=prompt_seed(config, query),
             )
-            prompt = build_prompt(
-                spec, record.sequence, space,
-                dataset=dataset,
-            )
+            prompt = build_prompt(spec, record.sequence, space)
             return prompt.test_query
 
         # ambiguous 0: completion and explanation that agree under execution

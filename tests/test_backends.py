@@ -367,6 +367,32 @@ class TestHttpBackend:
         with pytest.raises(AuthenticationError):
             backend.complete(make_request(space))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"token": "15"},
+            None,
+            {"token": "15", "logprob": "unlikely"},
+            {"token": 15, "logprob": -1.0},
+            {"token": "15", "logprob": float("nan")},
+            {"token": "15", "logprob": float("-inf")},
+        ],
+        ids=["no_logprob", "null", "text_logprob", "int_token", "nan", "minus_inf"],
+    )
+    def test_malformed_logprob_entry_is_a_malformed_response(
+        self, space, monkeypatch, entry
+    ):
+        monkeypatch.setenv("AMBIGSEQ_API_KEY", "sk-test")
+        body = ok_body()
+        top = [{"token": "19", "logprob": -0.5}, entry]
+        body["choices"][0]["logprobs"] = {"content": [{"top_logprobs": top}]}
+        transport = FakeTransport([(200, body)])
+        backend = HttpBackend("https://api.example", "m", transport=transport,
+                              sleep=lambda s: None)
+        with pytest.raises(MalformedResponseError, match="top_logprobs"):
+            backend.complete(make_request(space, want_logprobs=5))
+        assert len(transport.calls) == 1
+
     def test_auth_rejection_not_retried(self, space, monkeypatch):
         monkeypatch.setenv("AMBIGSEQ_API_KEY", "sk-test")
         transport = FakeTransport([(401, {})])

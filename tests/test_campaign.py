@@ -48,8 +48,13 @@ from ambigseq.campaign import (
 )
 from ambigseq import mining
 from ambigseq.config import CampaignConfig
-from ambigseq.prompting import EXPLANATION_INSTRUCTIONS, Task, Variant
-from ambigseq.funcspace import FunctionSpace
+from ambigseq.prompting import (
+    COMPLETION_INSTRUCTIONS,
+    EXPLANATION_INSTRUCTIONS,
+    Task,
+    Variant,
+)
+from ambigseq.funcspace import FunctionSpace, parse
 
 ISO_STAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}")
 
@@ -215,13 +220,19 @@ class TestReadResults:
         assert len(records) == 23
 
     def test_malformed_middle_line_raises(self, tmp_path, mined_l3):
-        _, outcome = self.run_small(tmp_path, mined_l3)
+        config, outcome = self.run_small(tmp_path, mined_l3)
         path = outcome.results_file
         lines = path.read_text().splitlines()
-        lines[3] = "{broken"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CampaignError, match="malformed record line"):
-            read_results(path)
+        no_sequence = json.loads(lines[3])
+        del no_sequence["sequence"]
+        for bad in ("{broken", "{}", "[1]", json.dumps(no_sequence)):
+            lines[3] = bad
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(CampaignError, match=":4: malformed record line"):
+                read_results(path)
+            # resume reads the same lines and refuses them the same way
+            with pytest.raises(CampaignError, match=":4: malformed record line"):
+                run_campaign(config)
 
     def test_duplicated_line_raises(self, tmp_path, mined_l3):
         _, outcome = self.run_small(tmp_path, mined_l3)
@@ -235,9 +246,10 @@ class TestReadResults:
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        path.write_text('{"format": "something.else", "version": 1}\n')
-        with pytest.raises(CampaignError, match="not a results file"):
-            read_results(path)
+        for header in ('{"format": "something.else", "version": 1}', "[1]"):
+            path.write_text(header + "\n")
+            with pytest.raises(CampaignError, match="not a results file"):
+                read_results(path)
 
     def test_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -517,6 +529,112 @@ class TestAnswersTooDeepToHandle:
             assert path.read_bytes() == reference
 
 
+class TestOverlongNumerals:
+    """An answer holding a numeral longer than ``MAX_NUMERAL_DIGITS`` is filed
+    as an invalid line; the campaign finishes, and resumes byte-identically
+    after a cut inside such a line."""
+
+    @staticmethod
+    def config(out_dir, base: int) -> CampaignConfig:
+        config = CampaignConfig(
+            lengths=(3,),
+            base=base,
+            limit_sequences=2,
+            n_runs=1,
+            backend="scripted",
+            fixtures_file="unused-but-required.json",
+            want_top_logprobs=0,
+            output_dir=str(out_dir),
+        )
+        mine_datasets(config)
+        return config
+
+    @staticmethod
+    def backend(base: int) -> ScriptedBackend:
+        # base 2 lies outside Python's int-string limit, which is what let
+        # such an answer reach the results file's JSON encoder
+        numeral = "1" * 5000 if base == 10 else "0b" + "1" * 20_000
+        return ScriptedBackend(
+            {
+                "possible and valid answers": f"{numeral} \\n",
+                EXPLANATION_INSTRUCTIONS[Variant.PLAIN]: (
+                    f"Explanation: lambda x: ({'1' * 5000} * x) + 1"
+                ),
+                COMPLETION_INSTRUCTIONS[Variant.PLAIN]: numeral,
+            },
+            default="consistent",
+        )
+
+    @pytest.mark.parametrize("base", [10, 2])
+    def test_lines_are_invalid_and_resume_is_byte_identical(self, tmp_path, base):
+        config = self.config(tmp_path / "full", base)
+        outcome = run_campaign(config, backend=self.backend(base))
+        assert not outcome.failed
+        reference = outcome.results_file.read_bytes()
+        _, records = read_results(outcome.results_file)
+        asked = [r for r in records if r["task"] != "consistency_judgment"]
+        assert {r["task"] for r in asked} == {
+            "completion", "explanation", "verbalize_alternatives"
+        }
+        assert all(len(r["raw_response"]) >= 5000 and not r["valid"] for r in asked)
+
+        # kill the run halfway through writing each over-long line
+        lines = reference.splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if len(line) < 5000:
+                continue
+            config = self.config(tmp_path / f"cut{i}", base)
+            path = results_path(config.output_dir)
+            path.write_bytes(b"".join(lines[:i]) + line[: len(line) // 2])
+            assert not run_campaign(config, backend=self.backend(base)).failed
+            assert path.read_bytes() == reference
+
+
+class TestClassBasedShotSampling:
+    """Under ``same_class`` every function shown in a demonstration has a
+    template kind of the query record's generators; under ``exclude_class``
+    none has."""
+
+    class Recorder:
+        def __init__(self, inner):
+            self.inner = inner
+            self.backend_id = inner.backend_id
+            self.prompts = []
+
+        def complete(self, request) -> CompletionResponse:
+            self.prompts.append(request.prompt)
+            return self.inner.complete(request)
+
+    @staticmethod
+    def demo_functions(prompt):
+        """The functions the prompt's demonstrations show."""
+        if prompt.task is Task.EXPLANATION:
+            return [parse(answer.removeprefix("Explanation: "))
+                    for _, answer in prompt.demonstrations]
+        if prompt.task is Task.CONSISTENCY_JUDGMENT:
+            return [parse(query.splitlines()[1].removeprefix("Explanation: "))
+                    for query, _ in prompt.demonstrations]
+        return []
+
+    @pytest.mark.parametrize("sampling", ["same_class", "exclude_class"])
+    def test_demo_kinds_follow_the_query_record(self, tmp_path, mined_l3, sampling):
+        config = small_config(
+            tmp_path, mined_l3, n_runs=1, limit_sequences=4, shot_sampling=sampling
+        )
+        recorder = self.Recorder(OracleBackend(config_space(config)))
+        assert not run_campaign(config, backend=recorder).failed
+        records = {
+            r.sequence.values: r for r in load_campaign_datasets(config)[3].records()
+        }
+        checked = 0
+        for prompt in recorder.prompts:
+            kinds = {fn.kind for fn in records[prompt.target.values].functions}
+            for fn in self.demo_functions(prompt):
+                assert (fn.kind in kinds) is (sampling == "same_class")
+                checked += 1
+        assert checked == 8 * 6 + 4 * 6  # explanation and judgment demos
+
+
 class TestResumeAfterAnyCut:
     """A finished results file cut at any byte resumes to the same bytes."""
 
@@ -609,6 +727,60 @@ class FakeEndpoint:
             top = [{"token": str(h % 40 + i), "logprob": -0.1 - i} for i in range(k)]
             choice["logprobs"] = {"content": [{"top_logprobs": top}]}
         return 200, {"choices": [choice]}
+
+
+class TestMalformedTopLogprobs:
+    """A top-logprobs entry without a finite logprob fails the campaign with
+    a ``MalformedResponseError``; the lines before it stay on disk, and no
+    line holds a non-JSON number."""
+
+    @staticmethod
+    def endpoint(entry):
+        """Well-formed answers, except that the second request asking for
+        top logprobs gets ``entry`` among them."""
+        asked = []
+
+        def transport(url, headers, payload, timeout):
+            choice: dict = {"message": {"content": "15"}}
+            if payload.get("logprobs"):
+                asked.append(payload)
+                top = [{"token": "15", "logprob": -0.1}]
+                if len(asked) == 2:
+                    top.append(entry)
+                choice["logprobs"] = {"content": [{"top_logprobs": top}]}
+            return 200, {"choices": [choice]}
+
+        return transport
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"token": "19"}, None, {"token": "19", "logprob": float("nan")}],
+        ids=["no_logprob", "null", "nan"],
+    )
+    def test_campaign_fails_at_the_entry(self, tmp_path, mined_l3, monkeypatch, entry):
+        monkeypatch.setenv("AMBIGSEQ_API_KEY", "test-key")
+        config = small_config(
+            tmp_path,
+            mined_l3,
+            backend="http",
+            http_base_url="http://endpoint.invalid/v1",
+            http_model="fake",
+            tasks=("completion",),
+        )
+        backend = HttpBackend(
+            config.http_base_url, config.http_model, transport=self.endpoint(entry)
+        )
+        outcome = run_campaign(config, backend)
+        assert outcome.failed and "malformed top_logprobs" in outcome.error
+        assert outcome.queried == 1
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        lines = outcome.results_file.read_text().splitlines()
+        assert len(lines) == 2  # the header and the first completion
+        for line in lines:
+            json.loads(line, parse_constant=refuse)
 
 
 class TestConcurrentDispatch:

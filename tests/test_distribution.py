@@ -24,6 +24,7 @@ from ambigseq.distribution import (
     parse_numeral_token,
     shared_edges,
 )
+from ambigseq.funcspace import MAX_NUMERAL_DIGITS
 
 
 def dist(*pairs):
@@ -72,6 +73,15 @@ class TestParseNumeralToken:
     )
     def test_cases(self, token, base, expected):
         assert parse_numeral_token(token, base) == expected
+
+    @pytest.mark.parametrize("base,prefix", [(10, ""), (2, ""), (2, "0b")])
+    def test_digit_bound(self, base, prefix):
+        longest = "1" * MAX_NUMERAL_DIGITS
+        assert parse_numeral_token(prefix + longest, base) == int(longest, base)
+        assert parse_numeral_token(prefix + longest + "1", base) is None
+        # base 2 is outside Python's own int-string limit, so the bound is
+        # what keeps a 20,000-digit answer out of the results file
+        assert parse_numeral_token(prefix + "1" * 20_000, base) is None
 
 
 class TestAlternativeConsiderationTest:

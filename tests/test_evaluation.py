@@ -19,6 +19,7 @@ from ambigseq.backends import (
     OracleBackend,
     ScriptedBackend,
 )
+from ambigseq.config import canonical_json
 from ambigseq.evaluation import (
     EvalRecord,
     aggregate_runs,
@@ -45,6 +46,7 @@ from ambigseq.mining import (
     DatasetParameters,
     Generator,
     SequenceRecord,
+    format_int,
     mine,
 )
 from ambigseq.prompting import PromptSpec, Task, build_prompt
@@ -64,10 +66,15 @@ def dataset(space):
     return mine(space, length=3)
 
 
+def _record(dataset, values):
+    """The dataset's record of the value prefix ``values``, or None."""
+    return next((r for r in dataset.records() if r.sequence.values == tuple(values)), None)
+
+
 def result_line(dataset, task, sequence, text, run_id=0):
     """A results-file line built through the campaign's write path, with the
     fields the analysis scorers read."""
-    ds_record = dataset.find(sequence.values)
+    ds_record = _record(dataset, sequence.values)
     record = annotate_correctness(
         build_eval_record(task, sequence, text, run_id=run_id), ds_record
     )
@@ -139,11 +146,23 @@ class TestParsers:
     def test_verbalized(self, text, base, expected):
         assert parse_verbalized_response(text, base) == expected
 
+    @pytest.mark.parametrize("base", [10, 2])
+    @pytest.mark.parametrize("task", list(Task))
+    def test_overlong_numerals_are_invalid(self, task, base):
+        numeral = "1" * 5000 if base == 10 else "0b" + "1" * 20_000
+        text = {
+            Task.COMPLETION: numeral,
+            Task.EXPLANATION: f"Explanation: lambda x: ({'1' * 5000} * x) + 1",
+            Task.CONSISTENCY_JUDGMENT: f"consistent {numeral}",
+            Task.VERBALIZE_ALTERNATIVES: f"{format_int(15, base)} \\n {numeral} \\n",
+        }[task]
+        record = build_eval_record(task, AMBIG.rebase(base), text)
+        assert record.valid is (task is Task.CONSISTENCY_JUDGMENT)
+        canonical_json(eval_record_to_json(record))  # the line encodes
+
     @settings(max_examples=300)
     @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([10, 2]))
     def test_parse_render_identity(self, value, base):
-        from ambigseq.mining import format_int
-
         assert parse_completion_response(format_int(value, base), base) == value
 
 
@@ -276,7 +295,7 @@ class TestAccuracy:
             (ds_record.sequence, str(answer), ds_record),
             (ds_record.sequence, str(answer + 1), ds_record),
             (ds_record.sequence, "garbage", ds_record),
-            (AMBIG, "19", dataset.find(AMBIG.values)),
+            (AMBIG, "19", _record(dataset, AMBIG.values)),
         ]
         annotated = [
             annotate_correctness(build_eval_record(Task.COMPLETION, seq, text), rec)

@@ -317,6 +317,23 @@ class TestAnswerSizeBounds:
             parse("lambda x: " + " + ".join(["x"] * (depth + 2)))
 
 
+    def test_overlong_literal_is_a_parse_error(self):
+        digits = "7" * (fs.MAX_NUMERAL_DIGITS + 1)
+        for text in (
+            f"lambda x: ({digits} * x) + 1",
+            f"lambda x: bin(x + {digits})",
+            f"lambda x: [i for i in range(100) if i % ({digits} + 1) or i % (1 + 1)][x]",
+        ):
+            with pytest.raises(ParseError, match="digits"):
+                parse(text)
+
+    def test_literal_bound_is_inclusive(self):
+        digits = "7" * fs.MAX_NUMERAL_DIGITS
+        fn = parse(f"lambda x: x + {digits}")
+        assert evaluate(fn, 0) == int(digits)
+        assert parse(render_function(fn)) == fn
+
+
 class TestGenerateSequence:
     """``FunctionSpace.sequence``: a member's values, sliced from its row."""
 

@@ -39,6 +39,11 @@ from ambigseq.mining import (
 from bruteforce import oracle_continuations, oracle_mine, oracle_space
 
 
+def _record(dataset, values):
+    """The dataset's record of the value prefix ``values``, or None."""
+    return next((r for r in dataset.records() if r.sequence.values == tuple(values)), None)
+
+
 @pytest.fixture(scope="module")
 def space():
     return enumerate_space()
@@ -99,7 +104,7 @@ class TestKnownAmbiguity:
 
     def test_mined_record_matches(self, space):
         ds = mine(space, length=3)
-        record = ds.find((7, 11, 15))
+        record = _record(ds, (7, 11, 15))
         assert record is not None
         assert record.is_ambiguous
         assert record.continuations == (15, 19)
@@ -287,7 +292,7 @@ class TestHandBuiltSpaceCompleteness:
             probe_indices=tuple(range(1, 11)), max_value=None,
         )
         ds = mine(space, length=3)
-        record = ds.find((7, 11, 15))
+        record = _record(ds, (7, 11, 15))
         assert record is not None and record.is_ambiguous
         assert record.continuations == (15, 19)
         # by hand: arithmetic(4,3)@0 -> 19, bit_or(4,3)@0 -> 19, bit_or(3,3)@1 -> 15

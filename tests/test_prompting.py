@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ambigseq import prompting
 from ambigseq.evaluation import parse_response
 from ambigseq.funcspace import TemplateKind, enumerate_space, parse
-from ambigseq.mining import SequenceRecord, mine, valid_continuations
+from ambigseq.mining import SequenceRecord, valid_continuations
 from ambigseq.prompting import (
     DEFAULT_N_SHOTS,
     OFFSET_NOTE,
@@ -37,11 +37,6 @@ def full_space():
 @pytest.fixture(scope="module")
 def small_space():
     return enumerate_space(constant_range=(0, 1))
-
-
-@pytest.fixture(scope="module")
-def small_dataset(small_space):
-    return mine(small_space, length=3)
 
 
 TARGET = SequenceRecord((2, 3, 4))
@@ -94,9 +89,9 @@ class TestSystemPrompt:
         assert renders == [(space, 10, None), (space, 2, None), (space, 10, "Be brief.")]
 
 
-def _render(task, variant, small_space, small_dataset, **extra):
+def _render(task, variant, small_space, **extra):
     spec = PromptSpec(task=task, variant=variant, base=10, n_shots=2, rng_seed=7)
-    return build_prompt(spec, TARGET, small_space, dataset=small_dataset, **extra)
+    return build_prompt(spec, TARGET, small_space, **extra)
 
 
 GOLDEN_CASES = [
@@ -121,21 +116,20 @@ GOLDEN_CASES = [
 class TestGoldenPrompts:
     @pytest.mark.parametrize("task,variant,name,extra", GOLDEN_CASES)
     def test_rendering_is_frozen(self, task, variant, name, extra,
-                                 small_space, small_dataset):
-        rp = _render(task, variant, small_space, small_dataset, **extra)
+                                 small_space):
+        rp = _render(task, variant, small_space, **extra)
         assert rp.full_text() + "\n" == (GOLDEN / name).read_text()
 
-    def test_base2_golden(self, small_space, small_dataset):
+    def test_base2_golden(self, small_space):
         spec = PromptSpec(task=Task.COMPLETION, base=2, n_shots=2, rng_seed=7)
-        rp = build_prompt(spec, SequenceRecord((2, 3, 4), base=2), small_space,
-                          dataset=small_dataset)
+        rp = build_prompt(spec, SequenceRecord((2, 3, 4), base=2), small_space)
         expected = (GOLDEN / "prompt_completion_plain_base2.txt").read_text()
         assert rp.full_text() + "\n" == expected
 
-    def test_named_model_golden(self, small_space, small_dataset):
+    def test_named_model_golden(self, small_space):
         spec = PromptSpec(task=Task.VERBALIZE_ALTERNATIVES, n_shots=1, rng_seed=7,
                           model_name="test-model")
-        rp = build_prompt(spec, TARGET, small_space, dataset=small_dataset)
+        rp = build_prompt(spec, TARGET, small_space)
         expected = (GOLDEN / "prompt_verbalize_named_model.txt").read_text()
         assert rp.full_text() + "\n" == expected
         assert "{model_name}" not in rp.full_text()
@@ -151,19 +145,18 @@ class TestVerbatimInstructionLines:
             "by an arbitrary i-index value."
         )
 
-    def test_random_completion_has_no_format_line(self, small_space, small_dataset):
-        rp = _render(Task.COMPLETION, Variant.RANDOM, small_space, small_dataset)
+    def test_random_completion_has_no_format_line(self, small_space):
+        rp = _render(Task.COMPLETION, Variant.RANDOM, small_space)
         assert "Give the response as a number" not in rp.test_query
         assert rp.test_query.endswith("choose the corresponding continuation randomly.")
 
-    def test_most_likely_explanation_quirks(self, small_space, small_dataset):
-        rp = _render(Task.EXPLANATION, Variant.MOST_LIKELY, small_space, small_dataset)
+    def test_most_likely_explanation_quirks(self, small_space):
+        rp = _render(Task.EXPLANATION, Variant.MOST_LIKELY, small_space)
         assert "the third by f(2), and so on." in rp.test_query
         assert "output the number in the same representation" in rp.test_query
 
-    def test_verbalize_separator_and_placeholder(self, small_space, small_dataset):
-        rp = _render(Task.VERBALIZE_ALTERNATIVES, Variant.PLAIN,
-                     small_space, small_dataset)
+    def test_verbalize_separator_and_placeholder(self, small_space):
+        rp = _render(Task.VERBALIZE_ALTERNATIVES, Variant.PLAIN, small_space)
         assert "separated by escape character '\\n'" in rp.test_query
         assert rp.test_query.endswith("as determined by you, {model_name}.")
         for _, answer in rp.demonstrations:
@@ -171,22 +164,22 @@ class TestVerbatimInstructionLines:
 
 
 class TestDeterminismAndSampling:
-    def test_same_seed_same_prompt(self, small_space, small_dataset):
-        a = _render(Task.COMPLETION, Variant.PLAIN, small_space, small_dataset)
-        b = _render(Task.COMPLETION, Variant.PLAIN, small_space, small_dataset)
+    def test_same_seed_same_prompt(self, small_space):
+        a = _render(Task.COMPLETION, Variant.PLAIN, small_space)
+        b = _render(Task.COMPLETION, Variant.PLAIN, small_space)
         assert a == b
         assert a.full_text() == b.full_text()
 
-    def test_different_seed_different_demos(self, small_space, small_dataset):
+    def test_different_seed_different_demos(self, small_space):
         spec7 = PromptSpec(task=Task.COMPLETION, n_shots=4, rng_seed=7)
         spec8 = PromptSpec(task=Task.COMPLETION, n_shots=4, rng_seed=8)
-        a = build_prompt(spec7, TARGET, small_space, dataset=small_dataset)
-        b = build_prompt(spec8, TARGET, small_space, dataset=small_dataset)
+        a = build_prompt(spec7, TARGET, small_space)
+        b = build_prompt(spec8, TARGET, small_space)
         assert a.demonstrations != b.demonstrations
 
-    def test_zero_shots(self, small_space, small_dataset):
+    def test_zero_shots(self, small_space):
         spec = PromptSpec(task=Task.COMPLETION, n_shots=0)
-        rp = build_prompt(spec, TARGET, small_space, dataset=small_dataset)
+        rp = build_prompt(spec, TARGET, small_space)
         assert rp.demonstrations == ()
         assert rp.user_text() == rp.test_query
 
@@ -223,27 +216,26 @@ class TestDeterminismAndSampling:
         assert not any(f.kind in kinds for f in fns)
 
     def test_class_modes_through_build_prompt(self, full_space):
-        ds = mine(full_space, length=3)
         target = SequenceRecord((7, 11, 15))  # arithmetic + bit_or generators
         spec = PromptSpec(task=Task.EXPLANATION, n_shots=6, rng_seed=1,
                           shot_sampling=ShotSampling.EXCLUDE_CLASS)
-        rp = build_prompt(spec, target, full_space, dataset=ds)
+        rp = build_prompt(spec, target, full_space)
         for _, answer in rp.demonstrations:
             fn = parse(answer.removeprefix("Explanation: "))
             assert fn.kind not in (TemplateKind.ARITHMETIC, TemplateKind.BIT_OR)
 
-    def test_pool_exhaustion_raises(self, small_space, small_dataset):
+    def test_pool_exhaustion_raises(self, small_space):
         spec = PromptSpec(task=Task.COMPLETION, n_shots=50,
                           shot_sampling=ShotSampling.SAME_CLASS)
         with pytest.raises(PromptingError):
-            build_prompt(spec, TARGET, small_space, dataset=small_dataset)
+            build_prompt(spec, TARGET, small_space)
 
-    def test_class_mode_needs_known_generators(self, small_space, small_dataset):
+    def test_class_mode_needs_known_generators(self, small_space):
         spec = PromptSpec(task=Task.COMPLETION, n_shots=2,
                           shot_sampling=ShotSampling.SAME_CLASS)
         orphan = SequenceRecord((999, 998, 997))
         with pytest.raises(PromptingError):
-            build_prompt(spec, orphan, small_space, dataset=small_dataset)
+            build_prompt(spec, orphan, small_space)
 
 
 def _demo_sequence_values(query: str, base: int = 10) -> tuple[int, ...]:
@@ -351,14 +343,14 @@ class TestRenderAnswer:
 
 
 class TestJudgmentPrompt:
-    def test_requires_judged_pair(self, small_space, small_dataset):
+    def test_requires_judged_pair(self, small_space):
         spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
         with pytest.raises(PromptingError):
-            build_prompt(spec, TARGET, small_space, dataset=small_dataset)
+            build_prompt(spec, TARGET, small_space)
 
-    def test_test_query_carries_the_pair(self, small_space, small_dataset):
+    def test_test_query_carries_the_pair(self, small_space):
         spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
-        rp = build_prompt(spec, TARGET, small_space, dataset=small_dataset,
+        rp = build_prompt(spec, TARGET, small_space,
                           judged_explanation="lambda x: (1 * x) + 1",
                           judged_completion=5)
         assert "Explanation: lambda x: (1 * x) + 1" in rp.test_query
@@ -375,9 +367,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PromptSpec(task=Task.COMPLETION, base=16)
 
-    def test_target_rebased_to_spec_base(self, small_space, small_dataset):
+    def test_target_rebased_to_spec_base(self, small_space):
         spec = PromptSpec(task=Task.COMPLETION, base=2, n_shots=0)
-        rp = build_prompt(spec, SequenceRecord((2, 3, 4)), small_space,
-                          dataset=small_dataset)
+        rp = build_prompt(spec, SequenceRecord((2, 3, 4)), small_space)
         assert "0b10,0b11,0b100" in rp.test_query
         assert rp.target.base == 2

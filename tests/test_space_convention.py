@@ -1,11 +1,13 @@
-"""A function space carries its index convention, so no query against a space
-takes a second, possibly different, convention beside it."""
+"""A function space carries its index convention and its prefix index, so no
+query against a space takes a second, possibly different, convention or
+prefix lookup (a mined dataset) beside it."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
 import pkgutil
+import re
 
 import ambigseq
 
@@ -28,10 +30,11 @@ def _callables():
 
 
 def _takes(param: inspect.Parameter, name: str, type_name: str) -> bool:
-    return param.name == name or type_name in str(param.annotation)
+    return param.name == name or re.search(rf"\b{type_name}\b", str(param.annotation))
 
 
-def test_no_callable_takes_both_a_space_and_a_convention():
+def _takers_of_a_space_and(name: str, type_name: str) -> list[str]:
+    """Every callable taking a space and a ``name``/``type_name`` parameter."""
     both, walked = [], set()
     for qualname, fn in _callables():
         walked.add(qualname)
@@ -40,7 +43,7 @@ def test_no_callable_takes_both_a_space_and_a_convention():
         except (TypeError, ValueError):
             continue
         if any(_takes(p, "space", "FunctionSpace") for p in params) and any(
-            _takes(p, "convention", "IndexConvention") for p in params
+            _takes(p, name, type_name) for p in params
         ):
             both.append(qualname)
     assert {
@@ -48,5 +51,16 @@ def test_no_callable_takes_both_a_space_and_a_convention():
         "ambigseq.mining._matching_generators",
         "ambigseq.backends.OracleBackend.__init__",
         "ambigseq.prompting._build_demo",
+        "ambigseq.prompting.build_prompt",
+        "ambigseq.campaign._execute_query",
     } <= walked
-    assert both == []
+    return both
+
+
+def test_no_callable_takes_both_a_space_and_a_convention():
+    assert _takers_of_a_space_and("convention", "IndexConvention") == []
+
+
+def test_no_callable_takes_both_a_space_and_a_dataset():
+    # a target's generators come from the space's prefix index alone
+    assert _takers_of_a_space_and("dataset", "Dataset") == []
