@@ -11,8 +11,9 @@ The package splits into layers that can be used independently:
 - :mod:`ambigseq.backends` — model access: HTTP chat endpoints plus synthetic
   oracle/random backends for harness validation, with response caching.
 - :mod:`ambigseq.evaluation` — response parsing, correctness marking, and
-  the scoring primitives: the cross-context execution check, verbalization
-  precision/recall, and the random-answerer consistency baseline.
+  the scoring primitives: the cross-context execution check (the oracle
+  backend's judgment verdict), verbalization precision/recall, and the
+  random-answerer consistency baseline.
 - :mod:`ambigseq.distribution` — top-token logprob analysis: the
   alternative-consideration test and histogram/KL comparisons.
 - :mod:`ambigseq.campaign` / :mod:`ambigseq.cli` — batch orchestration over

@@ -28,7 +28,7 @@ import requests
 
 from .distribution import TokenDistribution
 from .evaluation import check_cross_context_consistency
-from .funcspace import FunctionSpace, ParseError, parse as parse_function
+from .funcspace import FunctionSpace
 from .mining import (
     SequenceRecord,
     format_int,
@@ -246,17 +246,13 @@ class OracleBackend:
         return CompletionResponse(text, self.backend_id, dist)
 
     def _judge(self, prompt: RenderedPrompt) -> str:
-        if prompt.judged_explanation is None or prompt.judged_completion is None:
+        if prompt.judged is None:
             return NO_VALID_ANSWER
-        try:
-            fn = parse_function(prompt.judged_explanation)
-        except ParseError:
-            consistent = False
-        else:
-            consistent = check_cross_context_consistency(
-                prompt.target, prompt.judged_completion, fn, self.space.convention
-            )
-        return render_answer(Task.CONSISTENCY_JUDGMENT, consistent, prompt.base)
+        fn, completion = prompt.judged
+        consistent = check_cross_context_consistency(
+            prompt.target, completion, fn, self.space.convention
+        )
+        return render_answer(Task.CONSISTENCY_JUDGMENT, consistent, prompt.target.base)
 
     def _adversarial_pair(self, seq: SequenceRecord):
         """(explanation generator, completion value) that disagree.

@@ -51,7 +51,7 @@ from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
 from .mining import AmbiguityRecord, Dataset, load_dataset
-from .prompting import PromptSpec, RenderedPrompt, Task, build_prompt
+from .prompting import JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
 
 RESULTS_FORMAT = "ambigseq.results"
 RESULTS_VERSION = 1
@@ -300,6 +300,9 @@ def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
             f"{path}: results schema version {header.get('version')!r} "
             f"unsupported (expected {RESULTS_VERSION})"
         )
+    missing = [k for k in ("config", "config_digest", "datasets") if k not in header]
+    if missing:
+        raise CampaignError(f"{path}: results header lacks {', '.join(missing)}")
     records = []
     for i, line in enumerate(raw_lines[1:], start=2):
         try:
@@ -310,8 +313,8 @@ def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
 
 
 def _index_results(path: Path, records: list[dict]) -> dict[tuple, dict]:
-    """The record lines by query key; a line without one, or two lines for
-    one query, are an error."""
+    """The record lines by query key; a line without one or without its
+    note, or two lines for one query, are an error."""
     by_key: dict[tuple, dict] = {}
     for i, record in enumerate(records, start=2):
         try:
@@ -321,6 +324,8 @@ def _index_results(path: Path, records: list[dict]) -> dict[tuple, dict]:
             raise CampaignError(
                 f"{path}:{i}: malformed record line (no query key: {exc!r})"
             ) from exc
+        if "note" not in record:
+            raise CampaignError(f"{path}:{i}: malformed record line (no note)")
         if seen:
             first = records.index(by_key[key]) + 2
             raise CampaignError(
@@ -419,7 +424,7 @@ def run_campaign(
     )
     # queries whose backend call is dispatched but whose line is not yet
     # committed, in plan order: (query, judged pair, answer)
-    pending: deque[tuple[PlannedQuery, tuple[str, int] | None, Callable]] = deque()
+    pending: deque[tuple[PlannedQuery, JudgedPair | None, Callable]] = deque()
     dispatch = _Dispatch(config.workers)
 
     def commit(fh: TextIO) -> None:
@@ -522,16 +527,16 @@ def _pair_keys(query: PlannedQuery) -> tuple[tuple, tuple]:
     )
 
 
-def _judged_pair(answered: dict, query: PlannedQuery) -> tuple[str, int] | None:
-    """The model's own (explanation text, completion) for this run+sequence,
-    if both parsed."""
+def _judged_pair(answered: dict, query: PlannedQuery) -> JudgedPair | None:
+    """The model's own (explanation function, completion value) for this
+    run+sequence, if both parsed; the run stage's only parse of the
+    explanation line."""
     compl, expl = (answered.get(key) for key in _pair_keys(query))
     if not (compl and expl and compl["valid"] and expl["valid"]):
         return None
     from .funcspace import parse
 
-    fn = parse(expl["parsed"]["value"])
-    return render_function(fn, query.record.sequence.base), compl["parsed"]["value"]
+    return parse(expl["parsed"]["value"]), compl["parsed"]["value"]
 
 
 def _execute_query(
@@ -542,7 +547,7 @@ def _execute_query(
     answered: dict,
     logprobs_available: bool,
     submit: Callable,
-) -> tuple[PlannedQuery, tuple[str, int] | None, Callable]:
+) -> tuple[PlannedQuery, JudgedPair | None, Callable]:
     """Build the query's prompt and hand its backend call to ``submit``.
 
     Returns the query's pending line: (query, judged pair, answer), where
@@ -566,13 +571,7 @@ def _execute_query(
         role_text=config.role_text,
         model_name=config.model_name,
     )
-    prompt = build_prompt(
-        spec,
-        query.record.sequence,
-        space,
-        judged_explanation=judged[0] if judged else None,
-        judged_completion=judged[1] if judged else None,
-    )
+    prompt = build_prompt(spec, query.record.sequence, space, judged)
     want_logprobs = (
         config.want_top_logprobs
         if (query.task is Task.COMPLETION and logprobs_available)
@@ -602,7 +601,7 @@ def _result_line(
     query: PlannedQuery,
     text: str,
     top: TokenDistribution | None,
-    judged: tuple[str, int] | None,
+    judged: JudgedPair | None,
     note: str | None,
 ) -> dict:
     """The one builder of a result line: the answer ``text`` parsed and
@@ -622,8 +621,9 @@ def _result_line(
         "ambiguous": record.is_ambiguous,
         "continuations": sorted(record.continuations),
         "top_logprobs": [[e.token, e.logprob] for e in top.entries] if top else None,
-        "judged": (
-            {"explanation": judged[0], "completion": judged[1]} if judged else None
-        ),
+        "judged": judged and {
+            "explanation": render_function(judged[0], record.sequence.base),
+            "completion": judged[1],
+        },
         "note": note,
     }

@@ -8,7 +8,6 @@ the config digest so mixed-up files are detectable.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 
@@ -120,22 +119,22 @@ def resolve_config(args: argparse.Namespace) -> CampaignConfig:
 # subcommands
 
 
-def _print_space_summary(space: FunctionSpace, out) -> None:
+def _space_summary_lines(space: FunctionSpace) -> list[str]:
     n = len(space)
     verdict = (
         "matches" if n == REFERENCE_FUNCTION_COUNT
         else f"DIVERGES from reference {REFERENCE_FUNCTION_COUNT}"
     )
-    print(f"function space: {n} valid functions ({verdict})", file=out)
+    lines = [f"function space: {n} valid functions ({verdict})"]
     if space.excluded:
-        print(
+        lines.append(
             "candidates excluded by the value-bound validity rule "
             f"(|f(x)| <= {space.max_value} error-free at x = "
-            f"{space.probe_indices[0]}..{space.probe_indices[-1]}):",
-            file=out,
+            f"{space.probe_indices[0]}..{space.probe_indices[-1]}):"
         )
         for candidate in space.excluded:
-            print(f"  - {candidate.function.text}: {candidate.reason}", file=out)
+            lines.append(f"  - {candidate.function.text}: {candidate.reason}")
+    return lines
 
 
 def _dataset_count_lines(length: int, counts) -> list[str]:
@@ -178,7 +177,8 @@ def _dataset_count_lines(length: int, counts) -> list[str]:
 def cmd_mine(config: CampaignConfig, out=None) -> int:
     out = out or sys.stdout
     space = config_space(config)
-    _print_space_summary(space, out)
+    for line in _space_summary_lines(space):
+        print(line, file=out)
     datasets = mine_datasets(config)
     for length in config.lengths:
         counts = datasets[length].counts(space)
@@ -243,9 +243,7 @@ def _report_text(config: CampaignConfig, analysis: dict) -> str:
 
     push("== function space ==")
     space = config_space(config)
-    buf = io.StringIO()
-    _print_space_summary(space, buf)
-    lines.extend(buf.getvalue().rstrip("\n").split("\n"))
+    lines.extend(_space_summary_lines(space))
     push("")
 
     push("== datasets ==")

@@ -1,12 +1,14 @@
 """Response parsing and per-answer scoring.
 
 Turns raw model text into typed, validated records, marks answers on
-unambiguous sequences correct or incorrect, and supplies the primitives the
-analysis scores result lines with: the execution check for cross-context
-consistency, verbalization precision/recall, the expected consistency of a
-random-but-valid answerer, and the key-wise mean of per-run figures.
-Aggregating result lines into per-run figures is :mod:`ambigseq.analysis`;
-a run's figures stay plain dicts from there to ``analysis.json``.
+unambiguous sequences correct or incorrect, and supplies scoring primitives:
+the execution check for cross-context consistency, which gives the oracle
+backend its judgment verdicts, and, for the analysis, verbalization
+precision/recall, the expected consistency of a random-but-valid answerer,
+and the key-wise mean of per-run figures. Aggregating result lines into
+per-run figures is :mod:`ambigseq.analysis`, which checks a line pair's
+consistency with :func:`ambigseq.mining.continuations_of` itself; a run's
+figures stay plain dicts from there to ``analysis.json``.
 
 This module reads answer text and never writes it: the answer formats, the
 verdict words among them, are :func:`ambigseq.prompting.render_answer`'s,

@@ -8,9 +8,11 @@ task's instruction lines; demonstration blocks additionally carry the answer.
 Rendering is deterministic: the same spec and target always produce the same
 text, byte for byte.
 
-:func:`render_answer` is the one writer of answer text, for the
-demonstrations here and for the synthetic backends; ``evaluation`` parses
-that text back.
+``_query_block`` is the one writer of query text, for demonstration and test
+blocks alike; a consistency judgment's pair arrives as values (a function
+and a completion) and is rendered there. :func:`render_answer` is the one
+writer of answer text, for the demonstrations here and for the synthetic
+backends; ``evaluation`` parses that text back.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .mining import (
     valid_continuations,
     valid_explanations,
 )
+
+
+#: A consistency judgment's pair under test: (explanation, completion value).
+JudgedPair = tuple[FunctionLike, int]
 
 
 class PromptingError(Exception):
@@ -220,15 +226,12 @@ class RenderedPrompt:
     """A fully rendered prompt, split into the parts chat backends need."""
 
     task: Task
-    variant: Variant
-    base: int
     system: str
     demonstrations: tuple[tuple[str, str], ...]
     test_query: str
     target: SequenceRecord
     rng_seed: int
-    judged_explanation: str | None = None
-    judged_completion: int | None = None
+    judged: JudgedPair | None = None
 
     def user_text(self) -> str:
         blocks = [f"{q}\n{a}" for q, a in self.demonstrations]
@@ -271,10 +274,6 @@ def sample_few_shot(
     return rng.sample(pool, k)
 
 
-def _sequence_block(seq: SequenceRecord, instruction: str) -> str:
-    return f"For the sequence: {seq.render()}\n{instruction}"
-
-
 def render_answer(
     task: Task, value: int | FunctionLike | bool | Sequence[int], base: int
 ) -> str:
@@ -294,24 +293,49 @@ def render_answer(
     raise PromptingError(f"unknown task: {task!r}")
 
 
-def _interpolate_model(text: str, model_name: str | None) -> str:
-    return text if model_name is None else text.replace("{model_name}", model_name)
+def _query_block(
+    spec: PromptSpec, seq: SequenceRecord, judged: JudgedPair | None, demo: bool
+) -> str:
+    """The query text of one block, demonstration or test: the sequence line,
+    a judgment's pair under test, then the task's instruction. The two kinds
+    of block differ only in the verbalization instruction."""
+    lines = [f"For the sequence: {seq.render()}"]
+    if spec.task is Task.COMPLETION:
+        lines.append(COMPLETION_INSTRUCTIONS[spec.variant])
+    elif spec.task is Task.EXPLANATION:
+        lines.append(EXPLANATION_INSTRUCTIONS[spec.variant])
+    elif spec.task is Task.CONSISTENCY_JUDGMENT:
+        if judged is None:
+            raise PromptingError(
+                "consistency judgments need a judged (function, completion) pair"
+            )
+        fn, completion = judged
+        lines.append(f"Explanation: {render_function(fn, seq.base)}")
+        lines.append(f"Continuation: {format_int(completion, seq.base)}")
+        lines.append(JUDGMENT_INSTRUCTION)
+    elif spec.task is Task.VERBALIZE_ALTERNATIVES:
+        instruction = VERBALIZE_DEMO_INSTRUCTION if demo else VERBALIZE_TEST_INSTRUCTION
+        if spec.model_name is not None:
+            instruction = instruction.replace("{model_name}", spec.model_name)
+        lines.append(instruction)
+    else:
+        raise PromptingError(f"unknown task: {spec.task!r}")
+    return "\n".join(lines)
 
 
 def build_prompt(
     spec: PromptSpec,
     target: SequenceRecord,
     space: FunctionSpace,
-    judged_explanation: str | None = None,
-    judged_completion: int | None = None,
+    judged: JudgedPair | None = None,
 ) -> RenderedPrompt:
     """Render the prompt for one target sequence.
 
     Class-based shot sampling reads the target's template classes from the
     functions that generate it, :func:`valid_explanations` over the space's
     prefix index (the index :func:`mining.mine` builds its records from).
-    Consistency judgments additionally need the explanation text and
-    completion value under test.
+    Consistency judgments additionally need ``judged``, the (explanation
+    function, completion value) pair under test.
     """
     if target.base != spec.base:
         target = target.rebase(spec.base)
@@ -334,20 +358,14 @@ def build_prompt(
             _build_demo(spec, fn, target.length, space, rng, flip=i % 2 == 1)
         )
 
-    test_query = _build_test_query(
-        spec, target, judged_explanation, judged_completion
-    )
     return RenderedPrompt(
         task=spec.task,
-        variant=spec.variant,
-        base=spec.base,
         system=system,
         demonstrations=tuple(demos),
-        test_query=test_query,
+        test_query=_query_block(spec, target, judged, demo=False),
         target=target,
         rng_seed=spec.rng_seed,
-        judged_explanation=judged_explanation,
-        judged_completion=judged_completion,
+        judged=judged,
     )
 
 
@@ -370,11 +388,10 @@ def _build_demo(
         raise PromptingError(f"could not generate a demonstration from {fn.text}")
     seq = SequenceRecord(tuple(values), spec.base)
 
+    judged = None
     if spec.task is Task.COMPLETION:
-        query = _sequence_block(seq, COMPLETION_INSTRUCTIONS[spec.variant])
         answer = continuation
     elif spec.task is Task.EXPLANATION:
-        query = _sequence_block(seq, EXPLANATION_INSTRUCTIONS[spec.variant])
         answer = fn
     elif spec.task is Task.CONSISTENCY_JUDGMENT:
         # alternate consistent and inconsistent examples
@@ -384,43 +401,11 @@ def _build_demo(
             own = {row[-1] for row in rows if row[:-1] == seq.values}
             while shown in own:
                 shown += 1
-        query = _judgment_block(seq, render_function(fn, spec.base), shown)
+        judged = (fn, shown)
         answer = not flip
     elif spec.task is Task.VERBALIZE_ALTERNATIVES:
-        instruction = _interpolate_model(VERBALIZE_DEMO_INSTRUCTION, spec.model_name)
-        query = _sequence_block(seq, instruction)
         answer = sorted(valid_continuations(seq.values, space))
     else:
         raise PromptingError(f"unknown task: {spec.task!r}")
+    query = _query_block(spec, seq, judged, demo=True)
     return query, render_answer(spec.task, answer, spec.base)
-
-
-def _judgment_block(seq: SequenceRecord, explanation: str, continuation: int) -> str:
-    return (
-        f"For the sequence: {seq.render()}\n"
-        f"Explanation: {explanation}\n"
-        f"Continuation: {format_int(continuation, seq.base)}\n"
-        f"{JUDGMENT_INSTRUCTION}"
-    )
-
-
-def _build_test_query(
-    spec: PromptSpec,
-    target: SequenceRecord,
-    judged_explanation: str | None,
-    judged_completion: int | None,
-) -> str:
-    if spec.task is Task.COMPLETION:
-        return _sequence_block(target, COMPLETION_INSTRUCTIONS[spec.variant])
-    if spec.task is Task.EXPLANATION:
-        return _sequence_block(target, EXPLANATION_INSTRUCTIONS[spec.variant])
-    if spec.task is Task.CONSISTENCY_JUDGMENT:
-        if judged_explanation is None or judged_completion is None:
-            raise PromptingError(
-                "consistency judgments need judged_explanation and judged_completion"
-            )
-        return _judgment_block(target, judged_explanation, judged_completion)
-    if spec.task is Task.VERBALIZE_ALTERNATIVES:
-        instruction = _interpolate_model(VERBALIZE_TEST_INSTRUCTION, spec.model_name)
-        return _sequence_block(target, instruction)
-    raise PromptingError(f"unknown task: {spec.task!r}")

@@ -451,7 +451,7 @@ def test_09_prompt_golden_files(report):
          "prompt_verbalize_alternatives_plain.txt", {}),
         (Task.CONSISTENCY_JUDGMENT, Variant.PLAIN, 10,
          "prompt_consistency_judgment_plain.txt",
-         dict(judged_explanation="lambda x: (1 * x) + 1", judged_completion=5)),
+         dict(judged=(parse("lambda x: (1 * x) + 1"), 5))),
         (Task.COMPLETION, Variant.PLAIN, 2,
          "prompt_completion_plain_base2.txt", {}),
     ]

@@ -249,6 +249,18 @@ class TestAnalysisDeterminism:
         ):
             analyze_results(results_file, mc_samples=100)
 
+    @pytest.mark.parametrize("key", ["config", "config_digest", "datasets"])
+    def test_header_without_a_campaign_key_is_an_error(self, tmp_path, mined_l3, key):
+        _, results_file = campaign_results(tmp_path, mined_l3)
+        header, *rest = results_file.read_text().splitlines()
+        stripped = json.loads(header)
+        del stripped[key]
+        results_file.write_text("\n".join([json.dumps(stripped), *rest]) + "\n")
+        with pytest.raises(
+            CampaignError, match=rf"results\.jsonl: results header lacks {key}$"
+        ):
+            analyze_results(results_file, mc_samples=100)
+
     def test_missing_dataset_file_is_an_error(self, tmp_path, mined_l3):
         _, results_file = campaign_results(tmp_path, mined_l3)
         (results_file.parent / dataset_filename(3)).unlink()

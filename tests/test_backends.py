@@ -55,8 +55,7 @@ def make_request(space, task=Task.COMPLETION, target=AMBIG, want_logprobs=0, **s
     spec = PromptSpec(task=task, n_shots=0, **spec_kw)
     extra = {}
     if task is Task.CONSISTENCY_JUDGMENT:
-        extra = dict(judged_explanation="lambda x: (4 * x) + 3",
-                     judged_completion=19)
+        extra = dict(judged=(parse("lambda x: (4 * x) + 3"), 19))
     prompt = build_prompt(spec, target, space, **extra)
     return CompletionRequest(prompt, want_top_logprobs=want_logprobs)
 
@@ -178,16 +177,7 @@ class TestOracleBackend:
 
         spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
         prompt = build_prompt(spec, AMBIG, space,
-                              judged_explanation="lambda x: (4 * x) + 3",
-                              judged_completion=15)
-        assert backend.complete(CompletionRequest(prompt)).text == "inconsistent"
-
-    def test_judgment_on_unparseable_explanation(self, space):
-        backend = OracleBackend(space)
-        spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
-        prompt = build_prompt(spec, AMBIG, space,
-                              judged_explanation="not a function",
-                              judged_completion=19)
+                              judged=(parse("lambda x: (4 * x) + 3"), 15))
         assert backend.complete(CompletionRequest(prompt)).text == "inconsistent"
 
     @pytest.mark.parametrize("completion", [15, 19, 23])
@@ -201,8 +191,7 @@ class TestOracleBackend:
         backend = OracleBackend(space)
         spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
         prompt = build_prompt(spec, AMBIG, space,
-                              judged_explanation=explanation,
-                              judged_completion=completion)
+                              judged=(parse(explanation), completion))
         verdict = parse_judgment_response(backend.complete(CompletionRequest(prompt)).text)
         assert verdict == check_cross_context_consistency(
             AMBIG, completion, parse(explanation), space.convention)

@@ -234,6 +234,34 @@ class TestReadResults:
             with pytest.raises(CampaignError, match=":4: malformed record line"):
                 run_campaign(config)
 
+    @pytest.mark.parametrize("key", ["config", "config_digest", "datasets"])
+    def test_header_without_a_campaign_key_raises(self, tmp_path, mined_l3, key):
+        config, outcome = self.run_small(tmp_path, mined_l3)
+        path = outcome.results_file
+        header, *rest = path.read_text().splitlines()
+        stripped = json.loads(header)
+        del stripped[key]
+        path.write_text("\n".join([json.dumps(stripped), *rest]) + "\n")
+        for read in (read_results, lambda _: run_campaign(config)):
+            with pytest.raises(
+                CampaignError, match=rf"results\.jsonl: results header lacks {key}$"
+            ):
+                read(path)
+
+    def test_line_without_note_is_refused_on_resume(self, tmp_path, mined_l3):
+        # every line is written with its note; a resume that wants top
+        # logprobs reads it to tell whether capture was already dropped
+        config, outcome = self.run_small(tmp_path, mined_l3)
+        assert config.want_top_logprobs > 0
+        path = outcome.results_file
+        lines = path.read_text().splitlines()
+        no_note = json.loads(lines[3])
+        del no_note["note"]
+        lines[3] = json.dumps(no_note)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(CampaignError, match=r":4: malformed record line \(no note\)"):
+            run_campaign(config)
+
     def test_duplicated_line_raises(self, tmp_path, mined_l3):
         _, outcome = self.run_small(tmp_path, mined_l3)
         path = outcome.results_file

@@ -38,7 +38,6 @@ from ambigseq.funcspace import (
     TemplateKind,
     enumerate_space,
     instantiate,
-    render_function,
 )
 from ambigseq.mining import (
     AmbiguityRecord,
@@ -395,8 +394,7 @@ def judge(backend, space, completion, explanation):
         PromptSpec(task=Task.CONSISTENCY_JUDGMENT),
         AMBIG,
         space,
-        judged_explanation=render_function(explanation, AMBIG.base),
-        judged_completion=completion,
+        judged=(explanation, completion),
     )
     return parse_judgment_response(backend.complete(CompletionRequest(prompt)).text)
 

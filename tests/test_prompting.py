@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ambigseq import prompting
 from ambigseq.evaluation import parse_response
-from ambigseq.funcspace import TemplateKind, enumerate_space, parse
+from ambigseq.funcspace import ParsedFunction, TemplateKind, enumerate_space, parse
 from ambigseq.mining import SequenceRecord, valid_continuations
 from ambigseq.prompting import (
     DEFAULT_N_SHOTS,
@@ -25,6 +25,7 @@ from ambigseq.prompting import (
     render_answer,
     sample_few_shot,
 )
+from test_funcspace import general_exprs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,7 +109,7 @@ GOLDEN_CASES = [
         Task.CONSISTENCY_JUDGMENT,
         Variant.PLAIN,
         "prompt_consistency_judgment_plain.txt",
-        dict(judged_explanation="lambda x: (1 * x) + 1", judged_completion=5),
+        dict(judged=(parse("lambda x: (1 * x) + 1"), 5)),
     ),
 ]
 
@@ -272,8 +273,7 @@ class TestDemonstrationSoundness:
 
         spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=6, rng_seed=11)
         rp = build_prompt(spec, TARGET, full_space,
-                          judged_explanation="lambda x: (1 * x) + 1",
-                          judged_completion=5)
+                          judged=(parse("lambda x: (1 * x) + 1"), 5))
         labels = set()
         for query, answer in rp.demonstrations:
             lines = query.splitlines()
@@ -350,12 +350,31 @@ class TestJudgmentPrompt:
 
     def test_test_query_carries_the_pair(self, small_space):
         spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
-        rp = build_prompt(spec, TARGET, small_space,
-                          judged_explanation="lambda x: (1 * x) + 1",
-                          judged_completion=5)
+        judged = (parse("lambda x: (1 * x) + 1"), 5)
+        rp = build_prompt(spec, TARGET, small_space, judged=judged)
         assert "Explanation: lambda x: (1 * x) + 1" in rp.test_query
         assert "Continuation: 5" in rp.test_query
-        assert rp.judged_completion == 5
+        assert rp.judged == judged
+
+    @given(data=st.data(), base=st.sampled_from([10, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_shown_pair_denotes_the_judged_pair(self, full_space, data, base):
+        fn = data.draw(
+            st.one_of(
+                st.sampled_from(full_space.functions),
+                general_exprs().map(ParsedFunction),
+            )
+        )
+        completion = data.draw(st.integers(min_value=0))
+        spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, base=base, n_shots=0)
+        rp = build_prompt(spec, TARGET, full_space, judged=(fn, completion))
+        _, explanation, continuation, *_ = rp.test_query.splitlines()
+        # shown as the explanation answer itself would be written
+        assert explanation == render_answer(Task.EXPLANATION, fn, base)
+        # a rendered expression may read back as the template it spells
+        assert parse_response(Task.EXPLANATION, explanation, base).ast == fn.ast
+        shown = continuation.removeprefix("Continuation: ")
+        assert parse_response(Task.COMPLETION, shown, base) == completion
 
 
 class TestSpecValidation:
