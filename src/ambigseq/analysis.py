@@ -36,6 +36,9 @@ from .prompting import Task
 
 ANALYSIS_FILENAME = "analysis.json"
 METRICS_FILENAME = "metrics.tsv"
+#: The top-level keys of the document :func:`analyze_results` builds.
+_ANALYSIS_KEYS = ("config_digest", "backend", "n_records", "per_length",
+                  "reference_random_consistency", "reference_kl_bits")
 
 #: Published reference points for the random-consistency baseline: mean
 #: explanation/completion accuracy (percent) reported per model alongside the
@@ -412,4 +415,16 @@ def write_analysis(
 
 
 def load_analysis(path: str | Path) -> dict[str, Any]:
-    return json.loads(Path(path).read_text())
+    """A stored analysis document; a :class:`CampaignError` naming the file
+    unless it is a JSON object with every key :func:`analyze_results` writes."""
+    path = Path(path)
+    try:
+        analysis = json.loads(path.read_text())
+    except ValueError as exc:
+        raise CampaignError(f"{path}: unreadable analysis file ({exc})") from exc
+    if not isinstance(analysis, dict):
+        raise CampaignError(f"{path}: not an analysis document (not an object)")
+    missing = [key for key in _ANALYSIS_KEYS if key not in analysis]
+    if missing:
+        raise CampaignError(f"{path}: analysis document lacks {', '.join(missing)}")
+    return analysis

@@ -10,6 +10,11 @@ The oracle and random-valid backends pick answer values (a continuation, a
 function, a verdict, a list of alternatives) and write none of the text:
 :func:`ambigseq.prompting.render_answer` does, as it does for the few-shot
 demonstrations, so both carry the format the parsers read.
+
+An answer is a text plus the first token's top logprobs: a
+:class:`CompletionResponse` in memory, and in a cache entry or a scripted
+fixture the JSON object that :func:`_response_to_json` writes and
+:func:`_response_from_json` reads and checks.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping, Protocol
 
 import requests
 
@@ -31,6 +36,7 @@ from .evaluation import check_cross_context_consistency
 from .funcspace import FunctionSpace
 from .mining import (
     SequenceRecord,
+    canonical_json,
     format_int,
     matching_generators,
     valid_continuations,
@@ -62,11 +68,15 @@ class LogprobsUnsupportedError(BackendError):
     """Top logprobs were requested but the backend cannot supply them."""
 
 
+#: Decoding parameters of every request: sent to HTTP endpoints and hashed
+#: into every cache key.
+TEMPERATURE = 0.0
+MAX_TOKENS = 64
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: RenderedPrompt
-    temperature: float = 0.0
-    max_tokens: int = 64
     want_top_logprobs: int = 0
 
     def __post_init__(self) -> None:
@@ -74,14 +84,11 @@ class CompletionRequest:
             raise ValueError(
                 f"want_top_logprobs must be 0..5, got {self.want_top_logprobs}"
             )
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
-    backend_id: str
     first_token_top_logprobs: TokenDistribution | None = None
     cached: bool = False
 
@@ -97,68 +104,70 @@ def request_digest(request: CompletionRequest, backend_id: str) -> str:
     payload = {
         "backend": backend_id,
         "prompt": request.prompt.full_text(),
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
+        "temperature": TEMPERATURE,
+        "max_tokens": MAX_TOKENS,
         "want_top_logprobs": request.want_top_logprobs,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # Scripted playback
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScriptedResponse:
-    text: str
-    top_logprobs: tuple[tuple[str, float], ...] | None = None
-
-
 class ScriptedBackend:
     """Plays back canned responses, keyed by test query or full prompt text.
 
-    Lookup order: exact full text, exact test query, first fixture whose key
-    is a substring of the full text, then the default. Useful for replaying
-    recorded transcripts and for failure-mode fixtures in tests.
+    Answers are read by :func:`_response_from_json`, once, here; a string
+    ``s`` stands for ``{"text": s}``. Lookup order: exact full text, exact
+    test query, first fixture whose key is a substring of the full text, then
+    the default. Useful for replaying recorded transcripts and for
+    failure-mode fixtures in tests.
     """
 
     def __init__(
         self,
-        fixtures: Mapping[str, str | ScriptedResponse],
-        default: str | ScriptedResponse | None = None,
+        fixtures: Mapping[str, Any],
+        default: Any = None,
         backend_id: str = "scripted",
     ):
-        self.fixtures = dict(fixtures)
-        self.default = default
+        self.fixtures = {key: _scripted_answer(raw) for key, raw in fixtures.items()}
+        self.default = None if default is None else _scripted_answer(default)
         self.backend_id = backend_id
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         full = request.prompt.full_text()
-        fixture = self.fixtures.get(full)
-        if fixture is None:
-            fixture = self.fixtures.get(request.prompt.test_query)
-        if fixture is None:
-            for key, value in self.fixtures.items():
-                if key in full:
-                    fixture = value
-                    break
-        if fixture is None:
-            fixture = self.default
-        if fixture is None:
+        response = (
+            self.fixtures.get(full)
+            or self.fixtures.get(request.prompt.test_query)
+            or next((v for k, v in self.fixtures.items() if k in full), self.default)
+        )
+        if response is None:
             raise BackendError(
                 f"no fixture for prompt starting {request.prompt.test_query[:60]!r}"
             )
-        if isinstance(fixture, str):
-            fixture = ScriptedResponse(fixture)
-        dist = None
-        if fixture.top_logprobs is not None:
-            dist = TokenDistribution.from_pairs(fixture.top_logprobs)
-        elif request.want_top_logprobs:
+        if response.first_token_top_logprobs is None and request.want_top_logprobs:
             raise LogprobsUnsupportedError(
                 "fixture has no top_logprobs but the request wants them"
             )
-        return CompletionResponse(fixture.text, self.backend_id, dist)
+        return response
+
+
+def _scripted_answer(raw: Any) -> CompletionResponse:
+    return _response_from_json({"text": raw} if isinstance(raw, str) else raw)
+
+
+def load_scripted_fixtures(path: str | Path) -> ScriptedBackend:
+    """A playback backend from a JSON file ``{"fixtures": {key: answer},
+    "default": answer | null}`` (``default`` optional); any other shape, or a
+    malformed answer, is a ``ValueError`` naming the file."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if not (isinstance(data, dict) and isinstance(data.get("fixtures"), dict)):
+            raise ValueError('not {"fixtures": {key: answer}, "default": answer}')
+        return ScriptedBackend(data["fixtures"], data.get("default"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad scripted fixtures file ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +252,7 @@ class OracleBackend:
         dist = None
         if request.want_top_logprobs:
             dist = self._synthetic_logprobs(seq, request.want_top_logprobs)
-        return CompletionResponse(text, self.backend_id, dist)
+        return CompletionResponse(text, dist)
 
     def _judge(self, prompt: RenderedPrompt) -> str:
         if prompt.judged is None:
@@ -305,7 +314,7 @@ class OracleBackend:
 # ---------------------------------------------------------------------------
 
 def _derive_seed(*parts: object) -> int:
-    blob = json.dumps([str(p) for p in parts], separators=(",", ":"))
+    blob = canonical_json([str(p) for p in parts])
     return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big")
 
 
@@ -357,7 +366,7 @@ class RandomValidBackend:
             )
         per_request = _derive_seed(self.seed, prompt.rng_seed)
         text = random_valid_answer(prompt.target, prompt.task, self.space, per_request)
-        return CompletionResponse(text, self.backend_id)
+        return CompletionResponse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +380,8 @@ def build_chat_payload(request: CompletionRequest, model: str) -> dict:
             {"role": "system", "content": request.prompt.system},
             {"role": "user", "content": request.prompt.user_text()},
         ],
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
+        "temperature": TEMPERATURE,
+        "max_tokens": MAX_TOKENS,
     }
     if request.want_top_logprobs:
         payload["logprobs"] = True
@@ -482,7 +491,7 @@ class HttpBackend:
             if status != 200:
                 raise BackendError(f"unexpected status {status}: {body}")
             text, dist = parse_chat_response(body, request.want_top_logprobs)
-            return CompletionResponse(text, self.backend_id, dist)
+            return CompletionResponse(text, dist)
         raise TransportError(
             f"gave up after {self.max_retries + 1} attempts: {last_error}"
         )
@@ -507,12 +516,8 @@ class CachingBackend:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.backend_id = inner.backend_id
 
-    def _path(self, digest: str) -> Path:
-        return self.cache_dir / f"{digest}.json"
-
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        digest = request_digest(request, self.inner.backend_id)
-        path = self._path(digest)
+        path = self.cache_dir / f"{request_digest(request, self.inner.backend_id)}.json"
         if path.exists():
             try:
                 stored = json.loads(path.read_text())
@@ -520,7 +525,7 @@ class CachingBackend:
             except ValueError:
                 pass  # corrupt entry: fall through and refresh it
         response = self.inner.complete(request)
-        blob = json.dumps(_response_to_json(response), sort_keys=True)
+        blob = canonical_json(_response_to_json(response))
         # unique tmp name per writer so concurrent completions of the same
         # request don't clobber each other's half-written entry
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex}")
@@ -530,27 +535,16 @@ class CachingBackend:
 
 
 def _response_to_json(response: CompletionResponse) -> dict:
-    dist = None
-    if response.first_token_top_logprobs is not None:
-        dist = [
-            [e.token, e.logprob] for e in response.first_token_top_logprobs.entries
-        ]
-    return {
-        "text": response.text,
-        "backend_id": response.backend_id,
-        "top_logprobs": dist,
-    }
+    dist = response.first_token_top_logprobs
+    return {"text": response.text, "top_logprobs": dist.to_pairs() if dist else None}
 
 
 def _response_from_json(data: object, cached: bool = False) -> CompletionResponse:
-    """The response a cache entry holds; ``ValueError`` unless the entry has
-    the shape :func:`_response_to_json` writes."""
-    if not (
-        isinstance(data, dict)
-        and isinstance(data.get("text"), str)
-        and isinstance(data.get("backend_id"), str)
-    ):
-        raise ValueError("cache entry is not a response object")
+    """The response an answer object ``{"text": str, "top_logprobs": [[token,
+    logprob], ...] | null}`` holds, other keys ignored; ``ValueError`` unless
+    it has that shape and the logprobs form a :class:`TokenDistribution`."""
+    if not (isinstance(data, dict) and isinstance(data.get("text"), str)):
+        raise ValueError("answer is not an object with a text string")
     pairs = data.get("top_logprobs")
     dist = None
     if pairs is not None:
@@ -559,8 +553,9 @@ def _response_from_json(data: object, cached: bool = False) -> CompletionRespons
             and len(p) == 2
             and isinstance(p[0], str)
             and isinstance(p[1], (int, float))
+            and math.isfinite(p[1])
             for p in pairs
         ):
-            raise ValueError("cache entry holds malformed top_logprobs")
+            raise ValueError("top_logprobs is not a list of [token, logprob] pairs")
         dist = TokenDistribution.from_pairs(pairs)
-    return CompletionResponse(data["text"], data["backend_id"], dist, cached=cached)
+    return CompletionResponse(data["text"], dist, cached=cached)

@@ -43,8 +43,7 @@ from .backends import (
     LogprobsUnsupportedError,
     OracleBackend,
     RandomValidBackend,
-    ScriptedBackend,
-    ScriptedResponse,
+    load_scripted_fixtures,
 )
 from .config import CampaignConfig, canonical_json
 from .distribution import TokenDistribution
@@ -75,31 +74,6 @@ def results_path(output_dir: str | Path) -> Path:
 
 # ---------------------------------------------------------------------------
 # backend construction
-
-
-def load_scripted_fixtures(path: str | Path) -> ScriptedBackend:
-    """Build a playback backend from a JSON fixtures file.
-
-    Format: {"fixtures": {key: answer}, "default": answer | null} where an
-    answer is either a plain string or {"text": ..., "top_logprobs":
-    [[token, logprob], ...]}.
-    """
-    data = json.loads(Path(path).read_text())
-
-    def to_answer(raw):
-        if isinstance(raw, str):
-            return raw
-        pairs = raw.get("top_logprobs")
-        return ScriptedResponse(
-            raw["text"],
-            tuple((t, lp) for t, lp in pairs) if pairs is not None else None,
-        )
-
-    fixtures = {k: to_answer(v) for k, v in data.get("fixtures", {}).items()}
-    default = data.get("default")
-    return ScriptedBackend(
-        fixtures, to_answer(default) if default is not None else None
-    )
 
 
 def make_backend(config: CampaignConfig, space: FunctionSpace) -> Backend:
@@ -620,7 +594,7 @@ def _result_line(
         "length": query.length,
         "ambiguous": record.is_ambiguous,
         "continuations": sorted(record.continuations),
-        "top_logprobs": [[e.token, e.logprob] for e in top.entries] if top else None,
+        "top_logprobs": top.to_pairs() if top else None,
         "judged": judged and {
             "explanation": render_function(judged[0], record.sequence.base),
             "completion": judged[1],

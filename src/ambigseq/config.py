@@ -14,9 +14,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
+from .mining import canonical_json
 from .prompting import ShotSampling, Task, Variant
-
-CONFIG_VERSION = 1
 
 DEFAULT_TASKS = (
     Task.COMPLETION.value,
@@ -233,7 +232,3 @@ class CampaignConfig:
         # verbalizations consume same-run completion/explanation answers
         ordered = [t for t in DEFAULT_TASKS if t in self.tasks]
         return tuple(Task(t) for t in ordered)
-
-
-def canonical_json(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))

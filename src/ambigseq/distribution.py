@@ -55,6 +55,10 @@ class TokenDistribution:
     def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "TokenDistribution":
         return cls(tuple(TokenLogprob(t, lp) for t, lp in pairs))
 
+    def to_pairs(self) -> list[list]:
+        """The entries as JSON ``[[token, logprob], ...]``."""
+        return [[e.token, e.logprob] for e in self.entries]
+
 
 # ---------------------------------------------------------------------------
 # Numeral interpretation of tokens

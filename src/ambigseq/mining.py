@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from . import funcspace  # evaluate is looked up per call, so a rebinding of it sees them
 from .funcspace import (
@@ -26,6 +26,7 @@ from .funcspace import (
     FunctionLike,
     FunctionSpace,
     IndexConvention,
+    ParseError,
     parse,
 )
 
@@ -322,8 +323,9 @@ def continuations_of(
 # Serialization (line-oriented JSON; header first, then one record per line)
 # ---------------------------------------------------------------------------
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def canonical_json(data: Any) -> str:
+    """The one JSON writer of artifacts and digests: sorted keys, no spaces."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def save_dataset(
@@ -348,10 +350,10 @@ def save_dataset(
         if overlap:
             raise ValueError(f"extra_header may not override {sorted(overlap)}")
         header.update(extra_header)
-    lines = [_dump(header)]
+    lines = [canonical_json(header)]
     for record in sorted(dataset.records(), key=lambda r: r.sequence.values):
         lines.append(
-            _dump(
+            canonical_json(
                 {
                     "values": list(record.sequence.values),
                     "base": record.sequence.base,
@@ -371,37 +373,48 @@ def save_dataset(
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """The dataset :func:`save_dataset` wrote to ``path``. A file of any other
+    shape is a ``ValueError`` naming it, and ``path:N`` for a record line."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
-    if header.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: not a dataset file (format={header.get('format')!r})")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: unreadable header line ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+        raise ValueError(f"{path}: not a dataset file (header {lines[0][:80]!r})")
     if header.get("version") != DATASET_VERSION:
         raise ValueError(f"{path}: unsupported dataset version {header.get('version')!r}")
-    hp = header["parameters"]
-    params = DatasetParameters(
-        constant_range=tuple(hp["constant_range"]),
-        sequence_length=hp["sequence_length"],
-        start_index=hp["start_index"],
-        max_offset=hp["max_offset"],
-        base=hp["base"],
-        max_function_value=hp["max_function_value"],
-    )
+    try:
+        hp = header["parameters"]
+        params = DatasetParameters(
+            constant_range=tuple(hp["constant_range"]),
+            sequence_length=hp["sequence_length"],
+            start_index=hp["start_index"],
+            max_offset=hp["max_offset"],
+            base=hp["base"],
+            max_function_value=hp["max_function_value"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed dataset header ({exc!r})") from exc
     ambiguous: list[AmbiguityRecord] = []
     unambiguous: list[AmbiguityRecord] = []
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        raw = json.loads(line)
-        gens = tuple(
-            Generator(_as_concrete(g["function"]), g["offset"], g["continuation"])
-            for g in raw["generators"]
-        )
-        record = AmbiguityRecord(SequenceRecord(tuple(raw["values"]), raw["base"]), gens)
-        if record.is_ambiguous != raw["ambiguous"]:
-            raise ValueError(f"{path}: ambiguity flag mismatch for {raw['values']}")
+        try:
+            raw = json.loads(line)
+            gens = tuple(
+                Generator(_as_concrete(g["function"]), g["offset"], g["continuation"])
+                for g in raw["generators"]
+            )
+            record = AmbiguityRecord(SequenceRecord(tuple(raw["values"]), raw["base"]), gens)
+            if record.is_ambiguous != raw["ambiguous"]:
+                raise ValueError(f"ambiguity flag mismatch for {raw['values']}")
+        except (KeyError, TypeError, ValueError, ParseError) as exc:
+            raise ValueError(f"{path}:{n}: malformed record line ({exc!r})") from exc
         (ambiguous if record.is_ambiguous else unambiguous).append(record)
     return Dataset(tuple(ambiguous), tuple(unambiguous), params)
 

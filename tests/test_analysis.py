@@ -1,6 +1,7 @@
 """Analysis of results files: metrics, baselines, quadrants, file output."""
 
 import json
+import re
 import shutil
 
 import pytest
@@ -316,3 +317,24 @@ class TestFileOutput:
         assert analysis_path.name == "analysis.json"
         assert table_path.name == "metrics.tsv"
         assert load_analysis(analysis_path) == json.loads(canonical_json(doc))
+
+    @pytest.mark.parametrize(
+        "text, why",
+        [("{not json", "unreadable analysis file"), ("[1]", "not an analysis document")],
+        ids=["not_json", "not_an_object"],
+    )
+    def test_load_refuses_a_file_that_is_no_analysis(self, tmp_path, text, why):
+        path = tmp_path / "analysis.json"
+        path.write_text(text)
+        with pytest.raises(CampaignError, match=re.escape(f"{path}: {why}")):
+            load_analysis(path)
+
+    def test_load_refuses_a_document_without_a_key_analyze_writes(
+        self, tmp_path, analysis
+    ):
+        _, doc = analysis
+        path = tmp_path / "analysis.json"
+        for key in doc:
+            path.write_text(canonical_json({k: v for k, v in doc.items() if k != key}))
+            with pytest.raises(CampaignError, match=re.escape(f"{path}: ") + f".*{key}"):
+                load_analysis(path)

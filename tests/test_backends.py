@@ -9,6 +9,8 @@ from collections import Counter
 
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ambigseq.backends import (
     AuthenticationError,
@@ -23,8 +25,9 @@ from ambigseq.backends import (
     OracleBackend,
     RandomValidBackend,
     ScriptedBackend,
-    ScriptedResponse,
     TransportError,
+    _response_from_json,
+    _response_to_json,
     build_chat_payload,
     oracle_answer,
     parse_chat_response,
@@ -32,6 +35,8 @@ from ambigseq.backends import (
     request_digest,
 )
 from ambigseq import funcspace
+from ambigseq.config import canonical_json
+from ambigseq.distribution import TokenDistribution
 from ambigseq.evaluation import check_cross_context_consistency, parse_judgment_response
 from ambigseq.funcspace import enumerate_space, parse
 from ambigseq.mining import SequenceRecord, mine
@@ -88,7 +93,7 @@ class TestScriptedBackend:
     def test_fixture_with_logprobs(self, space):
         req = make_request(space, want_logprobs=2)
         backend = ScriptedBackend(
-            {"7,11,15": ScriptedResponse("19", (("19", -0.5), ("15", -1.0)))}
+            {"7,11,15": {"text": "19", "top_logprobs": [["19", -0.5], ["15", -1.0]]}}
         )
         resp = backend.complete(req)
         assert resp.first_token_top_logprobs.top.token == "19"
@@ -445,7 +450,7 @@ class TestCachingBackend:
 
     def test_digest_depends_on_decoding_params(self, space):
         req1 = make_request(space)
-        req2 = CompletionRequest(req1.prompt, temperature=0.7)
+        req2 = CompletionRequest(req1.prompt, want_top_logprobs=3)
         assert request_digest(req1, "b") != request_digest(req2, "b")
         assert request_digest(req1, "b") != request_digest(req1, "other")
 
@@ -489,9 +494,30 @@ class TestCachingBackend:
         resp = backend.complete(req)
         assert calls == [req]
         assert resp.text == "15" and not resp.cached
-        assert json.loads(path.read_text()) == {
-            "text": "15", "backend_id": "scripted", "top_logprobs": None
-        }
+        assert json.loads(path.read_text()) == {"text": "15", "top_logprobs": None}
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"text": "19", "top_logprobs": [["19", -0.5], ["15", -1]]},
+            {"text": "19", "backend_id": "scripted", "top_logprobs": [["19", -0.5], ["15", -1]]},
+        ],
+        ids=["without_backend_id", "with_backend_id"],
+    )
+    def test_answer_entry_is_a_hit(self, space, tmp_path, entry):
+        # entries written before the cache stopped storing backend_id hit too
+        inner = ScriptedBackend({}, default="15")
+        backend = CachingBackend(inner, tmp_path)
+        req = make_request(space, want_logprobs=2)
+        digest = request_digest(req, inner.backend_id)
+        (tmp_path / f"{digest}.json").write_text(json.dumps(entry))
+        calls = []
+        inner.complete = calls.append
+        resp = backend.complete(req)
+        assert calls == []
+        assert resp == CompletionResponse(
+            "19", TokenDistribution.from_pairs([("19", -0.5), ("15", -1)]), cached=True
+        )
 
     def test_counts_inner_calls(self, space, tmp_path):
         calls = []
@@ -501,7 +527,7 @@ class TestCachingBackend:
 
             def complete(self, request):
                 calls.append(request)
-                return CompletionResponse("19", "spy")
+                return CompletionResponse("19")
 
         backend = CachingBackend(Spy(), tmp_path)
         req = make_request(space)
@@ -524,3 +550,18 @@ class TestCachingBackend:
         for t in threads:
             t.join()
         assert set(results) == {"15"}
+
+
+_distributions = st.lists(
+    st.tuples(st.text(), st.floats(max_value=0, allow_nan=False, allow_infinity=False)),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda pair: pair[0],
+).map(lambda pairs: TokenDistribution.from_pairs(sorted(pairs, key=lambda p: -p[1])))
+
+
+@given(text=st.text(), dist=st.none() | _distributions)
+def test_answer_round_trips_through_its_json_form(text, dist):
+    response = CompletionResponse(text, dist)
+    stored = json.loads(canonical_json(_response_to_json(response)))
+    assert _response_from_json(stored) == response

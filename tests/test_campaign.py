@@ -48,6 +48,7 @@ from ambigseq.campaign import (
 )
 from ambigseq import mining
 from ambigseq.config import CampaignConfig
+from ambigseq.distribution import TokenDistribution
 from ambigseq.prompting import (
     COMPLETION_INSTRUCTIONS,
     EXPLANATION_INSTRUCTIONS,
@@ -1005,8 +1006,8 @@ class TestMakeBackend:
         )
         backend = make_backend(config, space)
         assert isinstance(backend, ScriptedBackend)
-        assert backend.fixtures == {"q": "a"}
-        assert backend.default == "d"
+        assert backend.fixtures == {"q": CompletionResponse("a")}
+        assert backend.default == CompletionResponse("d")
 
     def test_cache_dir_wraps_backend(self, tmp_path):
         config, space = self.space_and_config(
@@ -1035,15 +1036,41 @@ class TestScriptedFixturesFile:
             )
         )
         backend = load_scripted_fixtures(path)
-        assert backend.fixtures["plain"] == "just text"
+        assert backend.fixtures["plain"] == CompletionResponse("just text")
         rich = backend.fixtures["rich"]
         assert rich.text == "answer"
-        assert rich.top_logprobs == (("answer", -0.1), ("other", -2.5))
-        assert backend.default.text == "fallback"
-        assert backend.default.top_logprobs is None
+        assert rich.first_token_top_logprobs == TokenDistribution.from_pairs(
+            [("answer", -0.1), ("other", -2.5)]
+        )
+        assert backend.default == CompletionResponse("fallback")
 
     def test_no_default(self, tmp_path):
         path = tmp_path / "fixtures.json"
         path.write_text(json.dumps({"fixtures": {"q": "a"}}))
         backend = load_scripted_fixtures(path)
         assert backend.default is None
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [{"fixtures": {}}],
+            {"default": "a"},
+            {"fixtures": {"q": {"top_logprobs": [["7", -0.1]]}}},
+            {"fixtures": {"q": "a"}, "default": {"text": 7}},
+            {"fixtures": {"q": {"text": "7", "top_logprobs": [["7", -2], ["8", -1]]}}},
+            {"fixtures": {"q": {"text": "7", "top_logprobs": [["7", "high"]]}}},
+        ],
+        ids=[
+            "list_file",
+            "no_fixtures",
+            "answer_without_text",
+            "default_text_not_a_string",
+            "unsorted_top_logprobs",
+            "logprob_not_a_number",
+        ],
+    )
+    def test_malformed_file_is_a_value_error_naming_it(self, tmp_path, data):
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            load_scripted_fixtures(path)

@@ -251,6 +251,43 @@ class TestFailureExitCodes:
         assert f"analysis.json belongs to campaign {stored}" in err
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize(
+        "text", ["[1]", '{"config_digest": "0"}', "{not json"],
+        ids=["not_an_object", "without_per_length", "not_json"],
+    )
+    def test_report_refuses_a_malformed_analysis(self, out_dir, capfd, text):
+        assert main(["run", *flags(out_dir)]) == 0
+        (out_dir / "analysis.json").write_text(text)
+        capfd.readouterr()
+        assert main(["report", *flags(out_dir)]) == 1
+        assert f"error: {out_dir / 'analysis.json'}: " in capfd.readouterr().err
+        assert not (out_dir / "report.txt").exists()
+
+    def test_run_refuses_a_damaged_dataset(self, out_dir, capfd):
+        path = out_dir / dataset_filename(3)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"function":"lambda', '"function":"mu', 1)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["run", *flags(out_dir)]) == 1
+        assert f"error: {path}:2: malformed record line" in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fixtures",
+        [
+            [],
+            {"fixtures": {"q": {"top_logprobs": None}}},
+            {"fixtures": {}, "default": {"text": "7", "top_logprobs": [["7", -2], ["8", -1]]}},
+        ],
+        ids=["list", "answer_without_text", "unsorted_top_logprobs"],
+    )
+    def test_run_refuses_a_bad_fixtures_file(self, out_dir, tmp_path, capfd, fixtures):
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps(fixtures))
+        scripted = ["--backend", "scripted", "--fixtures-file", str(path)]
+        assert main(["run", *flags(out_dir, *scripted)]) == 1
+        assert f"error: {path}: " in capfd.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
+
     def test_invalid_flag_combination(self, tmp_path, capfd):
         # scripted backend without a fixtures file fails validation
         assert main(["run", "--output-dir", str(tmp_path),

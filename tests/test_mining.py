@@ -7,6 +7,9 @@ stay pinned from two independent directions.
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -366,6 +369,47 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path, dataset4):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(dataset4, path)
+        header, *records = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", *records, "  ", ""]) + "\n")
+        assert load_dataset(path) == dataset4
+
+    @pytest.mark.parametrize(
+        "n, edit, where",
+        [
+            (0, lambda line: "[1]", ": not a dataset file"),
+            (0, lambda line: "{not json", ": unreadable header"),
+            (0, lambda line: _without(line, "parameters"), ": malformed dataset header"),
+            (1, lambda line: _without(line, "generators"), ":2: malformed record line"),
+            (
+                2,
+                lambda line: line.replace('"function":"lambda', '"function":"mu', 1),
+                ":3: malformed record line",
+            ),
+            (1, lambda line: "[1, 2]", ":2: malformed record line"),
+        ],
+        ids=[
+            "header_is_a_list",
+            "header_is_not_json",
+            "header_without_parameters",
+            "record_without_generators",
+            "function_outside_the_language",
+            "record_is_a_list",
+        ],
+    )
+    def test_damaged_file_is_a_value_error_naming_it(
+        self, tmp_path, dataset4, n, edit, where
+    ):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(dataset4, path)
+        lines = path.read_text().splitlines()
+        lines[n] = edit(lines[n])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
+            load_dataset(path)
+
     def test_load_parses_each_function_text_once(self, tmp_path, dataset4, monkeypatch):
         texts = []
         monkeypatch.setattr(
@@ -377,6 +421,13 @@ class TestSerialization:
         assert load_dataset(path) == dataset4
         distinct = {g.function.text for r in dataset4.records() for g in r.generators}
         assert sorted(texts) == sorted(distinct)
+
+
+def _without(line: str, key: str) -> str:
+    """A JSON object line without ``key``."""
+    data = json.loads(line)
+    del data[key]
+    return json.dumps(data)
 
 
 class TestRecordInvariants:
