@@ -31,7 +31,7 @@ from .evaluation import (
     verbalization_scores,
 )
 from .funcspace import parse
-from .mining import Dataset, continuations_of, load_dataset
+from .mining import Dataset, continuations_of, load_dataset, write_atomic
 from .prompting import Task
 
 ANALYSIS_FILENAME = "analysis.json"
@@ -408,9 +408,9 @@ def write_analysis(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis_path = out_dir / ANALYSIS_FILENAME
-    analysis_path.write_text(canonical_json(analysis) + "\n")
+    write_atomic(analysis_path, canonical_json(analysis) + "\n")
     table_path = out_dir / METRICS_FILENAME
-    table_path.write_text(metrics_table(analysis))
+    write_atomic(table_path, metrics_table(analysis))
     return analysis_path, table_path
 
 

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
@@ -41,6 +40,7 @@ from .mining import (
     matching_generators,
     valid_continuations,
     valid_explanations,
+    write_atomic,
 )
 from .prompting import RenderedPrompt, Task, render_answer
 
@@ -501,13 +501,20 @@ class HttpBackend:
 # On-disk response cache
 # ---------------------------------------------------------------------------
 
+#: The cache entry of a request the inner backend refused for wanting top
+#: logprobs; a hit raises :class:`LogprobsUnsupportedError` again.
+_LOGPROBS_REFUSAL = {"refused": "top_logprobs"}
+
+
 class CachingBackend:
     """Wraps another backend with a content-addressed response cache.
 
     Cache keys hash the full prompt text and decoding parameters. Writes go
     through a temp file and an atomic rename, so concurrent workers can share
     a cache directory; a hit is returned with ``cached=True`` but is otherwise
-    indistinguishable from a fresh response.
+    indistinguishable from a fresh response. A request refused for wanting
+    top logprobs is stored as that refusal and refused again on a hit, so a
+    campaign that fell back replays from the cache alone.
     """
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
@@ -521,16 +528,17 @@ class CachingBackend:
         if path.exists():
             try:
                 stored = json.loads(path.read_text())
+                if stored == _LOGPROBS_REFUSAL:
+                    raise LogprobsUnsupportedError("cached: backend refused top logprobs")
                 return _response_from_json(stored, cached=True)
             except ValueError:
                 pass  # corrupt entry: fall through and refresh it
-        response = self.inner.complete(request)
-        blob = canonical_json(_response_to_json(response))
-        # unique tmp name per writer so concurrent completions of the same
-        # request don't clobber each other's half-written entry
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex}")
-        tmp.write_text(blob)
-        os.replace(tmp, path)
+        try:
+            response = self.inner.complete(request)
+        except LogprobsUnsupportedError:
+            write_atomic(path, canonical_json(_LOGPROBS_REFUSAL))
+            raise
+        write_atomic(path, canonical_json(_response_to_json(response)))
         return response
 
 

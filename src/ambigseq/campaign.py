@@ -58,6 +58,12 @@ RESULTS_FILENAME = "results.jsonl"
 AUDIT_FILENAME = "audit.log"
 
 LOGPROBS_UNAVAILABLE_NOTE = "top logprobs unavailable from backend"
+#: The fields of every record line, as :func:`_result_line` writes them.
+RESULT_FIELDS = (
+    "sequence", "task", "raw_response", "parsed", "valid", "correct", "run_id",
+    "length", "ambiguous", "continuations", "top_logprobs", "judged", "note",
+)
+_RESULT_FIELD_SET = frozenset(RESULT_FIELDS)
 
 
 class CampaignError(RuntimeError):
@@ -287,8 +293,8 @@ def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
 
 
 def _index_results(path: Path, records: list[dict]) -> dict[tuple, dict]:
-    """The record lines by query key; a line without one or without its
-    note, or two lines for one query, are an error."""
+    """The record lines by query key; a line without one or without any of
+    :data:`RESULT_FIELDS`, or two lines for one query, are an error."""
     by_key: dict[tuple, dict] = {}
     for i, record in enumerate(records, start=2):
         try:
@@ -298,8 +304,9 @@ def _index_results(path: Path, records: list[dict]) -> dict[tuple, dict]:
             raise CampaignError(
                 f"{path}:{i}: malformed record line (no query key: {exc!r})"
             ) from exc
-        if "note" not in record:
-            raise CampaignError(f"{path}:{i}: malformed record line (no note)")
+        if not _RESULT_FIELD_SET <= record.keys():
+            missing = next(f for f in RESULT_FIELDS if f not in record)
+            raise CampaignError(f"{path}:{i}: malformed record line (no {missing})")
         if seen:
             first = records.index(by_key[key]) + 2
             raise CampaignError(

@@ -29,6 +29,7 @@ from .campaign import (
 )
 from .config import KNOWN_BACKENDS, KNOWN_TIE_BREAKS, CampaignConfig, ConfigError
 from .funcspace import FunctionSpace
+from .mining import write_atomic
 from .prompting import ShotSampling, Variant
 
 REPORT_FILENAME = "report.txt"
@@ -326,7 +327,7 @@ def cmd_report(config: CampaignConfig, out=None) -> int:
         )
     text = _report_text(config, analysis)
     report_file = Path(config.output_dir) / REPORT_FILENAME
-    report_file.write_text(text)
+    write_atomic(report_file, text)
     print(text, end="", file=out)
     print(f"(written to {report_file})", file=out)
     return 0

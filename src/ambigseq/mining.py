@@ -13,6 +13,8 @@ rows but keeps the literal O(n²) pair scan for auditing, never the index.
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -328,6 +330,20 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: into a temporary file
+    in the same directory, unique to this writer, then renamed over ``path``.
+    A write that fails part way leaves the previous file, or none."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{uuid.uuid4().hex}")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(
     dataset: Dataset, path: str | Path, extra_header: Mapping | None = None
 ) -> None:
@@ -369,16 +385,20 @@ def save_dataset(
                 }
             )
         )
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """The dataset :func:`save_dataset` wrote to ``path``. A file of any other
-    shape is a ``ValueError`` naming it, and ``path:N`` for a record line."""
+    shape is a ``ValueError`` naming it, and ``path:N`` for a record line;
+    so is a last line without its newline, which a whole write never leaves."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    text = path.read_text()
+    lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
+    if not text.endswith("\n"):
+        raise ValueError(f"{path}:{len(lines)}: unterminated last line (a torn write)")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:

@@ -519,6 +519,19 @@ class TestCachingBackend:
             "19", TokenDistribution.from_pairs([("19", -0.5), ("15", -1)]), cached=True
         )
 
+    def test_logprob_refusal_is_stored_and_replayed(self, space, tmp_path):
+        inner = ScriptedBackend({}, default="15")
+        backend = CachingBackend(inner, tmp_path)
+        req = make_request(space, want_logprobs=2)
+        with pytest.raises(LogprobsUnsupportedError):
+            backend.complete(req)
+        inner.complete = pytest.fail  # a hit must not reach the inner backend
+        with pytest.raises(LogprobsUnsupportedError):
+            backend.complete(req)
+        (entry,) = tmp_path.glob("*.json")
+        assert entry.name == f"{request_digest(req, inner.backend_id)}.json"
+        assert entry.read_text() == canonical_json({"refused": "top_logprobs"})
+
     def test_counts_inner_calls(self, space, tmp_path):
         calls = []
 

@@ -30,6 +30,7 @@ from ambigseq.backends import (
 from ambigseq.campaign import (
     AUDIT_FILENAME,
     LOGPROBS_UNAVAILABLE_NOTE,
+    RESULT_FIELDS,
     RESULTS_FORMAT,
     RESULTS_VERSION,
     CampaignError,
@@ -45,8 +46,10 @@ from ambigseq.campaign import (
     read_results,
     results_path,
     run_campaign,
+    _result_line,
 )
 from ambigseq import mining
+from ambigseq.analysis import analyze_results
 from ambigseq.config import CampaignConfig
 from ambigseq.distribution import TokenDistribution
 from ambigseq.prompting import (
@@ -262,6 +265,32 @@ class TestReadResults:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CampaignError, match=r":4: malformed record line \(no note\)"):
             run_campaign(config)
+
+    def test_result_line_writes_the_result_fields(self, tmp_path, mined_l3):
+        config = small_config(tmp_path, mined_l3)
+        datasets = load_campaign_datasets(config)
+        query = next(plan_queries(config, datasets))
+        line = _result_line(query, "7", None, None, None)
+        assert tuple(line) == RESULT_FIELDS
+
+    @pytest.mark.parametrize(
+        "field",
+        [f for f in RESULT_FIELDS if f not in ("sequence", "task", "run_id", "length")],
+    )
+    def test_line_without_a_result_field_is_refused(self, tmp_path, mined_l3, field):
+        # the query-key fields are refused as "no query key" above
+        config, outcome = self.run_small(tmp_path, mined_l3)
+        path = outcome.results_file
+        lines = path.read_text().splitlines()
+        stripped = json.loads(lines[3])
+        del stripped[field]
+        lines[3] = json.dumps(stripped)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        for read in (read_results, analyze_results, lambda _: run_campaign(config)):
+            with pytest.raises(
+                CampaignError, match=rf":4: malformed record line \(no {field}\)$"
+            ):
+                read(path)
 
     def test_duplicated_line_raises(self, tmp_path, mined_l3):
         _, outcome = self.run_small(tmp_path, mined_l3)
@@ -1016,6 +1045,49 @@ class TestMakeBackend:
         backend = make_backend(config, space)
         assert isinstance(backend, CachingBackend)
         assert isinstance(backend.inner, OracleBackend)
+
+
+class TestReplayFromCache:
+    """A campaign run with ``cache_dir`` replays from a copy of its cache,
+    with no fixtures left, and writes the same record lines."""
+
+    @staticmethod
+    def config(tmp_path, mined_l3, name, fixtures, cache_dir) -> CampaignConfig:
+        fixtures_file = tmp_path / f"{name}-fixtures.json"
+        fixtures_file.write_text(json.dumps(fixtures))
+        return small_config(
+            tmp_path / name,
+            mined_l3,
+            limit_sequences=12,
+            backend="scripted",
+            fixtures_file=str(fixtures_file),
+            cache_dir=str(cache_dir),
+        )
+
+    def test_logprob_fallback_replays(self, tmp_path, mined_l3):
+        probe = small_config(tmp_path / "probe", mined_l3, limit_sequences=12)
+        completions = [
+            q.record.sequence
+            for q in plan_queries(probe, load_campaign_datasets(probe))
+            if q.task is Task.COMPLETION
+        ]
+        instruction = COMPLETION_INSTRUCTIONS[Variant.PLAIN]
+        recorded = {
+            "fixtures": {f"For the sequence: {completions[3].render()}\n{instruction}": "7"},
+            "default": {"text": "7", "top_logprobs": [["7", -0.1], ["8", -2.5]]},
+        }
+        config = self.config(tmp_path, mined_l3, "recorded", recorded, tmp_path / "cache")
+        outcome = run_campaign(config)
+        assert not outcome.failed and outcome.queried == 144
+        _, records = read_results(outcome.results_file)
+        assert [r["note"] for r in records].count(LOGPROBS_UNAVAILABLE_NOTE) == 1
+
+        shutil.copytree(tmp_path / "cache", tmp_path / "copy")
+        replay = self.config(tmp_path, mined_l3, "replay", {"fixtures": {}}, tmp_path / "copy")
+        replayed = run_campaign(replay)
+        assert not replayed.failed and replayed.queried == 144
+        body = outcome.results_file.read_text().split("\n", 1)[1]
+        assert replayed.results_file.read_text().split("\n", 1)[1] == body
 
 
 class TestScriptedFixturesFile:

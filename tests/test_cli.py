@@ -271,6 +271,16 @@ class TestFailureExitCodes:
         assert main(["run", *flags(out_dir)]) == 1
         assert f"error: {path}:2: malformed record line" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_a_torn_dataset_is_refused(self, out_dir, capfd, command):
+        assert main(["run", *flags(out_dir)]) == 0
+        path = out_dir / dataset_filename(3)
+        text = path.read_text()
+        path.write_text(text[: text.index("\n", len(text) // 2)])
+        capfd.readouterr()
+        assert main([command, *flags(out_dir)]) == 1
+        assert "unterminated last line" in capfd.readouterr().err
+
     @pytest.mark.parametrize(
         "fixtures",
         [

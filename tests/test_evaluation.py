@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mc_reference import reference_monte_carlo
 
+from ambigseq import evaluation
 from ambigseq.analysis import (
     accuracy,
     cross_context_consistency,
@@ -549,6 +552,73 @@ class TestExpectedRandomConsistency:
                     expected_random_consistency(
                         100, 100, empty, mode=mode, which=which
                     )
+
+
+@pytest.fixture(scope="module")
+def pinning_dataset(dataset):
+    """Every ambiguous length-3 record, plus the first unambiguous record
+    with each number of generating functions from 1 to 4 that occurs."""
+    unambiguous = {}
+    for record in dataset.unambiguous:
+        unambiguous.setdefault(len(record.functions), record)
+    return Dataset(
+        parameters=dataset.parameters,
+        ambiguous=dataset.ambiguous,
+        unambiguous=tuple(unambiguous[n] for n in sorted(unambiguous) if n <= 4),
+    )
+
+
+class TestMonteCarloMatchesReference:
+    """The index sampler reads the reference loop's ``Random`` stream draw
+    for draw, so their estimates are the same floats."""
+
+    N_SAMPLES = 300
+
+    def test_dataset_covers_rejection_sizes(self, pinning_dataset):
+        # Sizes 1, 2 and 4 reject half of their getrandbits words.
+        records = tuple(pinning_dataset.records())
+        for size in (1, 2, 3, 4):
+            assert any(len(r.functions) == size for r in records)
+            assert any(len(r.continuations) == size for r in records)
+
+    @pytest.mark.parametrize("rng_seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize(
+        "p_expl,p_compl",
+        [(0, 100), (100, 0), (100, 100), (31.18, 65.95), (50, 30)],
+    )
+    @pytest.mark.parametrize("which", ["all", "ambiguous", "unambiguous"])
+    def test_exact_equality(self, pinning_dataset, rng_seed, p_expl, p_compl, which):
+        records = {
+            "all": tuple(pinning_dataset.records()),
+            "ambiguous": pinning_dataset.ambiguous,
+            "unambiguous": pinning_dataset.unambiguous,
+        }[which]
+        expected = reference_monte_carlo(
+            p_expl, p_compl, records, self.N_SAMPLES, rng_seed
+        )
+        value = expected_random_consistency(
+            p_expl,
+            p_compl,
+            pinning_dataset,
+            n_samples=self.N_SAMPLES,
+            rng_seed=rng_seed,
+            which=which,
+        )
+        assert value == expected
+
+    def test_second_draw_made_when_first_fails(self, monkeypatch, pinning_dataset):
+        draws = []
+
+        class CountingRandom(Random):
+            def random(self):
+                draws.append(None)
+                return super().random()
+
+        monkeypatch.setattr(evaluation, "Random", CountingRandom)
+        n_records = len(tuple(pinning_dataset.records()))
+        # p_expl 0 fails every first draw
+        expected_random_consistency(0, 100, pinning_dataset, n_samples=50)
+        assert len(draws) == 2 * 50 * n_records
 
 
 class TestVerbalization:

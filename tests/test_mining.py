@@ -410,6 +410,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
             load_dataset(path)
 
+    def test_unterminated_last_line_is_refused(self, tmp_path, dataset4):
+        # a whole write ends every line with its newline; without it the
+        # last record may be torn, or lines after it lost
+        path = tmp_path / "ds.jsonl"
+        save_dataset(dataset4, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines))
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}:{len(lines)}: unterminated last line")
+        ):
+            load_dataset(path)
+
     def test_load_parses_each_function_text_once(self, tmp_path, dataset4, monkeypatch):
         texts = []
         monkeypatch.setattr(
