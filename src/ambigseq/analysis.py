@@ -13,7 +13,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any
 
-from .campaign import CampaignError, check_dataset, read_results
+from .campaign import CampaignError, check_dataset, collector_paused, read_results
 from .config import CampaignConfig, canonical_json
 from .distribution import (
     Quadrant,
@@ -291,10 +291,15 @@ def _figures(run: dict[str, Any]) -> dict[str, float | None]:
     return dict(zip(_FIGURE_NAMES, values))
 
 
+@collector_paused()
 def analyze_results(
     results_file: str | Path, *, mc_samples: int = 2000
 ) -> dict[str, Any]:
-    """Build the full analysis document for one results file."""
+    """Build the full analysis document for one results file.
+
+    Runs with the cyclic collector paused: a pure, single-threaded read of
+    the files whose records are dead by the time it returns.
+    """
     results_file = Path(results_file)
     header, lines = read_results(results_file)
     config = CampaignConfig.from_json(header["config"])

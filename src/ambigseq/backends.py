@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
 
-import requests
-
 from .distribution import TokenDistribution
 from .evaluation import check_cross_context_consistency
 from .funcspace import FunctionSpace
@@ -428,9 +426,10 @@ class HttpBackend:
     """Chat-completions endpoint client with retry and injectable transport.
 
     ``transport`` takes (url, headers, payload, timeout) and returns
-    (status_code, parsed_json); the default posts with ``requests``. Retries
-    connection failures, 429 and 5xx with exponential backoff; fails fast on
-    authentication errors.
+    (status_code, parsed_json); the default posts with ``requests``, imported
+    on the first such post. Retries connection failures (any ``OSError``,
+    which ``requests``' errors are), 429 and 5xx with exponential backoff;
+    fails fast on authentication errors.
     """
 
     def __init__(
@@ -455,6 +454,8 @@ class HttpBackend:
         self.backend_id = f"http:{model}"
 
     def _post(self, url: str, headers: dict, payload: dict, timeout: float):
+        import requests
+
         resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
         try:
             body = resp.json()
@@ -480,7 +481,7 @@ class HttpBackend:
                 self.sleep(self.backoff_base * 2 ** (attempt - 1))
             try:
                 status, body = self.transport(url, headers, payload, self.timeout)
-            except requests.RequestException as err:
+            except OSError as err:
                 last_error = err
                 continue
             if status in (401, 403):

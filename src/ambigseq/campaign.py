@@ -25,9 +25,11 @@ worker each call is made inline as its line is committed, on no thread.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -252,6 +254,21 @@ def _complete_part(data: bytes) -> bytes:
     return data[: data.rfind(b"\n") + 1]
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with Python's cyclic garbage collector off, then put it
+    back as it was (a caller that had it off keeps it off). For reads and
+    analysis of a results file: their records hold no reference cycles, so a
+    collection frees nothing and only re-scans every container read so far."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def read_results(path: str | Path) -> tuple[dict, list[dict]]:
     """Read a results file; raises on missing/incompatible header.
 
@@ -260,13 +277,30 @@ def read_results(path: str | Path) -> tuple[dict, list[dict]]:
     and so is a second line for the same query.
     """
     path = Path(path)
-    header, records = _parse_results(path, _complete_part(path.read_bytes()))
-    _index_results(path, records)
+    header, records, _ = _read_complete(path, _complete_part(path.read_bytes()))
     return header, records
 
 
+def _read_complete(
+    path: Path, complete: bytes
+) -> tuple[dict, list[dict], dict[tuple, dict]]:
+    """The header, the record lines and the record lines by query key of
+    ``complete``, the complete lines of the results file at ``path``; decoded
+    and indexed with the collector paused."""
+    with collector_paused():
+        header, records = _parse_results(path, complete)
+        return header, records, _index_results(path, records)
+
+
 def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
-    raw_lines = complete.decode("utf-8").split("\n")[:-1]
+    try:
+        text = complete.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        n = complete.count(b"\n", 0, exc.start) + 1
+        if n == 1:
+            raise CampaignError(f"{path}: unreadable header line ({exc})") from exc
+        raise CampaignError(f"{path}:{n}: malformed record line (not UTF-8)") from exc
+    raw_lines = text.split("\n")[:-1]
     if not raw_lines:
         raise CampaignError(f"{path}: empty results file (no complete header line)")
     try:
@@ -378,13 +412,12 @@ def run_campaign(
     # queries read their run's completion and explanation from it
     answered: dict[tuple, dict] = {}
     if complete:
-        header, records = _parse_results(path, complete)
+        header, _, answered = _read_complete(path, complete)
         if header["config_digest"] != config.digest():
             raise CampaignError(
                 f"{path} belongs to campaign {header['config_digest']}, "
                 f"this config is {config.digest()} — use a fresh output directory"
             )
-        answered = _index_results(path, records)
         audit.log(
             f"resume campaign={config.digest()} existing_records={len(answered)}"
         )

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import requests
@@ -411,6 +415,53 @@ class TestHttpBackend:
         resp = backend.complete(make_request(space))
         assert resp.text == "15"
         assert sleeps == [0.5, 1.0, 2.0]
+
+    def test_plain_connection_reset_is_retried(self, space, monkeypatch):
+        # requests' errors are OSErrors, and so is a custom transport's reset
+        monkeypatch.setenv("AMBIGSEQ_API_KEY", "sk-test")
+        sleeps = []
+        transport = FakeTransport([ConnectionResetError("reset"), (200, ok_body("15"))])
+        backend = HttpBackend("https://api.example", "m", transport=transport,
+                              backoff_base=0.5, sleep=sleeps.append)
+        assert backend.complete(make_request(space)).text == "15"
+        assert sleeps == [0.5]
+
+    def test_default_transport_posts_with_requests(self, space, monkeypatch):
+        monkeypatch.setenv("AMBIGSEQ_API_KEY", "sk-test")
+        posts = []
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return ok_body("15")
+
+        def post(url, headers, json, timeout):
+            posts.append((url, headers, json, timeout))
+            return Response()
+
+        monkeypatch.setattr(requests, "post", post)
+        backend = HttpBackend("https://api.example/v1", "m", timeout=7.0,
+                              sleep=lambda s: None)
+        assert backend.complete(make_request(space)).text == "15"
+        [(url, headers, payload, timeout)] = posts
+        assert url == "https://api.example/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert payload["model"] == "m" and timeout == 7.0
+
+    def test_importing_the_package_leaves_requests_unloaded(self):
+        script = (
+            "import sys\n"
+            "import ambigseq, ambigseq.cli\n"
+            "assert 'requests' not in sys.modules, 'requests imported'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_gives_up_after_max_retries(self, space, monkeypatch):
         monkeypatch.setenv("AMBIGSEQ_API_KEY", "sk-test")

@@ -2,6 +2,7 @@
 concurrent dispatch."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -48,9 +49,9 @@ from ambigseq.campaign import (
     run_campaign,
     _result_line,
 )
-from ambigseq import mining
+from ambigseq import campaign, mining
 from ambigseq.analysis import analyze_results
-from ambigseq.config import CampaignConfig
+from ambigseq.config import CampaignConfig, canonical_json
 from ambigseq.distribution import TokenDistribution
 from ambigseq.prompting import (
     COMPLETION_INSTRUCTIONS,
@@ -292,6 +293,28 @@ class TestReadResults:
             ):
                 read(path)
 
+    def test_undecodable_header_line_raises(self, tmp_path, mined_l3):
+        config, outcome = self.run_small(tmp_path, mined_l3)
+        path = outcome.results_file
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"config"', b'"\xffconfig"', 1))
+        for read in (read_results, analyze_results, lambda _: run_campaign(config)):
+            with pytest.raises(CampaignError, match=r"results\.jsonl: unreadable header line"):
+                read(path)
+
+    def test_undecodable_record_line_raises(self, tmp_path, mined_l3):
+        config, outcome = self.run_small(tmp_path, mined_l3)
+        path = outcome.results_file
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'"task"', b'"\xfftask"', 1)
+        path.write_bytes(b"\n".join(lines))
+        for read in (read_results, analyze_results, lambda _: run_campaign(config)):
+            with pytest.raises(
+                CampaignError,
+                match=r"results\.jsonl:4: malformed record line \(not UTF-8\)$",
+            ):
+                read(path)
+
     def test_duplicated_line_raises(self, tmp_path, mined_l3):
         _, outcome = self.run_small(tmp_path, mined_l3)
         path = outcome.results_file
@@ -322,6 +345,110 @@ class TestReadResults:
         path.write_text("")
         with pytest.raises(CampaignError, match="empty"):
             read_results(path)
+
+
+class TestCollectorPaused:
+    """Reading and analysing a results file run with the cyclic collector
+    off and leave it as they found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.fixture(scope="class")
+    def many_runs(self, tmp_path_factory, mined_l3):
+        """A finished 400-run campaign (4,801 lines): one real run's records
+        once per run id, which the oracle answers the same in every run."""
+        tmp_path = tmp_path_factory.mktemp("many_runs")
+        one_run = small_config(tmp_path / "one", mined_l3, n_runs=1)
+        _, records = read_results(run_campaign(one_run).results_file)
+        config = small_config(tmp_path / "many", mined_l3, n_runs=400)
+        lines = [canonical_json(campaign._results_header(config))]
+        lines += [
+            canonical_json({**r, "run_id": run}) for run in range(400) for r in records
+        ]
+        path = results_path(config.output_dir)
+        path.write_text("\n".join(lines) + "\n")
+        return config, path
+
+    @pytest.fixture()
+    def collections(self, monkeypatch):
+        """(generation, reading) of each collection that starts during the
+        test; reading while a results file is decoded or indexed."""
+        started, reading = [], [False]
+
+        def record(phase, info):
+            if phase == "start":
+                started.append((info["generation"], reading[0]))
+
+        def while_reading(fn):
+            def wrapped(*args):
+                reading[0] = True
+                try:
+                    return fn(*args)
+                finally:
+                    reading[0] = False
+
+            return wrapped
+
+        for name in ("_parse_results", "_index_results"):
+            monkeypatch.setattr(campaign, name, while_reading(getattr(campaign, name)))
+        gc.callbacks.append(record)
+        yield started
+        gc.callbacks.remove(record)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, tmp_path, mined_l3, enabled):
+        config = small_config(tmp_path, mined_l3)
+        path = run_campaign(config).results_file
+        good = path.read_text()
+        lines = good.splitlines()
+        lines[3] = "{broken"
+        bad = "\n".join(lines) + "\n"
+        for read in (read_results, analyze_results):
+            for text in (good, bad):
+                path.write_text(text)
+                gc.enable() if enabled else gc.disable()
+                if text is bad:
+                    with pytest.raises(CampaignError, match=":4: malformed record line"):
+                        read(path)
+                else:
+                    read(path)
+                assert gc.isenabled() is enabled
+
+    def test_no_collection_inside_read_results(self, many_runs, collections):
+        # the first allocation after the pause starts one collection, which
+        # passes over what the read allocated; unpaused, the read takes dozens
+        _, path = many_runs
+        gc.enable()
+        collections.clear()
+        _, records = read_results(path)
+        in_call = collections[:]
+        assert len(records) == 4800
+        assert len(in_call) <= 1
+        assert [gen for gen, reading in in_call if reading] == []
+
+    def test_no_collection_inside_analyze_results(self, many_runs, collections):
+        _, path = many_runs
+        gc.enable()
+        collections.clear()
+        analysis = analyze_results(path, mc_samples=10)
+        in_call = collections[:]
+        assert analysis["n_records"] == 4800
+        assert len(in_call) <= 1
+
+    def test_no_collection_while_a_resume_reads(self, many_runs, collections):
+        config, _ = many_runs
+        gc.enable()
+        outcome = run_campaign(config)
+        assert (outcome.queried, outcome.skipped) == (0, 4800)
+        assert [gen for gen, reading in collections if reading] == []
+        assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------
