@@ -13,7 +13,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any
 
-from .campaign import CampaignError, check_dataset, collector_paused, read_results
+from .campaign import CampaignError, check_dataset, collector_paused, line_error, read_results
 from .config import CampaignConfig, canonical_json
 from .distribution import (
     Quadrant,
@@ -30,7 +30,7 @@ from .evaluation import (
     expected_random_consistency,
     verbalization_scores,
 )
-from .funcspace import parse
+from .funcspace import ParseError, parse
 from .mining import Dataset, continuations_of, load_dataset, write_atomic
 from .prompting import Task
 
@@ -60,6 +60,11 @@ _KL_HEADLINE_PAIRS = (
     (Quadrant.CORRECT_PREDICTED, Quadrant.CORRECT_NOT_PREDICTED),
     (Quadrant.CORRECT_PREDICTED, Quadrant.INCORRECT_NOT_PREDICTED),
 )
+
+
+class _UnreadableLine(ValueError):
+    """(result line, problem): a line whose content analysis cannot read;
+    :func:`analyze_results` names its file, line number and query."""
 
 
 def _pct(outcomes: list[bool]) -> float | None:
@@ -114,7 +119,10 @@ def cross_context_consistency(
         if not (compl["valid"] and expl["valid"]):
             invalid += 1
             continue
-        fn = parse(expl["parsed"]["value"])
+        try:
+            fn = parse(expl["parsed"]["value"])
+        except ParseError as exc:
+            raise _UnreadableLine(expl, f"its parsed value does not parse: {exc}") from exc
         if compl["parsed"]["value"] in continuations_of(fn, values, convention):
             consistent += 1
         else:
@@ -146,7 +154,10 @@ def verbalization(lines: list[dict]) -> dict:
 
 
 def _distribution(line: dict) -> TokenDistribution:
-    return TokenDistribution.from_pairs((t, lp) for t, lp in line["top_logprobs"])
+    try:
+        return TokenDistribution.from_pairs((t, lp) for t, lp in line["top_logprobs"])
+    except (TypeError, ValueError) as exc:
+        raise _UnreadableLine(line, f"malformed top_logprobs: {exc}") from exc
 
 
 def alternative_test(completions: list[dict], base: int) -> dict:
@@ -321,51 +332,55 @@ def analyze_results(
         buckets.setdefault(key, []).append(line)
 
     per_length: dict[str, Any] = {}
-    for length in config.lengths:
-        run_ids = sorted({key[1] for key in buckets if key[0] == length})
-        per_run = []
-        for run_id in run_ids:
+    try:
+        for length in config.lengths:
+            run_ids = sorted({key[1] for key in buckets if key[0] == length})
+            per_run = []
+            for run_id in run_ids:
 
-            def bucket(task: Task, ambiguous: bool) -> list[dict]:
-                return buckets.get((length, run_id, task.value, ambiguous), [])
+                def bucket(task: Task, ambiguous: bool) -> list[dict]:
+                    return buckets.get((length, run_id, task.value, ambiguous), [])
 
-            fields = accuracy(
-                bucket(Task.EXPLANATION, False) + bucket(Task.COMPLETION, False)
-            )
-            fields["run_id"] = run_id
-            fields["cross_context"] = cross_context_consistency(
-                bucket(Task.COMPLETION, True),
-                bucket(Task.EXPLANATION, True),
-                datasets[length].parameters.convention,
-            )
-            fields["model_judged"] = judged_consistency(
-                bucket(Task.CONSISTENCY_JUDGMENT, True)
-            )
-            fields["verbalization"] = verbalization(
-                bucket(Task.VERBALIZE_ALTERNATIVES, True)
-            )
-            fields["alternative_test"] = alternative_test(
-                bucket(Task.COMPLETION, True), config.base
-            )
-            per_run.append(fields)
-        per_length[str(length)] = {
-            "per_run": per_run,
-            "aggregate": (
-                aggregate_runs([_figures(f) for f in per_run]) if per_run else None
-            ),
-            "random_baseline": _random_baseline(
-                datasets[length], mc_samples, config.rng_seed
-            ),
-            "quadrants": _quadrant_analysis(
-                [
-                    line
-                    for (line_length, _, task, _), group in buckets.items()
-                    if line_length == length and task == Task.COMPLETION.value
-                    for line in group
-                ],
-                config.base,
-            ),
-        }
+                fields = accuracy(
+                    bucket(Task.EXPLANATION, False) + bucket(Task.COMPLETION, False)
+                )
+                fields["run_id"] = run_id
+                fields["cross_context"] = cross_context_consistency(
+                    bucket(Task.COMPLETION, True),
+                    bucket(Task.EXPLANATION, True),
+                    datasets[length].parameters.convention,
+                )
+                fields["model_judged"] = judged_consistency(
+                    bucket(Task.CONSISTENCY_JUDGMENT, True)
+                )
+                fields["verbalization"] = verbalization(
+                    bucket(Task.VERBALIZE_ALTERNATIVES, True)
+                )
+                fields["alternative_test"] = alternative_test(
+                    bucket(Task.COMPLETION, True), config.base
+                )
+                per_run.append(fields)
+            per_length[str(length)] = {
+                "per_run": per_run,
+                "aggregate": (
+                    aggregate_runs([_figures(f) for f in per_run]) if per_run else None
+                ),
+                "random_baseline": _random_baseline(
+                    datasets[length], mc_samples, config.rng_seed
+                ),
+                "quadrants": _quadrant_analysis(
+                    [
+                        line
+                        for (line_length, _, task, _), group in buckets.items()
+                        if line_length == length and task == Task.COMPLETION.value
+                        for line in group
+                    ],
+                    config.base,
+                ),
+            }
+    except _UnreadableLine as exc:
+        line, problem = exc.args
+        raise line_error(f"{results_file}:{lines.index(line) + 2}", line, problem) from exc
 
     return {
         "config_digest": header["config_digest"],

@@ -123,15 +123,11 @@ class ScriptedBackend:
     failure-mode fixtures in tests.
     """
 
-    def __init__(
-        self,
-        fixtures: Mapping[str, Any],
-        default: Any = None,
-        backend_id: str = "scripted",
-    ):
+    backend_id = "scripted"
+
+    def __init__(self, fixtures: Mapping[str, Any], default: Any = None):
         self.fixtures = {key: _scripted_answer(raw) for key, raw in fixtures.items()}
         self.default = None if default is None else _scripted_answer(default)
-        self.backend_id = backend_id
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         full = request.prompt.full_text()
@@ -216,9 +212,14 @@ class OracleBackend:
     ``tie_break``) and answers completion and explanation prompts from that
     same generator, so its cross-context consistency is 100% by construction.
     ``adversarial`` mode answers the two tasks from deliberately mismatched
-    generators whenever the sequence is ambiguous, driving consistency to 0%
-    on ambiguous data. Judgment prompts are always answered truthfully, and
-    synthetic top-logprob lists mirror the same behavior.
+    (explanation, completion) pairs on every sequence: the explanation is
+    the first generator's function and the completion a continuation that
+    function does not give, another generator's where there is one, else one
+    past the largest. So on ambiguous data consistency is 0%, and on
+    unambiguous data every completion is out of the valid set (completion
+    accuracy 0%) while every explanation is correct. Judgment prompts are
+    always answered truthfully, and synthetic top-logprob lists rank an
+    out-of-set numeral first in adversarial mode.
     """
 
     def __init__(
@@ -226,14 +227,13 @@ class OracleBackend:
         space: FunctionSpace,
         mode: str = "consistent",
         tie_break: str = "min_value",
-        backend_id: str | None = None,
     ):
         if mode not in ("consistent", "adversarial"):
             raise ValueError(f"unknown oracle mode: {mode!r}")
         self.space = space
         self.mode = mode
         self.tie_break = tie_break
-        self.backend_id = backend_id or f"oracle-{mode}"
+        self.backend_id = f"oracle-{mode}"
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         prompt = request.prompt
@@ -346,15 +346,11 @@ class RandomValidBackend:
     (different runs) re-roll the choice.
     """
 
-    def __init__(
-        self,
-        space: FunctionSpace,
-        seed: int = 0,
-        backend_id: str = "random-valid",
-    ):
+    backend_id = "random-valid"
+
+    def __init__(self, space: FunctionSpace, seed: int = 0):
         self.space = space
         self.seed = seed
-        self.backend_id = backend_id
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         prompt = request.prompt

@@ -30,7 +30,7 @@ import hashlib
 import json
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -51,7 +51,7 @@ from .config import CampaignConfig, canonical_json
 from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
-from .mining import AmbiguityRecord, Dataset, load_dataset
+from .mining import AmbiguityRecord, Dataset, DatasetParameters, load_dataset
 from .prompting import JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
 
 RESULTS_FORMAT = "ambigseq.results"
@@ -125,11 +125,7 @@ def mine_datasets(config: CampaignConfig) -> dict[int, Dataset]:
     datasets = {}
     for length in config.lengths:
         dataset = mine(space, length=length, base=config.base)
-        save_dataset(
-            dataset,
-            out_dir / dataset_filename(length),
-            extra_header={"config_digest": config.digest()},
-        )
+        save_dataset(dataset, out_dir / dataset_filename(length), config.digest())
         datasets[length] = dataset
     return datasets
 
@@ -151,25 +147,19 @@ def check_dataset(
     config: CampaignConfig, length: int, path: Path, dataset: Dataset
 ) -> Dataset:
     """``dataset`` (read from ``path``) if it was mined with the config's
-    parameters at ``length``; otherwise a :class:`CampaignError`."""
-    expected = (
-        tuple(config.constant_range),
-        length,
-        config.start_index,
-        config.max_offset,
-        config.base,
+    parameters at ``length`` and the default value bound, which
+    :func:`config_space` enumerates with; otherwise a :class:`CampaignError`."""
+    expected = DatasetParameters(
+        constant_range=config.constant_range,
+        sequence_length=length,
+        start_index=config.start_index,
+        max_offset=config.max_offset,
+        base=config.base,
     )
-    p = dataset.parameters
-    actual = (
-        p.constant_range,
-        p.sequence_length,
-        p.start_index,
-        p.max_offset,
-        p.base,
-    )
-    if actual != expected:
+    if dataset.parameters != expected:
         raise CampaignError(
-            f"{path} was mined with parameters {actual}, config wants {expected}"
+            f"{path} was mined with parameters {astuple(dataset.parameters)}, "
+            f"config wants {astuple(expected)}"
         )
     return dataset
 
@@ -361,6 +351,15 @@ def _record_key(line: dict) -> tuple:
     )
 
 
+def line_error(where: str | Path, line: dict, problem: str) -> CampaignError:
+    """A record line that cannot be read, at ``where`` (its file, or file:N)."""
+    length, run_id, task, values, _ = _record_key(line)
+    return CampaignError(
+        f"{where}: malformed record line (the {task} line of run {run_id} "
+        f"for sequence {list(values)} at length {length}: {problem})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the run loop
 
@@ -541,16 +540,21 @@ def _pair_keys(query: PlannedQuery) -> tuple[tuple, tuple]:
     )
 
 
-def _judged_pair(answered: dict, query: PlannedQuery) -> JudgedPair | None:
+def _judged_pair(answered: dict, query: PlannedQuery, path: Path) -> JudgedPair | None:
     """The model's own (explanation function, completion value) for this
     run+sequence, if both parsed; the run stage's only parse of the
-    explanation line."""
+    explanation line. An explanation line of ``path`` (the results file)
+    whose parsed value does not parse is a :class:`CampaignError`."""
     compl, expl = (answered.get(key) for key in _pair_keys(query))
     if not (compl and expl and compl["valid"] and expl["valid"]):
         return None
-    from .funcspace import parse
+    from .funcspace import ParseError, parse
 
-    return parse(expl["parsed"]["value"]), compl["parsed"]["value"]
+    try:
+        fn = parse(expl["parsed"]["value"])
+    except ParseError as exc:
+        raise line_error(path, expl, f"its parsed value does not parse: {exc}") from exc
+    return fn, compl["parsed"]["value"]
 
 
 def _execute_query(
@@ -569,7 +573,7 @@ def _execute_query(
     """
     judged = None
     if query.task is Task.CONSISTENCY_JUDGMENT:
-        judged = _judged_pair(answered, query)
+        judged = _judged_pair(answered, query, results_path(config.output_dir))
         if judged is None:
             # nothing coherent to judge; the empty answer files as invalid
             note = "no parseable completion/explanation pair to judge"

@@ -87,8 +87,7 @@ class ClassifiedToken:
     token: str
     logprob: float
     value: int | None  # None when the token is not a numeral
-    correct: bool
-    promoted: bool  # matched as a strict prefix of a longer correct numeral
+    correct: bool  # also true for a strict prefix of one correct numeral
 
 
 def classify_tokens(
@@ -107,22 +106,14 @@ def classify_tokens(
     out = []
     for entry in dist.entries:
         value = parse_numeral_token(entry.token, base)
-        if value is None:
-            out.append(ClassifiedToken(entry.token, entry.logprob, None, False, False))
-            continue
-        if value in correct:
-            out.append(ClassifiedToken(entry.token, entry.logprob, value, True, False))
-            continue
-        stripped = entry.token.strip()
-        if base == 2 and stripped.lower().startswith("0b"):
-            stripped = stripped[2:]
-        hits = [v for r, v in renders.items() if r.startswith(stripped) and r != stripped]
-        if len(hits) == 1:
-            out.append(
-                ClassifiedToken(entry.token, entry.logprob, hits[0], True, True)
-            )
-        else:
-            out.append(ClassifiedToken(entry.token, entry.logprob, value, False, False))
+        if value is not None and value not in correct:
+            stripped = entry.token.strip()
+            if base == 2 and stripped.lower().startswith("0b"):
+                stripped = stripped[2:]
+            hits = [v for r, v in renders.items() if r.startswith(stripped) and r != stripped]
+            if len(hits) == 1:
+                value = hits[0]  # promoted
+        out.append(ClassifiedToken(entry.token, entry.logprob, value, value in correct))
     return tuple(out)
 
 

@@ -8,6 +8,11 @@ per (space, length), into a prefix index kept on the space and built on first
 use. :func:`mine` and every query against a space (:func:`matching_generators`
 and what sits on it) read that index; :func:`pairwise_ambiguities` reads the
 rows but keeps the literal O(n²) pair scan for auditing, never the index.
+
+The fields of :class:`DatasetParameters` are a dataset file's header, as
+:func:`save_dataset` writes and :func:`load_dataset` reads it. A record's
+continuations and functions are derived once, when it is made, and
+:meth:`Dataset.from_records` is the one split of records by ambiguity.
 """
 
 from __future__ import annotations
@@ -15,16 +20,17 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 from . import funcspace  # evaluate is looked up per call, so a rebinding of it sees them
 from .funcspace import (
     ConcreteFunction,
     DEFAULT_CONVENTION,
+    DEFAULT_MAX_VALUE,
     FunctionLike,
     FunctionSpace,
     IndexConvention,
@@ -87,23 +93,19 @@ class AmbiguityRecord:
 
     sequence: SequenceRecord
     generators: tuple[Generator, ...]
+    # derived from the generators once: the distinct continuations, ascending,
+    # and the distinct functions, in generator order
+    continuations: tuple[int, ...] = field(init=False, compare=False)
+    functions: tuple[ConcreteFunction, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.generators:
             raise ValueError("a mined record must have at least one generator")
         ordered = tuple(sorted(self.generators, key=Generator.sort_key))
         object.__setattr__(self, "generators", ordered)
-
-    @property
-    def continuations(self) -> tuple[int, ...]:
-        return tuple(sorted({g.continuation for g in self.generators}))
-
-    @property
-    def functions(self) -> tuple[ConcreteFunction, ...]:
-        seen: dict[ConcreteFunction, None] = {}
-        for g in self.generators:
-            seen.setdefault(g.function)
-        return tuple(seen)
+        continuations = tuple(sorted({g.continuation for g in ordered}))
+        object.__setattr__(self, "continuations", continuations)
+        object.__setattr__(self, "functions", tuple(dict.fromkeys(g.function for g in ordered)))
 
     @property
     def is_ambiguous(self) -> bool:
@@ -112,12 +114,17 @@ class AmbiguityRecord:
 
 @dataclass(frozen=True)
 class DatasetParameters:
+    """What a dataset was mined with; a dataset file's header holds these fields."""
+
     constant_range: tuple[int, int] = (0, 4)
     sequence_length: int = 4
     start_index: int = 1
     max_offset: int = 4
     base: int = 10
-    max_function_value: int | None = 2**63 - 1
+    max_function_value: int | None = DEFAULT_MAX_VALUE
+
+    def __post_init__(self) -> None:
+        vars(self).update(constant_range=tuple(self.constant_range))  # JSON reads a list
 
     @property
     def convention(self) -> IndexConvention:
@@ -155,6 +162,18 @@ class Dataset:
             raise ValueError("the ambiguous split holds an unambiguous record")
         if any(r.is_ambiguous for r in self.unambiguous):
             raise ValueError("the unambiguous split holds an ambiguous record")
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[AmbiguityRecord], parameters: DatasetParameters
+    ) -> "Dataset":
+        """``records`` split by ambiguity, each split in the given order."""
+        records = tuple(records)
+        return cls(
+            tuple(r for r in records if r.is_ambiguous),
+            tuple(r for r in records if not r.is_ambiguous),
+            parameters,
+        )
 
     def records(self) -> Iterator[AmbiguityRecord]:
         yield from self.ambiguous
@@ -225,12 +244,7 @@ def mine(space: FunctionSpace, length: int = 4, base: int = 10) -> Dataset:
     ambiguous split.
     """
     index = _prefix_index(space, length)
-    ambiguous: list[AmbiguityRecord] = []
-    unambiguous: list[AmbiguityRecord] = []
-    for prefix in sorted(index):
-        record = AmbiguityRecord(SequenceRecord(prefix, base), index[prefix])
-        (ambiguous if record.is_ambiguous else unambiguous).append(record)
-
+    records = (AmbiguityRecord(SequenceRecord(p, base), index[p]) for p in sorted(index))
     params = DatasetParameters(
         constant_range=space.constant_range,
         sequence_length=length,
@@ -239,7 +253,7 @@ def mine(space: FunctionSpace, length: int = 4, base: int = 10) -> Dataset:
         base=base,
         max_function_value=space.max_value,
     )
-    return Dataset(tuple(ambiguous), tuple(unambiguous), params)
+    return Dataset.from_records(records, params)
 
 
 @dataclass(frozen=True)
@@ -293,10 +307,7 @@ def valid_continuations(
 def valid_explanations(
     values: Iterable[int], space: FunctionSpace
 ) -> tuple[ConcreteFunction, ...]:
-    seen: dict[ConcreteFunction, None] = {}
-    for g in matching_generators(values, space):
-        seen.setdefault(g.function)
-    return tuple(seen)
+    return tuple(dict.fromkeys(g.function for g in matching_generators(values, space)))
 
 
 def continuations_of(
@@ -345,27 +356,18 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 
 def save_dataset(
-    dataset: Dataset, path: str | Path, extra_header: Mapping | None = None
+    dataset: Dataset, path: str | Path, config_digest: str | None = None
 ) -> None:
-    path = Path(path)
-    p = dataset.parameters
-    header = {
+    """Write ``dataset`` to ``path`` whole: a header (format, version, the
+    fields of its :class:`DatasetParameters` and, if given, the digest of the
+    config it was mined for), then one line per record in value order."""
+    header: dict[str, Any] = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
-        "parameters": {
-            "constant_range": list(p.constant_range),
-            "sequence_length": p.sequence_length,
-            "start_index": p.start_index,
-            "max_offset": p.max_offset,
-            "base": p.base,
-            "max_function_value": p.max_function_value,
-        },
+        "parameters": asdict(dataset.parameters),
     }
-    if extra_header:
-        overlap = set(extra_header) & set(header)
-        if overlap:
-            raise ValueError(f"extra_header may not override {sorted(overlap)}")
-        header.update(extra_header)
+    if config_digest is not None:
+        header["config_digest"] = config_digest
     lines = [canonical_json(header)]
     for record in sorted(dataset.records(), key=lambda r: r.sequence.values):
         lines.append(
@@ -409,21 +411,11 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ValueError(f"{path}: unsupported dataset version {header.get('version')!r}")
     try:
         hp = header["parameters"]
-        params = DatasetParameters(
-            constant_range=tuple(hp["constant_range"]),
-            sequence_length=hp["sequence_length"],
-            start_index=hp["start_index"],
-            max_offset=hp["max_offset"],
-            base=hp["base"],
-            max_function_value=hp["max_function_value"],
-        )
+        params = DatasetParameters(**{f.name: hp[f.name] for f in fields(DatasetParameters)})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed dataset header ({exc!r})") from exc
-    ambiguous: list[AmbiguityRecord] = []
-    unambiguous: list[AmbiguityRecord] = []
+    records: list[AmbiguityRecord] = []
     for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         try:
             raw = json.loads(line)
             gens = tuple(
@@ -435,8 +427,8 @@ def load_dataset(path: str | Path) -> Dataset:
                 raise ValueError(f"ambiguity flag mismatch for {raw['values']}")
         except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ValueError(f"{path}:{n}: malformed record line ({exc!r})") from exc
-        (ambiguous if record.is_ambiguous else unambiguous).append(record)
-    return Dataset(tuple(ambiguous), tuple(unambiguous), params)
+        records.append(record)
+    return Dataset.from_records(records, params)
 
 
 @lru_cache(maxsize=4096)  # a dataset repeats each function text across its records

@@ -262,6 +262,48 @@ class TestAnalysisDeterminism:
         ):
             analyze_results(results_file, mc_samples=100)
 
+    @staticmethod
+    def damage_first_line(results_file, task, edit):
+        """Apply ``edit`` to the first ambiguous ``task`` line of run 0; its
+        line number."""
+        lines = results_file.read_text().splitlines()
+        n, record = next(
+            (n, r)
+            for n, r in enumerate(map(json.loads, lines[1:]), start=2)
+            if r["task"] == task and r["ambiguous"] and r["run_id"] == 0
+        )
+        edit(record)
+        lines[n - 1] = json.dumps(record)
+        results_file.write_text("\n".join(lines) + "\n")
+        return n, record["sequence"]["values"]
+
+    def test_unparseable_explanation_is_an_error(self, tmp_path, mined_l3):
+        _, results_file = campaign_results(tmp_path, mined_l3)
+        n, values = self.damage_first_line(
+            results_file, "explanation", lambda r: r["parsed"].update(value="lambda x: ((")
+        )
+        with pytest.raises(
+            CampaignError,
+            match=rf"results\.jsonl:{n}: malformed record line \(the explanation line "
+            rf"of run 0 for sequence \[{', '.join(map(str, values))}\] at length 3: "
+            "its parsed value does not parse",
+        ):
+            analyze_results(results_file, mc_samples=100)
+
+    @pytest.mark.parametrize("top", [[["7"]], [["7", -0.5], ["8", -0.1]], [["7", "high"]]])
+    def test_malformed_top_logprobs_is_an_error(self, tmp_path, mined_l3, top):
+        _, results_file = campaign_results(tmp_path, mined_l3)
+        n, values = self.damage_first_line(
+            results_file, "completion", lambda r: r.update(top_logprobs=top)
+        )
+        with pytest.raises(
+            CampaignError,
+            match=rf"results\.jsonl:{n}: malformed record line \(the completion line "
+            rf"of run 0 for sequence \[{', '.join(map(str, values))}\] at length 3: "
+            "malformed top_logprobs: ",
+        ):
+            analyze_results(results_file, mc_samples=100)
+
     def test_missing_dataset_file_is_an_error(self, tmp_path, mined_l3):
         _, results_file = campaign_results(tmp_path, mined_l3)
         (results_file.parent / dataset_filename(3)).unlink()

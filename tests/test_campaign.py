@@ -136,6 +136,20 @@ class TestDatasets:
         with pytest.raises(CampaignError, match="mined with parameters"):
             load_campaign_datasets(config)
 
+    def test_load_rejects_another_value_bound(self, tmp_path, mined_l3):
+        config = small_config(tmp_path, mined_l3)
+        path = Path(config.output_dir) / dataset_filename(3)
+        header, *records = path.read_text().splitlines()
+        changed = json.loads(header)
+        changed["parameters"]["max_function_value"] = 1000
+        path.write_text("\n".join([json.dumps(changed), *records]) + "\n")
+        with pytest.raises(
+            CampaignError,
+            match=r"mined with parameters \(\(0, 4\), 3, 1, 4, 10, 1000\), "
+            rf"config wants \(\(0, 4\), 3, 1, 4, 10, {2**63 - 1}\)$",
+        ):
+            load_campaign_datasets(config)
+
 
 # ---------------------------------------------------------------------------
 # planning
@@ -265,6 +279,32 @@ class TestReadResults:
         lines[3] = json.dumps(no_note)
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CampaignError, match=r":4: malformed record line \(no note\)"):
+            run_campaign(config)
+
+    def test_unparseable_explanation_is_refused_on_resume(self, tmp_path, mined_l3):
+        # the judgment of a pair parses its explanation line again on resume
+        config, outcome = self.run_small(tmp_path, mined_l3)
+        path = outcome.results_file
+        header, *lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        first_judgment = next(
+            i for i, r in enumerate(records) if r["task"] == "consistency_judgment"
+        )
+        judged = records[first_judgment]["sequence"]["values"]
+        explanation = next(
+            i for i, r in enumerate(records)
+            if r["task"] == "explanation" and r["sequence"]["values"] == judged
+        )
+        assert records[explanation]["valid"]
+        records[explanation]["parsed"]["value"] = "lambda x: (("
+        kept = [json.dumps(r) for r in records[:first_judgment]]
+        path.write_text("\n".join([header, *kept]) + "\n")
+        with pytest.raises(
+            CampaignError,
+            match=rf"results\.jsonl: malformed record line \(the explanation line of "
+            rf"run 0 for sequence \[{', '.join(map(str, judged))}\] at length 3: "
+            "its parsed value does not parse",
+        ):
             run_campaign(config)
 
     def test_result_line_writes_the_result_fields(self, tmp_path, mined_l3):

@@ -1,6 +1,9 @@
 """Campaign configuration: validation, serialization, digests."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +196,12 @@ class TestDerivedViews:
     def test_task_enums_subset(self):
         config = CampaignConfig(tasks=("explanation", "completion"))
         assert config.task_enums == (Task.COMPLETION, Task.EXPLANATION)
+
+
+def test_readme_configuration_table_lists_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n|---|---|---|\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()
+    # a row may name several keys: `http_base_url` / `http_model`
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(CampaignConfig))

@@ -7,6 +7,7 @@ stay pinned from two independent directions.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -26,6 +27,7 @@ from ambigseq.funcspace import (
 from ambigseq.mining import (
     AmbiguityRecord,
     Dataset,
+    DatasetParameters,
     Generator,
     SequenceRecord,
     continuations_of,
@@ -356,6 +358,17 @@ class TestSerialization:
         loaded = load_dataset(path)
         assert loaded == dataset4
 
+    def test_header_parameters_are_the_dataset_parameters(self, tmp_path, dataset4):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(dataset4, path)
+        header = json.loads(path.read_text().splitlines()[0])
+        names = {f.name for f in dataclasses.fields(DatasetParameters)}
+        assert set(header["parameters"]) == names
+        assert DatasetParameters(**header["parameters"]) == dataset4.parameters
+        assert "config_digest" not in header  # written only when given
+        save_dataset(dataset4, path, config_digest="abc")
+        assert json.loads(path.read_text().splitlines()[0])["config_digest"] == "abc"
+
     def test_bytes_stable(self, tmp_path, space):
         ds = mine(space, length=3)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -369,12 +382,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dataset(path)
 
-    def test_blank_lines_are_skipped(self, tmp_path, dataset4):
+    def test_blank_lines_are_refused(self, tmp_path, dataset4):
+        """save_dataset never writes a blank line, so one is damage."""
         path = tmp_path / "ds.jsonl"
         save_dataset(dataset4, path)
         header, *records = path.read_text().splitlines()
-        path.write_text("\n".join([header, "", *records, "  ", ""]) + "\n")
-        assert load_dataset(path) == dataset4
+        for n, blank in ((2, ""), (len(records) + 2, "  ")):
+            lines = [header, *records]
+            lines.insert(n - 1, blank)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=rf"ds\.jsonl:{n}: malformed record line"):
+                load_dataset(path)
 
     @pytest.mark.parametrize(
         "n, edit, where",
@@ -451,10 +469,16 @@ class TestRecordInvariants:
         fn = instantiate(TemplateKind.ARITHMETIC, 1, 0)
         rec = AmbiguityRecord(
             SequenceRecord((1, 2)),
-            (Generator(fn, 0, 3), Generator(fn, 1, 4)),
+            (Generator(fn, 1, 4), Generator(fn, 0, 3)),
         )
         assert rec.functions == (fn,)
+        assert rec.continuations == (3, 4)
         assert rec.is_ambiguous
+
+    def test_from_records_splits_by_ambiguity_in_order(self, dataset4):
+        records = sorted(dataset4.records(), key=lambda r: r.sequence.values)
+        split = Dataset.from_records(records, dataset4.parameters)
+        assert split == dataset4
 
     def test_dataset_rejects_swapped_splits(self, dataset4):
         with pytest.raises(ValueError):
