@@ -36,6 +36,8 @@ from .prompting import Task
 
 ANALYSIS_FILENAME = "analysis.json"
 METRICS_FILENAME = "metrics.tsv"
+#: Monte Carlo draws per record for the random-answerer baselines.
+MC_SAMPLES = 2000
 #: The top-level keys of the document :func:`analyze_results` builds.
 _ANALYSIS_KEYS = ("config_digest", "backend", "n_records", "per_length",
                   "reference_random_consistency", "reference_kl_bits")
@@ -215,25 +217,23 @@ def _quadrant_analysis(completions: list[dict], base: int) -> dict:
     return {"counts": counts, "kl_bits": kl}
 
 
-def _random_baseline(dataset: Dataset, mc_samples: int, rng_seed: int) -> dict:
+def _random_baseline(dataset: Dataset, rng_seed: int) -> dict:
     closed = expected_random_consistency(
         100, 100, dataset, mode="closed_form", which="ambiguous"
     )
     mc = expected_random_consistency(
-        100, 100, dataset, n_samples=mc_samples, rng_seed=rng_seed, which="ambiguous"
+        100, 100, dataset, n_samples=MC_SAMPLES, rng_seed=rng_seed, which="ambiguous"
     )
-    sigma_bound = 100 * 0.5 / math.sqrt(len(dataset.ambiguous) * mc_samples)
+    sigma_bound = 100 * 0.5 / math.sqrt(len(dataset.ambiguous) * MC_SAMPLES)
     return {
         "closed_form": closed,
         "monte_carlo": mc,
-        "n_samples": mc_samples,
+        "n_samples": MC_SAMPLES,
         "sigma_bound": sigma_bound,
     }
 
 
-def _reference_comparison(
-    datasets: dict[int, Dataset], mc_samples: int, rng_seed: int
-) -> list[dict]:
+def _reference_comparison(datasets: dict[int, Dataset], rng_seed: int) -> list[dict]:
     """Expected random consistency at the published accuracy points, averaged
     over the campaign's sequence lengths, with the gap to the published value."""
     rows = []
@@ -255,7 +255,7 @@ def _reference_comparison(
                     ref["p_expl"],
                     ref["p_compl"],
                     datasets[length],
-                    n_samples=mc_samples,
+                    n_samples=MC_SAMPLES,
                     rng_seed=rng_seed,
                     which="ambiguous",
                 )
@@ -303,9 +303,7 @@ def _figures(run: dict[str, Any]) -> dict[str, float | None]:
 
 
 @collector_paused()
-def analyze_results(
-    results_file: str | Path, *, mc_samples: int = 2000
-) -> dict[str, Any]:
+def analyze_results(results_file: str | Path) -> dict[str, Any]:
     """Build the full analysis document for one results file.
 
     Runs with the cyclic collector paused: a pure, single-threaded read of
@@ -365,9 +363,7 @@ def analyze_results(
                 "aggregate": (
                     aggregate_runs([_figures(f) for f in per_run]) if per_run else None
                 ),
-                "random_baseline": _random_baseline(
-                    datasets[length], mc_samples, config.rng_seed
-                ),
+                "random_baseline": _random_baseline(datasets[length], config.rng_seed),
                 "quadrants": _quadrant_analysis(
                     [
                         line
@@ -387,9 +383,7 @@ def analyze_results(
         "backend": config.backend,
         "n_records": len(lines),
         "per_length": per_length,
-        "reference_random_consistency": _reference_comparison(
-            datasets, mc_samples, config.rng_seed
-        ),
+        "reference_random_consistency": _reference_comparison(datasets, config.rng_seed),
         "reference_kl_bits": dict(REFERENCE_KL_BITS),
     }
 

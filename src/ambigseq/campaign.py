@@ -372,10 +372,6 @@ class CampaignOutcome:
     failed: bool = False
     error: str | None = None
 
-    @property
-    def total(self) -> int:
-        return self.queried + self.skipped
-
 
 class _Audit:
     def __init__(self, path: Path):

@@ -83,10 +83,16 @@ class CampaignConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constant_range", tuple(self.constant_range))
-        object.__setattr__(self, "lengths", tuple(self.lengths))
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        self.validate()
+        # a mistyped value (a null list, a quoted count) fails a conversion or
+        # a comparison here: that is a bad config, not a crash
+        try:
+            for key in ("constant_range", "lengths", "tasks"):
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+            self.validate()
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"mistyped config value: {exc}") from exc
 
     def validate(self) -> None:
         lo, hi = self.constant_range
@@ -96,6 +102,8 @@ class CampaignConfig:
             raise ConfigError(f"bad lengths {self.lengths}")
         if self.base not in (10, 2):
             raise ConfigError(f"unsupported base {self.base}")
+        if self.start_index < 0:
+            raise ConfigError(f"bad start_index {self.start_index}")
         if self.max_offset < 0:
             raise ConfigError(f"bad max_offset {self.max_offset}")
         try:
@@ -170,11 +178,7 @@ class CampaignConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("constant_range", "lengths", "tasks"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CampaignConfig":

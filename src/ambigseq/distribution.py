@@ -47,10 +47,6 @@ class TokenDistribution:
         if len(set(tokens)) != len(tokens):
             raise ValueError(f"duplicate tokens in distribution: {tokens}")
 
-    @property
-    def top(self) -> TokenLogprob:
-        return self.entries[0]
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "TokenDistribution":
         return cls(tuple(TokenLogprob(t, lp) for t, lp in pairs))

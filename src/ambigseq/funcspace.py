@@ -74,6 +74,9 @@ DEFAULT_CONSTANT_RANGE: tuple[int, int] = (0, 4)
 #: match a signed 64-bit integer pipeline; see enumerate_space().
 DEFAULT_MAX_VALUE: int = 2**63 - 1
 
+#: Longest sequence length whose indices :func:`enumerate_space` probes.
+PROBE_LENGTH = 5
+
 #: Deepest expression :func:`parse` accepts, counting each operator and each
 #: pair of parentheses as a level. Templates nest three levels; far deeper
 #: text (an answer, not a template) would exhaust the interpreter's stack in
@@ -623,9 +626,6 @@ class FunctionSpace:
     def __len__(self) -> int:
         return len(self.functions)
 
-    def __getitem__(self, i: int) -> ConcreteFunction:
-        return self.functions[i]
-
     def __contains__(self, fn: object) -> bool:
         return fn in self._rows
 
@@ -650,17 +650,16 @@ class FunctionSpace:
 
 def enumerate_space(
     constant_range: tuple[int, int] = DEFAULT_CONSTANT_RANGE,
-    probe_length: int = 5,
     convention: IndexConvention = DEFAULT_CONVENTION,
     max_value: int | None = DEFAULT_MAX_VALUE,
 ) -> FunctionSpace:
     """Enumerate every template instance and keep the ones that are usable.
 
     A candidate is valid iff it evaluates without error at every probe index
-    ``start_index .. start_index + max_offset + probe_length`` and (when
+    ``start_index .. start_index + max_offset + PROBE_LENGTH`` and (when
     ``max_value`` is set) every probed value has magnitude at most
     ``max_value``. The probes cover the indices mining reads for lengths up to
-    ``probe_length``; longer lengths read past them, where a valid function
+    :data:`PROBE_LENGTH`; longer lengths read past them, where a valid function
     may exceed ``max_value``. Each valid function's probed values become its
     row in the space, so no later reader evaluates them again. No prefix
     index is built here: mining builds one per length on first use.
@@ -668,10 +667,8 @@ def enumerate_space(
     lo, hi = constant_range
     if lo > hi or lo < 0:
         raise ValueError(f"bad constant range: {constant_range}")
-    if probe_length < 1:
-        raise ValueError(f"probe_length must be >= 1, got {probe_length}")
     first = convention.start_index
-    last = convention.start_index + convention.max_offset + probe_length
+    last = convention.start_index + convention.max_offset + PROBE_LENGTH
     probes = tuple(range(first, last + 1))
 
     rows: dict[ConcreteFunction, tuple[int, ...]] = {}

@@ -179,11 +179,9 @@ class Dataset:
         yield from self.ambiguous
         yield from self.unambiguous
 
-    def counts(self, space: FunctionSpace | None = None) -> DatasetCounts:
+    def counts(self, space: FunctionSpace) -> DatasetCounts:
         ambiguous_fns = {f for r in self.ambiguous for f in r.functions}
-        all_fns = {f for r in self.records() for f in r.functions}
-        if space is not None:
-            all_fns |= set(space.functions)
+        all_fns = {f for r in self.records() for f in r.functions} | set(space.functions)
         pairs = set()
         self_ambiguous = set()
         for r in self.ambiguous:

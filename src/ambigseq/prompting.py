@@ -43,7 +43,7 @@ from .mining import (
 JudgedPair = tuple[FunctionLike, int]
 
 
-class PromptingError(Exception):
+class PromptingError(ValueError):
     """Raised when a prompt cannot be built as specified."""
 
 

@@ -42,7 +42,7 @@ def campaign_results(tmp_path, mined_l3, **overrides):
 def analysis(tmp_path_factory, mined_l3):
     tmp = tmp_path_factory.mktemp("oracle_analysis")
     config, results_file = campaign_results(tmp, mined_l3)
-    doc = analyze_results(results_file, mc_samples=200)
+    doc = analyze_results(results_file)
     return config, doc
 
 
@@ -122,7 +122,7 @@ class TestAdversarialAnalysis:
         _, results_file = campaign_results(
             tmp_path, mined_l3, backend="adversarial", n_runs=1
         )
-        doc = analyze_results(results_file, mc_samples=100)
+        doc = analyze_results(results_file)
         agg = doc["per_length"]["3"]["aggregate"]
         # wrong completions, but explanations are genuine generators
         assert agg["completion_accuracy"] == 0.0
@@ -209,7 +209,7 @@ class TestScriptedHandScored:
 
         outcome = run_campaign(config)
         assert not outcome.failed
-        doc = analyze_results(outcome.results_file, mc_samples=100)
+        doc = analyze_results(outcome.results_file)
         agg = doc["per_length"]["3"]["aggregate"]
         assert agg["completion_accuracy"] == 50.0
         assert agg["explanation_accuracy"] == 50.0
@@ -225,8 +225,8 @@ class TestScriptedHandScored:
 class TestAnalysisDeterminism:
     def test_same_results_same_document(self, tmp_path, mined_l3):
         _, results_file = campaign_results(tmp_path, mined_l3)
-        first = analyze_results(results_file, mc_samples=100)
-        second = analyze_results(results_file, mc_samples=100)
+        first = analyze_results(results_file)
+        second = analyze_results(results_file)
         assert canonical_json(first) == canonical_json(second)
 
     def test_duplicated_line_is_an_error(self, tmp_path, mined_l3):
@@ -248,7 +248,7 @@ class TestAnalysisDeterminism:
             CampaignError,
             match=rf":{len(lines) + 1}: duplicate result line; line {judgment} ",
         ):
-            analyze_results(results_file, mc_samples=100)
+            analyze_results(results_file)
 
     @pytest.mark.parametrize("key", ["config", "config_digest", "datasets"])
     def test_header_without_a_campaign_key_is_an_error(self, tmp_path, mined_l3, key):
@@ -260,7 +260,7 @@ class TestAnalysisDeterminism:
         with pytest.raises(
             CampaignError, match=rf"results\.jsonl: results header lacks {key}$"
         ):
-            analyze_results(results_file, mc_samples=100)
+            analyze_results(results_file)
 
     @staticmethod
     def damage_first_line(results_file, task, edit):
@@ -288,7 +288,7 @@ class TestAnalysisDeterminism:
             rf"of run 0 for sequence \[{', '.join(map(str, values))}\] at length 3: "
             "its parsed value does not parse",
         ):
-            analyze_results(results_file, mc_samples=100)
+            analyze_results(results_file)
 
     @pytest.mark.parametrize("top", [[["7"]], [["7", -0.5], ["8", -0.1]], [["7", "high"]]])
     def test_malformed_top_logprobs_is_an_error(self, tmp_path, mined_l3, top):
@@ -302,19 +302,19 @@ class TestAnalysisDeterminism:
             rf"of run 0 for sequence \[{', '.join(map(str, values))}\] at length 3: "
             "malformed top_logprobs: ",
         ):
-            analyze_results(results_file, mc_samples=100)
+            analyze_results(results_file)
 
     def test_missing_dataset_file_is_an_error(self, tmp_path, mined_l3):
         _, results_file = campaign_results(tmp_path, mined_l3)
         (results_file.parent / dataset_filename(3)).unlink()
         with pytest.raises(CampaignError, match="missing"):
-            analyze_results(results_file, mc_samples=100)
+            analyze_results(results_file)
 
 
 class TestFileOutput:
     def test_metrics_table_layout(self, tmp_path, mined_l3):
         config, results_file = campaign_results(tmp_path, mined_l3)
-        doc = analyze_results(results_file, mc_samples=100)
+        doc = analyze_results(results_file)
         table = metrics_table(doc)
         lines = table.splitlines()
         assert lines[0] == f"# config_digest={config.digest()}"
@@ -354,7 +354,7 @@ class TestFileOutput:
 
     def test_write_and_load_round_trip(self, tmp_path, mined_l3):
         _, results_file = campaign_results(tmp_path, mined_l3)
-        doc = analyze_results(results_file, mc_samples=100)
+        doc = analyze_results(results_file)
         analysis_path, table_path = write_analysis(doc, tmp_path / "out")
         assert analysis_path.name == "analysis.json"
         assert table_path.name == "metrics.tsv"

@@ -100,7 +100,7 @@ class TestScriptedBackend:
             {"7,11,15": {"text": "19", "top_logprobs": [["19", -0.5], ["15", -1.0]]}}
         )
         resp = backend.complete(req)
-        assert resp.first_token_top_logprobs.top.token == "19"
+        assert resp.first_token_top_logprobs.entries[0].token == "19"
 
     def test_wanting_logprobs_without_fixture_support_raises(self, space):
         req = make_request(space, want_logprobs=2)
@@ -218,7 +218,7 @@ class TestOracleBackend:
         backend = OracleBackend(space)
         resp = backend.complete(make_request(space, want_logprobs=5))
         dist = resp.first_token_top_logprobs
-        assert dist.top.token == resp.text  # top-1 is the answered completion
+        assert dist.entries[0].token == resp.text  # top-1 is the answered completion
         tokens = {e.token for e in dist.entries}
         assert tokens == {"15", "19"}
 
@@ -226,7 +226,7 @@ class TestOracleBackend:
         backend = OracleBackend(space, mode="adversarial")
         resp = backend.complete(make_request(space, want_logprobs=5))
         dist = resp.first_token_top_logprobs
-        assert int(dist.top.token) not in {15, 19}
+        assert int(dist.entries[0].token) not in {15, 19}
 
     def test_mode_validation(self, space):
         with pytest.raises(ValueError):

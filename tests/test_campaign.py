@@ -477,7 +477,7 @@ class TestCollectorPaused:
         _, path = many_runs
         gc.enable()
         collections.clear()
-        analysis = analyze_results(path, mc_samples=10)
+        analysis = analyze_results(path)
         in_call = collections[:]
         assert analysis["n_records"] == 4800
         assert len(in_call) <= 1
@@ -502,7 +502,7 @@ class TestRunCampaign:
         assert not outcome.failed
         assert outcome.queried == 24
         assert outcome.skipped == 0
-        assert outcome.total == 24
+        assert outcome.queried + outcome.skipped == 24
         _, records = read_results(outcome.results_file)
         assert all(r["valid"] for r in records)
         completions = [r for r in records if r["task"] == "completion"]
@@ -574,7 +574,7 @@ class TestRunCampaign:
         outcome = run_campaign(config)
         assert not outcome.failed
         assert path.read_bytes() == reference
-        assert len(read_results(path)[1]) == outcome.total == 24
+        assert len(read_results(path)[1]) == outcome.queried + outcome.skipped == 24
 
     def test_resume_refuses_a_duplicated_line(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)

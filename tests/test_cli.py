@@ -218,6 +218,38 @@ class TestFailureExitCodes:
         assert main([command, "--config", str(path)]) == 2
         assert "config error:" in capfd.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            ({"lengths": None}, []),
+            ({"lengths": 5}, []),
+            ({"n_runs": "3"}, []),
+            ({"want_top_logprobs": None}, []),
+            ({"constant_range": [0]}, []),
+            ({}, ["--constant-range", "3"]),
+            ({"start_index": "1"}, []),
+        ],
+        ids=["null_lengths", "int_lengths", "string_n_runs", "null_top_logprobs",
+             "short_constant_range", "short_constant_range_flag", "string_start_index"],
+    )
+    def test_a_mistyped_config_value_is_a_config_error(
+        self, tmp_path, capfd, config, extra
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "output_dir": str(tmp_path)}))
+        assert main(["mine", "--config", str(path), *extra]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
+    def test_a_pool_too_small_for_the_shots_is_an_error(self, tmp_path, capfd):
+        small = ["--output-dir", str(tmp_path), "--constant-range", "0,0", "--lengths", "3"]
+        assert main(["mine", *small]) == 0
+        capfd.readouterr()
+        assert main(["run", *small]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: cannot draw 8 demonstrations from a pool of 7")
+
     @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_refuses_datasets_mined_with_other_parameters(
         self, tmp_path, capfd, command

@@ -48,6 +48,7 @@ class TestValidation:
             {"want_top_logprobs": 6},
             {"want_top_logprobs": -1},
             {"limit_sequences": 0},
+            {"start_index": -1},
         ],
     )
     def test_bad_values_rejected(self, changes):

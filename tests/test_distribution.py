@@ -51,7 +51,7 @@ class TestTokenDistribution:
 
     def test_top(self):
         d = dist(("19", -0.5), ("15", -1.5))
-        assert d.top.token == "19"
+        assert d.entries[0].token == "19"
 
 
 class TestParseNumeralToken:

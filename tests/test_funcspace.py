@@ -383,7 +383,7 @@ class TestGenerateSequence:
         cold = self.hand_built(*enumerated.functions, convention=convention)
         start = convention.start_index
         for space in (enumerated, cold):
-            for length in range(1, 8):  # probe_length is 5
+            for length in range(1, 8):  # PROBE_LENGTH is 5
                 for fn in space:
                     for offset in convention.offsets:
                         expected = oracle_sequence(
@@ -393,7 +393,7 @@ class TestGenerateSequence:
 
     def test_a_read_past_the_row_evaluates_only_the_missing_indices(self, monkeypatch):
         space = enumerate_space()
-        fn = space[0]
+        fn = space.functions[0]
         probed = space._rows[fn]
         calls = []
         monkeypatch.setattr(fs, "evaluate", lambda f, x: calls.append(x) or evaluate(f, x))
@@ -511,7 +511,7 @@ class TestRandomizedOracleAgreement:
         rng = random.Random(20260818)
         space = enumerate_space()
         for _ in range(300):
-            fn = space[rng.randrange(len(space))]
+            fn = space.functions[rng.randrange(len(space))]
             x = rng.randrange(0, 15)
             try:
                 expected = oracle_value(fn.kind.value, fn.c1, fn.c2, x)

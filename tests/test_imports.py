@@ -1,0 +1,60 @@
+"""The modules are the import surface: each imports only what it uses, and
+importing one loads only the layers beneath it."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted((SRC / "ambigseq").glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_imported_name_is_used_in_its_module(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {
+        name: line for name, line in _imported_names(tree).items() if name not in used
+    }
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("funcspace", ["ambigseq.funcspace"]),
+        ("mining", ["ambigseq.funcspace", "ambigseq.mining"]),
+    ],
+)
+def test_a_module_loads_only_the_layers_beneath_it(module, loaded):
+    script = (
+        "import json, sys\n"
+        f"import ambigseq.{module}\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'numpy' or m.startswith('ambigseq.'))))\n"
+    )
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == loaded

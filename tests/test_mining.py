@@ -160,7 +160,7 @@ class TestDatasetCounts:
 
     def test_ambiguity_decreases_with_length_here(self, space):
         seq_counts = [
-            mine(space, length=L).counts().sequences_ambiguous for L in (2, 3, 4, 5)
+            mine(space, length=L).counts(space).sequences_ambiguous for L in (2, 3, 4, 5)
         ]
         assert seq_counts == sorted(seq_counts, reverse=True)
 
@@ -234,7 +234,7 @@ class TestPrefixIndex:
         probes = range(first, first + convention.max_offset + 5 + 1)
         oracle = oracle_space(probes=probes)
         assert [(f.kind.value, f.c1, f.c2) for f in space] == oracle
-        for length in range(1, 8):  # probe_length is 5
+        for length in range(1, 8):  # PROBE_LENGTH is 5
             table = oracle_mine(oracle, length, convention.max_offset, first)
             for prefix, expected in table.items():
                 got = matching_generators(prefix, space)
