@@ -12,9 +12,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
-from .mining import canonical_json
+from .mining import canonical_json, check_fields
 from .prompting import ShotSampling, Task, Variant
 
 DEFAULT_TASKS = (
@@ -83,16 +83,11 @@ class CampaignConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        # a mistyped value (a null list, a quoted count) fails a conversion or
-        # a comparison here: that is a bad config, not a crash
         try:
-            for key in ("constant_range", "lengths", "tasks"):
-                object.__setattr__(self, key, tuple(getattr(self, key)))
-            self.validate()
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"mistyped config value: {exc}") from exc
+            check_fields(self)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.validate()
 
     def validate(self) -> None:
         lo, hi = self.constant_range
@@ -153,27 +148,21 @@ class CampaignConfig:
             raise ConfigError("want_top_logprobs must be within 0..5")
         if self.limit_sequences is not None and self.limit_sequences < 1:
             raise ConfigError("limit_sequences must be >= 1 when set")
-        if self.concurrency is not None and (
-            isinstance(self.concurrency, bool)
-            or not isinstance(self.concurrency, int)
-            or not 1 <= self.concurrency <= MAX_CONCURRENCY
-        ):
+        if self.concurrency is not None and not 1 <= self.concurrency <= MAX_CONCURRENCY:
             raise ConfigError(
-                f"concurrency must be an integer within 1..{MAX_CONCURRENCY} "
-                f"or null, got {self.concurrency!r}"
+                f"concurrency must be within 1..{MAX_CONCURRENCY} or null, "
+                f"got {self.concurrency}"
             )
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["constant_range"] = list(self.constant_range)
-        data["lengths"] = list(self.lengths)
-        data["tasks"] = list(self.tasks)
-        return data
+        return asdict(self)  # canonical_json writes each tuple as an array
 
     @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "CampaignConfig":
+    def from_json(cls, data: Any) -> "CampaignConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"expected a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -186,8 +175,6 @@ class CampaignConfig:
             data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
         return cls.from_json(data)
 
     def override(self, **changes: Any) -> "CampaignConfig":

@@ -30,10 +30,6 @@ class EvaluationError(FuncspaceError):
     """Raised when a function cannot be evaluated at a given index."""
 
 
-class ConstantRangeError(FuncspaceError):
-    """Raised when a template constant falls outside the allowed range."""
-
-
 class TemplateKind(Enum):
     ARITHMETIC = "arithmetic"
     GEOMETRIC = "geometric"
@@ -186,24 +182,6 @@ class ParsedFunction:
 
 
 FunctionLike = Union[ConcreteFunction, ParsedFunction]
-
-
-def instantiate(
-    kind: TemplateKind,
-    c1: int,
-    c2: int,
-    constant_range: tuple[int, int] = DEFAULT_CONSTANT_RANGE,
-) -> ConcreteFunction:
-    """Build a template instance, validating constants against the range."""
-    lo, hi = constant_range
-    for name, c in (("c1", c1), ("c2", c2)):
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ConstantRangeError(f"{name} must be an int, got {c!r}")
-        if not lo <= c <= hi:
-            raise ConstantRangeError(
-                f"{name}={c} outside allowed range [{lo}, {hi}] for {kind.value}"
-            )
-    return ConcreteFunction(kind, c1, c2)
 
 
 @lru_cache(maxsize=4096)

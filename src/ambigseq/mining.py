@@ -9,10 +9,11 @@ use. :func:`mine` and every query against a space (:func:`matching_generators`
 and what sits on it) read that index; :func:`pairwise_ambiguities` reads the
 rows but keeps the literal O(n²) pair scan for auditing, never the index.
 
-The fields of :class:`DatasetParameters` are a dataset file's header, as
-:func:`save_dataset` writes and :func:`load_dataset` reads it. A record's
-continuations and functions are derived once, when it is made, and
-:meth:`Dataset.from_records` is the one split of records by ambiguity.
+The fields of :class:`DatasetParameters`, typed by :func:`check_fields`, are
+a dataset file's header, as :func:`save_dataset` writes and
+:func:`load_dataset` reads it. A record's continuations and functions are
+derived once, when it is made, and :meth:`Dataset.from_records` is the one
+split of records by ambiguity.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import Field, asdict, dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from types import UnionType
+from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from . import funcspace  # evaluate is looked up per call, so a rebinding of it sees them
 from .funcspace import (
@@ -124,7 +126,7 @@ class DatasetParameters:
     max_function_value: int | None = DEFAULT_MAX_VALUE
 
     def __post_init__(self) -> None:
-        vars(self).update(constant_range=tuple(self.constant_range))  # JSON reads a list
+        check_fields(self)
 
     @property
     def convention(self) -> IndexConvention:
@@ -337,6 +339,38 @@ def continuations_of(
 def canonical_json(data: Any) -> str:
     """The one JSON writer of artifacts and digests: sorted keys, no spaces."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def check_fields(record: Any) -> None:
+    """Check each field of the dataclass ``record`` against its annotation:
+    ``int`` (never a ``bool``), ``str``, ``X | None``, ``tuple[X, ...]`` or
+    ``tuple[X, Y]``. A list, as JSON reads a tuple, is checked and kept as
+    that tuple; a mistyped value is a ``TypeError`` naming its field."""
+    for f, hint in _field_hints(type(record)):
+        value = getattr(record, f.name)
+        checked = tuple(value) if isinstance(value, list) else value
+        if not _fits(checked, hint):
+            raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        object.__setattr__(record, f.name, checked)
+
+
+@lru_cache(maxsize=None)  # one entry per record class: resolving is slow
+def _field_hints(cls: type) -> tuple[tuple[Field, Any], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def _fits(value: Any, hint: Any) -> bool:
+    if type(value) is hint:  # a class admits no subclass: ``int`` refuses a ``bool``
+        return True
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple and type(value) is tuple:
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return False
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -38,11 +38,11 @@ from ambigseq.evaluation import (
     verbalization_scores,
 )
 from ambigseq.funcspace import (
+    ConcreteFunction,
     IndexConvention,
     TemplateKind,
     enumerate_space,
     evaluate,
-    instantiate,
     parse,
     render_function,
 )
@@ -205,7 +205,7 @@ def test_04_interpreter_oracle_equivalence(report, space):
     reference = oracle_space()
     mismatches = 0
     for kind_name, c1, c2 in reference:
-        fn = instantiate(TemplateKind(kind_name), c1, c2)
+        fn = ConcreteFunction(TemplateKind(kind_name), c1, c2)
         for x in range(1, 11):
             if evaluate(fn, x) != oracle_value(kind_name, c1, c2, x):
                 mismatches += 1

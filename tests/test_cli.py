@@ -228,15 +228,45 @@ class TestFailureExitCodes:
             ({"constant_range": [0]}, []),
             ({}, ["--constant-range", "3"]),
             ({"start_index": "1"}, []),
+            # at least one case per field of CampaignConfig
+            ({"constant_range": [0.5, 4]}, []),
+            ({"lengths": [3.0]}, []),
+            ({"lengths": [True]}, []),
+            ({"base": 10.0}, []),
+            ({"max_offset": 2.0}, []),
+            ({"variant": ["plain"]}, []),
+            ({"n_shots": 2.0}, []),
+            ({"shot_sampling": None}, []),
+            ({"role_text": 3}, []),
+            ({"model_name": 7}, []),
+            ({"backend": ["oracle"]}, []),
+            ({"backend_seed": "0"}, []),
+            ({"tie_break": 0}, []),
+            ({"http_base_url": 1}, []),
+            ({"http_model": True}, []),
+            ({"api_key_env": None}, []),
+            ({"fixtures_file": 5}, []),
+            ({"cache_dir": False}, []),
+            ({"concurrency": "8"}, []),
+            ({"tasks": "completion"}, []),
+            ({"rng_seed": "7"}, []),
+            ({"limit_sequences": 1.5}, []),
+            ({"output_dir": 5}, []),
         ],
         ids=["null_lengths", "int_lengths", "string_n_runs", "null_top_logprobs",
-             "short_constant_range", "short_constant_range_flag", "string_start_index"],
+             "short_constant_range", "short_constant_range_flag", "string_start_index",
+             "float_constant_range", "float_lengths", "bool_lengths", "float_base",
+             "float_max_offset", "list_variant", "float_n_shots", "null_shot_sampling",
+             "int_role_text", "int_model_name", "list_backend", "string_backend_seed",
+             "int_tie_break", "int_http_base_url", "bool_http_model", "null_api_key_env",
+             "int_fixtures_file", "bool_cache_dir", "string_concurrency", "string_tasks",
+             "string_rng_seed", "float_limit_sequences", "int_output_dir"],
     )
     def test_a_mistyped_config_value_is_a_config_error(
         self, tmp_path, capfd, config, extra
     ):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({**config, "output_dir": str(tmp_path)}))
+        path.write_text(json.dumps({"output_dir": str(tmp_path), **config}))
         assert main(["mine", "--config", str(path), *extra]) == 2
         err = capfd.readouterr().err
         assert err.startswith("config error: ")
@@ -262,6 +292,19 @@ class TestFailureExitCodes:
         capfd.readouterr()
         assert main([command, *flags(out)]) == 1
         assert "was mined with parameters ((0, 5)" in capfd.readouterr().err
+
+    def test_a_results_header_config_that_is_not_an_object_is_an_error(
+        self, tmp_path, capfd
+    ):
+        for stage in ("mine", "run"):
+            assert main([stage, *flags(tmp_path)]) == 0
+        path = tmp_path / "results.jsonl"
+        header, *rest = path.read_text().splitlines()
+        header = json.dumps({**json.loads(header), "config": ["lengths"]})
+        path.write_text("\n".join([header, *rest]) + "\n")
+        capfd.readouterr()
+        assert main(["analyze", *flags(tmp_path)]) == 1
+        assert capfd.readouterr().err.startswith("error: expected a JSON object, got list")
 
     @pytest.mark.parametrize("value", ["0", "65"])
     def test_out_of_range_concurrency(self, tmp_path, capfd, value):

@@ -165,6 +165,28 @@ class TestDigest:
         assert CampaignConfig().digest() == CampaignConfig().digest()
         assert len(CampaignConfig().digest()) == 12
 
+    @pytest.mark.parametrize(
+        "changes, digest",
+        [
+            ({}, "5160aa514c4a"),
+            ({"lengths": (3,), "limit_sequences": 2, "n_runs": 2}, "eba46e09da05"),
+            ({"lengths": (3, 4), "n_runs": 3, "limit_sequences": 20}, "65d7e56688b0"),
+            ({"lengths": (3, 4), "n_runs": 3}, "b4513ff2d8bd"),
+            ({"lengths": (3, 4), "n_runs": 30}, "139bf1807bd6"),
+        ],
+        ids=["default", "readme_quick_start", "perfbench_oracle_cycle",
+             "perfbench_oracle_anchor", "perfbench_analyze_10x"],
+    )
+    def test_digest_is_pinned(self, changes, digest):
+        # the campaign identity stamped into every artifact written so far
+        assert CampaignConfig(**changes).digest() == digest
+
+    def test_readme_example_config_digest_is_pinned(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration\n", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert CampaignConfig.from_json(json.loads(example)).digest() == "f11a580228a3"
+
     def test_digest_changes_with_experiment_parameters(self):
         base = CampaignConfig()
         assert base.digest() != base.override(rng_seed=1).digest()

@@ -38,9 +38,9 @@ from ambigseq.evaluation import (
     verbalization_scores,
 )
 from ambigseq.funcspace import (
+    ConcreteFunction,
     TemplateKind,
     enumerate_space,
-    instantiate,
 )
 from ambigseq.mining import (
     AmbiguityRecord,
@@ -53,8 +53,8 @@ from ambigseq.mining import (
 )
 from ambigseq.prompting import PromptSpec, Task, build_prompt
 
-ARITH43 = instantiate(TemplateKind.ARITHMETIC, 4, 3)
-BITOR33 = instantiate(TemplateKind.BIT_OR, 3, 3)
+ARITH43 = ConcreteFunction(TemplateKind.ARITHMETIC, 4, 3)
+BITOR33 = ConcreteFunction(TemplateKind.BIT_OR, 3, 3)
 AMBIG = SequenceRecord((7, 11, 15))
 
 
@@ -444,10 +444,10 @@ def fifty_fifty_dataset():
         two_way_record([7, 11, 15], ARITH43, 0, 19, BITOR33, 1, 15),
         two_way_record(
             [1, 2, 3],
-            instantiate(TemplateKind.ARITHMETIC, 1, 0),
+            ConcreteFunction(TemplateKind.ARITHMETIC, 1, 0),
             0,
             4,
-            instantiate(TemplateKind.INDEXING_CRITERIA, 0, 2),
+            ConcreteFunction(TemplateKind.INDEXING_CRITERIA, 0, 2),
             0,
             5,
         ),

@@ -22,7 +22,6 @@ from ambigseq.funcspace import (
     BinOp,
     ConcreteFunction,
     EvaluationError,
-    ConstantRangeError,
     FunctionSpace,
     IndexConvention,
     Lit,
@@ -32,7 +31,6 @@ from ambigseq.funcspace import (
     Var,
     enumerate_space,
     evaluate,
-    instantiate,
     parse,
     render_function,
 )
@@ -67,30 +65,21 @@ def test_readme_template_table_matches_code():
 
 class TestInstantiate:
     def test_arithmetic_text(self):
-        fn = instantiate(TemplateKind.ARITHMETIC, 4, 3)
+        fn = ConcreteFunction(TemplateKind.ARITHMETIC, 4, 3)
         assert fn.text == "lambda x: (4 * x) + 3"
 
     def test_recursive_text(self):
-        fn = instantiate(TemplateKind.RECURSIVE, 1, 0)
+        fn = ConcreteFunction(TemplateKind.RECURSIVE, 1, 0)
         assert fn.text == (
             "(lambda a: lambda v: a(a,v))"
             "(lambda fn,x: 1 if x==0 else 1 * x * fn(fn,x-1) + 0)"
         )
 
     def test_indexing_text(self):
-        fn = instantiate(TemplateKind.INDEXING_CRITERIA, 1, 2)
+        fn = ConcreteFunction(TemplateKind.INDEXING_CRITERIA, 1, 2)
         assert fn.text == (
             "lambda x: [i for i in range(100) if i % (1 + 1) or i % (2 + 1)][x]"
         )
-
-    @pytest.mark.parametrize("c1,c2", [(-1, 0), (0, 5), (5, 5), (17, 2)])
-    def test_constants_out_of_range(self, c1, c2):
-        with pytest.raises(ConstantRangeError):
-            instantiate(TemplateKind.GEOMETRIC, c1, c2)
-
-    def test_wider_range_allowed_when_asked(self):
-        fn = instantiate(TemplateKind.ARITHMETIC, 7, 0, constant_range=(0, 9))
-        assert fn.c1 == 7
 
 
 class TestEvaluate:
@@ -166,12 +155,12 @@ class TestParse:
         assert parsed == fn
 
     def test_whitespace_insensitive(self):
-        fn = instantiate(TemplateKind.ARITHMETIC, 4, 3)
+        fn = ConcreteFunction(TemplateKind.ARITHMETIC, 4, 3)
         assert parse("lambda x:(4*x)+3") == fn
         assert parse("  lambda   x :  ( 4 * x ) + 3  ") == fn
 
     def test_variable_name_is_free(self):
-        assert parse("lambda n: (4 * n) + 3") == instantiate(
+        assert parse("lambda n: (4 * n) + 3") == ConcreteFunction(
             TemplateKind.ARITHMETIC, 4, 3
         )
 
@@ -346,19 +335,19 @@ class TestGenerateSequence:
         )
 
     def test_table_vector(self):
-        fn = instantiate(TemplateKind.ARITHMETIC, 4, 3)
+        fn = ConcreteFunction(TemplateKind.ARITHMETIC, 4, 3)
         for space in (enumerate_space(), self.hand_built(fn)):
             assert space.sequence(fn, 0, 3) == (7, 11, 15)
             assert space.sequence(fn, 0, 4) == (7, 11, 15, 19)
 
     def test_offset_shifts_start(self):
-        fn = instantiate(TemplateKind.BIT_OR, 3, 3)
+        fn = ConcreteFunction(TemplateKind.BIT_OR, 3, 3)
         for space in (enumerate_space(), self.hand_built(fn)):
             assert space.sequence(fn, 1, 3) == (7, 11, 15)
             assert space.sequence(fn, 1, 4) == (7, 11, 15, 15)
 
     def test_offset_bounds_enforced(self):
-        fn = instantiate(TemplateKind.ARITHMETIC, 1, 0)
+        fn = ConcreteFunction(TemplateKind.ARITHMETIC, 1, 0)
         space = enumerate_space()
         with pytest.raises(ValueError):
             space.sequence(fn, 5, 3)
@@ -366,7 +355,7 @@ class TestGenerateSequence:
             space.sequence(fn, -1, 3)
 
     def test_propagates_evaluation_error(self):
-        fn = instantiate(TemplateKind.INDEXING_CRITERIA, 0, 0, constant_range=(0, 4))
+        fn = ConcreteFunction(TemplateKind.INDEXING_CRITERIA, 0, 0)
         space = self.hand_built(fn)
         with pytest.raises(EvaluationError):
             space.sequence(fn, 0, 3)
@@ -375,7 +364,7 @@ class TestGenerateSequence:
     def test_refuses_a_function_outside_the_space(self):
         space = enumerate_space()
         with pytest.raises(KeyError):
-            space.sequence(instantiate(TemplateKind.POWER, 4, 4), 0, 3)  # excluded
+            space.sequence(ConcreteFunction(TemplateKind.POWER, 4, 4), 0, 3)  # excluded
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_matches_bruteforce_past_the_probes(self, convention):
@@ -466,7 +455,7 @@ class TestEnumerateSpace:
         a, b, small = enumerate_space(), enumerate_space(), enumerate_space((0, 1))
         assert hash(a) == hash(b) and {a: 1}[b] == 1
         assert small != a and small.functions[0] in a
-        assert fs.instantiate(fs.TemplateKind.POWER, 4, 4) not in a  # excluded
+        assert fs.ConcreteFunction(fs.TemplateKind.POWER, 4, 4) not in a  # excluded
 
     def test_space_carries_its_convention(self):
         convention = fs.IndexConvention(0, 2)

@@ -42,6 +42,8 @@ def test_every_imported_name_is_used_in_its_module(path):
     [
         ("funcspace", ["ambigseq.funcspace"]),
         ("mining", ["ambigseq.funcspace", "ambigseq.mining"]),
+        ("config", ["ambigseq.config", "ambigseq.funcspace", "ambigseq.mining",
+                    "ambigseq.prompting"]),
     ],
 )
 def test_a_module_loads_only_the_layers_beneath_it(module, loaded):

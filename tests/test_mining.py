@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from ambigseq import funcspace, mining
 from ambigseq.funcspace import (
+    ConcreteFunction,
     FunctionSpace,
     IndexConvention,
     TemplateKind,
     enumerate_space,
     evaluate,
-    instantiate,
 )
 from ambigseq.mining import (
     AmbiguityRecord,
@@ -288,9 +288,9 @@ class TestHandBuiltSpaceCompleteness:
 
     def test_three_function_space(self):
         fns = (
-            instantiate(TemplateKind.ARITHMETIC, 4, 3),  # 4x+3
-            instantiate(TemplateKind.BIT_OR, 3, 3),      # (3x)|3
-            instantiate(TemplateKind.BIT_OR, 4, 3),      # (4x)|3
+            ConcreteFunction(TemplateKind.ARITHMETIC, 4, 3),  # 4x+3
+            ConcreteFunction(TemplateKind.BIT_OR, 3, 3),      # (3x)|3
+            ConcreteFunction(TemplateKind.BIT_OR, 4, 3),      # (4x)|3
         )
         space = FunctionSpace(
             functions=fns, excluded=(), constant_range=(0, 4),
@@ -333,12 +333,12 @@ class TestContinuationsOf:
                 assert continuations_of(fn, record.sequence.values, conv) == expected
 
     def test_non_generator_yields_nothing(self, space):
-        fn = instantiate(TemplateKind.MODULAR, 1, 1)
+        fn = ConcreteFunction(TemplateKind.MODULAR, 1, 1)
         assert continuations_of(fn, (7, 11, 15)) == frozenset()
 
     def test_offsets_that_cannot_be_evaluated_are_skipped(self):
         # the filtered list of (0, 0) is empty: no offset evaluates
-        fn = instantiate(TemplateKind.INDEXING_CRITERIA, 0, 0)
+        fn = ConcreteFunction(TemplateKind.INDEXING_CRITERIA, 0, 0)
         assert continuations_of(fn, (1, 2, 3)) == frozenset()
 
     def test_a_programming_error_propagates(self, monkeypatch):
@@ -346,7 +346,7 @@ class TestContinuationsOf:
             raise TypeError("broken evaluator")
 
         monkeypatch.setattr(funcspace, "evaluate", broken)
-        fn = instantiate(TemplateKind.ARITHMETIC, 4, 3)
+        fn = ConcreteFunction(TemplateKind.ARITHMETIC, 4, 3)
         with pytest.raises(TypeError, match="broken evaluator"):
             continuations_of(fn, (7, 11, 15))
 
@@ -400,6 +400,11 @@ class TestSerialization:
             (0, lambda line: "[1]", ": not a dataset file"),
             (0, lambda line: "{not json", ": unreadable header"),
             (0, lambda line: _without(line, "parameters"), ": malformed dataset header"),
+            (
+                0,
+                lambda line: line.replace('"sequence_length":4', '"sequence_length":"4"', 1),
+                ": malformed dataset header",
+            ),
             (1, lambda line: _without(line, "generators"), ":2: malformed record line"),
             (
                 2,
@@ -412,6 +417,7 @@ class TestSerialization:
             "header_is_a_list",
             "header_is_not_json",
             "header_without_parameters",
+            "mistyped_sequence_length",
             "record_without_generators",
             "function_outside_the_language",
             "record_is_a_list",
@@ -466,7 +472,7 @@ class TestRecordInvariants:
             AmbiguityRecord(SequenceRecord((1, 2)), ())
 
     def test_functions_property_dedupes(self):
-        fn = instantiate(TemplateKind.ARITHMETIC, 1, 0)
+        fn = ConcreteFunction(TemplateKind.ARITHMETIC, 1, 0)
         rec = AmbiguityRecord(
             SequenceRecord((1, 2)),
             (Generator(fn, 1, 4), Generator(fn, 0, 3)),
