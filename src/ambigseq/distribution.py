@@ -10,11 +10,13 @@ coverage fails) fails the test.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, reduce
+from operator import add, truediv
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .funcspace import MAX_NUMERAL_DIGITS
 
@@ -217,52 +219,73 @@ def group_logprobs_by_quadrant(
 class Histogram:
     """Density histogram: ``densities[i]`` over ``[edges[i], edges[i+1])``."""
 
-    densities: np.ndarray
-    edges: np.ndarray
+    densities: tuple[float, ...]
+    edges: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.edges) != len(self.densities) + 1:
             raise ValueError("edges must have exactly one more element than densities")
 
     @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
+    def widths(self) -> tuple[float, ...]:
+        return tuple(b - a for a, b in zip(self.edges, self.edges[1:]))
 
     @property
-    def masses(self) -> np.ndarray:
-        return self.densities * self.widths
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Histogram)
-            and np.array_equal(self.densities, other.densities)
-            and np.array_equal(self.edges, other.edges)
-        )
+    def masses(self) -> tuple[float, ...]:
+        return tuple(d * w for d, w in zip(self.densities, self.widths))
 
 
-def shared_edges(groups: Iterable[Sequence[float]], n_bins: int = 40) -> np.ndarray:
-    """Bin edges spanning the pooled range of several samples."""
-    pooled = np.concatenate([np.asarray(g, dtype=float) for g in groups if len(g)])
-    if pooled.size == 0:
+# The arithmetic below is that of the numpy code it replaced, operation for
+# operation, except where numpy's result depended on the machine: the kernel
+# product, which numpy left to BLAS, is added in bin order, and exp and log2
+# are ``math``'s (the C library's), not numpy's SIMD loops. So the figures
+# depend on no BLAS build and no CPU feature. Floats are added with
+# ``reduce(add, ...)``, in order on every Python (``sum`` of floats
+# compensates from 3.12 on).
+
+def shared_edges(groups: Iterable[Sequence[float]], n_bins: int = 40) -> tuple[float, ...]:
+    """Bin edges spanning the pooled range ``[lo, hi]`` of several samples
+    (widened by 0.5 each way when it is a point): edge ``i`` is
+    ``i*step + lo`` with ``step = (hi - lo) / n_bins``, and the last is ``hi``,
+    as ``np.linspace`` computes them."""
+    pooled = [float(v) for g in groups for v in g]
+    if not pooled:
         raise ValueError("cannot build edges from empty data")
-    lo, hi = float(pooled.min()), float(pooled.max())
+    lo, hi = min(pooled), max(pooled)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, n_bins + 1)
+    step = (hi - lo) / n_bins
+    return (*(i * step + lo for i in range(n_bins)), hi)
 
 
 def build_density_histogram(
     values: Sequence[float],
     n_bins: int = 40,
-    edges: np.ndarray | None = None,
+    edges: Sequence[float] | None = None,
 ) -> Histogram:
-    """Histogram normalized so that total mass (density x width) is 1."""
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
+    """Histogram normalized so that total mass (density x width) is 1.
+
+    Bin ``i`` counts the values in ``[edges[i], edges[i+1])``, and the last
+    bin is closed; values outside the edges are not counted. The counts are
+    differences of ``bisect_left`` on every edge but the last and
+    ``bisect_right`` on the last, and density ``i`` is
+    ``count / width / total count``: ``np.histogram(values, edges,
+    density=True)``, which takes its searchsorted path for explicit edges.
+    """
+    data = sorted(float(v) for v in values)
+    if not data:
         raise ValueError("cannot histogram empty data")
-    if edges is None:
-        edges = shared_edges([data], n_bins)
-    densities, edges = np.histogram(data, bins=edges, density=True)
+    edges = shared_edges([data], n_bins) if edges is None else tuple(map(float, edges))
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"bin edges must increase strictly, from {edges[0]} to {edges[-1]}")
+    below = [bisect_left(data, e) for e in edges[:-1]] + [bisect_right(data, edges[-1])]
+    total = below[-1] - below[0]
+    if not total:
+        raise ValueError("no value lies within the bin edges")
+    densities = tuple(
+        (n1 - n0) / (b - a) / total
+        for n0, n1, a, b in zip(below, below[1:], edges, edges[1:])
+    )
     return Histogram(densities, edges)
 
 
@@ -272,21 +295,35 @@ def gaussian_smooth(hist: Histogram, sigma: float = 1.0) -> Histogram:
     Every output bin receives weight from every input bin (no truncation), and
     the result is floored at the smallest normal float before renormalizing,
     so smoothed distributions are strictly positive everywhere even when the
-    kernel tail underflows; total mass stays 1.
+    kernel tail underflows; total mass stays 1. Output mass ``i`` is the dot
+    product of kernel row ``i`` with the masses, added in bin order (a zero
+    mass adds nothing and is skipped), floored at ``sys.float_info.min`` and
+    divided by the :func:`_numpy_sum` of all of them.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     masses = hist.masses
-    n = len(masses)
-    idx = np.arange(n)
-    # kernel[i, j]: weight bin j contributes to bin i, column-normalized so
-    # each input bin's mass is fully redistributed
-    kernel = np.exp(-0.5 * ((idx[:, None] - idx[None, :]) / sigma) ** 2)
-    kernel /= kernel.sum(axis=0, keepdims=True)
-    smoothed_mass = np.maximum(kernel @ masses, np.finfo(float).tiny)
-    smoothed_mass = smoothed_mass / smoothed_mass.sum()
-    densities = smoothed_mass / hist.widths
-    return Histogram(densities, hist.edges)
+    support = [(j, m) for j, m in enumerate(masses) if m]
+    smoothed = [
+        max(reduce(add, (row[j] * m for j, m in support), 0.0), sys.float_info.min)
+        for row in _gaussian_kernel(len(masses), sigma)
+    ]
+    total = _numpy_sum(smoothed)
+    return Histogram(
+        tuple(s / total / w for s, w in zip(smoothed, hist.widths)), hist.edges
+    )
+
+
+@lru_cache(maxsize=16)  # keyed by (bins, sigma); the analysis uses one
+def _gaussian_kernel(n: int, sigma: float) -> tuple[tuple[float, ...], ...]:
+    """``kernel[i][j]``, the weight bin ``j`` gives bin ``i``:
+    ``math.exp(-0.5 * d*d)`` with ``d = (i - j) / sigma``, divided by the sum
+    of column ``j`` added in row order, so that each input bin's mass is
+    fully redistributed."""
+    raw = [[math.exp(-0.5 * (d * d)) for d in ((i - j) / sigma for j in range(n))]
+           for i in range(n)]
+    column_sums = [reduce(add, column) for column in zip(*raw)]
+    return tuple(tuple(map(truediv, row, column_sums)) for row in raw)
 
 
 def kl_divergence_bits(
@@ -296,31 +333,48 @@ def kl_divergence_bits(
 
     Inputs are normalized to probability masses first, so histograms and raw
     density/mass vectors are both accepted. Bins where q is zero but p is not
-    make the divergence undefined and raise.
+    make the divergence undefined and raise. The figure is the
+    :func:`_numpy_sum` of ``p * math.log2(p / q)`` over the bins where p > 0.
     """
     pm = _as_masses(p)
     qm = _as_masses(q)
-    if pm.shape != qm.shape:
-        raise ValueError(f"shape mismatch: {pm.shape} vs {qm.shape}")
-    support_violation = (qm == 0) & (pm > 0)
-    if support_violation.any():
-        raise ValueError(
-            f"q has zero mass on {int(support_violation.sum())} bins where p > 0"
-        )
-    nonzero = pm > 0
-    return float(np.sum(pm[nonzero] * np.log2(pm[nonzero] / qm[nonzero])))
+    if len(pm) != len(qm):
+        raise ValueError(f"length mismatch: {len(pm)} vs {len(qm)}")
+    violations = sum(1 for a, b in zip(pm, qm) if b == 0 and a > 0)
+    if violations:
+        raise ValueError(f"q has zero mass on {violations} bins where p > 0")
+    return _numpy_sum([a * math.log2(a / b) for a, b in zip(pm, qm) if a > 0])
 
 
-def _as_masses(h: Histogram | Sequence[float]) -> np.ndarray:
-    if isinstance(h, Histogram):
-        m = h.masses
-    else:
-        m = np.asarray(h, dtype=float)
-    if m.ndim != 1:
-        raise ValueError("expected a 1-d vector of masses or densities")
-    if (m < 0).any():
+def _as_masses(h: Histogram | Sequence[float]) -> tuple[float, ...]:
+    """``h``'s masses (or the given vector) divided by their :func:`_numpy_sum`."""
+    m = h.masses if isinstance(h, Histogram) else tuple(map(float, h))
+    if any(x < 0 for x in m):
         raise ValueError("negative mass")
-    total = m.sum()
+    total = _numpy_sum(m)
     if total <= 0 or not math.isfinite(total):
         raise ValueError(f"cannot normalize mass vector with total {total}")
-    return m / total
+    return tuple(x / total for x in m)
+
+
+def _numpy_sum(values: Sequence[float]) -> float:
+    """``np.sum`` of a float vector, to the last bit: 0.0 plus numpy's pairwise
+    sum. That sum adds fewer than 8 values in order from -0.0; up to 128 in 8
+    accumulators (accumulator ``k`` adds values ``k, k+8, ...`` of the longest
+    multiple-of-8 prefix), combined as ``((r0+r1) + (r2+r3)) + ((r4+r5) +
+    (r6+r7))``, then the rest in order; and a longer vector as the sum of its
+    two halves, split at a multiple of 8."""
+
+    def pairwise(v: Sequence[float]) -> float:
+        n = len(v)
+        if n < 8:
+            return reduce(add, v, -0.0)
+        if n <= 128:
+            stop = n - n % 8
+            r = [reduce(add, v[k:stop:8]) for k in range(8)]
+            head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            return reduce(add, v[stop:], head)
+        half = n // 2 - n // 2 % 8
+        return pairwise(v[:half]) + pairwise(v[half:])
+
+    return 0.0 + pairwise(values)

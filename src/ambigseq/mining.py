@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import Field, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from types import UnionType
-from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from . import funcspace  # evaluate is looked up per call, so a rebinding of it sees them
 from .funcspace import (
@@ -64,7 +64,6 @@ class SequenceRecord:
             raise ValueError("sequence must be non-empty")
         if self.base not in (10, 2):
             raise ValueError(f"unsupported base: {self.base}")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
     @property
     def length(self) -> int:
@@ -346,31 +345,40 @@ def check_fields(record: Any) -> None:
     ``int`` (never a ``bool``), ``str``, ``X | None``, ``tuple[X, ...]`` or
     ``tuple[X, Y]``. A list, as JSON reads a tuple, is checked and kept as
     that tuple; a mistyped value is a ``TypeError`` naming its field."""
-    for f, hint in _field_hints(type(record)):
-        value = getattr(record, f.name)
+    for name, annotation, fits in _field_checks(type(record)):
+        value = getattr(record, name)
         checked = tuple(value) if isinstance(value, list) else value
-        if not _fits(checked, hint):
-            raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
-        object.__setattr__(record, f.name, checked)
+        if not fits(checked):
+            raise TypeError(f"{name} must be {annotation}, got {value!r}")
+        if checked is not value:
+            object.__setattr__(record, name, checked)
 
 
 @lru_cache(maxsize=None)  # one entry per record class: resolving is slow
-def _field_hints(cls: type) -> tuple[tuple[Field, Any], ...]:
+def _field_checks(cls: type) -> tuple[tuple[str, Any, Callable[[Any], bool]], ...]:
     hints = get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in fields(cls))
+    return tuple((f.name, f.type, _type_test(hints[f.name])) for f in fields(cls))
 
 
-def _fits(value: Any, hint: Any) -> bool:
-    if type(value) is hint:  # a class admits no subclass: ``int`` refuses a ``bool``
-        return True
+def _type_test(hint: Any) -> Callable[[Any], bool]:
+    """The test of whether a value has the type ``hint``, built once per field
+    (a dataset load runs it on every record and generator)."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
-        return any(_fits(value, arg) for arg in args)
-    if origin is tuple and type(value) is tuple:
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    return False
+        tests = [_type_test(arg) for arg in args]
+        return lambda value: any(test(value) for test in tests)
+    if origin is tuple and args[-1] is Ellipsis:
+        item = _type_test(args[0])
+        return lambda value: type(value) is tuple and all(map(item, value))
+    if origin is tuple:
+        tests = [_type_test(arg) for arg in args]
+        return lambda value: (
+            type(value) is tuple
+            and len(value) == len(tests)
+            and all(test(v) for test, v in zip(tests, value))
+        )
+    # a class admits no subclass: ``int`` refuses a ``bool``
+    return lambda value: type(value) is hint
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -425,7 +433,8 @@ def save_dataset(
 def load_dataset(path: str | Path) -> Dataset:
     """The dataset :func:`save_dataset` wrote to ``path``. A file of any other
     shape is a ``ValueError`` naming it, and ``path:N`` for a record line;
-    so is a last line without its newline, which a whole write never leaves."""
+    so is a last line without its newline, which a whole write never leaves.
+    A record line's sequence and generators are typed by :func:`check_fields`."""
     path = Path(path)
     text = path.read_text()
     lines = text.splitlines()
@@ -450,13 +459,18 @@ def load_dataset(path: str | Path) -> Dataset:
     for n, line in enumerate(lines[1:], start=2):
         try:
             raw = json.loads(line)
+            sequence = SequenceRecord(raw["values"], raw["base"])
             gens = tuple(
                 Generator(_as_concrete(g["function"]), g["offset"], g["continuation"])
                 for g in raw["generators"]
             )
-            record = AmbiguityRecord(SequenceRecord(tuple(raw["values"]), raw["base"]), gens)
-            if record.is_ambiguous != raw["ambiguous"]:
-                raise ValueError(f"ambiguity flag mismatch for {raw['values']}")
+            for part in (sequence, *gens):
+                check_fields(part)
+            record = AmbiguityRecord(sequence, gens)
+            if raw["ambiguous"] is not record.is_ambiguous:
+                raise ValueError(
+                    f"ambiguous must be {record.is_ambiguous}, got {raw['ambiguous']!r}"
+                )
         except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ValueError(f"{path}:{n}: malformed record line ({exc!r})") from exc
         records.append(record)

@@ -2,19 +2,35 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import random
+import shutil
 
+import density_reference as reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambigseq import analysis
+from ambigseq.campaign import (
+    LOGPROBS_UNAVAILABLE_NOTE,
+    dataset_filename,
+    load_campaign_datasets,
+    mine_datasets,
+    plan_queries,
+    read_results,
+    run_campaign,
+)
+from ambigseq.config import CampaignConfig
 from ambigseq.distribution import (
     AlternativeTestReason,
     Histogram,
     Quadrant,
     TokenDistribution,
+    _numpy_sum,
     alternative_consideration_test,
     build_density_histogram,
     classify_tokens,
@@ -25,6 +41,7 @@ from ambigseq.distribution import (
     shared_edges,
 )
 from ambigseq.funcspace import MAX_NUMERAL_DIGITS
+from ambigseq.prompting import COMPLETION_INSTRUCTIONS, Task, Variant
 
 
 def dist(*pairs):
@@ -198,7 +215,7 @@ class TestQuadrants:
 class TestHistogram:
     def test_masses_sum_to_one(self):
         h = build_density_histogram([1.0, 2.0, 2.5, 4.0], n_bins=10)
-        assert math.isclose(h.masses.sum(), 1.0, rel_tol=1e-12)
+        assert math.isclose(math.fsum(h.masses), 1.0, rel_tol=1e-12)
 
     def test_default_forty_bins(self):
         h = build_density_histogram(np.linspace(-5, 0, 200))
@@ -206,8 +223,8 @@ class TestHistogram:
 
     def test_single_value_degenerates_gracefully(self):
         h = build_density_histogram([3.0, 3.0, 3.0], n_bins=40)
-        assert math.isclose(h.masses.sum(), 1.0, rel_tol=1e-12)
-        assert np.isfinite(h.densities).all()
+        assert math.isclose(math.fsum(h.masses), 1.0, rel_tol=1e-12)
+        assert all(map(math.isfinite, h.densities))
 
     def test_shared_edges_span_pool(self):
         edges = shared_edges([[-3.0, -1.0], [-7.0, -2.0]], n_bins=40)
@@ -219,40 +236,50 @@ class TestHistogram:
         edges = shared_edges([a, b])
         ha = build_density_histogram(a, edges=edges)
         hb = build_density_histogram(b, edges=edges)
-        assert np.array_equal(ha.edges, hb.edges)
+        assert ha.edges == hb.edges
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_density_histogram([])
 
+    def test_edges_that_do_not_increase_are_rejected(self):
+        # a pooled range narrower than 40 steps of the float grid collapses them
+        edges = shared_edges([[-1.0, math.nextafter(-1.0, 0.0)]])
+        with pytest.raises(ValueError, match="bin edges must increase strictly"):
+            build_density_histogram([-1.0], edges=edges)
+
+    def test_values_outside_the_edges_are_rejected(self):
+        with pytest.raises(ValueError, match="no value lies within the bin edges"):
+            build_density_histogram([5.0], edges=[0.0, 1.0, 2.0])
+
     def test_edge_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Histogram(np.ones(3), np.arange(3))
+            Histogram((1.0, 1.0, 1.0), (0.0, 1.0, 2.0))
 
 
 class TestGaussianSmooth:
     def test_mass_preserved(self):
         h = build_density_histogram([-1.0, -2.0, -2.1, -5.0], n_bins=40)
         s = gaussian_smooth(h, sigma=1.0)
-        assert math.isclose(s.masses.sum(), 1.0, rel_tol=1e-12)
+        assert math.isclose(math.fsum(s.masses), 1.0, rel_tol=1e-12)
 
     def test_full_support(self):
         # a delta in the first bin must still reach the last bin
         h = build_density_histogram([0.0] * 5, n_bins=40,
                                     edges=np.linspace(0, 40, 41))
         s = gaussian_smooth(h, sigma=1.0)
-        assert (s.masses > 0).all()
+        assert all(m > 0 for m in s.masses)
 
     def test_tiny_sigma_approaches_identity(self):
         h = build_density_histogram([1.0, 1.0, 7.0, 9.5], n_bins=20)
         s = gaussian_smooth(h, sigma=1e-6)
-        assert np.allclose(s.masses, h.masses, atol=1e-9)
+        assert s.masses == pytest.approx(h.masses, abs=1e-9)
 
     def test_smoothing_reduces_peaks(self):
         h = build_density_histogram([5.0] * 100, n_bins=11,
                                     edges=np.linspace(0, 11, 12))
         s = gaussian_smooth(h, sigma=2.0)
-        assert s.masses.max() < h.masses.max()
+        assert max(s.masses) < max(h.masses)
 
     def test_sigma_validation(self):
         h = build_density_histogram([1.0, 2.0])
@@ -260,11 +287,10 @@ class TestGaussianSmooth:
             gaussian_smooth(h, sigma=0.0)
 
     def test_symmetric_input_stays_symmetric(self):
-        masses = np.zeros(9)
-        masses[4] = 1.0
-        h = Histogram(masses, np.arange(10).astype(float))
+        masses = (0.0,) * 4 + (1.0,) + (0.0,) * 4
+        h = Histogram(masses, tuple(map(float, range(10))))
         s = gaussian_smooth(h, sigma=1.5)
-        assert np.allclose(s.masses, s.masses[::-1])
+        assert s.masses == pytest.approx(s.masses[::-1])
 
 
 class TestKL:
@@ -319,6 +345,147 @@ class TestKL:
         edges = shared_edges([a, b])
         pa = gaussian_smooth(build_density_histogram(a, edges=edges))
         pb = gaussian_smooth(build_density_histogram(b, edges=edges))
-        p, q = pa.masses, pb.masses
+        p, q = np.array(pa.masses), np.array(pb.masses)
         expected = float(np.sum(np.where(p != 0, p * np.log2(p / q), 0.0)))
         assert kl_divergence_bits(pa, pb) == pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The port against the numpy code it replaced (tests/density_reference.py)
+# ---------------------------------------------------------------------------
+
+def quadrant_groups(results_file) -> list[list[list[float]]]:
+    """The occupied quadrant groups of each length, as the analysis of
+    ``results_file`` hands them to ``shared_edges``."""
+    seen = []
+
+    def record(groups, *args):
+        seen.append([list(g) for g in groups])
+        return shared_edges(groups, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "shared_edges", record)
+        analysis.analyze_results(results_file)
+    return seen
+
+
+def compare_with_reference(groups, exact_smoothing=True):
+    """Edges and histograms equal the reference's to the last bit; smoothed
+    masses and the KL of every ordered pair of groups too, or to a relative
+    1e-12 where ``exact_smoothing`` is false."""
+    edges, ref_edges = shared_edges(groups), reference.shared_edges(groups)
+    assert edges == tuple(ref_edges.tolist())
+    ours = [build_density_histogram(g, edges=edges) for g in groups]
+    theirs = [reference.build_density_histogram(g, edges=ref_edges) for g in groups]
+    assert [h.densities for h in ours] == [tuple(h.densities.tolist()) for h in theirs]
+    ours = [gaussian_smooth(h) for h in ours]
+    theirs = [reference.gaussian_smooth(h) for h in theirs]
+    pairs = [(i, j) for i in range(len(groups)) for j in range(len(groups)) if i != j]
+    kl = [kl_divergence_bits(ours[i], ours[j]) for i, j in pairs]
+    ref_kl = [reference.kl_divergence_bits(theirs[i], theirs[j]) for i, j in pairs]
+    if exact_smoothing:
+        assert [h.masses for h in ours] == [tuple(h.masses.tolist()) for h in theirs]
+        assert kl == ref_kl
+    else:
+        for h, ref in zip(ours, theirs):
+            assert h.masses == pytest.approx(ref.masses.tolist(), rel=1e-12, abs=0)
+        assert kl == pytest.approx(ref_kl, rel=1e-12, abs=0)
+
+
+@pytest.fixture(scope="module")
+def oracle_groups(tmp_path_factory):
+    """Quadrant groups of the oracle campaign at lengths 3 and 4, 3 runs."""
+    config = CampaignConfig(
+        lengths=(3, 4), n_runs=3, output_dir=str(tmp_path_factory.mktemp("oracle"))
+    )
+    mine_datasets(config)
+    return quadrant_groups(run_campaign(config).results_file)
+
+
+def scripted_groups(tmp_path, mined_l3, top_logprobs):
+    """Quadrant groups of a 2-run scripted campaign at length 3, 12 sequences a split,
+    whose completion of ``record`` carries ``top_logprobs(record)``, and the
+    number of logprob fallbacks."""
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(mined_l3, out / dataset_filename(3))
+    fixtures_file = tmp_path / "fixtures.json"
+    config = CampaignConfig(
+        lengths=(3,), limit_sequences=12, n_runs=2, backend="scripted",
+        fixtures_file=str(fixtures_file), output_dir=str(out),
+    )
+    instruction = COMPLETION_INSTRUCTIONS[Variant.PLAIN]
+    fixtures = {}
+    for query in plan_queries(config, load_campaign_datasets(config)):
+        key = f"For the sequence: {query.record.sequence.render()}\n{instruction}"
+        if query.task is Task.COMPLETION and key not in fixtures:
+            top = top_logprobs(query.record)
+            fixtures[key] = {"text": top[0][0] if top else "7", "top_logprobs": top}
+    fixtures_file.write_text(json.dumps({"fixtures": fixtures, "default": "7"}))
+    outcome = run_campaign(config)
+    assert not outcome.failed, outcome.error
+    notes = [line["note"] for line in read_results(outcome.results_file)[1]]
+    return quadrant_groups(outcome.results_file), notes.count(LOGPROBS_UNAVAILABLE_NOTE)
+
+
+class TestNumpyReference:
+    def test_oracle_campaign_groups_match_exactly(self, oracle_groups):
+        assert len(oracle_groups) == 2  # one set of groups per length
+        for groups in oracle_groups:
+            assert len(groups) >= 2
+            compare_with_reference(groups)
+
+    def test_recorded_scripted_campaign_groups_match_exactly(self, tmp_path, mined_l3):
+        """Two logprob values, as a recorded fixture often has, and one
+        completion without logprobs, which falls back."""
+        targets = itertools.count()
+
+        def top_logprobs(record):
+            return None if next(targets) == 3 else [["7", -0.1], ["8", -2.5]]
+
+        all_groups, fallbacks = scripted_groups(tmp_path, mined_l3, top_logprobs)
+        assert fallbacks == 1
+        assert len(all_groups) == 1 and len(all_groups[0]) >= 2
+        compare_with_reference(all_groups[0])
+
+    def test_spread_scripted_campaign_groups_match_to_the_last_bits(self, tmp_path, mined_l3):
+        """Logprobs that spread over many bins: the kernel product is a BLAS
+        ``dgemv`` in the reference, so smoothed masses and KL may differ from
+        it in the last bits; edges and histograms may not."""
+        rng = random.Random(3)
+
+        def top_logprobs(record):
+            tokens = [str(c) for c in record.continuations[:2]]
+            tokens += [str(rng.randint(0, 60)), "x", str(rng.randint(0, 60))]
+            tokens = list(dict.fromkeys(tokens))
+            rng.shuffle(tokens)
+            logprobs = sorted((-rng.expovariate(0.7) for _ in tokens), reverse=True)
+            return [list(pair) for pair in zip(tokens, logprobs)]
+
+        all_groups, _ = scripted_groups(tmp_path, mined_l3, top_logprobs)
+        assert [len(g) for g in all_groups[0]] == [22, 52, 18, 72]
+        compare_with_reference(all_groups[0], exact_smoothing=False)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-20.0, max_value=0.0),
+                st.floats(min_value=0.01, max_value=5.0),
+                st.integers(min_value=1, max_value=80),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_continuous_groups_match_to_the_last_bits(self, seed, shapes):
+        rng = random.Random(seed)
+        groups = [[rng.gauss(mu, sd) for _ in range(n)] for mu, sd, n in shapes]
+        compare_with_reference(groups, exact_smoothing=False)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 40, 127, 128, 129, 300, 1000])
+    def test_sum_is_numpys_to_the_last_bit(self, n):
+        rng = random.Random(n)
+        values = [rng.random() * 10 ** rng.randint(-8, 8) for _ in range(n)]
+        assert _numpy_sum(values) == float(np.sum(np.array(values)))

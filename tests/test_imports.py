@@ -1,9 +1,11 @@
-"""The modules are the import surface: each imports only what it uses, and
-importing one loads only the layers beneath it."""
+"""The modules are the import surface: each imports only what it uses,
+importing one loads only the layers beneath it (and never numpy), and the
+third-party packages they import are the runtime dependencies."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,16 @@ def test_every_imported_name_is_used_in_its_module(path):
         ("mining", ["ambigseq.funcspace", "ambigseq.mining"]),
         ("config", ["ambigseq.config", "ambigseq.funcspace", "ambigseq.mining",
                     "ambigseq.prompting"]),
+        ("campaign", ["ambigseq.backends", "ambigseq.campaign", "ambigseq.config",
+                      "ambigseq.distribution", "ambigseq.evaluation",
+                      "ambigseq.funcspace", "ambigseq.mining", "ambigseq.prompting"]),
+        ("analysis", ["ambigseq.analysis", "ambigseq.backends", "ambigseq.campaign",
+                      "ambigseq.config", "ambigseq.distribution", "ambigseq.evaluation",
+                      "ambigseq.funcspace", "ambigseq.mining", "ambigseq.prompting"]),
+        ("cli", ["ambigseq.analysis", "ambigseq.backends", "ambigseq.campaign",
+                 "ambigseq.cli", "ambigseq.config", "ambigseq.distribution",
+                 "ambigseq.evaluation", "ambigseq.funcspace", "ambigseq.mining",
+                 "ambigseq.prompting"]),
     ],
 )
 def test_a_module_loads_only_the_layers_beneath_it(module, loaded):
@@ -60,3 +72,18 @@ def test_a_module_loads_only_the_layers_beneath_it(module, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == loaded
+
+
+def test_the_third_party_imports_are_the_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "ambigseq"}
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower() for dep in project["dependencies"]}
+    assert third_party == declared

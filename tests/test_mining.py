@@ -30,6 +30,7 @@ from ambigseq.mining import (
     DatasetParameters,
     Generator,
     SequenceRecord,
+    canonical_json,
     continuations_of,
     format_int,
     load_dataset,
@@ -433,6 +434,33 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "field, mistype",
+        [
+            ("values", lambda raw: raw.update(values=[str(v) for v in raw["values"]])),
+            ("base", lambda raw: raw.update(base=10.0)),
+            ("offset", lambda raw: raw["generators"][0].update(offset="2")),
+            ("continuation", lambda raw: raw["generators"][0].update(continuation=1.5)),
+            ("ambiguous", lambda raw: raw.update(ambiguous=int(raw["ambiguous"]))),
+        ],
+        ids=["values", "base", "offset", "continuation", "ambiguous"],
+    )
+    def test_a_mistyped_record_field_is_refused(self, tmp_path, dataset4, field, mistype):
+        # a one-generator line: with two, a string offset failed only by accident
+        path = tmp_path / "ds.jsonl"
+        save_dataset(dataset4, path)
+        lines = path.read_text().splitlines()
+        n = next(n for n, line in enumerate(lines[1:], start=1)
+                 if len(json.loads(line)["generators"]) == 1)
+        raw = json.loads(lines[n])
+        mistype(raw)
+        lines[n] = canonical_json(raw)
+        path.write_text("\n".join(lines) + "\n")
+        where = re.escape(f"{path}:{n + 1}: malformed record line")
+        with pytest.raises(ValueError, match=where) as err:
+            load_dataset(path)
+        assert f"{field} must be" in str(err.value)
 
     def test_unterminated_last_line_is_refused(self, tmp_path, dataset4):
         # a whole write ends every line with its newline; without it the
