@@ -51,7 +51,7 @@ from .config import CampaignConfig, canonical_json
 from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
-from .mining import AmbiguityRecord, Dataset, DatasetParameters, load_dataset
+from .mining import AmbiguityRecord, Dataset, DatasetParameters, load_dataset, utf8_lines
 from .prompting import JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
 
 RESULTS_FORMAT = "ambigseq.results"
@@ -283,14 +283,7 @@ def _read_complete(
 
 
 def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
-    try:
-        text = complete.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        n = complete.count(b"\n", 0, exc.start) + 1
-        if n == 1:
-            raise CampaignError(f"{path}: unreadable header line ({exc})") from exc
-        raise CampaignError(f"{path}:{n}: malformed record line (not UTF-8)") from exc
-    raw_lines = text.split("\n")[:-1]
+    raw_lines = utf8_lines(path, complete, CampaignError)[:-1]
     if not raw_lines:
         raise CampaignError(f"{path}: empty results file (no complete header line)")
     try:

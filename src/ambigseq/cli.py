@@ -1,15 +1,19 @@
 """Command-line entry point: mine | run | analyze | report.
 
-A single JSON config file drives every stage; individual flags override
-single fields. All artifacts land in the config's output directory and carry
-the config digest so mixed-up files are detectable.
+A single JSON config file drives every stage; each of its keys is also a
+flag, derived from the fields of ``CampaignConfig``, that overrides it. All
+artifacts land in the config's output directory and carry the config digest
+so mixed-up files are detectable.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
+from types import UnionType
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .analysis import (
     ANALYSIS_FILENAME,
@@ -27,10 +31,9 @@ from .campaign import (
     results_path,
     run_campaign,
 )
-from .config import KNOWN_BACKENDS, KNOWN_TIE_BREAKS, CampaignConfig, ConfigError
+from .config import CHOICES, CampaignConfig, ConfigError
 from .funcspace import FunctionSpace
 from .mining import write_atomic
-from .prompting import ShotSampling, Variant
 
 REPORT_FILENAME = "report.txt"
 
@@ -42,15 +45,18 @@ REFERENCE_SEQUENCE_COUNTS = {4: (57, 140)}
 REFERENCE_AMBIGUOUS_ONLY = {2: 196, 3: 76}
 
 
-def _comma_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
-
-
-def _comma_strs(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _comma_items(item: type) -> Callable[[str], tuple]:
+    """The parser of a flag for a tuple of ``item``: comma-separated items,
+    each stripped; an empty text item is dropped."""
+    def parse(text: str) -> tuple:
+        parts = [part.strip() for part in text.split(",")]
+        if item is str:
+            return tuple(filter(None, parts))
+        try:
+            return tuple(map(item, parts))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,36 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="JSON config file")
-    common.add_argument("--output-dir", help="artifact directory (overrides config)")
     common.add_argument(
-        "--lengths", type=_comma_ints, help="sequence lengths, e.g. 2,3,4"
+        "--config", type=Path, help="JSON config file; each key is also a flag below"
     )
-    common.add_argument("--base", type=int, choices=(10, 2))
-    common.add_argument(
-        "--constant-range", type=_comma_ints, metavar="LO,HI",
-        help="template constant range, e.g. 0,4",
-    )
-    common.add_argument("--n-runs", type=int)
-    common.add_argument("--rng-seed", type=int)
-    common.add_argument("--backend", choices=KNOWN_BACKENDS)
-    common.add_argument("--tie-break", choices=KNOWN_TIE_BREAKS)
-    common.add_argument("--backend-seed", type=int)
-    common.add_argument("--fixtures-file")
-    common.add_argument("--cache-dir")
-    common.add_argument(
-        "--concurrency", type=int,
-        help="backend calls in flight at once, 1..64 (default: 8 for http, else 1)",
-    )
-    common.add_argument("--http-base-url")
-    common.add_argument("--http-model")
-    common.add_argument("--variant", choices=[v.value for v in Variant])
-    common.add_argument("--n-shots", type=int)
-    common.add_argument("--shot-sampling", choices=[s.value for s in ShotSampling])
-    common.add_argument("--model-name")
-    common.add_argument("--tasks", type=_comma_strs, help="comma-separated task list")
-    common.add_argument("--limit-sequences", type=int)
-    common.add_argument("--want-top-logprobs", type=int)
+    hints = get_type_hints(CampaignConfig)
+    for field in fields(CampaignConfig):
+        hint = hints[field.name]
+        if get_origin(hint) is UnionType:  # ``X | None`` reads as ``X``
+            hint = get_args(hint)[0]
+        listed = get_origin(hint) is tuple  # its items are checked by ``validate``
+        common.add_argument(
+            "--" + field.name.replace("_", "-"),
+            type=_comma_items(get_args(hint)[0]) if listed else hint,
+            choices=None if listed else CHOICES.get(field.name),
+        )
 
     sub.add_parser("mine", parents=[common], help="mine datasets and report counts")
     sub.add_parser("run", parents=[common], help="run the evaluation campaign")

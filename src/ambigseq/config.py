@@ -24,8 +24,16 @@ DEFAULT_TASKS = (
     Task.VERBALIZE_ALTERNATIVES.value,
 )
 
-KNOWN_BACKENDS = ("oracle", "adversarial", "random_valid", "scripted", "http")
-KNOWN_TIE_BREAKS = ("min_value", "enumeration_order")
+# The allowed values of each field that has a fixed set of them; a tuple
+# field's every element must be one. The CLI offers the same sets as choices.
+CHOICES: dict[str, tuple] = {
+    "base": (10, 2),
+    "variant": tuple(v.value for v in Variant),
+    "shot_sampling": tuple(s.value for s in ShotSampling),
+    "backend": ("oracle", "adversarial", "random_valid", "scripted", "http"),
+    "tie_break": ("min_value", "enumeration_order"),
+    "tasks": DEFAULT_TASKS,
+}
 
 # Pure storage locations: they never change what a campaign computes, so they
 # are excluded from the campaign digest and from the results-file header.
@@ -95,33 +103,21 @@ class CampaignConfig:
             raise ConfigError(f"bad constant_range {self.constant_range}")
         if not self.lengths or any(n < 1 for n in self.lengths):
             raise ConfigError(f"bad lengths {self.lengths}")
-        if self.base not in (10, 2):
-            raise ConfigError(f"unsupported base {self.base}")
         if self.start_index < 0:
             raise ConfigError(f"bad start_index {self.start_index}")
         if self.max_offset < 0:
             raise ConfigError(f"bad max_offset {self.max_offset}")
-        try:
-            Variant(self.variant)
-            ShotSampling(self.shot_sampling)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.backend not in KNOWN_BACKENDS:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; expected one of {KNOWN_BACKENDS}"
-            )
-        if self.tie_break not in KNOWN_TIE_BREAKS:
-            raise ConfigError(
-                f"unknown tie_break {self.tie_break!r}; "
-                f"expected one of {KNOWN_TIE_BREAKS}"
-            )
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if item not in allowed:
+                    raise ConfigError(
+                        f"unknown {name} {item!r}; expected one of {allowed}"
+                    )
         if self.backend == "http" and not (self.http_base_url and self.http_model):
             raise ConfigError("http backend needs http_base_url and http_model")
         if self.backend == "scripted" and not self.fixtures_file:
             raise ConfigError("scripted backend needs fixtures_file")
-        unknown = [t for t in self.tasks if t not in DEFAULT_TASKS]
-        if unknown:
-            raise ConfigError(f"unknown tasks {unknown}")
         if not self.tasks:
             raise ConfigError("tasks cannot be empty")
         if Task.CONSISTENCY_JUDGMENT.value in self.tasks and not (
@@ -172,7 +168,11 @@ class CampaignConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "CampaignConfig":
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_json(data)

@@ -589,7 +589,6 @@ class FunctionSpace:
     convention: IndexConvention = DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
-        # built once: membership tests and cache keys hit these on every query;
         # the rows are not a field, so eq, hash and dataclasses.replace skip them
         object.__setattr__(self, "_rows", dict.fromkeys(self.functions, ()))
         fields = (self.functions, self.excluded, self.constant_range, self.probe_indices)
@@ -603,9 +602,6 @@ class FunctionSpace:
 
     def __len__(self) -> int:
         return len(self.functions)
-
-    def __contains__(self, fn: object) -> bool:
-        return fn in self._rows
 
     def texts(self, base: int = 10) -> list[str]:
         return [render_function(f, base) for f in self.functions]

@@ -430,18 +430,32 @@ def save_dataset(
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def utf8_lines(path: Path, data: bytes, error: type[Exception] = ValueError) -> list[str]:
+    """The bytes ``data`` of the line file at ``path``, split on ``"\\n"`` alone
+    (so no other break in a damaged line moves a line number); the last item
+    follows the last newline. A byte that is not UTF-8 is an ``error`` naming
+    the header line, or ``path:N``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        n = data.count(b"\n", 0, exc.start) + 1
+        if n == 1:
+            raise error(f"{path}: unreadable header line ({exc})") from exc
+        raise error(f"{path}:{n}: malformed record line (not UTF-8)") from exc
+    return text.split("\n")
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """The dataset :func:`save_dataset` wrote to ``path``. A file of any other
     shape is a ``ValueError`` naming it, and ``path:N`` for a record line;
     so is a last line without its newline, which a whole write never leaves.
     A record line's sequence and generators are typed by :func:`check_fields`."""
     path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
+    *lines, tail = utf8_lines(path, path.read_bytes())
+    if tail:
+        raise ValueError(f"{path}:{len(lines) + 1}: unterminated last line (a torn write)")
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    if not text.endswith("\n"):
-        raise ValueError(f"{path}:{len(lines)}: unterminated last line (a torn write)")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:

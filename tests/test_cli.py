@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, stage wiring, exit codes."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -20,12 +21,27 @@ from ambigseq.cli import (
     main,
     resolve_config,
 )
-from ambigseq.config import CampaignConfig, canonical_json
+from ambigseq.config import CHOICES, CampaignConfig, canonical_json
 from ambigseq.mining import DatasetCounts
+
+
+COMMANDS = ("mine", "run", "analyze", "report")
 
 
 def parse(argv):
     return build_parser().parse_args(argv)
+
+
+def exit_code(argv):
+    """What ``main`` returns for ``argv``, or the status argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def flags(out_dir, *extra):
@@ -72,11 +88,11 @@ class TestArgumentHandling:
 
     def test_every_flag_names_a_config_field(self):
         # resolve_config applies each parsed flag as the config field of
-        # the same name
+        # the same name, and every field has its flag
         fields = {f.name for f in dataclasses.fields(CampaignConfig)}
-        for command in ("mine", "run", "analyze", "report"):
+        for command in COMMANDS:
             dests = set(vars(parse([command]))) - {"command", "config"}
-            assert dests and dests <= fields
+            assert dests == fields
 
     def test_constant_range_flag(self):
         config = resolve_config(parse(["mine", "--constant-range", "0,2"]))
@@ -95,6 +111,82 @@ class TestArgumentHandling:
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
             parse([])
+
+
+# one valid value of each config field that is not its default: as a flag
+# reads it, then as a config file holds it
+SAMPLES = {
+    "constant_range": ("0, 2", [0, 2]),
+    "lengths": ("2,3", [2, 3]),
+    "base": ("2", 2),
+    "start_index": ("0", 0),
+    "max_offset": ("2", 2),
+    "variant": ("most_likely", "most_likely"),
+    "n_shots": ("2", 2),
+    "shot_sampling": ("same_class", "same_class"),
+    "role_text": ("You are a mathematician.", "You are a mathematician."),
+    "model_name": ("model-x", "model-x"),
+    "backend": ("adversarial", "adversarial"),
+    "backend_seed": ("7", 7),
+    "tie_break": ("enumeration_order", "enumeration_order"),
+    "http_base_url": ("http://localhost:1", "http://localhost:1"),
+    "http_model": ("m", "m"),
+    "api_key_env": ("OTHER_KEY", "OTHER_KEY"),
+    "fixtures_file": ("fixtures.json", "fixtures.json"),
+    "cache_dir": ("cache", "cache"),
+    "concurrency": ("4", 4),
+    "tasks": ("completion, explanation", ["completion", "explanation"]),
+    "n_runs": ("5", 5),
+    "rng_seed": ("9", 9),
+    "want_top_logprobs": ("0", 0),
+    "limit_sequences": ("2", 2),
+    "output_dir": ("elsewhere", "elsewhere"),
+}
+FIELDS = [f.name for f in dataclasses.fields(CampaignConfig)]
+
+
+class TestFlagsAreTheConfigFields:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_field_has_exactly_one_flag(self, command):
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        actions = subparsers.choices[command]._actions
+        for name in FIELDS:
+            options = [a.option_strings for a in actions if a.dest == name]
+            assert options == [[flag(name)]], name
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_a_flag_reads_as_its_json_key(self, tmp_path, name):
+        text, value = SAMPLES[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({name: value}))
+        from_flag = resolve_config(parse(["run", flag(name), text]))
+        from_file = resolve_config(parse(["run", "--config", str(path)]))
+        assert from_flag == from_file
+        assert getattr(from_flag, name) != getattr(CampaignConfig(), name)
+
+    @pytest.mark.parametrize("name", sorted(CHOICES))
+    def test_a_choice_outside_its_set_exits_2(self, tmp_path, capfd, name):
+        allowed = CHOICES[name]
+        bad = max(allowed) + 1 if isinstance(allowed[0], int) else "bogus"
+        listed = isinstance(getattr(CampaignConfig(), name), tuple)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({name: [bad] if listed else bad}))
+        assert exit_code(["mine", "--config", str(path)]) == 2
+        assert f"config error: unknown {name} {bad!r}" in capfd.readouterr().err
+        assert exit_code(["mine", flag(name), str(bad)]) == 2
+        assert repr(bad) in capfd.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            parse([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag(name) in out for name in FIELDS)
 
 
 class TestMineOutput:
@@ -205,6 +297,26 @@ class TestFailureExitCodes:
         path.write_text("{broken")
         assert main(["mine", "--config", str(path)]) == 2
         assert "config error" in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda path: None, "cannot read (No such file or directory)"),
+            (lambda path: path.mkdir(), "cannot read (Is a directory)"),
+            (lambda path: path.write_bytes(b'{"role_text": "\xff"}'), "not UTF-8"),
+        ],
+        ids=["missing", "directory", "not_utf8"],
+    )
+    def test_an_unreadable_config_file_is_a_config_error(
+        self, tmp_path, capfd, make, reason
+    ):
+        path = tmp_path / "config.json"
+        make(path)
+        for command in COMMANDS:
+            assert main([command, "--config", str(path)]) == 2
+            err = capfd.readouterr().err
+            assert err.startswith(f"config error: {path}: {reason}")
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, key, value",

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from ambigseq.config import (
+    CHOICES,
     DEFAULT_TASKS,
-    KNOWN_TIE_BREAKS,
     CampaignConfig,
     ConfigError,
     canonical_json,
@@ -58,7 +58,7 @@ class TestValidation:
     def test_unknown_tie_break_rejected(self):
         with pytest.raises(ConfigError, match="unknown tie_break 'coin_flip'"):
             CampaignConfig(tie_break="coin_flip")
-        for tie_break in KNOWN_TIE_BREAKS:
+        for tie_break in CHOICES["tie_break"]:
             CampaignConfig(tie_break=tie_break)
 
     @pytest.mark.parametrize(

@@ -474,6 +474,34 @@ class TestSerialization:
         ):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "n, where",
+        [(0, ": unreadable header line"), (2, ":3: malformed record line (not UTF-8)")],
+        ids=["header", "record"],
+    )
+    def test_a_byte_that_is_not_utf8_is_refused_by_line(
+        self, tmp_path, dataset4, n, where
+    ):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(dataset4, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[n] = lines[n][:12] + b"\xff" + lines[n][12:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0c", "\x85", "\u2028"])
+    def test_only_a_newline_ends_a_line(self, tmp_path, dataset4, brk):
+        # a damaged record line that holds another line break is one line:
+        # the error names it, not a line after it
+        path = tmp_path / "ds.jsonl"
+        save_dataset(dataset4, path)
+        lines = path.read_text().splitlines()
+        lines[2] += brk + "junk"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed record line")):
+            load_dataset(path)
+
     def test_load_parses_each_function_text_once(self, tmp_path, dataset4, monkeypatch):
         texts = []
         monkeypatch.setattr(
