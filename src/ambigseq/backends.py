@@ -9,7 +9,9 @@ an injectable transport so its plumbing is testable offline too.
 The oracle and random-valid backends pick answer values (a continuation, a
 function, a verdict, a list of alternatives) and write none of the text:
 :func:`ambigseq.prompting.render_answer` does, as it does for the few-shot
-demonstrations, so both carry the format the parsers read.
+demonstrations, so both carry the format the parsers read. The oracle ranks
+the target's generators once per answer. A config's backend names are the
+keys of :data:`BACKENDS`, its oracle tie-breaks those of :data:`TIE_BREAKS`.
 
 An answer is a text plus the first token's top logprobs: a
 :class:`CompletionResponse` in memory, and in a cache entry or a scripted
@@ -32,6 +34,7 @@ from .distribution import TokenDistribution
 from .evaluation import check_cross_context_consistency
 from .funcspace import FunctionSpace
 from .mining import (
+    Generator,
     SequenceRecord,
     canonical_json,
     format_int,
@@ -168,58 +171,35 @@ def load_scripted_fixtures(path: str | Path) -> ScriptedBackend:
 # Oracle answers
 # ---------------------------------------------------------------------------
 
-def _ranked_generators(sequence: SequenceRecord, space: FunctionSpace, tie_break: str):
-    gens = matching_generators(sequence.values, space)
-    if not gens:
-        return ()
-    if tie_break == "min_value":
-        return tuple(sorted(gens, key=lambda g: (g.continuation, g.sort_key())))
-    if tie_break == "enumeration_order":
-        return gens  # already in enumeration order
-    raise ValueError(f"unknown tie_break: {tie_break!r}")
-
-
-def oracle_answer(
-    sequence: SequenceRecord,
-    task: Task,
-    space: FunctionSpace,
-    tie_break: str = "min_value",
-) -> str:
-    """The deterministic correct answer for a task, if one exists.
-
-    ``tie_break`` picks among generators of an ambiguous sequence:
-    ``min_value`` prefers the smallest continuation value,
-    ``enumeration_order`` the first generator in template order.
-    """
-    gens = _ranked_generators(sequence, space, tie_break)
-    if not gens:
-        return NO_VALID_ANSWER
-    if task is Task.COMPLETION:
-        value = gens[0].continuation
-    elif task is Task.EXPLANATION:
-        value = gens[0].function
-    elif task is Task.VERBALIZE_ALTERNATIVES:
-        value = sorted(valid_continuations(sequence.values, space))
-    else:
-        raise ValueError(f"oracle_answer does not cover task {task!r}")
-    return render_answer(task, value, sequence.base)
+#: Each ``tie_break`` name, with the key an oracle ranks a sequence's
+#: generators by; the first generator answers. ``min_value`` prefers the
+#: smallest continuation, ``enumeration_order`` the first generator in
+#: template order, the order the prefix index already holds them in.
+TIE_BREAKS: dict[str, Callable[[Generator], Any]] = {
+    "min_value": lambda g: (g.continuation, g.sort_key()),
+    "enumeration_order": Generator.sort_key,
+}
 
 
 class OracleBackend:
     """Answers every prompt from the function space itself.
 
-    ``consistent`` mode commits to one generator per sequence (chosen by
-    ``tie_break``) and answers completion and explanation prompts from that
-    same generator, so its cross-context consistency is 100% by construction.
-    ``adversarial`` mode answers the two tasks from deliberately mismatched
-    (explanation, completion) pairs on every sequence: the explanation is
-    the first generator's function and the completion a continuation that
-    function does not give, another generator's where there is one, else one
-    past the largest. So on ambiguous data consistency is 0%, and on
-    unambiguous data every completion is out of the valid set (completion
-    accuracy 0%) while every explanation is correct. Judgment prompts are
-    always answered truthfully, and synthetic top-logprob lists rank an
-    out-of-set numeral first in adversarial mode.
+    An answer ranks the target's generators once, by
+    ``TIE_BREAKS[tie_break]``, and takes everything it says from that
+    ranking; a judgment without top logprobs looks nothing up.
+
+    ``consistent`` mode commits to the first ranked generator and answers
+    completion and explanation prompts from it, so its cross-context
+    consistency is 100% by construction. ``adversarial`` mode answers the
+    two tasks from deliberately mismatched (explanation, completion) pairs
+    on every sequence: the explanation is the first generator's function and
+    the completion a continuation that function does not give, another
+    generator's where there is one, else one past the largest. So on
+    ambiguous data consistency is 0%, and on unambiguous data every
+    completion is out of the valid set (completion accuracy 0%) while every
+    explanation is correct. Judgment prompts are always answered truthfully,
+    and synthetic top-logprob lists rank an out-of-set numeral first in
+    adversarial mode.
     """
 
     def __init__(
@@ -230,27 +210,36 @@ class OracleBackend:
     ):
         if mode not in ("consistent", "adversarial"):
             raise ValueError(f"unknown oracle mode: {mode!r}")
+        if tie_break not in TIE_BREAKS:
+            raise ValueError(f"unknown tie_break: {tie_break!r}")
         self.space = space
         self.mode = mode
         self.tie_break = tie_break
         self.backend_id = f"oracle-{mode}"
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        prompt = request.prompt
+        prompt, k = request.prompt, request.want_top_logprobs
         seq = prompt.target
-        if prompt.task is Task.CONSISTENCY_JUDGMENT:
-            text = self._judge(prompt)
-        elif self.mode == "adversarial" and prompt.task in (
-            Task.COMPLETION,
-            Task.EXPLANATION,
-        ):
-            text = self._adversarial_answer(seq, prompt.task)
-        else:
-            text = oracle_answer(seq, prompt.task, self.space, self.tie_break)
-        dist = None
-        if request.want_top_logprobs:
-            dist = self._synthetic_logprobs(seq, request.want_top_logprobs)
+        judging = prompt.task is Task.CONSISTENCY_JUDGMENT
+        gens = [] if judging and not k else sorted(
+            matching_generators(seq.values, self.space), key=TIE_BREAKS[self.tie_break]
+        )
+        text = self._judge(prompt) if judging else self._answer(prompt.task, gens, seq.base)
+        dist = self._synthetic_logprobs(gens, seq.base, k) if k else None
         return CompletionResponse(text, dist)
+
+    def _answer(self, task: Task, gens: list[Generator], base: int) -> str:
+        if not gens:
+            return NO_VALID_ANSWER
+        if task is Task.EXPLANATION:
+            value = gens[0].function
+        elif task is Task.VERBALIZE_ALTERNATIVES:
+            value = sorted({g.continuation for g in gens})
+        elif self.mode == "adversarial":
+            value = _mismatched_completion(gens)
+        else:
+            value = gens[0].continuation
+        return render_answer(task, value, base)
 
     def _judge(self, prompt: RenderedPrompt) -> str:
         if prompt.judged is None:
@@ -261,50 +250,33 @@ class OracleBackend:
         )
         return render_answer(Task.CONSISTENCY_JUDGMENT, consistent, prompt.target.base)
 
-    def _adversarial_pair(self, seq: SequenceRecord):
-        """(explanation generator, completion value) that disagree.
-
-        Prefers a completion that is itself valid (produced by some other
-        generator); when every generating function covers every continuation
-        (a self-ambiguous sequence), falls back to an out-of-set value so the
-        pair still fails an execution-based consistency check.
-        """
-        gens = _ranked_generators(seq, self.space, self.tie_break)
-        if not gens:
-            return None, None
-        explainer = gens[0]
-        own = {g.continuation for g in gens if g.function == explainer.function}
-        for g in gens[1:]:
-            if g.continuation not in own:
-                return explainer, g.continuation
-        return explainer, max(g.continuation for g in gens) + 1
-
-    def _adversarial_answer(self, seq: SequenceRecord, task: Task) -> str:
-        explainer, completion = self._adversarial_pair(seq)
-        if explainer is None:
-            return NO_VALID_ANSWER
-        value = explainer.function if task is Task.EXPLANATION else completion
-        return render_answer(task, value, seq.base)
-
-    def _synthetic_logprobs(self, seq: SequenceRecord, k: int) -> TokenDistribution:
-        conts = sorted(valid_continuations(seq.values, self.space))
-        ordered: list[int] = []
-        if self.mode == "consistent" and conts:
-            # the token the oracle would actually answer ranks first
-            gens = _ranked_generators(seq, self.space, self.tie_break)
-            ordered.append(gens[0].continuation)
-        ordered.extend(v for v in conts if v not in ordered)
+    def _synthetic_logprobs(
+        self, gens: list[Generator], base: int, k: int
+    ) -> TokenDistribution:
+        conts = sorted({g.continuation for g in gens})
         pairs: list[tuple[str, float]] = []
         if self.mode == "adversarial":
-            wrong = (max(conts) if conts else 0) + 1
-            pairs.append((format_int(wrong, seq.base), -0.05))
+            pairs.append((format_int(max(conts, default=0) + 1, base), -0.05))
+        elif gens:
+            # the token the oracle would actually answer ranks first
+            conts.sort(key=lambda v: v != gens[0].continuation)
         pairs.extend(
-            (format_int(v, seq.base), -0.1 * (i + 1) - 0.1)
-            for i, v in enumerate(ordered)
+            (format_int(v, base), -0.1 * (i + 1) - 0.1) for i, v in enumerate(conts)
         )
         if not pairs:
             pairs = [(NO_VALID_ANSWER, -0.1)]
         return TokenDistribution.from_pairs(pairs[:k])
+
+
+def _mismatched_completion(gens: list[Generator]) -> int:
+    """A completion the first ranked generator's function does not give:
+    another generator's where there is one, else (a self-ambiguous sequence)
+    one past the largest, so the pair still fails an execution check."""
+    own = {g.continuation for g in gens if g.function == gens[0].function}
+    return next(
+        (g.continuation for g in gens if g.continuation not in own),
+        max(g.continuation for g in gens) + 1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +464,17 @@ class HttpBackend:
         raise TransportError(
             f"gave up after {self.max_retries + 1} attempts: {last_error}"
         )
+
+
+#: Each ``backend`` name a campaign config may give, with how the backend is
+#: built from the config ``c`` and the function space.
+BACKENDS: dict[str, Callable[[Any, FunctionSpace], Backend]] = {
+    "oracle": lambda c, space: OracleBackend(space, tie_break=c.tie_break),
+    "adversarial": lambda c, space: OracleBackend(space, "adversarial", c.tie_break),
+    "random_valid": lambda c, space: RandomValidBackend(space, seed=c.backend_seed),
+    "scripted": lambda c, space: load_scripted_fixtures(c.fixtures_file),
+    "http": lambda c, space: HttpBackend(c.http_base_url, c.http_model, c.api_key_env),
+}
 
 
 # ---------------------------------------------------------------------------

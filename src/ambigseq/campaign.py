@@ -37,15 +37,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, TextIO
 
 from .backends import (
+    BACKENDS,
     Backend,
     BackendError,
     CachingBackend,
     CompletionRequest,
-    HttpBackend,
     LogprobsUnsupportedError,
-    OracleBackend,
-    RandomValidBackend,
-    load_scripted_fixtures,
 )
 from .config import CampaignConfig, canonical_json
 from .distribution import TokenDistribution
@@ -85,20 +82,7 @@ def results_path(output_dir: str | Path) -> Path:
 
 
 def make_backend(config: CampaignConfig, space: FunctionSpace) -> Backend:
-    if config.backend == "oracle":
-        backend: Backend = OracleBackend(space, tie_break=config.tie_break)
-    elif config.backend == "adversarial":
-        backend = OracleBackend(space, mode="adversarial", tie_break=config.tie_break)
-    elif config.backend == "random_valid":
-        backend = RandomValidBackend(space, seed=config.backend_seed)
-    elif config.backend == "scripted":
-        backend = load_scripted_fixtures(config.fixtures_file)
-    elif config.backend == "http":
-        backend = HttpBackend(
-            config.http_base_url, config.http_model, api_key_env=config.api_key_env
-        )
-    else:  # unreachable: config.validate() rejects unknown names
-        raise CampaignError(f"unknown backend {config.backend!r}")
+    backend = BACKENDS[config.backend](config, space)
     if config.cache_dir:
         backend = CachingBackend(backend, config.cache_dir)
     return backend

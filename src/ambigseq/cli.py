@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Callable, get_args, get_origin, get_type_hints
@@ -66,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Mine ambiguous integer sequences from a lambda-template function "
             "space and evaluate model consistency on them."
         ),
+        allow_abbrev=False,  # a new flag must not change what an old argv means
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,10 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
             choices=None if listed else CHOICES.get(field.name),
         )
 
-    sub.add_parser("mine", parents=[common], help="mine datasets and report counts")
-    sub.add_parser("run", parents=[common], help="run the evaluation campaign")
-    sub.add_parser("analyze", parents=[common], help="compute metrics from results")
-    sub.add_parser("report", parents=[common], help="render a readable report")
+    add = partial(sub.add_parser, parents=[common], allow_abbrev=False)
+    add("mine", help="mine datasets and report counts")
+    add("run", help="run the evaluation campaign")
+    add("analyze", help="compute metrics from results")
+    add("report", help="render a readable report")
     return parser
 
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
+from .backends import BACKENDS, TIE_BREAKS
 from .mining import canonical_json, check_fields
 from .prompting import ShotSampling, Task, Variant
 
@@ -30,8 +31,8 @@ CHOICES: dict[str, tuple] = {
     "base": (10, 2),
     "variant": tuple(v.value for v in Variant),
     "shot_sampling": tuple(s.value for s in ShotSampling),
-    "backend": ("oracle", "adversarial", "random_valid", "scripted", "http"),
-    "tie_break": ("min_value", "enumeration_order"),
+    "backend": tuple(BACKENDS),
+    "tie_break": tuple(TIE_BREAKS),
     "tasks": DEFAULT_TASKS,
 }
 

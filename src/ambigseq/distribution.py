@@ -245,17 +245,20 @@ class Histogram:
 
 def shared_edges(groups: Iterable[Sequence[float]], n_bins: int = 40) -> tuple[float, ...]:
     """Bin edges spanning the pooled range ``[lo, hi]`` of several samples
-    (widened by 0.5 each way when it is a point): edge ``i`` is
-    ``i*step + lo`` with ``step = (hi - lo) / n_bins``, and the last is ``hi``,
-    as ``np.linspace`` computes them."""
+    (widened by 0.5 each way when it is a point, or too narrow for
+    ``n_bins`` steps of the float grid): edge ``i`` is ``i*step + lo`` with
+    ``step = (hi - lo) / n_bins``, and the last is ``hi``, as
+    ``np.linspace`` computes them."""
     pooled = [float(v) for g in groups for v in g]
     if not pooled:
         raise ValueError("cannot build edges from empty data")
     lo, hi = min(pooled), max(pooled)
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    step = (hi - lo) / n_bins
-    return (*(i * step + lo for i in range(n_bins)), hi)
+    for lo, hi in ((lo, hi), (lo - 0.5, hi + 0.5)):
+        step = (hi - lo) / n_bins
+        edges = (*(i * step + lo for i in range(n_bins)), hi)
+        if all(a < b for a, b in zip(edges, edges[1:])):
+            break
+    return edges
 
 
 def build_density_histogram(

@@ -1,6 +1,7 @@
 """Analysis of results files: metrics, baselines, quadrants, file output."""
 
 import json
+import math
 import re
 import shutil
 
@@ -220,6 +221,26 @@ class TestScriptedHandScored:
         }
         assert agg["model_judged_consistency"] is None
         assert agg["precision"] is None
+
+
+class TestQuadrantEdges:
+    def test_logprobs_a_few_float_steps_apart_are_compared(self, tmp_path, mined_l3):
+        # a pooled span of fewer than 40 float steps once collapsed the shared
+        # bin edges, and the whole analysis failed
+        config, results = campaign_results(
+            tmp_path, mined_l3, n_runs=1, tasks=("completion", "explanation")
+        )
+        header, *lines = results.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        completions = [r for r in records if r["task"] == "completion"]
+        for i, record in enumerate(completions):
+            logprob = -1.0 if i == 0 else math.nextafter(-1.0, 0.0)
+            record["top_logprobs"] = [[record["top_logprobs"][0][0], logprob]]
+        results.write_text(
+            "\n".join([header, *(canonical_json(r) for r in records)]) + "\n"
+        )
+        quadrants = analyze_results(results)["per_length"]["3"]["quadrants"]
+        assert sum(quadrants["counts"].values()) == len(completions) > 1
 
 
 class TestAnalysisDeterminism:

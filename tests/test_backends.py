@@ -26,6 +26,7 @@ from ambigseq.backends import (
     LogprobsUnsupportedError,
     MalformedResponseError,
     NO_VALID_ANSWER,
+    TIE_BREAKS,
     OracleBackend,
     RandomValidBackend,
     ScriptedBackend,
@@ -33,12 +34,11 @@ from ambigseq.backends import (
     _response_from_json,
     _response_to_json,
     build_chat_payload,
-    oracle_answer,
     parse_chat_response,
     random_valid_answer,
     request_digest,
 )
-from ambigseq import funcspace
+from ambigseq import backends, funcspace, mining
 from ambigseq.config import canonical_json
 from ambigseq.distribution import TokenDistribution
 from ambigseq.evaluation import check_cross_context_consistency, parse_judgment_response
@@ -110,38 +110,43 @@ class TestScriptedBackend:
 
 
 class TestOracleAnswer:
+    """The text ``OracleBackend.complete`` answers each task with."""
+
+    @staticmethod
+    def answer(space, task, target=AMBIG, **backend_kw):
+        request = make_request(space, task, target, base=target.base)
+        return OracleBackend(space, **backend_kw).complete(request).text
+
     def test_min_value_completion(self, space):
-        assert oracle_answer(AMBIG, Task.COMPLETION, space) == "15"
+        assert self.answer(space, Task.COMPLETION) == "15"
 
     def test_enumeration_order_completion(self, space):
-        answer = oracle_answer(AMBIG, Task.COMPLETION, space,
-                               tie_break="enumeration_order")
+        answer = self.answer(space, Task.COMPLETION, tie_break="enumeration_order")
         assert answer == "19"  # arithmetic(4,3) enumerates before bit_or
 
     def test_explanation_formats(self, space):
-        answer = oracle_answer(AMBIG, Task.EXPLANATION, space,
-                               tie_break="enumeration_order")
+        answer = self.answer(space, Task.EXPLANATION, tie_break="enumeration_order")
         assert answer == "Explanation: lambda x: (4 * x) + 3"
 
     def test_min_value_explanation_matches_its_completion(self, space):
-        answer = oracle_answer(AMBIG, Task.EXPLANATION, space)
+        answer = self.answer(space, Task.EXPLANATION)
         assert answer == "Explanation: lambda x: (3 * x) | 3"
 
     def test_verbalize_lists_all(self, space):
-        answer = oracle_answer(AMBIG, Task.VERBALIZE_ALTERNATIVES, space)
+        answer = self.answer(space, Task.VERBALIZE_ALTERNATIVES)
         assert answer == "15 \\n 19 \\n"
 
     def test_no_generators_sentinel(self, space):
         orphan = SequenceRecord((1, 3, 5, 7))
-        assert oracle_answer(orphan, Task.COMPLETION, space) == NO_VALID_ANSWER
+        assert self.answer(space, Task.COMPLETION, orphan) == NO_VALID_ANSWER
 
     def test_base2_rendering(self, space):
         seq = SequenceRecord((7, 11, 15), base=2)
-        assert oracle_answer(seq, Task.COMPLETION, space) == "0b1111"
+        assert self.answer(space, Task.COMPLETION, seq) == "0b1111"
 
     def test_unknown_tie_break(self, space):
-        with pytest.raises(ValueError):
-            oracle_answer(AMBIG, Task.COMPLETION, space, tie_break="coin_flip")
+        with pytest.raises(ValueError, match="unknown tie_break: 'coin_flip'"):
+            OracleBackend(space, tie_break="coin_flip")
 
 
 class TestOracleBackend:
@@ -231,6 +236,38 @@ class TestOracleBackend:
     def test_mode_validation(self, space):
         with pytest.raises(ValueError):
             OracleBackend(space, mode="chaotic")
+
+
+class TestOneLookupPerAnswer:
+    """The oracle ranks the target's generators once per answer, and looks
+    nothing up to judge a pair."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        seen = []
+        for module in (backends, mining):
+            lookup = module.matching_generators
+
+            def counted(values, space, lookup=lookup):
+                seen.append(tuple(values))
+                return lookup(values, space)
+
+            monkeypatch.setattr(module, "matching_generators", counted)
+        return seen
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("mode", ["consistent", "adversarial"])
+    @pytest.mark.parametrize("task, want_logprobs, expected", [
+        (Task.COMPLETION, 0, 1),
+        (Task.COMPLETION, 5, 1),
+        (Task.EXPLANATION, 0, 1),
+        (Task.VERBALIZE_ALTERNATIVES, 0, 1),
+        (Task.CONSISTENCY_JUDGMENT, 0, 0),
+    ])
+    def test_lookups(self, space, lookups, mode, tie_break, task, want_logprobs, expected):
+        request = make_request(space, task, want_logprobs=want_logprobs)
+        OracleBackend(space, mode=mode, tie_break=tie_break).complete(request)
+        assert lookups == [AMBIG.values] * expected
 
 
 class TestRandomValid:

@@ -27,6 +27,7 @@ from ambigseq.backends import (
     OracleBackend,
     RandomValidBackend,
     ScriptedBackend,
+    load_scripted_fixtures,
 )
 from ambigseq.campaign import (
     AUDIT_FILENAME,
@@ -39,7 +40,6 @@ from ambigseq.campaign import (
     config_space,
     dataset_filename,
     load_campaign_datasets,
-    load_scripted_fixtures,
     make_backend,
     mine_datasets,
     plan_queries,
@@ -51,7 +51,7 @@ from ambigseq.campaign import (
 )
 from ambigseq import campaign, mining
 from ambigseq.analysis import analyze_results
-from ambigseq.config import CampaignConfig, canonical_json
+from ambigseq.config import CHOICES, CampaignConfig, canonical_json
 from ambigseq.distribution import TokenDistribution
 from ambigseq.prompting import (
     COMPLETION_INSTRUCTIONS,
@@ -1204,6 +1204,37 @@ class TestMakeBackend:
         assert isinstance(backend, ScriptedBackend)
         assert backend.fixtures == {"q": CompletionResponse("a")}
         assert backend.default == CompletionResponse("d")
+
+    def test_http_carries_endpoint_and_key_variable(self):
+        config, space = self.space_and_config(
+            backend="http",
+            http_base_url="http://127.0.0.1:9/v1/",
+            http_model="some-model",
+            api_key_env="SOME_KEY",
+        )
+        backend = make_backend(config, space)  # builds a client, sends nothing
+        assert isinstance(backend, HttpBackend)
+        assert (backend.base_url, backend.model, backend.api_key_env) == (
+            "http://127.0.0.1:9/v1", "some-model", "SOME_KEY"
+        )
+
+    @pytest.mark.parametrize("tie_break", CHOICES["tie_break"])
+    @pytest.mark.parametrize("name", CHOICES["backend"])
+    def test_every_choice_builds(self, tmp_path, name, tie_break):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({"fixtures": {}}))
+        config, space = self.space_and_config(
+            backend=name,
+            tie_break=tie_break,
+            fixtures_file=str(fixtures),
+            http_base_url="http://127.0.0.1:9",
+            http_model="some-model",
+            tasks=("completion", "explanation"),
+        )
+        backend = make_backend(config, space)
+        assert backend.backend_id and callable(backend.complete)
+        if isinstance(backend, OracleBackend):
+            assert backend.tie_break == tie_break
 
     def test_cache_dir_wraps_backend(self, tmp_path):
         config, space = self.space_and_config(

@@ -181,6 +181,25 @@ class TestFlagsAreTheConfigFields:
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_flag_is_spelled_in_full(self, tmp_path, capsys, command):
+        # an abbreviation that is unique today could become ambiguous, or
+        # name another field, once a config field is added
+        for argv in ([command, "--rng", "1"], [command, "--shot", "same_class"],
+                     ["--he", command]):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments: --" in capsys.readouterr().err
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        argv = [command, "--config", str(path)]
+        for name in FIELDS:
+            argv += [flag(name), SAMPLES[name][0]]
+        args = parse(argv)
+        assert args.config == path
+        assert all(getattr(args, name) is not None for name in FIELDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_help_exits_0(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             parse([command, "--help"])

@@ -243,10 +243,19 @@ class TestHistogram:
             build_density_histogram([])
 
     def test_edges_that_do_not_increase_are_rejected(self):
-        # a pooled range narrower than 40 steps of the float grid collapses them
-        edges = shared_edges([[-1.0, math.nextafter(-1.0, 0.0)]])
+        edges = [-1.0, -1.0, math.nextafter(-1.0, 0.0)]
         with pytest.raises(ValueError, match="bin edges must increase strictly"):
             build_density_histogram([-1.0], edges=edges)
+
+    def test_a_span_narrower_than_the_bins_is_widened_like_a_point(self):
+        # fewer than 40 steps of the float grid would collapse the edges
+        lo, hi = -1.0, math.nextafter(-1.0, 0.0)
+        edges = shared_edges([[lo], [hi]])
+        assert edges == shared_edges([[lo - 0.5, hi + 0.5]])
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        for values in ([lo], [hi]):
+            h = build_density_histogram(values, edges=edges)
+            assert math.isclose(math.fsum(h.masses), 1.0, rel_tol=1e-12)
 
     def test_values_outside_the_edges_are_rejected(self):
         with pytest.raises(ValueError, match="no value lies within the bin edges"):

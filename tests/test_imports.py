@@ -44,7 +44,8 @@ def test_every_imported_name_is_used_in_its_module(path):
     [
         ("funcspace", ["ambigseq.funcspace"]),
         ("mining", ["ambigseq.funcspace", "ambigseq.mining"]),
-        ("config", ["ambigseq.config", "ambigseq.funcspace", "ambigseq.mining",
+        ("config", ["ambigseq.backends", "ambigseq.config", "ambigseq.distribution",
+                    "ambigseq.evaluation", "ambigseq.funcspace", "ambigseq.mining",
                     "ambigseq.prompting"]),
         ("campaign", ["ambigseq.backends", "ambigseq.campaign", "ambigseq.config",
                       "ambigseq.distribution", "ambigseq.evaluation",
@@ -72,6 +73,39 @@ def test_a_module_loads_only_the_layers_beneath_it(module, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == loaded
+
+
+def _ambigseq_imports(tree: ast.Module) -> set[str]:
+    """The ambigseq modules a module imports, at any depth of its code."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("ambigseq.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative: ``from .x import y`` or ``from . import x``
+                module = f"ambigseq.{module}".rstrip(".")
+            if module == "ambigseq":
+                found.update(alias.name for alias in node.names)
+            elif module.startswith("ambigseq."):
+                found.add(module.split(".")[1])
+    return found
+
+
+# config reads its backend and tie-break choices from backends, so config
+# sits above every layer backends stands on
+BENEATH_CONFIG = ("backends", "evaluation", "prompting", "mining", "distribution", "funcspace")
+
+
+@pytest.mark.parametrize("module", BENEATH_CONFIG)
+def test_no_module_beneath_config_imports_it(module):
+    path = SRC / "ambigseq" / f"{module}.py"
+    imported = _ambigseq_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert "config" not in imported
 
 
 def test_the_third_party_imports_are_the_runtime_dependencies():
