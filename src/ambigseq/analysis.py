@@ -3,6 +3,11 @@
 Everything here is a pure, deterministic function of the results file (plus
 the dataset files its header names) — no backend is ever queried. The output
 is a JSON document and a delimited table ready for plotting.
+
+:data:`FIGURES` describes the eight headline figures of a run once: the
+aggregate block, the ``metrics.tsv`` columns and the report's metrics section
+all read it. :func:`_chance` is the one place the random answerer's expected
+consistency is computed, as a (closed form, Monte Carlo) pair.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import json
 import math
 from pathlib import Path
 from statistics import fmean
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .campaign import CampaignError, check_dataset, collector_paused, line_error, read_results
 from .config import CampaignConfig, canonical_json
@@ -58,11 +63,6 @@ REFERENCE_KL_BITS = {
     "correct_predicted||incorrect_not_predicted": 3.45,
 }
 
-_KL_HEADLINE_PAIRS = (
-    (Quadrant.CORRECT_PREDICTED, Quadrant.CORRECT_NOT_PREDICTED),
-    (Quadrant.CORRECT_PREDICTED, Quadrant.INCORRECT_NOT_PREDICTED),
-)
-
 
 class _UnreadableLine(ValueError):
     """(result line, problem): a line whose content analysis cannot read;
@@ -87,23 +87,13 @@ def _consistency(consistent: int, inconsistent: int, invalid: int) -> dict:
     }
 
 
-def accuracy(lines: list[dict]) -> dict[str, Any]:
-    """Accuracy of completion/explanation lines on unambiguous sequences;
-    invalid answers score incorrect and every other line is ignored."""
-    scored = [
-        r
-        for r in lines
-        if not r["ambiguous"]
-        and r["task"] in (Task.EXPLANATION.value, Task.COMPLETION.value)
-    ]
+def accuracy(explanations: list[dict], completions: list[dict]) -> dict[str, Any]:
+    """Accuracy of one run's explanation and completion lines on unambiguous
+    sequences; an invalid answer scores incorrect."""
     return {
-        "explanation_accuracy": _pct(
-            [bool(r["correct"]) for r in scored if r["task"] == Task.EXPLANATION.value]
-        ),
-        "completion_accuracy": _pct(
-            [bool(r["correct"]) for r in scored if r["task"] == Task.COMPLETION.value]
-        ),
-        "valid_fraction": _pct([r["valid"] for r in scored]),
+        "explanation_accuracy": _pct([bool(r["correct"]) for r in explanations]),
+        "completion_accuracy": _pct([bool(r["correct"]) for r in completions]),
+        "valid_fraction": _pct([r["valid"] for r in explanations + completions]),
     }
 
 
@@ -199,38 +189,40 @@ def _quadrant_analysis(completions: list[dict], base: int) -> dict:
 
     counts = {q.value: len(groups[q]) for q in Quadrant}
     occupied = [g for g in groups.values() if g]
-    kl: dict[str, float | None] = {
-        f"{a.value}||{b.value}": None for a, b in _KL_HEADLINE_PAIRS
-    }
-    if len(occupied) >= 1:
+    # the headline pairs are the published ones, each named "a||b"
+    kl: dict[str, float | None] = dict.fromkeys(REFERENCE_KL_BITS)
+    if occupied:
         edges = shared_edges(occupied)
         smoothed = {
             q: gaussian_smooth(build_density_histogram(g, edges=edges))
             for q, g in groups.items()
             if g
         }
-        for a, b in _KL_HEADLINE_PAIRS:
+        for pair in kl:
+            a, b = map(Quadrant, pair.split("||"))
             if a in smoothed and b in smoothed:
-                kl[f"{a.value}||{b.value}"] = kl_divergence_bits(
-                    smoothed[a], smoothed[b]
-                )
+                kl[pair] = kl_divergence_bits(smoothed[a], smoothed[b])
     return {"counts": counts, "kl_bits": kl}
 
 
+def _chance(
+    p_expl: float, p_compl: float, dataset: Dataset, rng_seed: int
+) -> tuple[float, float]:
+    """(closed form, Monte Carlo): the consistency (percent) expected of a
+    random answerer at the given accuracies on the dataset's ambiguous
+    records. Each estimate starts its own ``Random(rng_seed)`` stream."""
+    closed, mc = (
+        expected_random_consistency(p_expl, p_compl, dataset, mode=mode,
+                                    n_samples=MC_SAMPLES, rng_seed=rng_seed, which="ambiguous")
+        for mode in ("closed_form", "monte_carlo")
+    )
+    return closed, mc
+
+
 def _random_baseline(dataset: Dataset, rng_seed: int) -> dict:
-    closed = expected_random_consistency(
-        100, 100, dataset, mode="closed_form", which="ambiguous"
-    )
-    mc = expected_random_consistency(
-        100, 100, dataset, n_samples=MC_SAMPLES, rng_seed=rng_seed, which="ambiguous"
-    )
-    sigma_bound = 100 * 0.5 / math.sqrt(len(dataset.ambiguous) * MC_SAMPLES)
-    return {
-        "closed_form": closed,
-        "monte_carlo": mc,
-        "n_samples": MC_SAMPLES,
-        "sigma_bound": sigma_bound,
-    }
+    closed, mc = _chance(100, 100, dataset, rng_seed)
+    return {"closed_form": closed, "monte_carlo": mc, "n_samples": MC_SAMPLES,
+            "sigma_bound": 100 * 0.5 / math.sqrt(len(dataset.ambiguous) * MC_SAMPLES)}
 
 
 def _reference_comparison(datasets: dict[int, Dataset], rng_seed: int) -> list[dict]:
@@ -238,68 +230,47 @@ def _reference_comparison(datasets: dict[int, Dataset], rng_seed: int) -> list[d
     over the campaign's sequence lengths, with the gap to the published value."""
     rows = []
     for ref in REFERENCE_RANDOM_CONSISTENCY:
-        per_length_closed = []
-        per_length_mc = []
-        for length in sorted(datasets):
-            per_length_closed.append(
-                expected_random_consistency(
-                    ref["p_expl"],
-                    ref["p_compl"],
-                    datasets[length],
-                    mode="closed_form",
-                    which="ambiguous",
-                )
-            )
-            per_length_mc.append(
-                expected_random_consistency(
-                    ref["p_expl"],
-                    ref["p_compl"],
-                    datasets[length],
-                    n_samples=MC_SAMPLES,
-                    rng_seed=rng_seed,
-                    which="ambiguous",
-                )
-            )
-        closed = fmean(per_length_closed)
-        rows.append(
-            {
-                **ref,
-                "computed_closed_form": closed,
-                "computed_monte_carlo": fmean(per_length_mc),
-                "gap": closed - ref["reported"],
-                "lengths": sorted(datasets),
-            }
-        )
+        closed, mc = map(fmean, zip(
+            *(_chance(ref["p_expl"], ref["p_compl"], datasets[n], rng_seed)
+              for n in sorted(datasets))
+        ))
+        rows.append({**ref, "computed_closed_form": closed, "computed_monte_carlo": mc,
+                     "gap": closed - ref["reported"], "lengths": sorted(datasets)})
     return rows
 
 
-#: The headline figures of a run, in metrics-table column order; the
-#: aggregate block holds their means.
-_FIGURE_NAMES = (
-    "explanation_accuracy",
-    "completion_accuracy",
-    "valid_fraction",
-    "cross_context_consistency",
-    "model_judged_consistency",
-    "precision",
-    "recall",
-    "alternative_test_pass_rate",
+class Figure(NamedTuple):
+    """A headline figure: its aggregate key and ``metrics.tsv`` column, its
+    report label and unit, and its value in a per-run block."""
+
+    name: str
+    label: str
+    unit: str
+    value: Callable[[dict], float | None]
+
+
+#: The headline figures, in metrics-table column order.
+FIGURES = (
+    Figure("explanation_accuracy", "explanation accuracy", "%",
+           lambda run: run["explanation_accuracy"]),
+    Figure("completion_accuracy", "completion accuracy", "%",
+           lambda run: run["completion_accuracy"]),
+    Figure("valid_fraction", "valid fraction", "%", lambda run: run["valid_fraction"]),
+    Figure("cross_context_consistency", "cross-context consistency", "%",
+           lambda run: run["cross_context"]["rate"]),
+    Figure("model_judged_consistency", "model-judged consistency", "%",
+           lambda run: run["model_judged"]["rate"]),
+    Figure("precision", "verbalization precision", "",
+           lambda run: run["verbalization"]["precision"]),
+    Figure("recall", "verbalization recall", "", lambda run: run["verbalization"]["recall"]),
+    Figure("alternative_test_pass_rate", "alternative-consideration pass rate", "%",
+           lambda run: run["alternative_test"]["pass_rate"]),
 )
 
 
 def _figures(run: dict[str, Any]) -> dict[str, float | None]:
-    """The headline figures of one per-run block."""
-    values = (
-        run["explanation_accuracy"],
-        run["completion_accuracy"],
-        run["valid_fraction"],
-        run["cross_context"]["rate"],
-        run["model_judged"]["rate"],
-        run["verbalization"]["precision"],
-        run["verbalization"]["recall"],
-        run["alternative_test"]["pass_rate"],
-    )
-    return dict(zip(_FIGURE_NAMES, values))
+    """The headline figures of one per-run block, by name."""
+    return {figure.name: figure.value(run) for figure in FIGURES}
 
 
 @collector_paused()
@@ -339,25 +310,18 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
                 def bucket(task: Task, ambiguous: bool) -> list[dict]:
                     return buckets.get((length, run_id, task.value, ambiguous), [])
 
-                fields = accuracy(
-                    bucket(Task.EXPLANATION, False) + bucket(Task.COMPLETION, False)
-                )
-                fields["run_id"] = run_id
-                fields["cross_context"] = cross_context_consistency(
-                    bucket(Task.COMPLETION, True),
-                    bucket(Task.EXPLANATION, True),
-                    datasets[length].parameters.convention,
-                )
-                fields["model_judged"] = judged_consistency(
-                    bucket(Task.CONSISTENCY_JUDGMENT, True)
-                )
-                fields["verbalization"] = verbalization(
-                    bucket(Task.VERBALIZE_ALTERNATIVES, True)
-                )
-                fields["alternative_test"] = alternative_test(
-                    bucket(Task.COMPLETION, True), config.base
-                )
-                per_run.append(fields)
+                completions = bucket(Task.COMPLETION, True)
+                per_run.append({
+                    **accuracy(bucket(Task.EXPLANATION, False), bucket(Task.COMPLETION, False)),
+                    "run_id": run_id,
+                    "cross_context": cross_context_consistency(
+                        completions, bucket(Task.EXPLANATION, True),
+                        datasets[length].parameters.convention,
+                    ),
+                    "model_judged": judged_consistency(bucket(Task.CONSISTENCY_JUDGMENT, True)),
+                    "verbalization": verbalization(bucket(Task.VERBALIZE_ALTERNATIVES, True)),
+                    "alternative_test": alternative_test(completions, config.base),
+                })
             per_length[str(length)] = {
                 "per_run": per_run,
                 "aggregate": (
@@ -402,7 +366,7 @@ def _cell(value: Any) -> str:
 
 def metrics_table(analysis: dict[str, Any]) -> str:
     """Per-run and aggregate metrics as a tab-separated table."""
-    columns = ("length", "run", *_FIGURE_NAMES)
+    columns = ("length", "run", *(figure.name for figure in FIGURES))
     rows = [f"# config_digest={analysis['config_digest']}", "\t".join(columns)]
     for length in sorted(analysis["per_length"], key=int):
         block = analysis["per_length"][length]
@@ -411,7 +375,7 @@ def metrics_table(analysis: dict[str, Any]) -> str:
             rows.append("\t".join(_cell(v) for v in cells))
         agg = block["aggregate"]
         if agg:
-            cells = (length, "mean", *(agg[name] for name in _FIGURE_NAMES))
+            cells = (length, "mean", *(agg[figure.name] for figure in FIGURES))
             rows.append("\t".join(_cell(v) for v in cells))
     return "\n".join(rows) + "\n"
 

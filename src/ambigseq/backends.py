@@ -466,14 +466,29 @@ class HttpBackend:
         )
 
 
-#: Each ``backend`` name a campaign config may give, with how the backend is
-#: built from the config ``c`` and the function space.
-BACKENDS: dict[str, Callable[[Any, FunctionSpace], Backend]] = {
-    "oracle": lambda c, space: OracleBackend(space, tie_break=c.tie_break),
-    "adversarial": lambda c, space: OracleBackend(space, "adversarial", c.tie_break),
-    "random_valid": lambda c, space: RandomValidBackend(space, seed=c.backend_seed),
-    "scripted": lambda c, space: load_scripted_fixtures(c.fixtures_file),
-    "http": lambda c, space: HttpBackend(c.http_base_url, c.http_model, c.api_key_env),
+@dataclass(frozen=True)
+class BackendEntry:
+    """A backend as a campaign config sees it: how it is built from the
+    config ``c`` and the function space, the settings it needs, the tasks it
+    answers, and its calls in flight by default (a remote endpoint waits on
+    the network; the in-process backends compute under the interpreter lock)."""
+
+    build: Callable[[Any, FunctionSpace], Backend]
+    needs: tuple[str, ...] = ()
+    tasks: tuple[Task, ...] = tuple(Task)
+    workers: int = 1
+
+
+#: Each ``backend`` name a campaign config may give, with its entry.
+BACKENDS: dict[str, BackendEntry] = {
+    "oracle": BackendEntry(lambda c, space: OracleBackend(space, tie_break=c.tie_break)),
+    "adversarial": BackendEntry(lambda c, space: OracleBackend(space, "adversarial", c.tie_break)),
+    "random_valid": BackendEntry(lambda c, space: RandomValidBackend(space, seed=c.backend_seed),
+                                 tasks=(Task.COMPLETION, Task.EXPLANATION)),
+    "scripted": BackendEntry(lambda c, space: load_scripted_fixtures(c.fixtures_file),
+                             needs=("fixtures_file",)),
+    "http": BackendEntry(lambda c, space: HttpBackend(c.http_base_url, c.http_model, c.api_key_env),
+                         needs=("http_base_url", "http_model"), workers=8),
 }
 
 

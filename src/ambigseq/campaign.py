@@ -82,7 +82,7 @@ def results_path(output_dir: str | Path) -> Path:
 
 
 def make_backend(config: CampaignConfig, space: FunctionSpace) -> Backend:
-    backend = BACKENDS[config.backend](config, space)
+    backend = BACKENDS[config.backend].build(config, space)
     if config.cache_dir:
         backend = CachingBackend(backend, config.cache_dir)
     return backend

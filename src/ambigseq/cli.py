@@ -18,6 +18,7 @@ from typing import Callable, get_args, get_origin, get_type_hints
 
 from .analysis import (
     ANALYSIS_FILENAME,
+    FIGURES,
     REFERENCE_KL_BITS,
     analyze_results,
     load_analysis,
@@ -208,25 +209,28 @@ def cmd_analyze(config: CampaignConfig, out=None) -> int:
     out = out or sys.stdout
     analysis = analyze_results(results_path(config.output_dir))
     analysis_path, table_path = write_analysis(analysis, config.output_dir)
-    for length, block in sorted(analysis["per_length"].items(), key=lambda kv: int(kv[0])):
-        agg = block["aggregate"]
-        if not agg:
-            continue
-        parts = [f"length {length} (mean over {agg['n_runs']} runs):"]
-        for label, key in (
-            ("explanation acc", "explanation_accuracy"),
-            ("completion acc", "completion_accuracy"),
-            ("valid", "valid_fraction"),
-            ("cross-context", "cross_context_consistency"),
-            ("model-judged", "model_judged_consistency"),
-        ):
-            value = agg[key]
-            if value is not None:
-                parts.append(f"{label} {value:.2f}%")
-        print(" ".join(parts), file=out)
+    for line in _metrics_lines(analysis):
+        print(line, file=out)
     print(f"analysis: {analysis_path}", file=out)
     print(f"metrics table: {table_path}", file=out)
     return 0
+
+
+def _metrics_lines(analysis: dict) -> list[str]:
+    """The report's metrics section, which ``analyze`` prints too: the mean
+    over runs of each headline figure that has one, per length."""
+    lines = ["== metrics (mean over runs) =="]
+    for length_str in sorted(analysis["per_length"], key=int):
+        agg = analysis["per_length"][length_str]["aggregate"]
+        if not agg:
+            continue
+        lines.append(f"length {length_str} ({agg['n_runs']} runs):")
+        lines.extend(
+            f"  {figure.label}: {agg[figure.name]:.2f}{figure.unit}"
+            for figure in FIGURES
+            if agg[figure.name] is not None
+        )
+    return lines
 
 
 def _report_text(config: CampaignConfig, analysis: dict) -> str:
@@ -245,25 +249,7 @@ def _report_text(config: CampaignConfig, analysis: dict) -> str:
         lines.extend(_dataset_count_lines(length, dataset.counts(space)))
     push("")
 
-    push("== metrics (mean over runs) ==")
-    for length_str in sorted(analysis["per_length"], key=int):
-        agg = analysis["per_length"][length_str]["aggregate"]
-        if not agg:
-            continue
-        push(f"length {length_str} ({agg['n_runs']} runs):")
-        for label, key, unit in (
-            ("explanation accuracy", "explanation_accuracy", "%"),
-            ("completion accuracy", "completion_accuracy", "%"),
-            ("valid fraction", "valid_fraction", "%"),
-            ("cross-context consistency", "cross_context_consistency", "%"),
-            ("model-judged consistency", "model_judged_consistency", "%"),
-            ("verbalization precision", "precision", ""),
-            ("verbalization recall", "recall", ""),
-            ("alternative-consideration pass rate", "alternative_test_pass_rate", "%"),
-        ):
-            value = agg[key]
-            if value is not None:
-                push(f"  {label}: {value:.2f}{unit}")
+    lines.extend(_metrics_lines(analysis))
     push("")
 
     push("== random-consistency baseline (ambiguous sequences, full validity) ==")

@@ -3,7 +3,8 @@
 A config round-trips through JSON; its digest (sha256 of the canonical JSON,
 minus storage-location keys) names the campaign and is stamped into every
 artifact the campaign or the analysis stage writes, so mismatched files are
-detectable.
+detectable. What a backend needs of a config (its settings, the tasks it
+answers, its default calls in flight) is read from its ``BACKENDS`` entry.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ STORAGE_KEYS = ("output_dir", "cache_dir")
 EXECUTION_KEYS = ("concurrency",)
 
 MAX_CONCURRENCY = 64
-# backend calls in flight at once when ``concurrency`` is unset: a remote
-# endpoint spends its time waiting on the network, the in-process backends
-# spend theirs computing under the interpreter lock
-DEFAULT_HTTP_CONCURRENCY = 8
 
 
 class ConfigError(ValueError):
@@ -115,10 +112,9 @@ class CampaignConfig:
                     raise ConfigError(
                         f"unknown {name} {item!r}; expected one of {allowed}"
                     )
-        if self.backend == "http" and not (self.http_base_url and self.http_model):
-            raise ConfigError("http backend needs http_base_url and http_model")
-        if self.backend == "scripted" and not self.fixtures_file:
-            raise ConfigError("scripted backend needs fixtures_file")
+        entry = BACKENDS[self.backend]
+        if not all(getattr(self, name) for name in entry.needs):
+            raise ConfigError(f"{self.backend} backend needs {' and '.join(entry.needs)}")
         if not self.tasks:
             raise ConfigError("tasks cannot be empty")
         if Task.CONSISTENCY_JUDGMENT.value in self.tasks and not (
@@ -129,14 +125,13 @@ class CampaignConfig:
                 "consistency_judgment needs completion and explanation results "
                 "from the same run"
             )
-        if self.backend == "random_valid":
-            supported = {Task.COMPLETION.value, Task.EXPLANATION.value}
-            extra = [t for t in self.tasks if t not in supported]
-            if extra:
-                raise ConfigError(
-                    "random_valid backend only answers completion and "
-                    f"explanation tasks; remove {extra} or choose another backend"
-                )
+        extra = [t for t in self.tasks if Task(t) not in entry.tasks]
+        if extra:
+            raise ConfigError(
+                f"{self.backend} backend only answers "
+                f"{' and '.join(t.value for t in entry.tasks)} tasks; "
+                f"remove {extra} or choose another backend"
+            )
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.n_shots is not None and self.n_shots < 0:
@@ -213,10 +208,8 @@ class CampaignConfig:
     @property
     def workers(self) -> int:
         """Backend calls a campaign keeps in flight at once: ``concurrency``,
-        or by default 8 for the http backend and 1 for the others."""
-        if self.concurrency is not None:
-            return self.concurrency
-        return DEFAULT_HTTP_CONCURRENCY if self.backend == "http" else 1
+        or by default the backend entry's ``workers``."""
+        return self.concurrency or BACKENDS[self.backend].workers
 
     @property
     def task_enums(self) -> tuple[Task, ...]:

@@ -244,21 +244,25 @@ class Histogram:
 # compensates from 3.12 on).
 
 def shared_edges(groups: Iterable[Sequence[float]], n_bins: int = 40) -> tuple[float, ...]:
-    """Bin edges spanning the pooled range ``[lo, hi]`` of several samples
-    (widened by 0.5 each way when it is a point, or too narrow for
-    ``n_bins`` steps of the float grid): edge ``i`` is ``i*step + lo`` with
-    ``step = (hi - lo) / n_bins``, and the last is ``hi``, as
-    ``np.linspace`` computes them."""
+    """Bin edges spanning the pooled range ``[lo, hi]`` of several samples:
+    edge ``i`` is ``i*step + lo`` with ``step = (hi - lo) / n_bins``, and the
+    last is ``hi``, as ``np.linspace`` computes them. When those edges do not
+    increase strictly (a point, or a span too narrow for ``n_bins`` steps of
+    the float grid), the range is widened by 0.5 each way, then by 1, 2, 4
+    and so on until they do; a ``ValueError`` if the step overflows first."""
     pooled = [float(v) for g in groups for v in g]
     if not pooled:
         raise ValueError("cannot build edges from empty data")
     lo, hi = min(pooled), max(pooled)
-    for lo, hi in ((lo, hi), (lo - 0.5, hi + 0.5)):
-        step = (hi - lo) / n_bins
-        edges = (*(i * step + lo for i in range(n_bins)), hi)
-        if all(a < b for a, b in zip(edges, edges[1:])):
-            break
-    return edges
+    a, b, pad = lo, hi, 0.5
+    while True:
+        step = (b - a) / n_bins
+        edges = (*(i * step + a for i in range(n_bins)), b)
+        if all(x < y for x, y in zip(edges, edges[1:])):
+            return edges
+        if not math.isfinite(step):
+            raise ValueError(f"cannot bin values spanning {lo} to {hi}")
+        a, b, pad = lo - pad, hi + pad, pad * 2
 
 
 def build_density_histogram(

@@ -242,6 +242,26 @@ class TestQuadrantEdges:
         quadrants = analyze_results(results)["per_length"]["3"]["quadrants"]
         assert sum(quadrants["counts"].values()) == len(completions) > 1
 
+    def test_a_logprob_beyond_half_a_float_step_is_compared(self, tmp_path, mined_l3):
+        # at -1e17 the float step is 16, so widening the point span by 0.5
+        # each way once left 41 equal edges, and the whole analysis failed
+        _, results = campaign_results(
+            tmp_path, mined_l3, n_runs=1, tasks=("completion", "explanation")
+        )
+        header, *lines = results.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        completions = [r for r in records if r["task"] == "completion"]
+        for record in completions[1:]:
+            record["top_logprobs"] = None
+        first = completions[0]
+        first["top_logprobs"] = [[first["top_logprobs"][0][0], -1e17]]
+        results.write_text(
+            "\n".join([header, *(canonical_json(r) for r in records)]) + "\n"
+        )
+        write_analysis(analyze_results(results), results.parent)
+        doc = load_analysis(results.parent / "analysis.json")
+        assert sum(doc["per_length"]["3"]["quadrants"]["counts"].values()) == 1
+
 
 class TestAnalysisDeterminism:
     def test_same_results_same_document(self, tmp_path, mined_l3):

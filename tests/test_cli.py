@@ -275,6 +275,20 @@ class TestStageWiring:
             assert section in report
         assert "the reference derivation is unpublished" in report
 
+    def test_analyze_prints_the_reports_metrics_section(self, out_dir, capfd):
+        argv = flags(out_dir, "--n-runs", "2")
+        assert main(["run", *argv]) == 0
+        capfd.readouterr()
+        assert main(["analyze", *argv]) == 0
+        *summary, analysis_line, table_line = capfd.readouterr().out.splitlines()
+        assert analysis_line == f"analysis: {out_dir / 'analysis.json'}"
+        assert table_line == f"metrics table: {out_dir / 'metrics.tsv'}"
+        assert main(["report", *argv]) == 0
+        report = (out_dir / "report.txt").read_text().split("\n\n")
+        (section,) = [s for s in report if s.startswith("== metrics (mean over runs) ==")]
+        assert summary == section.splitlines()
+        assert len(summary) == 1 + 1 + 8  # heading, length line, eight figures
+
     def test_run_resumes_through_cli(self, out_dir, capfd):
         assert main(["run", *flags(out_dir)]) == 0
         assert main(["run", *flags(out_dir)]) == 0

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import shutil
+import sys
 
 import density_reference as reference
 import numpy as np
@@ -256,6 +257,19 @@ class TestHistogram:
         for values in ([lo], [hi]):
             h = build_density_histogram(values, edges=edges)
             assert math.isclose(math.fsum(h.masses), 1.0, rel_tol=1e-12)
+
+    def test_a_point_beyond_half_a_float_step_is_widened_until_the_edges_part(self):
+        # at -1e17 the float step is 16: padding by 0.5 leaves 41 equal edges
+        edges = shared_edges([[-1e17]])
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert edges[0] < -1e17 < edges[-1]
+        h = build_density_histogram([-1e17], edges=edges)
+        assert math.isclose(math.fsum(h.masses), 1.0, rel_tol=1e-12)
+
+    def test_a_point_at_the_float_limit_is_an_error(self):
+        # no finite padding parts its edges, so widening must stop
+        with pytest.raises(ValueError, match="cannot bin values spanning"):
+            shared_edges([[-sys.float_info.max]])
 
     def test_values_outside_the_edges_are_rejected(self):
         with pytest.raises(ValueError, match="no value lies within the bin edges"):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import shutil
 from random import Random
 
 import pytest
@@ -13,6 +15,7 @@ from mc_reference import reference_monte_carlo
 from ambigseq import evaluation
 from ambigseq.analysis import (
     accuracy,
+    analyze_results,
     cross_context_consistency,
     judged_consistency,
 )
@@ -22,7 +25,8 @@ from ambigseq.backends import (
     OracleBackend,
     ScriptedBackend,
 )
-from ambigseq.config import canonical_json
+from ambigseq.campaign import dataset_filename, run_campaign
+from ambigseq.config import CampaignConfig, canonical_json
 from ambigseq.evaluation import (
     EvalRecord,
     aggregate_runs,
@@ -225,12 +229,12 @@ def unambiguous_sample(dataset, n=25):
 
 class TestAccuracy:
     def test_perfect_oracle_is_100(self, space, dataset):
-        lines = []
+        explanations, completions = [], []
         for ds_record in unambiguous_sample(dataset):
             seq = ds_record.sequence
             (answer,) = ds_record.continuations
-            lines.append(result_line(dataset, Task.COMPLETION, seq, str(answer)))
-            lines.append(
+            completions.append(result_line(dataset, Task.COMPLETION, seq, str(answer)))
+            explanations.append(
                 result_line(
                     dataset,
                     Task.EXPLANATION,
@@ -238,17 +242,17 @@ class TestAccuracy:
                     f"Explanation: {ds_record.functions[0].text}",
                 )
             )
-        metrics = accuracy(lines)
+        metrics = accuracy(explanations, completions)
         assert metrics["completion_accuracy"] == 100.0
         assert metrics["explanation_accuracy"] == 100.0
         assert metrics["valid_fraction"] == 100.0
 
     def test_always_invalid_is_0(self, dataset):
-        lines = [
+        completions = [
             result_line(dataset, Task.COMPLETION, r.sequence, "no idea")
             for r in unambiguous_sample(dataset)
         ]
-        metrics = accuracy(lines)
+        metrics = accuracy([], completions)
         assert metrics["completion_accuracy"] == 0.0
         assert metrics["valid_fraction"] == 0.0
         assert metrics["explanation_accuracy"] is None
@@ -256,11 +260,11 @@ class TestAccuracy:
     def test_wrong_but_valid_counts_invalid_fraction_separately(self, dataset):
         ds_record = unambiguous_sample(dataset)[0]
         (answer,) = ds_record.continuations
-        lines = [
+        completions = [
             result_line(dataset, Task.COMPLETION, ds_record.sequence, str(answer + 1)),
             result_line(dataset, Task.COMPLETION, ds_record.sequence, str(answer)),
         ]
-        metrics = accuracy(lines)
+        metrics = accuracy([], completions)
         assert metrics["completion_accuracy"] == 50.0
         assert metrics["valid_fraction"] == 100.0
 
@@ -269,26 +273,48 @@ class TestAccuracy:
         # then answer with some other parseable function
         target = next(r for r in dataset.unambiguous if len(r.functions) == 1)
         other = ARITH43 if ARITH43 not in target.functions else BITOR33
-        lines = [result_line(dataset, Task.EXPLANATION, target.sequence, other.text)]
-        metrics = accuracy(lines)
+        explanations = [result_line(dataset, Task.EXPLANATION, target.sequence, other.text)]
+        metrics = accuracy(explanations, [])
         assert metrics["explanation_accuracy"] == 0.0
         assert metrics["valid_fraction"] == 100.0
 
-    def test_ambiguous_sequence_rejected(self, dataset):
-        """An ambiguous line does not count toward accuracy."""
-        ds_record = unambiguous_sample(dataset)[0]
-        (answer,) = ds_record.continuations
-        lines = [
-            result_line(dataset, Task.COMPLETION, ds_record.sequence, str(answer)),
-            result_line(dataset, Task.COMPLETION, AMBIG, "no idea"),
-            result_line(dataset, Task.EXPLANATION, AMBIG, ARITH43.text),
-        ]
-        assert lines[1]["ambiguous"] and lines[2]["ambiguous"]
-        assert accuracy(lines) == {
-            "explanation_accuracy": None,
-            "completion_accuracy": 100.0,
-            "valid_fraction": 100.0,
+    def test_ambiguous_sequence_rejected(self, tmp_path, mined_l3):
+        """Only a run's unambiguous explanation and completion lines count
+        toward accuracy: in an oracle campaign's results, making every
+        ambiguous completion and explanation, every judgment and every
+        verbalization invalid and incorrect leaves the figures at 100%."""
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(mined_l3, out / dataset_filename(3))
+        config = CampaignConfig(lengths=(3,), limit_sequences=2, n_runs=2, output_dir=str(out))
+        results = run_campaign(config).results_file
+        header, *rows = results.read_text().splitlines()
+        lines = [json.loads(row) for row in rows]
+        scored = ("explanation", "completion")
+        for line in lines:
+            if line["ambiguous"] or line["task"] not in scored:
+                line.update(valid=False, correct=False)
+        assert {line["task"] for line in lines if not line["valid"]} == {
+            *scored, "consistency_judgment", "verbalize_alternatives"
         }
+        results.write_text("\n".join([header, *map(canonical_json, lines)]) + "\n")
+
+        per_run = analyze_results(results)["per_length"]["3"]["per_run"]
+        for run in per_run:
+            explanations, completions = (
+                [r for r in lines if (r["run_id"], r["task"], r["ambiguous"])
+                 == (run["run_id"], task, False)]
+                for task in scored
+            )
+            figures = accuracy(explanations, completions)
+            assert figures == {
+                "explanation_accuracy": 100.0,
+                "completion_accuracy": 100.0,
+                "valid_fraction": 100.0,
+            }
+            assert {key: run[key] for key in figures} == figures
+            assert run["cross_context"]["invalid"] == 2
+        assert len(per_run) == 2
 
     def test_annotate_correctness(self, dataset):
         ds_record = unambiguous_sample(dataset)[0]
