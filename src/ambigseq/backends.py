@@ -16,7 +16,9 @@ keys of :data:`BACKENDS`, its oracle tie-breaks those of :data:`TIE_BREAKS`.
 An answer is a text plus the first token's top logprobs: a
 :class:`CompletionResponse` in memory, and in a cache entry or a scripted
 fixture the JSON object that :func:`_response_to_json` writes and
-:func:`_response_from_json` reads and checks.
+:func:`_response_from_json` reads. Its logprobs are checked by
+:class:`~ambigseq.distribution.TokenDistribution`; an HTTP answer's are
+clamped into ``[MIN_LOGPROB, 0]`` first.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
 
-from .distribution import TokenDistribution
+from .distribution import MAX_TOP_K, MIN_LOGPROB, TokenDistribution
 from .evaluation import check_cross_context_consistency
 from .funcspace import FunctionSpace
 from .mining import (
@@ -81,9 +83,9 @@ class CompletionRequest:
     want_top_logprobs: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.want_top_logprobs <= 5:
+        if not 0 <= self.want_top_logprobs <= MAX_TOP_K:
             raise ValueError(
-                f"want_top_logprobs must be 0..5, got {self.want_top_logprobs}"
+                f"want_top_logprobs must be 0..{MAX_TOP_K}, got {self.want_top_logprobs}"
             )
 
 
@@ -381,7 +383,7 @@ def parse_chat_response(data: dict, want_top_logprobs: int) -> tuple[str, TokenD
             if token in seen:
                 continue  # some endpoints repeat tokens; keep the first (highest)
             seen.add(token)
-            pairs.append((token, min(lp, 0.0)))
+            pairs.append((token, min(max(lp, MIN_LOGPROB), 0.0)))
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedResponseError(f"malformed top_logprobs: {err!r}") from err
     pairs.sort(key=lambda p: -p[1])
@@ -549,16 +551,5 @@ def _response_from_json(data: object, cached: bool = False) -> CompletionRespons
     if not (isinstance(data, dict) and isinstance(data.get("text"), str)):
         raise ValueError("answer is not an object with a text string")
     pairs = data.get("top_logprobs")
-    dist = None
-    if pairs is not None:
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list)
-            and len(p) == 2
-            and isinstance(p[0], str)
-            and isinstance(p[1], (int, float))
-            and math.isfinite(p[1])
-            for p in pairs
-        ):
-            raise ValueError("top_logprobs is not a list of [token, logprob] pairs")
-        dist = TokenDistribution.from_pairs(pairs)
+    dist = None if pairs is None else TokenDistribution.from_pairs(pairs)
     return CompletionResponse(data["text"], dist, cached=cached)

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .backends import BACKENDS, TIE_BREAKS
+from .distribution import MAX_TOP_K
 from .mining import canonical_json, check_fields
 from .prompting import ShotSampling, Task, Variant
 
@@ -136,8 +137,8 @@ class CampaignConfig:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.n_shots is not None and self.n_shots < 0:
             raise ConfigError(f"n_shots must be >= 0, got {self.n_shots}")
-        if not 0 <= self.want_top_logprobs <= 5:
-            raise ConfigError("want_top_logprobs must be within 0..5")
+        if not 0 <= self.want_top_logprobs <= MAX_TOP_K:
+            raise ConfigError(f"want_top_logprobs must be within 0..{MAX_TOP_K}")
         if self.limit_sequences is not None and self.limit_sequences < 1:
             raise ConfigError("limit_sequences must be >= 1 when set")
         if self.concurrency is not None and not 1 <= self.concurrency <= MAX_CONCURRENCY:

@@ -5,6 +5,9 @@ candidates are compatible with the full set of valid continuations: every
 valid continuation must be present and every correct candidate must outrank
 every incorrect one; listing any incorrect numeral above (or at all, once
 coverage fails) fails the test.
+
+:class:`TokenDistribution` checks every top-logprob list: a backend's, a
+scripted fixture's, a cache entry's and a results line's.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .funcspace import MAX_NUMERAL_DIGITS
 
 MAX_TOP_K = 5
 
+#: The lowest logprob a top-k list may hold: far below the -9999.0 OpenAI
+#: gives a token of no chance, and far above the spans (past about 3.6e17,
+#: bins wider than 2**53) whose smoothed densities underflow to 0 and leave
+#: the KL divergence without a value.
+MIN_LOGPROB = -1e15
+
 
 @dataclass(frozen=True)
 class TokenLogprob:
@@ -31,27 +40,36 @@ class TokenLogprob:
 
 @dataclass(frozen=True)
 class TokenDistribution:
-    """A top-k list of tokens with log probabilities, highest first."""
+    """A top-k list of tokens with log probabilities, highest first: 1 to
+    ``MAX_TOP_K`` entries, distinct ``str`` tokens, logprobs ``int`` or
+    ``float`` (not ``bool``) within ``[MIN_LOGPROB, 0]``. Anything else is a
+    ``ValueError``: this is the one check of a top-logprob list."""
 
     entries: tuple[TokenLogprob, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.entries) <= MAX_TOP_K:
-            raise ValueError(
-                f"expected 1..{MAX_TOP_K} entries, got {len(self.entries)}"
-            )
+        tokens = [e.token for e in self.entries]
         probs = [e.logprob for e in self.entries]
-        if any(lp > 0 for lp in probs):
-            raise ValueError(f"logprobs must be <= 0: {probs}")
+        if not 1 <= len(probs) <= MAX_TOP_K:
+            raise ValueError(f"expected 1..{MAX_TOP_K} entries, got {len(probs)}")
+        for t, lp in zip(tokens, probs):
+            if not (isinstance(t, str) and isinstance(lp, (int, float))
+                    and not isinstance(lp, bool) and MIN_LOGPROB <= lp <= 0):
+                raise ValueError(f"{[t, lp]} is not a text token and a number in [{MIN_LOGPROB:g}, 0]")
         if probs != sorted(probs, reverse=True):
             raise ValueError(f"entries must be sorted by descending logprob: {probs}")
-        tokens = [e.token for e in self.entries]
         if len(set(tokens)) != len(tokens):
             raise ValueError(f"duplicate tokens in distribution: {tokens}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "TokenDistribution":
-        return cls(tuple(TokenLogprob(t, lp) for t, lp in pairs))
+        """The distribution of ``[(token, logprob), ...]``; a non-pair is a
+        ``ValueError`` too."""
+        try:
+            entries = tuple(TokenLogprob(t, lp) for t, lp in pairs)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"not a list of [token, logprob] pairs ({exc})") from exc
+        return cls(entries)
 
     def to_pairs(self) -> list[list]:
         """The entries as JSON ``[[token, logprob], ...]``."""

@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 from .distribution import parse_numeral_token
 from .funcspace import (
     ConcreteFunction,
-    DEFAULT_CONVENTION,
     FunctionLike,
     IndexConvention,
     ParseError,
@@ -227,20 +226,17 @@ def _is_correct(record: EvalRecord, ds_record: AmbiguityRecord) -> bool:
 
 
 def check_cross_context_consistency(
-    sequence: SequenceRecord | Sequence[int],
+    sequence: SequenceRecord,
     completion: int,
     explanation: FunctionLike,
-    convention: IndexConvention = DEFAULT_CONVENTION,
+    convention: IndexConvention,
 ) -> bool:
     """True iff the explanation generates the sequence *and* the completion.
 
     Pure execution — no model involved: some offset of the explanation must
     reproduce the observed values followed by the claimed next value.
     """
-    values = (
-        sequence.values if isinstance(sequence, SequenceRecord) else tuple(sequence)
-    )
-    return completion in continuations_of(explanation, values, convention)
+    return completion in continuations_of(explanation, sequence.values, convention)
 
 
 # ---------------------------------------------------------------------------

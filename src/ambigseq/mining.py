@@ -6,8 +6,8 @@ offset) instance is a slice of its function's row on the space
 (:meth:`FunctionSpace.sequence`). Instances are grouped by value prefix once
 per (space, length), into a prefix index kept on the space and built on first
 use. :func:`mine` and every query against a space (:func:`matching_generators`
-and what sits on it) read that index; :func:`pairwise_ambiguities` reads the
-rows but keeps the literal O(n²) pair scan for auditing, never the index.
+and what sits on it) read that index; the test suite audits it with the
+literal O(n²) pair scan (``tests/bruteforce.py``).
 
 The fields of :class:`DatasetParameters`, typed by :func:`check_fields`, are
 a dataset file's header, as :func:`save_dataset` writes and
@@ -209,28 +209,19 @@ class Dataset:
 # Mining
 # ---------------------------------------------------------------------------
 
-def _instances(
-    space: FunctionSpace, length: int
-) -> list[tuple[tuple[int, ...], Generator]]:
-    """(length-``length`` prefix, generator) of every (function, offset)."""
-    out = []
-    for fn in space:
-        for offset in space.convention.offsets:
-            seq = space.sequence(fn, offset, length + 1)
-            out.append((seq[:length], Generator(fn, offset, seq[length])))
-    return out
-
-
 def _prefix_index(
     space: FunctionSpace, length: int
 ) -> dict[tuple[int, ...], tuple[Generator, ...]]:
     """Length-``length`` prefix → its generators in canonical order, built from
-    one pass over the space's instances and kept on the space instance."""
+    one pass over the space's (function, offset) instances and kept on the
+    space instance."""
     indexes = vars(space).setdefault("_prefix_indexes", {})  # not a field: eq/hash skip it
     if length not in indexes:
         groups: dict[tuple[int, ...], list[Generator]] = {}
-        for prefix, generator in _instances(space, length):
-            groups.setdefault(prefix, []).append(generator)
+        for fn in space:
+            for offset in space.convention.offsets:
+                seq = space.sequence(fn, offset, length + 1)
+                groups.setdefault(seq[:length], []).append(Generator(fn, offset, seq[length]))
         indexes[length] = {p: tuple(sorted(g, key=Generator.sort_key)) for p, g in groups.items()}
     return indexes[length]
 
@@ -253,30 +244,6 @@ def mine(space: FunctionSpace, length: int = 4, base: int = 10) -> Dataset:
         max_function_value=space.max_value,
     )
     return Dataset.from_records(records, params)
-
-
-@dataclass(frozen=True)
-class PairAmbiguity:
-    """Two instances that share a prefix but continue differently."""
-
-    first: Generator
-    second: Generator
-    prefix: tuple[int, ...]
-
-
-def pairwise_ambiguities(
-    space: FunctionSpace, length: int = 4
-) -> tuple[PairAmbiguity, ...]:
-    """Literal pairwise scan over all (function, offset) instances.
-
-    Kept as the audit path: quadratic in the instance count, compares value
-    prefixes element by element exactly as the definition reads.
-    """
-    found = []
-    for (prefix, a), (other, b) in combinations(_instances(space, length), 2):
-        if prefix == other and a.continuation != b.continuation:
-            found.append(PairAmbiguity(a, b, prefix))
-    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,18 @@ Everything here goes through Python's own evaluator (``eval`` on the surface
 text) rather than the package's AST interpreter, so agreement between the two
 is a meaningful check. The template strings are deliberately duplicated from
 the package; a test asserts the copies match so drift is caught.
+
+:func:`pairwise_ambiguities` is the exception: it reads the package's own
+rows, and audits its prefix index with the literal pairwise scan.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+
+from ambigseq.mining import Generator
 
 ORACLE_TEMPLATES = {
     "arithmetic": "lambda x: ({0} * x) + {1}",
@@ -92,3 +98,29 @@ def oracle_continuations(values, space, max_offset: int = 4, start: int = 1):
             if tuple(fn(first + j) for j in range(len(values))) == values:
                 out.add(fn(first + len(values)))
     return out
+
+
+@dataclass(frozen=True)
+class PairAmbiguity:
+    """Two instances that share a prefix but continue differently."""
+
+    first: Generator
+    second: Generator
+    prefix: tuple[int, ...]
+
+
+def pairwise_ambiguities(space, length: int = 4) -> tuple[PairAmbiguity, ...]:
+    """Literal pairwise scan over all (function, offset) instances of a
+    package ``FunctionSpace``: quadratic in the instance count, it compares
+    value prefixes element by element exactly as the definition reads, and
+    never reads the prefix index."""
+    instances = []
+    for fn in space:
+        for offset in space.convention.offsets:
+            seq = space.sequence(fn, offset, length + 1)
+            instances.append((seq[:length], Generator(fn, offset, seq[length])))
+    return tuple(
+        PairAmbiguity(a, b, prefix)
+        for (prefix, a), (other, b) in combinations(instances, 2)
+        if prefix == other and a.continuation != b.continuation
+    )

@@ -21,6 +21,7 @@ from ambigseq.campaign import (
     run_campaign,
 )
 from ambigseq.config import CampaignConfig, canonical_json
+from ambigseq.distribution import MIN_LOGPROB
 from ambigseq.evaluation import expected_random_consistency
 from ambigseq.mining import Dataset, load_dataset
 
@@ -243,8 +244,9 @@ class TestQuadrantEdges:
         assert sum(quadrants["counts"].values()) == len(completions) > 1
 
     def test_a_logprob_beyond_half_a_float_step_is_compared(self, tmp_path, mined_l3):
-        # at -1e17 the float step is 16, so widening the point span by 0.5
-        # each way once left 41 equal edges, and the whole analysis failed
+        # at MIN_LOGPROB (-1e15) the float step is 0.125, so widening the
+        # point span by 0.5 each way once left edges that repeat, and the
+        # whole analysis failed
         _, results = campaign_results(
             tmp_path, mined_l3, n_runs=1, tasks=("completion", "explanation")
         )
@@ -254,7 +256,7 @@ class TestQuadrantEdges:
         for record in completions[1:]:
             record["top_logprobs"] = None
         first = completions[0]
-        first["top_logprobs"] = [[first["top_logprobs"][0][0], -1e17]]
+        first["top_logprobs"] = [[first["top_logprobs"][0][0], MIN_LOGPROB]]
         results.write_text(
             "\n".join([header, *(canonical_json(r) for r in records)]) + "\n"
         )

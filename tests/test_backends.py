@@ -40,7 +40,7 @@ from ambigseq.backends import (
 )
 from ambigseq import backends, funcspace, mining
 from ambigseq.config import canonical_json
-from ambigseq.distribution import TokenDistribution
+from ambigseq.distribution import MIN_LOGPROB, TokenDistribution
 from ambigseq.evaluation import check_cross_context_consistency, parse_judgment_response
 from ambigseq.funcspace import enumerate_space, parse
 from ambigseq.mining import SequenceRecord, mine
@@ -654,7 +654,7 @@ class TestCachingBackend:
 
 
 _distributions = st.lists(
-    st.tuples(st.text(), st.floats(max_value=0, allow_nan=False, allow_infinity=False)),
+    st.tuples(st.text(), st.floats(min_value=MIN_LOGPROB, max_value=0)),
     min_size=1,
     max_size=5,
     unique_by=lambda pair: pair[0],

@@ -42,6 +42,7 @@ from ambigseq.evaluation import (
     verbalization_scores,
 )
 from ambigseq.funcspace import (
+    DEFAULT_CONVENTION,
     ConcreteFunction,
     TemplateKind,
     enumerate_space,
@@ -346,10 +347,9 @@ class TestCrossContext:
         ],
     )
     def test_reference_cases(self, completion, explanation, expected):
-        assert check_cross_context_consistency(AMBIG, completion, explanation) == expected
-
-    def test_accepts_plain_values(self):
-        assert check_cross_context_consistency([7, 11, 15], 19, ARITH43)
+        assert check_cross_context_consistency(
+            AMBIG, completion, explanation, DEFAULT_CONVENTION
+        ) == expected
 
     def test_score_buckets(self, dataset):
         answers = {
@@ -559,7 +559,7 @@ class TestExpectedRandomConsistency:
         )
         for value in ds_record.continuations:
             assert not check_cross_context_consistency(
-                ds_record.sequence, value, non_generating
+                ds_record.sequence, value, non_generating, DEFAULT_CONVENTION
             )
 
     def test_validates_inputs(self, fifty_fifty_dataset):

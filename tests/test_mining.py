@@ -36,13 +36,17 @@ from ambigseq.mining import (
     load_dataset,
     matching_generators,
     mine,
-    pairwise_ambiguities,
     save_dataset,
     valid_continuations,
     valid_explanations,
 )
 
-from bruteforce import oracle_continuations, oracle_mine, oracle_space
+from bruteforce import (
+    oracle_continuations,
+    oracle_mine,
+    oracle_space,
+    pairwise_ambiguities,
+)
 
 
 def _record(dataset, values):
