@@ -9,8 +9,9 @@ an injectable transport so its plumbing is testable offline too.
 The oracle and random-valid backends pick answer values (a continuation, a
 function, a verdict, a list of alternatives) and write none of the text:
 :func:`ambigseq.prompting.render_answer` does, as it does for the few-shot
-demonstrations, so both carry the format the parsers read. The oracle ranks
-the target's generators once per answer. A config's backend names are the
+demonstrations, so both carry the format that
+:func:`ambigseq.prompting.parse_response` reads. The oracle ranks the
+target's generators once per answer. A config's backend names are the
 keys of :data:`BACKENDS`, its oracle tie-breaks those of :data:`TIE_BREAKS`.
 
 An answer is a text plus the first token's top logprobs: a
@@ -377,14 +378,15 @@ def parse_chat_response(data: dict, want_top_logprobs: int) -> tuple[str, TokenD
     seen: set[str] = set()
     try:
         for item in raw:
-            token, lp = item["token"], float(item["logprob"])
-            if not isinstance(token, str) or not math.isfinite(lp):
+            token, lp = item["token"], item["logprob"]
+            number = type(lp) in (int, float)  # never a bool, nor a numeral's text
+            if not (isinstance(token, str) and number and math.isfinite(lp)):
                 raise ValueError(f"entry {item!r} needs a text token and a finite logprob")
             if token in seen:
                 continue  # some endpoints repeat tokens; keep the first (highest)
             seen.add(token)
-            pairs.append((token, min(max(lp, MIN_LOGPROB), 0.0)))
-    except (KeyError, TypeError, ValueError) as err:
+            pairs.append((token, min(max(float(lp), MIN_LOGPROB), 0.0)))
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise MalformedResponseError(f"malformed top_logprobs: {err!r}") from err
     pairs.sort(key=lambda p: -p[1])
     if not pairs:

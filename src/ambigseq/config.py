@@ -17,20 +17,16 @@ from typing import Any
 
 from .backends import BACKENDS, TIE_BREAKS
 from .distribution import MAX_TOP_K
+from .funcspace import BASES
 from .mining import canonical_json, check_fields
 from .prompting import ShotSampling, Task, Variant
 
-DEFAULT_TASKS = (
-    Task.COMPLETION.value,
-    Task.EXPLANATION.value,
-    Task.CONSISTENCY_JUDGMENT.value,
-    Task.VERBALIZE_ALTERNATIVES.value,
-)
+DEFAULT_TASKS = tuple(task.value for task in Task)
 
 # The allowed values of each field that has a fixed set of them; a tuple
 # field's every element must be one. The CLI offers the same sets as choices.
 CHOICES: dict[str, tuple] = {
-    "base": (10, 2),
+    "base": BASES,
     "variant": tuple(v.value for v in Variant),
     "shot_sampling": tuple(s.value for s in ShotSampling),
     "backend": tuple(BACKENDS),

@@ -1,4 +1,4 @@
-"""Response parsing and per-answer scoring.
+"""Per-answer records and scoring.
 
 Turns raw model text into typed, validated records, marks answers on
 unambiguous sequences correct or incorrect, and supplies scoring primitives:
@@ -10,9 +10,9 @@ per-run figures is :mod:`ambigseq.analysis`, which checks a line pair's
 consistency with :func:`ambigseq.mining.continuations_of` itself; a run's
 figures stay plain dicts from there to ``analysis.json``.
 
-This module reads answer text and never writes it: the answer formats, the
-verdict words among them, are :func:`ambigseq.prompting.render_answer`'s,
-and :func:`parse_response` maps each back to the value it was written from.
+Each task's answer format is one entry of :data:`ambigseq.prompting.ANSWERS`,
+and this module holds none: it reads answers through the entry, applies its
+type test and records each value as the entry encodes it.
 
 Conventions: accuracy, validity, and consistency figures are percentages in
 [0, 100]; verbalization precision/recall are fractions in [0, 1].
@@ -20,103 +20,19 @@ Conventions: accuracy, validity, and consistency figures are percentages in
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from random import Random
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .distribution import parse_numeral_token
-from .funcspace import (
-    ConcreteFunction,
-    FunctionLike,
-    IndexConvention,
-    ParseError,
-    ParsedFunction,
-    parse,
-    render_function,
-)
+from .funcspace import FunctionLike, IndexConvention
 from .mining import (
     AmbiguityRecord,
     Dataset,
     SequenceRecord,
     continuations_of,
 )
-from .prompting import (
-    AFFIRMATIVE_VERDICT,
-    MAX_VERBALIZED_ALTERNATIVES,
-    NEGATIVE_VERDICT,
-    Task,
-)
-
-# ---------------------------------------------------------------------------
-# response parsing
-
-
-def parse_completion_response(text: str, base: int = 10) -> int | None:
-    """Parse a bare numeral answer; anything with commentary is invalid."""
-    return parse_numeral_token(text, base)
-
-
-def parse_explanation_response(text: str) -> FunctionLike | None:
-    """Parse a function answer, with or without the ``Explanation:`` marker."""
-    body = text.strip()
-    if body.lower().startswith("explanation:"):
-        body = body[len("explanation:"):].strip()
-    try:
-        return parse(body)
-    except ParseError:
-        return None
-
-
-def parse_judgment_response(text: str) -> bool | None:
-    """Map a verdict response to True/False; None when no verdict leads.
-
-    The judgment instruction demands a single verdict word, so only the first
-    word token counts — a hedged sentence is treated as unparseable rather
-    than guessed at.
-    """
-    tokens = re.findall(r"[a-zA-Z]+", text.lower())
-    if not tokens:
-        return None
-    if tokens[0] == NEGATIVE_VERDICT:
-        return False
-    if tokens[0] == AFFIRMATIVE_VERDICT:
-        return True
-    return None
-
-
-def parse_verbalized_response(text: str, base: int = 10) -> tuple[int, ...] | None:
-    """Parse a list of alternatives separated by '\\n' escapes or newlines.
-
-    Every non-empty segment must be a numeral, otherwise the whole response
-    is invalid. An empty response parses as an empty tuple (no alternatives
-    offered) — that is a valid, scoreable answer.
-    """
-    segments = re.split(r"\\n|\n", text)
-    out: list[int] = []
-    for segment in segments:
-        if not segment.strip():
-            continue
-        value = parse_numeral_token(segment, base)
-        if value is None:
-            return None
-        out.append(value)
-    return tuple(out)
-
-
-def parse_response(task: Task, text: str, base: int = 10):
-    """Dispatch to the task-appropriate parser; None means invalid."""
-    if task is Task.COMPLETION:
-        return parse_completion_response(text, base)
-    if task is Task.EXPLANATION:
-        return parse_explanation_response(text)
-    if task is Task.CONSISTENCY_JUDGMENT:
-        return parse_judgment_response(text)
-    if task is Task.VERBALIZE_ALTERNATIVES:
-        return parse_verbalized_response(text, base)
-    raise ValueError(f"no parser for task {task!r}")
-
+from .prompting import ANSWERS, MAX_VERBALIZED_ALTERNATIVES, Task, parse_response
 
 # ---------------------------------------------------------------------------
 # records
@@ -139,20 +55,10 @@ class EvalRecord:
             raise ValueError("valid must mean exactly: parsed is present")
         if not self.valid and self.correct is not None:
             raise ValueError("an invalid record cannot be scored correct/incorrect")
-        if self.parsed is not None:
-            self._check_parsed_type()
-
-    def _check_parsed_type(self) -> None:
-        p = self.parsed
-        ok = {
-            Task.COMPLETION: lambda: isinstance(p, int) and not isinstance(p, bool),
-            Task.EXPLANATION: lambda: isinstance(p, (ConcreteFunction, ParsedFunction)),
-            Task.CONSISTENCY_JUDGMENT: lambda: isinstance(p, bool),
-            Task.VERBALIZE_ALTERNATIVES: lambda: isinstance(p, tuple)
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in p),
-        }[self.task]()
-        if not ok:
-            raise ValueError(f"parsed value {p!r} does not fit task {self.task.value}")
+        if self.parsed is not None and not ANSWERS[self.task].fits(self.parsed):
+            raise ValueError(
+                f"parsed value {self.parsed!r} does not fit task {self.task.value}"
+            )
 
 
 def build_eval_record(
@@ -173,22 +79,11 @@ def build_eval_record(
 
 
 def eval_record_to_json(record: EvalRecord) -> dict:
-    p = record.parsed
-    if p is None:
-        parsed = {"kind": "invalid"}
-    elif record.task is Task.CONSISTENCY_JUDGMENT:
-        parsed = {"kind": "bool", "value": p}
-    elif record.task is Task.EXPLANATION:
-        parsed = {"kind": "function", "value": render_function(p, 10)}
-    elif record.task is Task.VERBALIZE_ALTERNATIVES:
-        parsed = {"kind": "ints", "value": list(p)}
-    else:
-        parsed = {"kind": "int", "value": p}
     return {
         "sequence": {"values": list(record.sequence.values), "base": record.sequence.base},
         "task": record.task.value,
         "raw_response": record.raw_response,
-        "parsed": parsed,
+        "parsed": ANSWERS[record.task].recorded(record.parsed),
         "valid": record.valid,
         "correct": record.correct,
         "run_id": record.run_id,

@@ -92,6 +92,10 @@ MAX_POWER_BITS: int = 1 << 16
 #: longer numeral makes its answer invalid.
 MAX_NUMERAL_DIGITS: int = 4300
 
+#: The bases a sequence's numerals, and the functions shown with it, may be
+#: written in: decimal, and binary with a ``0b`` prefix.
+BASES: tuple[int, ...] = (10, 2)
+
 
 # ---------------------------------------------------------------------------
 # AST
@@ -258,7 +262,7 @@ def render_function(fn: FunctionLike, base: int = 10) -> str:
     """Canonical text of a function; base 2 wraps the output in ``bin(...)``."""
     if base == 10:
         return fn.text
-    if base != 2:
+    if base not in BASES:
         raise ValueError(f"unsupported base: {base}")
     if isinstance(fn, ConcreteFunction) and fn.kind is TemplateKind.RECURSIVE:
         return f"lambda x: bin({fn.text}(x))"

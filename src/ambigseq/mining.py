@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_
 
 from . import funcspace  # evaluate is looked up per call, so a rebinding of it sees them
 from .funcspace import (
+    BASES,
     ConcreteFunction,
     DEFAULT_CONVENTION,
     DEFAULT_MAX_VALUE,
@@ -47,9 +48,9 @@ DATASET_VERSION = 1
 def format_int(value: int, base: int = 10) -> str:
     if base == 10:
         return str(value)
-    if base == 2:
-        return bin(value) if value >= 0 else "-" + bin(-value)
-    raise ValueError(f"unsupported base: {base}")
+    if base not in BASES:
+        raise ValueError(f"unsupported base: {base}")
+    return bin(value) if value >= 0 else "-" + bin(-value)
 
 
 @dataclass(frozen=True, order=True)
@@ -62,7 +63,7 @@ class SequenceRecord:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sequence must be non-empty")
-        if self.base not in (10, 2):
+        if self.base not in BASES:
             raise ValueError(f"unsupported base: {self.base}")
 
     @property

@@ -10,25 +10,32 @@ text, byte for byte.
 
 ``_query_block`` is the one writer of query text, for demonstration and test
 blocks alike; a consistency judgment's pair arrives as values (a function
-and a completion) and is rendered there. :func:`render_answer` is the one
-writer of answer text, for the demonstrations here and for the synthetic
-backends; ``evaluation`` parses that text back.
+and a completion) and is rendered there. Each task's answer format is one
+entry of :data:`ANSWERS`: its writer, for the demonstrations here and the
+synthetic backends, its reader, for every scored answer, and how a results
+line records the value read.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
+from .distribution import parse_numeral_token
 from .funcspace import (
+    BASES,
     ConcreteFunction,
     EvaluationError,
     FunctionLike,
     FunctionSpace,
+    ParseError,
+    ParsedFunction,
     TemplateKind,
+    parse,
     render_function,
 )
 from .mining import (
@@ -213,7 +220,7 @@ class PromptSpec:
     def __post_init__(self) -> None:
         if self.n_shots is not None and self.n_shots < 0:
             raise ValueError(f"n_shots must be >= 0, got {self.n_shots}")
-        if self.base not in (10, 2):
+        if self.base not in BASES:
             raise ValueError(f"unsupported base: {self.base}")
 
     @property
@@ -274,23 +281,112 @@ def sample_few_shot(
     return rng.sample(pool, k)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_explanation(text: str, base: int) -> FunctionLike | None:
+    """A function answer, with or without the ``Explanation:`` marker;
+    :func:`parse` reads a base-2 function's ``bin(...)`` wrapper itself."""
+    body = text.strip()
+    if body.lower().startswith("explanation:"):
+        body = body[len("explanation:"):].strip()
+    try:
+        return parse(body)
+    except ParseError:
+        return None
+
+
+_VERDICTS = {AFFIRMATIVE_VERDICT: True, NEGATIVE_VERDICT: False}
+
+
+def _read_verdict(text: str, base: int) -> bool | None:
+    """True or False by the leading verdict word; None when none leads.
+
+    The judgment instruction demands a single verdict word, so only the first
+    word counts: a hedged sentence is unparseable rather than guessed at.
+    """
+    word = re.search(r"[a-z]+", text.lower())
+    return _VERDICTS.get(word[0]) if word else None
+
+
+def _read_alternatives(text: str, base: int) -> tuple[int, ...] | None:
+    """Alternatives separated by '\\n' escapes or newlines. Every non-empty
+    segment must be a numeral, or the whole answer is invalid; an empty
+    answer offers no alternatives, which is a valid, scoreable answer."""
+    values = [
+        parse_numeral_token(segment, base)
+        for segment in re.split(r"\\n|\n", text)
+        if segment.strip()
+    ]
+    return None if None in values else tuple(values)
+
+
+def _write_alternatives(values: Sequence[int], base: int) -> str:
+    kept = values[:MAX_VERBALIZED_ALTERNATIVES]
+    return VERBALIZE_SEPARATOR.join(format_int(v, base) for v in kept) + " \\n"
+
+
+@dataclass(frozen=True)
+class AnswerFormat:
+    """One task's answer: its text written from a value, the value read back
+    (None when the text is invalid), and how a results line records a value:
+    the ``kind`` it is tagged with, the type test it passes, its encoding."""
+
+    write: Callable[[Any, int], str]
+    read: Callable[[str, int], Any]
+    kind: str
+    fits: Callable[[Any], bool]
+    encode: Callable[[Any], Any] = lambda value: value
+
+    def recorded(self, value: Any) -> dict:
+        """The ``parsed`` field of a results line for a value read (or None)."""
+        if value is None:
+            return {"kind": "invalid"}
+        return {"kind": self.kind, "value": self.encode(value)}
+
+
+#: The answer format of every task: a numeral (completion), a function
+#: (explanation), a verdict, true when the judged pair is consistent
+#: (judgment), or the first alternatives of a sorted list (verbalized
+#: alternatives). A results line records a function as its base-10 text.
+ANSWERS: dict[Task, AnswerFormat] = {
+    Task.COMPLETION: AnswerFormat(
+        write=format_int, read=parse_numeral_token, kind="int", fits=_is_int
+    ),
+    Task.EXPLANATION: AnswerFormat(
+        write=lambda fn, base: f"Explanation: {render_function(fn, base)}",
+        read=_read_explanation,
+        kind="function",
+        fits=lambda fn: isinstance(fn, (ConcreteFunction, ParsedFunction)),
+        encode=lambda fn: render_function(fn, 10),
+    ),
+    Task.CONSISTENCY_JUDGMENT: AnswerFormat(
+        write=lambda consistent, base: AFFIRMATIVE_VERDICT if consistent else NEGATIVE_VERDICT,
+        read=_read_verdict,
+        kind="bool",
+        fits=lambda verdict: isinstance(verdict, bool),
+    ),
+    Task.VERBALIZE_ALTERNATIVES: AnswerFormat(
+        write=_write_alternatives,
+        read=_read_alternatives,
+        kind="ints",
+        fits=lambda values: isinstance(values, tuple) and all(map(_is_int, values)),
+        encode=list,
+    ),
+}
+
+
 def render_answer(
     task: Task, value: int | FunctionLike | bool | Sequence[int], base: int
 ) -> str:
-    """The answer text for a task's value: a numeral (completion), a
-    function (explanation), a verdict (judgment, ``value`` true when the pair
-    is consistent), or the first alternatives of a sorted list (verbalized
-    alternatives)."""
-    if task is Task.COMPLETION:
-        return format_int(value, base)
-    if task is Task.EXPLANATION:
-        return f"Explanation: {render_function(value, base)}"
-    if task is Task.CONSISTENCY_JUDGMENT:
-        return AFFIRMATIVE_VERDICT if value else NEGATIVE_VERDICT
-    if task is Task.VERBALIZE_ALTERNATIVES:
-        kept = value[:MAX_VERBALIZED_ALTERNATIVES]
-        return VERBALIZE_SEPARATOR.join(format_int(v, base) for v in kept) + " \\n"
-    raise PromptingError(f"unknown task: {task!r}")
+    """The answer text of a task's value, as :data:`ANSWERS` writes it."""
+    return ANSWERS[task].write(value, base)
+
+
+def parse_response(task: Task, text: str, base: int = 10) -> Any:
+    """The value a task's answer text was written from; None means invalid."""
+    return ANSWERS[task].read(text, base)
 
 
 def _query_block(

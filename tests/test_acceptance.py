@@ -33,8 +33,6 @@ from ambigseq.distribution import (
 from ambigseq.evaluation import (
     check_cross_context_consistency,
     expected_random_consistency,
-    parse_completion_response,
-    parse_explanation_response,
     verbalization_scores,
 )
 from ambigseq.funcspace import (
@@ -53,7 +51,7 @@ from ambigseq.mining import (
     matching_generators,
     mine,
 )
-from ambigseq.prompting import PromptSpec, Task, Variant, build_prompt
+from ambigseq.prompting import PromptSpec, Task, Variant, build_prompt, parse_response
 from bruteforce import oracle_space, oracle_value
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -225,13 +223,11 @@ def test_04_interpreter_oracle_equivalence(report, space):
 def _answer_pair(backend, record, space):
     """Elicit (completion, explanation) through real prompts and parse both."""
     parsed = {}
-    for task, parser in (
-        (Task.COMPLETION, parse_completion_response),
-        (Task.EXPLANATION, parse_explanation_response),
-    ):
+    for task in (Task.COMPLETION, Task.EXPLANATION):
         spec = PromptSpec(task=task, n_shots=0, rng_seed=0)
         prompt = build_prompt(spec, record.sequence, space)
-        parsed[task] = parser(backend.complete(CompletionRequest(prompt)).text)
+        text = backend.complete(CompletionRequest(prompt)).text
+        parsed[task] = parse_response(task, text)
     return parsed[Task.COMPLETION], parsed[Task.EXPLANATION]
 
 
@@ -272,15 +268,17 @@ def test_05_harness_soundness(report, space, datasets):
         backend = RandomValidBackend(space, seed=seed)
         for record in ambiguous:
             values = record.sequence.values
-            completion = parse_completion_response(
+            completion = parse_response(
+                Task.COMPLETION,
                 backend.complete(
                     CompletionRequest(prompts[(values, Task.COMPLETION)])
-                ).text
+                ).text,
             )
-            explanation = parse_explanation_response(
+            explanation = parse_response(
+                Task.EXPLANATION,
                 backend.complete(
                     CompletionRequest(prompts[(values, Task.EXPLANATION)])
-                ).text
+                ).text,
             )
             key = (explanation, values)
             if key not in cont_cache:

@@ -41,10 +41,10 @@ from ambigseq.backends import (
 from ambigseq import backends, funcspace, mining
 from ambigseq.config import canonical_json
 from ambigseq.distribution import MIN_LOGPROB, TokenDistribution
-from ambigseq.evaluation import check_cross_context_consistency, parse_judgment_response
+from ambigseq.evaluation import check_cross_context_consistency
 from ambigseq.funcspace import enumerate_space, parse
 from ambigseq.mining import SequenceRecord, mine
-from ambigseq.prompting import PromptSpec, Task, build_prompt
+from ambigseq.prompting import PromptSpec, Task, build_prompt, parse_response
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +206,8 @@ class TestOracleBackend:
         spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
         prompt = build_prompt(spec, AMBIG, space,
                               judged=(parse(explanation), completion))
-        verdict = parse_judgment_response(backend.complete(CompletionRequest(prompt)).text)
+        text = backend.complete(CompletionRequest(prompt)).text
+        verdict = parse_response(Task.CONSISTENCY_JUDGMENT, text)
         assert verdict == check_cross_context_consistency(
             AMBIG, completion, parse(explanation), space.convention)
 

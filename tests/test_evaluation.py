@@ -35,10 +35,6 @@ from ambigseq.evaluation import (
     check_cross_context_consistency,
     eval_record_to_json,
     expected_random_consistency,
-    parse_completion_response,
-    parse_explanation_response,
-    parse_judgment_response,
-    parse_verbalized_response,
     verbalization_scores,
 )
 from ambigseq.funcspace import (
@@ -56,7 +52,7 @@ from ambigseq.mining import (
     format_int,
     mine,
 )
-from ambigseq.prompting import PromptSpec, Task, build_prompt
+from ambigseq.prompting import PromptSpec, Task, build_prompt, parse_response
 
 ARITH43 = ConcreteFunction(TemplateKind.ARITHMETIC, 4, 3)
 BITOR33 = ConcreteFunction(TemplateKind.BIT_OR, 3, 3)
@@ -110,19 +106,20 @@ class TestParsers:
         ],
     )
     def test_completion(self, text, base, expected):
-        assert parse_completion_response(text, base) == expected
+        assert parse_response(Task.COMPLETION, text, base) == expected
 
     def test_explanation_with_marker(self):
-        assert parse_explanation_response("Explanation: lambda x: (4 * x) + 3") == ARITH43
+        text = "Explanation: lambda x: (4 * x) + 3"
+        assert parse_response(Task.EXPLANATION, text) == ARITH43
 
     def test_explanation_bare(self):
-        assert parse_explanation_response("lambda x: (4 * x) + 3") == ARITH43
+        assert parse_response(Task.EXPLANATION, "lambda x: (4 * x) + 3") == ARITH43
 
     def test_explanation_prose_invalid(self):
-        assert parse_explanation_response("Explanation: I think x+2") is None
+        assert parse_response(Task.EXPLANATION, "Explanation: I think x+2") is None
 
     def test_explanation_sentinel_invalid(self):
-        assert parse_explanation_response(NO_VALID_ANSWER) is None
+        assert parse_response(Task.EXPLANATION, NO_VALID_ANSWER) is None
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -137,7 +134,7 @@ class TestParsers:
         ],
     )
     def test_judgment(self, text, expected):
-        assert parse_judgment_response(text) == expected
+        assert parse_response(Task.CONSISTENCY_JUDGMENT, text) == expected
 
     @pytest.mark.parametrize(
         "text,base,expected",
@@ -151,7 +148,7 @@ class TestParsers:
         ],
     )
     def test_verbalized(self, text, base, expected):
-        assert parse_verbalized_response(text, base) == expected
+        assert parse_response(Task.VERBALIZE_ALTERNATIVES, text, base) == expected
 
     @pytest.mark.parametrize("base", [10, 2])
     @pytest.mark.parametrize("task", list(Task))
@@ -170,7 +167,7 @@ class TestParsers:
     @settings(max_examples=300)
     @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([10, 2]))
     def test_parse_render_identity(self, value, base):
-        assert parse_completion_response(format_int(value, base), base) == value
+        assert parse_response(Task.COMPLETION, format_int(value, base), base) == value
 
 
 class TestEvalRecord:
@@ -425,7 +422,8 @@ def judge(backend, space, completion, explanation):
         space,
         judged=(explanation, completion),
     )
-    return parse_judgment_response(backend.complete(CompletionRequest(prompt)).text)
+    text = backend.complete(CompletionRequest(prompt)).text
+    return parse_response(Task.CONSISTENCY_JUDGMENT, text)
 
 
 class TestModelJudged:

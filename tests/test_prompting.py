@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambigseq import prompting
-from ambigseq.evaluation import parse_response
 from ambigseq.funcspace import ParsedFunction, TemplateKind, enumerate_space, parse
-from ambigseq.mining import SequenceRecord, valid_continuations
+from ambigseq.mining import SequenceRecord, canonical_json, valid_continuations
 from ambigseq.prompting import (
+    ANSWERS,
     DEFAULT_N_SHOTS,
     OFFSET_NOTE,
     PromptSpec,
@@ -22,6 +23,7 @@ from ambigseq.prompting import (
     Variant,
     build_prompt,
     build_system_prompt,
+    parse_response,
     render_answer,
     sample_few_shot,
 )
@@ -314,7 +316,8 @@ class TestDemonstrationSoundness:
 
 
 class TestRenderAnswer:
-    """What render_answer writes, the task's parser reads back."""
+    """What render_answer writes, the task's parser reads back, and a results
+    line records what was read."""
 
     @given(data=st.data(), base=st.sampled_from([10, 2]))
     @settings(max_examples=300, deadline=None)
@@ -329,7 +332,13 @@ class TestRenderAnswer:
             ).map(lambda v: tuple(sorted(v))),
         }
         value = data.draw(values[task])
-        assert parse_response(task, render_answer(task, value, base), base) == value
+        read = parse_response(task, render_answer(task, value, base), base)
+        assert read == value
+        answer = ANSWERS[task]
+        assert answer.fits(read)
+        recorded = answer.recorded(read)
+        assert recorded["kind"] == answer.kind
+        assert json.loads(canonical_json(recorded)) == recorded
 
     @pytest.mark.parametrize("base", [10, 2])
     def test_every_space_member_round_trips(self, full_space, base):

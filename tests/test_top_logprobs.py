@@ -14,9 +14,11 @@ from ambigseq.backends import (
     CachingBackend,
     CompletionRequest,
     HttpBackend,
+    MalformedResponseError,
     ScriptedBackend,
     _response_from_json,
     load_scripted_fixtures,
+    parse_chat_response,
 )
 from ambigseq.campaign import dataset_filename, read_results, results_path, run_campaign
 from ambigseq.cli import main
@@ -116,13 +118,30 @@ def test_every_reader_refuses_a_damaged_list(tmp_path, finished_run, capfd, read
     READERS[reader](BAD_LISTS[name], tmp_path=tmp_path, finished_run=finished_run, capfd=capfd)
 
 
-def test_an_endpoint_logprob_below_the_floor_is_recorded_at_it(tmp_path, mined_l3, monkeypatch):
-    body = {"choices": [{
+def _chat_body(*top_logprobs):
+    return {"choices": [{
         "message": {"content": "7"},
         "logprobs": {"content": [{"top_logprobs": [
-            {"token": "7", "logprob": -0.1}, {"token": "8", "logprob": -1e18},
+            {"token": token, "logprob": logprob} for token, logprob in top_logprobs
         ]}]},
     }]}
+
+
+@pytest.mark.parametrize("logprob", [True, "-0.5", "  -2 ", -10**400],
+                         ids=["bool", "text", "padded_text", "huge_int"])
+def test_an_endpoint_logprob_that_is_not_a_number_is_malformed(logprob):
+    with pytest.raises(MalformedResponseError):
+        parse_chat_response(_chat_body(("7", -0.1), ("8", logprob)), 2)
+
+
+def test_an_endpoint_integer_logprob_is_read_as_a_float():
+    _, dist = parse_chat_response(_chat_body(("7", 0), ("8", -1)), 2)
+    assert dist.to_pairs() == [["7", 0.0], ["8", -1.0]]
+    assert all(type(lp) is float for _, lp in dist.to_pairs())
+
+
+def test_an_endpoint_logprob_below_the_floor_is_recorded_at_it(tmp_path, mined_l3, monkeypatch):
+    body = _chat_body(("7", -0.1), ("8", -1e18))
     monkeypatch.setenv("AMBIGSEQ_API_KEY", "sk-test")
     monkeypatch.setattr(HttpBackend, "_post", lambda self, *args: (200, body))
     out = tmp_path / "out"
