@@ -6,8 +6,10 @@ is a JSON document and a delimited table ready for plotting.
 
 :data:`FIGURES` describes the eight headline figures of a run once: the
 aggregate block, the ``metrics.tsv`` columns and the report's metrics section
-all read it. :func:`_chance` is the one place the random answerer's expected
-consistency is computed, as a (closed form, Monte Carlo) pair.
+all read it. The random answerer's expected consistency on a length's
+ambiguous records comes from one call of
+:func:`ambigseq.evaluation.expected_random_consistency`, as a (closed form,
+Monte Carlo) pair.
 """
 
 from __future__ import annotations
@@ -205,22 +207,9 @@ def _quadrant_analysis(completions: list[dict], base: int) -> dict:
     return {"counts": counts, "kl_bits": kl}
 
 
-def _chance(
-    p_expl: float, p_compl: float, dataset: Dataset, rng_seed: int
-) -> tuple[float, float]:
-    """(closed form, Monte Carlo): the consistency (percent) expected of a
-    random answerer at the given accuracies on the dataset's ambiguous
-    records. Each estimate starts its own ``Random(rng_seed)`` stream."""
-    closed, mc = (
-        expected_random_consistency(p_expl, p_compl, dataset, mode=mode,
-                                    n_samples=MC_SAMPLES, rng_seed=rng_seed, which="ambiguous")
-        for mode in ("closed_form", "monte_carlo")
-    )
-    return closed, mc
-
-
 def _random_baseline(dataset: Dataset, rng_seed: int) -> dict:
-    closed, mc = _chance(100, 100, dataset, rng_seed)
+    closed, mc = expected_random_consistency(100, 100, dataset.ambiguous,
+                                             n_samples=MC_SAMPLES, rng_seed=rng_seed)
     return {"closed_form": closed, "monte_carlo": mc, "n_samples": MC_SAMPLES,
             "sigma_bound": 100 * 0.5 / math.sqrt(len(dataset.ambiguous) * MC_SAMPLES)}
 
@@ -231,7 +220,8 @@ def _reference_comparison(datasets: dict[int, Dataset], rng_seed: int) -> list[d
     rows = []
     for ref in REFERENCE_RANDOM_CONSISTENCY:
         closed, mc = map(fmean, zip(
-            *(_chance(ref["p_expl"], ref["p_compl"], datasets[n], rng_seed)
+            *(expected_random_consistency(ref["p_expl"], ref["p_compl"], datasets[n].ambiguous,
+                                          n_samples=MC_SAMPLES, rng_seed=rng_seed)
               for n in sorted(datasets))
         ))
         rows.append({**ref, "computed_closed_form": closed, "computed_monte_carlo": mc,

@@ -44,7 +44,7 @@ from .backends import (
     CompletionRequest,
     LogprobsUnsupportedError,
 )
-from .config import CampaignConfig, canonical_json
+from .config import CampaignConfig, ConfigError, canonical_json
 from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
@@ -284,6 +284,12 @@ def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
     missing = [k for k in ("config", "config_digest", "datasets") if k not in header]
     if missing:
         raise CampaignError(f"{path}: results header lacks {', '.join(missing)}")
+    try:
+        expected = _results_header(CampaignConfig.from_json(header["config"]))
+    except ConfigError as exc:
+        raise CampaignError(f"{path}: results header config: {exc}") from exc
+    if canonical_json(header) != canonical_json(expected):
+        raise CampaignError(f"{path}: results header is not the one its config writes")
     records = []
     for i, line in enumerate(raw_lines[1:], start=2):
         try:
@@ -517,8 +523,10 @@ def _judged_pair(answered: dict, query: PlannedQuery, path: Path) -> JudgedPair 
     """The model's own (explanation function, completion value) for this
     run+sequence, if both parsed; the run stage's only parse of the
     explanation line. An explanation line of ``path`` (the results file)
-    whose parsed value does not parse is a :class:`CampaignError`."""
-    compl, expl = (answered.get(key) for key in _pair_keys(query))
+    whose parsed value does not parse is a :class:`CampaignError` naming
+    ``path:N``: ``answered`` holds the file's record lines in file order."""
+    compl_key, expl_key = _pair_keys(query)
+    compl, expl = answered.get(compl_key), answered.get(expl_key)
     if not (compl and expl and compl["valid"] and expl["valid"]):
         return None
     from .funcspace import ParseError, parse
@@ -526,7 +534,8 @@ def _judged_pair(answered: dict, query: PlannedQuery, path: Path) -> JudgedPair 
     try:
         fn = parse(expl["parsed"]["value"])
     except ParseError as exc:
-        raise line_error(path, expl, f"its parsed value does not parse: {exc}") from exc
+        where = f"{path}:{list(answered).index(expl_key) + 2}"
+        raise line_error(where, expl, f"its parsed value does not parse: {exc}") from exc
     return fn, compl["parsed"]["value"]
 
 

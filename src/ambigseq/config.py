@@ -98,6 +98,10 @@ class CampaignConfig:
             raise ConfigError(f"bad constant_range {self.constant_range}")
         if not self.lengths or any(n < 1 for n in self.lengths):
             raise ConfigError(f"bad lengths {self.lengths}")
+        for name in ("lengths", "tasks"):
+            value = getattr(self, name)
+            if len(set(value)) < len(value):
+                raise ConfigError(f"{name} repeat a value: {value}")
         if self.start_index < 0:
             raise ConfigError(f"bad start_index {self.start_index}")
         if self.max_offset < 0:

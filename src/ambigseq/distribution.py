@@ -148,8 +148,6 @@ class AlternativeTestReason(Enum):
 class AlternativeTestResult:
     passed: bool
     reason: AlternativeTestReason
-    correct_listed: tuple[int, ...]
-    incorrect_listed: tuple[int, ...]
 
 
 def alternative_consideration_test(
@@ -170,28 +168,15 @@ def alternative_consideration_test(
     correct_listed = [t for t in numerals if t.correct]
     incorrect_listed = [t for t in numerals if not t.correct]
 
-    listed_values = tuple(sorted({t.value for t in correct_listed}))
-    wrong_values = tuple(v for t in incorrect_listed if (v := t.value) is not None)
-
     if not incorrect_listed:
-        return AlternativeTestResult(
-            True, AlternativeTestReason.NO_INCORRECT_LISTED, listed_values, ()
-        )
-    if set(listed_values) != correct:
-        return AlternativeTestResult(
-            False, AlternativeTestReason.MISSING_ALTERNATIVE,
-            listed_values, wrong_values,
-        )
+        return AlternativeTestResult(True, AlternativeTestReason.NO_INCORRECT_LISTED)
+    if {t.value for t in correct_listed} != correct:
+        return AlternativeTestResult(False, AlternativeTestReason.MISSING_ALTERNATIVE)
     worst_correct = min(t.logprob for t in correct_listed)
     best_incorrect = max(t.logprob for t in incorrect_listed)
     if worst_correct > best_incorrect:
-        return AlternativeTestResult(
-            True, AlternativeTestReason.ALL_ALTERNATIVES_RANKED_FIRST,
-            listed_values, wrong_values,
-        )
-    return AlternativeTestResult(
-        False, AlternativeTestReason.INCORRECT_LISTED, listed_values, wrong_values
-    )
+        return AlternativeTestResult(True, AlternativeTestReason.ALL_ALTERNATIVES_RANKED_FIRST)
+    return AlternativeTestResult(False, AlternativeTestReason.INCORRECT_LISTED)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Turns raw model text into typed, validated records, marks answers on
 unambiguous sequences correct or incorrect, and supplies scoring primitives:
 the execution check for cross-context consistency, which gives the oracle
 backend its judgment verdicts, and, for the analysis, verbalization
-precision/recall, the expected consistency of a random-but-valid answerer,
+precision/recall, the expected consistency of a random-but-valid answerer
+(closed form and Monte Carlo, both from one pass over the records given),
 and the key-wise mean of per-run figures. Aggregating result lines into
 per-run figures is :mod:`ambigseq.analysis`, which checks a line pair's
 consistency with :func:`ambigseq.mining.continuations_of` itself; a run's
@@ -26,12 +27,7 @@ from statistics import fmean
 from typing import Iterable, Sequence
 
 from .funcspace import FunctionLike, IndexConvention
-from .mining import (
-    AmbiguityRecord,
-    Dataset,
-    SequenceRecord,
-    continuations_of,
-)
+from .mining import AmbiguityRecord, SequenceRecord, continuations_of
 from .prompting import ANSWERS, MAX_VERBALIZED_ALTERNATIVES, Task, parse_response
 
 # ---------------------------------------------------------------------------
@@ -152,14 +148,13 @@ def _consistency_table(record: AmbiguityRecord) -> tuple[tuple[bool, ...], ...]:
 def expected_random_consistency(
     p_expl: float,
     p_compl: float,
-    dataset: Dataset,
+    records: Sequence[AmbiguityRecord],
     *,
-    mode: str = "monte_carlo",
-    n_samples: int = 1000,
-    rng_seed: int = 0,
-    which: str = "all",
-) -> float:
-    """Consistency (percent) expected from answers sampled at given validity.
+    n_samples: int,
+    rng_seed: int,
+) -> tuple[float, float]:
+    """(closed form, Monte Carlo): the consistency (percent) expected from
+    answers sampled at given validity on ``records``.
 
     With probability ``p_expl`` (percent) the explanation is a uniform draw
     over the sequence's generating functions, otherwise a non-generating one;
@@ -167,50 +162,37 @@ def expected_random_consistency(
     wrong value. A wrong explanation cannot generate the sequence and a wrong
     completion lies outside every generator's continuation set, so both wrong
     branches score inconsistent by construction; the Monte Carlo sampler
-    scores them as such without materializing the wrong draw. ``closed_form``
-    computes the exact expectation
+    scores them as such without materializing the wrong draw. The closed
+    form is the exact expectation
 
         (p_expl/100) * (p_compl/100) * mean_seq mean_fn |cont(fn)| / |C|
 
-    for cross-validation against the sampled estimate.
+    which cross-validates the sampled estimate. One pass over ``records``
+    builds each record's consistency table once and reads it for both.
 
-    The Monte Carlo estimate is a fixed function of one ``Random(rng_seed)``
-    stream, which the figures in ``analysis.json`` depend on. Records are
-    visited in selection order, ``n_samples`` samples each. A sample draws
-    ``random()`` for the explanation and then ``random()`` for the
-    completion, both always. Only when both fall below their thresholds
-    does it draw a function index and then a continuation index, each as
-    ``Random.choice`` does: ``getrandbits(n.bit_length())``, redrawn while
-    it is ``n`` or more. Functions are in :attr:`AmbiguityRecord.functions`
-    order and continuations ascending.
+    Only the Monte Carlo estimate draws random numbers: it is a fixed
+    function of one ``Random(rng_seed)`` stream, which the figures in
+    ``analysis.json`` depend on. Records are visited in the order given,
+    ``n_samples`` samples each. A sample draws ``random()`` for the
+    explanation and then ``random()`` for the completion, both always. Only
+    when both fall below their thresholds does it draw a function index and
+    then a continuation index, each as ``Random.choice`` does:
+    ``getrandbits(n.bit_length())``, redrawn while it is ``n`` or more.
+    Functions are in :attr:`AmbiguityRecord.functions` order and
+    continuations ascending.
     """
     if not 0.0 <= p_expl <= 100.0 or not 0.0 <= p_compl <= 100.0:
         raise ValueError("probabilities are percentages in [0, 100]")
-    records = {
-        "all": tuple(dataset.records()),
-        "ambiguous": dataset.ambiguous,
-        "unambiguous": dataset.unambiguous,
-    }.get(which)
-    if records is None:
-        raise ValueError(f"unknown record selection {which!r}")
     if not records:
         raise ValueError("no records to estimate over")
-
-    if mode == "closed_form":
-        base = fmean(
-            fmean(sum(row) / len(row) for row in _consistency_table(r))
-            for r in records
-        )
-        return (p_expl / 100.0) * (p_compl / 100.0) * base * 100.0
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
 
     rng = Random(rng_seed)
     random, getrandbits = rng.random, rng.getrandbits
     expl_threshold, compl_threshold = p_expl / 100.0, p_compl / 100.0
-    per_record_rates = []
+    row_means, per_record_rates = [], []
     for record in records:
         table = _consistency_table(record)
+        row_means.append(fmean(sum(row) / len(row) for row in table))
         n_fn, n_cont = len(table), len(table[0])
         fn_bits, cont_bits = n_fn.bit_length(), n_cont.bit_length()
         hits = 0
@@ -225,7 +207,8 @@ def expected_random_consistency(
                     j = getrandbits(cont_bits)
                 hits += table[i][j]
         per_record_rates.append(hits / n_samples)
-    return 100.0 * fmean(per_record_rates)
+    closed_form = expl_threshold * compl_threshold * fmean(row_means) * 100.0
+    return closed_form, 100.0 * fmean(per_record_rates)
 
 
 # ---------------------------------------------------------------------------

@@ -290,8 +290,8 @@ def test_05_harness_soundness(report, space, datasets):
     ambiguous_only = Dataset(
         parameters=datasets[3].parameters, ambiguous=ambiguous, unambiguous=()
     )
-    closed = expected_random_consistency(
-        100, 100, ambiguous_only, mode="closed_form", which="ambiguous"
+    closed, _ = expected_random_consistency(
+        100, 100, ambiguous_only.ambiguous, n_samples=1, rng_seed=0
     )
     sigma = 100 * 0.5 / total**0.5
     elapsed = time.perf_counter() - started
@@ -321,13 +321,10 @@ def test_06_random_baseline_estimator(report, datasets):
     worst = 0.0
     for i, p_expl in enumerate(grid):
         for j, p_compl in enumerate(grid):
-            closed = expected_random_consistency(
-                p_expl, p_compl, dataset, mode="closed_form"
-            )
-            estimate = expected_random_consistency(
+            closed, estimate = expected_random_consistency(
                 p_expl,
                 p_compl,
-                dataset,
+                tuple(dataset.records()),
                 n_samples=n_samples,
                 rng_seed=1000 * i + j,
             )
@@ -339,8 +336,8 @@ def test_06_random_baseline_estimator(report, datasets):
     )
     reference_lines = []
     for p_expl, p_compl, reported in REFERENCE_RANDOM_POINTS:
-        computed = expected_random_consistency(
-            p_expl, p_compl, ambiguous_only, mode="closed_form", which="ambiguous"
+        computed, _ = expected_random_consistency(
+            p_expl, p_compl, ambiguous_only.ambiguous, n_samples=1, rng_seed=0
         )
         reference_lines.append(
             f"({p_expl:.2f}%, {p_compl:.2f}%): reported {reported:.2f}%, "

@@ -23,7 +23,7 @@ from ambigseq.campaign import (
 from ambigseq.config import CampaignConfig, canonical_json
 from ambigseq.distribution import MIN_LOGPROB
 from ambigseq.evaluation import expected_random_consistency
-from ambigseq.mining import Dataset, load_dataset
+from ambigseq.mining import load_dataset
 
 
 def campaign_results(tmp_path, mined_l3, **overrides):
@@ -85,14 +85,9 @@ class TestOracleAnalysis:
     ):
         _, doc = analysis
         baseline = doc["per_length"]["3"]["random_baseline"]
-        dataset = load_dataset(mined_l3)
-        ambiguous_only = Dataset(
-            parameters=dataset.parameters,
-            ambiguous=dataset.ambiguous,
-            unambiguous=(),
-        )
-        expected = expected_random_consistency(
-            100, 100, ambiguous_only, mode="closed_form", which="ambiguous"
+        records = load_dataset(mined_l3).ambiguous
+        expected, _ = expected_random_consistency(
+            100, 100, records, n_samples=1, rng_seed=0
         )
         assert baseline["closed_form"] == pytest.approx(expected)
         assert abs(baseline["monte_carlo"] - expected) < 3 * baseline["sigma_bound"]

@@ -301,8 +301,8 @@ class TestReadResults:
         path.write_text("\n".join([header, *kept]) + "\n")
         with pytest.raises(
             CampaignError,
-            match=rf"results\.jsonl: malformed record line \(the explanation line of "
-            rf"run 0 for sequence \[{', '.join(map(str, judged))}\] at length 3: "
+            match=rf"results\.jsonl:{explanation + 2}: malformed record line "
+            rf"\(the explanation line of run 0 for sequence \[{', '.join(map(str, judged))}\] at length 3: "
             "its parsed value does not parse",
         ):
             run_campaign(config)

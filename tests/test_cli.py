@@ -62,6 +62,15 @@ def out_dir(tmp_path, mined_l3):
     return out
 
 
+@pytest.fixture(scope="module")
+def finished_l34(tmp_path_factory):
+    """A finished two-length campaign directory: datasets and results."""
+    out = tmp_path_factory.mktemp("finished_l34")
+    for stage in ("mine", "run"):
+        assert main([stage, *flags(out, "--lengths", "3,4")]) == 0
+    return out
+
+
 class TestArgumentHandling:
     def test_defaults(self):
         config = resolve_config(parse(["mine"]))
@@ -449,7 +458,46 @@ class TestFailureExitCodes:
         path.write_text("\n".join([header, *rest]) + "\n")
         capfd.readouterr()
         assert main(["analyze", *flags(tmp_path)]) == 1
-        assert capfd.readouterr().err.startswith("error: expected a JSON object, got list")
+        assert capfd.readouterr().err.startswith(
+            f"error: {path}: results header config: expected a JSON object, got list"
+        )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(
+                lambda h: h["datasets"].pop("4"), id="datasets-missing-a-length"
+            ),
+            pytest.param(
+                lambda h: h.update(datasets=["dataset_L3.jsonl"]),
+                id="datasets-not-an-object",
+            ),
+            pytest.param(
+                lambda h: h["datasets"].update(x="dataset_L3.jsonl"),
+                id="datasets-key-not-a-number",
+            ),
+            pytest.param(lambda h: h["config"].update(n_runs=0), id="config-n-runs-0"),
+            pytest.param(
+                lambda h: h.update(config_digest="0" * 12), id="digest-not-its-configs"
+            ),
+        ],
+    )
+    def test_a_damaged_results_header_is_refused_by_name(
+        self, tmp_path, capfd, finished_l34, damage
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(finished_l34, out)
+        path = out / "results.jsonl"
+        header, *rest = path.read_text().splitlines()
+        header = json.loads(header)
+        damage(header)
+        path.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+        capfd.readouterr()
+        for stage in ("run", "analyze", "report"):
+            assert main([stage, *flags(out, "--lengths", "3,4")]) == 1, stage
+            err = capfd.readouterr().err
+            assert err.startswith(f"error: {path}"), (stage, err)
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["0", "65"])
     def test_out_of_range_concurrency(self, tmp_path, capfd, value):

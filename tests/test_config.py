@@ -49,6 +49,8 @@ class TestValidation:
             {"want_top_logprobs": -1},
             {"limit_sequences": 0},
             {"start_index": -1},
+            {"lengths": (3, 4, 3)},
+            {"tasks": ("completion", "completion")},
         ],
     )
     def test_bad_values_rejected(self, changes):

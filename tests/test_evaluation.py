@@ -480,73 +480,50 @@ def fifty_fifty_dataset():
     return Dataset(parameters=params, ambiguous=tuple(records), unambiguous=())
 
 
+def chance(p_expl, p_compl, records, n_samples=1000, rng_seed=0):
+    return expected_random_consistency(
+        p_expl, p_compl, records, n_samples=n_samples, rng_seed=rng_seed
+    )
+
+
 class TestExpectedRandomConsistency:
     def test_closed_form_fifty_fifty(self, fifty_fifty_dataset):
-        value = expected_random_consistency(
-            100, 100, fifty_fifty_dataset, mode="closed_form"
-        )
-        assert value == pytest.approx(50.0)
+        closed, _ = chance(100, 100, fifty_fifty_dataset.ambiguous)
+        assert closed == pytest.approx(50.0)
 
     def test_monte_carlo_matches_closed_form(self, fifty_fifty_dataset):
         n = 10_000
-        mc = expected_random_consistency(
-            100, 100, fifty_fifty_dataset, n_samples=n, rng_seed=1
-        )
+        _, mc = chance(100, 100, fifty_fifty_dataset.ambiguous, n_samples=n, rng_seed=1)
         # mean of 2 record-level binomial rates: sigma <= 0.5/sqrt(2n)
         sigma = 100 * 0.5 / math.sqrt(2 * n)
         assert abs(mc - 50.0) < 3 * sigma
 
     def test_zero_explanation_probability(self, fifty_fifty_dataset):
-        assert expected_random_consistency(0, 100, fifty_fifty_dataset) == 0.0
-        assert (
-            expected_random_consistency(0, 100, fifty_fifty_dataset, mode="closed_form")
-            == 0.0
-        )
+        assert chance(0, 100, fifty_fifty_dataset.ambiguous) == (0.0, 0.0)
 
     def test_unambiguous_only_is_100(self, dataset):
-        unambig = Dataset(
-            parameters=dataset.parameters,
-            ambiguous=(),
-            unambiguous=dataset.unambiguous[:20],
-        )
-        closed = expected_random_consistency(100, 100, unambig, mode="closed_form")
+        closed, mc = chance(100, 100, dataset.unambiguous[:20], n_samples=200)
         assert closed == pytest.approx(100.0)
-        mc = expected_random_consistency(100, 100, unambig, n_samples=200)
         assert mc == pytest.approx(100.0)
 
     def test_probability_scaling(self, fifty_fifty_dataset):
-        full = expected_random_consistency(
-            100, 100, fifty_fifty_dataset, mode="closed_form"
-        )
-        half = expected_random_consistency(
-            50, 100, fifty_fifty_dataset, mode="closed_form"
-        )
-        quarter = expected_random_consistency(
-            50, 50, fifty_fifty_dataset, mode="closed_form"
+        records = fifty_fifty_dataset.ambiguous
+        (full, _), (half, _), (quarter, _) = (
+            chance(p_expl, p_compl, records)
+            for p_expl, p_compl in ((100, 100), (50, 100), (50, 50))
         )
         assert half == pytest.approx(full / 2)
         assert quarter == pytest.approx(full / 4)
 
     def test_monte_carlo_on_real_dataset_agrees(self, dataset):
-        ambig_only = Dataset(
-            parameters=dataset.parameters,
-            ambiguous=dataset.ambiguous,
-            unambiguous=(),
-        )
-        closed = expected_random_consistency(
-            100, 100, ambig_only, mode="closed_form", which="ambiguous"
-        )
         n = 4000
-        mc = expected_random_consistency(
-            100, 100, ambig_only, n_samples=n, rng_seed=7, which="ambiguous"
-        )
-        sigma = 100 * 0.5 / math.sqrt(len(ambig_only.ambiguous) * n)
+        closed, mc = chance(100, 100, dataset.ambiguous, n_samples=n, rng_seed=7)
+        sigma = 100 * 0.5 / math.sqrt(len(dataset.ambiguous) * n)
         assert abs(mc - closed) < 3 * sigma
 
     def test_deterministic_per_seed(self, fifty_fifty_dataset):
-        a = expected_random_consistency(80, 90, fifty_fifty_dataset, rng_seed=5)
-        b = expected_random_consistency(80, 90, fifty_fifty_dataset, rng_seed=5)
-        assert a == b
+        records = fifty_fifty_dataset.ambiguous
+        assert chance(80, 90, records, rng_seed=5) == chance(80, 90, records, rng_seed=5)
 
     def test_wrong_branch_scores_inconsistent_when_materialized(self, space, dataset):
         # the sampler's shortcut: any function outside the generator set fails
@@ -561,21 +538,10 @@ class TestExpectedRandomConsistency:
             )
 
     def test_validates_inputs(self, fifty_fifty_dataset):
-        with pytest.raises(ValueError):
-            expected_random_consistency(101, 100, fifty_fifty_dataset)
-        with pytest.raises(ValueError):
-            expected_random_consistency(100, 100, fifty_fifty_dataset, mode="guess")
-        with pytest.raises(ValueError):
-            expected_random_consistency(100, 100, fifty_fifty_dataset, which="some")
-        empty = Dataset(
-            parameters=fifty_fifty_dataset.parameters, ambiguous=(), unambiguous=()
-        )
-        for which in ("all", "ambiguous"):
-            for mode in ("closed_form", "monte_carlo"):
-                with pytest.raises(ValueError, match="no records to estimate over"):
-                    expected_random_consistency(
-                        100, 100, empty, mode=mode, which=which
-                    )
+        with pytest.raises(ValueError, match="percentages"):
+            chance(101, 100, fifty_fifty_dataset.ambiguous)
+        with pytest.raises(ValueError, match="no records to estimate over"):
+            chance(100, 100, ())
 
 
 @pytest.fixture(scope="module")
@@ -620,14 +586,7 @@ class TestMonteCarloMatchesReference:
         expected = reference_monte_carlo(
             p_expl, p_compl, records, self.N_SAMPLES, rng_seed
         )
-        value = expected_random_consistency(
-            p_expl,
-            p_compl,
-            pinning_dataset,
-            n_samples=self.N_SAMPLES,
-            rng_seed=rng_seed,
-            which=which,
-        )
+        _, value = chance(p_expl, p_compl, records, self.N_SAMPLES, rng_seed)
         assert value == expected
 
     def test_second_draw_made_when_first_fails(self, monkeypatch, pinning_dataset):
@@ -639,10 +598,10 @@ class TestMonteCarloMatchesReference:
                 return super().random()
 
         monkeypatch.setattr(evaluation, "Random", CountingRandom)
-        n_records = len(tuple(pinning_dataset.records()))
+        records = tuple(pinning_dataset.records())
         # p_expl 0 fails every first draw
-        expected_random_consistency(0, 100, pinning_dataset, n_samples=50)
-        assert len(draws) == 2 * 50 * n_records
+        chance(0, 100, records, n_samples=50)
+        assert len(draws) == 2 * 50 * len(records)
 
 
 class TestVerbalization:
