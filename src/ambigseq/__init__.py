@@ -7,14 +7,14 @@ only this docstring and ``__version__``:
 - :mod:`ambigseq.funcspace` — the restricted lambda mini-language: templates,
   parsing, evaluation, and enumeration of the valid function space.
 - :mod:`ambigseq.mining` — finding which sequences several functions generate
-  with conflicting continuations.
+  with conflicting continuations, and the cross-context execution check
+  (``continuations_of``) that the oracle's judgments and the analysis share.
 - :mod:`ambigseq.prompting` — rendering task prompts with few-shot
   demonstrations.
 - :mod:`ambigseq.backends` — model access: HTTP chat endpoints plus synthetic
   oracle/random backends for harness validation, with response caching.
 - :mod:`ambigseq.evaluation` — response parsing, correctness marking, and
-  the scoring primitives: the cross-context execution check (the oracle
-  backend's judgment verdict), verbalization precision/recall, and the
+  the scoring primitives: verbalization precision/recall and the
   random-answerer consistency baseline.
 - :mod:`ambigseq.distribution` — top-token logprob analysis: the
   alternative-consideration test and histogram/KL comparisons.

@@ -2,7 +2,11 @@
 
 Everything here is a pure, deterministic function of the results file (plus
 the dataset files its header names) — no backend is ever queried. The output
-is a JSON document and a delimited table ready for plotting.
+is a JSON document and a delimited table ready for plotting. A run's
+completion/explanation pairs are checked by
+:func:`ambigseq.mining.continuations_of` on the config's function space, the
+check the oracle's judgments make, so a space member's values come from its
+row and only an answer outside the space is evaluated.
 
 :data:`FIGURES` describes the eight headline figures of a run once: the
 aggregate block, the ``metrics.tsv`` columns and the report's metrics section
@@ -20,7 +24,14 @@ from pathlib import Path
 from statistics import fmean
 from typing import Any, Callable, NamedTuple
 
-from .campaign import CampaignError, check_dataset, collector_paused, line_error, read_results
+from .campaign import (
+    CampaignError,
+    check_dataset,
+    collector_paused,
+    config_space,
+    line_error,
+    read_results,
+)
 from .config import CampaignConfig, canonical_json
 from .distribution import (
     Quadrant,
@@ -37,7 +48,7 @@ from .evaluation import (
     expected_random_consistency,
     verbalization_scores,
 )
-from .funcspace import ParseError, parse
+from .funcspace import FunctionSpace, ParseError, parse
 from .mining import Dataset, continuations_of, load_dataset, write_atomic
 from .prompting import Task
 
@@ -100,11 +111,11 @@ def accuracy(explanations: list[dict], completions: list[dict]) -> dict[str, Any
 
 
 def cross_context_consistency(
-    completions: list[dict], explanations: list[dict], convention
+    completions: list[dict], explanations: list[dict], space: FunctionSpace
 ) -> dict:
     """Execution-checked consistency of one run's completion/explanation
     pairs, paired by sequence values (``read_results`` refuses a file with
-    two lines for one query)."""
+    two lines for one query), by :func:`continuations_of` on ``space``."""
     compl_by_values = {tuple(r["sequence"]["values"]): r for r in completions}
     expl_by_values = {tuple(r["sequence"]["values"]): r for r in explanations}
     consistent = inconsistent = invalid = 0
@@ -117,7 +128,7 @@ def cross_context_consistency(
             fn = parse(expl["parsed"]["value"])
         except ParseError as exc:
             raise _UnreadableLine(expl, f"its parsed value does not parse: {exc}") from exc
-        if compl["parsed"]["value"] in continuations_of(fn, values, convention):
+        if compl["parsed"]["value"] in continuations_of(fn, values, space):
             consistent += 1
         else:
             inconsistent += 1
@@ -283,6 +294,7 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
             )
         length = int(length_str)
         datasets[length] = check_dataset(config, length, path, load_dataset(path))
+    space = config_space(config)
 
     # one pass over the file; each bucket keeps its lines in file order
     buckets: dict[tuple, list[dict]] = {}
@@ -305,8 +317,7 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
                     **accuracy(bucket(Task.EXPLANATION, False), bucket(Task.COMPLETION, False)),
                     "run_id": run_id,
                     "cross_context": cross_context_consistency(
-                        completions, bucket(Task.EXPLANATION, True),
-                        datasets[length].parameters.convention,
+                        completions, bucket(Task.EXPLANATION, True), space
                     ),
                     "model_judged": judged_consistency(bucket(Task.CONSISTENCY_JUDGMENT, True)),
                     "verbalization": verbalization(bucket(Task.VERBALIZE_ALTERNATIVES, True)),

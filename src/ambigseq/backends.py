@@ -34,12 +34,12 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
 
 from .distribution import MAX_TOP_K, MIN_LOGPROB, TokenDistribution
-from .evaluation import check_cross_context_consistency
 from .funcspace import FunctionSpace
 from .mining import (
     Generator,
     SequenceRecord,
     canonical_json,
+    continuations_of,
     format_int,
     matching_generators,
     valid_continuations,
@@ -248,9 +248,7 @@ class OracleBackend:
         if prompt.judged is None:
             return NO_VALID_ANSWER
         fn, completion = prompt.judged
-        consistent = check_cross_context_consistency(
-            prompt.target, completion, fn, self.space.convention
-        )
+        consistent = completion in continuations_of(fn, prompt.target.values, self.space)
         return render_answer(Task.CONSISTENCY_JUDGMENT, consistent, prompt.target.base)
 
     def _synthetic_logprobs(

@@ -1,15 +1,15 @@
 """Per-answer records and scoring.
 
 Turns raw model text into typed, validated records, marks answers on
-unambiguous sequences correct or incorrect, and supplies scoring primitives:
-the execution check for cross-context consistency, which gives the oracle
-backend its judgment verdicts, and, for the analysis, verbalization
-precision/recall, the expected consistency of a random-but-valid answerer
-(closed form and Monte Carlo, both from one pass over the records given),
-and the key-wise mean of per-run figures. Aggregating result lines into
-per-run figures is :mod:`ambigseq.analysis`, which checks a line pair's
-consistency with :func:`ambigseq.mining.continuations_of` itself; a run's
-figures stay plain dicts from there to ``analysis.json``.
+unambiguous sequences correct or incorrect, and supplies the analysis's
+scoring primitives: verbalization precision/recall, the expected
+consistency of a random-but-valid answerer (closed form and Monte Carlo,
+both from one pass over the records given), and the key-wise mean of
+per-run figures. Aggregating result lines into per-run figures is
+:mod:`ambigseq.analysis`; a run's figures stay plain dicts from there to
+``analysis.json``. The execution check of a completion/explanation pair is
+:func:`ambigseq.mining.continuations_of`, which the oracle's judgments and
+the analysis both call.
 
 Each task's answer format is one entry of :data:`ambigseq.prompting.ANSWERS`,
 and this module holds none: it reads answers through the entry, applies its
@@ -26,8 +26,8 @@ from random import Random
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .funcspace import FunctionLike, IndexConvention
-from .mining import AmbiguityRecord, SequenceRecord, continuations_of
+from .funcspace import FunctionLike
+from .mining import AmbiguityRecord, SequenceRecord
 from .prompting import ANSWERS, MAX_VERBALIZED_ALTERNATIVES, Task, parse_response
 
 # ---------------------------------------------------------------------------
@@ -110,24 +110,6 @@ def _is_correct(record: EvalRecord, ds_record: AmbiguityRecord) -> bool:
         return record.parsed == answer
     # exact template-form match: equality holds iff the canonical texts match
     return record.parsed in ds_record.functions
-
-
-# ---------------------------------------------------------------------------
-# cross-context consistency
-
-
-def check_cross_context_consistency(
-    sequence: SequenceRecord,
-    completion: int,
-    explanation: FunctionLike,
-    convention: IndexConvention,
-) -> bool:
-    """True iff the explanation generates the sequence *and* the completion.
-
-    Pure execution — no model involved: some offset of the explanation must
-    reproduce the observed values followed by the claimed next value.
-    """
-    return completion in continuations_of(explanation, sequence.values, convention)
 
 
 # ---------------------------------------------------------------------------

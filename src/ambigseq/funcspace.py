@@ -583,6 +583,7 @@ class FunctionSpace:
     ``convention`` is the start index and offsets every query against it uses.
     Each function keeps one row of values from ``start_index`` on, read
     through :meth:`sequence`; ``enumerate_space`` fills it from the probes.
+    :meth:`sequence` reads any other function's values too, unstored.
     """
 
     functions: tuple[ConcreteFunction, ...]
@@ -610,17 +611,22 @@ class FunctionSpace:
     def texts(self, base: int = 10) -> list[str]:
         return [render_function(f, base) for f in self.functions]
 
-    def sequence(self, fn: ConcreteFunction, offset: int, length: int) -> tuple[int, ...]:
-        """Member ``fn``'s values ``f(start_index + offset), ...``, sliced from
-        its row. A read past the row evaluates the rest and replaces the row
-        whole, never in place: threads share it, and a racing write costs only
-        a second evaluation."""
+    def sequence(self, fn: FunctionLike, offset: int, length: int) -> tuple[int, ...]:
+        """``fn``'s values ``f(start_index + offset), ...``: the one reader of
+        any function's values. A member's are sliced from its row; a read past
+        the row evaluates the rest and replaces the row whole, never in place:
+        threads share it, and a racing write costs only a second evaluation.
+        Any other function (parsed from an answer, an excluded candidate,
+        constants outside the range) is evaluated on each read and never
+        stored. A value that cannot be evaluated is an EvaluationError."""
         if offset < 0 or offset > self.convention.max_offset:
             raise ValueError(f"offset {offset} outside [0, {self.convention.max_offset}]")
         end = offset + length
-        row = self._rows[fn]  # KeyError: not a member
+        first = self.convention.start_index
+        row = self._rows.get(fn)
+        if row is None:
+            return tuple(evaluate(fn, first + i) for i in range(offset, end))
         if len(row) < end:
-            first = self.convention.start_index
             row += tuple(evaluate(fn, first + i) for i in range(len(row), end))
             self._rows[fn] = row
         return row[offset:end]

@@ -7,7 +7,9 @@ offset) instance is a slice of its function's row on the space
 per (space, length), into a prefix index kept on the space and built on first
 use. :func:`mine` and every query against a space (:func:`matching_generators`
 and what sits on it) read that index; the test suite audits it with the
-literal O(n²) pair scan (``tests/bruteforce.py``).
+literal O(n²) pair scan (``tests/bruteforce.py``). :func:`continuations_of`,
+the execution check of a (function, completion) pair, reads any function's
+values the same way, from the space, and evaluates nothing itself.
 
 The fields of :class:`DatasetParameters`, typed by :func:`check_fields`, are
 a dataset file's header, as :func:`save_dataset` writes and
@@ -28,12 +30,11 @@ from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
-from . import funcspace  # evaluate is looked up per call, so a rebinding of it sees them
 from .funcspace import (
     BASES,
     ConcreteFunction,
-    DEFAULT_CONVENTION,
     DEFAULT_MAX_VALUE,
+    EvaluationError,
     FunctionLike,
     FunctionSpace,
     IndexConvention,
@@ -278,24 +279,21 @@ def valid_explanations(
 
 
 def continuations_of(
-    fn: FunctionLike,
-    values: Iterable[int],
-    convention: IndexConvention = DEFAULT_CONVENTION,
+    fn: FunctionLike, values: Iterable[int], space: FunctionSpace
 ) -> frozenset[int]:
-    """Continuations ``fn`` assigns to the prefix, over all offsets that fit.
-
-    ``fn`` may lie outside any space (say, parsed from an answer), so this
-    evaluates it rather than reading rows."""
+    """Continuations ``fn`` assigns to the prefix, over the offsets of the
+    space's convention at which its values can be read: the execution check
+    of a (function, completion) pair. ``fn`` may lie outside the space (say,
+    parsed from an answer); :meth:`FunctionSpace.sequence` reads it either way."""
     values = tuple(values)
     out = set()
-    for offset in convention.offsets:
-        first = convention.start_index + offset
+    for offset in space.convention.offsets:
         try:
-            seq = [funcspace.evaluate(fn, first + j) for j in range(len(values) + 1)]
-        except funcspace.EvaluationError:
+            seq = space.sequence(fn, offset, len(values) + 1)
+        except EvaluationError:
             continue
-        if tuple(seq[: len(values)]) == values:
-            out.add(seq[len(values)])
+        if seq[:-1] == values:
+            out.add(seq[-1])
     return frozenset(out)
 
 

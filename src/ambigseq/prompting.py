@@ -40,6 +40,7 @@ from .funcspace import (
 )
 from .mining import (
     SequenceRecord,
+    continuations_of,
     format_int,
     valid_continuations,
     valid_explanations,
@@ -493,8 +494,7 @@ def _build_demo(
         # alternate consistent and inconsistent examples
         shown = continuation
         if flip:
-            rows = [space.sequence(fn, o, length + 1) for o in space.convention.offsets]
-            own = {row[-1] for row in rows if row[:-1] == seq.values}
+            own = continuations_of(fn, seq.values, space)
             while shown in own:
                 shown += 1
         judged = (fn, shown)

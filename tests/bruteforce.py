@@ -36,10 +36,14 @@ ORACLE_TEMPLATES = {
 INT64_MAX = 2**63 - 1
 
 
+def oracle_function(text: str):
+    """Python's own reading of a function's surface text."""
+    return eval(text, {"__builtins__": {}, "range": range})
+
+
 @lru_cache(maxsize=None)
 def oracle_callable(kind: str, c1: int, c2: int):
-    text = ORACLE_TEMPLATES[kind].format(c1, c2)
-    return eval(text, {"__builtins__": {}, "range": range})
+    return oracle_function(ORACLE_TEMPLATES[kind].format(c1, c2))
 
 
 def oracle_value(kind: str, c1: int, c2: int, x: int) -> int:
@@ -97,6 +101,22 @@ def oracle_continuations(values, space, max_offset: int = 4, start: int = 1):
             first = start + offset
             if tuple(fn(first + j) for j in range(len(values))) == values:
                 out.add(fn(first + len(values)))
+    return out
+
+
+def oracle_continuations_of(fn, values, max_offset: int = 4, start: int = 1) -> set[int]:
+    """Every continuation the callable ``fn`` assigns to the given prefix, over
+    the offsets at which Python evaluates it without error."""
+    values = tuple(values)
+    out = set()
+    for offset in range(max_offset + 1):
+        first = start + offset
+        try:
+            seq = tuple(fn(first + j) for j in range(len(values) + 1))
+        except (IndexError, ZeroDivisionError):  # an empty filtered list, a zero modulus
+            continue
+        if seq[:-1] == values:
+            out.add(seq[-1])
     return out
 
 

@@ -15,9 +15,11 @@ from ambigseq.analysis import (
     metrics_table,
     write_analysis,
 )
+from ambigseq import campaign, funcspace
 from ambigseq.campaign import (
     CampaignError,
     dataset_filename,
+    read_results,
     run_campaign,
 )
 from ambigseq.config import CampaignConfig, canonical_json
@@ -128,6 +130,36 @@ class TestAdversarialAnalysis:
         assert agg["model_judged_consistency"] == 0.0
 
 
+class TestValuesComeFromTheSpace:
+    def test_judgments_and_analysis_evaluate_nothing_past_enumeration(
+        self, tmp_path, mined_l3, monkeypatch
+    ):
+        # every oracle answer is a space member, so each judged pair is read
+        # from the rows enumerate_space filled: only enumerations evaluate
+        evaluate, enumerate_space = funcspace.evaluate, campaign.enumerate_space
+        enumerating, calls = [], []
+
+        def counted_evaluate(fn, x):
+            calls.append(bool(enumerating))
+            return evaluate(fn, x)
+
+        def counted_enumerate(*args, **kwargs):
+            enumerating.append(True)
+            try:
+                return enumerate_space(*args, **kwargs)
+            finally:
+                enumerating.pop()
+
+        monkeypatch.setattr(funcspace, "evaluate", counted_evaluate)
+        monkeypatch.setattr(campaign, "enumerate_space", counted_enumerate)
+        _, results_file = campaign_results(tmp_path, mined_l3, limit_sequences=8, n_runs=1)
+        _, lines = read_results(results_file)
+        assert any(line["task"] == "consistency_judgment" and line["valid"] for line in lines)
+        doc = analyze_results(results_file)
+        assert doc["per_length"]["3"]["per_run"][0]["cross_context"]["consistent"] > 0
+        assert True in calls and False not in calls
+
+
 class TestScriptedHandScored:
     """A campaign with hand-written responses must reproduce hand-computed
     metrics through the whole pipeline (prompts, parsing, analysis)."""
@@ -180,7 +212,7 @@ class TestScriptedHandScored:
         # ambiguous 1: a completion no explanation can generate
         rogue_value = max(amb[1].continuations) + 999
         assert rogue_value not in continuations_of(
-            amb[1].generators[0].function, amb[1].sequence.values, space.convention
+            amb[1].generators[0].function, amb[1].sequence.values, space
         )
         fixtures = {
             test_query(amb[0], Task.COMPLETION): str(agree_value),

@@ -41,10 +41,11 @@ from ambigseq.backends import (
 from ambigseq import backends, funcspace, mining
 from ambigseq.config import canonical_json
 from ambigseq.distribution import MIN_LOGPROB, TokenDistribution
-from ambigseq.evaluation import check_cross_context_consistency
 from ambigseq.funcspace import enumerate_space, parse
 from ambigseq.mining import SequenceRecord, mine
 from ambigseq.prompting import PromptSpec, Task, build_prompt, parse_response
+
+from bruteforce import oracle_continuations_of, oracle_function
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +159,7 @@ class TestOracleBackend:
         completion = backend.complete(make_request(space, Task.COMPLETION)).text
         explanation = backend.complete(make_request(space, Task.EXPLANATION)).text
         fn = parse(explanation.removeprefix("Explanation: "))
-        assert int(completion) in continuations_of(fn, AMBIG.values)
+        assert int(completion) in continuations_of(fn, AMBIG.values, space)
 
     def test_adversarial_pair_inconsistent_on_ambiguous(self, space):
         from ambigseq.funcspace import parse
@@ -168,7 +169,7 @@ class TestOracleBackend:
         completion = backend.complete(make_request(space, Task.COMPLETION)).text
         explanation = backend.complete(make_request(space, Task.EXPLANATION)).text
         fn = parse(explanation.removeprefix("Explanation: "))
-        assert int(completion) not in continuations_of(fn, AMBIG.values)
+        assert int(completion) not in continuations_of(fn, AMBIG.values, space)
 
     def test_adversarial_on_every_ambiguous_record(self, space, dataset):
         from ambigseq.funcspace import parse
@@ -182,7 +183,7 @@ class TestOracleBackend:
             explanation = backend.complete(
                 make_request(space, Task.EXPLANATION, target)).text
             fn = parse(explanation.removeprefix("Explanation: "))
-            assert int(completion) not in continuations_of(fn, target.values)
+            assert int(completion) not in continuations_of(fn, target.values, space)
 
     def test_judgment_answers_truthfully(self, space):
         backend = OracleBackend(space)
@@ -208,14 +209,20 @@ class TestOracleBackend:
                               judged=(parse(explanation), completion))
         text = backend.complete(CompletionRequest(prompt)).text
         verdict = parse_response(Task.CONSISTENCY_JUDGMENT, text)
-        assert verdict == check_cross_context_consistency(
-            AMBIG, completion, parse(explanation), space.convention)
+        if "9 ** 9 ** 9" in explanation:
+            oracle = set()  # eval would need billions of bits; the bit bound refuses it
+        else:
+            oracle = oracle_continuations_of(oracle_function(explanation), AMBIG.values)
+        assert verdict == (completion in oracle)
 
     def test_judgment_lets_a_programming_error_propagate(self, space, monkeypatch):
         def broken(fn, x):
             raise TypeError("broken evaluator")
 
-        request = make_request(space, Task.CONSISTENCY_JUDGMENT)
+        spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=0)
+        # an explanation outside the space, so the check evaluates it
+        judged = (parse("lambda x: x + x + x + x + 3"), 19)
+        request = CompletionRequest(build_prompt(spec, AMBIG, space, judged=judged))
         monkeypatch.setattr(funcspace, "evaluate", broken)
         with pytest.raises(TypeError, match="broken evaluator"):
             OracleBackend(space).complete(request)

@@ -32,13 +32,11 @@ from ambigseq.evaluation import (
     aggregate_runs,
     annotate_correctness,
     build_eval_record,
-    check_cross_context_consistency,
     eval_record_to_json,
     expected_random_consistency,
     verbalization_scores,
 )
 from ambigseq.funcspace import (
-    DEFAULT_CONVENTION,
     ConcreteFunction,
     TemplateKind,
     enumerate_space,
@@ -49,6 +47,7 @@ from ambigseq.mining import (
     DatasetParameters,
     Generator,
     SequenceRecord,
+    continuations_of,
     format_int,
     mine,
 )
@@ -343,12 +342,10 @@ class TestCrossContext:
             (15, ARITH43, False),
         ],
     )
-    def test_reference_cases(self, completion, explanation, expected):
-        assert check_cross_context_consistency(
-            AMBIG, completion, explanation, DEFAULT_CONVENTION
-        ) == expected
+    def test_reference_cases(self, space, completion, explanation, expected):
+        assert (completion in continuations_of(explanation, AMBIG.values, space)) == expected
 
-    def test_score_buckets(self, dataset):
+    def test_score_buckets(self, space, dataset):
         answers = {
             0: ("19", ARITH43.text),
             1: ("15", ARITH43.text),
@@ -359,7 +356,7 @@ class TestCrossContext:
             per_run[run_id] = cross_context_consistency(
                 [result_line(dataset, Task.COMPLETION, AMBIG, completion, run_id)],
                 [result_line(dataset, Task.EXPLANATION, AMBIG, explanation, run_id)],
-                dataset.parameters.convention,
+                space,
             )
         assert per_run == {
             0: {"consistent": 1, "inconsistent": 0, "invalid": 0, "rate": 100.0},
@@ -371,11 +368,11 @@ class TestCrossContext:
         )
         assert mean == {"cross_context_consistency": 50.0, "n_runs": 3}
 
-    def test_rate_none_when_all_invalid(self, dataset):
+    def test_rate_none_when_all_invalid(self, space, dataset):
         summary = cross_context_consistency(
             [result_line(dataset, Task.COMPLETION, AMBIG, "??")],
             [result_line(dataset, Task.EXPLANATION, AMBIG, "??")],
-            dataset.parameters.convention,
+            space,
         )
         assert summary["rate"] is None and summary["invalid"] == 1
 
@@ -397,7 +394,7 @@ class TestCrossContext:
         summary = cross_context_consistency(
             by_task(lines, Task.COMPLETION),
             by_task(lines, Task.EXPLANATION),
-            dataset.parameters.convention,
+            space,
         )
         assert summary["rate"] == 100.0
         assert summary["invalid"] == 0
@@ -408,7 +405,7 @@ class TestCrossContext:
         summary = cross_context_consistency(
             by_task(lines, Task.COMPLETION),
             by_task(lines, Task.EXPLANATION),
-            dataset.parameters.convention,
+            space,
         )
         assert summary["rate"] == 0.0
         assert summary["invalid"] == 0
@@ -532,10 +529,7 @@ class TestExpectedRandomConsistency:
         non_generating = next(
             fn for fn in space if fn not in ds_record.functions
         )
-        for value in ds_record.continuations:
-            assert not check_cross_context_consistency(
-                ds_record.sequence, value, non_generating, DEFAULT_CONVENTION
-            )
+        assert not continuations_of(non_generating, ds_record.sequence.values, space)
 
     def test_validates_inputs(self, fifty_fifty_dataset):
         with pytest.raises(ValueError, match="percentages"):

@@ -38,6 +38,8 @@ from ambigseq.mining import continuations_of
 
 from bruteforce import (
     ORACLE_TEMPLATES,
+    oracle_callable,
+    oracle_function,
     oracle_sequence,
     oracle_space,
     oracle_value,
@@ -264,9 +266,10 @@ class TestAnswerSizeBounds:
     EvaluationError, never a hang or a RecursionError."""
 
     def test_power_tower_is_refused_at_once(self):
+        space = enumerate_space()
         started = time.perf_counter()
         fn = parse("lambda x: 9 ** 9 ** 9 ** x")
-        assert continuations_of(fn, (1, 2, 3)) == frozenset()
+        assert continuations_of(fn, (1, 2, 3), space) == frozenset()
         assert time.perf_counter() - started < 1.0
 
     def test_power_bound_is_the_bit_estimate(self):
@@ -361,10 +364,20 @@ class TestGenerateSequence:
             space.sequence(fn, 0, 3)
         assert space._rows[fn] == ()  # a failed read leaves the row as it was
 
-    def test_refuses_a_function_outside_the_space(self):
+    def test_evaluates_a_function_outside_the_space_unstored(self):
         space = enumerate_space()
-        with pytest.raises(KeyError):
-            space.sequence(ConcreteFunction(TemplateKind.POWER, 4, 4), 0, 3)  # excluded
+        rows = dict(space._rows)
+        parsed = "lambda x: x * x + 1"
+        for fn, oracle in (
+            (ConcreteFunction(TemplateKind.POWER, 4, 4), oracle_callable("power", 4, 4)),
+            (ConcreteFunction(TemplateKind.ARITHMETIC, 7, 9), oracle_callable("arithmetic", 7, 9)),
+            (parse(parsed), oracle_function(parsed)),
+        ):
+            assert fn not in space
+            for offset, length in ((0, 3), (4, 9)):
+                expected = tuple(oracle(1 + offset + j) for j in range(length))
+                assert space.sequence(fn, offset, length) == expected
+        assert space._rows == rows
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_matches_bruteforce_past_the_probes(self, convention):

@@ -45,8 +45,7 @@ def test_every_imported_name_is_used_in_its_module(path):
         ("funcspace", ["ambigseq.funcspace"]),
         ("mining", ["ambigseq.funcspace", "ambigseq.mining"]),
         ("config", ["ambigseq.backends", "ambigseq.config", "ambigseq.distribution",
-                    "ambigseq.evaluation", "ambigseq.funcspace", "ambigseq.mining",
-                    "ambigseq.prompting"]),
+                    "ambigseq.funcspace", "ambigseq.mining", "ambigseq.prompting"]),
         ("campaign", ["ambigseq.backends", "ambigseq.campaign", "ambigseq.config",
                       "ambigseq.distribution", "ambigseq.evaluation",
                       "ambigseq.funcspace", "ambigseq.mining", "ambigseq.prompting"]),

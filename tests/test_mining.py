@@ -23,6 +23,7 @@ from ambigseq.funcspace import (
     TemplateKind,
     enumerate_space,
     evaluate,
+    parse,
 )
 from ambigseq.mining import (
     AmbiguityRecord,
@@ -42,7 +43,10 @@ from ambigseq.mining import (
 )
 
 from bruteforce import (
+    oracle_callable,
     oracle_continuations,
+    oracle_continuations_of,
+    oracle_function,
     oracle_mine,
     oracle_space,
     pairwise_ambiguities,
@@ -327,7 +331,6 @@ class TestMonotonicity:
 
 class TestContinuationsOf:
     def test_matches_generator_view(self, space, dataset4):
-        conv = dataset4.parameters.convention
         for record in dataset4.ambiguous:
             for fn in record.functions:
                 expected = {
@@ -335,25 +338,50 @@ class TestContinuationsOf:
                     for g in record.generators
                     if g.function == fn
                 }
-                assert continuations_of(fn, record.sequence.values, conv) == expected
+                assert continuations_of(fn, record.sequence.values, space) == expected
 
     def test_non_generator_yields_nothing(self, space):
         fn = ConcreteFunction(TemplateKind.MODULAR, 1, 1)
-        assert continuations_of(fn, (7, 11, 15)) == frozenset()
+        assert continuations_of(fn, (7, 11, 15), space) == frozenset()
 
-    def test_offsets_that_cannot_be_evaluated_are_skipped(self):
+    def test_offsets_that_cannot_be_evaluated_are_skipped(self, space):
         # the filtered list of (0, 0) is empty: no offset evaluates
         fn = ConcreteFunction(TemplateKind.INDEXING_CRITERIA, 0, 0)
-        assert continuations_of(fn, (1, 2, 3)) == frozenset()
+        assert continuations_of(fn, (1, 2, 3), space) == frozenset()
 
-    def test_a_programming_error_propagates(self, monkeypatch):
+    def test_a_programming_error_propagates(self, space, monkeypatch):
         def broken(fn, x):
             raise TypeError("broken evaluator")
 
         monkeypatch.setattr(funcspace, "evaluate", broken)
-        fn = ConcreteFunction(TemplateKind.ARITHMETIC, 4, 3)
+        fn = ConcreteFunction(TemplateKind.ARITHMETIC, 5, 3)  # outside the space: evaluated
         with pytest.raises(TypeError, match="broken evaluator"):
-            continuations_of(fn, (7, 11, 15))
+            continuations_of(fn, (8, 13, 18), space)
+
+    @pytest.mark.parametrize("convention", [IndexConvention(), IndexConvention(0, 2)])
+    def test_matches_bruteforce(self, convention):
+        # a fresh space: lengths 6 and 7 read its members past the probes
+        space = enumerate_space(convention=convention)
+        start, max_offset = convention.start_index, convention.max_offset
+        parsed = "lambda x: 7 % (x % 3) + x"  # no value where x % 3 is 0
+        functions = {
+            fn: oracle_callable(fn.kind.value, fn.c1, fn.c2) for fn in space
+        } | {
+            # excluded at the default convention: 4 ** 40 at index 10
+            ConcreteFunction(TemplateKind.POWER, 4, 4): oracle_callable("power", 4, 4),
+            ConcreteFunction(TemplateKind.RECURSIVE, 7, 9): oracle_callable("recursive", 7, 9),
+            parse(parsed): oracle_function(parsed),
+        }
+        assert (ConcreteFunction(TemplateKind.POWER, 4, 4) in space) == (start == 0)
+        for fn, oracle in functions.items():
+            for length in range(1, 8):  # PROBE_LENGTH is 5
+                for offset in range(max_offset + 1):
+                    try:
+                        values = [oracle(start + offset + j) for j in range(length)]
+                    except ZeroDivisionError:
+                        continue
+                    expected = oracle_continuations_of(oracle, values, max_offset, start)
+                    assert continuations_of(fn, values, space) == expected, (fn, values)
 
 
 class TestSerialization:

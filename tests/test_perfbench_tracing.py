@@ -67,3 +67,41 @@ def test_tracer_sees_the_write_path(monkeypatch, tmp_path):
     ):
         assert names.count(name) == outcome.queried, name
     assert recorder.counts["evaluation.scored"] == outcome.queried
+
+
+def test_tracer_sees_the_read_path(monkeypatch, tmp_path):
+    # analysis parses and checks each valid ambiguous completion/explanation
+    # pair through the rebound names; a direct reference would leave the pair
+    # check out of a traced benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import child
+    import tracer
+
+    from ambigseq.config import CampaignConfig
+
+    recorder = tracer.Tracer()
+    child.install_tracer(recorder)
+    try:
+        config = CampaignConfig(
+            lengths=(3,), n_runs=2, limit_sequences=3, output_dir=str(tmp_path)
+        )
+        campaign.mine_datasets(config)
+        outcome = campaign.run_campaign(config)
+        analysis.analyze_results(outcome.results_file)
+    finally:
+        recorder.restore()
+    _, lines = campaign.read_results(outcome.results_file)
+    valid = {
+        (line["run_id"], line["task"], tuple(line["sequence"]["values"]))
+        for line in lines
+        if line["ambiguous"] and line["valid"]
+    }
+    pairs = sum(
+        (run_id, "explanation", values) in valid
+        for run_id, task, values in valid
+        if task == "completion"
+    )
+    assert pairs > 0
+    names = [span[0] for span in recorder.finished()]
+    assert names.count("funcspace.parse") == pairs
+    assert names.count("mining.continuations_of") == pairs

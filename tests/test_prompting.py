@@ -27,6 +27,7 @@ from ambigseq.prompting import (
     render_answer,
     sample_few_shot,
 )
+from bruteforce import oracle_continuations_of, oracle_function
 from test_funcspace import general_exprs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -259,20 +260,13 @@ class TestDemonstrationSoundness:
     def test_explanation_demos_generate_their_sequences(self, full_space):
         spec = PromptSpec(task=Task.EXPLANATION, n_shots=6, rng_seed=11)
         rp = build_prompt(spec, TARGET, full_space)
-        from ambigseq.mining import continuations_of
-
         for query, answer in rp.demonstrations:
             values = _demo_sequence_values(query)
-            fn = parse(answer.removeprefix("Explanation: "))
+            fn = oracle_function(answer.removeprefix("Explanation: "))
             # the demo function must reproduce its own sequence at some offset
-            prefix = values[:-1]
-            assert values[-1] in continuations_of(fn, prefix) or continuations_of(
-                fn, values
-            )
+            assert values[-1] in oracle_continuations_of(fn, values[:-1])
 
     def test_judgment_demo_labels_are_true(self, full_space):
-        from ambigseq.mining import continuations_of
-
         spec = PromptSpec(task=Task.CONSISTENCY_JUDGMENT, n_shots=6, rng_seed=11)
         rp = build_prompt(spec, TARGET, full_space,
                           judged=(parse("lambda x: (1 * x) + 1"), 5))
@@ -280,9 +274,9 @@ class TestDemonstrationSoundness:
         for query, answer in rp.demonstrations:
             lines = query.splitlines()
             values = _demo_sequence_values(query)
-            fn = parse(lines[1].removeprefix("Explanation: "))
+            fn = oracle_function(lines[1].removeprefix("Explanation: "))
             shown = int(lines[2].removeprefix("Continuation: "))
-            actual = shown in continuations_of(fn, values)
+            actual = shown in oracle_continuations_of(fn, values)
             assert (answer == "consistent") == actual
             labels.add(answer)
         assert labels == {"consistent", "inconsistent"}
