@@ -30,9 +30,10 @@ from .campaign import (
     collector_paused,
     config_space,
     line_error,
+    read_header,
     read_results,
 )
-from .config import CampaignConfig, canonical_json
+from .config import canonical_json
 from .distribution import (
     Quadrant,
     TokenDistribution,
@@ -114,8 +115,8 @@ def cross_context_consistency(
     completions: list[dict], explanations: list[dict], space: FunctionSpace
 ) -> dict:
     """Execution-checked consistency of one run's completion/explanation
-    pairs, paired by sequence values (``read_results`` refuses a file with
-    two lines for one query), by :func:`continuations_of` on ``space``."""
+    pairs, paired by sequence values (``read_results`` gives each query of
+    the plan at most one line), by :func:`continuations_of` on ``space``."""
     compl_by_values = {tuple(r["sequence"]["values"]): r for r in completions}
     expl_by_values = {tuple(r["sequence"]["values"]): r for r in explanations}
     consistent = inconsistent = invalid = 0
@@ -158,13 +159,6 @@ def verbalization(lines: list[dict]) -> dict:
     }
 
 
-def _distribution(line: dict) -> TokenDistribution:
-    try:
-        return TokenDistribution.from_pairs((t, lp) for t, lp in line["top_logprobs"])
-    except (TypeError, ValueError) as exc:
-        raise _UnreadableLine(line, f"malformed top_logprobs: {exc}") from exc
-
-
 def alternative_test(completions: list[dict], base: int) -> dict:
     """The alternative-consideration test over completion lines that carry
     top logprobs."""
@@ -174,7 +168,7 @@ def alternative_test(completions: list[dict], base: int) -> dict:
         if not line["top_logprobs"]:
             continue
         result = alternative_consideration_test(
-            _distribution(line), line["continuations"], base
+            TokenDistribution.from_pairs(line["top_logprobs"]), line["continuations"], base
         )
         passed += result.passed
         failed += not result.passed
@@ -196,7 +190,7 @@ def _quadrant_analysis(completions: list[dict], base: int) -> dict:
         if not line["top_logprobs"]:
             continue
         for quadrant, values in group_logprobs_by_quadrant(
-            _distribution(line), line["continuations"], base
+            TokenDistribution.from_pairs(line["top_logprobs"]), line["continuations"], base
         ).items():
             groups[quadrant].extend(values)
 
@@ -282,9 +276,7 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
     the files whose records are dead by the time it returns.
     """
     results_file = Path(results_file)
-    header, lines = read_results(results_file)
-    config = CampaignConfig.from_json(header["config"])
-
+    header, config = read_header(results_file)
     datasets: dict[int, Dataset] = {}
     for length_str, filename in header["datasets"].items():
         path = results_file.parent / filename
@@ -294,6 +286,7 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
             )
         length = int(length_str)
         datasets[length] = check_dataset(config, length, path, load_dataset(path))
+    _, lines = read_results(results_file, datasets)
     space = config_space(config)
 
     # one pass over the file; each bucket keeps its lines in file order

@@ -4,11 +4,14 @@ The results file is line-oriented JSON: a header (format, schema version,
 config, config digest, dataset filenames) followed by one record per backend
 query. Record lines carry no wall-clock data, so a repeat run with the same
 config and a deterministic backend reproduces the file byte for byte;
-timestamps go to a sidecar ``audit.log``. Each query has at most one line;
-a file holding two lines for the same query is refused. Reruns resume:
-records already present are skipped, an unterminated trailing line from an
-interrupted run is truncated away (every line is written with its newline),
-and the remainder is appended in the same canonical order.
+timestamps go to a sidecar ``audit.log``. Lines are committed in plan
+order, so the file is a prefix of :func:`plan_queries`: record line N
+answers query N, and a reader checks each line against its query (see
+:func:`_line_problem`). Reruns resume: the plan continues past the lines
+present, an unterminated trailing line from an interrupted run is truncated
+away (every line is written with its newline), and the remainder is
+appended in the same canonical order. A resume holds only the lines of the
+run it resumes in that the run's judgments read.
 
 Backend calls may overlap. With ``CampaignConfig.workers`` above 1, only
 ``backend.complete`` runs on a pool of that many threads; the calling thread
@@ -33,8 +36,10 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from functools import partial
+from itertools import takewhile
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
 from .backends import (
     BACKENDS,
@@ -48,8 +53,8 @@ from .config import CampaignConfig, ConfigError, canonical_json
 from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
-from .mining import AmbiguityRecord, Dataset, DatasetParameters, load_dataset, utf8_lines
-from .prompting import JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
+from .mining import AmbiguityRecord, Dataset, DatasetParameters, load_dataset
+from .prompting import ANSWERS, JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
 
 RESULTS_FORMAT = "ambigseq.results"
 RESULTS_VERSION = 1
@@ -57,12 +62,6 @@ RESULTS_FILENAME = "results.jsonl"
 AUDIT_FILENAME = "audit.log"
 
 LOGPROBS_UNAVAILABLE_NOTE = "top logprobs unavailable from backend"
-#: The fields of every record line, as :func:`_result_line` writes them.
-RESULT_FIELDS = (
-    "sequence", "task", "raw_response", "parsed", "valid", "correct", "run_id",
-    "length", "ambiguous", "continuations", "top_logprobs", "judged", "note",
-)
-_RESULT_FIELD_SET = frozenset(RESULT_FIELDS)
 
 
 class CampaignError(RuntimeError):
@@ -169,6 +168,21 @@ class PlannedQuery:
             self.record.sequence.base,
         )
 
+    @property
+    def plan_fields(self) -> tuple:
+        """The fields of its results line that the query fixes, as the line
+        records them: sequence, task, run id, length, ambiguity and sorted
+        continuations."""
+        record = self.record
+        return (
+            {"values": list(record.sequence.values), "base": record.sequence.base},
+            self.task.value,
+            self.run_id,
+            self.length,
+            record.is_ambiguous,
+            sorted(record.continuations),
+        )
+
 
 def _task_targets(dataset: Dataset, task: Task, limit: int | None):
     """Completion/explanation run everywhere; judgment and verbalization only
@@ -222,12 +236,6 @@ def _results_header(config: CampaignConfig) -> dict:
     }
 
 
-def _complete_part(data: bytes) -> bytes:
-    """The newline-terminated lines of a results file. Every line is written
-    with its newline, so an unterminated tail is a torn write."""
-    return data[: data.rfind(b"\n") + 1]
-
-
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Run the block with Python's cyclic garbage collector off, then put it
@@ -243,39 +251,48 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def read_results(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read a results file; raises on missing/incompatible header.
+def read_header(path: str | Path) -> tuple[dict, CampaignConfig]:
+    """The header of the results file at ``path`` and the config it holds;
+    a :class:`CampaignError` unless it is the header that config writes."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        return _check_header(path, fh.readline())
 
-    A trailing line without its newline (an interrupted write) is dropped,
-    even when it holds a whole record; a malformed line elsewhere is an error,
-    and so is a second line for the same query.
+
+def read_results(
+    path: str | Path, datasets: dict[int, Dataset] | None = None
+) -> tuple[dict, list[dict]]:
+    """The header and the record lines of a results file, read with the
+    collector paused.
+
+    Line N must answer query N of the plan of the header's config over
+    ``datasets`` (by default loaded from the dataset files beside ``path``);
+    see :func:`_line_problem`. A trailing line without its newline (an
+    interrupted write) is dropped, even when it holds a whole record.
     """
     path = Path(path)
-    header, records, _ = _read_complete(path, _complete_part(path.read_bytes()))
-    return header, records
+    with collector_paused(), path.open("rb") as fh:
+        header, config = _check_header(path, fh.readline())
+        if datasets is None:
+            datasets = load_campaign_datasets(config.override(output_dir=str(path.parent)))
+        plan = plan_queries(config, datasets)
+        return header, [
+            {**_SHARED_KEYS, **line} for _, _, _, line in _record_lines(path, fh, plan)
+        ]
 
 
-def _read_complete(
-    path: Path, complete: bytes
-) -> tuple[dict, list[dict], dict[tuple, dict]]:
-    """The header, the record lines and the record lines by query key of
-    ``complete``, the complete lines of the results file at ``path``; decoded
-    and indexed with the collector paused."""
-    with collector_paused():
-        header, records = _parse_results(path, complete)
-        return header, records, _index_results(path, records)
-
-
-def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
-    raw_lines = utf8_lines(path, complete, CampaignError)[:-1]
-    if not raw_lines:
+def _check_header(path: Path, first: bytes) -> tuple[dict, CampaignConfig]:
+    """The header line ``first`` of the results file at ``path`` and its
+    config, if it is the header that config writes."""
+    if not first.endswith(b"\n"):
         raise CampaignError(f"{path}: empty results file (no complete header line)")
     try:
-        header = json.loads(raw_lines[0])
-    except json.JSONDecodeError as exc:
+        text = first[:-1].decode()
+        header = json.loads(text)
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise CampaignError(f"{path}: unreadable header line ({exc})") from exc
     if not isinstance(header, dict) or header.get("format") != RESULTS_FORMAT:
-        raise CampaignError(f"{path}: not a results file (header {raw_lines[0][:80]!r})")
+        raise CampaignError(f"{path}: not a results file (header {text[:80]!r})")
     if header.get("version") != RESULTS_VERSION:
         raise CampaignError(
             f"{path}: results schema version {header.get('version')!r} "
@@ -285,62 +302,141 @@ def _parse_results(path: Path, complete: bytes) -> tuple[dict, list[dict]]:
     if missing:
         raise CampaignError(f"{path}: results header lacks {', '.join(missing)}")
     try:
-        expected = _results_header(CampaignConfig.from_json(header["config"]))
+        config = CampaignConfig.from_json(header["config"])
     except ConfigError as exc:
         raise CampaignError(f"{path}: results header config: {exc}") from exc
-    if canonical_json(header) != canonical_json(expected):
+    if canonical_json(header) != canonical_json(_results_header(config)):
         raise CampaignError(f"{path}: results header is not the one its config writes")
-    records = []
-    for i, line in enumerate(raw_lines[1:], start=2):
+    return header, config
+
+
+#: The fields of a record line, as :func:`_line_problem` reads them: first
+#: the plan fields, which the line's query fixes.
+_FIELDS = (
+    "sequence", "task", "run_id", "length", "ambiguous", "continuations",
+    "raw_response", "parsed", "valid", "correct", "top_logprobs", "judged", "note",
+)
+_PLAN_FIELDS = _FIELDS[:6]
+_fields_of = itemgetter(*_FIELDS)
+#: The key strings of every line :func:`read_results` returns. Each
+#: ``json.loads`` call makes its own, more than a third of a decoded line.
+_SHARED_KEYS = dict.fromkeys(_FIELDS)
+_INT = {int}
+
+
+def _record_lines(
+    path: Path, fh: BinaryIO, plan: Iterator[PlannedQuery]
+) -> Iterator[tuple[int, int, PlannedQuery, dict]]:
+    """The record lines of the results file at ``path``, read from ``fh``
+    after its header line: (line number, end offset of the line, the query
+    it answers, the line). Line N is decoded and checked by
+    :func:`_line_problem` against the query ``plan`` gives next; the first
+    line that fails is a :class:`CampaignError` naming ``path:N``. An
+    unterminated last line (a torn write) is not read."""
+    end = fh.tell()
+    complete = takewhile(lambda raw: raw.endswith(b"\n"), fh)
+    for n, raw in enumerate(complete, start=2):
+        query = next(plan, None)
         try:
-            records.append(json.loads(line))
+            line = json.loads(raw[:-1].decode())
+        except UnicodeDecodeError:
+            problem = "not UTF-8"
         except json.JSONDecodeError as exc:
-            raise CampaignError(f"{path}:{i}: malformed record line ({exc})") from exc
-    return header, records
+            problem = str(exc)
+        else:
+            problem = _line_problem(line, query)
+        if problem:
+            raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
+        end += len(raw)
+        yield n, end, query, line
 
 
-def _index_results(path: Path, records: list[dict]) -> dict[tuple, dict]:
-    """The record lines by query key; a line without one or without any of
-    :data:`RESULT_FIELDS`, or two lines for one query, are an error."""
-    by_key: dict[tuple, dict] = {}
-    for i, record in enumerate(records, start=2):
+def _line_problem(line: Any, query: PlannedQuery | None) -> str | None:
+    """What keeps ``line``, as JSON reads it, from being the results line of
+    ``query`` (None past the plan's end); None when nothing does.
+
+    The line must hold :data:`_FIELDS` and no other field. Its plan fields
+    must equal the query's, as values of their own types. Its ``parsed``
+    must be what the task's :data:`~ambigseq.prompting.ANSWERS` entry
+    records, and ``valid`` a boolean, true only if that is a value (the
+    analysis reads the value of a valid line); ``correct`` a boolean or
+    null, ``note`` text or null; ``top_logprobs`` null or a list
+    :class:`TokenDistribution` takes (a line records what the backend
+    returned, and a scripted answer may carry them on any task); ``judged``
+    null or, on a judgment line, an explanation text and a completion
+    integer.
+    """
+    if query is None:
+        return "past the last planned query"
+    if type(line) is not dict:
+        return "not a JSON object"
+    try:
+        (sequence, task, run_id, length, ambiguous, continuations,
+         raw, parsed, valid, correct, top, judged, note) = _fields_of(line)
+    except KeyError as exc:
+        return f"no {exc.args[0]}"
+    if len(line) != len(_FIELDS):
+        return f"unknown field {next(f for f in line if f not in _FIELDS)!r}"
+    planned = query.plan_fields
+    if (
+        (sequence, task, run_id, length, ambiguous, continuations) != planned
+        or type(run_id) is not int
+        or type(length) is not int
+        or type(ambiguous) is not bool
+        or type(sequence["base"]) is not int
+        or not {*map(type, sequence["values"]), *map(type, continuations)} <= _INT
+    ):
+        expected = dict(zip(_PLAN_FIELDS, planned))
+        field = next(
+            f for f in _PLAN_FIELDS if canonical_json(line[f]) != canonical_json(expected[f])
+        )
+        return (
+            f"the plan puts {_query_text(expected)} here, not a line whose "
+            f"{field} is {canonical_json(line[field])}"
+        )
+    is_value = ANSWERS[query.task].records_value(parsed)
+    if type(raw) is not str:
+        problem = "raw_response is not text"
+    elif is_value is None:
+        problem = f"parsed is not a {task} answer as a results line records it"
+    elif type(valid) is not bool:
+        problem = f"valid is {canonical_json(valid)}, not a boolean"
+    elif valid and not is_value:
+        problem = "valid is true, but parsed records no value"
+    elif not (correct is None or type(correct) is bool):
+        problem = "correct is neither a boolean nor null"
+    elif not (note is None or type(note) is str):
+        problem = "note is neither text nor null"
+    elif judged is not None and not (
+        query.task is Task.CONSISTENCY_JUDGMENT
+        and type(judged) is dict
+        and judged.keys() == {"explanation", "completion"}
+        and type(judged["explanation"]) is str
+        and type(judged["completion"]) is int
+    ):
+        problem = "judged is not null, nor a judgment line's explanation and completion"
+    elif top is None:
+        return None
+    else:
         try:
-            key = _record_key(record)
-            seen = key in by_key
-        except (KeyError, TypeError) as exc:
-            raise CampaignError(
-                f"{path}:{i}: malformed record line (no query key: {exc!r})"
-            ) from exc
-        if not _RESULT_FIELD_SET <= record.keys():
-            missing = next(f for f in RESULT_FIELDS if f not in record)
-            raise CampaignError(f"{path}:{i}: malformed record line (no {missing})")
-        if seen:
-            first = records.index(by_key[key]) + 2
-            raise CampaignError(
-                f"{path}:{i}: duplicate result line; line {first} "
-                "already answers the same query"
-            )
-        by_key[key] = record
-    return by_key
+            TokenDistribution.from_pairs(top)
+            return None
+        except ValueError as exc:
+            problem = f"malformed top_logprobs: {exc}"
+    return f"{_query_text(line)}: {problem}"
 
 
-def _record_key(line: dict) -> tuple:
+def _query_text(line: dict) -> str:
+    """The query a record line answers, as an error names it."""
     return (
-        line["length"],
-        line["run_id"],
-        line["task"],
-        tuple(line["sequence"]["values"]),
-        line["sequence"]["base"],
+        f"the {line['task']} line of run {line['run_id']} for sequence "
+        f"{list(line['sequence']['values'])} at length {line['length']}"
     )
 
 
 def line_error(where: str | Path, line: dict, problem: str) -> CampaignError:
     """A record line that cannot be read, at ``where`` (its file, or file:N)."""
-    length, run_id, task, values, _ = _record_key(line)
-    return CampaignError(
-        f"{where}: malformed record line (the {task} line of run {run_id} "
-        f"for sequence {list(values)} at length {length}: {problem})"
-    )
+    return CampaignError(f"{where}: malformed record line ({_query_text(line)}: {problem})")
 
 
 # ---------------------------------------------------------------------------
@@ -384,36 +480,18 @@ def run_campaign(
 
     path = results_path(out_dir)
     header_line = canonical_json(_results_header(config)) + "\n"
-    data = path.read_bytes() if path.exists() else b""
-    complete = _complete_part(data)
-    # every line on file or written by this run, by plan key; judgment
-    # queries read their run's completion and explanation from it
-    answered: dict[tuple, dict] = {}
-    if complete:
-        header, _, answered = _read_complete(path, complete)
-        if header["config_digest"] != config.digest():
-            raise CampaignError(
-                f"{path} belongs to campaign {header['config_digest']}, "
-                f"this config is {config.digest()} — use a fresh output directory"
-            )
-        audit.log(
-            f"resume campaign={config.digest()} existing_records={len(answered)}"
-        )
-    elif header_line.encode().startswith(data):
-        # absent, or cut inside this campaign's own header line: start over
-        audit.log(f"start campaign={config.digest()} backend={backend.backend_id}")
+    plan = plan_queries(config, datasets)
+    run = _RunLines()
+    size, skipped, fallback = _resume_point(path, config, header_line, plan, run)
+    if size:
+        audit.log(f"resume campaign={config.digest()} existing_records={skipped}")
     else:
-        raise CampaignError(
-            f"{path} has no complete line and is not this campaign's header cut short "
-            "— use a fresh output directory"
-        )
+        audit.log(f"start campaign={config.digest()} backend={backend.backend_id}")
 
-    queried = skipped = 0
+    queried = 0
     # capture stays off across a resume once a line on file has recorded the
     # fallback, as it does in an uninterrupted run
-    logprobs_available = config.want_top_logprobs > 0 and all(
-        line["note"] != LOGPROBS_UNAVAILABLE_NOTE for line in answered.values()
-    )
+    logprobs_available = config.want_top_logprobs > 0 and not fallback
     # queries whose backend call is dispatched but whose line is not yet
     # committed, in plan order: (query, judged pair, answer)
     pending: deque[tuple[PlannedQuery, JudgedPair | None, Callable]] = deque()
@@ -426,27 +504,25 @@ def run_campaign(
         if note == LOGPROBS_UNAVAILABLE_NOTE:
             logprobs_available = False
         line = _result_line(query, text, top, judged, note)
-        answered[query.key] = line
+        run.add(skipped + queried + 2, query, line)
         _append_line(fh, line)
         queried += 1
 
     try:
         with path.open("a") as fh:
             # drop any torn tail so appends start on a line boundary
-            fh.truncate(len(complete))
-            if not complete:
+            fh.truncate(size)
+            if not size:
                 fh.write(header_line)
                 fh.flush()
-            for query in plan_queries(config, datasets):
-                if query.key in answered:
-                    skipped += 1
-                    continue
+            # the plan past the queries the file answers
+            for query in plan:
                 # a completion that may ask for top logprobs (the logprob
                 # lane), and a judgment whose pair is not yet committed, wait
                 # for every line before them
                 if (query.task is Task.COMPLETION and logprobs_available) or (
                     query.task is Task.CONSISTENCY_JUDGMENT
-                    and not all(key in answered for key in _pair_keys(query))
+                    and None in run.pair(query)
                 ):
                     while pending:
                         commit(fh)
@@ -456,7 +532,7 @@ def run_campaign(
                         query,
                         backend,
                         space,
-                        answered,
+                        run,
                         logprobs_available,
                         dispatch.submit,
                     )
@@ -475,6 +551,77 @@ def run_campaign(
         f"finish campaign={config.digest()} queried={queried} skipped={skipped}"
     )
     return CampaignOutcome(path, queried, skipped)
+
+
+def _resume_point(
+    path: Path,
+    config: CampaignConfig,
+    header_line: str,
+    plan: Iterator[PlannedQuery],
+    run: _RunLines,
+) -> tuple[int, int, bool]:
+    """Where ``config``'s campaign resumes the results file at ``path``: the
+    byte length of its complete lines (0 to start afresh), its record lines,
+    and whether one records the logprob fallback. The lines are read with
+    the collector paused, each against the next query of ``plan`` and then
+    added to ``run``; ``plan`` is left at the first query they do not
+    answer. The file of another campaign is a :class:`CampaignError`."""
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        return 0, 0, False
+    with fh, collector_paused():
+        first = fh.readline()
+        if not first.endswith(b"\n"):
+            if header_line.encode().startswith(first):
+                # empty, or cut inside this campaign's own header line
+                return 0, 0, False
+            raise CampaignError(
+                f"{path} has no complete line and is not this campaign's header "
+                "cut short — use a fresh output directory"
+            )
+        header, _ = _check_header(path, first)
+        if header["config_digest"] != config.digest():
+            raise CampaignError(
+                f"{path} belongs to campaign {header['config_digest']}, "
+                f"this config is {config.digest()} — use a fresh output directory"
+            )
+        size, count, fallback = len(first), 0, False
+        for n, size, query, line in _record_lines(path, fh, plan):
+            run.add(n, query, line)
+            fallback = fallback or line["note"] == LOGPROBS_UNAVAILABLE_NOTE
+            count = n - 1
+        return size, count, fallback
+
+
+class _RunLines:
+    """The completion and explanation lines of one run of the plan, by
+    sequence values, each with its line number: what the run's judgments
+    read. Lines are added in plan order, and the first line of the next run
+    drops them."""
+
+    def __init__(self) -> None:
+        self.run: tuple[int, int] | None = None
+        self.completions: dict[tuple, tuple[int, dict]] = {}
+        self.explanations: dict[tuple, tuple[int, dict]] = {}
+
+    def add(self, n: int, query: PlannedQuery, line: dict) -> None:
+        """Add ``line``, line ``n`` of the results file, the answer to ``query``."""
+        if (query.length, query.run_id) != self.run:
+            self.run, self.completions, self.explanations = (query.length, query.run_id), {}, {}
+        if query.task is Task.COMPLETION:
+            self.completions[query.record.sequence.values] = (n, line)
+        elif query.task is Task.EXPLANATION:
+            self.explanations[query.record.sequence.values] = (n, line)
+
+    def pair(self, query: PlannedQuery) -> tuple[tuple[int, dict] | None, ...]:
+        """The completion and the explanation lines that ``query``, a
+        judgment, judges, each with its line number: its run's answers for
+        its sequence, or None while not added."""
+        if (query.length, query.run_id) != self.run:
+            return None, None
+        values = query.record.sequence.values
+        return self.completions.get(values), self.explanations.get(values)
 
 
 class _Dispatch:
@@ -509,33 +656,22 @@ def _append_line(fh: TextIO, line: dict) -> None:
     fh.flush()
 
 
-def _pair_keys(query: PlannedQuery) -> tuple[tuple, tuple]:
-    """Plan keys of the completion and explanation a judgment query judges:
-    the same run's answers for the same sequence."""
-    length, run_id, _, values, base = query.key
-    return (
-        (length, run_id, Task.COMPLETION.value, values, base),
-        (length, run_id, Task.EXPLANATION.value, values, base),
-    )
-
-
-def _judged_pair(answered: dict, query: PlannedQuery, path: Path) -> JudgedPair | None:
+def _judged_pair(run: _RunLines, query: PlannedQuery, path: Path) -> JudgedPair | None:
     """The model's own (explanation function, completion value) for this
     run+sequence, if both parsed; the run stage's only parse of the
     explanation line. An explanation line of ``path`` (the results file)
     whose parsed value does not parse is a :class:`CampaignError` naming
-    ``path:N``: ``answered`` holds the file's record lines in file order."""
-    compl_key, expl_key = _pair_keys(query)
-    compl, expl = answered.get(compl_key), answered.get(expl_key)
-    if not (compl and expl and compl["valid"] and expl["valid"]):
+    ``path:N``."""
+    compl, expl = run.pair(query)
+    if not (compl and expl and compl[1]["valid"] and expl[1]["valid"]):
         return None
     from .funcspace import ParseError, parse
 
+    (_, compl), (n, expl) = compl, expl
     try:
         fn = parse(expl["parsed"]["value"])
     except ParseError as exc:
-        where = f"{path}:{list(answered).index(expl_key) + 2}"
-        raise line_error(where, expl, f"its parsed value does not parse: {exc}") from exc
+        raise line_error(f"{path}:{n}", expl, f"its parsed value does not parse: {exc}") from exc
     return fn, compl["parsed"]["value"]
 
 
@@ -544,7 +680,7 @@ def _execute_query(
     query: PlannedQuery,
     backend: Backend,
     space: FunctionSpace,
-    answered: dict,
+    run: _RunLines,
     logprobs_available: bool,
     submit: Callable,
 ) -> tuple[PlannedQuery, JudgedPair | None, Callable]:
@@ -555,7 +691,7 @@ def _execute_query(
     """
     judged = None
     if query.task is Task.CONSISTENCY_JUDGMENT:
-        judged = _judged_pair(answered, query, results_path(config.output_dir))
+        judged = _judged_pair(run, query, results_path(config.output_dir))
         if judged is None:
             # nothing coherent to judge; the empty answer files as invalid
             note = "no parseable completion/explanation pair to judge"

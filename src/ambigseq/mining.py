@@ -396,18 +396,18 @@ def save_dataset(
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def utf8_lines(path: Path, data: bytes, error: type[Exception] = ValueError) -> list[str]:
+def utf8_lines(path: Path, data: bytes) -> list[str]:
     """The bytes ``data`` of the line file at ``path``, split on ``"\\n"`` alone
     (so no other break in a damaged line moves a line number); the last item
-    follows the last newline. A byte that is not UTF-8 is an ``error`` naming
-    the header line, or ``path:N``."""
+    follows the last newline. A byte that is not UTF-8 is a ``ValueError``
+    naming the header line, or ``path:N``."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         n = data.count(b"\n", 0, exc.start) + 1
         if n == 1:
-            raise error(f"{path}: unreadable header line ({exc})") from exc
-        raise error(f"{path}:{n}: malformed record line (not UTF-8)") from exc
+            raise ValueError(f"{path}: unreadable header line ({exc})") from exc
+        raise ValueError(f"{path}:{n}: malformed record line (not UTF-8)") from exc
     return text.split("\n")
 
 

@@ -316,7 +316,7 @@ class TestAnalysisDeterminism:
             fh.write(lines[judgment - 1] + "\n" + lines[completion - 1] + "\n")
         with pytest.raises(
             CampaignError,
-            match=rf":{len(lines) + 1}: duplicate result line; line {judgment} ",
+            match=rf":{len(lines) + 1}: malformed record line \(past the last planned query\)$",
         ):
             analyze_results(results_file)
 

@@ -32,7 +32,6 @@ from ambigseq.backends import (
 from ambigseq.campaign import (
     AUDIT_FILENAME,
     LOGPROBS_UNAVAILABLE_NOTE,
-    RESULT_FIELDS,
     RESULTS_FORMAT,
     RESULTS_VERSION,
     CampaignError,
@@ -62,6 +61,11 @@ from ambigseq.prompting import (
 from ambigseq.funcspace import FunctionSpace, parse
 
 ISO_STAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}")
+#: The fields of every record line, in the order the writer puts them.
+RESULT_FIELDS = (
+    "sequence", "task", "raw_response", "parsed", "valid", "correct", "run_id",
+    "length", "ambiguous", "continuations", "top_logprobs", "judged", "note",
+)
 
 
 def small_config(tmp_path, mined_l3, **overrides) -> CampaignConfig:
@@ -230,6 +234,12 @@ class TestReadResults:
         assert header["datasets"] == {"3": dataset_filename(3)}
         assert len(records) == outcome.queried == 24
 
+    def test_records_share_their_key_strings(self, tmp_path, mined_l3):
+        # each json.loads call makes its own; one set is held, not one a line
+        _, outcome = self.run_small(tmp_path, mined_l3)
+        _, records = read_results(outcome.results_file)
+        assert {id(key) for r in records for key in r} == {id(key) for key in records[0]}
+
     def test_torn_trailing_line_is_dropped(self, tmp_path, mined_l3):
         _, outcome = self.run_small(tmp_path, mined_l3)
         path = outcome.results_file
@@ -361,7 +371,8 @@ class TestReadResults:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[3]]) + "\n")
         with pytest.raises(
-            CampaignError, match=rf":{len(lines) + 1}: duplicate result line; line 4 "
+            CampaignError,
+            match=rf":{len(lines) + 1}: malformed record line \(past the last planned query\)$",
         ):
             read_results(path)
 
@@ -385,6 +396,179 @@ class TestReadResults:
         path.write_text("")
         with pytest.raises(CampaignError, match="empty"):
             read_results(path)
+
+
+def _lone_line_error(path, n: int, text: str) -> str:
+    """The error a results file gives for line ``n`` when that line, read
+    alone, is not JSON."""
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    return f"{path}:{n}: malformed record line ({exc.value})"
+
+
+#: A damage to a line, and the refusal's words for it, naming the line's
+#: query as ``{query}``.
+DAMAGES = {
+    "run_id_as_text": (
+        lambda r: r.update(run_id=str(r["run_id"])),
+        'the plan puts {query} here, not a line whose run_id is "0"',
+    ),
+    "continuations_not_a_list": (
+        lambda r: r.update(continuations=5),
+        "the plan puts {query} here, not a line whose continuations is 5",
+    ),
+    "length_as_a_float": (
+        lambda r: r.update(length=3.0),
+        "the plan puts {query} here, not a line whose length is 3.0",
+    ),
+    "parsed_null_on_a_valid_line": (
+        lambda r: r.update(parsed=None),
+        "{query}: parsed is not a completion answer as a results line records it",
+    ),
+    "valid_as_text": (lambda r: r.update(valid="no"), '{query}: valid is "no", not a boolean'),
+    "valid_without_a_value": (
+        lambda r: r.update(parsed={"kind": "invalid"}),
+        "{query}: valid is true, but parsed records no value",
+    ),
+    "judged_on_a_completion": (
+        lambda r: r.update(judged={"explanation": "lambda x: x", "completion": 1}),
+        "{query}: judged is not null, nor a judgment line's explanation and completion",
+    ),
+    "unknown_field": (lambda r: r.update(extra=[{}]), "unknown field 'extra'"),
+}
+
+
+class TestPlanCheckedRead:
+    """Line N of a results file answers query N of its plan, with every field
+    of its type; ``run`` and ``analyze`` refuse any other line by its number,
+    as that line read alone shows its fault. Some files below are valid JSON
+    once their lines are joined into one array, which a faster decode of
+    many lines at once must not be fooled by."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory, mined_l3) -> bytes:
+        config = small_config(tmp_path_factory.mktemp("finished"), mined_l3)
+        return run_campaign(config).results_file.read_bytes()
+
+    @pytest.fixture()
+    def campaign_dir(self, tmp_path, mined_l3, finished):
+        """(config, results path, header line, record lines) of a copy."""
+        config = small_config(tmp_path, mined_l3)
+        path = results_path(config.output_dir)
+        path.write_bytes(finished)
+        header, *lines = finished.decode().splitlines()
+        return config, path, header, lines
+
+    @staticmethod
+    def readers(config, path):
+        return {
+            "read_results": lambda: read_results(path),
+            "run": lambda: run_campaign(config),
+            "analyze": lambda: analyze_results(path),
+        }
+
+    def refused(self, config, path, match):
+        damaged = path.read_bytes()
+        for name, read in self.readers(config, path).items():
+            with pytest.raises(CampaignError, match=match):
+                read()
+            assert path.read_bytes() == damaged, name
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_a_damaged_field_is_refused_by_its_line(self, campaign_dir, damage):
+        config, path, header, lines = campaign_dir
+        edit, problem = DAMAGES[damage]
+        records = [json.loads(line) for line in lines]
+        i = next(
+            i for i, r in enumerate(records)
+            if r["task"] == "completion" and r["ambiguous"] and r["run_id"] == 0
+        )
+        edit(records[i])
+        lines[i] = canonical_json(records[i])
+        path.write_text("\n".join([header, *lines]) + "\n")
+        query = (
+            f"the completion line of run 0 for sequence {records[i]['sequence']['values']} "
+            "at length 3"
+        )
+        where = f"results.jsonl:{i + 2}: malformed record line "
+        self.refused(config, path, re.escape(where + f"({problem.format(query=query)})") + "$")
+
+    def test_a_line_answering_another_query_is_refused(self, campaign_dir):
+        config, path, header, lines = campaign_dir
+        lines[4], lines[5] = lines[5], lines[4]
+        path.write_text("\n".join([header, *lines]) + "\n")
+        self.refused(config, path, r"results\.jsonl:6: malformed record line \(the plan puts ")
+
+    def test_an_object_inside_a_list_across_lines(self, campaign_dir):
+        # joined, the three lines are three objects, the first holding the
+        # second line's in a list
+        config, path, header, lines = campaign_dir
+        lines[3:6] = ['{"a":[{}', "{}]}", "{},{}"]
+        path.write_text("\n".join([header, *lines]) + "\n")
+        self.refused(config, path, re.escape(_lone_line_error(path, 5, lines[3])) + "$")
+
+    def test_a_line_holding_two_records(self, campaign_dir):
+        # joined, the lines are every record in plan order
+        config, path, header, lines = campaign_dir
+        lines[3:5] = [lines[3] + "," + lines[4]]
+        path.write_text("\n".join([header, *lines]) + "\n")
+        self.refused(config, path, re.escape(_lone_line_error(path, 5, lines[3])) + "$")
+
+    def test_a_string_split_next_to_a_line_holding_two(self, campaign_dir):
+        # joined with raw newlines let into strings, the three lines are the
+        # three records in plan order, the last with a longer answer
+        config, path, header, lines = campaign_dir
+        record = json.loads(lines[5])
+        record["raw_response"] = "1\n{2"
+        split = canonical_json(record).replace("\\n", "\n").split("\n")
+        lines[3:6] = [lines[3] + "," + lines[4], *split]
+        assert split[1].startswith("{")
+        path.write_text("\n".join([header, *lines]) + "\n")
+        self.refused(config, path, re.escape(_lone_line_error(path, 5, lines[3])) + "$")
+
+    def test_a_split_record_next_to_a_line_holding_two(self, campaign_dir):
+        # joined, the three lines are the three records in plan order, each
+        # as it should be
+        config, path, header, lines = campaign_dir
+        records = [json.loads(line) for line in lines]
+        i = next(
+            i for i, r in enumerate(records[2:], start=2)
+            if r["top_logprobs"] and len(r["top_logprobs"]) > 1
+        )
+        first_pair = json.dumps(records[i]["top_logprobs"][0], separators=(",", ":"))
+        split = lines[i].index(first_pair) + len(first_pair)
+        lines[i - 2:i + 1] = [
+            lines[i - 2] + "," + lines[i - 1], lines[i][:split], lines[i][split + 1:]
+        ]
+        assert lines[i][0] == "["
+        path.write_text("\n".join([header, *lines]) + "\n")
+        self.refused(config, path, re.escape(_lone_line_error(path, i, lines[i - 2])) + "$")
+
+    def test_spaces_around_a_line_are_read(self, campaign_dir):
+        config, path, header, lines = campaign_dir
+        _, expected = read_results(path)
+        lines[3] = " " + lines[3]
+        lines[7] = json.dumps(json.loads(lines[7])) + "  "
+        path.write_text("\n".join([header, *lines]) + "\n")
+        assert read_results(path)[1] == expected
+        assert analyze_results(path)["n_records"] == len(lines)
+        assert run_campaign(config).skipped == len(lines)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_resume_after_every_line_is_byte_identical(
+        self, tmp_path, mined_l3, finished, workers
+    ):
+        # a resume keeps only the run it resumes in: each cut lands in run 0
+        # or run 1, before or after the run's judgments
+        ends = [i + 1 for i, byte in enumerate(finished) if byte == ord("\n")]
+        for n, end in enumerate(ends):
+            config = small_config(tmp_path / str(n), mined_l3, concurrency=workers)
+            path = results_path(config.output_dir)
+            path.write_bytes(finished[:end - 5 if n else end])
+            outcome = run_campaign(config)
+            assert not outcome.failed
+            assert path.read_bytes() == finished
+            assert outcome.skipped == max(n - 1, 0)
 
 
 class TestCollectorPaused:
@@ -419,25 +603,27 @@ class TestCollectorPaused:
     @pytest.fixture()
     def collections(self, monkeypatch):
         """(generation, reading) of each collection that starts during the
-        test; reading while a results file is decoded or indexed."""
+        test; reading from the first record line of a results file that is
+        decoded and checked to the last."""
         started, reading = [], [False]
 
         def record(phase, info):
             if phase == "start":
                 started.append((info["generation"], reading[0]))
 
-        def while_reading(fn):
+        def while_reading(lines):
             def wrapped(*args):
                 reading[0] = True
                 try:
-                    return fn(*args)
+                    yield from lines(*args)
                 finally:
                     reading[0] = False
 
             return wrapped
 
-        for name in ("_parse_results", "_index_results"):
-            monkeypatch.setattr(campaign, name, while_reading(getattr(campaign, name)))
+        monkeypatch.setattr(
+            campaign, "_record_lines", while_reading(campaign._record_lines)
+        )
         gc.callbacks.append(record)
         yield started
         gc.callbacks.remove(record)
@@ -583,7 +769,10 @@ class TestRunCampaign:
         # a finished campaign with one answer filed twice, then cut short
         damaged = "\n".join(lines[:-3] + [lines[2]]) + "\n"
         path.write_text(damaged)
-        with pytest.raises(CampaignError, match="duplicate result line; line 3 "):
+        with pytest.raises(
+            CampaignError,
+            match=rf":{len(lines) - 2}: malformed record line \(the plan puts the ",
+        ):
             run_campaign(config)
         assert path.read_text() == damaged
 

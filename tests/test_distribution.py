@@ -9,8 +9,6 @@ import random
 import shutil
 import sys
 
-import density_reference as reference
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,6 +219,7 @@ class TestHistogram:
         assert math.isclose(math.fsum(h.masses), 1.0, rel_tol=1e-12)
 
     def test_default_forty_bins(self):
+        np = pytest.importorskip("numpy")
         h = build_density_histogram(np.linspace(-5, 0, 200))
         assert len(h.densities) == 40
 
@@ -290,6 +289,7 @@ class TestGaussianSmooth:
 
     def test_full_support(self):
         # a delta in the first bin must still reach the last bin
+        np = pytest.importorskip("numpy")
         h = build_density_histogram([0.0] * 5, n_bins=40,
                                     edges=np.linspace(0, 40, 41))
         s = gaussian_smooth(h, sigma=1.0)
@@ -301,6 +301,7 @@ class TestGaussianSmooth:
         assert s.masses == pytest.approx(h.masses, abs=1e-9)
 
     def test_smoothing_reduces_peaks(self):
+        np = pytest.importorskip("numpy")
         h = build_density_histogram([5.0] * 100, n_bins=11,
                                     edges=np.linspace(0, 11, 12))
         s = gaussian_smooth(h, sigma=2.0)
@@ -352,6 +353,7 @@ class TestKL:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_smoothed_random_pairs_nonnegative_and_zero_on_self(self, seed):
+        np = pytest.importorskip("numpy")
         rng = np.random.RandomState(seed)
         a = rng.normal(-3, 1.2, size=60)
         b = rng.normal(-4, 0.8, size=60)
@@ -364,6 +366,7 @@ class TestKL:
 
     def test_oracle_summation_crosscheck(self):
         """Replicate the bin-mass sum with plain numpy as an independent check."""
+        np = pytest.importorskip("numpy")
         rng = np.random.RandomState(7)
         a = rng.normal(-2, 1, 80)
         b = rng.normal(-3, 1, 80)
@@ -398,6 +401,7 @@ def compare_with_reference(groups, exact_smoothing=True):
     """Edges and histograms equal the reference's to the last bit; smoothed
     masses and the KL of every ordered pair of groups too, or to a relative
     1e-12 where ``exact_smoothing`` is false."""
+    reference = pytest.importorskip("density_reference")  # needs numpy
     edges, ref_edges = shared_edges(groups), reference.shared_edges(groups)
     assert edges == tuple(ref_edges.tolist())
     ours = [build_density_histogram(g, edges=edges) for g in groups]
@@ -511,6 +515,7 @@ class TestNumpyReference:
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 40, 127, 128, 129, 300, 1000])
     def test_sum_is_numpys_to_the_last_bit(self, n):
+        np = pytest.importorskip("numpy")
         rng = random.Random(n)
         values = [rng.random() * 10 ** rng.randint(-8, 8) for _ in range(n)]
         assert _numpy_sum(values) == float(np.sum(np.array(values)))
