@@ -1,9 +1,10 @@
 """Analysis of a results file: metrics tables, baselines, distributions.
 
 Everything here is a pure, deterministic function of the results file (plus
-the dataset files its header names) — no backend is ever queried. The output
-is a JSON document and a delimited table ready for plotting. A run's
-completion/explanation pairs are checked by
+the datasets its header names, mined on the config's space and checked
+against their files, ``config_digest`` aside) — no backend is ever queried.
+The output is a JSON document and a delimited table ready for plotting. A
+run's completion/explanation pairs are checked by
 :func:`ambigseq.mining.continuations_of` on the config's function space, the
 check the oracle's judgments make, so a space member's values come from its
 row and only an answer outside the space is evaluated.
@@ -26,7 +27,6 @@ from typing import Any, Callable, NamedTuple
 
 from .campaign import (
     CampaignError,
-    check_dataset,
     collector_paused,
     config_space,
     line_error,
@@ -277,6 +277,7 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
     """
     results_file = Path(results_file)
     header, config = read_header(results_file)
+    space = config_space(config)
     datasets: dict[int, Dataset] = {}
     for length_str, filename in header["datasets"].items():
         path = results_file.parent / filename
@@ -285,9 +286,8 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
                 f"dataset file {path} named by the results header is missing"
             )
         length = int(length_str)
-        datasets[length] = check_dataset(config, length, path, load_dataset(path))
+        datasets[length] = load_dataset(path, space, length, config.base)
     _, lines = read_results(results_file, datasets)
-    space = config_space(config)
 
     # one pass over the file; each bucket keeps its lines in file order
     buckets: dict[tuple, list[dict]] = {}

@@ -362,8 +362,8 @@ def parse_chat_response(data: dict, want_top_logprobs: int) -> tuple[str, TokenD
         text = choice["message"]["content"]
     except (KeyError, IndexError, TypeError) as err:
         raise MalformedResponseError(f"unexpected response shape: {err}") from err
-    if text is None:
-        raise MalformedResponseError("response content is null")
+    if not isinstance(text, str):
+        raise MalformedResponseError(f"response content is not text: {text!r}")
     if not want_top_logprobs:
         return text, None
     try:

@@ -1,5 +1,11 @@
 """Campaign execution: drive one backend over mined datasets, write results.
 
+The datasets are mined on the config's space, and each is compared with its
+``dataset_L*.jsonl`` file in the output directory (see
+:func:`ambigseq.mining.load_dataset`): a file that is not what the config's
+parameters mine, ``config_digest`` aside, is refused, so a campaign runs over
+exactly the mined split.
+
 The results file is line-oriented JSON: a header (format, schema version,
 config, config digest, dataset filenames) followed by one record per backend
 query. Record lines carry no wall-clock data, so a repeat run with the same
@@ -33,7 +39,7 @@ import hashlib
 import json
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from itertools import takewhile
@@ -53,7 +59,7 @@ from .config import CampaignConfig, ConfigError, canonical_json
 from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
-from .mining import AmbiguityRecord, Dataset, DatasetParameters, load_dataset
+from .mining import AmbiguityRecord, Dataset, load_dataset
 from .prompting import ANSWERS, JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
 
 RESULTS_FORMAT = "ambigseq.results"
@@ -113,7 +119,9 @@ def mine_datasets(config: CampaignConfig) -> dict[int, Dataset]:
     return datasets
 
 
-def load_campaign_datasets(config: CampaignConfig) -> dict[int, Dataset]:
+def load_campaign_datasets(config: CampaignConfig, space: FunctionSpace) -> dict[int, Dataset]:
+    """The config's datasets, mined on ``space`` (the config's) and checked
+    against their files by :func:`load_dataset`."""
     out_dir = Path(config.output_dir)
     datasets = {}
     for length in config.lengths:
@@ -122,29 +130,8 @@ def load_campaign_datasets(config: CampaignConfig) -> dict[int, Dataset]:
             raise CampaignError(
                 f"dataset file {path} not found — run the mine stage first"
             )
-        datasets[length] = check_dataset(config, length, path, load_dataset(path))
+        datasets[length] = load_dataset(path, space, length, config.base)
     return datasets
-
-
-def check_dataset(
-    config: CampaignConfig, length: int, path: Path, dataset: Dataset
-) -> Dataset:
-    """``dataset`` (read from ``path``) if it was mined with the config's
-    parameters at ``length`` and the default value bound, which
-    :func:`config_space` enumerates with; otherwise a :class:`CampaignError`."""
-    expected = DatasetParameters(
-        constant_range=config.constant_range,
-        sequence_length=length,
-        start_index=config.start_index,
-        max_offset=config.max_offset,
-        base=config.base,
-    )
-    if dataset.parameters != expected:
-        raise CampaignError(
-            f"{path} was mined with parameters {astuple(dataset.parameters)}, "
-            f"config wants {astuple(expected)}"
-        )
-    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +253,18 @@ def read_results(
     collector paused.
 
     Line N must answer query N of the plan of the header's config over
-    ``datasets`` (by default loaded from the dataset files beside ``path``);
-    see :func:`_line_problem`. A trailing line without its newline (an
-    interrupted write) is dropped, even when it holds a whole record.
+    ``datasets`` (by default mined on the config's space and checked against
+    the dataset files beside ``path``); see :func:`_line_problem`. A
+    trailing line without its newline (an interrupted write) is dropped,
+    even when it holds a whole record.
     """
     path = Path(path)
     with collector_paused(), path.open("rb") as fh:
         header, config = _check_header(path, fh.readline())
         if datasets is None:
-            datasets = load_campaign_datasets(config.override(output_dir=str(path.parent)))
+            datasets = load_campaign_datasets(
+                config.override(output_dir=str(path.parent)), config_space(config)
+            )
         plan = plan_queries(config, datasets)
         return header, [
             {**_SHARED_KEYS, **line} for _, _, _, line in _record_lines(path, fh, plan)
@@ -473,7 +463,7 @@ def run_campaign(
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     space = config_space(config)
-    datasets = load_campaign_datasets(config)
+    datasets = load_campaign_datasets(config, space)
     if backend is None:
         backend = make_backend(config, space)
     audit = _Audit(out_dir / AUDIT_FILENAME)

@@ -245,7 +245,7 @@ def _report_text(config: CampaignConfig, analysis: dict) -> str:
     push("")
 
     push("== datasets ==")
-    for length, dataset in sorted(load_campaign_datasets(config).items()):
+    for length, dataset in sorted(load_campaign_datasets(config, space).items()):
         lines.extend(_dataset_count_lines(length, dataset.counts(space)))
     push("")
 

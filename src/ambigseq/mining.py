@@ -11,9 +11,12 @@ literal O(n²) pair scan (``tests/bruteforce.py``). :func:`continuations_of`,
 the execution check of a (function, completion) pair, reads any function's
 values the same way, from the space, and evaluates nothing itself.
 
-The fields of :class:`DatasetParameters`, typed by :func:`check_fields`, are
-a dataset file's header, as :func:`save_dataset` writes and
-:func:`load_dataset` reads it. A record's continuations and functions are
+A dataset file is what :func:`save_dataset` writes: a header holding the
+fields of :class:`DatasetParameters` (typed by :func:`check_fields`), then
+one line per record. Mining is deterministic, so :func:`load_dataset` reads
+a file by mining its dataset again and comparing: the header field by field,
+all but ``config_digest`` (which names the campaign the file was mined for),
+and the record lines as bytes. A record's continuations and functions are
 derived once, when it is made, and :meth:`Dataset.from_records` is the one
 split of records by ambiguity.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -38,8 +41,6 @@ from .funcspace import (
     FunctionLike,
     FunctionSpace,
     IndexConvention,
-    ParseError,
-    parse,
 )
 
 DATASET_FORMAT = "ambigseq.dataset"
@@ -327,8 +328,7 @@ def _field_checks(cls: type) -> tuple[tuple[str, Any, Callable[[Any], bool]], ..
 
 
 def _type_test(hint: Any) -> Callable[[Any], bool]:
-    """The test of whether a value has the type ``hint``, built once per field
-    (a dataset load runs it on every record and generator)."""
+    """The test of whether a value has the type ``hint``, built once per field."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         tests = [_type_test(arg) for arg in args]
@@ -367,99 +367,80 @@ def save_dataset(
     """Write ``dataset`` to ``path`` whole: a header (format, version, the
     fields of its :class:`DatasetParameters` and, if given, the digest of the
     config it was mined for), then one line per record in value order."""
-    header: dict[str, Any] = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
-        "parameters": asdict(dataset.parameters),
-    }
+    header = _dataset_header(dataset.parameters)
     if config_digest is not None:
         header["config_digest"] = config_digest
-    lines = [canonical_json(header)]
-    for record in sorted(dataset.records(), key=lambda r: r.sequence.values):
-        lines.append(
-            canonical_json(
-                {
-                    "values": list(record.sequence.values),
-                    "base": record.sequence.base,
-                    "ambiguous": record.is_ambiguous,
-                    "generators": [
-                        {
-                            "function": g.function.text,
-                            "offset": g.offset,
-                            "continuation": g.continuation,
-                        }
-                        for g in record.generators
-                    ],
-                }
-            )
+    write_atomic(path, canonical_json(header) + "\n" + _record_text(dataset))
+
+
+def _dataset_header(parameters: DatasetParameters) -> dict[str, Any]:
+    return {"format": DATASET_FORMAT, "version": DATASET_VERSION, "parameters": asdict(parameters)}
+
+
+def _record_text(dataset: Dataset) -> str:
+    """The record lines of ``dataset``'s file, each with its newline."""
+    return "".join(
+        canonical_json(
+            {
+                "values": list(record.sequence.values),
+                "base": record.sequence.base,
+                "ambiguous": record.is_ambiguous,
+                "generators": [
+                    {
+                        "function": g.function.text,
+                        "offset": g.offset,
+                        "continuation": g.continuation,
+                    }
+                    for g in record.generators
+                ],
+            }
         )
-    write_atomic(path, "\n".join(lines) + "\n")
+        + "\n"
+        for record in sorted(dataset.records(), key=lambda r: r.sequence.values)
+    )
 
 
-def utf8_lines(path: Path, data: bytes) -> list[str]:
-    """The bytes ``data`` of the line file at ``path``, split on ``"\\n"`` alone
-    (so no other break in a damaged line moves a line number); the last item
-    follows the last newline. A byte that is not UTF-8 is a ``ValueError``
-    naming the header line, or ``path:N``."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        n = data.count(b"\n", 0, exc.start) + 1
-        if n == 1:
-            raise ValueError(f"{path}: unreadable header line ({exc})") from exc
-        raise ValueError(f"{path}:{n}: malformed record line (not UTF-8)") from exc
-    return text.split("\n")
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """The dataset :func:`save_dataset` wrote to ``path``. A file of any other
-    shape is a ``ValueError`` naming it, and ``path:N`` for a record line;
-    so is a last line without its newline, which a whole write never leaves.
-    A record line's sequence and generators are typed by :func:`check_fields`."""
+def load_dataset(path: str | Path, space: FunctionSpace, length: int, base: int) -> Dataset:
+    """The dataset ``space`` mines at ``length`` in ``base``, if the file at
+    ``path`` is the one :func:`save_dataset` writes for it. Its header must
+    be that header in every field but ``config_digest``, which names the
+    campaign the file was mined for; its record lines must be those bytes.
+    Any other file is a ``ValueError`` naming it, and ``path:N`` for the
+    first record line that differs."""
     path = Path(path)
-    *lines, tail = utf8_lines(path, path.read_bytes())
-    if tail:
-        raise ValueError(f"{path}:{len(lines) + 1}: unterminated last line (a torn write)")
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
+    dataset = mine(space, length, base)
+    first, _, body = path.read_bytes().partition(b"\n")
+    _check_header(path, first, dataset.parameters)
+    expected = _record_text(dataset).encode()
+    if body != expected:
+        n = body.count(b"\n", 0, len(os.path.commonprefix([body, expected]))) + 2
+        raise ValueError(f"{path}:{n}: malformed record line (not what its parameters mine)")
+    return dataset
+
+
+def _check_header(path: Path, first: bytes, parameters: DatasetParameters) -> None:
+    """Refuse the header line ``first`` of the dataset file at ``path`` unless
+    it is the header of a dataset mined with ``parameters``, its
+    ``config_digest`` aside."""
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        text = first.decode()
+        header = json.loads(text)
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: unreadable header line ({exc})") from exc
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: not a dataset file (header {lines[0][:80]!r})")
+        raise ValueError(f"{path}: not a dataset file (header {text[:80]!r})")
     if header.get("version") != DATASET_VERSION:
         raise ValueError(f"{path}: unsupported dataset version {header.get('version')!r}")
+    header.pop("config_digest", None)
+    if canonical_json(header) == canonical_json(_dataset_header(parameters)):
+        return
     try:
-        hp = header["parameters"]
-        params = DatasetParameters(**{f.name: hp[f.name] for f in fields(DatasetParameters)})
+        found = DatasetParameters(**header["parameters"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed dataset header ({exc!r})") from exc
-    records: list[AmbiguityRecord] = []
-    for n, line in enumerate(lines[1:], start=2):
-        try:
-            raw = json.loads(line)
-            sequence = SequenceRecord(raw["values"], raw["base"])
-            gens = tuple(
-                Generator(_as_concrete(g["function"]), g["offset"], g["continuation"])
-                for g in raw["generators"]
-            )
-            for part in (sequence, *gens):
-                check_fields(part)
-            record = AmbiguityRecord(sequence, gens)
-            if raw["ambiguous"] is not record.is_ambiguous:
-                raise ValueError(
-                    f"ambiguous must be {record.is_ambiguous}, got {raw['ambiguous']!r}"
-                )
-        except (KeyError, TypeError, ValueError, ParseError) as exc:
-            raise ValueError(f"{path}:{n}: malformed record line ({exc!r})") from exc
-        records.append(record)
-    return Dataset.from_records(records, params)
-
-
-@lru_cache(maxsize=4096)  # a dataset repeats each function text across its records
-def _as_concrete(text: str) -> ConcreteFunction:
-    fn = parse(text)
-    if not isinstance(fn, ConcreteFunction):
-        raise ValueError(f"dataset function is not a template instance: {text!r}")
-    return fn
+    if found != parameters:
+        raise ValueError(
+            f"{path} was mined with parameters {astuple(found)}, "
+            f"config wants {astuple(parameters)}"
+        )
+    raise ValueError(f"{path}: malformed dataset header (not the one its parameters write)")

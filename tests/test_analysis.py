@@ -25,7 +25,7 @@ from ambigseq.campaign import (
 from ambigseq.config import CampaignConfig, canonical_json
 from ambigseq.distribution import MIN_LOGPROB
 from ambigseq.evaluation import expected_random_consistency
-from ambigseq.mining import load_dataset
+from ambigseq.mining import mine
 
 
 def campaign_results(tmp_path, mined_l3, **overrides):
@@ -82,12 +82,10 @@ class TestOracleAnalysis:
             assert fields["verbalization"]["scored"] == 2
             assert fields["alternative_test"]["failed"] == 0
 
-    def test_random_baseline_matches_direct_computation(
-        self, analysis, mined_l3
-    ):
+    def test_random_baseline_matches_direct_computation(self, analysis):
         _, doc = analysis
         baseline = doc["per_length"]["3"]["random_baseline"]
-        records = load_dataset(mined_l3).ambiguous
+        records = mine(funcspace.enumerate_space(), 3).ambiguous
         expected, _ = expected_random_consistency(
             100, 100, records, n_samples=1, rng_seed=0
         )
@@ -189,7 +187,7 @@ class TestScriptedHandScored:
             output_dir=str(out),
         )
         space = config_space(config)
-        dataset = load_dataset(mined_l3)
+        dataset = mine(space, 3)
         amb = dataset.ambiguous[:2]
         unamb = dataset.unambiguous[:2]
 

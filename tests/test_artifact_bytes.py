@@ -18,7 +18,7 @@ from ambigseq.campaign import (
 )
 from ambigseq.cli import main
 from ambigseq.config import CampaignConfig
-from ambigseq.mining import load_dataset
+from ambigseq.mining import mine
 from ambigseq.prompting import PromptSpec, Task, build_prompt
 
 ARTIFACTS = ("analysis.json", "metrics.tsv", "report.txt")
@@ -100,7 +100,7 @@ def test_scripted_campaign_with_a_logprob_fallback_artifacts(
         lengths=(3,), limit_sequences=2, n_runs=2, output_dir=str(out),
         backend="scripted", fixtures_file="fixtures.json",
     )
-    fixtures = scripted_fixtures(config, load_dataset(mined_l3))
+    fixtures = scripted_fixtures(config, mine(config_space(config), 3))
     (tmp_path / "fixtures.json").write_text(json.dumps({"fixtures": fixtures}))
     run_cli(out, "--backend", "scripted", "--fixtures-file", "fixtures.json")
     capfd.readouterr()

@@ -370,8 +370,9 @@ class TestChatPayload:
     def test_parse_malformed(self):
         with pytest.raises(MalformedResponseError):
             parse_chat_response({"choices": []}, 0)
-        with pytest.raises(MalformedResponseError):
-            parse_chat_response({"choices": [{"message": {"content": None}}]}, 0)
+        for content in (None, 7, ["a"], {"x": 1}, True):
+            with pytest.raises(MalformedResponseError, match="content is not text"):
+                parse_chat_response({"choices": [{"message": {"content": content}}]}, 0)
 
 
 class FakeTransport:

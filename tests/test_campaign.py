@@ -123,13 +123,13 @@ class TestDatasets:
 
     def test_load_round_trip(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)
-        datasets = load_campaign_datasets(config)
+        datasets = load_campaign_datasets(config, config_space(config))
         assert len(datasets[3].ambiguous) == 12
 
     def test_load_missing_file(self, tmp_path):
         config = CampaignConfig(lengths=(3,), output_dir=str(tmp_path))
         with pytest.raises(CampaignError, match="mine stage"):
-            load_campaign_datasets(config)
+            load_campaign_datasets(config, config_space(config))
 
     def test_load_rejects_parameter_mismatch(self, tmp_path, mined_l3):
         out = tmp_path / "out"
@@ -137,8 +137,8 @@ class TestDatasets:
         # a length-4 config pointed at a length-3 file
         shutil.copy(mined_l3, out / dataset_filename(4))
         config = CampaignConfig(lengths=(4,), output_dir=str(out))
-        with pytest.raises(CampaignError, match="mined with parameters"):
-            load_campaign_datasets(config)
+        with pytest.raises(ValueError, match="mined with parameters"):
+            load_campaign_datasets(config, config_space(config))
 
     def test_load_rejects_another_value_bound(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)
@@ -148,11 +148,11 @@ class TestDatasets:
         changed["parameters"]["max_function_value"] = 1000
         path.write_text("\n".join([json.dumps(changed), *records]) + "\n")
         with pytest.raises(
-            CampaignError,
+            ValueError,
             match=r"mined with parameters \(\(0, 4\), 3, 1, 4, 10, 1000\), "
             rf"config wants \(\(0, 4\), 3, 1, 4, 10, {2**63 - 1}\)$",
         ):
-            load_campaign_datasets(config)
+            load_campaign_datasets(config, config_space(config))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ class TestDatasets:
 class TestPlanning:
     def test_plan_counts(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)
-        datasets = load_campaign_datasets(config)
+        datasets = load_campaign_datasets(config, config_space(config))
         plan = list(plan_queries(config, datasets))
         # per run: completion and explanation visit 2 ambiguous + 2
         # unambiguous, judgment and verbalization the 2 ambiguous only
@@ -174,20 +174,20 @@ class TestPlanning:
             tmp_path, mined_l3, limit_sequences=None, n_runs=1,
             tasks=("completion",),
         )
-        datasets = load_campaign_datasets(config)
+        datasets = load_campaign_datasets(config, config_space(config))
         plan = list(plan_queries(config, datasets))
         assert len(plan) == 12 + 370
 
     def test_plan_order_is_stable(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)
-        datasets = load_campaign_datasets(config)
+        datasets = load_campaign_datasets(config, config_space(config))
         first = [q.key for q in plan_queries(config, datasets)]
         second = [q.key for q in plan_queries(config, datasets)]
         assert first == second
 
     def test_judgment_targets_ambiguous_only(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3, limit_sequences=None)
-        datasets = load_campaign_datasets(config)
+        datasets = load_campaign_datasets(config, config_space(config))
         judgments = [
             q for q in plan_queries(config, datasets)
             if q.task.value == "consistency_judgment"
@@ -199,7 +199,7 @@ class TestPlanning:
         self, tmp_path, mined_l3
     ):
         config = small_config(tmp_path, mined_l3)
-        datasets = load_campaign_datasets(config)
+        datasets = load_campaign_datasets(config, config_space(config))
         plan = list(plan_queries(config, datasets))
         seeds = [prompt_seed(config, q) for q in plan]
         assert len(set(seeds)) == len(seeds)
@@ -207,7 +207,7 @@ class TestPlanning:
 
     def test_prompt_seed_changes_with_campaign_seed(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)
-        datasets = load_campaign_datasets(config)
+        datasets = load_campaign_datasets(config, config_space(config))
         query = next(iter(plan_queries(config, datasets)))
         reseeded = config.override(rng_seed=1)
         assert prompt_seed(config, query) != prompt_seed(reseeded, query)
@@ -319,7 +319,7 @@ class TestReadResults:
 
     def test_result_line_writes_the_result_fields(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)
-        datasets = load_campaign_datasets(config)
+        datasets = load_campaign_datasets(config, config_space(config))
         query = next(plan_queries(config, datasets))
         line = _result_line(query, "7", None, None, None)
         assert tuple(line) == RESULT_FIELDS
@@ -912,7 +912,7 @@ class TestAnswersTooDeepToHandle:
     def backend(cls, config) -> ScriptedBackend:
         """Alternates the two answers over the explanation targets; "7" to
         everything else."""
-        queries = plan_queries(config, load_campaign_datasets(config))
+        queries = plan_queries(config, load_campaign_datasets(config, config_space(config)))
         targets = [q.record.sequence for q in queries if q.task is Task.EXPLANATION]
         instruction = EXPLANATION_INSTRUCTIONS[Variant.PLAIN]
         fixtures = {
@@ -1038,7 +1038,7 @@ class TestClassBasedShotSampling:
         recorder = self.Recorder(OracleBackend(config_space(config)))
         assert not run_campaign(config, backend=recorder).failed
         records = {
-            r.sequence.values: r for r in load_campaign_datasets(config)[3].records()
+            r.sequence.values: r for r in load_campaign_datasets(config, config_space(config))[3].records()
         }
         checked = 0
         for prompt in recorder.prompts:
@@ -1455,7 +1455,7 @@ class TestReplayFromCache:
         probe = small_config(tmp_path / "probe", mined_l3, limit_sequences=12)
         completions = [
             q.record.sequence
-            for q in plan_queries(probe, load_campaign_datasets(probe))
+            for q in plan_queries(probe, load_campaign_datasets(probe, config_space(probe)))
             if q.task is Task.COMPLETION
         ]
         instruction = COMPLETION_INSTRUCTIONS[Variant.PLAIN]

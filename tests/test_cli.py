@@ -531,23 +531,51 @@ class TestFailureExitCodes:
         assert f"error: {out_dir / 'analysis.json'}: " in capfd.readouterr().err
         assert not (out_dir / "report.txt").exists()
 
-    def test_run_refuses_a_damaged_dataset(self, out_dir, capfd):
-        path = out_dir / dataset_filename(3)
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"function":"lambda', '"function":"mu', 1)
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["run", *flags(out_dir)]) == 1
-        assert f"error: {path}:2: malformed record line" in capfd.readouterr().err
-
-    @pytest.mark.parametrize("command", ["run", "analyze"])
+    @pytest.mark.parametrize("command", ["run", "analyze", "report"])
     def test_a_torn_dataset_is_refused(self, out_dir, capfd, command):
-        assert main(["run", *flags(out_dir)]) == 0
+        # every damage leaves a file that is not what its parameters mine;
+        # the first two are valid records, only fewer or less of them.
+        # With analysis.json on disk, report reads the datasets itself.
+        for stage in ("run", "analyze"):
+            assert main([stage, *flags(out_dir)]) == 0
         path = out_dir / dataset_filename(3)
         text = path.read_text()
-        path.write_text(text[: text.index("\n", len(text) // 2)])
-        capfd.readouterr()
-        assert main([command, *flags(out_dir)]) == 1
-        assert "unterminated last line" in capfd.readouterr().err
+        header, *records = text.splitlines()
+        n = next(n for n, line in enumerate(records, start=2)
+                 if len(json.loads(line)["generators"]) > 1)
+        torn = text[: text.index("\n", len(text) // 2)]  # its last line lacks its newline
+
+        def edited(n, change):
+            lines = [header, *records]
+            raw = json.loads(lines[n - 1])
+            change(raw)
+            lines[n - 1] = canonical_json(raw)
+            return "\n".join(lines) + "\n"
+
+        damages = {
+            "cut_at_a_line_boundary": ("\n".join([header, *records[:40]]) + "\n", ":42:"),
+            "generator_dropped": (edited(n, lambda raw: raw["generators"].pop()), f":{n}:"),
+            "ambiguous_flipped": (
+                edited(2, lambda raw: raw.update(ambiguous=not raw["ambiguous"])), ":2:"
+            ),
+            "blank_line_inserted": (
+                "\n".join([header, *records[:2], "", *records[2:]]) + "\n", ":4:"
+            ),
+            "cut_mid_line": (torn, f":{torn.count(chr(10)) + 1}:"),
+            "function_outside_the_language": (
+                text.replace('"function":"lambda', '"function":"mu', 1), ":2:"
+            ),
+            "parameter_changed": (
+                text.replace('"max_offset":4', '"max_offset":3', 1), " was mined with"
+            ),
+        }
+        for damage, (damaged, where) in damages.items():
+            path.write_text(damaged)
+            capfd.readouterr()
+            assert main([command, *flags(out_dir)]) == 1, damage
+            err = capfd.readouterr().err
+            assert err.startswith(f"error: {path}{where}"), (damage, err)
+            assert "Traceback" not in err, damage
 
     @pytest.mark.parametrize(
         "fixtures",

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ambigseq import analysis
 from ambigseq.campaign import (
     LOGPROBS_UNAVAILABLE_NOTE,
+    config_space,
     dataset_filename,
     load_campaign_datasets,
     mine_datasets,
@@ -445,7 +446,7 @@ def scripted_groups(tmp_path, mined_l3, top_logprobs):
     )
     instruction = COMPLETION_INSTRUCTIONS[Variant.PLAIN]
     fixtures = {}
-    for query in plan_queries(config, load_campaign_datasets(config)):
+    for query in plan_queries(config, load_campaign_datasets(config, config_space(config))):
         key = f"For the sequence: {query.record.sequence.render()}\n{instruction}"
         if query.task is Task.COMPLETION and key not in fixtures:
             top = top_logprobs(query.record)

@@ -384,12 +384,21 @@ class TestContinuationsOf:
                     assert continuations_of(fn, values, space) == expected, (fn, values)
 
 
+def _json_edit(change):
+    """An edit of a JSON object line: ``change`` updates the decoded object."""
+    def edit(line: bytes) -> bytes:
+        data = json.loads(line)
+        change(data)
+        return canonical_json(data).encode()
+    return edit
+
+
 class TestSerialization:
-    def test_roundtrip(self, tmp_path, dataset4):
+    def test_roundtrip(self, tmp_path, space, dataset4):
         path = tmp_path / "ds.jsonl"
-        save_dataset(dataset4, path)
-        loaded = load_dataset(path)
-        assert loaded == dataset4
+        for digest in (None, "abc"):  # the header field no reader checks
+            save_dataset(dataset4, path, config_digest=digest)
+            assert load_dataset(path, space, 4, 10) == dataset4
 
     def test_header_parameters_are_the_dataset_parameters(self, tmp_path, dataset4):
         path = tmp_path / "ds.jsonl"
@@ -409,13 +418,13 @@ class TestSerialization:
         save_dataset(mine(space, length=3), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_rejects_wrong_format(self, tmp_path):
+    def test_rejects_wrong_format(self, tmp_path, space):
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"format":"something-else","version":1}\n')
         with pytest.raises(ValueError):
-            load_dataset(path)
+            load_dataset(path, space, 4, 10)
 
-    def test_blank_lines_are_refused(self, tmp_path, dataset4):
+    def test_blank_lines_are_refused(self, tmp_path, space, dataset4):
         """save_dataset never writes a blank line, so one is damage."""
         path = tmp_path / "ds.jsonl"
         save_dataset(dataset4, path)
@@ -425,26 +434,58 @@ class TestSerialization:
             lines.insert(n - 1, blank)
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ValueError, match=rf"ds\.jsonl:{n}: malformed record line"):
-                load_dataset(path)
+                load_dataset(path, space, 4, 10)
 
     @pytest.mark.parametrize(
         "n, edit, where",
         [
-            (0, lambda line: "[1]", ": not a dataset file"),
-            (0, lambda line: "{not json", ": unreadable header"),
-            (0, lambda line: _without(line, "parameters"), ": malformed dataset header"),
+            (0, lambda line: b"[1]", ": not a dataset file"),
+            (0, lambda line: b"{not json", ": unreadable header"),
+            (0, _json_edit(lambda raw: raw.pop("parameters")), ": malformed dataset header"),
             (
                 0,
-                lambda line: line.replace('"sequence_length":4', '"sequence_length":"4"', 1),
+                lambda line: line.replace(b'"sequence_length":4', b'"sequence_length":"4"', 1),
                 ": malformed dataset header",
             ),
-            (1, lambda line: _without(line, "generators"), ":2: malformed record line"),
+            (1, _json_edit(lambda raw: raw.pop("generators")), ":2: malformed record line"),
             (
                 2,
-                lambda line: line.replace('"function":"lambda', '"function":"mu', 1),
+                lambda line: line.replace(b'"function":"lambda', b'"function":"mu', 1),
                 ":3: malformed record line",
             ),
-            (1, lambda line: "[1, 2]", ":2: malformed record line"),
+            (1, lambda line: b"[1, 2]", ":2: malformed record line"),
+            (
+                1,
+                _json_edit(lambda raw: raw.update(values=[str(v) for v in raw["values"]])),
+                ":2: malformed record line",
+            ),
+            (1, _json_edit(lambda raw: raw.update(base=10.0)), ":2: malformed record line"),
+            (
+                1,
+                _json_edit(lambda raw: raw["generators"][0].update(offset="2")),
+                ":2: malformed record line",
+            ),
+            (
+                1,
+                _json_edit(lambda raw: raw["generators"][0].update(continuation=1.5)),
+                ":2: malformed record line",
+            ),
+            (
+                1,
+                _json_edit(lambda raw: raw.update(ambiguous=int(raw["ambiguous"]))),
+                ":2: malformed record line",
+            ),
+            (
+                1,
+                _json_edit(lambda raw: raw["generators"].pop()),
+                ":2: malformed record line",
+            ),
+            (0, lambda line: line[:12] + b"\xff" + line[12:], ": unreadable header line"),
+            (2, lambda line: line[:12] + b"\xff" + line[12:], ":3: malformed record line"),
+            *[
+                (2, lambda line, brk=brk: line + brk + b"junk", ":3: malformed record line")
+                for brk in map(str.encode, ("\r", "\x0c", "\x85", "\u2028"))
+            ],
         ],
         ids=[
             "header_is_a_list",
@@ -454,47 +495,34 @@ class TestSerialization:
             "record_without_generators",
             "function_outside_the_language",
             "record_is_a_list",
+            "values_as_text",
+            "base_as_float",
+            "offset_as_text",
+            "continuation_1.5",
+            "ambiguous_as_int",
+            "generator_dropped",
+            "header_not_utf8",
+            "record_not_utf8",
+            "carriage_return",
+            "form_feed",
+            "next_line",
+            "line_separator",
         ],
     )
     def test_damaged_file_is_a_value_error_naming_it(
-        self, tmp_path, dataset4, n, edit, where
+        self, tmp_path, space, dataset4, n, edit, where
     ):
+        # a record line's damage is named by its line alone: only a newline
+        # ends a line, so no other break in it moves a line number
         path = tmp_path / "ds.jsonl"
         save_dataset(dataset4, path)
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().split(b"\n")
         lines[n] = edit(lines[n])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(b"\n".join(lines))
         with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
-            load_dataset(path)
+            load_dataset(path, space, 4, 10)
 
-    @pytest.mark.parametrize(
-        "field, mistype",
-        [
-            ("values", lambda raw: raw.update(values=[str(v) for v in raw["values"]])),
-            ("base", lambda raw: raw.update(base=10.0)),
-            ("offset", lambda raw: raw["generators"][0].update(offset="2")),
-            ("continuation", lambda raw: raw["generators"][0].update(continuation=1.5)),
-            ("ambiguous", lambda raw: raw.update(ambiguous=int(raw["ambiguous"]))),
-        ],
-        ids=["values", "base", "offset", "continuation", "ambiguous"],
-    )
-    def test_a_mistyped_record_field_is_refused(self, tmp_path, dataset4, field, mistype):
-        # a one-generator line: with two, a string offset failed only by accident
-        path = tmp_path / "ds.jsonl"
-        save_dataset(dataset4, path)
-        lines = path.read_text().splitlines()
-        n = next(n for n, line in enumerate(lines[1:], start=1)
-                 if len(json.loads(line)["generators"]) == 1)
-        raw = json.loads(lines[n])
-        mistype(raw)
-        lines[n] = canonical_json(raw)
-        path.write_text("\n".join(lines) + "\n")
-        where = re.escape(f"{path}:{n + 1}: malformed record line")
-        with pytest.raises(ValueError, match=where) as err:
-            load_dataset(path)
-        assert f"{field} must be" in str(err.value)
-
-    def test_unterminated_last_line_is_refused(self, tmp_path, dataset4):
+    def test_unterminated_last_line_is_refused(self, tmp_path, space, dataset4):
         # a whole write ends every line with its newline; without it the
         # last record may be torn, or lines after it lost
         path = tmp_path / "ds.jsonl"
@@ -502,56 +530,9 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines))
         with pytest.raises(
-            ValueError, match=re.escape(f"{path}:{len(lines)}: unterminated last line")
+            ValueError, match=re.escape(f"{path}:{len(lines)}: malformed record line")
         ):
-            load_dataset(path)
-
-    @pytest.mark.parametrize(
-        "n, where",
-        [(0, ": unreadable header line"), (2, ":3: malformed record line (not UTF-8)")],
-        ids=["header", "record"],
-    )
-    def test_a_byte_that_is_not_utf8_is_refused_by_line(
-        self, tmp_path, dataset4, n, where
-    ):
-        path = tmp_path / "ds.jsonl"
-        save_dataset(dataset4, path)
-        lines = path.read_bytes().split(b"\n")
-        lines[n] = lines[n][:12] + b"\xff" + lines[n][12:]
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("brk", ["\r", "\x0c", "\x85", "\u2028"])
-    def test_only_a_newline_ends_a_line(self, tmp_path, dataset4, brk):
-        # a damaged record line that holds another line break is one line:
-        # the error names it, not a line after it
-        path = tmp_path / "ds.jsonl"
-        save_dataset(dataset4, path)
-        lines = path.read_text().splitlines()
-        lines[2] += brk + "junk"
-        path.write_bytes(("\n".join(lines) + "\n").encode())
-        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed record line")):
-            load_dataset(path)
-
-    def test_load_parses_each_function_text_once(self, tmp_path, dataset4, monkeypatch):
-        texts = []
-        monkeypatch.setattr(
-            mining, "parse", lambda t: texts.append(t) or funcspace.parse(t)
-        )
-        mining._as_concrete.cache_clear()
-        path = tmp_path / "ds.jsonl"
-        save_dataset(dataset4, path)
-        assert load_dataset(path) == dataset4
-        distinct = {g.function.text for r in dataset4.records() for g in r.generators}
-        assert sorted(texts) == sorted(distinct)
-
-
-def _without(line: str, key: str) -> str:
-    """A JSON object line without ``key``."""
-    data = json.loads(line)
-    del data[key]
-    return json.dumps(data)
+            load_dataset(path, space, 4, 10)
 
 
 class TestRecordInvariants:

@@ -14,7 +14,7 @@ from ambigseq.backends import CachingBackend, CompletionRequest, OracleBackend, 
 from ambigseq.campaign import dataset_filename
 from ambigseq.cli import build_parser, cmd_report, main, resolve_config
 from ambigseq.funcspace import enumerate_space
-from ambigseq.mining import SequenceRecord, load_dataset, save_dataset, write_atomic
+from ambigseq.mining import SequenceRecord, mine, save_dataset, write_atomic
 from ambigseq.prompting import PromptSpec, Task, build_prompt
 
 
@@ -70,7 +70,7 @@ def campaign_dir(tmp_path, mined_l3):
 
 def _rewrite_dataset(out):
     path = out / dataset_filename(3)
-    save_dataset(load_dataset(path), path)
+    save_dataset(mine(enumerate_space(), 3), path)
 
 
 def _rewrite_analysis(out):
