@@ -531,6 +531,14 @@ class TestFailureExitCodes:
         assert f"error: {out_dir / 'analysis.json'}: " in capfd.readouterr().err
         assert not (out_dir / "report.txt").exists()
 
+    def test_run_refuses_a_damaged_dataset(self, out_dir, capfd):
+        path = out_dir / dataset_filename(3)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"function":"lambda', '"function":"mu', 1)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["run", *flags(out_dir)]) == 1
+        assert f"error: {path}:2: malformed record line" in capfd.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "analyze", "report"])
     def test_a_torn_dataset_is_refused(self, out_dir, capfd, command):
         # every damage leaves a file that is not what its parameters mine;
