@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import takewhile
+from itertools import count, islice, takewhile
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, TextIO
@@ -266,9 +266,7 @@ def read_results(
                 config.override(output_dir=str(path.parent)), config_space(config)
             )
         plan = plan_queries(config, datasets)
-        return header, [
-            {**_SHARED_KEYS, **line} for _, _, _, line in _record_lines(path, fh, plan)
-        ]
+        return header, [line for _, _, _, line in _record_lines(path, fh, plan)]
 
 
 def _check_header(path: Path, first: bytes) -> tuple[dict, CampaignConfig]:
@@ -308,10 +306,10 @@ _FIELDS = (
 )
 _PLAN_FIELDS = _FIELDS[:6]
 _fields_of = itemgetter(*_FIELDS)
-#: The key strings of every line :func:`read_results` returns. Each
-#: ``json.loads`` call makes its own, more than a third of a decoded line.
-_SHARED_KEYS = dict.fromkeys(_FIELDS)
 _INT = {int}
+#: How many complete record lines :func:`_record_lines` decodes with one
+#: ``json.loads`` call.
+_CHUNK_LINES = 1000
 
 
 def _record_lines(
@@ -319,26 +317,68 @@ def _record_lines(
 ) -> Iterator[tuple[int, int, PlannedQuery, dict]]:
     """The record lines of the results file at ``path``, read from ``fh``
     after its header line: (line number, end offset of the line, the query
-    it answers, the line). Line N is decoded and checked by
-    :func:`_line_problem` against the query ``plan`` gives next; the first
-    line that fails is a :class:`CampaignError` naming ``path:N``. An
-    unterminated last line (a torn write) is not read."""
+    it answers, the line). Line N is checked by :func:`_line_problem`
+    against the query ``plan`` gives next; the first line that fails is a
+    :class:`CampaignError` naming ``path:N``, as that line decoded by itself
+    shows its fault. An unterminated last line (a torn write) is not read.
+
+    The lines are decoded :data:`_CHUNK_LINES` at a time by
+    :func:`_joined_lines`; a chunk it refuses is decoded line by line."""
     end = fh.tell()
     complete = takewhile(lambda raw: raw.endswith(b"\n"), fh)
-    for n, raw in enumerate(complete, start=2):
-        query = next(plan, None)
-        try:
-            line = json.loads(raw[:-1].decode())
-        except UnicodeDecodeError:
-            problem = "not UTF-8"
-        except json.JSONDecodeError as exc:
-            problem = str(exc)
-        else:
-            problem = _line_problem(line, query)
-        if problem:
-            raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
-        end += len(raw)
-        yield n, end, query, line
+    n = 2
+    while chunk := list(islice(complete, _CHUNK_LINES)):
+        queries = [next(plan, None) for _ in chunk]
+        lines = _joined_lines(chunk, queries)
+        if lines is None:
+            lines = map(partial(_lone_line, path), count(n), chunk, queries)
+        for raw, query, line in zip(chunk, queries, lines):
+            end += len(raw)
+            yield n, end, query, line
+            n += 1
+
+
+def _joined_lines(chunk: list[bytes], queries: list[PlannedQuery | None]) -> list | None:
+    """The record lines ``chunk`` (each with its newline) decoded with one
+    ``json.loads`` of ``[line,line,...]``, if each is the line of its query
+    in ``queries``; None when any is not, or the join hides how.
+
+    The join is accepted only when every line starts with ``{`` and ends
+    with ``}\\n``, it decodes to as many values as there are lines, and each
+    value passes :func:`_line_problem`. Then each value is its line decoded
+    by itself. The newlines are kept, and strict decoding refuses one inside
+    a string, so every inserted ``,`` lies between a line's ``}`` and the
+    next line's ``{``, outside any string. A ``,`` before ``{`` cannot part
+    the members of an object; it parts the items of an array, of the outer
+    one or of an array inside some value that holds an object. No value
+    :func:`_line_problem` accepts holds an object inside an array, so every
+    inserted ``,`` parts the outer items, and with as many items as lines,
+    no line holds a ``,`` of its own at that level: item i is line i."""
+    if not all(raw.startswith(b"{") and raw.endswith(b"}\n") for raw in chunk):
+        return None
+    try:
+        lines = json.loads((b"[%b]" % b",".join(chunk)).decode())
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
+        return None
+    if len(lines) != len(chunk) or any(map(_line_problem, lines, queries)):
+        return None
+    return lines
+
+
+def _lone_line(path: Path, n: int, raw: bytes, query: PlannedQuery | None) -> dict:
+    """Line ``n`` of the results file at ``path``, ``raw`` with its newline,
+    decoded by itself and checked against ``query``."""
+    try:
+        line = json.loads(raw[:-1].decode())
+    except UnicodeDecodeError:
+        problem = "not UTF-8"
+    except json.JSONDecodeError as exc:
+        problem = str(exc)
+    else:
+        problem = _line_problem(line, query)
+    if problem:
+        raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
+    return line
 
 
 def _line_problem(line: Any, query: PlannedQuery | None) -> str | None:
@@ -354,7 +394,8 @@ def _line_problem(line: Any, query: PlannedQuery | None) -> str | None:
     :class:`TokenDistribution` takes (a line records what the backend
     returned, and a scripted answer may carry them on any task); ``judged``
     null or, on a judgment line, an explanation text and a completion
-    integer.
+    integer. No line it accepts holds an object inside an array, which
+    :func:`_joined_lines` relies on.
     """
     if query is None:
         return "past the last planned query"

@@ -438,6 +438,36 @@ DAMAGES = {
 }
 
 
+@pytest.fixture(scope="module")
+def many_runs(tmp_path_factory, mined_l3):
+    """A finished 400-run campaign (4,801 lines): one real run's records
+    once per run id, which the oracle answers the same in every run."""
+    tmp_path = tmp_path_factory.mktemp("many_runs")
+    one_run = small_config(tmp_path / "one", mined_l3, n_runs=1)
+    _, records = read_results(run_campaign(one_run).results_file)
+    config = small_config(tmp_path / "many", mined_l3, n_runs=400)
+    lines = [canonical_json(campaign._results_header(config))]
+    lines += [
+        canonical_json({**r, "run_id": run}) for run in range(400) for r in records
+    ]
+    path = results_path(config.output_dir)
+    path.write_text("\n".join(lines) + "\n")
+    return config, path
+
+
+@pytest.fixture()
+def loads_calls(monkeypatch):
+    """The argument of every ``json.loads`` call made during the test."""
+    calls, loads = [], json.loads
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return calls
+
+
 class TestPlanCheckedRead:
     """Line N of a results file answers query N of its plan, with every field
     of its type; ``run`` and ``analyze`` refuse any other line by its number,
@@ -554,10 +584,77 @@ class TestPlanCheckedRead:
         assert analyze_results(path)["n_records"] == len(lines)
         assert run_campaign(config).skipped == len(lines)
 
+    @pytest.mark.parametrize("chunk_lines", [1, 4])
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_a_damage_at_a_chunk_edge_is_refused_by_its_line(
+        self, campaign_dir, monkeypatch, chunk_lines, edge
+    ):
+        # the second chunk's first or last line; the chunks beside it are sound
+        monkeypatch.setattr(campaign, "_CHUNK_LINES", chunk_lines)
+        config, path, header, lines = campaign_dir
+        i = chunk_lines if edge == "first" else 2 * chunk_lines - 1
+        not_json = lines[i][:-1] + ",}"
+        with_extra = canonical_json({**json.loads(lines[i]), "extra": [{}]})
+        for damaged, error in [
+            (not_json, _lone_line_error(path, i + 2, not_json)),
+            (with_extra, f"results.jsonl:{i + 2}: malformed record line (unknown field 'extra')"),
+        ]:
+            path.write_text("\n".join([header, *lines[:i], damaged, *lines[i + 1:]]) + "\n")
+            self.refused(config, path, re.escape(error) + "$")
+
+    def test_objects_in_a_top_logprobs_list_across_lines(self, campaign_dir):
+        # joined, the three lines are the three records in plan order, the
+        # last with two objects for its top logprobs
+        config, path, header, lines = campaign_dir
+        records = [json.loads(line) for line in lines]
+        i = next(i for i, r in enumerate(records[2:], start=2) if r["top_logprobs"])
+        records[i]["top_logprobs"] = [{"0": -0.2}, {"3": -0.3}]
+        text = canonical_json(records[i])
+        split = text.index('{"0":-0.2}') + len('{"0":-0.2}')
+        lines[i - 2:i + 1] = [lines[i - 2] + "," + lines[i - 1], text[:split], text[split + 1:]]
+        assert lines[i - 1].endswith("}") and lines[i].startswith('{"3":-0.3}],')
+        path.write_text("\n".join([header, *lines]) + "\n")
+        self.refused(config, path, re.escape(_lone_line_error(path, i, lines[i - 2])) + "$")
+
+    def test_a_raw_response_holding_a_join_is_read(self, campaign_dir, loads_calls):
+        # read in one decode, as each line reads by itself
+        config, path, header, lines = campaign_dir
+        record = json.loads(lines[3])
+        record["raw_response"] = "},{" + lines[4] + "\n,{"
+        lines[3] = canonical_json(record)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        expected = [json.loads(line) for line in lines]
+        loads_calls.clear()
+        assert read_results(path)[1] == expected
+        assert len(loads_calls) < len(lines)
+        assert analyze_results(path)["n_records"] == len(lines)
+        assert run_campaign(config).skipped == len(lines)
+
+    def test_a_file_is_decoded_a_chunk_at_a_time(self, many_runs, loads_calls):
+        # one decode of each line by itself would be 4,800 calls
+        _, path = many_runs
+        loads_calls.clear()
+        _, records = read_results(path)
+        assert len(records) == 4800
+        assert len(loads_calls) < 20
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_resume_after_every_line_is_byte_identical(
         self, tmp_path, mined_l3, finished, workers
     ):
+        self.resume_after_every_line(tmp_path, mined_l3, finished, workers)
+
+    @pytest.mark.parametrize("chunk_lines", [1, 4])
+    def test_resume_after_every_line_in_chunks_is_byte_identical(
+        self, tmp_path, mined_l3, finished, monkeypatch, chunk_lines
+    ):
+        # each cut, and so each torn last line, lands at a chunk's edge or
+        # inside it
+        monkeypatch.setattr(campaign, "_CHUNK_LINES", chunk_lines)
+        self.resume_after_every_line(tmp_path, mined_l3, finished, workers=1)
+
+    @staticmethod
+    def resume_after_every_line(tmp_path, mined_l3, finished, workers):
         # a resume keeps only the run it resumes in: each cut lands in run 0
         # or run 1, before or after the run's judgments
         ends = [i + 1 for i, byte in enumerate(finished) if byte == ord("\n")]
@@ -583,22 +680,6 @@ class TestCollectorPaused:
             gc.enable()
         else:
             gc.disable()
-
-    @pytest.fixture(scope="class")
-    def many_runs(self, tmp_path_factory, mined_l3):
-        """A finished 400-run campaign (4,801 lines): one real run's records
-        once per run id, which the oracle answers the same in every run."""
-        tmp_path = tmp_path_factory.mktemp("many_runs")
-        one_run = small_config(tmp_path / "one", mined_l3, n_runs=1)
-        _, records = read_results(run_campaign(one_run).results_file)
-        config = small_config(tmp_path / "many", mined_l3, n_runs=400)
-        lines = [canonical_json(campaign._results_header(config))]
-        lines += [
-            canonical_json({**r, "run_id": run}) for run in range(400) for r in records
-        ]
-        path = results_path(config.output_dir)
-        path.write_text("\n".join(lines) + "\n")
-        return config, path
 
     @pytest.fixture()
     def collections(self, monkeypatch):
