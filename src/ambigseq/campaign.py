@@ -341,28 +341,53 @@ def _record_lines(
 def _joined_lines(chunk: list[bytes], queries: list[PlannedQuery | None]) -> list | None:
     """The record lines ``chunk`` (each with its newline) decoded with one
     ``json.loads`` of ``[line,line,...]``, if each is the line of its query
-    in ``queries``; None when any is not, or the join hides how.
+    in ``queries``; None when any is not, or the join may hide how.
 
     The join is accepted only when every line starts with ``{`` and ends
-    with ``}\\n``, it decodes to as many values as there are lines, and each
-    value passes :func:`_line_problem`. Then each value is its line decoded
-    by itself. The newlines are kept, and strict decoding refuses one inside
-    a string, so every inserted ``,`` lies between a line's ``}`` and the
-    next line's ``{``, outside any string. A ``,`` before ``{`` cannot part
-    the members of an object; it parts the items of an array, of the outer
-    one or of an array inside some value that holds an object. No value
-    :func:`_line_problem` accepts holds an object inside an array, so every
-    inserted ``,`` parts the outer items, and with as many items as lines,
-    no line holds a ``,`` of its own at that level: item i is line i."""
+    with ``}\\n``, it decodes to as many values as there are lines, each
+    value passes :func:`_line_problem`, no ``"`` is followed by a blank
+    (the text holds no ``" ``, tab or carriage return), and the text holds
+    exactly as many ``":`` as the values have object members. Then each
+    value is its line decoded by itself:
+
+    - Every member's key ends in ``"`` and then ``:``, with at most blanks
+      between (a newline only follows a line's ``}``), so the text holds a
+      ``":`` for each member it writes. A key written twice in one object
+      is one member of the value, and what its first value held is dropped
+      unseen; equal counts mean nothing is dropped, and the values hold all
+      of the text.
+    - The newlines are kept, and strict decoding refuses one inside a
+      string, so every inserted ``,`` lies between a line's ``}`` and the
+      next line's ``{``, outside any string, where it parts the items of an
+      array. No value :func:`_line_problem` accepts holds an object inside
+      an array, so every inserted ``,`` parts the outer items, and with as
+      many items as lines, no line holds a ``,`` of its own at that level:
+      item i is line i."""
     if not all(raw.startswith(b"{") and raw.endswith(b"}\n") for raw in chunk):
         return None
     try:
-        lines = json.loads((b"[%b]" % b",".join(chunk)).decode())
+        text = (b"[%b]" % b",".join(chunk)).decode()
+        lines = json.loads(text)
     except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
         return None
-    if len(lines) != len(chunk) or any(map(_line_problem, lines, queries)):
+    if (
+        len(lines) != len(chunk)
+        or any(map(_line_problem, lines, queries))
+        or '" ' in text or "\t" in text or "\r" in text
+        or text.count('":') != sum(map(_members, lines))
+    ):
         return None
     return lines
+
+
+def _members(line: dict) -> int:
+    """The object members of a record line that :func:`_line_problem`
+    accepts: its own, and those of its sequence, parsed and judged."""
+    judged = line["judged"]
+    return (
+        len(line) + len(line["sequence"]) + len(line["parsed"])
+        + (0 if judged is None else len(judged))
+    )
 
 
 def _lone_line(path: Path, n: int, raw: bytes, query: PlannedQuery | None) -> dict:

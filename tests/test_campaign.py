@@ -616,17 +616,64 @@ class TestPlanCheckedRead:
         path.write_text("\n".join([header, *lines]) + "\n")
         self.refused(config, path, re.escape(_lone_line_error(path, i, lines[i - 2])) + "$")
 
+    @staticmethod
+    def hide_a_join(lines, key, anchor, blank=""):
+        """The record lines with line i - 2 holding two records, and the
+        record of line i split in two around a first value of ``key``, given
+        right after ``anchor`` in it, that holds objects in a list. Joined,
+        the three lines are the three records in plan order: the record's
+        own value of ``key`` comes later and replaces the first. ``blank``
+        parts three keys of the two records from their colons, as many as
+        the hidden value adds. Returns (i, the new lines)."""
+        records = [json.loads(line) for line in lines]
+        i = next(i for i, r in enumerate(records[2:], start=2) if r["top_logprobs"])
+        two = (lines[i - 2] + "," + lines[i - 1]).replace('":', f'"{blank}:', 3)
+        at = lines[i].index(anchor) + len(anchor)
+        split = [lines[i][:at] + f'"{key}":[{{"a":1}}', '{"b":2}],' + lines[i][at:]]
+        return i, [*lines[:i - 2], two, *split, *lines[i + 1:]]
+
+    @pytest.mark.parametrize(
+        "key, anchor",
+        [("note", "{"), ("top_logprobs", "{"), ("base", '"sequence":{'),
+         ("kind", '"parsed":{')],
+    )
+    def test_a_join_hidden_in_a_duplicated_key(self, campaign_dir, key, anchor):
+        config, path, header, lines = campaign_dir
+        i, lines = self.hide_a_join(lines, key, anchor)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        self.refused(config, path, re.escape(_lone_line_error(path, i, lines[i - 2])) + "$")
+
+    @pytest.mark.parametrize("blank", [" ", "\t", "\r"])
+    def test_a_join_hidden_in_a_duplicated_key_beside_blanks(self, campaign_dir, blank):
+        # the blanks hide the three extra keys from a count of '":'
+        config, path, header, lines = campaign_dir
+        i, lines = self.hide_a_join(lines, "note", "{", blank)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        self.refused(config, path, re.escape(_lone_line_error(path, i, lines[i - 2])) + "$")
+
     def test_a_raw_response_holding_a_join_is_read(self, campaign_dir, loads_calls):
         # read in one decode, as each line reads by itself
         config, path, header, lines = campaign_dir
         record = json.loads(lines[3])
-        record["raw_response"] = "},{" + lines[4] + "\n,{"
+        record["raw_response"] = "},{" + lines[4].replace('":', '",') + "\n,{"
         lines[3] = canonical_json(record)
         path.write_text("\n".join([header, *lines]) + "\n")
         expected = [json.loads(line) for line in lines]
         loads_calls.clear()
         assert read_results(path)[1] == expected
         assert len(loads_calls) < len(lines)
+        assert analyze_results(path)["n_records"] == len(lines)
+        assert run_campaign(config).skipped == len(lines)
+
+    def test_a_raw_response_holding_a_record_is_read(self, campaign_dir):
+        # its keys are more '":' than the values have members, so the
+        # lines are decoded one by one
+        config, path, header, lines = campaign_dir
+        record = json.loads(lines[3])
+        record["raw_response"] = lines[4]
+        lines[3] = canonical_json(record)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        assert read_results(path)[1] == [json.loads(line) for line in lines]
         assert analyze_results(path)["n_records"] == len(lines)
         assert run_campaign(config).skipped == len(lines)
 
