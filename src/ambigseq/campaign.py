@@ -39,12 +39,13 @@ import hashlib
 import json
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from itertools import count, islice, takewhile
 from operator import itemgetter
 from pathlib import Path
+from sys import intern
 from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
 from .backends import (
@@ -144,6 +145,18 @@ class PlannedQuery:
     run_id: int
     task: Task
     record: AmbiguityRecord
+    #: The fields of its results line that the query fixes, as the line
+    #: records them: sequence, task, run id, length, ambiguity and sorted
+    #: continuations. :func:`plan_queries` builds a record's sequence and
+    #: continuations once, and every query of the record shares them.
+    plan_fields: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.plan_fields is None:
+            _, sequence, ambiguous, continuations = _record_json(self.record, {})
+            task = self.task.value
+            fields = (sequence, task, self.run_id, self.length, ambiguous, continuations)
+            object.__setattr__(self, "plan_fields", fields)
 
     @property
     def key(self) -> tuple:
@@ -155,20 +168,17 @@ class PlannedQuery:
             self.record.sequence.base,
         )
 
-    @property
-    def plan_fields(self) -> tuple:
-        """The fields of its results line that the query fixes, as the line
-        records them: sequence, task, run id, length, ambiguity and sorted
-        continuations."""
-        record = self.record
-        return (
-            {"values": list(record.sequence.values), "base": record.sequence.base},
-            self.task.value,
-            self.run_id,
-            self.length,
-            record.is_ambiguous,
-            sorted(record.continuations),
-        )
+
+def _record_json(record: AmbiguityRecord, shared: dict) -> tuple:
+    """(``record``, its sequence, ambiguity and sorted continuations as its
+    results lines record them). ``shared`` keeps each record's by id, so
+    that every query of the record holds the same objects."""
+    found = shared.get(id(record))
+    if found is None:
+        sequence = {"values": list(record.sequence.values), "base": record.sequence.base}
+        found = record, sequence, record.is_ambiguous, sorted(record.continuations)
+        shared[id(record)] = found
+    return found
 
 
 def _task_targets(dataset: Dataset, task: Task, limit: int | None):
@@ -187,10 +197,20 @@ def plan_queries(
 ) -> Iterator[PlannedQuery]:
     for length in config.lengths:
         dataset = datasets[length]
+        shared: dict[int, tuple] = {}
+        targets = {
+            task: [
+                _record_json(record, shared)
+                for record in _task_targets(dataset, task, config.limit_sequences)
+            ]
+            for task in config.task_enums
+        }
         for run_id in range(config.n_runs):
             for task in config.task_enums:
-                for record in _task_targets(dataset, task, config.limit_sequences):
-                    yield PlannedQuery(length, run_id, task, record)
+                text = task.value
+                for record, sequence, ambiguous, continuations in targets[task]:
+                    fields = (sequence, text, run_id, length, ambiguous, continuations)
+                    yield PlannedQuery(length, run_id, task, record, fields)
 
 
 def prompt_seed(config: CampaignConfig, query: PlannedQuery) -> int:
@@ -257,6 +277,11 @@ def read_results(
     the dataset files beside ``path``); see :func:`_line_problem`. A
     trailing line without its newline (an interrupted write) is dropped,
     even when it holds a whole record.
+
+    The lines are read-only: the lines of a record share the plan's
+    ``sequence`` and ``continuations`` objects, and those of a task its
+    ``task`` text (see :func:`_record_lines`). Nothing in ``ambigseq``
+    edits a line it has read.
     """
     path = Path(path)
     with collector_paused(), path.open("rb") as fh:
@@ -277,7 +302,9 @@ def _check_header(path: Path, first: bytes) -> tuple[dict, CampaignConfig]:
     try:
         text = first[:-1].decode()
         header = json.loads(text)
-    except ValueError as exc:  # not UTF-8, or not JSON
+        written = canonical_json(header)
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, or nested too deep to decode or to write again
         raise CampaignError(f"{path}: unreadable header line ({exc})") from exc
     if not isinstance(header, dict) or header.get("format") != RESULTS_FORMAT:
         raise CampaignError(f"{path}: not a results file (header {text[:80]!r})")
@@ -293,7 +320,7 @@ def _check_header(path: Path, first: bytes) -> tuple[dict, CampaignConfig]:
         config = CampaignConfig.from_json(header["config"])
     except ConfigError as exc:
         raise CampaignError(f"{path}: results header config: {exc}") from exc
-    if canonical_json(header) != canonical_json(_results_header(config)):
+    if written != canonical_json(_results_header(config)):
         raise CampaignError(f"{path}: results header is not the one its config writes")
     return header, config
 
@@ -323,7 +350,13 @@ def _record_lines(
     shows its fault. An unterminated last line (a torn write) is not read.
 
     The lines are decoded :data:`_CHUNK_LINES` at a time by
-    :func:`_joined_lines`; a chunk it refuses is decoded line by line."""
+    :func:`_joined_lines`; a chunk it refuses is decoded line by line.
+
+    A line that passes holds the query's own plan field objects, which
+    every line of its record shares, and its ``parsed`` holds the interned
+    ``kind`` text of :data:`~ambigseq.prompting.ANSWERS`: the check showed
+    that each equals what the line held, with the same types. So the lines
+    are read-only; a caller that edits one edits every line sharing it."""
     end = fh.tell()
     complete = takewhile(lambda raw: raw.endswith(b"\n"), fh)
     n = 2
@@ -333,6 +366,9 @@ def _record_lines(
         if lines is None:
             lines = map(partial(_lone_line, path), count(n), chunk, queries)
         for raw, query, line in zip(chunk, queries, lines):
+            line["sequence"], line["task"], _, _, _, line["continuations"] = query.plan_fields
+            parsed = line["parsed"]
+            parsed["kind"] = intern(parsed["kind"])
             end += len(raw)
             yield n, end, query, line
             n += 1
@@ -368,14 +404,15 @@ def _joined_lines(chunk: list[bytes], queries: list[PlannedQuery | None]) -> lis
     try:
         text = (b"[%b]" % b",".join(chunk)).decode()
         lines = json.loads(text)
-    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
-        return None
-    if (
-        len(lines) != len(chunk)
-        or any(map(_line_problem, lines, queries))
-        or '" ' in text or "\t" in text or "\r" in text
-        or text.count('":') != sum(map(_members, lines))
-    ):
+        if (
+            len(lines) != len(chunk)
+            or any(map(_line_problem, lines, queries))
+            or '" ' in text or "\t" in text or "\r" in text
+            or text.count('":') != sum(map(_members, lines))
+        ):
+            return None
+    except (ValueError, RecursionError):
+        # not UTF-8, not JSON, or nested too deep to decode or to name a fault
         return None
     return lines
 
@@ -395,12 +432,13 @@ def _lone_line(path: Path, n: int, raw: bytes, query: PlannedQuery | None) -> di
     decoded by itself and checked against ``query``."""
     try:
         line = json.loads(raw[:-1].decode())
+        problem = _line_problem(line, query)
     except UnicodeDecodeError:
         problem = "not UTF-8"
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # not JSON, an integer of too many digits, or nested too deep to
+        # decode or to name in the refusal
         problem = str(exc)
-    else:
-        problem = _line_problem(line, query)
     if problem:
         raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
     return line

@@ -425,7 +425,9 @@ def _check_header(path: Path, first: bytes, parameters: DatasetParameters) -> No
     try:
         text = first.decode()
         header = json.loads(text)
-    except ValueError as exc:  # not UTF-8, or not JSON
+        canonical_json(header)
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, or nested too deep to decode or to write again
         raise ValueError(f"{path}: unreadable header line ({exc})") from exc
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path}: not a dataset file (header {text[:80]!r})")

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -53,12 +54,14 @@ from ambigseq.analysis import analyze_results
 from ambigseq.config import CHOICES, CampaignConfig, canonical_json
 from ambigseq.distribution import TokenDistribution
 from ambigseq.prompting import (
+    ANSWERS,
     COMPLETION_INSTRUCTIONS,
     EXPLANATION_INSTRUCTIONS,
     Task,
     Variant,
 )
 from ambigseq.funcspace import FunctionSpace, parse
+from test_artifact_bytes import scripted_fixtures
 
 ISO_STAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}")
 #: The fields of every record line, in the order the writer puts them.
@@ -239,6 +242,85 @@ class TestReadResults:
         _, outcome = self.run_small(tmp_path, mined_l3)
         _, records = read_results(outcome.results_file)
         assert {id(key) for r in records for key in r} == {id(key) for key in records[0]}
+
+    @pytest.mark.parametrize("decode", ["joined", "line_by_line"])
+    def test_records_share_their_plan_fields(self, tmp_path, mined_l3, decode):
+        # the lines of a record hold the plan's one sequence and one
+        # continuations object, and the lines of a task one task text
+        _, outcome = self.run_small(tmp_path, mined_l3)
+        path = outcome.results_file
+        if decode == "line_by_line":
+            # a blank before each line keeps the chunk from being joined
+            header, *lines = path.read_text().splitlines()
+            path.write_text("\n".join([header, *(" " + line for line in lines)]) + "\n")
+        _, records = read_results(path)
+        by_record = {}
+        for r in records:
+            by_record.setdefault(tuple(r["sequence"]["values"]), []).append(r)
+        assert len(by_record) == 4
+        for lines in by_record.values():
+            assert len({id(r["sequence"]) for r in lines}) == 1
+            assert len({id(r["continuations"]) for r in lines}) == 1
+        for texts in ([r["task"] for r in records], [r["parsed"]["kind"] for r in records]):
+            assert len({id(text) for text in texts}) == len(set(texts))
+        assert all(
+            r["parsed"]["kind"] is ANSWERS[Task(r["task"])].kind for r in records if r["valid"]
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["oracle", "scripted_with_a_logprob_fallback", "base_2", "a_chunk_line_by_line"]
+    )
+    def test_lines_read_are_the_lines_written(self, tmp_path, mined_l3, monkeypatch, kind):
+        # sharing the plan's objects changes no value a line holds
+        if kind == "scripted_with_a_logprob_fallback":
+            fixtures_file = tmp_path / "fixtures.json"
+            config = small_config(
+                tmp_path, mined_l3, backend="scripted", fixtures_file=str(fixtures_file)
+            )
+            dataset = load_campaign_datasets(config, config_space(config))[3]
+            fixtures = scripted_fixtures(config, dataset)
+            fixtures_file.write_text(json.dumps({"fixtures": fixtures}))
+        elif kind == "base_2":
+            config = CampaignConfig(
+                lengths=(3,), limit_sequences=2, n_runs=2, base=2, output_dir=str(tmp_path)
+            )
+            mine_datasets(config)
+        else:
+            config = small_config(tmp_path, mined_l3)
+        path = run_campaign(config).results_file
+        header, *lines = path.read_text().splitlines()
+        if kind == "scripted_with_a_logprob_fallback":
+            assert sum(LOGPROBS_UNAVAILABLE_NOTE in line for line in lines) == 1
+        if kind == "a_chunk_line_by_line":
+            # a raw response holding a whole line: its chunk of four is
+            # decoded line by line, the chunks beside it joined
+            monkeypatch.setattr(campaign, "_CHUNK_LINES", 4)
+            record = json.loads(lines[5])
+            record["raw_response"] = lines[6]
+            lines[5] = canonical_json(record)
+            path.write_text("\n".join([header, *lines]) + "\n")
+        _, records = read_results(path)
+        assert [canonical_json(r) for r in records] == lines
+
+    def test_lines_read_hold_less_than_one_decode_of_the_file(self, ten_runs):
+        # one json.loads of the joined lines shares its key strings only
+        path, datasets = ten_runs
+        body = path.read_text().split("\n", 1)[1].splitlines()
+        text = "[" + ",".join(body) + "]"
+
+        def held(make):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                value = make()
+                return tracemalloc.get_traced_memory()[0], value
+            finally:
+                tracemalloc.stop()
+
+        joined, decoded = held(lambda: json.loads(text))
+        read, (_, records) = held(lambda: read_results(path, datasets))
+        assert records == decoded
+        assert read <= 0.8 * joined, (read, joined)
 
     def test_torn_trailing_line_is_dropped(self, tmp_path, mined_l3):
         _, outcome = self.run_small(tmp_path, mined_l3)
@@ -455,6 +537,22 @@ def many_runs(tmp_path_factory, mined_l3):
     return config, path
 
 
+@pytest.fixture(scope="module")
+def ten_runs(tmp_path_factory, mined_l3):
+    """(results path, datasets) of a finished 10-run oracle campaign over
+    every length-3 sequence (7,880 lines): one real run's records once per
+    run id."""
+    tmp_path = tmp_path_factory.mktemp("ten_runs")
+    one_run = small_config(tmp_path / "one", mined_l3, limit_sequences=None, n_runs=1)
+    _, records = read_results(run_campaign(one_run).results_file)
+    config = small_config(tmp_path / "ten", mined_l3, limit_sequences=None, n_runs=10)
+    lines = [canonical_json(campaign._results_header(config))]
+    lines += [canonical_json({**r, "run_id": run}) for run in range(10) for r in records]
+    path = results_path(config.output_dir)
+    path.write_text("\n".join(lines) + "\n")
+    return path, load_campaign_datasets(config, config_space(config))
+
+
 @pytest.fixture()
 def loads_calls(monkeypatch):
     """The argument of every ``json.loads`` call made during the test."""
@@ -522,6 +620,20 @@ class TestPlanCheckedRead:
         )
         where = f"results.jsonl:{i + 2}: malformed record line "
         self.refused(config, path, re.escape(where + f"({problem.format(query=query)})") + "$")
+
+    @pytest.mark.parametrize("field", ["sequence", "valid"])
+    def test_a_field_nested_near_the_recursion_limit_is_refused_by_its_line(
+        self, campaign_dir, field
+    ):
+        # some depths decode, but are too deep to write into the refusal
+        config, path, header, lines = campaign_dir
+        record = json.loads(lines[2])
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 60, limit + 5, 2):
+            record[field] = "X"
+            lines[2] = canonical_json(record).replace('"X"', "[" * depth + "]" * depth)
+            path.write_text("\n".join([header, *lines]) + "\n")
+            self.refused(config, path, r"results\.jsonl:4: malformed record line \(")
 
     def test_a_line_answering_another_query_is_refused(self, campaign_dir):
         config, path, header, lines = campaign_dir

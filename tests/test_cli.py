@@ -499,6 +499,47 @@ class TestFailureExitCodes:
             assert err.startswith(f"error: {path}"), (stage, err)
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_a_record_line_json_cannot_decode_is_refused_by_its_line(
+        self, out_dir, capfd, command
+    ):
+        # json.loads raises a RecursionError for the first, and a ValueError
+        # that is no JSONDecodeError for the second
+        assert main(["run", *flags(out_dir)]) == 0
+        path = out_dir / "results.jsonl"
+        header, *records = path.read_text().splitlines()
+        assert '"run_id":0,' in records[2]
+        damages = {
+            "nested_5000_deep": records[2][:-1] + ',"x":' + "[" * 5000 + "]" * 5000 + "}",
+            "run_id_of_5001_digits": records[2].replace(
+                '"run_id":0,', '"run_id":1' + "0" * 5000 + ","
+            ),
+        }
+        for damage, line in damages.items():
+            path.write_text("\n".join([header, *records[:2], line, *records[3:]]) + "\n")
+            capfd.readouterr()
+            assert main([command, *flags(out_dir)]) == 1, damage
+            err = capfd.readouterr().err
+            assert err.startswith(f"error: {path}:4: malformed record line ("), (damage, err)
+            assert "Traceback" not in err, damage
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_a_header_nested_too_deep_to_decode_is_refused_by_name(
+        self, out_dir, capfd, command
+    ):
+        assert main(["run", *flags(out_dir)]) == 0
+        for name in ("results.jsonl", dataset_filename(3)):
+            path = out_dir / name
+            text = path.read_text()
+            header, rest = text.split("\n", 1)
+            path.write_text(header[:-1] + ',"x":' + "[" * 5000 + "]" * 5000 + "}\n" + rest)
+            capfd.readouterr()
+            assert main([command, *flags(out_dir)]) == 1, name
+            err = capfd.readouterr().err
+            assert err.startswith(f"error: {path}: unreadable header line (maximum recursion"), err
+            assert "Traceback" not in err, name
+            path.write_text(text)
+
     @pytest.mark.parametrize("value", ["0", "65"])
     def test_out_of_range_concurrency(self, tmp_path, capfd, value):
         assert main(["run", *flags(tmp_path), "--concurrency", value]) == 2
