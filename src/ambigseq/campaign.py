@@ -39,7 +39,7 @@ import hashlib
 import json
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from itertools import count, islice, takewhile
@@ -145,18 +145,6 @@ class PlannedQuery:
     run_id: int
     task: Task
     record: AmbiguityRecord
-    #: The fields of its results line that the query fixes, as the line
-    #: records them: sequence, task, run id, length, ambiguity and sorted
-    #: continuations. :func:`plan_queries` builds a record's sequence and
-    #: continuations once, and every query of the record shares them.
-    plan_fields: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.plan_fields is None:
-            _, sequence, ambiguous, continuations = _record_json(self.record, {})
-            task = self.task.value
-            fields = (sequence, task, self.run_id, self.length, ambiguous, continuations)
-            object.__setattr__(self, "plan_fields", fields)
 
     @property
     def key(self) -> tuple:
@@ -168,17 +156,23 @@ class PlannedQuery:
             self.record.sequence.base,
         )
 
-
-def _record_json(record: AmbiguityRecord, shared: dict) -> tuple:
-    """(``record``, its sequence, ambiguity and sorted continuations as its
-    results lines record them). ``shared`` keeps each record's by id, so
-    that every query of the record holds the same objects."""
-    found = shared.get(id(record))
-    if found is None:
-        sequence = {"values": list(record.sequence.values), "base": record.sequence.base}
-        found = record, sequence, record.is_ambiguous, sorted(record.continuations)
-        shared[id(record)] = found
-    return found
+    @property
+    def plan_fields(self) -> tuple:
+        """The fields of its results line that the query fixes, as the line
+        records them: sequence, task, run id, length, ambiguity and sorted
+        continuations. The sequence and the continuations are the record's
+        :attr:`~ambigseq.mining.AmbiguityRecord.json_fields`, which every
+        query of the record shares."""
+        record = self.record
+        sequence, continuations = record.json_fields
+        return (
+            sequence,
+            self.task.value,
+            self.run_id,
+            self.length,
+            record.is_ambiguous,
+            continuations,
+        )
 
 
 def _task_targets(dataset: Dataset, task: Task, limit: int | None):
@@ -197,20 +191,10 @@ def plan_queries(
 ) -> Iterator[PlannedQuery]:
     for length in config.lengths:
         dataset = datasets[length]
-        shared: dict[int, tuple] = {}
-        targets = {
-            task: [
-                _record_json(record, shared)
-                for record in _task_targets(dataset, task, config.limit_sequences)
-            ]
-            for task in config.task_enums
-        }
         for run_id in range(config.n_runs):
             for task in config.task_enums:
-                text = task.value
-                for record, sequence, ambiguous, continuations in targets[task]:
-                    fields = (sequence, text, run_id, length, ambiguous, continuations)
-                    yield PlannedQuery(length, run_id, task, record, fields)
+                for record in _task_targets(dataset, task, config.limit_sequences):
+                    yield PlannedQuery(length, run_id, task, record)
 
 
 def prompt_seed(config: CampaignConfig, query: PlannedQuery) -> int:
@@ -278,7 +262,7 @@ def read_results(
     trailing line without its newline (an interrupted write) is dropped,
     even when it holds a whole record.
 
-    The lines are read-only: the lines of a record share the plan's
+    The lines are read-only: the lines of a record share its
     ``sequence`` and ``continuations`` objects, and those of a task its
     ``task`` text (see :func:`_record_lines`). Nothing in ``ambigseq``
     edits a line it has read.
@@ -352,11 +336,12 @@ def _record_lines(
     The lines are decoded :data:`_CHUNK_LINES` at a time by
     :func:`_joined_lines`; a chunk it refuses is decoded line by line.
 
-    A line that passes holds the query's own plan field objects, which
-    every line of its record shares, and its ``parsed`` holds the interned
-    ``kind`` text of :data:`~ambigseq.prompting.ANSWERS`: the check showed
-    that each equals what the line held, with the same types. So the lines
-    are read-only; a caller that edits one edits every line sharing it."""
+    A line that passes holds the query's own plan field objects (see
+    :attr:`PlannedQuery.plan_fields`), which every line of its record
+    shares, and its ``parsed`` holds the interned ``kind`` text of
+    :data:`~ambigseq.prompting.ANSWERS`: the check showed that each equals
+    what the line held, with the same types. So the lines are read-only; a
+    caller that edits one edits every line sharing it."""
     end = fh.tell()
     complete = takewhile(lambda raw: raw.endswith(b"\n"), fh)
     n = 2
@@ -366,7 +351,8 @@ def _record_lines(
         if lines is None:
             lines = map(partial(_lone_line, path), count(n), chunk, queries)
         for raw, query, line in zip(chunk, queries, lines):
-            line["sequence"], line["task"], _, _, _, line["continuations"] = query.plan_fields
+            line["sequence"], line["continuations"] = query.record.json_fields
+            line["task"] = query.task.value
             parsed = line["parsed"]
             parsed["kind"] = intern(parsed["kind"])
             end += len(raw)
@@ -404,15 +390,17 @@ def _joined_lines(chunk: list[bytes], queries: list[PlannedQuery | None]) -> lis
     try:
         text = (b"[%b]" % b",".join(chunk)).decode()
         lines = json.loads(text)
-        if (
-            len(lines) != len(chunk)
-            or any(map(_line_problem, lines, queries))
-            or '" ' in text or "\t" in text or "\r" in text
-            or text.count('":') != sum(map(_members, lines))
-        ):
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
+        return None
+    try:
+        if len(lines) != len(chunk) or any(map(_line_problem, lines, queries)):
             return None
-    except (ValueError, RecursionError):
-        # not UTF-8, not JSON, or nested too deep to decode or to name a fault
+    except RecursionError:  # a value too deep to compare or to name
+        return None
+    if (
+        '" ' in text or "\t" in text or "\r" in text
+        or text.count('":') != sum(map(_members, lines))
+    ):
         return None
     return lines
 
@@ -432,13 +420,16 @@ def _lone_line(path: Path, n: int, raw: bytes, query: PlannedQuery | None) -> di
     decoded by itself and checked against ``query``."""
     try:
         line = json.loads(raw[:-1].decode())
-        problem = _line_problem(line, query)
     except UnicodeDecodeError:
         problem = "not UTF-8"
     except (ValueError, RecursionError) as exc:
-        # not JSON, an integer of too many digits, or nested too deep to
-        # decode or to name in the refusal
+        # not JSON, an integer of too many digits, or nested too deep
         problem = str(exc)
+    else:
+        try:
+            problem = _line_problem(line, query)
+        except RecursionError as exc:  # a value too deep to compare or to name
+            problem = str(exc)
     if problem:
         raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
     return line
@@ -849,7 +840,7 @@ def _result_line(
         **eval_record_to_json(scored),
         "length": query.length,
         "ambiguous": record.is_ambiguous,
-        "continuations": sorted(record.continuations),
+        "continuations": record.json_fields[1],
         "top_logprobs": top.to_pairs() if top else None,
         "judged": judged and {
             "explanation": render_function(judged[0], record.sequence.base),

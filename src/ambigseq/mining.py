@@ -27,7 +27,7 @@ import json
 import os
 import uuid
 from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
 from types import UnionType
@@ -114,6 +114,15 @@ class AmbiguityRecord:
     @property
     def is_ambiguous(self) -> bool:
         return len(self.continuations) > 1
+
+    @cached_property
+    def json_fields(self) -> tuple[dict, list[int]]:
+        """The sequence and the continuations as JSON values: the sequence's
+        ``{"values": [...], "base": b}`` and the ascending continuations.
+        Built once, so every results line of the record that is written or
+        read holds these objects; they are read-only."""
+        sequence = {"values": list(self.sequence.values), "base": self.sequence.base}
+        return sequence, list(self.continuations)
 
 
 @dataclass(frozen=True)
@@ -425,7 +434,9 @@ def _check_header(path: Path, first: bytes, parameters: DatasetParameters) -> No
     try:
         text = first.decode()
         header = json.loads(text)
-        canonical_json(header)
+        if isinstance(header, dict):
+            header.pop("config_digest", None)
+        written = canonical_json(header)
     except (ValueError, RecursionError) as exc:
         # not UTF-8, not JSON, or nested too deep to decode or to write again
         raise ValueError(f"{path}: unreadable header line ({exc})") from exc
@@ -433,8 +444,7 @@ def _check_header(path: Path, first: bytes, parameters: DatasetParameters) -> No
         raise ValueError(f"{path}: not a dataset file (header {text[:80]!r})")
     if header.get("version") != DATASET_VERSION:
         raise ValueError(f"{path}: unsupported dataset version {header.get('version')!r}")
-    header.pop("config_digest", None)
-    if canonical_json(header) == canonical_json(_dataset_header(parameters)):
+    if written == canonical_json(_dataset_header(parameters)):
         return
     try:
         found = DatasetParameters(**header["parameters"])
