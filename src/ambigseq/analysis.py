@@ -19,7 +19,6 @@ Monte Carlo) pair.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from statistics import fmean
@@ -50,7 +49,7 @@ from .evaluation import (
     verbalization_scores,
 )
 from .funcspace import FunctionSpace, ParseError, parse
-from .mining import Dataset, continuations_of, load_dataset, write_atomic
+from .mining import Dataset, continuations_of, decode_json, load_dataset, write_atomic
 from .prompting import Task
 
 ANALYSIS_FILENAME = "analysis.json"
@@ -391,7 +390,7 @@ def load_analysis(path: str | Path) -> dict[str, Any]:
     unless it is a JSON object with every key :func:`analyze_results` writes."""
     path = Path(path)
     try:
-        analysis = json.loads(path.read_text())
+        analysis = decode_json(path.read_text())
     except ValueError as exc:
         raise CampaignError(f"{path}: unreadable analysis file ({exc})") from exc
     if not isinstance(analysis, dict):

@@ -25,7 +25,6 @@ clamped into ``[MIN_LOGPROB, 0]`` first.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import time
@@ -40,6 +39,7 @@ from .mining import (
     SequenceRecord,
     canonical_json,
     continuations_of,
+    decode_json,
     format_int,
     matching_generators,
     valid_continuations,
@@ -162,7 +162,7 @@ def load_scripted_fixtures(path: str | Path) -> ScriptedBackend:
     "default": answer | null}`` (``default`` optional); any other shape, or a
     malformed answer, is a ``ValueError`` naming the file."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = decode_json(Path(path).read_text())
         if not (isinstance(data, dict) and isinstance(data.get("fixtures"), dict)):
             raise ValueError('not {"fixtures": {key: answer}, "default": answer}')
         return ScriptedBackend(data["fixtures"], data.get("default"))
@@ -524,7 +524,7 @@ class CachingBackend:
         path = self.cache_dir / f"{request_digest(request, self.inner.backend_id)}.json"
         if path.exists():
             try:
-                stored = json.loads(path.read_text())
+                stored = decode_json(path.read_text())
                 if stored == _LOGPROBS_REFUSAL:
                     raise LogprobsUnsupportedError("cached: backend refused top logprobs")
                 return _response_from_json(stored, cached=True)

@@ -46,7 +46,7 @@ from itertools import count, islice, takewhile
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
-from typing import Any, BinaryIO, Callable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
 from .backends import (
     BACKENDS,
@@ -139,8 +139,10 @@ def load_campaign_datasets(config: CampaignConfig, space: FunctionSpace) -> dict
 # campaign plan
 
 
-@dataclass(frozen=True)
-class PlannedQuery:
+class PlannedQuery(NamedTuple):
+    """One backend query of the plan: the ``task`` asked of ``record``'s
+    sequence in run ``run_id`` of the dataset of ``length``."""
+
     length: int
     run_id: int
     task: Task
@@ -158,8 +160,9 @@ class PlannedQuery:
 
     @property
     def plan_fields(self) -> tuple:
-        """The fields of its results line that the query fixes, as the line
-        records them: sequence, task, run id, length, ambiguity and sorted
+        """The fields of its results line that the query fixes, as
+        :func:`_result_line` writes them and :func:`_line_problem` checks
+        them: sequence, task, run id, length, ambiguity and sorted
         continuations. The sequence and the continuations are the record's
         :attr:`~ambigseq.mining.AmbiguityRecord.json_fields`, which every
         query of the record shares."""
@@ -825,25 +828,22 @@ def _result_line(
     judged: JudgedPair | None,
     note: str | None,
 ) -> dict:
-    """The one builder of a result line: the answer ``text`` parsed and
-    scored against the query's sequence, plus the query's plan fields and
+    """The one builder of a result line: the query's plan fields (see
+    :attr:`PlannedQuery.plan_fields`, whose objects the line holds), the
+    answer ``text`` parsed and scored against the query's record, and
     whatever the backend captured."""
     # looked up on the module at each call, so a rebinding of it is seen
     from .evaluation import eval_record_to_json
 
     record = query.record
-    scored = annotate_correctness(
-        build_eval_record(query.task, record.sequence, text, run_id=query.run_id),
-        record,
-    )
+    base = record.sequence.base
+    scored = annotate_correctness(build_eval_record(query.task, text, base), record)
     return {
+        **dict(zip(_PLAN_FIELDS, query.plan_fields)),
         **eval_record_to_json(scored),
-        "length": query.length,
-        "ambiguous": record.is_ambiguous,
-        "continuations": record.json_fields[1],
         "top_logprobs": top.to_pairs() if top else None,
         "judged": judged and {
-            "explanation": render_function(judged[0], record.sequence.base),
+            "explanation": render_function(judged[0], base),
             "completion": judged[1],
         },
         "note": note,

@@ -315,11 +315,6 @@ def cmd_report(config: CampaignConfig, out=None) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     handler = {
         "mine": cmd_mine,
         "run": cmd_run,
@@ -327,8 +322,11 @@ def main(argv: list[str] | None = None) -> int:
         "report": cmd_report,
     }[args.command]
     try:
-        return handler(config)
-    except (CampaignError, ConfigError, OSError, ValueError) as exc:
+        return handler(resolve_config(args))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (CampaignError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

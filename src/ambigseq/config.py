@@ -10,7 +10,6 @@ answers, its default calls in flight) is read from its ``BACKENDS`` entry.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
@@ -18,7 +17,7 @@ from typing import Any
 from .backends import BACKENDS, TIE_BREAKS
 from .distribution import MAX_TOP_K
 from .funcspace import BASES
-from .mining import canonical_json, check_fields
+from .mining import canonical_json, check_fields, decode_json
 from .prompting import ShotSampling, Task, Variant
 
 DEFAULT_TASKS = tuple(task.value for task in Task)
@@ -165,12 +164,12 @@ class CampaignConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "CampaignConfig":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = decode_json(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_json(data)
 

@@ -11,6 +11,11 @@ per-run figures. Aggregating result lines into per-run figures is
 :func:`ambigseq.mining.continuations_of`, which the oracle's judgments and
 the analysis both call.
 
+A record is the answer alone. A results line is its query's
+:attr:`ambigseq.campaign.PlannedQuery.plan_fields`, then the answer's four
+fields that :func:`eval_record_to_json` writes, then the backend's capture:
+:func:`ambigseq.campaign._result_line` joins them.
+
 Each task's answer format is one entry of :data:`ambigseq.prompting.ANSWERS`,
 and this module holds none: it reads answers through the entry, applies its
 type test and records each value as the entry encodes it.
@@ -27,7 +32,7 @@ from statistics import fmean
 from typing import Iterable, Sequence
 
 from .funcspace import FunctionLike
-from .mining import AmbiguityRecord, SequenceRecord
+from .mining import AmbiguityRecord
 from .prompting import ANSWERS, MAX_VERBALIZED_ALTERNATIVES, Task, parse_response
 
 # ---------------------------------------------------------------------------
@@ -38,13 +43,11 @@ from .prompting import ANSWERS, MAX_VERBALIZED_ALTERNATIVES, Task, parse_respons
 class EvalRecord:
     """One scored response to one task query."""
 
-    sequence: SequenceRecord
     task: Task
     raw_response: str
     parsed: int | FunctionLike | bool | tuple[int, ...] | None
     valid: bool
     correct: bool | None = None
-    run_id: int = 0
 
     def __post_init__(self) -> None:
         if self.valid == (self.parsed is None):
@@ -57,32 +60,20 @@ class EvalRecord:
             )
 
 
-def build_eval_record(
-    task: Task,
-    sequence: SequenceRecord,
-    raw_response: str,
-    run_id: int = 0,
-) -> EvalRecord:
-    parsed = parse_response(task, raw_response, sequence.base)
-    return EvalRecord(
-        sequence=sequence,
-        task=task,
-        raw_response=raw_response,
-        parsed=parsed,
-        valid=parsed is not None,
-        run_id=run_id,
-    )
+def build_eval_record(task: Task, raw_response: str, base: int) -> EvalRecord:
+    """The answer ``raw_response`` to a ``task`` query, its numbers read in
+    ``base``; not yet scored."""
+    parsed = parse_response(task, raw_response, base)
+    return EvalRecord(task, raw_response, parsed, valid=parsed is not None)
 
 
 def eval_record_to_json(record: EvalRecord) -> dict:
+    """The answer's fields of its results line."""
     return {
-        "sequence": {"values": list(record.sequence.values), "base": record.sequence.base},
-        "task": record.task.value,
         "raw_response": record.raw_response,
         "parsed": ANSWERS[record.task].recorded(record.parsed),
         "valid": record.valid,
         "correct": record.correct,
-        "run_id": record.run_id,
     }
 
 

@@ -316,6 +316,17 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def decode_json(text: str) -> Any:
+    """The JSON value ``text`` holds, as ``json.loads`` reads it, for the
+    readers of a whole JSON file (config, fixtures, analysis, cached
+    response). Every way ``text`` can fail to be JSON is a ``ValueError``:
+    a value nested too deep to decode is one too, not a ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def check_fields(record: Any) -> None:
     """Check each field of the dataclass ``record`` against its annotation:
     ``int`` (never a ``bool``), ``str``, ``X | None``, ``tuple[X, ...]`` or

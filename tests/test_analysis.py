@@ -430,8 +430,12 @@ class TestFileOutput:
 
     @pytest.mark.parametrize(
         "text, why",
-        [("{not json", "unreadable analysis file"), ("[1]", "not an analysis document")],
-        ids=["not_json", "not_an_object"],
+        [
+            ("{not json", "unreadable analysis file"),
+            ("[" * 5000 + "]" * 5000, "unreadable analysis file (maximum recursion"),
+            ("[1]", "not an analysis document"),
+        ],
+        ids=["not_json", "nested_5000_deep", "not_an_object"],
     )
     def test_load_refuses_a_file_that_is_no_analysis(self, tmp_path, text, why):
         path = tmp_path / "analysis.json"

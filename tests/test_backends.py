@@ -563,10 +563,11 @@ class TestCachingBackend:
         req = make_request(space)
         backend.complete(req)
         entry = next(tmp_path.glob("*.json"))
-        entry.write_text("{not json")
-        resp = backend.complete(req)
-        assert resp.text == "15"
-        assert json.loads(entry.read_text())["text"] == "15"
+        for corrupt in ("{not json", "[" * 5000 + "]" * 5000):
+            entry.write_text(corrupt)
+            resp = backend.complete(req)
+            assert resp.text == "15"
+            assert json.loads(entry.read_text())["text"] == "15"
 
     @pytest.mark.parametrize(
         "entry",

@@ -47,6 +47,7 @@ from ambigseq.campaign import (
     read_results,
     results_path,
     run_campaign,
+    _PLAN_FIELDS,
     _result_line,
 )
 from ambigseq import campaign, mining
@@ -64,7 +65,7 @@ from ambigseq.funcspace import FunctionSpace, parse
 from test_artifact_bytes import scripted_fixtures
 
 ISO_STAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}")
-#: The fields of every record line, in the order the writer puts them.
+#: The fields of every record line (``canonical_json`` writes them sorted).
 RESULT_FIELDS = (
     "sequence", "task", "raw_response", "parsed", "valid", "correct", "run_id",
     "length", "ambiguous", "continuations", "top_logprobs", "judged", "note",
@@ -404,7 +405,20 @@ class TestReadResults:
         datasets = load_campaign_datasets(config, config_space(config))
         query = next(plan_queries(config, datasets))
         line = _result_line(query, "7", None, None, None)
-        assert tuple(line) == RESULT_FIELDS
+        assert line.keys() == set(RESULT_FIELDS)
+
+    def test_result_line_holds_its_querys_plan_fields(self, tmp_path, mined_l3):
+        # the writer takes a line's plan half from the query, as the reader
+        # checks it: the lines of a record share its sequence and
+        # continuations objects when written, as they do when read
+        config = small_config(tmp_path, mined_l3)
+        datasets = load_campaign_datasets(config, config_space(config))
+        for query in plan_queries(config, datasets):
+            line = _result_line(query, "7", None, None, None)
+            sequence, continuations = query.record.json_fields
+            assert line["sequence"] is sequence
+            assert line["continuations"] is continuations
+            assert {f: line[f] for f in _PLAN_FIELDS} == dict(zip(_PLAN_FIELDS, query.plan_fields))
 
     @pytest.mark.parametrize(
         "field",

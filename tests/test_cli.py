@@ -346,8 +346,16 @@ class TestFailureExitCodes:
             (lambda path: None, "cannot read (No such file or directory)"),
             (lambda path: path.mkdir(), "cannot read (Is a directory)"),
             (lambda path: path.write_bytes(b'{"role_text": "\xff"}'), "not UTF-8"),
+            (
+                lambda path: path.write_text('{"x":' + "[" * 5000 + "]" * 5000 + "}"),
+                "not valid JSON (maximum recursion",
+            ),
+            (
+                lambda path: path.write_text('{"n_runs":1' + "0" * 5000 + "}"),
+                "not valid JSON (Exceeds the limit (4300 digits)",
+            ),
         ],
-        ids=["missing", "directory", "not_utf8"],
+        ids=["missing", "directory", "not_utf8", "nested_5000_deep", "number_of_5001_digits"],
     )
     def test_an_unreadable_config_file_is_a_config_error(
         self, tmp_path, capfd, make, reason
@@ -539,6 +547,18 @@ class TestFailureExitCodes:
             assert err.startswith(f"error: {path}: unreadable header line (maximum recursion"), err
             assert "Traceback" not in err, name
             path.write_text(text)
+
+    def test_a_fixtures_file_too_deep_to_decode_is_refused_by_name(
+        self, out_dir, tmp_path, capfd
+    ):
+        path = tmp_path / "fixtures.json"
+        path.write_text('{"fixtures":' + "[" * 5000 + "]" * 5000 + "}")
+        scripted = ["--backend", "scripted", "--fixtures-file", str(path)]
+        assert main(["run", *flags(out_dir, *scripted)]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: {path}: bad scripted fixtures file (maximum recursion"), err
+        assert "Traceback" not in err
+        assert not (out_dir / "results.jsonl").exists()
 
     @pytest.mark.parametrize("value", ["0", "65"])
     def test_out_of_range_concurrency(self, tmp_path, capfd, value):

@@ -25,7 +25,7 @@ from ambigseq.backends import (
     OracleBackend,
     ScriptedBackend,
 )
-from ambigseq.campaign import dataset_filename, run_campaign
+from ambigseq.campaign import PlannedQuery, _result_line, dataset_filename, run_campaign
 from ambigseq.config import CampaignConfig, canonical_json
 from ambigseq.evaluation import (
     EvalRecord,
@@ -74,17 +74,10 @@ def _record(dataset, values):
 
 
 def result_line(dataset, task, sequence, text, run_id=0):
-    """A results-file line built through the campaign's write path, with the
-    fields the analysis scorers read."""
-    ds_record = _record(dataset, sequence.values)
-    record = annotate_correctness(
-        build_eval_record(task, sequence, text, run_id=run_id), ds_record
-    )
-    return {
-        **eval_record_to_json(record),
-        "ambiguous": ds_record.is_ambiguous,
-        "continuations": sorted(ds_record.continuations),
-    }
+    """The results-file line the campaign's writer builds for the answer
+    ``text`` to ``task`` on the dataset's record of ``sequence``."""
+    query = PlannedQuery(len(sequence.values), run_id, task, _record(dataset, sequence.values))
+    return _result_line(query, text, None, None, None)
 
 
 def by_task(lines, task):
@@ -159,9 +152,9 @@ class TestParsers:
             Task.CONSISTENCY_JUDGMENT: f"consistent {numeral}",
             Task.VERBALIZE_ALTERNATIVES: f"{format_int(15, base)} \\n {numeral} \\n",
         }[task]
-        record = build_eval_record(task, AMBIG.rebase(base), text)
+        record = build_eval_record(task, text, base)
         assert record.valid is (task is Task.CONSISTENCY_JUDGMENT)
-        canonical_json(eval_record_to_json(record))  # the line encodes
+        canonical_json(eval_record_to_json(record))  # the answer's fields encode
 
     @settings(max_examples=300)
     @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([10, 2]))
@@ -171,26 +164,26 @@ class TestParsers:
 
 class TestEvalRecord:
     def test_build_valid_completion(self):
-        record = build_eval_record(Task.COMPLETION, AMBIG, "19")
+        record = build_eval_record(Task.COMPLETION, "19", 10)
         assert record.valid and record.parsed == 19 and record.correct is None
 
     def test_build_invalid(self):
-        record = build_eval_record(Task.COMPLETION, AMBIG, "dunno")
+        record = build_eval_record(Task.COMPLETION, "dunno", 10)
         assert not record.valid and record.parsed is None
 
     def test_invalid_cannot_be_correct(self):
         with pytest.raises(ValueError):
-            EvalRecord(AMBIG, Task.COMPLETION, "x", None, False, correct=True)
+            EvalRecord(Task.COMPLETION, "x", None, False, correct=True)
 
     def test_valid_flag_must_track_parse(self):
         with pytest.raises(ValueError):
-            EvalRecord(AMBIG, Task.COMPLETION, "19", 19, False)
+            EvalRecord(Task.COMPLETION, "19", 19, False)
 
     def test_parsed_type_checked(self):
         with pytest.raises(ValueError):
-            EvalRecord(AMBIG, Task.COMPLETION, "19", True, True)
+            EvalRecord(Task.COMPLETION, "19", True, True)
         with pytest.raises(ValueError):
-            EvalRecord(AMBIG, Task.EXPLANATION, "19", 19, True)
+            EvalRecord(Task.EXPLANATION, "19", 19, True)
 
     # the parsed answer as a results line stores it; analysis reads it back
     JSON_PARSED = {
@@ -210,13 +203,11 @@ class TestEvalRecord:
 
     @pytest.mark.parametrize("task,text", list(JSON_PARSED))
     def test_json_round_trip(self, task, text):
-        record = build_eval_record(task, AMBIG, text, run_id=2)
+        record = build_eval_record(task, text, 10)
         assert eval_record_to_json(record)["parsed"] == self.JSON_PARSED[task, text]
 
     def test_json_round_trip_base2(self):
-        record = build_eval_record(
-            Task.COMPLETION, SequenceRecord((7, 11, 15), base=2), "0b10011"
-        )
+        record = build_eval_record(Task.COMPLETION, "0b10011", 2)
         assert eval_record_to_json(record)["parsed"] == {"kind": "int", "value": 19}
 
 
@@ -317,19 +308,17 @@ class TestAccuracy:
         ds_record = unambiguous_sample(dataset)[0]
         (answer,) = ds_record.continuations
         cases = [
-            (ds_record.sequence, str(answer), ds_record),
-            (ds_record.sequence, str(answer + 1), ds_record),
-            (ds_record.sequence, "garbage", ds_record),
-            (AMBIG, "19", _record(dataset, AMBIG.values)),
+            (str(answer), ds_record),
+            (str(answer + 1), ds_record),
+            ("garbage", ds_record),
+            ("19", _record(dataset, AMBIG.values)),
         ]
         annotated = [
-            annotate_correctness(build_eval_record(Task.COMPLETION, seq, text), rec)
-            for seq, text, rec in cases
+            annotate_correctness(build_eval_record(Task.COMPLETION, text, 10), rec)
+            for text, rec in cases
         ]
         assert [r.correct for r in annotated] == [True, False, None, None]
-        judgment = build_eval_record(
-            Task.CONSISTENCY_JUDGMENT, ds_record.sequence, "consistent"
-        )
+        judgment = build_eval_record(Task.CONSISTENCY_JUDGMENT, "consistent", 10)
         assert annotate_correctness(judgment, ds_record) is judgment
 
 
