@@ -28,7 +28,6 @@ from .campaign import (
     CampaignError,
     collector_paused,
     config_space,
-    line_error,
     read_header,
     read_results,
 )
@@ -48,7 +47,7 @@ from .evaluation import (
     expected_random_consistency,
     verbalization_scores,
 )
-from .funcspace import FunctionSpace, ParseError, parse
+from .funcspace import FunctionSpace, parse
 from .mining import Dataset, continuations_of, decode_json, load_dataset, write_atomic
 from .prompting import Task
 
@@ -75,11 +74,6 @@ REFERENCE_KL_BITS = {
     "correct_predicted||correct_not_predicted": 1.71,
     "correct_predicted||incorrect_not_predicted": 3.45,
 }
-
-
-class _UnreadableLine(ValueError):
-    """(result line, problem): a line whose content analysis cannot read;
-    :func:`analyze_results` names its file, line number and query."""
 
 
 def _pct(outcomes: list[bool]) -> float | None:
@@ -124,10 +118,7 @@ def cross_context_consistency(
         if not (compl["valid"] and expl["valid"]):
             invalid += 1
             continue
-        try:
-            fn = parse(expl["parsed"]["value"])
-        except ParseError as exc:
-            raise _UnreadableLine(expl, f"its parsed value does not parse: {exc}") from exc
+        fn = parse(expl["parsed"]["value"])
         if compl["parsed"]["value"] in continuations_of(fn, values, space):
             consistent += 1
         else:
@@ -295,45 +286,41 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
         buckets.setdefault(key, []).append(line)
 
     per_length: dict[str, Any] = {}
-    try:
-        for length in config.lengths:
-            run_ids = sorted({key[1] for key in buckets if key[0] == length})
-            per_run = []
-            for run_id in run_ids:
+    for length in config.lengths:
+        run_ids = sorted({key[1] for key in buckets if key[0] == length})
+        per_run = []
+        for run_id in run_ids:
 
-                def bucket(task: Task, ambiguous: bool) -> list[dict]:
-                    return buckets.get((length, run_id, task.value, ambiguous), [])
+            def bucket(task: Task, ambiguous: bool) -> list[dict]:
+                return buckets.get((length, run_id, task.value, ambiguous), [])
 
-                completions = bucket(Task.COMPLETION, True)
-                per_run.append({
-                    **accuracy(bucket(Task.EXPLANATION, False), bucket(Task.COMPLETION, False)),
-                    "run_id": run_id,
-                    "cross_context": cross_context_consistency(
-                        completions, bucket(Task.EXPLANATION, True), space
-                    ),
-                    "model_judged": judged_consistency(bucket(Task.CONSISTENCY_JUDGMENT, True)),
-                    "verbalization": verbalization(bucket(Task.VERBALIZE_ALTERNATIVES, True)),
-                    "alternative_test": alternative_test(completions, config.base),
-                })
-            per_length[str(length)] = {
-                "per_run": per_run,
-                "aggregate": (
-                    aggregate_runs([_figures(f) for f in per_run]) if per_run else None
+            completions = bucket(Task.COMPLETION, True)
+            per_run.append({
+                **accuracy(bucket(Task.EXPLANATION, False), bucket(Task.COMPLETION, False)),
+                "run_id": run_id,
+                "cross_context": cross_context_consistency(
+                    completions, bucket(Task.EXPLANATION, True), space
                 ),
-                "random_baseline": _random_baseline(datasets[length], config.rng_seed),
-                "quadrants": _quadrant_analysis(
-                    [
-                        line
-                        for (line_length, _, task, _), group in buckets.items()
-                        if line_length == length and task == Task.COMPLETION.value
-                        for line in group
-                    ],
-                    config.base,
-                ),
-            }
-    except _UnreadableLine as exc:
-        line, problem = exc.args
-        raise line_error(f"{results_file}:{lines.index(line) + 2}", line, problem) from exc
+                "model_judged": judged_consistency(bucket(Task.CONSISTENCY_JUDGMENT, True)),
+                "verbalization": verbalization(bucket(Task.VERBALIZE_ALTERNATIVES, True)),
+                "alternative_test": alternative_test(completions, config.base),
+            })
+        per_length[str(length)] = {
+            "per_run": per_run,
+            "aggregate": (
+                aggregate_runs([_figures(f) for f in per_run]) if per_run else None
+            ),
+            "random_baseline": _random_baseline(datasets[length], config.rng_seed),
+            "quadrants": _quadrant_analysis(
+                [
+                    line
+                    for (line_length, _, task, _), group in buckets.items()
+                    if line_length == length and task == Task.COMPLETION.value
+                    for line in group
+                ],
+                config.base,
+            ),
+        }
 
     return {
         "config_digest": header["config_digest"],

@@ -45,7 +45,6 @@ from functools import partial
 from itertools import count, islice, takewhile
 from operator import itemgetter
 from pathlib import Path
-from sys import intern
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
 from .backends import (
@@ -61,7 +60,7 @@ from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
 from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
 from .mining import AmbiguityRecord, Dataset, load_dataset
-from .prompting import ANSWERS, JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
+from .prompting import JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
 
 RESULTS_FORMAT = "ambigseq.results"
 RESULTS_VERSION = 1
@@ -266,9 +265,11 @@ def read_results(
     even when it holds a whole record.
 
     The lines are read-only: the lines of a record share its
-    ``sequence`` and ``continuations`` objects, and those of a task its
-    ``task`` text (see :func:`_record_lines`). Nothing in ``ambigseq``
-    edits a line it has read.
+    ``sequence`` and ``continuations`` objects, those of a task its ``task``
+    text, and those that got the same answer to the same task on the same
+    record its ``raw_response`` text and ``parsed`` object (see
+    :func:`_record_lines`). Nothing in ``ambigseq`` edits a line it has
+    read.
     """
     path = Path(path)
     with collector_paused(), path.open("rb") as fh:
@@ -341,32 +342,36 @@ def _record_lines(
 
     A line that passes holds the query's own plan field objects (see
     :attr:`PlannedQuery.plan_fields`), which every line of its record
-    shares, and its ``parsed`` holds the interned ``kind`` text of
-    :data:`~ambigseq.prompting.ANSWERS`: the check showed that each equals
-    what the line held, with the same types. So the lines are read-only; a
-    caller that edits one edits every line sharing it."""
+    shares, and the answer fields that :func:`_line_problem` scored for the
+    first line read with its task, record and ``raw_response``: the check
+    showed that each equals what the line held, with the same types. So the
+    lines are read-only; a caller that edits one edits every line sharing
+    it."""
     end = fh.tell()
     complete = takewhile(lambda raw: raw.endswith(b"\n"), fh)
+    answers: dict[tuple, dict] = {}  # see _scoring_problem
     n = 2
     while chunk := list(islice(complete, _CHUNK_LINES)):
         queries = [next(plan, None) for _ in chunk]
-        lines = _joined_lines(chunk, queries)
+        lines = _joined_lines(chunk, queries, answers)
         if lines is None:
-            lines = map(partial(_lone_line, path), count(n), chunk, queries)
+            lines = map(partial(_lone_line, path, answers), count(n), chunk, queries)
         for raw, query, line in zip(chunk, queries, lines):
+            line.update(answers[line["task"], line["raw_response"], id(query.record)])
             line["sequence"], line["continuations"] = query.record.json_fields
             line["task"] = query.task.value
-            parsed = line["parsed"]
-            parsed["kind"] = intern(parsed["kind"])
             end += len(raw)
             yield n, end, query, line
             n += 1
 
 
-def _joined_lines(chunk: list[bytes], queries: list[PlannedQuery | None]) -> list | None:
+def _joined_lines(
+    chunk: list[bytes], queries: list[PlannedQuery | None], answers: dict
+) -> list | None:
     """The record lines ``chunk`` (each with its newline) decoded with one
     ``json.loads`` of ``[line,line,...]``, if each is the line of its query
-    in ``queries``; None when any is not, or the join may hide how.
+    in ``queries`` (checked with the scored ``answers`` of the read); None
+    when any is not, or the join may hide how.
 
     The join is accepted only when every line starts with ``{`` and ends
     with ``}\\n``, it decodes to as many values as there are lines, each
@@ -396,7 +401,7 @@ def _joined_lines(chunk: list[bytes], queries: list[PlannedQuery | None]) -> lis
     except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
         return None
     try:
-        if len(lines) != len(chunk) or any(map(_line_problem, lines, queries)):
+        if len(lines) != len(chunk) or any(map(partial(_line_problem, answers), lines, queries)):
             return None
     except RecursionError:  # a value too deep to compare or to name
         return None
@@ -418,9 +423,10 @@ def _members(line: dict) -> int:
     )
 
 
-def _lone_line(path: Path, n: int, raw: bytes, query: PlannedQuery | None) -> dict:
+def _lone_line(path: Path, answers: dict, n: int, raw: bytes, query: PlannedQuery | None) -> dict:
     """Line ``n`` of the results file at ``path``, ``raw`` with its newline,
-    decoded by itself and checked against ``query``."""
+    decoded by itself and checked against ``query`` with the scored
+    ``answers`` of the read."""
     try:
         line = json.loads(raw[:-1].decode())
     except UnicodeDecodeError:
@@ -430,7 +436,7 @@ def _lone_line(path: Path, n: int, raw: bytes, query: PlannedQuery | None) -> di
         problem = str(exc)
     else:
         try:
-            problem = _line_problem(line, query)
+            problem = _line_problem(answers, line, query)
         except RecursionError as exc:  # a value too deep to compare or to name
             problem = str(exc)
     if problem:
@@ -438,21 +444,19 @@ def _lone_line(path: Path, n: int, raw: bytes, query: PlannedQuery | None) -> di
     return line
 
 
-def _line_problem(line: Any, query: PlannedQuery | None) -> str | None:
+def _line_problem(answers: dict, line: Any, query: PlannedQuery | None) -> str | None:
     """What keeps ``line``, as JSON reads it, from being the results line of
     ``query`` (None past the plan's end); None when nothing does.
 
     The line must hold :data:`_FIELDS` and no other field. Its plan fields
-    must equal the query's, as values of their own types. Its ``parsed``
-    must be what the task's :data:`~ambigseq.prompting.ANSWERS` entry
-    records, and ``valid`` a boolean, true only if that is a value (the
-    analysis reads the value of a valid line); ``correct`` a boolean or
-    null, ``note`` text or null; ``top_logprobs`` null or a list
-    :class:`TokenDistribution` takes (a line records what the backend
-    returned, and a scripted answer may carry them on any task); ``judged``
-    null or, on a judgment line, an explanation text and a completion
-    integer. No line it accepts holds an object inside an array, which
-    :func:`_joined_lines` relies on.
+    must equal the query's, and its ``parsed``, ``valid`` and ``correct``
+    what its ``raw_response`` text scores to (see :func:`_scoring_problem`),
+    as values of their own types. ``note`` must be text or null;
+    ``top_logprobs`` null or a list :class:`TokenDistribution` takes (a line
+    records what the backend returned, and a scripted answer may carry them
+    on any task); ``judged`` null or, on a judgment line, an explanation
+    text and a completion integer. No line it accepts holds an object inside
+    an array, which :func:`_joined_lines` relies on.
     """
     if query is None:
         return "past the last planned query"
@@ -482,17 +486,10 @@ def _line_problem(line: Any, query: PlannedQuery | None) -> str | None:
             f"the plan puts {_query_text(expected)} here, not a line whose "
             f"{field} is {canonical_json(line[field])}"
         )
-    is_value = ANSWERS[query.task].records_value(parsed)
     if type(raw) is not str:
         problem = "raw_response is not text"
-    elif is_value is None:
-        problem = f"parsed is not a {task} answer as a results line records it"
-    elif type(valid) is not bool:
-        problem = f"valid is {canonical_json(valid)}, not a boolean"
-    elif valid and not is_value:
-        problem = "valid is true, but parsed records no value"
-    elif not (correct is None or type(correct) is bool):
-        problem = "correct is neither a boolean nor null"
+    elif problem := _scoring_problem(answers, query, line):
+        pass
     elif not (note is None or type(note) is str):
         problem = "note is neither text nor null"
     elif judged is not None and not (
@@ -514,17 +511,42 @@ def _line_problem(line: Any, query: PlannedQuery | None) -> str | None:
     return f"{_query_text(line)}: {problem}"
 
 
+def _scoring_problem(answers: dict, query: PlannedQuery, line: dict) -> str | None:
+    """Which of ``line``'s ``parsed``, ``valid`` and ``correct`` is not what
+    its ``raw_response`` text scores to, with the same JSON type; None when
+    each is. ``True == 1 == 1.0``, so the booleans and null are compared by
+    identity and the values inside ``parsed`` by type. The score is kept in
+    ``answers`` by task, text and record; a record is keyed by identity, as
+    hashing it would hash every field, and the plan holds each for the read."""
+    key = (line["task"], line["raw_response"], id(query.record))
+    answer = answers.get(key)
+    if answer is None:
+        answer = answers[key] = _answer_fields(query, line["raw_response"])
+    parsed, scored = line["parsed"], answer["parsed"]
+    if (
+        line["valid"] is answer["valid"]
+        and line["correct"] is answer["correct"]
+        and parsed == scored
+        and type(value := parsed.get("value")) is type(scored.get("value"))
+        and (type(value) is not list or {*map(type, value)} <= _INT)
+    ):
+        return None
+    field = next(
+        f for f in ("parsed", "valid", "correct")
+        if canonical_json(line[f]) != canonical_json(answer[f])
+    )
+    return (
+        f"{field} is {canonical_json(line[field])}, where its raw_response "
+        f"scores {canonical_json(answer[field])}"
+    )
+
+
 def _query_text(line: dict) -> str:
     """The query a record line answers, as an error names it."""
     return (
         f"the {line['task']} line of run {line['run_id']} for sequence "
         f"{list(line['sequence']['values'])} at length {line['length']}"
     )
-
-
-def line_error(where: str | Path, line: dict, problem: str) -> CampaignError:
-    """A record line that cannot be read, at ``where`` (its file, or file:N)."""
-    return CampaignError(f"{where}: malformed record line ({_query_text(line)}: {problem})")
 
 
 # ---------------------------------------------------------------------------
@@ -744,23 +766,17 @@ def _append_line(fh: TextIO, line: dict) -> None:
     fh.flush()
 
 
-def _judged_pair(run: _RunLines, query: PlannedQuery, path: Path) -> JudgedPair | None:
+def _judged_pair(run: _RunLines, query: PlannedQuery) -> JudgedPair | None:
     """The model's own (explanation function, completion value) for this
     run+sequence, if both parsed; the run stage's only parse of the
-    explanation line. An explanation line of ``path`` (the results file)
-    whose parsed value does not parse is a :class:`CampaignError` naming
-    ``path:N``."""
+    explanation line, whose function text the writer wrote (see
+    :func:`_line_problem`)."""
     compl, expl = run.pair(query)
     if not (compl and expl and compl[1]["valid"] and expl[1]["valid"]):
         return None
-    from .funcspace import ParseError, parse
+    from .funcspace import parse
 
-    (_, compl), (n, expl) = compl, expl
-    try:
-        fn = parse(expl["parsed"]["value"])
-    except ParseError as exc:
-        raise line_error(f"{path}:{n}", expl, f"its parsed value does not parse: {exc}") from exc
-    return fn, compl["parsed"]["value"]
+    return parse(expl[1]["parsed"]["value"]), compl[1]["parsed"]["value"]
 
 
 def _execute_query(
@@ -779,7 +795,7 @@ def _execute_query(
     """
     judged = None
     if query.task is Task.CONSISTENCY_JUDGMENT:
-        judged = _judged_pair(run, query, results_path(config.output_dir))
+        judged = _judged_pair(run, query)
         if judged is None:
             # nothing coherent to judge; the empty answer files as invalid
             note = "no parseable completion/explanation pair to judge"
@@ -832,15 +848,10 @@ def _result_line(
     :attr:`PlannedQuery.plan_fields`, whose objects the line holds), the
     answer ``text`` parsed and scored against the query's record, and
     whatever the backend captured."""
-    # looked up on the module at each call, so a rebinding of it is seen
-    from .evaluation import eval_record_to_json
-
-    record = query.record
-    base = record.sequence.base
-    scored = annotate_correctness(build_eval_record(query.task, text, base), record)
+    base = query.record.sequence.base
     return {
         **dict(zip(_PLAN_FIELDS, query.plan_fields)),
-        **eval_record_to_json(scored),
+        **_answer_fields(query, text),
         "top_logprobs": top.to_pairs() if top else None,
         "judged": judged and {
             "explanation": render_function(judged[0], base),
@@ -848,3 +859,17 @@ def _result_line(
         },
         "note": note,
     }
+
+
+def _answer_fields(query: PlannedQuery, text: str) -> dict:
+    """The answer half of ``query``'s results line for the answer ``text``:
+    the text, parsed and scored against the query's record. The writer
+    builds each line's from it, and the reader checks each line's by it."""
+    # looked up on the module at each call, so a rebinding of it is seen
+    from .evaluation import eval_record_to_json
+
+    record = query.record
+    base = record.sequence.base
+    return eval_record_to_json(
+        annotate_correctness(build_eval_record(query.task, text, base), record)
+    )

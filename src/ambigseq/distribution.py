@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import add, truediv
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .funcspace import MAX_NUMERAL_DIGITS
 
@@ -32,8 +32,7 @@ MAX_TOP_K = 5
 MIN_LOGPROB = -1e15
 
 
-@dataclass(frozen=True)
-class TokenLogprob:
+class TokenLogprob(NamedTuple):
     token: str
     logprob: float
 
@@ -48,18 +47,23 @@ class TokenDistribution:
     entries: tuple[TokenLogprob, ...]
 
     def __post_init__(self) -> None:
-        tokens = [e.token for e in self.entries]
-        probs = [e.logprob for e in self.entries]
-        if not 1 <= len(probs) <= MAX_TOP_K:
-            raise ValueError(f"expected 1..{MAX_TOP_K} entries, got {len(probs)}")
-        for t, lp in zip(tokens, probs):
+        entries = self.entries
+        if not 1 <= len(entries) <= MAX_TOP_K:
+            raise ValueError(f"expected 1..{MAX_TOP_K} entries, got {len(entries)}")
+        # one pass; a bad entry is refused before the order or a duplicate
+        last, ordered, tokens = 0, True, set()
+        for t, lp in entries:
             if not (isinstance(t, str) and isinstance(lp, (int, float))
                     and not isinstance(lp, bool) and MIN_LOGPROB <= lp <= 0):
                 raise ValueError(f"{[t, lp]} is not a text token and a number in [{MIN_LOGPROB:g}, 0]")
-        if probs != sorted(probs, reverse=True):
+            ordered = ordered and lp <= last
+            last = lp
+            tokens.add(t)
+        if not ordered:
+            probs = [e.logprob for e in entries]
             raise ValueError(f"entries must be sorted by descending logprob: {probs}")
-        if len(set(tokens)) != len(tokens):
-            raise ValueError(f"duplicate tokens in distribution: {tokens}")
+        if len(tokens) != len(entries):
+            raise ValueError(f"duplicate tokens in distribution: {[e.token for e in entries]}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "TokenDistribution":
@@ -80,6 +84,7 @@ class TokenDistribution:
 # Numeral interpretation of tokens
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4096)  # a campaign's answers repeat a few numerals
 def parse_numeral_token(token: str, base: int = 10) -> int | None:
     """Interpret a token as a nonnegative numeral in the given base, if possible;
     None past :data:`~ambigseq.funcspace.MAX_NUMERAL_DIGITS` digits."""
@@ -98,8 +103,7 @@ def _render_plain(value: int, base: int) -> str:
     return str(value) if base == 10 else format(value, "b")
 
 
-@dataclass(frozen=True)
-class ClassifiedToken:
+class ClassifiedToken(NamedTuple):
     token: str
     logprob: float
     value: int | None  # None when the token is not a numeral
@@ -188,6 +192,9 @@ class Quadrant(Enum):
     CORRECT_NOT_PREDICTED = "correct_not_predicted"
     INCORRECT_PREDICTED = "incorrect_predicted"
     INCORRECT_NOT_PREDICTED = "incorrect_not_predicted"
+
+    # members are singletons: hash by identity, not by name as Enum does
+    __hash__ = object.__hash__
 
 
 def group_logprobs_by_quadrant(

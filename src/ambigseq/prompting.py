@@ -329,43 +329,26 @@ def _write_alternatives(values: Sequence[int], base: int) -> str:
 
 
 _INVALID_RECORD = {"kind": "invalid"}
-_VALUE_RECORD_KEYS = {"kind", "value"}
 
 
 @dataclass(frozen=True)
 class AnswerFormat:
     """One task's answer: its text written from a value, the value read back
     (None when the text is invalid), and how a results line records a value:
-    the ``kind`` it is tagged with, the type test it passes, its encoding
-    and the type test of the encoding (by default the value's own)."""
+    the ``kind`` it is tagged with, the type test it passes and its
+    encoding."""
 
     write: Callable[[Any, int], str]
     read: Callable[[str, int], Any]
     kind: str
     fits: Callable[[Any], bool]
     encode: Callable[[Any], Any] = lambda value: value
-    encoded_fits: Callable[[Any], bool] | None = None
 
     def recorded(self, value: Any) -> dict:
         """The ``parsed`` field of a results line for a value read (or None)."""
         if value is None:
             return dict(_INVALID_RECORD)
         return {"kind": self.kind, "value": self.encode(value)}
-
-    def records_value(self, parsed: Any) -> bool | None:
-        """Whether ``parsed``, as JSON reads a results line's ``parsed``
-        field, is what :meth:`recorded` writes for a value (True) or for an
-        invalid answer (False); None when it is neither."""
-        if parsed == _INVALID_RECORD:
-            return False
-        if (
-            type(parsed) is dict
-            and parsed.keys() == _VALUE_RECORD_KEYS
-            and parsed["kind"] == self.kind
-            and (self.encoded_fits or self.fits)(parsed["value"])
-        ):
-            return True
-        return None
 
 
 #: The answer format of every task: a numeral (completion), a function
@@ -382,7 +365,6 @@ ANSWERS: dict[Task, AnswerFormat] = {
         kind="function",
         fits=lambda fn: isinstance(fn, (ConcreteFunction, ParsedFunction)),
         encode=lambda fn: render_function(fn, 10),
-        encoded_fits=lambda text: type(text) is str,
     ),
     Task.CONSISTENCY_JUDGMENT: AnswerFormat(
         write=lambda consistent, base: AFFIRMATIVE_VERDICT if consistent else NEGATIVE_VERDICT,
@@ -396,7 +378,6 @@ ANSWERS: dict[Task, AnswerFormat] = {
         kind="ints",
         fits=lambda values: isinstance(values, tuple) and all(map(_is_int, values)),
         encode=list,
-        encoded_fits=lambda values: type(values) is list and all(map(_is_int, values)),
     ),
 }
 

@@ -14,6 +14,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,24 @@ class TestReadResults:
             r["parsed"]["kind"] is ANSWERS[Task(r["task"])].kind for r in records if r["valid"]
         )
 
+    @pytest.mark.parametrize("decode", ["joined", "line_by_line"])
+    def test_lines_with_a_repeated_answer_share_its_objects(self, tmp_path, mined_l3, decode):
+        # the oracle answers a record's task alike in both runs: the two
+        # lines hold one raw_response text and one parsed object
+        _, outcome = self.run_small(tmp_path, mined_l3)
+        path = outcome.results_file
+        if decode == "line_by_line":
+            header, *lines = path.read_text().splitlines()
+            path.write_text("\n".join([header, *(" " + line for line in lines)]) + "\n")
+        _, records = read_results(path)
+        by_query = {}
+        for r in records:
+            by_query.setdefault((r["task"], tuple(r["sequence"]["values"])), []).append(r)
+        assert len(by_query) == 12
+        for first, second in by_query.values():
+            assert first["raw_response"] is second["raw_response"]
+            assert first["parsed"] is second["parsed"]
+
     @pytest.mark.parametrize(
         "kind", ["oracle", "scripted_with_a_logprob_fallback", "base_2", "a_chunk_line_by_line"]
     )
@@ -296,9 +315,7 @@ class TestReadResults:
             # a raw response holding a whole line: its chunk of four is
             # decoded line by line, the chunks beside it joined
             monkeypatch.setattr(campaign, "_CHUNK_LINES", 4)
-            record = json.loads(lines[5])
-            record["raw_response"] = lines[6]
-            lines[5] = canonical_json(record)
+            lines[5] = rewritten(config, 5, lines[5], lines[6])
             path.write_text("\n".join([header, *lines]) + "\n")
         _, records = read_results(path)
         assert [canonical_json(r) for r in records] == lines
@@ -375,7 +392,7 @@ class TestReadResults:
             run_campaign(config)
 
     def test_unparseable_explanation_is_refused_on_resume(self, tmp_path, mined_l3):
-        # the judgment of a pair parses its explanation line again on resume
+        # refused as the resume reads it, before a judgment parses it
         config, outcome = self.run_small(tmp_path, mined_l3)
         path = outcome.results_file
         header, *lines = path.read_text().splitlines()
@@ -396,7 +413,7 @@ class TestReadResults:
             CampaignError,
             match=rf"results\.jsonl:{explanation + 2}: malformed record line "
             rf"\(the explanation line of run 0 for sequence \[{', '.join(map(str, judged))}\] at length 3: "
-            "its parsed value does not parse",
+            r'parsed is \{"kind":"function","value":"lambda x: \(\("\}, where its raw_response scores',
         ):
             run_campaign(config)
 
@@ -519,12 +536,14 @@ DAMAGES = {
     ),
     "parsed_null_on_a_valid_line": (
         lambda r: r.update(parsed=None),
-        "{query}: parsed is not a completion answer as a results line records it",
+        "{query}: parsed is null, where its raw_response scores {parsed}",
     ),
-    "valid_as_text": (lambda r: r.update(valid="no"), '{query}: valid is "no", not a boolean'),
+    "valid_as_text": (
+        lambda r: r.update(valid="no"), '{query}: valid is "no", where its raw_response scores true'
+    ),
     "valid_without_a_value": (
         lambda r: r.update(parsed={"kind": "invalid"}),
-        "{query}: valid is true, but parsed records no value",
+        '{query}: parsed is {{"kind":"invalid"}}, where its raw_response scores {parsed}',
     ),
     "judged_on_a_completion": (
         lambda r: r.update(judged={"explanation": "lambda x: x", "completion": 1}),
@@ -532,6 +551,37 @@ DAMAGES = {
     ),
     "unknown_field": (lambda r: r.update(extra=[{}]), "unknown field 'extra'"),
 }
+
+
+#: A damage to the answer of a line scored correct, the field the refusal
+#: names, and what the line's raw_response scores that field to (None: the
+#: line's own parsed).
+ANSWER_DAMAGES = {
+    "correct_true_to_false": (lambda r: r.update(correct=False), "correct", "true"),
+    "raw_response_to_banana": (
+        lambda r: r.update(raw_response="banana"), "parsed", '{"kind":"invalid"}'
+    ),
+    "valid_as_1": (lambda r: r.update(valid=1), "valid", "true"),
+    "correct_as_0": (lambda r: r.update(correct=0), "correct", "true"),
+    "correct_as_1": (lambda r: r.update(correct=1), "correct", "true"),
+    "int_answer_as_true": (lambda r: r["parsed"].update(value=True), "parsed", None),
+    "int_answer_as_a_float": (
+        lambda r: r["parsed"].update(value=float(r["parsed"]["value"])), "parsed", None
+    ),
+}
+
+
+def rewritten(config, i: int, line: str, text: str) -> str:
+    """Record line ``i`` (from 0) of ``config``'s results file, ``line``,
+    as the writer writes it for the answer ``text`` with the same capture."""
+    datasets = load_campaign_datasets(config, config_space(config))
+    query = next(islice(plan_queries(config, datasets), i, None))
+    record = json.loads(line)
+    top = record["top_logprobs"] and TokenDistribution.from_pairs(record["top_logprobs"])
+    judged = record["judged"] and (
+        parse(record["judged"]["explanation"]), record["judged"]["completion"]
+    )
+    return canonical_json(_result_line(query, text, top, judged, record["note"]))
 
 
 @pytest.fixture(scope="module")
@@ -625,6 +675,7 @@ class TestPlanCheckedRead:
             i for i, r in enumerate(records)
             if r["task"] == "completion" and r["ambiguous"] and r["run_id"] == 0
         )
+        parsed = canonical_json(records[i]["parsed"])
         edit(records[i])
         lines[i] = canonical_json(records[i])
         path.write_text("\n".join([header, *lines]) + "\n")
@@ -633,7 +684,34 @@ class TestPlanCheckedRead:
             "at length 3"
         )
         where = f"results.jsonl:{i + 2}: malformed record line "
-        self.refused(config, path, re.escape(where + f"({problem.format(query=query)})") + "$")
+        problem = problem.format(query=query, parsed=parsed)
+        self.refused(config, path, re.escape(where + f"({problem})") + "$")
+
+    @pytest.mark.parametrize("damage", ANSWER_DAMAGES)
+    def test_an_answer_field_its_raw_response_does_not_score_to_is_refused(
+        self, campaign_dir, damage
+    ):
+        # on an unambiguous completion line, scored correct; the refusal
+        # names the first of parsed, valid and correct that differs
+        config, path, header, lines = campaign_dir
+        edit, field, scored = ANSWER_DAMAGES[damage]
+        records = [json.loads(line) for line in lines]
+        i, record = next(
+            (i, r) for i, r in enumerate(records)
+            if r["task"] == "completion" and not r["ambiguous"] and r["run_id"] == 0
+        )
+        assert record["valid"] and record["correct"] is True
+        scored = scored or canonical_json(record["parsed"])
+        edit(record)
+        lines[i] = canonical_json(record)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        problem = (
+            f"the completion line of run 0 for sequence {record['sequence']['values']} at "
+            f"length 3: {field} is {canonical_json(record[field])}, where its raw_response "
+            f"scores {scored}"
+        )
+        where = f"results.jsonl:{i + 2}: malformed record line "
+        self.refused(config, path, re.escape(where + f"({problem})") + "$")
 
     @pytest.mark.parametrize("field", ["sequence", "valid"])
     def test_a_field_nested_near_the_recursion_limit_is_refused_by_its_line(
@@ -780,9 +858,9 @@ class TestPlanCheckedRead:
     def test_a_raw_response_holding_a_join_is_read(self, campaign_dir, loads_calls):
         # read in one decode, as each line reads by itself
         config, path, header, lines = campaign_dir
-        record = json.loads(lines[3])
-        record["raw_response"] = "},{" + lines[4].replace('":', '",') + "\n,{"
-        lines[3] = canonical_json(record)
+        lines[3] = rewritten(
+            config, 3, lines[3], "},{" + lines[4].replace('":', '",') + "\n,{"
+        )
         path.write_text("\n".join([header, *lines]) + "\n")
         expected = [json.loads(line) for line in lines]
         loads_calls.clear()
@@ -795,9 +873,7 @@ class TestPlanCheckedRead:
         # its keys are more '":' than the values have members, so the
         # lines are decoded one by one
         config, path, header, lines = campaign_dir
-        record = json.loads(lines[3])
-        record["raw_response"] = lines[4]
-        lines[3] = canonical_json(record)
+        lines[3] = rewritten(config, 3, lines[3], lines[4])
         path.write_text("\n".join([header, *lines]) + "\n")
         assert read_results(path)[1] == [json.loads(line) for line in lines]
         assert analyze_results(path)["n_records"] == len(lines)

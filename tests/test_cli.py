@@ -26,6 +26,9 @@ from ambigseq.mining import DatasetCounts
 
 
 COMMANDS = ("mine", "run", "analyze", "report")
+#: A JSON array nested too deep for ``json.loads`` on Python 3.11 to 3.13
+#: (3.13's decodes 5,000 levels).
+TOO_DEEP = "[" * 200_000 + "]" * 200_000
 
 
 def parse(argv):
@@ -347,7 +350,7 @@ class TestFailureExitCodes:
             (lambda path: path.mkdir(), "cannot read (Is a directory)"),
             (lambda path: path.write_bytes(b'{"role_text": "\xff"}'), "not UTF-8"),
             (
-                lambda path: path.write_text('{"x":' + "[" * 5000 + "]" * 5000 + "}"),
+                lambda path: path.write_text('{"x":' + TOO_DEEP + "}"),
                 "not valid JSON (maximum recursion",
             ),
             (
@@ -540,7 +543,7 @@ class TestFailureExitCodes:
             path = out_dir / name
             text = path.read_text()
             header, rest = text.split("\n", 1)
-            path.write_text(header[:-1] + ',"x":' + "[" * 5000 + "]" * 5000 + "}\n" + rest)
+            path.write_text(header[:-1] + ',"x":' + TOO_DEEP + "}\n" + rest)
             capfd.readouterr()
             assert main([command, *flags(out_dir)]) == 1, name
             err = capfd.readouterr().err
@@ -552,7 +555,7 @@ class TestFailureExitCodes:
         self, out_dir, tmp_path, capfd
     ):
         path = tmp_path / "fixtures.json"
-        path.write_text('{"fixtures":' + "[" * 5000 + "]" * 5000 + "}")
+        path.write_text('{"fixtures":' + TOO_DEEP + "}")
         scripted = ["--backend", "scripted", "--fixtures-file", str(path)]
         assert main(["run", *flags(out_dir, *scripted)]) == 1
         err = capfd.readouterr().err

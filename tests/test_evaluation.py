@@ -8,7 +8,7 @@ import shutil
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mc_reference import reference_monte_carlo
 
@@ -25,7 +25,15 @@ from ambigseq.backends import (
     OracleBackend,
     ScriptedBackend,
 )
-from ambigseq.campaign import PlannedQuery, _result_line, dataset_filename, run_campaign
+from ambigseq.campaign import (
+    PlannedQuery,
+    _result_line,
+    config_space,
+    dataset_filename,
+    load_campaign_datasets,
+    plan_queries,
+    run_campaign,
+)
 from ambigseq.config import CampaignConfig, canonical_json
 from ambigseq.evaluation import (
     EvalRecord,
@@ -37,9 +45,12 @@ from ambigseq.evaluation import (
     verbalization_scores,
 )
 from ambigseq.funcspace import (
+    MAX_NUMERAL_DIGITS,
+    TEMPLATE_TEXTS,
     ConcreteFunction,
     TemplateKind,
     enumerate_space,
+    parse,
 )
 from ambigseq.mining import (
     AmbiguityRecord,
@@ -82,6 +93,31 @@ def result_line(dataset, task, sequence, text, run_id=0):
 
 def by_task(lines, task):
     return [line for line in lines if line["task"] == task.value]
+
+
+@st.composite
+def explanation_texts(draw, depth=0):
+    """An explanation answer: a function of literals (with leading zeros),
+    the variable and the five operators, with blanks and redundant
+    parentheses, its variable named freely, in a base-2 ``bin(...)`` and
+    after the ``Explanation:`` marker at will; or a template's text."""
+    if depth == 0:
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from(list(TemplateKind)))
+            return TEMPLATE_TEXTS[kind].format(*draw(st.tuples(*[st.integers(0, 99)] * 2)))
+        name = draw(st.sampled_from(["x", "n", "value"]))
+        body = draw(explanation_texts(depth=1)).replace("x", name)
+        if draw(st.booleans()):
+            body = f"bin({body})"
+        marker = draw(st.sampled_from(["", "Explanation: ", "explanation:"]))
+        return f"{marker}lambda {name}: {body}"
+    if depth > 4 or draw(st.booleans()):
+        text = draw(st.sampled_from(["x", "0", "7", "007", "12"]))
+    else:
+        op = draw(st.sampled_from(["+", "*", "**", "|", "%"]))
+        left, right = (draw(explanation_texts(depth=depth + 1)) for _ in "lr")
+        text = f"{left}{draw(st.sampled_from(['', ' ', '  ']))}{op} {right}"
+    return f"({text})" if draw(st.booleans()) else text
 
 
 class TestParsers:
@@ -210,6 +246,20 @@ class TestEvalRecord:
         record = build_eval_record(Task.COMPLETION, "0b10011", 2)
         assert eval_record_to_json(record)["parsed"] == {"kind": "int", "value": 19}
 
+    @settings(max_examples=300, deadline=None)
+    @given(explanation_texts(), st.sampled_from([10, 2]))
+    @example("Explanation: lambda x: " + "(" * 100 + "x" + ")" * 100, 10)
+    @example("lambda x: " + " + ".join(["x"] * 101), 10)
+    @example(f"lambda x: x * 0{'0' * (MAX_NUMERAL_DIGITS - 2)}7", 10)
+    @example(f"lambda y: bin({TEMPLATE_TEXTS[TemplateKind.RECURSIVE].format(3, 4)}(y))", 2)
+    @example(TEMPLATE_TEXTS[TemplateKind.INDEXING_CRITERIA].format(3, 4).replace("x", "y"), 10)
+    def test_every_recorded_explanation_parses_back(self, text, base):
+        # a valid explanation line's parsed value is parsed again, unguarded,
+        # by the judgments of a run and by the analysis
+        record = build_eval_record(Task.EXPLANATION, text, base)
+        if record.valid:
+            assert parse(eval_record_to_json(record)["parsed"]["value"]) == record.parsed
+
 
 def unambiguous_sample(dataset, n=25):
     return dataset.unambiguous[:n]
@@ -268,20 +318,23 @@ class TestAccuracy:
 
     def test_ambiguous_sequence_rejected(self, tmp_path, mined_l3):
         """Only a run's unambiguous explanation and completion lines count
-        toward accuracy: in an oracle campaign's results, making every
+        toward accuracy: in an oracle campaign's results, answering every
         ambiguous completion and explanation, every judgment and every
-        verbalization invalid and incorrect leaves the figures at 100%."""
+        verbalization with an invalid text leaves the figures at 100%."""
         out = tmp_path / "out"
         out.mkdir()
         shutil.copy(mined_l3, out / dataset_filename(3))
         config = CampaignConfig(lengths=(3,), limit_sequences=2, n_runs=2, output_dir=str(out))
         results = run_campaign(config).results_file
         header, *rows = results.read_text().splitlines()
-        lines = [json.loads(row) for row in rows]
+        queries = plan_queries(config, load_campaign_datasets(config, config_space(config)))
         scored = ("explanation", "completion")
-        for line in lines:
-            if line["ambiguous"] or line["task"] not in scored:
-                line.update(valid=False, correct=False)
+        lines = [
+            _result_line(query, "banana", None, None, None)
+            if query.record.is_ambiguous or query.task.value not in scored
+            else json.loads(row)
+            for query, row in zip(queries, rows)
+        ]
         assert {line["task"] for line in lines if not line["valid"]} == {
             *scored, "consistency_judgment", "verbalize_alternatives"
         }
