@@ -2,7 +2,8 @@
 
 Everything here is a pure, deterministic function of the results file (plus
 the datasets its header names, mined on the config's space and checked
-against their files, ``config_digest`` aside) — no backend is ever queried.
+against their files, ``config_digest`` aside) — no backend is ever queried,
+and no more than one run's lines are held at once (see :func:`analyze_results`).
 The output is a JSON document and a delimited table ready for plotting. A
 run's completion/explanation pairs are checked by
 :func:`ambigseq.mining.continuations_of` on the config's function space, the
@@ -48,16 +49,13 @@ from .evaluation import (
     verbalization_scores,
 )
 from .funcspace import FunctionSpace, parse
-from .mining import Dataset, continuations_of, decode_json, load_dataset, write_atomic
+from .mining import Dataset, continuations_of, load_dataset, write_atomic
 from .prompting import Task
 
 ANALYSIS_FILENAME = "analysis.json"
 METRICS_FILENAME = "metrics.tsv"
 #: Monte Carlo draws per record for the random-answerer baselines.
 MC_SAMPLES = 2000
-#: The top-level keys of the document :func:`analyze_results` builds.
-_ANALYSIS_KEYS = ("config_digest", "backend", "n_records", "per_length",
-                  "reference_random_consistency", "reference_kl_bits")
 
 #: Published reference points for the random-consistency baseline: mean
 #: explanation/completion accuracy (percent) reported per model alongside the
@@ -172,18 +170,9 @@ def alternative_test(completions: list[dict], base: int) -> dict:
     }
 
 
-def _quadrant_analysis(completions: list[dict], base: int) -> dict:
-    """Pool completion-task logprob captures across runs, bucket by quadrant,
-    and compare the smoothed per-quadrant densities."""
-    groups: dict[Quadrant, list[float]] = {q: [] for q in Quadrant}
-    for line in completions:
-        if not line["top_logprobs"]:
-            continue
-        for quadrant, values in group_logprobs_by_quadrant(
-            TokenDistribution.from_pairs(line["top_logprobs"]), line["continuations"], base
-        ).items():
-            groups[quadrant].extend(values)
-
+def _quadrant_analysis(groups: dict[Quadrant, list[float]]) -> dict:
+    """Compare the smoothed densities of one length's logprob captures,
+    pooled by quadrant across its runs."""
     counts = {q.value: len(groups[q]) for q in Quadrant}
     occupied = [g for g in groups.values() if g]
     # the headline pairs are the published ones, each named "a||b"
@@ -263,7 +252,12 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
     """Build the full analysis document for one results file.
 
     Runs with the cyclic collector paused: a pure, single-threaded read of
-    the files whose records are dead by the time it returns.
+    the files whose records are dead by the time it returns. The lines are
+    folded as :func:`read_results` checks them. Those of one (length, run)
+    are contiguous in plan order, so only the current run's are held, and
+    the run is reduced to its per-run block when the next run's first line
+    arrives or the read ends. Each completion's logprob capture goes into
+    its length's quadrant pools as it is read, in file order.
     """
     results_file = Path(results_file)
     header, config = read_header(results_file)
@@ -277,55 +271,67 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
             )
         length = int(length_str)
         datasets[length] = load_dataset(path, space, length, config.base)
-    _, lines = read_results(results_file, datasets)
 
-    # one pass over the file; each bucket keeps its lines in file order
-    buckets: dict[tuple, list[dict]] = {}
-    for line in lines:
-        key = (line["length"], line["run_id"], line["task"], line["ambiguous"])
-        buckets.setdefault(key, []).append(line)
+    per_runs: dict[int, list[dict]] = {length: [] for length in config.lengths}
+    pools = {length: {q: [] for q in Quadrant} for length in config.lengths}
+    run: tuple[int, int] | None = None  # the (length, run_id) whose lines are held
+    held: dict[tuple[str, bool], list[dict]] = {}  # its lines by (task, ambiguous)
+    n_records = 0
+
+    def reduce_run() -> None:
+        if run is None:
+            return
+        length, run_id = run
+
+        def bucket(task: Task, ambiguous: bool) -> list[dict]:
+            return held.get((task.value, ambiguous), [])
+
+        completions = bucket(Task.COMPLETION, True)
+        per_runs[length].append({
+            **accuracy(bucket(Task.EXPLANATION, False), bucket(Task.COMPLETION, False)),
+            "run_id": run_id,
+            "cross_context": cross_context_consistency(
+                completions, bucket(Task.EXPLANATION, True), space
+            ),
+            "model_judged": judged_consistency(bucket(Task.CONSISTENCY_JUDGMENT, True)),
+            "verbalization": verbalization(bucket(Task.VERBALIZE_ALTERNATIVES, True)),
+            "alternative_test": alternative_test(completions, config.base),
+        })
+
+    def fold(line: dict) -> None:
+        nonlocal run, held, n_records
+        n_records += 1
+        if (line["length"], line["run_id"]) != run:
+            reduce_run()
+            run, held = (line["length"], line["run_id"]), {}
+        held.setdefault((line["task"], line["ambiguous"]), []).append(line)
+        if line["task"] == Task.COMPLETION.value and line["top_logprobs"]:
+            for quadrant, values in group_logprobs_by_quadrant(
+                TokenDistribution.from_pairs(line["top_logprobs"]),
+                line["continuations"],
+                config.base,
+            ).items():
+                pools[line["length"]][quadrant].extend(values)
+
+    read_results(results_file, datasets, fold)
+    reduce_run()
 
     per_length: dict[str, Any] = {}
     for length in config.lengths:
-        run_ids = sorted({key[1] for key in buckets if key[0] == length})
-        per_run = []
-        for run_id in run_ids:
-
-            def bucket(task: Task, ambiguous: bool) -> list[dict]:
-                return buckets.get((length, run_id, task.value, ambiguous), [])
-
-            completions = bucket(Task.COMPLETION, True)
-            per_run.append({
-                **accuracy(bucket(Task.EXPLANATION, False), bucket(Task.COMPLETION, False)),
-                "run_id": run_id,
-                "cross_context": cross_context_consistency(
-                    completions, bucket(Task.EXPLANATION, True), space
-                ),
-                "model_judged": judged_consistency(bucket(Task.CONSISTENCY_JUDGMENT, True)),
-                "verbalization": verbalization(bucket(Task.VERBALIZE_ALTERNATIVES, True)),
-                "alternative_test": alternative_test(completions, config.base),
-            })
+        per_run = per_runs[length]
         per_length[str(length)] = {
             "per_run": per_run,
             "aggregate": (
                 aggregate_runs([_figures(f) for f in per_run]) if per_run else None
             ),
             "random_baseline": _random_baseline(datasets[length], config.rng_seed),
-            "quadrants": _quadrant_analysis(
-                [
-                    line
-                    for (line_length, _, task, _), group in buckets.items()
-                    if line_length == length and task == Task.COMPLETION.value
-                    for line in group
-                ],
-                config.base,
-            ),
+            "quadrants": _quadrant_analysis(pools[length]),
         }
 
     return {
         "config_digest": header["config_digest"],
         "backend": config.backend,
-        "n_records": len(lines),
+        "n_records": n_records,
         "per_length": per_length,
         "reference_random_consistency": _reference_comparison(datasets, config.rng_seed),
         "reference_kl_bits": dict(REFERENCE_KL_BITS),
@@ -371,18 +377,3 @@ def write_analysis(
     write_atomic(table_path, metrics_table(analysis))
     return analysis_path, table_path
 
-
-def load_analysis(path: str | Path) -> dict[str, Any]:
-    """A stored analysis document; a :class:`CampaignError` naming the file
-    unless it is a JSON object with every key :func:`analyze_results` writes."""
-    path = Path(path)
-    try:
-        analysis = decode_json(path.read_text())
-    except ValueError as exc:
-        raise CampaignError(f"{path}: unreadable analysis file ({exc})") from exc
-    if not isinstance(analysis, dict):
-        raise CampaignError(f"{path}: not an analysis document (not an object)")
-    missing = [key for key in _ANALYSIS_KEYS if key not in analysis]
-    if missing:
-        raise CampaignError(f"{path}: analysis document lacks {', '.join(missing)}")
-    return analysis

@@ -253,7 +253,9 @@ def read_header(path: str | Path) -> tuple[dict, CampaignConfig]:
 
 
 def read_results(
-    path: str | Path, datasets: dict[int, Dataset] | None = None
+    path: str | Path,
+    datasets: dict[int, Dataset] | None = None,
+    consume: Callable[[dict], Any] | None = None,
 ) -> tuple[dict, list[dict]]:
     """The header and the record lines of a results file, read with the
     collector paused.
@@ -264,6 +266,13 @@ def read_results(
     trailing line without its newline (an interrupted write) is dropped,
     even when it holds a whole record.
 
+    Each line is handed to ``consume`` as soon as it is checked, in file
+    order, and the whole read (``consume`` included) runs inside this call.
+    By default ``consume`` collects the lines into the returned list; with
+    one given, the list is empty and the caller keeps what it needs: the
+    read itself holds at most the chunk of lines it decodes
+    (:data:`_CHUNK_LINES`) and the chunk before it.
+
     The lines are read-only: the lines of a record share its
     ``sequence`` and ``continuations`` objects, those of a task its ``task``
     text, and those that got the same answer to the same task on the same
@@ -272,6 +281,8 @@ def read_results(
     read.
     """
     path = Path(path)
+    lines: list[dict] = []
+    consume = consume or lines.append
     with collector_paused(), path.open("rb") as fh:
         header, config = _check_header(path, fh.readline())
         if datasets is None:
@@ -279,7 +290,9 @@ def read_results(
                 config.override(output_dir=str(path.parent)), config_space(config)
             )
         plan = plan_queries(config, datasets)
-        return header, [line for _, _, _, line in _record_lines(path, fh, plan)]
+        for _, _, _, line in _record_lines(path, fh, plan):
+            consume(line)
+        return header, lines
 
 
 def _check_header(path: Path, first: bytes) -> tuple[dict, CampaignConfig]:

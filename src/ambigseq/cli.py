@@ -17,11 +17,9 @@ from types import UnionType
 from typing import Callable, get_args, get_origin, get_type_hints
 
 from .analysis import (
-    ANALYSIS_FILENAME,
     FIGURES,
     REFERENCE_KL_BITS,
     analyze_results,
-    load_analysis,
     write_analysis,
 )
 from .campaign import (
@@ -292,12 +290,8 @@ def _report_text(config: CampaignConfig, analysis: dict) -> str:
 
 def cmd_report(config: CampaignConfig, out=None) -> int:
     out = out or sys.stdout
-    source = Path(config.output_dir) / ANALYSIS_FILENAME
-    if source.exists():
-        analysis = load_analysis(source)
-    else:
-        source = results_path(config.output_dir)
-        analysis = analyze_results(source)
+    source = results_path(config.output_dir)
+    analysis = analyze_results(source)
     if analysis["config_digest"] != config.digest():
         raise CampaignError(
             f"{source} belongs to campaign {analysis['config_digest']}, "

@@ -2,30 +2,45 @@
 
 import json
 import math
-import re
 import shutil
+import tracemalloc
 
 import pytest
 
 from ambigseq.analysis import (
     REFERENCE_KL_BITS,
     REFERENCE_RANDOM_CONSISTENCY,
+    _figures,
+    _quadrant_analysis,
+    accuracy,
+    alternative_test,
     analyze_results,
-    load_analysis,
+    cross_context_consistency,
+    judged_consistency,
     metrics_table,
+    verbalization,
     write_analysis,
 )
 from ambigseq import campaign, funcspace
 from ambigseq.campaign import (
     CampaignError,
+    config_space,
     dataset_filename,
+    mine_datasets,
     read_results,
+    results_path,
     run_campaign,
 )
 from ambigseq.config import CampaignConfig, canonical_json
-from ambigseq.distribution import MIN_LOGPROB
-from ambigseq.evaluation import expected_random_consistency
+from ambigseq.distribution import (
+    MIN_LOGPROB,
+    Quadrant,
+    TokenDistribution,
+    group_logprobs_by_quadrant,
+)
+from ambigseq.evaluation import aggregate_runs, expected_random_consistency
 from ambigseq.mining import mine
+from ambigseq.prompting import Task
 
 
 def campaign_results(tmp_path, mined_l3, **overrides):
@@ -286,7 +301,7 @@ class TestQuadrantEdges:
             "\n".join([header, *(canonical_json(r) for r in records)]) + "\n"
         )
         write_analysis(analyze_results(results), results.parent)
-        doc = load_analysis(results.parent / "analysis.json")
+        doc = json.loads((results.parent / "analysis.json").read_text())
         assert sum(doc["per_length"]["3"]["quadrants"]["counts"].values()) == 1
 
 
@@ -379,6 +394,99 @@ class TestAnalysisDeterminism:
             analyze_results(results_file)
 
 
+def bucketed_analysis(results_file, config, space, datasets):
+    """The record count and the line-dependent blocks of each length
+    (``per_run``, ``aggregate``, ``quadrants``) of a results file, built from
+    all its lines at once: each bucketed by (length, run, task, ambiguous),
+    and each length's completion captures pooled in file order."""
+    _, lines = read_results(results_file, datasets)
+    buckets = {}
+    for line in lines:
+        key = (line["length"], line["run_id"], line["task"], line["ambiguous"])
+        buckets.setdefault(key, []).append(line)
+    per_length = {}
+    for length in config.lengths:
+        per_run = []
+        for run_id in sorted({key[1] for key in buckets if key[0] == length}):
+
+            def bucket(task, ambiguous):
+                return buckets.get((length, run_id, task.value, ambiguous), [])
+
+            completions = bucket(Task.COMPLETION, True)
+            per_run.append({
+                **accuracy(bucket(Task.EXPLANATION, False), bucket(Task.COMPLETION, False)),
+                "run_id": run_id,
+                "cross_context": cross_context_consistency(
+                    completions, bucket(Task.EXPLANATION, True), space
+                ),
+                "model_judged": judged_consistency(bucket(Task.CONSISTENCY_JUDGMENT, True)),
+                "verbalization": verbalization(bucket(Task.VERBALIZE_ALTERNATIVES, True)),
+                "alternative_test": alternative_test(completions, config.base),
+            })
+        groups = {q: [] for q in Quadrant}
+        for line in lines:
+            if line["length"] == length and line["task"] == "completion" and line["top_logprobs"]:
+                for quadrant, values in group_logprobs_by_quadrant(
+                    TokenDistribution.from_pairs(line["top_logprobs"]),
+                    line["continuations"],
+                    config.base,
+                ).items():
+                    groups[quadrant].extend(values)
+        per_length[str(length)] = {
+            "per_run": per_run,
+            "aggregate": aggregate_runs([_figures(f) for f in per_run]) if per_run else None,
+            "quadrants": _quadrant_analysis(groups),
+        }
+    return len(lines), per_length
+
+
+class TestRunFold:
+    """``analyze_results`` folds each run's lines as they are read."""
+
+    def test_every_cut_analyzes_as_the_bucketed_lines_do(self, tmp_path, monkeypatch):
+        # the cuts include a file that ends inside a run, one that holds no
+        # line of its second length, and one that holds no record line. The
+        # baselines read no line, so a few draws serve.
+        monkeypatch.setattr("ambigseq.analysis.MC_SAMPLES", 10)
+        out = tmp_path / "out"
+        config = CampaignConfig(
+            lengths=(3, 4), n_runs=3, limit_sequences=2, output_dir=str(out)
+        )
+        space = config_space(config)
+        datasets = mine_datasets(config)
+        run_campaign(config)
+        results = results_path(out)
+        header, *lines = results.read_text().splitlines(keepends=True)
+        assert len(lines) == 2 * 3 * 12  # 12 queries a run
+        for cut in range(len(lines) + 1):
+            results.write_text(header + "".join(lines[:cut]))
+            doc = analyze_results(results)
+            n_records, per_length = bucketed_analysis(results, config, space, datasets)
+            assert doc["n_records"] == n_records == cut
+            for length, expected in per_length.items():
+                block = doc["per_length"][length]
+                assert {key: block[key] for key in expected} == expected, (cut, length)
+
+    def test_peak_memory_does_not_grow_with_the_runs(self, tmp_path, mined_l3, monkeypatch):
+        # the read decodes _CHUNK_LINES lines at a time, more than a run holds
+        # here; with a smaller chunk, what grows with the file is what the
+        # analysis keeps of it
+        monkeypatch.setattr(campaign, "_CHUNK_LINES", 50)
+        peaks = {}
+        for n_runs in (2, 8):
+            _, results = campaign_results(
+                tmp_path / str(n_runs), mined_l3, n_runs=n_runs, limit_sequences=30
+            )
+            analyze_results(results)  # fills the caches a first analysis fills
+            tracemalloc.start()
+            try:
+                analyze_results(results)
+                peaks[n_runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.1 * peaks[2], peaks
+
+
 class TestFileOutput:
     def test_metrics_table_layout(self, tmp_path, mined_l3):
         config, results_file = campaign_results(tmp_path, mined_l3)
@@ -426,30 +534,4 @@ class TestFileOutput:
         analysis_path, table_path = write_analysis(doc, tmp_path / "out")
         assert analysis_path.name == "analysis.json"
         assert table_path.name == "metrics.tsv"
-        assert load_analysis(analysis_path) == json.loads(canonical_json(doc))
-
-    @pytest.mark.parametrize(
-        "text, why",
-        [
-            ("{not json", "unreadable analysis file"),
-            # 3.13's json decodes 5,000 levels; 200,000 is too deep on 3.11 to 3.13
-            ("[" * 200_000 + "]" * 200_000, "unreadable analysis file (maximum recursion"),
-            ("[1]", "not an analysis document"),
-        ],
-        ids=["not_json", "nested_5000_deep", "not_an_object"],
-    )
-    def test_load_refuses_a_file_that_is_no_analysis(self, tmp_path, text, why):
-        path = tmp_path / "analysis.json"
-        path.write_text(text)
-        with pytest.raises(CampaignError, match=re.escape(f"{path}: {why}")):
-            load_analysis(path)
-
-    def test_load_refuses_a_document_without_a_key_analyze_writes(
-        self, tmp_path, analysis
-    ):
-        _, doc = analysis
-        path = tmp_path / "analysis.json"
-        for key in doc:
-            path.write_text(canonical_json({k: v for k, v in doc.items() if k != key}))
-            with pytest.raises(CampaignError, match=re.escape(f"{path}: ") + f".*{key}"):
-                load_analysis(path)
+        assert json.loads(analysis_path.read_text()) == json.loads(canonical_json(doc))

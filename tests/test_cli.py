@@ -572,28 +572,43 @@ class TestFailureExitCodes:
         out = tmp_path / "campaign"
         for stage in ("mine", "run", "analyze"):
             assert main([stage, *flags(out)]) == 0
-        # the datasets are mined again for a wider constant range, whose
-        # campaign has no analysis of its own
-        wider = [*flags(out), "--constant-range", "0,5"]
-        assert main(["mine", *wider]) == 0
         capfd.readouterr()
-        assert main(["report", *wider]) == 1
+        # report analyzes results.jsonl, which belongs to the narrower
+        # campaign; the analysis.json beside it is never read
+        assert main(["report", *flags(out), "--constant-range", "0,5"]) == 1
         err = capfd.readouterr().err
         stored = json.loads((out / "analysis.json").read_text())["config_digest"]
-        assert f"analysis.json belongs to campaign {stored}" in err
+        assert f"results.jsonl belongs to campaign {stored}" in err
         assert not (out / "report.txt").exists()
 
     @pytest.mark.parametrize(
-        "text", ["[1]", '{"config_digest": "0"}', "{not json"],
-        ids=["not_an_object", "without_per_length", "not_json"],
+        "damage",
+        [
+            lambda doc: "[1]",
+            lambda doc: '{"config_digest": "0"}',
+            lambda doc: "{not json",
+            lambda doc: canonical_json({**doc, "per_length": 5}),
+            lambda doc: canonical_json({**doc, "per_length": {"3": 1}}),
+            lambda doc: canonical_json({**doc, "per_length": []}),
+        ],
+        ids=[
+            "not_an_object", "without_per_length", "not_json",
+            "per_length_5", "per_length_of_ints", "per_length_empty_list",
+        ],
     )
-    def test_report_refuses_a_malformed_analysis(self, out_dir, capfd, text):
-        assert main(["run", *flags(out_dir)]) == 0
-        (out_dir / "analysis.json").write_text(text)
+    def test_report_ignores_a_damaged_analysis(self, out_dir, capfd, damage):
+        for stage in ("run", "analyze", "report"):
+            assert main([stage, *flags(out_dir)]) == 0
+        report = (out_dir / "report.txt").read_text()
+        path = out_dir / "analysis.json"
+        damaged = damage(json.loads(path.read_text()))
+        path.write_text(damaged)
+        (out_dir / "report.txt").unlink()
         capfd.readouterr()
-        assert main(["report", *flags(out_dir)]) == 1
-        assert f"error: {out_dir / 'analysis.json'}: " in capfd.readouterr().err
-        assert not (out_dir / "report.txt").exists()
+        assert main(["report", *flags(out_dir)]) == 0
+        assert capfd.readouterr().err == ""
+        assert (out_dir / "report.txt").read_text() == report
+        assert path.read_text() == damaged
 
     def test_run_refuses_a_damaged_dataset(self, out_dir, capfd):
         path = out_dir / dataset_filename(3)
@@ -607,7 +622,6 @@ class TestFailureExitCodes:
     def test_a_torn_dataset_is_refused(self, out_dir, capfd, command):
         # every damage leaves a file that is not what its parameters mine;
         # the first two are valid records, only fewer or less of them.
-        # With analysis.json on disk, report reads the datasets itself.
         for stage in ("run", "analyze"):
             assert main([stage, *flags(out_dir)]) == 0
         path = out_dir / dataset_filename(3)

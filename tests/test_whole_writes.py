@@ -4,12 +4,13 @@ the previous file, or no file, and no temporary file behind."""
 from __future__ import annotations
 
 import errno
+import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from ambigseq.analysis import load_analysis, write_analysis
+from ambigseq.analysis import write_analysis
 from ambigseq.backends import CachingBackend, CompletionRequest, OracleBackend, request_digest
 from ambigseq.campaign import dataset_filename
 from ambigseq.cli import build_parser, cmd_report, main, resolve_config
@@ -74,7 +75,7 @@ def _rewrite_dataset(out):
 
 
 def _rewrite_analysis(out):
-    write_analysis(load_analysis(out / "analysis.json"), out)
+    write_analysis(json.loads((out / "analysis.json").read_text()), out)
 
 
 def _rewrite_report(out):
