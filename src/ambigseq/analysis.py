@@ -277,6 +277,7 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
     run: tuple[int, int] | None = None  # the (length, run_id) whose lines are held
     held: dict[tuple[str, bool], list[dict]] = {}  # its lines by (task, ambiguous)
     n_records = 0
+    completion = Task.COMPLETION.value  # an enum property call each time it is read
 
     def reduce_run() -> None:
         if run is None:
@@ -305,7 +306,7 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
             reduce_run()
             run, held = (line["length"], line["run_id"]), {}
         held.setdefault((line["task"], line["ambiguous"]), []).append(line)
-        if line["task"] == Task.COMPLETION.value and line["top_logprobs"]:
+        if line["task"] == completion and line["top_logprobs"]:
             for quadrant, values in group_logprobs_by_quadrant(
                 TokenDistribution.from_pairs(line["top_logprobs"]),
                 line["continuations"],

@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import count, islice, takewhile
+from itertools import takewhile
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, TextIO
@@ -270,14 +270,13 @@ def read_results(
     order, and the whole read (``consume`` included) runs inside this call.
     By default ``consume`` collects the lines into the returned list; with
     one given, the list is empty and the caller keeps what it needs: the
-    read itself holds at most the chunk of lines it decodes
-    (:data:`_CHUNK_LINES`) and the chunk before it.
+    read itself holds one line at a time.
 
-    The lines are read-only: the lines of a record share its
-    ``sequence`` and ``continuations`` objects, those of a task its ``task``
-    text, and those that got the same answer to the same task on the same
-    record its ``raw_response`` text and ``parsed`` object (see
-    :func:`_record_lines`). Nothing in ``ambigseq`` edits a line it has
+    The lines are read-only: they share their field-name strings, the
+    lines of a record its ``sequence`` and ``continuations`` objects, those
+    of a task its ``task`` text, and those that got the same answer to the
+    same task on the same record its ``raw_response`` text and ``parsed``
+    object (see :func:`_record_lines`). Nothing in ``ambigseq`` edits a line it has
     read.
     """
     path = Path(path)
@@ -335,9 +334,6 @@ _FIELDS = (
 _PLAN_FIELDS = _FIELDS[:6]
 _fields_of = itemgetter(*_FIELDS)
 _INT = {int}
-#: How many complete record lines :func:`_record_lines` decodes with one
-#: ``json.loads`` call.
-_CHUNK_LINES = 1000
 
 
 def _record_lines(
@@ -345,95 +341,35 @@ def _record_lines(
 ) -> Iterator[tuple[int, int, PlannedQuery, dict]]:
     """The record lines of the results file at ``path``, read from ``fh``
     after its header line: (line number, end offset of the line, the query
-    it answers, the line). Line N is checked by :func:`_line_problem`
-    against the query ``plan`` gives next; the first line that fails is a
-    :class:`CampaignError` naming ``path:N``, as that line decoded by itself
-    shows its fault. An unterminated last line (a torn write) is not read.
+    it answers, the line). Line N is decoded by itself and checked by
+    :func:`_line_problem` against the query ``plan`` gives next; the first
+    line that fails is a :class:`CampaignError` naming ``path:N``. An
+    unterminated last line (a torn write) is not read.
 
-    The lines are decoded :data:`_CHUNK_LINES` at a time by
-    :func:`_joined_lines`; a chunk it refuses is decoded line by line.
-
-    A line that passes holds the query's own plan field objects (see
-    :attr:`PlannedQuery.plan_fields`), which every line of its record
-    shares, and the answer fields that :func:`_line_problem` scored for the
-    first line read with its task, record and ``raw_response``: the check
-    showed that each equals what the line held, with the same types. So the
-    lines are read-only; a caller that edits one edits every line sharing
-    it."""
+    A line that passes is built again, so that every line read shares its
+    field-name strings (one ``json.loads`` per line makes its own). It holds
+    the query's own plan field objects (see :attr:`PlannedQuery.plan_fields`),
+    which every line of its record shares, and the answer fields that
+    :func:`_line_problem` scored for the first line read with its task,
+    record and ``raw_response``: the check showed that each equals what the
+    line held, with the same types. So the lines are read-only; a caller
+    that edits one edits every line sharing it."""
     end = fh.tell()
-    complete = takewhile(lambda raw: raw.endswith(b"\n"), fh)
     answers: dict[tuple, dict] = {}  # see _scoring_problem
-    n = 2
-    while chunk := list(islice(complete, _CHUNK_LINES)):
-        queries = [next(plan, None) for _ in chunk]
-        lines = _joined_lines(chunk, queries, answers)
-        if lines is None:
-            lines = map(partial(_lone_line, path, answers), count(n), chunk, queries)
-        for raw, query, line in zip(chunk, queries, lines):
-            line.update(answers[line["task"], line["raw_response"], id(query.record)])
-            line["sequence"], line["continuations"] = query.record.json_fields
-            line["task"] = query.task.value
-            end += len(raw)
-            yield n, end, query, line
-            n += 1
-
-
-def _joined_lines(
-    chunk: list[bytes], queries: list[PlannedQuery | None], answers: dict
-) -> list | None:
-    """The record lines ``chunk`` (each with its newline) decoded with one
-    ``json.loads`` of ``[line,line,...]``, if each is the line of its query
-    in ``queries`` (checked with the scored ``answers`` of the read); None
-    when any is not, or the join may hide how.
-
-    The join is accepted only when every line starts with ``{`` and ends
-    with ``}\\n``, it decodes to as many values as there are lines, each
-    value passes :func:`_line_problem`, no ``"`` is followed by a blank
-    (the text holds no ``" ``, tab or carriage return), and the text holds
-    exactly as many ``":`` as the values have object members. Then each
-    value is its line decoded by itself:
-
-    - Every member's key ends in ``"`` and then ``:``, with at most blanks
-      between (a newline only follows a line's ``}``), so the text holds a
-      ``":`` for each member it writes. A key written twice in one object
-      is one member of the value, and what its first value held is dropped
-      unseen; equal counts mean nothing is dropped, and the values hold all
-      of the text.
-    - The newlines are kept, and strict decoding refuses one inside a
-      string, so every inserted ``,`` lies between a line's ``}`` and the
-      next line's ``{``, outside any string, where it parts the items of an
-      array. No value :func:`_line_problem` accepts holds an object inside
-      an array, so every inserted ``,`` parts the outer items, and with as
-      many items as lines, no line holds a ``,`` of its own at that level:
-      item i is line i."""
-    if not all(raw.startswith(b"{") and raw.endswith(b"}\n") for raw in chunk):
-        return None
-    try:
-        text = (b"[%b]" % b",".join(chunk)).decode()
-        lines = json.loads(text)
-    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
-        return None
-    try:
-        if len(lines) != len(chunk) or any(map(partial(_line_problem, answers), lines, queries)):
-            return None
-    except RecursionError:  # a value too deep to compare or to name
-        return None
-    if (
-        '" ' in text or "\t" in text or "\r" in text
-        or text.count('":') != sum(map(_members, lines))
-    ):
-        return None
-    return lines
-
-
-def _members(line: dict) -> int:
-    """The object members of a record line that :func:`_line_problem`
-    accepts: its own, and those of its sequence, parsed and judged."""
-    judged = line["judged"]
-    return (
-        len(line) + len(line["sequence"]) + len(line["parsed"])
-        + (0 if judged is None else len(judged))
-    )
+    complete = takewhile(lambda raw: raw.endswith(b"\n"), fh)
+    for n, raw in enumerate(complete, 2):
+        query = next(plan, None)
+        line = _lone_line(path, answers, n, raw, query)
+        sequence, continuations = query.record.json_fields
+        line = {
+            "sequence": sequence, "task": query.task.value, "run_id": line["run_id"],
+            "length": line["length"], "ambiguous": line["ambiguous"],
+            "continuations": continuations,
+            **answers[line["task"], line["raw_response"], id(query.record)],
+            "top_logprobs": line["top_logprobs"], "judged": line["judged"], "note": line["note"],
+        }
+        end += len(raw)
+        yield n, end, query, line
 
 
 def _lone_line(path: Path, answers: dict, n: int, raw: bytes, query: PlannedQuery | None) -> dict:
@@ -468,8 +404,7 @@ def _line_problem(answers: dict, line: Any, query: PlannedQuery | None) -> str |
     ``top_logprobs`` null or a list :class:`TokenDistribution` takes (a line
     records what the backend returned, and a scripted answer may carry them
     on any task); ``judged`` null or, on a judgment line, an explanation
-    text and a completion integer. No line it accepts holds an object inside
-    an array, which :func:`_joined_lines` relies on.
+    text and a completion integer.
     """
     if query is None:
         return "past the last planned query"

@@ -467,11 +467,9 @@ class TestRunFold:
                 block = doc["per_length"][length]
                 assert {key: block[key] for key in expected} == expected, (cut, length)
 
-    def test_peak_memory_does_not_grow_with_the_runs(self, tmp_path, mined_l3, monkeypatch):
-        # the read decodes _CHUNK_LINES lines at a time, more than a run holds
-        # here; with a smaller chunk, what grows with the file is what the
-        # analysis keeps of it
-        monkeypatch.setattr(campaign, "_CHUNK_LINES", 50)
+    def test_peak_memory_does_not_grow_with_the_runs(self, tmp_path, mined_l3):
+        # the read holds one line at a time, so what grows with the file is
+        # what the analysis keeps of it
         peaks = {}
         for n_runs in (2, 8):
             _, results = campaign_results(

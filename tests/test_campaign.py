@@ -240,7 +240,8 @@ class TestReadResults:
         assert len(records) == outcome.queried == 24
 
     def test_records_share_their_key_strings(self, tmp_path, mined_l3):
-        # each json.loads call makes its own; one set is held, not one a line
+        # each json.loads call makes its own; the read rebuilds every line
+        # with one set
         _, outcome = self.run_small(tmp_path, mined_l3)
         _, records = read_results(outcome.results_file)
         assert {id(key) for r in records for key in r} == {id(key) for key in records[0]}
@@ -252,7 +253,7 @@ class TestReadResults:
         _, outcome = self.run_small(tmp_path, mined_l3)
         path = outcome.results_file
         if decode == "line_by_line":
-            # a blank before each line keeps the chunk from being joined
+            # a blank before each line, which a read accepts
             header, *lines = path.read_text().splitlines()
             path.write_text("\n".join([header, *(" " + line for line in lines)]) + "\n")
         _, records = read_results(path)
@@ -290,7 +291,7 @@ class TestReadResults:
     @pytest.mark.parametrize(
         "kind", ["oracle", "scripted_with_a_logprob_fallback", "base_2", "a_chunk_line_by_line"]
     )
-    def test_lines_read_are_the_lines_written(self, tmp_path, mined_l3, monkeypatch, kind):
+    def test_lines_read_are_the_lines_written(self, tmp_path, mined_l3, kind):
         # sharing the plan's objects changes no value a line holds
         if kind == "scripted_with_a_logprob_fallback":
             fixtures_file = tmp_path / "fixtures.json"
@@ -312,9 +313,7 @@ class TestReadResults:
         if kind == "scripted_with_a_logprob_fallback":
             assert sum(LOGPROBS_UNAVAILABLE_NOTE in line for line in lines) == 1
         if kind == "a_chunk_line_by_line":
-            # a raw response holding a whole line: its chunk of four is
-            # decoded line by line, the chunks beside it joined
-            monkeypatch.setattr(campaign, "_CHUNK_LINES", 4)
+            # a raw response holding a whole line
             lines[5] = rewritten(config, 5, lines[5], lines[6])
             path.write_text("\n".join([header, *lines]) + "\n")
         _, records = read_results(path)
@@ -617,25 +616,12 @@ def ten_runs(tmp_path_factory, mined_l3):
     return path, load_campaign_datasets(config, config_space(config))
 
 
-@pytest.fixture()
-def loads_calls(monkeypatch):
-    """The argument of every ``json.loads`` call made during the test."""
-    calls, loads = [], json.loads
-
-    def counted(text, *args, **kwargs):
-        calls.append(text)
-        return loads(text, *args, **kwargs)
-
-    monkeypatch.setattr(json, "loads", counted)
-    return calls
-
-
 class TestPlanCheckedRead:
     """Line N of a results file answers query N of its plan, with every field
     of its type; ``run`` and ``analyze`` refuse any other line by its number,
     as that line read alone shows its fault. Some files below are valid JSON
-    once their lines are joined into one array, which a faster decode of
-    many lines at once must not be fooled by."""
+    once their lines are joined into one array; each is still refused by the
+    line that holds its fault."""
 
     @pytest.fixture(scope="class")
     def finished(self, tmp_path_factory, mined_l3) -> bytes:
@@ -788,15 +774,11 @@ class TestPlanCheckedRead:
         assert analyze_results(path)["n_records"] == len(lines)
         assert run_campaign(config).skipped == len(lines)
 
-    @pytest.mark.parametrize("chunk_lines", [1, 4])
     @pytest.mark.parametrize("edge", ["first", "last"])
-    def test_a_damage_at_a_chunk_edge_is_refused_by_its_line(
-        self, campaign_dir, monkeypatch, chunk_lines, edge
-    ):
-        # the second chunk's first or last line; the chunks beside it are sound
-        monkeypatch.setattr(campaign, "_CHUNK_LINES", chunk_lines)
+    def test_a_damaged_end_line_is_refused_by_its_line(self, campaign_dir, edge):
+        # the first or the last record line; the lines beside it are sound
         config, path, header, lines = campaign_dir
-        i = chunk_lines if edge == "first" else 2 * chunk_lines - 1
+        i = 0 if edge == "first" else len(lines) - 1
         not_json = lines[i][:-1] + ",}"
         with_extra = canonical_json({**json.loads(lines[i]), "extra": [{}]})
         for damaged, error in [
@@ -849,29 +831,24 @@ class TestPlanCheckedRead:
 
     @pytest.mark.parametrize("blank", [" ", "\t", "\r"])
     def test_a_join_hidden_in_a_duplicated_key_beside_blanks(self, campaign_dir, blank):
-        # the blanks hide the three extra keys from a count of '":'
+        # blanks part three keys of the two records from their colons
         config, path, header, lines = campaign_dir
         i, lines = self.hide_a_join(lines, "note", "{", blank)
         path.write_text("\n".join([header, *lines]) + "\n")
         self.refused(config, path, re.escape(_lone_line_error(path, i, lines[i - 2])) + "$")
 
-    def test_a_raw_response_holding_a_join_is_read(self, campaign_dir, loads_calls):
-        # read in one decode, as each line reads by itself
+    def test_a_raw_response_holding_a_join_is_read(self, campaign_dir):
         config, path, header, lines = campaign_dir
         lines[3] = rewritten(
             config, 3, lines[3], "},{" + lines[4].replace('":', '",') + "\n,{"
         )
         path.write_text("\n".join([header, *lines]) + "\n")
         expected = [json.loads(line) for line in lines]
-        loads_calls.clear()
         assert read_results(path)[1] == expected
-        assert len(loads_calls) < len(lines)
         assert analyze_results(path)["n_records"] == len(lines)
         assert run_campaign(config).skipped == len(lines)
 
     def test_a_raw_response_holding_a_record_is_read(self, campaign_dir):
-        # its keys are more '":' than the values have members, so the
-        # lines are decoded one by one
         config, path, header, lines = campaign_dir
         lines[3] = rewritten(config, 3, lines[3], lines[4])
         path.write_text("\n".join([header, *lines]) + "\n")
@@ -879,28 +856,11 @@ class TestPlanCheckedRead:
         assert analyze_results(path)["n_records"] == len(lines)
         assert run_campaign(config).skipped == len(lines)
 
-    def test_a_file_is_decoded_a_chunk_at_a_time(self, many_runs, loads_calls):
-        # one decode of each line by itself would be 4,800 calls
-        _, path = many_runs
-        loads_calls.clear()
-        _, records = read_results(path)
-        assert len(records) == 4800
-        assert len(loads_calls) < 20
-
     @pytest.mark.parametrize("workers", [1, 3])
     def test_resume_after_every_line_is_byte_identical(
         self, tmp_path, mined_l3, finished, workers
     ):
         self.resume_after_every_line(tmp_path, mined_l3, finished, workers)
-
-    @pytest.mark.parametrize("chunk_lines", [1, 4])
-    def test_resume_after_every_line_in_chunks_is_byte_identical(
-        self, tmp_path, mined_l3, finished, monkeypatch, chunk_lines
-    ):
-        # each cut, and so each torn last line, lands at a chunk's edge or
-        # inside it
-        monkeypatch.setattr(campaign, "_CHUNK_LINES", chunk_lines)
-        self.resume_after_every_line(tmp_path, mined_l3, finished, workers=1)
 
     @staticmethod
     def resume_after_every_line(tmp_path, mined_l3, finished, workers):
