@@ -3,7 +3,8 @@
 Everything here is a pure, deterministic function of the results file (plus
 the datasets its header names, mined on the config's space and checked
 against their files, ``config_digest`` aside) — no backend is ever queried,
-and no more than one run's lines are held at once (see :func:`analyze_results`).
+and no more than one run's ambiguous-record lines are held at once (see
+:func:`analyze_results`).
 The output is a JSON document and a delimited table ready for plotting. A
 run's completion/explanation pairs are checked by
 :func:`ambigseq.mining.continuations_of` on the config's function space, the
@@ -23,7 +24,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from statistics import fmean
-from typing import Any, Callable, NamedTuple
+from struct import pack
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .campaign import (
     CampaignError,
@@ -170,7 +172,7 @@ def alternative_test(completions: list[dict], base: int) -> dict:
     }
 
 
-def _quadrant_analysis(groups: dict[Quadrant, list[float]]) -> dict:
+def _quadrant_analysis(groups: dict[Quadrant, Sequence[float]]) -> dict:
     """Compare the smoothed densities of one length's logprob captures,
     pooled by quadrant across its runs."""
     counts = {q.value: len(groups[q]) for q in Quadrant}
@@ -242,6 +244,16 @@ FIGURES = (
 )
 
 
+#: What :func:`accuracy` reads of a line, one shared mapping per
+#: (``correct``, ``valid``): what :func:`analyze_results` holds of the line of
+#: an unambiguous record.
+_OUTCOMES = {
+    (correct, valid): {"correct": correct, "valid": valid}
+    for correct in (True, False, None)
+    for valid in (True, False)
+}
+
+
 def _figures(run: dict[str, Any]) -> dict[str, float | None]:
     """The headline figures of one per-run block, by name."""
     return {figure.name: figure.value(run) for figure in FIGURES}
@@ -253,11 +265,18 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
 
     Runs with the cyclic collector paused: a pure, single-threaded read of
     the files whose records are dead by the time it returns. The lines are
-    folded as :func:`read_results` checks them. Those of one (length, run)
-    are contiguous in plan order, so only the current run's are held, and
-    the run is reduced to its per-run block when the next run's first line
-    arrives or the read ends. Each completion's logprob capture goes into
-    its length's quadrant pools as it is read, in file order.
+    folded as :func:`read_results` checks them, and a line is held only where
+    a figure reads it. Those of one (length, run) are contiguous in plan
+    order, so only the current run's are held, and the run is reduced to its
+    per-run block when the next run's first line arrives or the read ends.
+    The lines of an ambiguous record are held whole. Those of an unambiguous
+    one, a completion or an explanation, feed only :func:`accuracy`, so in
+    their place the run holds one of the shared :data:`_OUTCOMES` mappings of
+    their ``correct`` and ``valid``. Each completion's logprob capture goes
+    into its length's quadrant pools as it is read, in file order. A pool is
+    a ``bytearray`` of packed doubles, 8 bytes a pooled logprob, read in
+    place as a ``memoryview`` of floats: the one part of what this holds
+    that grows with the number of runs.
     """
     results_file = Path(results_file)
     header, config = read_header(results_file)
@@ -273,9 +292,12 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
         datasets[length] = load_dataset(path, space, length, config.base)
 
     per_runs: dict[int, list[dict]] = {length: [] for length in config.lengths}
-    pools = {length: {q: [] for q in Quadrant} for length in config.lengths}
+    # packed by struct, not held in array("d"): importing the array module
+    # adds about 84 KB to a process, and site hooks commonly load struct anyway
+    pools = {length: {q: bytearray() for q in Quadrant} for length in config.lengths}
     run: tuple[int, int] | None = None  # the (length, run_id) whose lines are held
-    held: dict[tuple[str, bool], list[dict]] = {}  # its lines by (task, ambiguous)
+    # its lines by (task, ambiguous), an unambiguous one as its _OUTCOMES mapping
+    held: dict[tuple[str, bool], list[dict]] = {}
     n_records = 0
     completion = Task.COMPLETION.value  # an enum property call each time it is read
 
@@ -305,14 +327,18 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
         if (line["length"], line["run_id"]) != run:
             reduce_run()
             run, held = (line["length"], line["run_id"]), {}
-        held.setdefault((line["task"], line["ambiguous"]), []).append(line)
+        ambiguous = line["ambiguous"]
+        held.setdefault((line["task"], ambiguous), []).append(
+            line if ambiguous else _OUTCOMES[line["correct"], line["valid"]]
+        )
         if line["task"] == completion and line["top_logprobs"]:
             for quadrant, values in group_logprobs_by_quadrant(
                 TokenDistribution.from_pairs(line["top_logprobs"]),
                 line["continuations"],
                 config.base,
             ).items():
-                pools[line["length"]][quadrant].extend(values)
+                if values:
+                    pools[line["length"]][quadrant].extend(pack(f"{len(values)}d", *values))
 
     read_results(results_file, datasets, fold)
     reduce_run()
@@ -326,7 +352,9 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
                 aggregate_runs([_figures(f) for f in per_run]) if per_run else None
             ),
             "random_baseline": _random_baseline(datasets[length], config.rng_seed),
-            "quadrants": _quadrant_analysis(pools[length]),
+            "quadrants": _quadrant_analysis(
+                {q: memoryview(pool).cast("d") for q, pool in pools[length].items()}
+            ),
         }
 
     return {

@@ -17,7 +17,8 @@ answers query N, and a reader checks each line against its query (see
 present, an unterminated trailing line from an interrupted run is truncated
 away (every line is written with its newline), and the remainder is
 appended in the same canonical order. A resume holds only the lines of the
-run it resumes in that the run's judgments read.
+run it resumes in that the run's judgments read: the completion and
+explanation lines of its ambiguous records.
 
 Backend calls may overlap. With ``CampaignConfig.workers`` above 1, only
 ``backend.complete`` runs on a pool of that many threads; the calling thread
@@ -653,10 +654,12 @@ def _resume_point(
 
 
 class _RunLines:
-    """The completion and explanation lines of one run of the plan, by
-    sequence values, each with its line number: what the run's judgments
-    read. Lines are added in plan order, and the first line of the next run
-    drops them."""
+    """The completion and explanation lines of one run of the plan's
+    ambiguous records, by sequence values, each with its line number: what
+    the run's judgments read (:func:`_task_targets` gives judgments only
+    ambiguous records). Lines are added in plan order; a line of an
+    unambiguous record is not kept, and the first line of the next run drops
+    those kept."""
 
     def __init__(self) -> None:
         self.run: tuple[int, int] | None = None
@@ -667,6 +670,8 @@ class _RunLines:
         """Add ``line``, line ``n`` of the results file, the answer to ``query``."""
         if (query.length, query.run_id) != self.run:
             self.run, self.completions, self.explanations = (query.length, query.run_id), {}, {}
+        if not query.record.is_ambiguous:
+            return
         if query.task is Task.COMPLETION:
             self.completions[query.record.sequence.values] = (n, line)
         elif query.task is Task.EXPLANATION:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -259,11 +259,12 @@ def shared_edges(groups: Iterable[Sequence[float]], n_bins: int = 40) -> tuple[f
     last is ``hi``, as ``np.linspace`` computes them. When those edges do not
     increase strictly (a point, or a span too narrow for ``n_bins`` steps of
     the float grid), the range is widened by 0.5 each way, then by 1, 2, 4
-    and so on until they do; a ``ValueError`` if the step overflows first."""
-    pooled = [float(v) for g in groups for v in g]
-    if not pooled:
+    and so on until they do; a ``ValueError`` if the step overflows first.
+    The samples are read in place, never copied."""
+    spans = [(min(map(float, g)), max(map(float, g))) for g in groups if len(g)]
+    if not spans:
         raise ValueError("cannot build edges from empty data")
-    lo, hi = min(pooled), max(pooled)
+    lo, hi = min(lo for lo, _ in spans), max(hi for _, hi in spans)
     a, b, pad = lo, hi, 0.5
     while True:
         step = (b - a) / n_bins
@@ -283,25 +284,27 @@ def build_density_histogram(
     """Histogram normalized so that total mass (density x width) is 1.
 
     Bin ``i`` counts the values in ``[edges[i], edges[i+1])``, and the last
-    bin is closed; values outside the edges are not counted. The counts are
-    differences of ``bisect_left`` on every edge but the last and
-    ``bisect_right`` on the last, and density ``i`` is
+    bin is closed; values outside the edges are not counted. Each value is
+    placed by ``bisect_right`` on the inner edges, in one pass over
+    ``values`` that copies nothing, and density ``i`` is
     ``count / width / total count``: ``np.histogram(values, edges,
     density=True)``, which takes its searchsorted path for explicit edges.
     """
-    data = sorted(float(v) for v in values)
-    if not data:
+    if not len(values):
         raise ValueError("cannot histogram empty data")
-    edges = shared_edges([data], n_bins) if edges is None else tuple(map(float, edges))
+    edges = shared_edges([values], n_bins) if edges is None else tuple(map(float, edges))
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError(f"bin edges must increase strictly, from {edges[0]} to {edges[-1]}")
-    below = [bisect_left(data, e) for e in edges[:-1]] + [bisect_right(data, edges[-1])]
-    total = below[-1] - below[0]
+    first, inner, last = edges[0], edges[1:-1], edges[-1]
+    counts = [0] * (len(edges) - 1)
+    for v in map(float, values):
+        if counts and first <= v <= last:
+            counts[bisect_right(inner, v) if v < last else -1] += 1
+    total = sum(counts)
     if not total:
         raise ValueError("no value lies within the bin edges")
     densities = tuple(
-        (n1 - n0) / (b - a) / total
-        for n0, n1, a, b in zip(below, below[1:], edges, edges[1:])
+        n / (b - a) / total for n, a, b in zip(counts, edges, edges[1:])
     )
     return Histogram(densities, edges)
 

@@ -484,6 +484,48 @@ class TestRunFold:
                 tracemalloc.stop()
         assert peaks[8] <= 1.1 * peaks[2], peaks
 
+    def test_pools_grow_by_a_packed_double_per_pooled_logprob(self, tmp_path, mined_l3):
+        # every completion carries five numeral top logprobs, each pooled, so
+        # past a few runs what grows with them is the quadrant pools (and
+        # the per-run blocks). A pooled logprob is 8 bytes there, with the
+        # pool's spare room; as a float object and a list slot, over 32.
+        _, one_run = campaign_results(
+            tmp_path / "one", mined_l3, n_runs=1, limit_sequences=None
+        )
+        _, records = read_results(one_run)
+        completions = sum(r["task"] == "completion" for r in records)
+        top = {"top_logprobs": [[str(v), -0.5 - v] for v in range(5)]}
+
+        def results_of(n_runs):
+            out = tmp_path / str(n_runs)
+            out.mkdir()
+            shutil.copy(mined_l3, out / dataset_filename(3))
+            config = CampaignConfig(lengths=(3,), n_runs=n_runs, output_dir=str(out))
+            lines = [canonical_json(campaign._results_header(config))]
+            lines += [
+                canonical_json({**r, "run_id": run, **(top if r["task"] == "completion" else {})})
+                for run in range(n_runs)
+                for r in records
+            ]
+            results = results_path(out)
+            results.write_text("\n".join(lines) + "\n")
+            return results
+
+        files = {n_runs: results_of(n_runs) for n_runs in (4, 12)}
+        analyze_results(files[4])  # fills the caches a first analysis fills
+        peaks = {}
+        for n_runs, results in files.items():
+            tracemalloc.start()
+            try:
+                doc = analyze_results(results)
+                peaks[n_runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            counts = doc["per_length"]["3"]["quadrants"]["counts"]
+            assert sum(counts.values()) == 5 * completions * n_runs, counts
+        per_value = (peaks[12] - peaks[4]) / (5 * completions * 8)
+        assert per_value <= 16, peaks
+
 
 class TestFileOutput:
     def test_metrics_table_layout(self, tmp_path, mined_l3):

@@ -246,17 +246,11 @@ class TestReadResults:
         _, records = read_results(outcome.results_file)
         assert {id(key) for r in records for key in r} == {id(key) for key in records[0]}
 
-    @pytest.mark.parametrize("decode", ["joined", "line_by_line"])
-    def test_records_share_their_plan_fields(self, tmp_path, mined_l3, decode):
+    def test_records_share_their_plan_fields(self, tmp_path, mined_l3):
         # the lines of a record hold the plan's one sequence and one
         # continuations object, and the lines of a task one task text
         _, outcome = self.run_small(tmp_path, mined_l3)
-        path = outcome.results_file
-        if decode == "line_by_line":
-            # a blank before each line, which a read accepts
-            header, *lines = path.read_text().splitlines()
-            path.write_text("\n".join([header, *(" " + line for line in lines)]) + "\n")
-        _, records = read_results(path)
+        _, records = read_results(outcome.results_file)
         by_record = {}
         for r in records:
             by_record.setdefault(tuple(r["sequence"]["values"]), []).append(r)
@@ -270,16 +264,11 @@ class TestReadResults:
             r["parsed"]["kind"] is ANSWERS[Task(r["task"])].kind for r in records if r["valid"]
         )
 
-    @pytest.mark.parametrize("decode", ["joined", "line_by_line"])
-    def test_lines_with_a_repeated_answer_share_its_objects(self, tmp_path, mined_l3, decode):
+    def test_lines_with_a_repeated_answer_share_its_objects(self, tmp_path, mined_l3):
         # the oracle answers a record's task alike in both runs: the two
         # lines hold one raw_response text and one parsed object
         _, outcome = self.run_small(tmp_path, mined_l3)
-        path = outcome.results_file
-        if decode == "line_by_line":
-            header, *lines = path.read_text().splitlines()
-            path.write_text("\n".join([header, *(" " + line for line in lines)]) + "\n")
-        _, records = read_results(path)
+        _, records = read_results(outcome.results_file)
         by_query = {}
         for r in records:
             by_query.setdefault((r["task"], tuple(r["sequence"]["values"])), []).append(r)
@@ -289,7 +278,8 @@ class TestReadResults:
             assert first["parsed"] is second["parsed"]
 
     @pytest.mark.parametrize(
-        "kind", ["oracle", "scripted_with_a_logprob_fallback", "base_2", "a_chunk_line_by_line"]
+        "kind",
+        ["oracle", "scripted_with_a_logprob_fallback", "base_2", "a_line_as_raw_response"],
     )
     def test_lines_read_are_the_lines_written(self, tmp_path, mined_l3, kind):
         # sharing the plan's objects changes no value a line holds
@@ -312,7 +302,7 @@ class TestReadResults:
         header, *lines = path.read_text().splitlines()
         if kind == "scripted_with_a_logprob_fallback":
             assert sum(LOGPROBS_UNAVAILABLE_NOTE in line for line in lines) == 1
-        if kind == "a_chunk_line_by_line":
+        if kind == "a_line_as_raw_response":
             # a raw response holding a whole line
             lines[5] = rewritten(config, 5, lines[5], lines[6])
             path.write_text("\n".join([header, *lines]) + "\n")
@@ -1051,6 +1041,30 @@ class TestRunCampaign:
         assert not outcome.failed
         assert path.read_bytes() == reference
         assert len(read_results(path)[1]) == outcome.queried + outcome.skipped == 24
+
+    def test_resume_holds_only_the_lines_of_ambiguous_records(
+        self, tmp_path, mined_l3, monkeypatch
+    ):
+        # judgments are asked of ambiguous records alone, so what a resume
+        # keeps of the run it resumes in is their completion and explanation
+        config = small_config(tmp_path, mined_l3, n_runs=3)
+        run_campaign(config)
+        made = []
+
+        class Recorded(campaign._RunLines):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(campaign, "_RunLines", Recorded)
+        assert run_campaign(config).queried == 0
+        (run,) = made
+        dataset = load_campaign_datasets(config, config_space(config))[3]
+        ambiguous = {r.sequence.values for r in dataset.ambiguous[:2]}
+        assert run.run == (3, 2)
+        assert run.completions.keys() == run.explanations.keys() == ambiguous
+        for _, line in (*run.completions.values(), *run.explanations.values()):
+            assert line["ambiguous"] and line["run_id"] == 2
 
     def test_resume_refuses_a_duplicated_line(self, tmp_path, mined_l3):
         config = small_config(tmp_path, mined_l3)
