@@ -332,10 +332,9 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
             line if ambiguous else _OUTCOMES[line["correct"], line["valid"]]
         )
         if line["task"] == completion and line["top_logprobs"]:
+            # the reader checked the pairs as TokenDistribution does
             for quadrant, values in group_logprobs_by_quadrant(
-                TokenDistribution.from_pairs(line["top_logprobs"]),
-                line["continuations"],
-                config.base,
+                line["top_logprobs"], line["continuations"], config.base
             ).items():
                 if values:
                     pools[line["length"]][quadrant].extend(pack(f"{len(values)}d", *values))

@@ -13,7 +13,7 @@ config and a deterministic backend reproduces the file byte for byte;
 timestamps go to a sidecar ``audit.log``. Lines are committed in plan
 order, so the file is a prefix of :func:`plan_queries`: record line N
 answers query N, and a reader checks each line against its query (see
-:func:`_line_problem`). Reruns resume: the plan continues past the lines
+:func:`_record_lines`). Reruns resume: the plan continues past the lines
 present, an unterminated trailing line from an interrupted run is truncated
 away (every line is written with its newline), and the remainder is
 appended in the same canonical order. A resume holds only the lines of the
@@ -43,7 +43,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import takewhile
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, TextIO
@@ -158,25 +157,6 @@ class PlannedQuery(NamedTuple):
             self.record.sequence.base,
         )
 
-    @property
-    def plan_fields(self) -> tuple:
-        """The fields of its results line that the query fixes, as
-        :func:`_result_line` writes them and :func:`_line_problem` checks
-        them: sequence, task, run id, length, ambiguity and sorted
-        continuations. The sequence and the continuations are the record's
-        :attr:`~ambigseq.mining.AmbiguityRecord.json_fields`, which every
-        query of the record shares."""
-        record = self.record
-        sequence, continuations = record.json_fields
-        return (
-            sequence,
-            self.task.value,
-            self.run_id,
-            self.length,
-            record.is_ambiguous,
-            continuations,
-        )
-
 
 def _task_targets(dataset: Dataset, task: Task, limit: int | None):
     """Completion/explanation run everywhere; judgment and verbalization only
@@ -263,7 +243,7 @@ def read_results(
 
     Line N must answer query N of the plan of the header's config over
     ``datasets`` (by default mined on the config's space and checked against
-    the dataset files beside ``path``); see :func:`_line_problem`. A
+    the dataset files beside ``path``); see :func:`_record_lines`. A
     trailing line without its newline (an interrupted write) is dropped,
     even when it holds a whole record.
 
@@ -326,15 +306,20 @@ def _check_header(path: Path, first: bytes) -> tuple[dict, CampaignConfig]:
     return header, config
 
 
-#: The fields of a record line, as :func:`_line_problem` reads them: first
-#: the plan fields, which the line's query fixes.
+#: The fields of a record line, in the order a refusal names the first at
+#: fault: the plan fields, which the line's query fixes (see
+#: :func:`_plan_half`), the answer fields, which its ``raw_response`` scores
+#: to, and what the backend captured.
 _FIELDS = (
     "sequence", "task", "run_id", "length", "ambiguous", "continuations",
     "raw_response", "parsed", "valid", "correct", "top_logprobs", "judged", "note",
 )
 _PLAN_FIELDS = _FIELDS[:6]
+_SCORED_FIELDS = ("parsed", "valid", "correct")
 _fields_of = itemgetter(*_FIELDS)
 _INT = {int}
+_JUDGED = {"explanation", "completion"}
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _record_lines(
@@ -342,92 +327,171 @@ def _record_lines(
 ) -> Iterator[tuple[int, int, PlannedQuery, dict]]:
     """The record lines of the results file at ``path``, read from ``fh``
     after its header line: (line number, end offset of the line, the query
-    it answers, the line). Line N is decoded by itself and checked by
-    :func:`_line_problem` against the query ``plan`` gives next; the first
-    line that fails is a :class:`CampaignError` naming ``path:N``. An
-    unterminated last line (a torn write) is not read.
+    it answers, the line). An unterminated last line (a torn write) is not
+    read.
 
-    A line that passes is built again, so that every line read shares its
-    field-name strings (one ``json.loads`` per line makes its own). It holds
-    the query's own plan field objects (see :attr:`PlannedQuery.plan_fields`),
-    which every line of its record shares, and the answer fields that
-    :func:`_line_problem` scored for the first line read with its task,
-    record and ``raw_response``: the check showed that each equals what the
-    line held, with the same types. So the lines are read-only; a caller
-    that edits one edits every line sharing it."""
+    Line N is decoded by itself (see :func:`_decoded`) and checked against
+    the query ``plan`` gives next by one chain of tests. It passes when it
+    holds :data:`_FIELDS` and no other field, and each of these holds with
+    the JSON types the writer writes (``True == 1 == 1.0``, so booleans and
+    null are compared by identity and the numbers in a list by type):
+
+    - its plan fields are the query's;
+    - its ``raw_response`` is text, and its ``parsed``, ``valid`` and
+      ``correct`` are what :func:`_answer_fields` scores that text to;
+    - ``note`` is text or null;
+    - ``judged`` is null or, on a judgment line, an explanation text and a
+      completion integer;
+    - ``top_logprobs`` is null or a list :class:`TokenDistribution` takes (a
+      line records what the backend returned, and a scripted answer may
+      carry them on any task).
+
+    The first line that fails is a :class:`CampaignError` naming
+    ``path:N``, in the words of :func:`_line_problem`.
+
+    What the chain reads is looked up once per read: each task's text, each
+    record's ``json_fields`` and ambiguity, and each score, kept by task,
+    text and record (a record is keyed by identity, as hashing it would hash
+    every field, and the plan holds each for the read). A line that passes
+    is built again, so that every line read shares its field-name strings
+    (each decode makes its own). It holds its record's ``json_fields``
+    objects, which every line of the record shares, and the answer fields
+    scored for the first line read with its task, record and
+    ``raw_response``: the check showed that each equals what the line held,
+    with the same types. So the lines are read-only; a caller that edits one
+    edits every line sharing it."""
     end = fh.tell()
-    answers: dict[tuple, dict] = {}  # see _scoring_problem
-    complete = takewhile(lambda raw: raw.endswith(b"\n"), fh)
-    for n, raw in enumerate(complete, 2):
-        query = next(plan, None)
-        line = _lone_line(path, answers, n, raw, query)
-        sequence, continuations = query.record.json_fields
-        line = {
-            "sequence": sequence, "task": query.task.value, "run_id": line["run_id"],
-            "length": line["length"], "ambiguous": line["ambiguous"],
-            "continuations": continuations,
-            **answers[line["task"], line["raw_response"], id(query.record)],
-            "top_logprobs": line["top_logprobs"], "judged": line["judged"], "note": line["note"],
+    answers: dict[tuple, dict] = {}
+    records: dict[int, tuple[dict, list, bool]] = {}
+    # by identity: hashing a Task, as reading its .value, is a Python call
+    tasks = {id(task): task.value for task in Task}
+    judgment = Task.CONSISTENCY_JUDGMENT
+    from_pairs = TokenDistribution.from_pairs
+
+    def checked(line: Any, query: PlannedQuery | None) -> dict | str:
+        """``line`` built again if it is the results line of ``query``;
+        else the part of the chain it fails, as :func:`_line_problem` takes
+        it."""
+        if query is None:
+            return "past"
+        if type(line) is not dict or len(line) != len(_FIELDS):
+            return "fields"
+        try:
+            (sequence, task, run_id, length, ambiguous, continuations,
+             text, parsed, valid, correct, top, judged, note) = _fields_of(line)
+        except KeyError:
+            return "fields"
+        record = query.record
+        planned = records.get(id(record))
+        if planned is None:
+            planned = records[id(record)] = (*record.json_fields, record.is_ambiguous)
+        planned_sequence, planned_continuations, planned_ambiguous = planned
+        task_text = tasks[id(query.task)]
+        if not (
+            task == task_text
+            and run_id == query.run_id and type(run_id) is int
+            and length == query.length and type(length) is int
+            and ambiguous is planned_ambiguous
+            and sequence == planned_sequence and type(sequence["base"]) is int
+            and continuations == planned_continuations
+            and {*map(type, sequence["values"]), *map(type, continuations)} <= _INT
+        ):
+            return "plan"
+        if type(text) is not str:
+            return "answer"
+        key = (task_text, text, id(record))
+        answer = answers.get(key)
+        if answer is None:
+            answer = answers[key] = _answer_fields(query, text)
+        scored = answer["parsed"]
+        if not (
+            valid is answer["valid"]
+            and correct is answer["correct"]
+            and parsed == scored
+            and type(value := parsed.get("value")) is type(scored.get("value"))
+            and (type(value) is not list or {*map(type, value)} <= _INT)
+        ):
+            return "answer"
+        if not (note is None or type(note) is str):
+            return "note"
+        if not (judged is None or (
+            query.task is judgment
+            and type(judged) is dict
+            and judged.keys() == _JUDGED
+            and type(judged["explanation"]) is str
+            and type(judged["completion"]) is int
+        )):
+            return "judged"
+        if top is not None:
+            try:
+                from_pairs(top)
+            except ValueError:
+                return "top_logprobs"
+        return {
+            "sequence": planned_sequence, "task": task_text, "run_id": run_id,
+            "length": length, "ambiguous": ambiguous,
+            "continuations": planned_continuations, **answer,
+            "top_logprobs": top, "judged": judged, "note": note,
         }
+
+    for n, raw in enumerate(fh, 2):
+        if not raw.endswith(b"\n"):
+            return  # a torn write
+        query = next(plan, None)
+        try:
+            decoded = _decoded(raw)
+        except UnicodeDecodeError:
+            problem = "not UTF-8"
+        except (ValueError, RecursionError) as exc:
+            # not JSON, an integer of too many digits, or nested too deep
+            problem = str(exc)
+        else:
+            try:
+                line = checked(decoded, query)
+                problem = None if type(line) is dict else _line_problem(
+                    answers, line, decoded, query
+                )
+            except RecursionError as exc:  # a value too deep to compare or to name
+                problem = str(exc)
+        if problem is not None:
+            raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
         end += len(raw)
         yield n, end, query, line
 
 
-def _lone_line(path: Path, answers: dict, n: int, raw: bytes, query: PlannedQuery | None) -> dict:
-    """Line ``n`` of the results file at ``path``, ``raw`` with its newline,
-    decoded by itself and checked against ``query`` with the scored
-    ``answers`` of the read."""
+def _decoded(raw: bytes) -> Any:
+    """The JSON value of ``raw``, a results line with its newline, as
+    ``json.loads`` reads it. ``raw_decode`` reads a line as the writer
+    writes it in one scan, without ``json.loads``' two whitespace matches. A
+    line it refuses, or one with anything after the value, goes through
+    ``json.loads``, so blanks around a line are read and every refusal has
+    ``json.loads``' words (a byte-order mark, ``Extra data``, nesting too
+    deep)."""
+    text = raw[:-1].decode()
     try:
-        line = json.loads(raw[:-1].decode())
-    except UnicodeDecodeError:
-        problem = "not UTF-8"
-    except (ValueError, RecursionError) as exc:
-        # not JSON, an integer of too many digits, or nested too deep
-        problem = str(exc)
-    else:
-        try:
-            problem = _line_problem(answers, line, query)
-        except RecursionError as exc:  # a value too deep to compare or to name
-            problem = str(exc)
-    if problem:
-        raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
-    return line
+        value, stop = _raw_decode(text)
+    except (ValueError, RecursionError):
+        return json.loads(text)
+    return value if stop == len(text) else json.loads(text)
 
 
-def _line_problem(answers: dict, line: Any, query: PlannedQuery | None) -> str | None:
-    """What keeps ``line``, as JSON reads it, from being the results line of
-    ``query`` (None past the plan's end); None when nothing does.
-
-    The line must hold :data:`_FIELDS` and no other field. Its plan fields
-    must equal the query's, and its ``parsed``, ``valid`` and ``correct``
-    what its ``raw_response`` text scores to (see :func:`_scoring_problem`),
-    as values of their own types. ``note`` must be text or null;
-    ``top_logprobs`` null or a list :class:`TokenDistribution` takes (a line
-    records what the backend returned, and a scripted answer may carry them
-    on any task); ``judged`` null or, on a judgment line, an explanation
-    text and a completion integer.
-    """
-    if query is None:
+def _line_problem(answers: dict, part: str, line: Any, query: PlannedQuery | None) -> str:
+    """The words for the refusal of ``line``, as JSON reads it, as the
+    results line of ``query`` by ``part`` of the chain of
+    :func:`_record_lines`, with the scored ``answers`` of the read. Where
+    the part compares fields with what the writer writes, they name the
+    first field whose canonical JSON differs. They decide nothing."""
+    if part == "past":
         return "past the last planned query"
-    if type(line) is not dict:
-        return "not a JSON object"
-    try:
-        (sequence, task, run_id, length, ambiguous, continuations,
-         raw, parsed, valid, correct, top, judged, note) = _fields_of(line)
-    except KeyError as exc:
-        return f"no {exc.args[0]}"
-    if len(line) != len(_FIELDS):
+    if part == "fields":
+        if type(line) is not dict:
+            return "not a JSON object"
+        missing = [f for f in _FIELDS if f not in line]
+        if missing:
+            return f"no {missing[0]}"
         return f"unknown field {next(f for f in line if f not in _FIELDS)!r}"
-    planned = query.plan_fields
-    if (
-        (sequence, task, run_id, length, ambiguous, continuations) != planned
-        or type(run_id) is not int
-        or type(length) is not int
-        or type(ambiguous) is not bool
-        or type(sequence["base"]) is not int
-        or not {*map(type, sequence["values"]), *map(type, continuations)} <= _INT
-    ):
-        expected = dict(zip(_PLAN_FIELDS, planned))
+    if part == "plan":
+        expected = _plan_half(query)
         field = next(
             f for f in _PLAN_FIELDS if canonical_json(line[f]) != canonical_json(expected[f])
         )
@@ -435,59 +499,27 @@ def _line_problem(answers: dict, line: Any, query: PlannedQuery | None) -> str |
             f"the plan puts {_query_text(expected)} here, not a line whose "
             f"{field} is {canonical_json(line[field])}"
         )
-    if type(raw) is not str:
-        problem = "raw_response is not text"
-    elif problem := _scoring_problem(answers, query, line):
-        pass
-    elif not (note is None or type(note) is str):
-        problem = "note is neither text nor null"
-    elif judged is not None and not (
-        query.task is Task.CONSISTENCY_JUDGMENT
-        and type(judged) is dict
-        and judged.keys() == {"explanation", "completion"}
-        and type(judged["explanation"]) is str
-        and type(judged["completion"]) is int
-    ):
-        problem = "judged is not null, nor a judgment line's explanation and completion"
-    elif top is None:
-        return None
-    else:
+    if part == "answer" and type(line["raw_response"]) is str:
+        answer = answers[line["task"], line["raw_response"], id(query.record)]
+        field = next(
+            f for f in _SCORED_FIELDS if canonical_json(line[f]) != canonical_json(answer[f])
+        )
+        problem = (
+            f"{field} is {canonical_json(line[field])}, where this version of "
+            f"ambigseq scores its raw_response {canonical_json(answer[field])}"
+        )
+    elif part == "top_logprobs":
         try:
-            TokenDistribution.from_pairs(top)
-            return None
+            TokenDistribution.from_pairs(line["top_logprobs"])
         except ValueError as exc:
             problem = f"malformed top_logprobs: {exc}"
+    else:
+        problem = {
+            "answer": "raw_response is not text",
+            "note": "note is neither text nor null",
+            "judged": "judged is not null, nor a judgment line's explanation and completion",
+        }[part]
     return f"{_query_text(line)}: {problem}"
-
-
-def _scoring_problem(answers: dict, query: PlannedQuery, line: dict) -> str | None:
-    """Which of ``line``'s ``parsed``, ``valid`` and ``correct`` is not what
-    its ``raw_response`` text scores to, with the same JSON type; None when
-    each is. ``True == 1 == 1.0``, so the booleans and null are compared by
-    identity and the values inside ``parsed`` by type. The score is kept in
-    ``answers`` by task, text and record; a record is keyed by identity, as
-    hashing it would hash every field, and the plan holds each for the read."""
-    key = (line["task"], line["raw_response"], id(query.record))
-    answer = answers.get(key)
-    if answer is None:
-        answer = answers[key] = _answer_fields(query, line["raw_response"])
-    parsed, scored = line["parsed"], answer["parsed"]
-    if (
-        line["valid"] is answer["valid"]
-        and line["correct"] is answer["correct"]
-        and parsed == scored
-        and type(value := parsed.get("value")) is type(scored.get("value"))
-        and (type(value) is not list or {*map(type, value)} <= _INT)
-    ):
-        return None
-    field = next(
-        f for f in ("parsed", "valid", "correct")
-        if canonical_json(line[f]) != canonical_json(answer[f])
-    )
-    return (
-        f"{field} is {canonical_json(line[field])}, where its raw_response "
-        f"scores {canonical_json(answer[field])}"
-    )
 
 
 def _query_text(line: dict) -> str:
@@ -723,7 +755,7 @@ def _judged_pair(run: _RunLines, query: PlannedQuery) -> JudgedPair | None:
     """The model's own (explanation function, completion value) for this
     run+sequence, if both parsed; the run stage's only parse of the
     explanation line, whose function text the writer wrote (see
-    :func:`_line_problem`)."""
+    :func:`_record_lines`)."""
     compl, expl = run.pair(query)
     if not (compl and expl and compl[1]["valid"] and expl[1]["valid"]):
         return None
@@ -798,12 +830,11 @@ def _result_line(
     note: str | None,
 ) -> dict:
     """The one builder of a result line: the query's plan fields (see
-    :attr:`PlannedQuery.plan_fields`, whose objects the line holds), the
-    answer ``text`` parsed and scored against the query's record, and
-    whatever the backend captured."""
+    :func:`_plan_half`), the answer ``text`` parsed and scored against the
+    query's record, and whatever the backend captured."""
     base = query.record.sequence.base
     return {
-        **dict(zip(_PLAN_FIELDS, query.plan_fields)),
+        **_plan_half(query),
         **_answer_fields(query, text),
         "top_logprobs": top.to_pairs() if top else None,
         "judged": judged and {
@@ -811,6 +842,21 @@ def _result_line(
             "completion": judged[1],
         },
         "note": note,
+    }
+
+
+def _plan_half(query: PlannedQuery) -> dict:
+    """The fields of ``query``'s results line that the query fixes:
+    sequence, task, run id, length, ambiguity and ascending continuations.
+    The sequence and the continuations are the record's
+    :attr:`~ambigseq.mining.AmbiguityRecord.json_fields`, which every line
+    of the record holds, written or read."""
+    record = query.record
+    sequence, continuations = record.json_fields
+    return {
+        "sequence": sequence, "task": query.task.value, "run_id": query.run_id,
+        "length": query.length, "ambiguous": record.is_ambiguous,
+        "continuations": continuations,
     }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import add, truediv
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .funcspace import MAX_NUMERAL_DIGITS
 
@@ -51,18 +51,21 @@ class TokenDistribution:
         if not 1 <= len(entries) <= MAX_TOP_K:
             raise ValueError(f"expected 1..{MAX_TOP_K} entries, got {len(entries)}")
         # one pass; a bad entry is refused before the order or a duplicate
-        last, ordered, tokens = 0, True, set()
+        last, ordered = 0, True
         for t, lp in entries:
-            if not (isinstance(t, str) and isinstance(lp, (int, float))
-                    and not isinstance(lp, bool) and MIN_LOGPROB <= lp <= 0):
+            if not (
+                isinstance(t, str)
+                and (type(lp) is float or type(lp) is int
+                     or isinstance(lp, (int, float)) and not isinstance(lp, bool))
+                and MIN_LOGPROB <= lp <= 0
+            ):
                 raise ValueError(f"{[t, lp]} is not a text token and a number in [{MIN_LOGPROB:g}, 0]")
             ordered = ordered and lp <= last
             last = lp
-            tokens.add(t)
         if not ordered:
             probs = [e.logprob for e in entries]
             raise ValueError(f"entries must be sorted by descending logprob: {probs}")
-        if len(tokens) != len(entries):
+        if len({t for t, _ in entries}) != len(entries):
             raise ValueError(f"duplicate tokens in distribution: {[e.token for e in entries]}")
 
     @classmethod
@@ -70,10 +73,16 @@ class TokenDistribution:
         """The distribution of ``[(token, logprob), ...]``; a non-pair is a
         ``ValueError`` too."""
         try:
-            entries = tuple(TokenLogprob(t, lp) for t, lp in pairs)
+            # tuple.__new__ builds each entry as TokenLogprob(t, lp) does, in C
+            entries = tuple([tuple.__new__(TokenLogprob, (t, lp)) for t, lp in pairs])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"not a list of [token, logprob] pairs ({exc})") from exc
         return cls(entries)
+
+    def __iter__(self) -> Iterator[TokenLogprob]:
+        """The entries, highest first: a distribution is a top-k list of
+        (token, logprob) pairs wherever one is read."""
+        return iter(self.entries)
 
     def to_pairs(self) -> list[list]:
         """The entries as JSON ``[[token, logprob], ...]``."""
@@ -111,29 +120,33 @@ class ClassifiedToken(NamedTuple):
 
 
 def classify_tokens(
-    dist: TokenDistribution,
+    pairs: Iterable[tuple[str, float]],
     correct_values: Iterable[int],
     base: int = 10,
 ) -> tuple[ClassifiedToken, ...]:
     """Tag each listed token as a correct numeral, incorrect numeral, or other.
 
-    Tokenizers may split a long numeral, so a numeral token that is a strict
-    prefix of exactly one correct value's rendering counts as that value
-    (promotion). Ambiguous prefixes stay incorrect.
+    ``pairs`` is a checked top-k list: a :class:`TokenDistribution`, or
+    (token, logprob) pairs that one takes, highest first. Tokenizers may
+    split a long numeral, so a numeral token that is a strict prefix of
+    exactly one correct value's rendering counts as that value (promotion).
+    Ambiguous prefixes stay incorrect.
     """
     correct = set(correct_values)
-    renders = {_render_plain(v, base): v for v in correct}
+    renders = None  # each correct value's rendering, once a token needs them
     out = []
-    for entry in dist.entries:
-        value = parse_numeral_token(entry.token, base)
+    for token, logprob in pairs:
+        value = parse_numeral_token(token, base)
         if value is not None and value not in correct:
-            stripped = entry.token.strip()
+            if renders is None:
+                renders = {_render_plain(v, base): v for v in correct}
+            stripped = token.strip()
             if base == 2 and stripped.lower().startswith("0b"):
                 stripped = stripped[2:]
             hits = [v for r, v in renders.items() if r.startswith(stripped) and r != stripped]
             if len(hits) == 1:
                 value = hits[0]  # promoted
-        out.append(ClassifiedToken(entry.token, entry.logprob, value, value in correct))
+        out.append(ClassifiedToken(token, logprob, value, value in correct))
     return tuple(out)
 
 
@@ -197,18 +210,22 @@ class Quadrant(Enum):
     __hash__ = object.__hash__
 
 
+_QUADRANTS = tuple(Quadrant)  # iterating an Enum class runs Python code
+
+
 def group_logprobs_by_quadrant(
-    dist: TokenDistribution,
+    pairs: Iterable[tuple[str, float]],
     correct_values: Iterable[int],
     base: int = 10,
 ) -> dict[Quadrant, list[float]]:
     """Partition the listed numeral tokens' logprobs into the four quadrants.
 
-    Top-1 status refers to the head of the full distribution, numeral or not.
-    Non-numeral tokens are never assigned a quadrant.
+    ``pairs`` is read as :func:`classify_tokens` reads it. Top-1 status
+    refers to the head of the full list, numeral or not. Non-numeral tokens
+    are never assigned a quadrant.
     """
-    groups: dict[Quadrant, list[float]] = {q: [] for q in Quadrant}
-    tagged = classify_tokens(dist, correct_values, base)
+    groups: dict[Quadrant, list[float]] = {q: [] for q in _QUADRANTS}
+    tagged = classify_tokens(pairs, correct_values, base)
     for i, t in enumerate(tagged):
         if t.value is None:
             continue

@@ -12,7 +12,7 @@ per-run figures. Aggregating result lines into per-run figures is
 the analysis both call.
 
 A record is the answer alone. A results line is its query's
-:attr:`ambigseq.campaign.PlannedQuery.plan_fields`, then the answer's four
+:func:`ambigseq.campaign._plan_half`, then the answer's four
 fields that :func:`eval_record_to_json` writes, then the backend's capture:
 :func:`ambigseq.campaign._result_line` joins them.
 

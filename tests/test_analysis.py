@@ -369,7 +369,8 @@ class TestAnalysisDeterminism:
             CampaignError,
             match=rf"results\.jsonl:{n}: malformed record line \(the explanation line "
             rf"of run 0 for sequence \[{', '.join(map(str, values))}\] at length 3: "
-            r'parsed is \{"kind":"function","value":"lambda x: \(\("\}, where its raw_response scores',
+            r'parsed is \{"kind":"function","value":"lambda x: \(\("\}, where this version of '
+            r"ambigseq scores its raw_response",
         ):
             analyze_results(results_file)
 
@@ -483,6 +484,27 @@ class TestRunFold:
             finally:
                 tracemalloc.stop()
         assert peaks[8] <= 1.1 * peaks[2], peaks
+
+    def test_a_capture_is_built_once_and_an_ambiguous_completions_twice(
+        self, tmp_path, mined_l3, monkeypatch
+    ):
+        # the reader checks each capture as a TokenDistribution and the fold
+        # groups the pairs it checked; only the alternative-consideration
+        # test of an ambiguous completion builds a second one
+        _, results = campaign_results(tmp_path, mined_l3)
+        _, lines = read_results(results)
+        captured = [r for r in lines if r["top_logprobs"]]
+        assert {r["task"] for r in captured} == {"completion"}
+        n = len(captured)
+        a = sum(r["ambiguous"] for r in captured)
+        assert 0 < a < n
+        built = []
+        check = TokenDistribution.__post_init__
+        monkeypatch.setattr(
+            TokenDistribution, "__post_init__", lambda self: built.append(self) or check(self)
+        )
+        analyze_results(results)
+        assert len(built) == n + a
 
     def test_pools_grow_by_a_packed_double_per_pooled_logprob(self, tmp_path, mined_l3):
         # every completion carries five numeral top logprobs, each pooled, so

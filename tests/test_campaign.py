@@ -402,7 +402,8 @@ class TestReadResults:
             CampaignError,
             match=rf"results\.jsonl:{explanation + 2}: malformed record line "
             rf"\(the explanation line of run 0 for sequence \[{', '.join(map(str, judged))}\] at length 3: "
-            r'parsed is \{"kind":"function","value":"lambda x: \(\("\}, where its raw_response scores',
+            r'parsed is \{"kind":"function","value":"lambda x: \(\("\}, where this version of '
+            r"ambigseq scores its raw_response",
         ):
             run_campaign(config)
 
@@ -424,7 +425,15 @@ class TestReadResults:
             sequence, continuations = query.record.json_fields
             assert line["sequence"] is sequence
             assert line["continuations"] is continuations
-            assert {f: line[f] for f in _PLAN_FIELDS} == dict(zip(_PLAN_FIELDS, query.plan_fields))
+            assert {f: line[f] for f in _PLAN_FIELDS} == {
+                "sequence": {"values": list(query.record.sequence.values),
+                             "base": query.record.sequence.base},
+                "task": query.task.value,
+                "run_id": query.run_id,
+                "length": query.length,
+                "ambiguous": query.record.is_ambiguous,
+                "continuations": sorted(query.record.continuations),
+            }
 
     @pytest.mark.parametrize(
         "field",
@@ -525,14 +534,17 @@ DAMAGES = {
     ),
     "parsed_null_on_a_valid_line": (
         lambda r: r.update(parsed=None),
-        "{query}: parsed is null, where its raw_response scores {parsed}",
+        "{query}: parsed is null, where this version of ambigseq scores its raw_response "
+        "{parsed}",
     ),
     "valid_as_text": (
-        lambda r: r.update(valid="no"), '{query}: valid is "no", where its raw_response scores true'
+        lambda r: r.update(valid="no"),
+        '{query}: valid is "no", where this version of ambigseq scores its raw_response true',
     ),
     "valid_without_a_value": (
         lambda r: r.update(parsed={"kind": "invalid"}),
-        '{query}: parsed is {{"kind":"invalid"}}, where its raw_response scores {parsed}',
+        '{query}: parsed is {{"kind":"invalid"}}, where this version of ambigseq scores its '
+        "raw_response {parsed}",
     ),
     "judged_on_a_completion": (
         lambda r: r.update(judged={"explanation": "lambda x: x", "completion": 1}),
@@ -683,8 +695,8 @@ class TestPlanCheckedRead:
         path.write_text("\n".join([header, *lines]) + "\n")
         problem = (
             f"the completion line of run 0 for sequence {record['sequence']['values']} at "
-            f"length 3: {field} is {canonical_json(record[field])}, where its raw_response "
-            f"scores {scored}"
+            f"length 3: {field} is {canonical_json(record[field])}, where this version of "
+            f"ambigseq scores its raw_response {scored}"
         )
         where = f"results.jsonl:{i + 2}: malformed record line "
         self.refused(config, path, re.escape(where + f"({problem})") + "$")
@@ -763,6 +775,29 @@ class TestPlanCheckedRead:
         assert read_results(path)[1] == expected
         assert analyze_results(path)["n_records"] == len(lines)
         assert run_campaign(config).skipped == len(lines)
+
+    @pytest.mark.parametrize("blanks", [" ", "\t", "\r", " \t\r "])
+    def test_blanks_after_a_line_are_read(self, campaign_dir, blanks):
+        # the decoder reads a line as the writer writes it; one with blanks
+        # after its value is read again as json.loads reads it
+        config, path, header, lines = campaign_dir
+        _, expected = read_results(path)
+        lines[3] += blanks
+        lines[-1] += blanks
+        path.write_text("\n".join([header, *lines]) + "\n")
+        assert read_results(path)[1] == expected
+        assert analyze_results(path)["n_records"] == len(lines)
+        assert run_campaign(config).skipped == len(lines)
+
+    def test_a_line_that_starts_with_a_byte_order_mark_is_refused_by_its_line(
+        self, campaign_dir
+    ):
+        config, path, header, lines = campaign_dir
+        lines[3] = "\ufeff" + lines[3]
+        path.write_text("\n".join([header, *lines]) + "\n")
+        error = _lone_line_error(path, 5, lines[3])
+        assert "(Unexpected UTF-8 BOM" in error
+        self.refused(config, path, re.escape(error) + "$")
 
     @pytest.mark.parametrize("edge", ["first", "last"])
     def test_a_damaged_end_line_is_refused_by_its_line(self, campaign_dir, edge):

@@ -28,6 +28,7 @@ from ambigseq.config import CampaignConfig
 from ambigseq.distribution import (
     AlternativeTestReason,
     Histogram,
+    MAX_TOP_K,
     Quadrant,
     TokenDistribution,
     _numpy_sum,
@@ -212,6 +213,38 @@ class TestQuadrants:
         d = dist(("0b10011", -0.5), ("0b1111", -1.0))
         tagged = classify_tokens(d, {19, 15}, base=2)
         assert [(t.value, t.correct) for t in tagged] == [(19, True), (15, True)]
+
+
+    @given(data=st.data(), base=st.sampled_from([10, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_pairs_classify_as_their_distribution(self, data, base):
+        # the analysis groups a results line's checked [token, logprob] pairs
+        # without building a TokenDistribution of them
+        def render(value):
+            return str(value) if base == 10 else format(value, "b")
+
+        correct = data.draw(st.sets(st.integers(0, 300), min_size=1, max_size=4))
+        renders = sorted(map(render, correct))
+        token = st.one_of(
+            st.integers(0, 300).map(render),
+            # a strict prefix of a correct rendering, promoted when of one only
+            st.sampled_from(renders).flatmap(
+                lambda r: st.integers(1, len(r)).map(lambda k: r[:k])
+            ),
+            st.integers(0, 300).map(lambda v: f" {'0b' if base == 2 else ''}{render(v)} "),
+            st.sampled_from(["yes", "answer:", " ", "0b", "-3", "1.5", "٣"]),
+        )
+        tokens = data.draw(st.lists(token, min_size=1, max_size=MAX_TOP_K, unique=True))
+        logprob = st.one_of(st.floats(-50, 0), st.integers(-50, 0))
+        logprobs = data.draw(st.lists(logprob, min_size=len(tokens), max_size=len(tokens)))
+        pairs = [[t, lp] for t, lp in zip(tokens, sorted(logprobs, reverse=True))]
+        distribution = TokenDistribution.from_pairs(pairs)
+        assert classify_tokens(pairs, correct, base) == classify_tokens(
+            distribution, correct, base
+        )
+        assert group_logprobs_by_quadrant(pairs, correct, base) == group_logprobs_by_quadrant(
+            distribution, correct, base
+        )
 
 
 class TestHistogram:
