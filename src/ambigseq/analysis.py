@@ -260,8 +260,12 @@ def _figures(run: dict[str, Any]) -> dict[str, float | None]:
 
 
 @collector_paused()
-def analyze_results(results_file: str | Path) -> dict[str, Any]:
-    """Build the full analysis document for one results file.
+def analyze_results(
+    results_file: str | Path, datasets: dict[int, Dataset] | None = None
+) -> dict[str, Any]:
+    """Build the full analysis document for one results file, over its
+    campaign's ``datasets``: by default those its header names, mined on
+    the config's space and checked against their files.
 
     Runs with the cyclic collector paused: a pure, single-threaded read of
     the files whose records are dead by the time it returns. The lines are
@@ -281,15 +285,16 @@ def analyze_results(results_file: str | Path) -> dict[str, Any]:
     results_file = Path(results_file)
     header, config = read_header(results_file)
     space = config_space(config)
-    datasets: dict[int, Dataset] = {}
-    for length_str, filename in header["datasets"].items():
-        path = results_file.parent / filename
-        if not path.exists():
-            raise CampaignError(
-                f"dataset file {path} named by the results header is missing"
-            )
-        length = int(length_str)
-        datasets[length] = load_dataset(path, space, length, config.base)
+    if datasets is None:
+        datasets = {}
+        for length_str, filename in header["datasets"].items():
+            path = results_file.parent / filename
+            if not path.exists():
+                raise CampaignError(
+                    f"dataset file {path} named by the results header is missing"
+                )
+            length = int(length_str)
+            datasets[length] = load_dataset(path, space, length, config.base)
 
     per_runs: dict[int, list[dict]] = {length: [] for length in config.lengths}
     # packed by struct, not held in array("d"): importing the array module

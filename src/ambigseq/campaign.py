@@ -42,8 +42,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
-from operator import itemgetter
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
@@ -58,7 +57,7 @@ from .backends import (
 from .config import CampaignConfig, ConfigError, canonical_json
 from .distribution import TokenDistribution
 from .evaluation import annotate_correctness, build_eval_record
-from .funcspace import FunctionSpace, IndexConvention, enumerate_space, render_function
+from .funcspace import FunctionSpace, IndexConvention, enumerate_space, parse, render_function
 from .mining import AmbiguityRecord, Dataset, load_dataset
 from .prompting import JudgedPair, PromptSpec, RenderedPrompt, Task, build_prompt
 
@@ -68,6 +67,9 @@ RESULTS_FILENAME = "results.jsonl"
 AUDIT_FILENAME = "audit.log"
 
 LOGPROBS_UNAVAILABLE_NOTE = "top logprobs unavailable from backend"
+#: The note of a judgment line whose run gives no parseable pair to judge:
+#: the backend is not asked, and the line files the empty answer as invalid.
+NO_PAIR_NOTE = "no parseable completion/explanation pair to judge"
 
 
 class CampaignError(RuntimeError):
@@ -270,7 +272,7 @@ def read_results(
                 config.override(output_dir=str(path.parent)), config_space(config)
             )
         plan = plan_queries(config, datasets)
-        for _, _, _, line in _record_lines(path, fh, plan):
+        for _, _, _, line in _record_lines(path, fh, plan, _RunLines()):
             consume(line)
         return header, lines
 
@@ -316,121 +318,173 @@ _FIELDS = (
 )
 _PLAN_FIELDS = _FIELDS[:6]
 _SCORED_FIELDS = ("parsed", "valid", "correct")
-_fields_of = itemgetter(*_FIELDS)
-_INT = {int}
-_JUDGED = {"explanation", "completion"}
-_raw_decode = json.JSONDecoder().raw_decode
+_decode_at = json.JSONDecoder().raw_decode
+
+
+def _free_value(t: str, at: int, stop: int, kind: type) -> Any:
+    """The value of JSON text ``t[at:stop]``, decoded in place, if it is a
+    ``kind`` and that text is what ``canonical_json`` writes for it; else
+    None. A ``ValueError`` or ``RecursionError`` if it is not JSON."""
+    value, end = _decode_at(t, at)
+    if end == stop and type(value) is kind and canonical_json(value) == t[at:stop]:
+        return value
+    return None
 
 
 def _record_lines(
-    path: Path, fh: BinaryIO, plan: Iterator[PlannedQuery]
+    path: Path, fh: BinaryIO, plan: Iterator[PlannedQuery], run: _RunLines
 ) -> Iterator[tuple[int, int, PlannedQuery, dict]]:
     """The record lines of the results file at ``path``, read from ``fh``
     after its header line: (line number, end offset of the line, the query
     it answers, the line). An unterminated last line (a torn write) is not
-    read.
+    read. Each line read is added to ``run``, as the writer adds each line
+    it writes.
 
-    Line N is decoded by itself (see :func:`_decoded`) and checked against
-    the query ``plan`` gives next by one chain of tests. It passes when it
-    holds :data:`_FIELDS` and no other field, and each of these holds with
-    the JSON types the writer writes (``True == 1 == 1.0``, so booleans and
-    null are compared by identity and the numbers in a list by type):
+    Line N passes when its text is what the writer writes for the query
+    ``plan`` gives next (``canonical_json`` of :func:`_result_line`, then a
+    newline), for some answer text, top logprobs and note. ``canonical_json``
+    sorts the keys, so the line is, in this order::
 
-    - its plan fields are the query's;
-    - its ``raw_response`` is text, and its ``parsed``, ``valid`` and
-      ``correct`` are what :func:`_answer_fields` scores that text to;
-    - ``note`` is text or null;
-    - ``judged`` is null or, on a judgment line, an explanation text and a
-      completion integer;
-    - ``top_logprobs`` is null or a list :class:`TokenDistribution` takes (a
-      line records what the backend returned, and a scripted answer may
-      carry them on any task).
+        {"ambiguous":…,"continuations":…,"correct":…,"judged":…,"length":…,
+         "note":…,"parsed":…,"raw_response":…,"run_id":…,"sequence":…,
+         "task":…,"top_logprobs":…,"valid":…}
 
-    The first line that fails is a :class:`CampaignError` naming
-    ``path:N``, in the words of :func:`_line_problem`.
+    The line is not decoded whole. Its ``raw_response`` text is found
+    first, by the keys around it, as it picks the writer's text for the
+    rest; then the line is compared with that text piece by piece, each
+    piece starting where the one before it ends:
 
-    What the chain reads is looked up once per read: each task's text, each
-    record's ``json_fields`` and ambiguity, and each score, kept by task,
-    text and record (a record is keyed by identity, as hashing it would hash
-    every field, and the plan holds each for the read). A line that passes
-    is built again, so that every line read shares its field-name strings
-    (each decode makes its own). It holds its record's ``json_fields``
-    objects, which every line of the record shares, and the answer fields
-    scored for the first line read with its task, record and
-    ``raw_response``: the check showed that each equals what the line held,
-    with the same types. So the lines are read-only; a caller that edits one
-    edits every line sharing it."""
+    - the plan fields, rendered once per record and once per (length, run);
+    - ``judged``: null, or on a judgment line the pair its run's own
+      completion and explanation lines give (:func:`_judged_pair` over
+      ``run``); with no such pair, the line is the one the writer writes
+      without asking the backend (:data:`NO_PAIR_NOTE`);
+    - ``correct``, ``parsed`` and ``valid``: what :func:`_answer_fields`
+      scores the ``raw_response`` to, rendered once per (task,
+      ``raw_response`` text, record);
+    - the free values, ``note``, ``raw_response`` (at its first sight in
+      the read) and ``top_logprobs``, each decoded in place and shown to be
+      canonical by being encoded again. A ``top_logprobs`` list must be one
+      :class:`TokenDistribution` takes, as the writer writes only those;
+      the lines of one (length, run) with the same ``top_logprobs`` text
+      share one list, and the lists are let go when the next run begins.
+
+    Equal text implies equal JSON types, so no field needs a type test. The
+    first line that fails is a :class:`CampaignError` naming ``path:N``, in
+    the words of :func:`_line_problem`, which decodes it to name its fault.
+
+    A line that passes is built from what the check looked up: its record's
+    ``json_fields`` objects, which every line of the record shares, its
+    task's one text, and the answer fields scored for the first line read
+    with its task, record and ``raw_response`` text. So the lines share
+    their field-name strings and those objects, and are read-only; a caller
+    that edits one edits every line sharing it. Records and tasks are keyed
+    by identity: hashing a record would hash every field, and hashing a
+    Task, as reading its ``.value``, is a Python call."""
     end = fh.tell()
-    answers: dict[tuple, dict] = {}
-    records: dict[int, tuple[dict, list, bool]] = {}
-    # by identity: hashing a Task, as reading its .value, is a Python call
-    tasks = {id(task): task.value for task in Task}
-    judgment = Task.CONSISTENCY_JUDGMENT
+    encode = canonical_json
     from_pairs = TokenDistribution.from_pairs
+    judgment = Task.CONSISTENCY_JUDGMENT
+    # one copy of each scored piece, as many entries of answers hold the same
+    texts: dict[str, str] = {}
+    # by record: the text up to its "correct" value and its length, its
+    # sequence's text, its ambiguity and its json_fields
+    records: dict[int, tuple[str, int, str, bool, dict, list]] = {}
+    # by (raw_response text, record, task): the record's entry, the text
+    # from "task" to the top_logprobs value and the task's text, the text
+    # from correct's value to judged's, from "parsed" to the raw_response
+    # text and from "valid" on, and the answer fields
+    answers: dict[tuple, tuple] = {}
+    tops: dict[str, list] = {}  # this (length, run)'s top_logprobs, by text
+    length = run_id = -1
+    length_note = judged_null = run_text = ""
 
-    def checked(line: Any, query: PlannedQuery | None) -> dict | str:
-        """``line`` built again if it is the results line of ``query``;
-        else the part of the chain it fails, as :func:`_line_problem` takes
-        it."""
-        if query is None:
-            return "past"
-        if type(line) is not dict or len(line) != len(_FIELDS):
-            return "fields"
-        try:
-            (sequence, task, run_id, length, ambiguous, continuations,
-             text, parsed, valid, correct, top, judged, note) = _fields_of(line)
-        except KeyError:
-            return "fields"
+    def scored(t: str, at: int, stop: int, query: PlannedQuery) -> tuple | None:
+        """The entry of ``answers`` for the raw_response text ``t[at:stop]``
+        of ``query``'s line, if that text is canonical JSON text."""
+        raw_response = _free_value(t, at, stop, str)
+        if raw_response is None:
+            return None
         record = query.record
-        planned = records.get(id(record))
-        if planned is None:
-            planned = records[id(record)] = (*record.json_fields, record.is_ambiguous)
-        planned_sequence, planned_continuations, planned_ambiguous = planned
-        task_text = tasks[id(query.task)]
-        if not (
-            task == task_text
-            and run_id == query.run_id and type(run_id) is int
-            and length == query.length and type(length) is int
-            and ambiguous is planned_ambiguous
-            and sequence == planned_sequence and type(sequence["base"]) is int
-            and continuations == planned_continuations
-            and {*map(type, sequence["values"]), *map(type, continuations)} <= _INT
+        piece = records.get(id(record))
+        if piece is None:
+            sequence, continuations = record.json_fields
+            head = (
+                f'{{"ambiguous":{encode(record.is_ambiguous)},'
+                f'"continuations":{encode(continuations)},"correct":'
+            )
+            piece = records[id(record)] = (
+                head, len(head), encode(sequence), record.is_ambiguous, sequence, continuations
+            )
+        task = query.task.value
+        answer = _answer_fields(query, raw_response)
+        return (
+            piece,
+            texts.setdefault(task, f',"task":{encode(task)},"top_logprobs":'),
+            task,
+            *(texts.setdefault(text, text) for text in (
+                f'{encode(answer["correct"])},"judged":',
+                f',"parsed":{encode(answer["parsed"])},"raw_response":',
+                f',"valid":{encode(answer["valid"])}}}\n',
+            )),
+            answer,
+        )
+
+    def checked(t: str, query: PlannedQuery) -> dict | None:
+        """The line ``t`` (with its newline) built again, if it is the text
+        the writer writes for ``query``; else None."""
+        raw_at = t.find(',"raw_response":"') + 16
+        stop = t.find(',"run_id":', raw_at)
+        if raw_at == 15 or stop < 0:
+            return None
+        key = (t[raw_at:stop], id(query.record), id(query.task))
+        entry = answers.get(key)
+        if entry is None:
+            entry = scored(t, raw_at, stop, query)
+            if entry is None:
+                return None
+            answers[key] = entry
+        (head, at, sequence_text, ambiguous, sequence, continuations), tail, task, \
+            correct, parsed, last, answer = entry
+        if not (t.startswith(head) and t.startswith(correct, at)):
+            return None
+        at += len(correct)
+        judged = None
+        if query.task is judgment:
+            judged = _judged_field(_judged_pair(run, query), query.record.sequence.base)
+            middle = encode(judged) + length_note
+        else:
+            middle = judged_null
+        if not t.startswith(middle, at):
+            return None
+        at += len(middle)
+        end_of_note = raw_at - len(parsed)
+        if end_of_note < at or not t.startswith(parsed, end_of_note):
+            return None
+        note = None
+        if t[at:end_of_note] != "null" and (note := _free_value(t, at, end_of_note, str)) is None:
+            return None
+        at = stop + len(run_text)
+        if not (t.startswith(run_text, stop) and t.startswith(sequence_text, at)
+                and t.startswith(tail, at := at + len(sequence_text)) and t.endswith(last)):
+            return None
+        at += len(tail)
+        stop = len(t) - len(last)
+        text = t[at:stop]
+        if text == "null":
+            top = None
+        elif (top := tops.get(text)) is None:
+            if (top := _free_value(t, at, stop, list)) is None:
+                return None
+            from_pairs(top)  # a ValueError unless the writer could write it
+            tops[text] = top
+        if judged is None and query.task is judgment and (
+            note != NO_PAIR_NOTE or answer["raw_response"] or top is not None
         ):
-            return "plan"
-        if type(text) is not str:
-            return "answer"
-        key = (task_text, text, id(record))
-        answer = answers.get(key)
-        if answer is None:
-            answer = answers[key] = _answer_fields(query, text)
-        scored = answer["parsed"]
-        if not (
-            valid is answer["valid"]
-            and correct is answer["correct"]
-            and parsed == scored
-            and type(value := parsed.get("value")) is type(scored.get("value"))
-            and (type(value) is not list or {*map(type, value)} <= _INT)
-        ):
-            return "answer"
-        if not (note is None or type(note) is str):
-            return "note"
-        if not (judged is None or (
-            query.task is judgment
-            and type(judged) is dict
-            and judged.keys() == _JUDGED
-            and type(judged["explanation"]) is str
-            and type(judged["completion"]) is int
-        )):
-            return "judged"
-        if top is not None:
-            try:
-                from_pairs(top)
-            except ValueError:
-                return "top_logprobs"
+            return None
         return {
-            "sequence": planned_sequence, "task": task_text, "run_id": run_id,
-            "length": length, "ambiguous": ambiguous,
-            "continuations": planned_continuations, **answer,
+            "sequence": sequence, "task": task, "run_id": run_id, "length": length,
+            "ambiguous": ambiguous, "continuations": continuations, **answer,
             "top_logprobs": top, "judged": judged, "note": note,
         }
 
@@ -438,88 +492,107 @@ def _record_lines(
         if not raw.endswith(b"\n"):
             return  # a torn write
         query = next(plan, None)
-        try:
-            decoded = _decoded(raw)
-        except UnicodeDecodeError:
-            problem = "not UTF-8"
-        except (ValueError, RecursionError) as exc:
-            # not JSON, an integer of too many digits, or nested too deep
-            problem = str(exc)
-        else:
+        line = None
+        if query is not None:
+            if query.run_id != run_id or query.length != length:
+                length, run_id, tops = query.length, query.run_id, {}
+                length_note = f',"length":{length},"note":'
+                judged_null = "null" + length_note
+                run_text = f',"run_id":{run_id},"sequence":'
             try:
-                line = checked(decoded, query)
-                problem = None if type(line) is dict else _line_problem(
-                    answers, line, decoded, query
-                )
+                line = checked(raw.decode(), query)
+            except (ValueError, RecursionError):
+                # not UTF-8, or a free value that is not JSON, too deep, or
+                # not a top-logprob list
+                pass
+        if line is None:
+            try:
+                problem = _line_problem(raw, query, run)
             except RecursionError as exc:  # a value too deep to compare or to name
                 problem = str(exc)
-        if problem is not None:
             raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
+        run.add(n, query, line)
         end += len(raw)
         yield n, end, query, line
 
 
-def _decoded(raw: bytes) -> Any:
-    """The JSON value of ``raw``, a results line with its newline, as
-    ``json.loads`` reads it. ``raw_decode`` reads a line as the writer
-    writes it in one scan, without ``json.loads``' two whitespace matches. A
-    line it refuses, or one with anything after the value, goes through
-    ``json.loads``, so blanks around a line are read and every refusal has
-    ``json.loads``' words (a byte-order mark, ``Extra data``, nesting too
-    deep)."""
-    text = raw[:-1].decode()
+def _line_problem(raw: bytes, query: PlannedQuery | None, run: _RunLines) -> str:
+    """The words for the refusal of ``raw``, a results line with its
+    newline, as the results line of ``query``, with ``run`` holding the
+    lines before it (see :func:`_record_lines`). The line is decoded by
+    ``json.loads``, whose words name a line that is not JSON. Else they
+    name the first field whose canonical JSON differs from what the writer
+    writes, or whose value the writer could not write; a line whose every
+    field is right is not the text the writer writes (blanks, another key
+    order or other escapes). They decide nothing."""
     try:
-        value, stop = _raw_decode(text)
-    except (ValueError, RecursionError):
-        return json.loads(text)
-    return value if stop == len(text) else json.loads(text)
-
-
-def _line_problem(answers: dict, part: str, line: Any, query: PlannedQuery | None) -> str:
-    """The words for the refusal of ``line``, as JSON reads it, as the
-    results line of ``query`` by ``part`` of the chain of
-    :func:`_record_lines`, with the scored ``answers`` of the read. Where
-    the part compares fields with what the writer writes, they name the
-    first field whose canonical JSON differs. They decide nothing."""
-    if part == "past":
+        line = json.loads(raw[:-1].decode())
+    except UnicodeDecodeError:
+        return "not UTF-8"
+    except (ValueError, RecursionError) as exc:
+        # not JSON, an integer of too many digits, or nested too deep
+        return str(exc)
+    if query is None:
         return "past the last planned query"
-    if part == "fields":
-        if type(line) is not dict:
-            return "not a JSON object"
-        missing = [f for f in _FIELDS if f not in line]
-        if missing:
-            return f"no {missing[0]}"
-        return f"unknown field {next(f for f in line if f not in _FIELDS)!r}"
-    if part == "plan":
-        expected = _plan_half(query)
-        field = next(
-            f for f in _PLAN_FIELDS if canonical_json(line[f]) != canonical_json(expected[f])
-        )
+    if type(line) is not dict:
+        return "not a JSON object"
+    missing = [f for f in _FIELDS if f not in line]
+    if missing:
+        return f"no {missing[0]}"
+    unknown = [f for f in line if f not in _FIELDS]
+    if unknown:
+        return f"unknown field {unknown[0]!r}"
+    expected = _plan_half(query)
+    field = next(
+        (f for f in _PLAN_FIELDS if canonical_json(line[f]) != canonical_json(expected[f])),
+        None,
+    )
+    if field is not None:
         return (
             f"the plan puts {_query_text(expected)} here, not a line whose "
             f"{field} is {canonical_json(line[field])}"
         )
-    if part == "answer" and type(line["raw_response"]) is str:
-        answer = answers[line["task"], line["raw_response"], id(query.record)]
-        field = next(
-            f for f in _SCORED_FIELDS if canonical_json(line[f]) != canonical_json(answer[f])
-        )
-        problem = (
-            f"{field} is {canonical_json(line[field])}, where this version of "
-            f"ambigseq scores its raw_response {canonical_json(answer[field])}"
-        )
-    elif part == "top_logprobs":
+    return f"{_query_text(line)}: {_answer_problem(line, query, run)}"
+
+
+def _answer_problem(line: dict, query: PlannedQuery, run: _RunLines) -> str:
+    """What is wrong with ``line``, past its plan fields, as the results line
+    of ``query`` (see :func:`_line_problem`)."""
+    if type(line["raw_response"]) is not str:
+        return "raw_response is not text"
+    answer = _answer_fields(query, line["raw_response"])
+    for field in _SCORED_FIELDS:
+        if canonical_json(line[field]) != canonical_json(answer[field]):
+            return (
+                f"{field} is {canonical_json(line[field])}, where this version of "
+                f"ambigseq scores its raw_response {canonical_json(answer[field])}"
+            )
+    if not (line["note"] is None or type(line["note"]) is str):
+        return "note is neither text nor null"
+    if query.task is not Task.CONSISTENCY_JUDGMENT:
+        if line["judged"] is not None:
+            return "judged is not null, nor a judgment line's explanation and completion"
+    else:
+        judged = _judged_field(_judged_pair(run, query), query.record.sequence.base)
+        if canonical_json(line["judged"]) != canonical_json(judged):
+            return (
+                f"judged is {canonical_json(line['judged'])}, where its run's "
+                f"completion and explanation lines give {canonical_json(judged)}"
+            )
+        if judged is None:
+            written = {"raw_response": "", "top_logprobs": None, "note": NO_PAIR_NOTE}
+            for field, value in written.items():
+                if line[field] != value:
+                    return (
+                        f"{field} is {canonical_json(line[field])}, where a judgment "
+                        f"with no parseable pair to judge has {canonical_json(value)}"
+                    )
+    if line["top_logprobs"] is not None:
         try:
             TokenDistribution.from_pairs(line["top_logprobs"])
         except ValueError as exc:
-            problem = f"malformed top_logprobs: {exc}"
-    else:
-        problem = {
-            "answer": "raw_response is not text",
-            "note": "note is neither text nor null",
-            "judged": "judged is not null, nor a judgment line's explanation and completion",
-        }[part]
-    return f"{_query_text(line)}: {problem}"
+            return f"malformed top_logprobs: {exc}"
+    return "not the text ambigseq writes for these fields"
 
 
 def _query_text(line: dict) -> str:
@@ -654,8 +727,8 @@ def _resume_point(
     """Where ``config``'s campaign resumes the results file at ``path``: the
     byte length of its complete lines (0 to start afresh), its record lines,
     and whether one records the logprob fallback. The lines are read with
-    the collector paused, each against the next query of ``plan`` and then
-    added to ``run``; ``plan`` is left at the first query they do not
+    the collector paused, each against the next query of ``plan``, and added
+    to ``run``; ``plan`` is left at the first query they do not
     answer. The file of another campaign is a :class:`CampaignError`."""
     try:
         fh = path.open("rb")
@@ -678,8 +751,7 @@ def _resume_point(
                 f"this config is {config.digest()} — use a fresh output directory"
             )
         size, count, fallback = len(first), 0, False
-        for n, size, query, line in _record_lines(path, fh, plan):
-            run.add(n, query, line)
+        for n, size, query, line in _record_lines(path, fh, plan, run):
             fallback = fallback or line["note"] == LOGPROBS_UNAVAILABLE_NOTE
             count = n - 1
         return size, count, fallback
@@ -702,12 +774,15 @@ class _RunLines:
         """Add ``line``, line ``n`` of the results file, the answer to ``query``."""
         if (query.length, query.run_id) != self.run:
             self.run, self.completions, self.explanations = (query.length, query.run_id), {}, {}
-        if not query.record.is_ambiguous:
+        task = query.task
+        if task is Task.COMPLETION:
+            kept = self.completions
+        elif task is Task.EXPLANATION:
+            kept = self.explanations
+        else:
             return
-        if query.task is Task.COMPLETION:
-            self.completions[query.record.sequence.values] = (n, line)
-        elif query.task is Task.EXPLANATION:
-            self.explanations[query.record.sequence.values] = (n, line)
+        if query.record.is_ambiguous:
+            kept[query.record.sequence.values] = (n, line)
 
     def pair(self, query: PlannedQuery) -> tuple[tuple[int, dict] | None, ...]:
         """The completion and the explanation lines that ``query``, a
@@ -751,17 +826,30 @@ def _append_line(fh: TextIO, line: dict) -> None:
     fh.flush()
 
 
+#: :func:`~ambigseq.funcspace.parse` memoized per text: each judgment line
+#: of a run reads its pair's explanation again, as written and as read.
+_explanation_function = lru_cache(maxsize=1024)(parse)
+
+
 def _judged_pair(run: _RunLines, query: PlannedQuery) -> JudgedPair | None:
     """The model's own (explanation function, completion value) for this
-    run+sequence, if both parsed; the run stage's only parse of the
-    explanation line, whose function text the writer wrote (see
-    :func:`_record_lines`)."""
+    run+sequence, if both parsed: what the judgment ``query`` judges, for
+    the writer and for the reader (see :func:`_record_lines`). The
+    explanation line's function text is the one the writer wrote, checked
+    by the reader, so it parses."""
     compl, expl = run.pair(query)
     if not (compl and expl and compl[1]["valid"] and expl[1]["valid"]):
         return None
-    from .funcspace import parse
+    return _explanation_function(expl[1]["parsed"]["value"]), compl[1]["parsed"]["value"]
 
-    return parse(expl[1]["parsed"]["value"]), compl[1]["parsed"]["value"]
+
+def _judged_field(judged: JudgedPair | None, base: int) -> dict | None:
+    """The ``judged`` field of a results line: null, or the judged pair's
+    function, written in ``base``, and completion."""
+    return judged and {
+        "explanation": render_function(judged[0], base),
+        "completion": judged[1],
+    }
 
 
 def _execute_query(
@@ -783,8 +871,7 @@ def _execute_query(
         judged = _judged_pair(run, query)
         if judged is None:
             # nothing coherent to judge; the empty answer files as invalid
-            note = "no parseable completion/explanation pair to judge"
-            return query, None, lambda: ("", None, note)
+            return query, None, lambda: ("", None, NO_PAIR_NOTE)
 
     spec = PromptSpec(
         task=query.task,
@@ -832,15 +919,11 @@ def _result_line(
     """The one builder of a result line: the query's plan fields (see
     :func:`_plan_half`), the answer ``text`` parsed and scored against the
     query's record, and whatever the backend captured."""
-    base = query.record.sequence.base
     return {
         **_plan_half(query),
         **_answer_fields(query, text),
         "top_logprobs": top.to_pairs() if top else None,
-        "judged": judged and {
-            "explanation": render_function(judged[0], base),
-            "completion": judged[1],
-        },
+        "judged": _judged_field(judged, query.record.sequence.base),
         "note": note,
     }
 

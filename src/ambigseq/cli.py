@@ -28,12 +28,13 @@ from .campaign import (
     dataset_filename,
     load_campaign_datasets,
     mine_datasets,
+    read_header,
     results_path,
     run_campaign,
 )
 from .config import CHOICES, CampaignConfig, ConfigError
 from .funcspace import FunctionSpace
-from .mining import write_atomic
+from .mining import DatasetCounts, write_atomic
 
 REPORT_FILENAME = "report.txt"
 
@@ -231,20 +232,21 @@ def _metrics_lines(analysis: dict) -> list[str]:
     return lines
 
 
-def _report_text(config: CampaignConfig, analysis: dict) -> str:
+def _report_text(
+    analysis: dict, space: FunctionSpace, counts: dict[int, DatasetCounts]
+) -> str:
     lines: list[str] = []
     push = lines.append
     push(f"campaign {analysis['config_digest']} — backend {analysis['backend']}")
     push("")
 
     push("== function space ==")
-    space = config_space(config)
     lines.extend(_space_summary_lines(space))
     push("")
 
     push("== datasets ==")
-    for length, dataset in sorted(load_campaign_datasets(config, space).items()):
-        lines.extend(_dataset_count_lines(length, dataset.counts(space)))
+    for length, dataset_counts in sorted(counts.items()):
+        lines.extend(_dataset_count_lines(length, dataset_counts))
     push("")
 
     lines.extend(_metrics_lines(analysis))
@@ -291,14 +293,19 @@ def _report_text(config: CampaignConfig, analysis: dict) -> str:
 def cmd_report(config: CampaignConfig, out=None) -> int:
     out = out or sys.stdout
     source = results_path(config.output_dir)
-    analysis = analyze_results(source)
-    if analysis["config_digest"] != config.digest():
+    header, _ = read_header(source)
+    if header["config_digest"] != config.digest():
         raise CampaignError(
-            f"{source} belongs to campaign {analysis['config_digest']}, "
+            f"{source} belongs to campaign {header['config_digest']}, "
             f"this config is {config.digest()} — report from this config's "
             "output directory"
         )
-    text = _report_text(config, analysis)
+    # the datasets the analysis reads, mined once, give the report's counts
+    space = config_space(config)
+    datasets = load_campaign_datasets(config, space)
+    analysis = analyze_results(source, datasets)
+    counts = {length: dataset.counts(space) for length, dataset in datasets.items()}
+    text = _report_text(analysis, space, counts)
     report_file = Path(config.output_dir) / REPORT_FILENAME
     write_atomic(report_file, text)
     print(text, end="", file=out)

@@ -311,9 +311,12 @@ def continuations_of(
 # Serialization (line-oriented JSON; header first, then one record per line)
 # ---------------------------------------------------------------------------
 
-def canonical_json(data: Any) -> str:
-    """The one JSON writer of artifacts and digests: sorted keys, no spaces."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+#: The one JSON writer of artifacts and digests: sorted keys, no spaces,
+#: non-ASCII escaped. One encoder, made once; its bytes are ``json.dumps``'
+#: with these options.
+canonical_json: Callable[[Any], str] = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":")
+).encode
 
 
 def decode_json(text: str) -> Any:

@@ -34,6 +34,7 @@ from ambigseq.backends import (
 from ambigseq.campaign import (
     AUDIT_FILENAME,
     LOGPROBS_UNAVAILABLE_NOTE,
+    NO_PAIR_NOTE,
     RESULTS_FORMAT,
     RESULTS_VERSION,
     CampaignError,
@@ -303,8 +304,9 @@ class TestReadResults:
         if kind == "scripted_with_a_logprob_fallback":
             assert sum(LOGPROBS_UNAVAILABLE_NOTE in line for line in lines) == 1
         if kind == "a_line_as_raw_response":
-            # a raw response holding a whole line
-            lines[5] = rewritten(config, 5, lines[5], lines[6])
+            # a raw response holding a whole line, on a line of an
+            # unambiguous record, which no judgment reads
+            lines[6] = rewritten(config, 6, lines[6], lines[7])
             path.write_text("\n".join([header, *lines]) + "\n")
         _, records = read_results(path)
         assert [canonical_json(r) for r in records] == lines
@@ -396,7 +398,7 @@ class TestReadResults:
         )
         assert records[explanation]["valid"]
         records[explanation]["parsed"]["value"] = "lambda x: (("
-        kept = [json.dumps(r) for r in records[:first_judgment]]
+        kept = [canonical_json(r) for r in records[:first_judgment]]
         path.write_text("\n".join([header, *kept]) + "\n")
         with pytest.raises(
             CampaignError,
@@ -767,27 +769,31 @@ class TestPlanCheckedRead:
         self.refused(config, path, re.escape(_lone_line_error(path, i, lines[i - 2])) + "$")
 
     def test_spaces_around_a_line_are_read(self, campaign_dir):
+        # read, and refused: a line is the text the writer writes, so one
+        # with blanks before it, or spaces inside, is not a record line
         config, path, header, lines = campaign_dir
-        _, expected = read_results(path)
         lines[3] = " " + lines[3]
         lines[7] = json.dumps(json.loads(lines[7])) + "  "
         path.write_text("\n".join([header, *lines]) + "\n")
-        assert read_results(path)[1] == expected
-        assert analyze_results(path)["n_records"] == len(lines)
-        assert run_campaign(config).skipped == len(lines)
+        self.refused(
+            config, path,
+            r"results\.jsonl:5: malformed record line \(the \w+ line of run 0 for "
+            r"sequence \[[\d, ]+\] at length 3: not the text ambigseq writes for these "
+            r"fields\)$",
+        )
 
     @pytest.mark.parametrize("blanks", [" ", "\t", "\r", " \t\r "])
     def test_blanks_after_a_line_are_read(self, campaign_dir, blanks):
-        # the decoder reads a line as the writer writes it; one with blanks
-        # after its value is read again as json.loads reads it
+        # read, and refused at the first line with blanks after its value
         config, path, header, lines = campaign_dir
-        _, expected = read_results(path)
         lines[3] += blanks
         lines[-1] += blanks
         path.write_text("\n".join([header, *lines]) + "\n")
-        assert read_results(path)[1] == expected
-        assert analyze_results(path)["n_records"] == len(lines)
-        assert run_campaign(config).skipped == len(lines)
+        self.refused(
+            config, path,
+            r"results\.jsonl:5: malformed record line \(.*: not the text ambigseq "
+            r"writes for these fields\)$",
+        )
 
     def test_a_line_that_starts_with_a_byte_order_mark_is_refused_by_its_line(
         self, campaign_dir
@@ -900,6 +906,220 @@ class TestPlanCheckedRead:
             assert not outcome.failed
             assert path.read_bytes() == finished
             assert outcome.skipped == max(n - 1, 0)
+
+    def test_an_edited_judged_pair_is_refused(self, tmp_path, mined_l3):
+        # line 766 of a lengths-3, 2-run oracle campaign is a judgment; its
+        # judged pair is the one its run's completion and explanation give
+        config = small_config(tmp_path, mined_l3, limit_sequences=None)
+        path = run_campaign(config).results_file
+        header, *lines = path.read_text().splitlines()
+        assert len(lines) == 1576
+        record = json.loads(lines[764])
+        assert record["task"] == "consistency_judgment"
+        assert record["judged"]["completion"] == 0
+        given = canonical_json(record["judged"])
+        record["judged"] = {"completion": 7, "explanation": "lambda x: (2 * x) + 3"}
+        lines[764] = canonical_json(record)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        problem = (
+            "the consistency_judgment line of run 0 for sequence "
+            f"{record['sequence']['values']} at length 3: judged is "
+            f"{canonical_json(record['judged'])}, where its run's completion and "
+            f"explanation lines give {given}"
+        )
+        self.refused(
+            config, path, re.escape(f"results.jsonl:766: malformed record line ({problem})") + "$"
+        )
+
+    def test_a_judgment_without_a_pair_is_the_line_filed_for_it(self, tmp_path, mined_l3):
+        # with no valid pair to judge, the writer files an empty answer with
+        # its note, without asking the backend; no other line stands there
+        config = small_config(
+            tmp_path, mined_l3, backend="scripted", fixtures_file="unused.json",
+            tasks=("completion", "explanation", "consistency_judgment"), n_runs=1,
+        )
+        backend = ScriptedBackend({}, default="gibberish")
+        path = run_campaign(config, backend=backend).results_file
+        header, *lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if NO_PAIR_NOTE in line)
+        for field, value in [("note", None), ("raw_response", "yes"), ("top_logprobs", [["yes", 0]])]:
+            record = json.loads(lines[i])
+            record[field] = value
+            damaged = [*lines[:i], canonical_json(record), *lines[i + 1:]]
+            path.write_text("\n".join([header, *damaged]) + "\n")
+            with pytest.raises(
+                CampaignError,
+                match=re.escape(f"results.jsonl:{i + 2}: malformed record line (")
+                + rf".*: {field} is {re.escape(canonical_json(value))}, where a "
+                "judgment with no parseable pair to judge has",
+            ):
+                read_results(path)
+
+
+#: Logprobs as a backend may report them: floats and integers, at most 0.
+LOGPROBS = st.one_of(
+    st.integers(-5, 0), st.floats(min_value=-1e15, max_value=0, allow_nan=False)
+)
+#: Answer, token and note texts, with what JSON escapes: quotes, backslashes,
+#: control characters and non-ASCII text; and texts holding the keys the
+#: reader finds a line's raw_response by.
+TEXTS = st.one_of(
+    st.text(
+        st.one_of(st.sampled_from('"\\\n\t/{}[],:\u00e9\u20ac\U0001f600 0123456789abcxyz'),
+                  st.characters(exclude_categories=("Cs",))),
+        max_size=12,
+    ),
+    st.sampled_from([',"raw_response":"', ',"run_id":1,', "null", '"}\n{"']),
+)
+TOP_LOGPROBS = st.lists(
+    st.tuples(TEXTS, LOGPROBS), min_size=1, max_size=5, unique_by=lambda pair: pair[0]
+).map(lambda pairs: TokenDistribution.from_pairs(sorted(pairs, key=lambda p: -p[1])))
+
+
+class TestTheWritersText:
+    """A record line passes the reader exactly when it is the text the
+    writer writes for its query: every line ``_result_line`` builds reads
+    back as it was written, and a rewrite of it that JSON reads as the same
+    values is refused by its line number."""
+
+    @pytest.fixture(scope="class")
+    def campaign_plan(self, tmp_path_factory, mined_l3):
+        """(results path, header line, datasets, the plan, the oracle's
+        answer to each query)."""
+        config = small_config(tmp_path_factory.mktemp("writers_text"), mined_l3)
+        path = run_campaign(config).results_file
+        header, *lines = path.read_text().splitlines()
+        datasets = load_campaign_datasets(config, config_space(config))
+        plan = list(plan_queries(config, datasets))
+        return path, header, datasets, plan, [json.loads(line)["raw_response"] for line in lines]
+
+    @staticmethod
+    def rewrites(text: str) -> dict[str, str]:
+        """``text``, a record line of run 1, rewritten in ways that JSON
+        reads as the same values, or as the same numbers."""
+        valid = text.rindex(',"valid":')
+        return {
+            "spaces": json.dumps(json.loads(text), sort_keys=True),
+            "a_key_moved": "{" + text[valid + 1:-1] + "," + text[1:valid] + "}",
+            "an_escaped_ascii_character": text.replace('"task":', '"\\u0074ask":', 1),
+            "1.0_for_1": text.replace('"run_id":1,', '"run_id":1.0,', 1),
+            "true_for_1": text.replace('"run_id":1,', '"run_id":true,', 1),
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lines_read_back_as_written_and_rewrites_are_refused(self, campaign_plan, data):
+        path, header, datasets, plan, oracle = campaign_plan
+        run = campaign._RunLines()
+        written = []
+        for n, (query, answer) in enumerate(zip(plan, oracle), 2):
+            judged = None
+            if query.task is Task.CONSISTENCY_JUDGMENT:
+                judged = campaign._judged_pair(run, query)
+            if query.task is Task.CONSISTENCY_JUDGMENT and judged is None:
+                line = _result_line(query, "", None, None, NO_PAIR_NOTE)
+            else:
+                text = data.draw(st.one_of(st.just(answer), TEXTS))
+                top = data.draw(st.none() | TOP_LOGPROBS)
+                note = data.draw(st.none() | TEXTS)
+                line = _result_line(query, text, top, judged, note)
+            run.add(n, query, line)
+            written.append(line)
+        texts = [canonical_json(line) for line in written]
+        path.write_text("\n".join([header, *texts]) + "\n")
+        _, read = read_results(path, datasets)
+        assert read == written
+        assert [canonical_json(line) for line in read] == texts
+
+        i = data.draw(st.integers(len(texts) // 2, len(texts) - 1), label="line of run 1")
+        assert written[i]["run_id"] == 1
+        for name, rewritten_text in self.rewrites(texts[i]).items():
+            assert json.loads(rewritten_text) == written[i], name
+            damaged = [*texts[:i], rewritten_text, *texts[i + 1:]]
+            path.write_text("\n".join([header, *damaged]) + "\n")
+            with pytest.raises(
+                CampaignError, match=rf"results\.jsonl:{i + 2}: malformed record line \("
+            ):
+                read_results(path, datasets)
+
+
+class TestSharedTopLogprobs:
+    """The top_logprobs lists a read shares among the lines of a (length,
+    run) are held no longer than that run, so a read of captures that all
+    differ, as a real model's do, holds no more for more runs."""
+
+    @pytest.fixture(scope="class")
+    def one_run(self, tmp_path_factory, mined_l3):
+        """(config, records) of a one-run oracle campaign over every length-3
+        sequence."""
+        config = small_config(
+            tmp_path_factory.mktemp("one_run"), mined_l3, limit_sequences=None, n_runs=1
+        )
+        _, records = read_results(run_campaign(config).results_file)
+        return config, records
+
+    @staticmethod
+    def distinct_captures(tmp_path, config, records, n_runs):
+        """(results path, datasets) of an ``n_runs``-run campaign: ``records``
+        once per run id, each completion's logprobs lowered by its own step,
+        so no two captures are the same text, as a real model's would be."""
+        tmp_path.mkdir()
+        shutil.copy(Path(config.output_dir) / dataset_filename(3), tmp_path)
+        config = config.override(output_dir=str(tmp_path), n_runs=n_runs)
+        lines = [canonical_json(campaign._results_header(config))]
+        step = 0
+        for run_id in range(n_runs):
+            for r in records:
+                top = r["top_logprobs"]
+                if top:
+                    step += 1
+                    top = [[token, logprob - step / 2**20] for token, logprob in top]
+                lines.append(canonical_json({**r, "run_id": run_id, "top_logprobs": top}))
+        path = results_path(tmp_path)
+        path.write_text("\n".join(lines) + "\n")
+        return path, load_campaign_datasets(config, config_space(config))
+
+    def test_read_memory_does_not_grow_with_the_runs(self, tmp_path, one_run):
+        # the top_logprobs lists a run's lines share are let go when the
+        # next run begins; with a capture per completion, nothing else the
+        # read holds is per run
+        config, records = one_run
+        peaks = {}
+        for n_runs in (2, 8):
+            path, datasets = self.distinct_captures(tmp_path / str(n_runs), config, records, n_runs)
+            read_results(path, datasets, lambda line: None)  # fills the caches a read fills
+            gc.collect()
+            tracemalloc.start()
+            try:
+                read_results(path, datasets, lambda line: None)
+                peaks[n_runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= peaks[2] * 1.05, peaks
+
+    def test_shared_top_logprobs_are_let_go_when_the_next_run_begins(self, tmp_path, one_run):
+        # a consumer that keeps the lists of one run holds the only
+        # references to them once the next run's first line is read
+        config, records = one_run
+        path, datasets = self.distinct_captures(tmp_path / "3", config, records, 3)
+        kept: dict[int, list] = {}
+        counts = []
+
+        def consume(line):
+            if line["run_id"] not in kept:
+                if kept:
+                    # the control list is held by `listed` alone
+                    listed = [[], *kept.pop(line["run_id"] - 1)]
+                    counts.append(
+                        {sys.getrefcount(lst) for lst in listed[1:]}
+                        == {sys.getrefcount(lst) for lst in listed[:1]}
+                    )
+                kept[line["run_id"]] = []
+            if line["top_logprobs"]:
+                kept[line["run_id"]].append(line["top_logprobs"])
+
+        read_results(path, datasets, consume)
+        assert counts == [True, True]
 
 
 class TestCollectorPaused:

@@ -314,6 +314,29 @@ class TestStageWiring:
         assert main(["report", *flags(out_dir)]) == 0
         assert (out_dir / "report.txt").exists()
 
+    def test_report_mines_each_dataset_as_often_as_analyze(
+        self, finished_l34, monkeypatch, capfd
+    ):
+        # report takes its dataset counts from the datasets its analysis
+        # reads, so it loads (and mines) each dataset file once, as analyze does
+        from ambigseq import analysis, campaign
+
+        loads = []
+        for module in (analysis, campaign):
+            load = module.load_dataset
+            monkeypatch.setattr(
+                module, "load_dataset",
+                lambda path, *args, load=load: loads.append(path.name) or load(path, *args),
+            )
+        calls = {}
+        for command in ("analyze", "report"):
+            loads.clear()
+            assert main([command, *flags(finished_l34, "--lengths", "3,4")]) == 0
+            calls[command] = sorted(loads)
+        assert calls["report"] == calls["analyze"] == [
+            dataset_filename(3), dataset_filename(4)
+        ]
+
     def test_config_file_drives_all_stages(self, tmp_path, capfd):
         out = tmp_path / "campaign"
         config = CampaignConfig(

@@ -26,6 +26,7 @@ from ambigseq.backends import (
     ScriptedBackend,
 )
 from ambigseq.campaign import (
+    NO_PAIR_NOTE,
     PlannedQuery,
     _result_line,
     config_space,
@@ -320,7 +321,9 @@ class TestAccuracy:
         """Only a run's unambiguous explanation and completion lines count
         toward accuracy: in an oracle campaign's results, answering every
         ambiguous completion and explanation, every judgment and every
-        verbalization with an invalid text leaves the figures at 100%."""
+        verbalization with an invalid text leaves the figures at 100%. With
+        no valid pair to judge, a judgment line is the one the writer files
+        without asking the backend."""
         out = tmp_path / "out"
         out.mkdir()
         shutil.copy(mined_l3, out / dataset_filename(3))
@@ -330,7 +333,9 @@ class TestAccuracy:
         queries = plan_queries(config, load_campaign_datasets(config, config_space(config)))
         scored = ("explanation", "completion")
         lines = [
-            _result_line(query, "banana", None, None, None)
+            _result_line(query, "", None, None, NO_PAIR_NOTE)
+            if query.task is Task.CONSISTENCY_JUDGMENT
+            else _result_line(query, "banana", None, None, None)
             if query.record.is_ambiguous or query.task.value not in scored
             else json.loads(row)
             for query, row in zip(queries, rows)
