@@ -29,7 +29,6 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from .campaign import (
     CampaignError,
-    collector_paused,
     config_space,
     read_header,
     read_results,
@@ -259,7 +258,6 @@ def _figures(run: dict[str, Any]) -> dict[str, float | None]:
     return {figure.name: figure.value(run) for figure in FIGURES}
 
 
-@collector_paused()
 def analyze_results(
     results_file: str | Path, datasets: dict[int, Dataset] | None = None
 ) -> dict[str, Any]:
@@ -267,12 +265,11 @@ def analyze_results(
     campaign's ``datasets``: by default those its header names, mined on
     the config's space and checked against their files.
 
-    Runs with the cyclic collector paused: a pure, single-threaded read of
-    the files whose records are dead by the time it returns. The lines are
-    folded as :func:`read_results` checks them, and a line is held only where
-    a figure reads it. Those of one (length, run) are contiguous in plan
-    order, so only the current run's are held, and the run is reduced to its
-    per-run block when the next run's first line arrives or the read ends.
+    The lines are folded as :func:`read_results` checks them, and a line is
+    held only where a figure reads it. Those of one (length, run) are
+    contiguous in plan order, so only the current run's are held, and the
+    run is reduced to its per-run block when the next run's first line
+    arrives or the read ends.
     The lines of an ambiguous record are held whole. Those of an unambiguous
     one, a completion or an explanation, feed only :func:`accuracy`, so in
     their place the run holds one of the shared :data:`_OUTCOMES` mappings of

@@ -35,11 +35,9 @@ worker each call is made inline as its line is committed, on no thread.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache, partial
@@ -70,6 +68,8 @@ LOGPROBS_UNAVAILABLE_NOTE = "top logprobs unavailable from backend"
 #: The note of a judgment line whose run gives no parseable pair to judge:
 #: the backend is not asked, and the line files the empty answer as invalid.
 NO_PAIR_NOTE = "no parseable completion/explanation pair to judge"
+#: That line's (answer text, top logprobs, note), for the writer and the reader.
+NO_PAIR_ANSWER = ("", None, NO_PAIR_NOTE)
 
 
 class CampaignError(RuntimeError):
@@ -212,21 +212,6 @@ def _results_header(config: CampaignConfig) -> dict:
     }
 
 
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Run the block with Python's cyclic garbage collector off, then put it
-    back as it was (a caller that had it off keeps it off). For reads and
-    analysis of a results file: their records hold no reference cycles, so a
-    collection frees nothing and only re-scans every container read so far."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def read_header(path: str | Path) -> tuple[dict, CampaignConfig]:
     """The header of the results file at ``path`` and the config it holds;
     a :class:`CampaignError` unless it is the header that config writes."""
@@ -240,8 +225,7 @@ def read_results(
     datasets: dict[int, Dataset] | None = None,
     consume: Callable[[dict], Any] | None = None,
 ) -> tuple[dict, list[dict]]:
-    """The header and the record lines of a results file, read with the
-    collector paused.
+    """The header and the record lines of a results file.
 
     Line N must answer query N of the plan of the header's config over
     ``datasets`` (by default mined on the config's space and checked against
@@ -265,7 +249,7 @@ def read_results(
     path = Path(path)
     lines: list[dict] = []
     consume = consume or lines.append
-    with collector_paused(), path.open("rb") as fh:
+    with path.open("rb") as fh:
         header, config = _check_header(path, fh.readline())
         if datasets is None:
             datasets = load_campaign_datasets(
@@ -317,7 +301,6 @@ _FIELDS = (
     "raw_response", "parsed", "valid", "correct", "top_logprobs", "judged", "note",
 )
 _PLAN_FIELDS = _FIELDS[:6]
-_SCORED_FIELDS = ("parsed", "valid", "correct")
 _decode_at = json.JSONDecoder().raw_decode
 
 
@@ -358,7 +341,7 @@ def _record_lines(
     - ``judged``: null, or on a judgment line the pair its run's own
       completion and explanation lines give (:func:`_judged_pair` over
       ``run``); with no such pair, the line is the one the writer writes
-      without asking the backend (:data:`NO_PAIR_NOTE`);
+      without asking the backend (:data:`NO_PAIR_ANSWER`);
     - ``correct``, ``parsed`` and ``valid``: what :func:`_answer_fields`
       scores the ``raw_response`` to, rendered once per (task,
       ``raw_response`` text, record);
@@ -479,7 +462,7 @@ def _record_lines(
             from_pairs(top)  # a ValueError unless the writer could write it
             tops[text] = top
         if judged is None and query.task is judgment and (
-            note != NO_PAIR_NOTE or answer["raw_response"] or top is not None
+            (answer["raw_response"], top, note) != NO_PAIR_ANSWER
         ):
             return None
         return {
@@ -511,7 +494,7 @@ def _record_lines(
             except RecursionError as exc:  # a value too deep to compare or to name
                 problem = str(exc)
             raise CampaignError(f"{path}:{n}: malformed record line ({problem})")
-        run.add(n, query, line)
+        run.add(query, line)
         end += len(raw)
         yield n, end, query, line
 
@@ -521,10 +504,12 @@ def _line_problem(raw: bytes, query: PlannedQuery | None, run: _RunLines) -> str
     newline, as the results line of ``query``, with ``run`` holding the
     lines before it (see :func:`_record_lines`). The line is decoded by
     ``json.loads``, whose words name a line that is not JSON. Else they
-    name the first field whose canonical JSON differs from what the writer
-    writes, or whose value the writer could not write; a line whose every
-    field is right is not the text the writer writes (blanks, another key
-    order or other escapes). They decide nothing."""
+    name the first plan field that differs from the query's, or a value
+    the writer could not write, or the first field whose canonical JSON
+    differs from the line the writer writes for the line's own answer and
+    capture; a line whose every field is right is not the text the writer
+    writes (blanks, another key order or other escapes). They decide
+    nothing."""
     try:
         line = json.loads(raw[:-1].decode())
     except UnicodeDecodeError:
@@ -543,10 +528,7 @@ def _line_problem(raw: bytes, query: PlannedQuery | None, run: _RunLines) -> str
     if unknown:
         return f"unknown field {unknown[0]!r}"
     expected = _plan_half(query)
-    field = next(
-        (f for f in _PLAN_FIELDS if canonical_json(line[f]) != canonical_json(expected[f])),
-        None,
-    )
+    field = _first_difference(line, expected, _PLAN_FIELDS)
     if field is not None:
         return (
             f"the plan puts {_query_text(expected)} here, not a line whose "
@@ -558,41 +540,42 @@ def _line_problem(raw: bytes, query: PlannedQuery | None, run: _RunLines) -> str
 def _answer_problem(line: dict, query: PlannedQuery, run: _RunLines) -> str:
     """What is wrong with ``line``, past its plan fields, as the results line
     of ``query`` (see :func:`_line_problem`)."""
-    if type(line["raw_response"]) is not str:
+    text, top, note = line["raw_response"], line["top_logprobs"], line["note"]
+    if type(text) is not str:
         return "raw_response is not text"
-    answer = _answer_fields(query, line["raw_response"])
-    for field in _SCORED_FIELDS:
-        if canonical_json(line[field]) != canonical_json(answer[field]):
-            return (
-                f"{field} is {canonical_json(line[field])}, where this version of "
-                f"ambigseq scores its raw_response {canonical_json(answer[field])}"
-            )
-    if not (line["note"] is None or type(line["note"]) is str):
+    if not (note is None or type(note) is str):
         return "note is neither text nor null"
-    if query.task is not Task.CONSISTENCY_JUDGMENT:
-        if line["judged"] is not None:
-            return "judged is not null, nor a judgment line's explanation and completion"
-    else:
-        judged = _judged_field(_judged_pair(run, query), query.record.sequence.base)
-        if canonical_json(line["judged"]) != canonical_json(judged):
-            return (
-                f"judged is {canonical_json(line['judged'])}, where its run's "
-                f"completion and explanation lines give {canonical_json(judged)}"
-            )
-        if judged is None:
-            written = {"raw_response": "", "top_logprobs": None, "note": NO_PAIR_NOTE}
-            for field, value in written.items():
-                if line[field] != value:
-                    return (
-                        f"{field} is {canonical_json(line[field])}, where a judgment "
-                        f"with no parseable pair to judge has {canonical_json(value)}"
-                    )
-    if line["top_logprobs"] is not None:
+    if top is not None:
         try:
-            TokenDistribution.from_pairs(line["top_logprobs"])
+            top = TokenDistribution.from_pairs(top)
         except ValueError as exc:
             return f"malformed top_logprobs: {exc}"
-    return "not the text ambigseq writes for these fields"
+    judged = None
+    if query.task is Task.CONSISTENCY_JUDGMENT:
+        judged = _judged_pair(run, query)
+        if judged is None:
+            text, top, note = NO_PAIR_ANSWER
+    written = _result_line(query, text, top, judged, note)
+    field = _first_difference(line, written, _FIELDS)
+    if field is None:
+        return "not the text ambigseq writes for these fields"
+    if field == "judged":
+        if query.task is not Task.CONSISTENCY_JUDGMENT:
+            return "judged is not null, nor a judgment line's explanation and completion"
+        where = "its run's completion and explanation lines give"
+    elif field in ("raw_response", "top_logprobs", "note"):  # taken from NO_PAIR_ANSWER
+        where = "a judgment with no parseable pair to judge has"
+    else:
+        where = "this version of ambigseq scores its raw_response"
+    given, wanted = canonical_json(line[field]), canonical_json(written[field])
+    return f"{field} is {given}, where {where} {wanted}"
+
+
+def _first_difference(line: dict, written: dict, fields: tuple[str, ...]) -> str | None:
+    """The first of ``fields`` whose canonical JSON differs in the two lines."""
+    return next(
+        (f for f in fields if canonical_json(line[f]) != canonical_json(written[f])), None
+    )
 
 
 def _query_text(line: dict) -> str:
@@ -668,7 +651,7 @@ def run_campaign(
         if note == LOGPROBS_UNAVAILABLE_NOTE:
             logprobs_available = False
         line = _result_line(query, text, top, judged, note)
-        run.add(skipped + queried + 2, query, line)
+        run.add(query, line)
         _append_line(fh, line)
         queried += 1
 
@@ -726,15 +709,15 @@ def _resume_point(
 ) -> tuple[int, int, bool]:
     """Where ``config``'s campaign resumes the results file at ``path``: the
     byte length of its complete lines (0 to start afresh), its record lines,
-    and whether one records the logprob fallback. The lines are read with
-    the collector paused, each against the next query of ``plan``, and added
-    to ``run``; ``plan`` is left at the first query they do not
-    answer. The file of another campaign is a :class:`CampaignError`."""
+    and whether one records the logprob fallback. The lines are read each
+    against the next query of ``plan``, and added to ``run``; ``plan`` is
+    left at the first query they do not answer. The file of another
+    campaign is a :class:`CampaignError`."""
     try:
         fh = path.open("rb")
     except FileNotFoundError:
         return 0, 0, False
-    with fh, collector_paused():
+    with fh:
         first = fh.readline()
         if not first.endswith(b"\n"):
             if header_line.encode().startswith(first):
@@ -759,19 +742,18 @@ def _resume_point(
 
 class _RunLines:
     """The completion and explanation lines of one run of the plan's
-    ambiguous records, by sequence values, each with its line number: what
-    the run's judgments read (:func:`_task_targets` gives judgments only
-    ambiguous records). Lines are added in plan order; a line of an
-    unambiguous record is not kept, and the first line of the next run drops
-    those kept."""
+    ambiguous records, by sequence values: what the run's judgments read
+    (:func:`_task_targets` gives judgments only ambiguous records). Lines
+    are added in plan order; a line of an unambiguous record is not kept,
+    and the first line of the next run drops those kept."""
 
     def __init__(self) -> None:
         self.run: tuple[int, int] | None = None
-        self.completions: dict[tuple, tuple[int, dict]] = {}
-        self.explanations: dict[tuple, tuple[int, dict]] = {}
+        self.completions: dict[tuple, dict] = {}
+        self.explanations: dict[tuple, dict] = {}
 
-    def add(self, n: int, query: PlannedQuery, line: dict) -> None:
-        """Add ``line``, line ``n`` of the results file, the answer to ``query``."""
+    def add(self, query: PlannedQuery, line: dict) -> None:
+        """Add ``line``, the answer to ``query``."""
         if (query.length, query.run_id) != self.run:
             self.run, self.completions, self.explanations = (query.length, query.run_id), {}, {}
         task = query.task
@@ -782,12 +764,12 @@ class _RunLines:
         else:
             return
         if query.record.is_ambiguous:
-            kept[query.record.sequence.values] = (n, line)
+            kept[query.record.sequence.values] = line
 
-    def pair(self, query: PlannedQuery) -> tuple[tuple[int, dict] | None, ...]:
+    def pair(self, query: PlannedQuery) -> tuple[dict | None, dict | None]:
         """The completion and the explanation lines that ``query``, a
-        judgment, judges, each with its line number: its run's answers for
-        its sequence, or None while not added."""
+        judgment, judges: its run's answers for its sequence, or None while
+        not added."""
         if (query.length, query.run_id) != self.run:
             return None, None
         values = query.record.sequence.values
@@ -838,9 +820,9 @@ def _judged_pair(run: _RunLines, query: PlannedQuery) -> JudgedPair | None:
     explanation line's function text is the one the writer wrote, checked
     by the reader, so it parses."""
     compl, expl = run.pair(query)
-    if not (compl and expl and compl[1]["valid"] and expl[1]["valid"]):
+    if not (compl and expl and compl["valid"] and expl["valid"]):
         return None
-    return _explanation_function(expl[1]["parsed"]["value"]), compl[1]["parsed"]["value"]
+    return _explanation_function(expl["parsed"]["value"]), compl["parsed"]["value"]
 
 
 def _judged_field(judged: JudgedPair | None, base: int) -> dict | None:
@@ -871,7 +853,7 @@ def _execute_query(
         judged = _judged_pair(run, query)
         if judged is None:
             # nothing coherent to judge; the empty answer files as invalid
-            return query, None, lambda: ("", None, NO_PAIR_NOTE)
+            return query, None, lambda: NO_PAIR_ANSWER
 
     spec = PromptSpec(
         task=query.task,

@@ -1,5 +1,6 @@
 """Analysis of results files: metrics, baselines, quadrants, file output."""
 
+import gc
 import json
 import math
 import shutil
@@ -536,13 +537,20 @@ class TestRunFold:
         files = {n_runs: results_of(n_runs) for n_runs in (4, 12)}
         analyze_results(files[4])  # fills the caches a first analysis fills
         peaks = {}
+        was_enabled = gc.isenabled()
         for n_runs, results in files.items():
+            # the collector held still, so the peak does not depend on when
+            # a collection runs
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 doc = analyze_results(results)
                 peaks[n_runs] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                if was_enabled:
+                    gc.enable()
             counts = doc["per_length"]["3"]["quadrants"]["counts"]
             assert sum(counts.values()) == 5 * completions * n_runs, counts
         per_value = (peaks[12] - peaks[4]) / (5 * completions * 8)

@@ -18,7 +18,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ambigseq.backends import (
@@ -588,23 +588,6 @@ def rewritten(config, i: int, line: str, text: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def many_runs(tmp_path_factory, mined_l3):
-    """A finished 400-run campaign (4,801 lines): one real run's records
-    once per run id, which the oracle answers the same in every run."""
-    tmp_path = tmp_path_factory.mktemp("many_runs")
-    one_run = small_config(tmp_path / "one", mined_l3, n_runs=1)
-    _, records = read_results(run_campaign(one_run).results_file)
-    config = small_config(tmp_path / "many", mined_l3, n_runs=400)
-    lines = [canonical_json(campaign._results_header(config))]
-    lines += [
-        canonical_json({**r, "run_id": run}) for run in range(400) for r in records
-    ]
-    path = results_path(config.output_dir)
-    path.write_text("\n".join(lines) + "\n")
-    return config, path
-
-
-@pytest.fixture(scope="module")
 def ten_runs(tmp_path_factory, mined_l3):
     """(results path, datasets) of a finished 10-run oracle campaign over
     every length-3 sequence (7,880 lines): one real run's records once per
@@ -1012,7 +995,7 @@ class TestTheWritersText:
         path, header, datasets, plan, oracle = campaign_plan
         run = campaign._RunLines()
         written = []
-        for n, (query, answer) in enumerate(zip(plan, oracle), 2):
+        for query, answer in zip(plan, oracle):
             judged = None
             if query.task is Task.CONSISTENCY_JUDGMENT:
                 judged = campaign._judged_pair(run, query)
@@ -1023,7 +1006,7 @@ class TestTheWritersText:
                 top = data.draw(st.none() | TOP_LOGPROBS)
                 note = data.draw(st.none() | TEXTS)
                 line = _result_line(query, text, top, judged, note)
-            run.add(n, query, line)
+            run.add(query, line)
             written.append(line)
         texts = [canonical_json(line) for line in written]
         path.write_text("\n".join([header, *texts]) + "\n")
@@ -1041,6 +1024,89 @@ class TestTheWritersText:
                 CampaignError, match=rf"results\.jsonl:{i + 2}: malformed record line \("
             ):
                 read_results(path, datasets)
+
+
+#: JSON values of every type, a few levels deep.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | TEXTS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXTS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestRefusalWords:
+    """A record line with one field set to a value the writer would not
+    write there is refused by its number, in words that name that field:
+    the plan's words for a plan field."""
+
+    @pytest.fixture(scope="class")
+    def campaign_lines(self, tmp_path_factory, mined_l3):
+        """(results path, header line, datasets, record lines, the lines to
+        damage): the first line of each task and record kind, among them a
+        completion that does not parse, so that its run's judgment of that
+        record has no pair, and a judgment with a pair."""
+        config = small_config(tmp_path_factory.mktemp("refusal_words"), mined_l3)
+        path = run_campaign(config).results_file
+        header, *lines = path.read_text().splitlines()
+        datasets = load_campaign_datasets(config, config_space(config))
+        plan = list(plan_queries(config, datasets))
+        assert plan[0].task is Task.COMPLETION and plan[0].record.is_ambiguous
+        lines[0] = rewritten(config, 0, lines[0], "banana")
+        judgments = [i for i, query in enumerate(plan) if query.task is Task.CONSISTENCY_JUDGMENT]
+        assert plan[judgments[0]].record is plan[0].record
+        lines[judgments[0]] = canonical_json(
+            _result_line(plan[judgments[0]], "", None, None, NO_PAIR_NOTE)
+        )
+        firsts = {}
+        for i, query in enumerate(plan):
+            firsts.setdefault((query.task, query.record.is_ambiguous), i)
+        targets = sorted({*firsts.values(), *judgments[:2]})
+        records = [json.loads(lines[i]) for i in targets]
+        assert [r["note"] for r in records].count(NO_PAIR_NOTE) == 1
+        assert sum(r["judged"] is not None for r in records) == 1
+        return path, header, datasets, lines, targets
+
+    @staticmethod
+    def writable(record: dict, field: str, value) -> bool:
+        """Whether the writer could write ``value`` as ``record``'s
+        ``field``, the line otherwise as it stands."""
+        if canonical_json(value) == canonical_json(record[field]):
+            return True
+        if record["note"] == NO_PAIR_NOTE or field not in ("raw_response", "top_logprobs", "note"):
+            return False
+        if field == "raw_response":
+            return type(value) is str  # another text scores the same or moves parsed
+        if field == "note":
+            return value is None or type(value) is str
+        try:
+            return value is None or bool(TokenDistribution.from_pairs(value))
+        except ValueError:
+            return False
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_value_the_writer_would_not_write_is_named(self, campaign_lines, data):
+        path, header, datasets, lines, targets = campaign_lines
+        i = data.draw(st.sampled_from(targets), label="line")
+        field = data.draw(st.sampled_from(campaign._FIELDS), label="field")
+        others = [json.loads(lines[j])[field] for j in targets]
+        value = data.draw(JSON_VALUES | st.sampled_from(others), label="value")
+        record = json.loads(lines[i])
+        assume(not self.writable(record, field, value))
+        record[field] = value
+        damaged = [*lines[:i], canonical_json(record), *lines[i + 1:]]
+        path.write_text("\n".join([header, *damaged]) + "\n")
+        words = re.escape(f"results.jsonl:{i + 2}: malformed record line (")
+        if field in _PLAN_FIELDS:
+            words += rf"the plan puts .* here, not a line whose {field} is "
+        else:
+            words += (
+                r"the \w+ line of run \d for sequence \[[\d, ]+\] at length 3: "
+                rf"(malformed {field}: |{field} is )"
+            )
+        with pytest.raises(CampaignError, match=words):
+            read_results(path, datasets)
 
 
 class TestSharedTopLogprobs:
@@ -1123,8 +1189,8 @@ class TestSharedTopLogprobs:
 
 
 class TestCollectorPaused:
-    """Reading and analysing a results file run with the cyclic collector
-    off and leave it as they found it."""
+    """Reading and analysing a results file leave the cyclic collector as
+    they found it."""
 
     @pytest.fixture(autouse=True)
     def restore_collector(self):
@@ -1134,34 +1200,6 @@ class TestCollectorPaused:
             gc.enable()
         else:
             gc.disable()
-
-    @pytest.fixture()
-    def collections(self, monkeypatch):
-        """(generation, reading) of each collection that starts during the
-        test; reading from the first record line of a results file that is
-        decoded and checked to the last."""
-        started, reading = [], [False]
-
-        def record(phase, info):
-            if phase == "start":
-                started.append((info["generation"], reading[0]))
-
-        def while_reading(lines):
-            def wrapped(*args):
-                reading[0] = True
-                try:
-                    yield from lines(*args)
-                finally:
-                    reading[0] = False
-
-            return wrapped
-
-        monkeypatch.setattr(
-            campaign, "_record_lines", while_reading(campaign._record_lines)
-        )
-        gc.callbacks.append(record)
-        yield started
-        gc.callbacks.remove(record)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_collector_state_is_restored(self, tmp_path, mined_l3, enabled):
@@ -1181,35 +1219,6 @@ class TestCollectorPaused:
                 else:
                     read(path)
                 assert gc.isenabled() is enabled
-
-    def test_no_collection_inside_read_results(self, many_runs, collections):
-        # the first allocation after the pause starts one collection, which
-        # passes over what the read allocated; unpaused, the read takes dozens
-        _, path = many_runs
-        gc.enable()
-        collections.clear()
-        _, records = read_results(path)
-        in_call = collections[:]
-        assert len(records) == 4800
-        assert len(in_call) <= 1
-        assert [gen for gen, reading in in_call if reading] == []
-
-    def test_no_collection_inside_analyze_results(self, many_runs, collections):
-        _, path = many_runs
-        gc.enable()
-        collections.clear()
-        analysis = analyze_results(path)
-        in_call = collections[:]
-        assert analysis["n_records"] == 4800
-        assert len(in_call) <= 1
-
-    def test_no_collection_while_a_resume_reads(self, many_runs, collections):
-        config, _ = many_runs
-        gc.enable()
-        outcome = run_campaign(config)
-        assert (outcome.queried, outcome.skipped) == (0, 4800)
-        assert [gen for gen, reading in collections if reading] == []
-        assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------
@@ -1318,7 +1327,7 @@ class TestRunCampaign:
         ambiguous = {r.sequence.values for r in dataset.ambiguous[:2]}
         assert run.run == (3, 2)
         assert run.completions.keys() == run.explanations.keys() == ambiguous
-        for _, line in (*run.completions.values(), *run.explanations.values()):
+        for line in (*run.completions.values(), *run.explanations.values()):
             assert line["ambiguous"] and line["run_id"] == 2
 
     def test_resume_refuses_a_duplicated_line(self, tmp_path, mined_l3):

@@ -10,7 +10,7 @@ import shutil
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambigseq import analysis
@@ -433,8 +433,11 @@ def quadrant_groups(results_file) -> list[list[list[float]]]:
 
 def compare_with_reference(groups, exact_smoothing=True):
     """Edges and histograms equal the reference's to the last bit; smoothed
-    masses and the KL of every ordered pair of groups too, or to a relative
-    1e-12 where ``exact_smoothing`` is false."""
+    masses and the KL of every ordered pair of groups too, or where
+    ``exact_smoothing`` is false, the masses to a relative 1e-12 and each KL
+    to 1e-12 of the sum of its terms' magnitudes: a KL near 0 is a sum of
+    terms that nearly cancel, so a last-bit difference of the masses moves
+    it by more than 1e-12 of itself."""
     reference = pytest.importorskip("density_reference")  # needs numpy
     edges, ref_edges = shared_edges(groups), reference.shared_edges(groups)
     assert edges == tuple(ref_edges.tolist())
@@ -452,7 +455,11 @@ def compare_with_reference(groups, exact_smoothing=True):
     else:
         for h, ref in zip(ours, theirs):
             assert h.masses == pytest.approx(ref.masses.tolist(), rel=1e-12, abs=0)
-        assert kl == pytest.approx(ref_kl, rel=1e-12, abs=0)
+        for (i, j), value, ref_value in zip(pairs, kl, ref_kl):
+            p, q = ours[i].masses, ours[j].masses
+            p, q = [a / sum(p) for a in p], [b / sum(q) for b in q]
+            terms = sum(abs(a * math.log2(a / b)) for a, b in zip(p, q) if a > 0)
+            assert abs(value - ref_value) <= 1e-12 * terms, (i, j)
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +549,7 @@ class TestNumpyReference:
         ),
     )
     @settings(max_examples=200, deadline=None)
+    @example(seed=4, shapes=[(0.0, 0.09375, 77), (-0.5, 3.5, 6), (0.0, 0.09375, 61)])
     def test_random_continuous_groups_match_to_the_last_bits(self, seed, shapes):
         rng = random.Random(seed)
         groups = [[rng.gauss(mu, sd) for _ in range(n)] for mu, sd, n in shapes]
