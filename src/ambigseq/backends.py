@@ -19,7 +19,9 @@ An answer is a text plus the first token's top logprobs: a
 fixture the JSON object that :func:`_response_to_json` writes and
 :func:`_response_from_json` reads. Its logprobs are checked by
 :class:`~ambigseq.distribution.TokenDistribution`; an HTTP answer's are
-clamped into ``[MIN_LOGPROB, 0]`` first.
+clamped into ``[MIN_LOGPROB, 0]`` first. A backend that cannot supply top
+logprobs a request asks for answers without them (``None``); no backend
+refuses a request for wanting them.
 """
 
 from __future__ import annotations
@@ -69,7 +71,11 @@ class MalformedResponseError(BackendError):
 
 
 class LogprobsUnsupportedError(BackendError):
-    """Top logprobs were requested but the backend cannot supply them."""
+    """Top logprobs were requested but the backend cannot supply them.
+
+    ambigseq no longer raises it: a backend answers without the top logprobs
+    it lacks. The name stays importable for code written against it.
+    """
 
 
 #: Decoding parameters of every request: sent to HTTP endpoints and hashed
@@ -125,8 +131,9 @@ class ScriptedBackend:
     Answers are read by :func:`_response_from_json`, once, here; a string
     ``s`` stands for ``{"text": s}``. Lookup order: exact full text, exact
     test query, first fixture whose key is a substring of the full text, then
-    the default. Useful for replaying recorded transcripts and for
-    failure-mode fixtures in tests.
+    the default. The answer is the fixture as it is, top logprobs or none,
+    whatever the request asks for. Useful for replaying recorded transcripts
+    and for failure-mode fixtures in tests.
     """
 
     backend_id = "scripted"
@@ -145,10 +152,6 @@ class ScriptedBackend:
         if response is None:
             raise BackendError(
                 f"no fixture for prompt starting {request.prompt.test_query[:60]!r}"
-            )
-        if response.first_token_top_logprobs is None and request.want_top_logprobs:
-            raise LogprobsUnsupportedError(
-                "fixture has no top_logprobs but the request wants them"
             )
         return response
 
@@ -316,7 +319,8 @@ class RandomValidBackend:
 
     Seeding is derived from (backend seed, task, target, prompt seed), so a
     given prompt always gets the same answer while different few-shot seeds
-    (different runs) re-roll the choice.
+    (different runs) re-roll the choice. It has no top logprobs, and answers
+    a request for them without.
     """
 
     backend_id = "random-valid"
@@ -357,6 +361,13 @@ def build_chat_payload(request: CompletionRequest, model: str) -> dict:
 
 
 def parse_chat_response(data: dict, want_top_logprobs: int) -> tuple[str, TokenDistribution | None]:
+    """The (text, top logprobs) of a chat-completions response body.
+
+    The top logprobs are ``None`` when none were asked for, or when the
+    response carries no list of them, or an empty one. A body without a text,
+    or a list entry without a text token and a finite logprob, is a
+    :class:`MalformedResponseError`.
+    """
     try:
         choice = data["choices"][0]
         text = choice["message"]["content"]
@@ -364,14 +375,12 @@ def parse_chat_response(data: dict, want_top_logprobs: int) -> tuple[str, TokenD
         raise MalformedResponseError(f"unexpected response shape: {err}") from err
     if not isinstance(text, str):
         raise MalformedResponseError(f"response content is not text: {text!r}")
-    if not want_top_logprobs:
-        return text, None
     try:
-        raw = choice["logprobs"]["content"][0]["top_logprobs"]
+        raw = want_top_logprobs and choice["logprobs"]["content"][0]["top_logprobs"]
     except (KeyError, IndexError, TypeError):
-        raise LogprobsUnsupportedError(
-            "top logprobs were requested but the response carries none"
-        )
+        raw = None  # the response carries no list
+    if not raw:
+        return text, None
     pairs: list[tuple[str, float]] = []
     seen: set[str] = set()
     try:
@@ -387,8 +396,6 @@ def parse_chat_response(data: dict, want_top_logprobs: int) -> tuple[str, TokenD
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise MalformedResponseError(f"malformed top_logprobs: {err!r}") from err
     pairs.sort(key=lambda p: -p[1])
-    if not pairs:
-        raise LogprobsUnsupportedError("empty top_logprobs list")
     return text, TokenDistribution.from_pairs(pairs[:want_top_logprobs])
 
 
@@ -498,20 +505,17 @@ BACKENDS: dict[str, BackendEntry] = {
 # On-disk response cache
 # ---------------------------------------------------------------------------
 
-#: The cache entry of a request the inner backend refused for wanting top
-#: logprobs; a hit raises :class:`LogprobsUnsupportedError` again.
-_LOGPROBS_REFUSAL = {"refused": "top_logprobs"}
-
-
 class CachingBackend:
     """Wraps another backend with a content-addressed response cache.
 
-    Cache keys hash the full prompt text and decoding parameters. Writes go
-    through a temp file and an atomic rename, so concurrent workers can share
-    a cache directory; a hit is returned with ``cached=True`` but is otherwise
-    indistinguishable from a fresh response. A request refused for wanting
-    top logprobs is stored as that refusal and refused again on a hit, so a
-    campaign that fell back replays from the cache alone.
+    Cache keys hash the full prompt text and decoding parameters. Each
+    entry is the answer as :func:`_response_to_json` writes it, top logprobs
+    ``null`` where the inner backend had none. Writes go through a temp file
+    and an atomic rename, so concurrent workers can share a cache directory;
+    a hit is returned with ``cached=True`` but is otherwise indistinguishable
+    from a fresh response. An entry that is not an answer (corrupt, or the
+    refusal entry older versions wrote) is asked of the inner backend again
+    and overwritten.
     """
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
@@ -524,17 +528,10 @@ class CachingBackend:
         path = self.cache_dir / f"{request_digest(request, self.inner.backend_id)}.json"
         if path.exists():
             try:
-                stored = decode_json(path.read_text())
-                if stored == _LOGPROBS_REFUSAL:
-                    raise LogprobsUnsupportedError("cached: backend refused top logprobs")
-                return _response_from_json(stored, cached=True)
+                return _response_from_json(decode_json(path.read_text()), cached=True)
             except ValueError:
                 pass  # corrupt entry: fall through and refresh it
-        try:
-            response = self.inner.complete(request)
-        except LogprobsUnsupportedError:
-            write_atomic(path, canonical_json(_LOGPROBS_REFUSAL))
-            raise
+        response = self.inner.complete(request)
         write_atomic(path, canonical_json(_response_to_json(response)))
         return response
 

@@ -50,7 +50,6 @@ from .backends import (
     BackendError,
     CachingBackend,
     CompletionRequest,
-    LogprobsUnsupportedError,
 )
 from .config import CampaignConfig, ConfigError, canonical_json
 from .distribution import TokenDistribution
@@ -64,6 +63,7 @@ RESULTS_VERSION = 1
 RESULTS_FILENAME = "results.jsonl"
 AUDIT_FILENAME = "audit.log"
 
+#: The note of a completion line that asked for top logprobs and got none.
 LOGPROBS_UNAVAILABLE_NOTE = "top logprobs unavailable from backend"
 #: The note of a judgment line whose run gives no parseable pair to judge:
 #: the backend is not asked, and the line files the empty answer as invalid.
@@ -877,18 +877,14 @@ def _execute_query(
 def _ask(
     backend: Backend, prompt: RenderedPrompt, want_logprobs: int
 ) -> tuple[str, TokenDistribution | None, str | None]:
-    """The backend's (text, top logprobs, note) for ``prompt``; the only
-    step of a query that runs on a worker thread."""
-    note = None
-    try:
-        response = backend.complete(
-            CompletionRequest(prompt, want_top_logprobs=want_logprobs)
-        )
-    except LogprobsUnsupportedError:
-        # backend cannot report distributions: drop the capture and move on
-        note = LOGPROBS_UNAVAILABLE_NOTE
-        response = backend.complete(CompletionRequest(prompt))
-    return response.text, response.first_token_top_logprobs, note
+    """The backend's (text, top logprobs, note) for ``prompt``, in one
+    request; the only step of a query that runs on a worker thread. The note
+    is the logprob fallback's when the request asked for top logprobs and
+    the answer carries none."""
+    response = backend.complete(CompletionRequest(prompt, want_logprobs))
+    top = response.first_token_top_logprobs
+    note = LOGPROBS_UNAVAILABLE_NOTE if want_logprobs and top is None else None
+    return response.text, top, note
 
 
 def _result_line(

@@ -23,7 +23,6 @@ from ambigseq.backends import (
     CompletionRequest,
     CompletionResponse,
     HttpBackend,
-    LogprobsUnsupportedError,
     MalformedResponseError,
     NO_VALID_ANSWER,
     TIE_BREAKS,
@@ -103,11 +102,10 @@ class TestScriptedBackend:
         resp = backend.complete(req)
         assert resp.first_token_top_logprobs.entries[0].token == "19"
 
-    def test_wanting_logprobs_without_fixture_support_raises(self, space):
+    def test_wanting_logprobs_without_fixture_support_gets_none(self, space):
         req = make_request(space, want_logprobs=2)
         backend = ScriptedBackend({"7,11,15": "19"})
-        with pytest.raises(LogprobsUnsupportedError):
-            backend.complete(req)
+        assert backend.complete(req) == CompletionResponse("19")
 
 
 class TestOracleAnswer:
@@ -362,10 +360,20 @@ class TestChatPayload:
         text, dist = parse_chat_response(data, 5)
         assert [e.token for e in dist.entries] == ["19", "15"]
 
-    def test_parse_response_missing_logprobs_raises(self):
-        data = {"choices": [{"message": {"content": "19"}}]}
-        with pytest.raises(LogprobsUnsupportedError):
-            parse_chat_response(data, 5)
+    @pytest.mark.parametrize(
+        "choice",
+        [
+            {},
+            {"logprobs": None},
+            {"logprobs": {"content": []}},
+            {"logprobs": {"content": [{}]}},
+            {"logprobs": {"content": [{"top_logprobs": []}]}},
+        ],
+        ids=["no_logprobs", "null_logprobs", "no_content", "no_list", "empty_list"],
+    )
+    def test_parse_response_missing_logprobs_is_none(self, choice):
+        data = {"choices": [{"message": {"content": "19"}, **choice}]}
+        assert parse_chat_response(data, 5) == ("19", None)
 
     def test_parse_malformed(self):
         with pytest.raises(MalformedResponseError):
@@ -617,18 +625,32 @@ class TestCachingBackend:
             "19", TokenDistribution.from_pairs([("19", -0.5), ("15", -1)]), cached=True
         )
 
-    def test_logprob_refusal_is_stored_and_replayed(self, space, tmp_path):
+    def test_logprob_fallback_is_stored_as_an_answer_and_replayed(self, space, tmp_path):
         inner = ScriptedBackend({}, default="15")
         backend = CachingBackend(inner, tmp_path)
         req = make_request(space, want_logprobs=2)
-        with pytest.raises(LogprobsUnsupportedError):
-            backend.complete(req)
+        assert backend.complete(req) == CompletionResponse("15")
         inner.complete = pytest.fail  # a hit must not reach the inner backend
-        with pytest.raises(LogprobsUnsupportedError):
-            backend.complete(req)
+        assert backend.complete(req) == CompletionResponse("15", cached=True)
         (entry,) = tmp_path.glob("*.json")
         assert entry.name == f"{request_digest(req, inner.backend_id)}.json"
-        assert entry.read_text() == canonical_json({"refused": "top_logprobs"})
+        assert entry.read_text() == canonical_json({"text": "15", "top_logprobs": None})
+
+    def test_old_refusal_entry_is_refreshed_once(self, space, tmp_path):
+        # older versions stored a request refused for wanting top logprobs
+        # as this entry; it is no answer, so it is asked again and replaced
+        inner = ScriptedBackend({}, default="15")
+        backend = CachingBackend(inner, tmp_path)
+        req = make_request(space, want_logprobs=2)
+        entry = tmp_path / f"{request_digest(req, inner.backend_id)}.json"
+        entry.write_text(canonical_json({"refused": "top_logprobs"}))
+        calls = []
+        complete = inner.complete
+        inner.complete = lambda request: calls.append(request) or complete(request)
+        assert backend.complete(req) == CompletionResponse("15")
+        assert backend.complete(req) == CompletionResponse("15", cached=True)
+        assert calls == [req]
+        assert entry.read_text() == canonical_json({"text": "15", "top_logprobs": None})
 
     def test_counts_inner_calls(self, space, tmp_path):
         calls = []

@@ -86,15 +86,18 @@ def small_config(tmp_path, mined_l3, **overrides) -> CampaignConfig:
 
 
 class CountingBackend:
-    """Wraps a backend and counts complete() calls."""
+    """Wraps a backend and counts complete() calls, keeping the
+    ``want_top_logprobs`` of each request in ``asked``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.backend_id = inner.backend_id
         self.calls = 0
+        self.asked: list[int] = []
 
     def complete(self, request) -> CompletionResponse:
         self.calls += 1
+        self.asked.append(request.want_top_logprobs)
         return self.inner.complete(request)
 
 
@@ -1440,11 +1443,34 @@ class TestRunCampaign:
         assert not outcome.failed
         _, records = read_results(outcome.results_file)
         assert len(records) == 4
-        # first query pays one failed attempt, then capture turns off
-        assert backend.calls == 5
+        # one request a query: the first asks and is answered without top
+        # logprobs, then capture turns off
+        assert backend.calls == 4
+        assert backend.asked == [5, 0, 0, 0]
         noted = [r for r in records if r["note"]]
-        assert len(noted) == 1
+        assert noted == records[:1]
         assert "top logprobs unavailable" in noted[0]["note"]
+        assert all(r["top_logprobs"] is None for r in records)
+
+    def test_random_valid_files_the_fallback_on_its_first_completion(
+        self, tmp_path, mined_l3
+    ):
+        config = small_config(
+            tmp_path,
+            mined_l3,
+            backend="random_valid",
+            tasks=("completion", "explanation"),
+            want_top_logprobs=5,
+        )
+        backend = CountingBackend(make_backend(config, config_space(config)))
+        outcome = run_campaign(config, backend=backend)
+        assert not outcome.failed and outcome.queried == 16
+        _, records = read_results(outcome.results_file)
+        completions = [r for r in records if r["task"] == "completion"]
+        assert [r for r in records if r["note"]] == completions[:1]
+        assert completions[0]["note"] == LOGPROBS_UNAVAILABLE_NOTE
+        # only the first completion asks; capture is off for every later one
+        assert sorted(backend.asked) == [0] * 15 + [5]
         assert all(r["top_logprobs"] is None for r in records)
 
     def test_timestamps_confined_to_audit_log(self, tmp_path, mined_l3):
@@ -1866,6 +1892,17 @@ class TestConcurrentDispatch:
         assert noted == [completions[self.LOSE_FROM - 1]]
         assert all(r["top_logprobs"] for r in completions[: self.LOSE_FROM - 1])
         assert not any(r["top_logprobs"] for r in completions[self.LOSE_FROM - 1 :])
+
+    @pytest.mark.parametrize("concurrency", [1, 8])
+    def test_one_request_per_query(self, tmp_path, mined_l3, concurrency):
+        # the fallback asks nothing again: the only requests past one a
+        # query are the endpoint's 429s
+        endpoint = FakeEndpoint(lose_from=4)
+        outcome = self.run(tmp_path, mined_l3, endpoint, concurrency)
+        assert not outcome.failed and outcome.queried == 36
+        _, records = read_results(outcome.results_file)
+        assert [r["note"] for r in records].count(LOGPROBS_UNAVAILABLE_NOTE) == 1
+        assert len(endpoint.requests) == outcome.queried + len(endpoint._limited)
 
     def test_judgments_see_their_own_runs_pair(self, tmp_path, mined_l3):
         outcome = self.run(tmp_path, mined_l3, FakeEndpoint(), 8)

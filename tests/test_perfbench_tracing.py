@@ -3,11 +3,16 @@
 ``perfbench/child.py:install_tracer`` looks up functions on the ambigseq
 modules by name and wraps them; renaming or deleting one of those names would
 only show up as a crash in a traced benchmark run. This keeps it a test
-failure instead.
+failure instead, and so is a traced repetition that leaves a per-layer
+metric of BENCHMARK.json without a value.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from ambigseq import (
@@ -21,6 +26,7 @@ from ambigseq import (
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCHMARK = PERFBENCH.parent / "BENCHMARK.json"
 
 
 def test_install_tracer_finds_every_rebinding_point(monkeypatch):
@@ -105,3 +111,26 @@ def test_tracer_sees_the_read_path(monkeypatch, tmp_path):
     names = [span[0] for span in recorder.finished()]
     assert names.count("funcspace.parse") == pairs
     assert names.count("mining.continuations_of") == pairs
+
+
+def test_a_traced_repetition_has_every_per_layer_metric(tmp_path):
+    # each per-layer metric BENCHMARK.json names must come out of a traced
+    # repetition as a number; one left null (say, a stage that reuses a space
+    # enumerated before the tracer was installed leaves
+    # funcspace.enumerate_ms null) makes the repetition's result unusable
+    names = [metric["name"] for metric in json.loads(BENCHMARK.read_text())["per_layer"]]
+    report, trace = tmp_path / "report.json", tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "rep", "oracle_cycle", "0",
+         str(tmp_path / "out"), str(report), str(trace)],
+        check=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=120,
+    )
+    per_layer = json.loads(report.read_text())["per_layer"]
+    assert {
+        name: per_layer.get(name)
+        for name in names
+        if type(per_layer.get(name)) not in (int, float)
+    } == {}
