@@ -23,20 +23,28 @@ explanation lines of its ambiguous records.
 Backend calls may overlap. With ``CampaignConfig.workers`` above 1, only
 ``backend.complete`` runs on a pool of that many threads; the calling thread
 walks the plan, builds prompts, scores answers and commits lines strictly in
-plan order, so the file is the same for every worker count. A consistency
-judgment is built only once its run's completion and explanation lines are
-committed. While top logprobs are still captured, each completion that asks
-for them is sent alone, once every line before it is committed (the logprob
-lane), so an endpoint that stops sending them stops at the same query every
-run. A backend failure surfaces when its query's turn to be committed comes:
-the lines before it stay on disk, later answers are dropped. With one
-worker each call is made inline as its line is committed, on no thread.
+plan order, so the file is the same for every worker count. At most 16
+queries a worker are sent ahead of the oldest uncommitted line. A
+consistency judgment is held, unsent, until its run's completion and
+explanation lines are committed; the queries after it do not wait for it.
+While top logprobs are still captured, each completion that may ask for
+them goes to the logprob lane: one thread that sends these requests one at
+a time, in plan order, each once the one before it is answered, so an
+endpoint that stops sending top logprobs stops at the same query every run.
+The other requests run beside the lane on the pool, which leaves one worker
+to the lane; from the first lane answer without top logprobs on, the lane
+sends each completion still queued in it to the pool, asking for none, and
+the pool uses every worker. A failure surfaces when its query's turn to be
+committed comes: the lines before it stay on disk, later answers are
+dropped, and ``audit.log`` records why the run stopped. With one worker
+each call is made inline as its line is committed, on no thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -615,7 +623,9 @@ def run_campaign(
     """Execute (or resume) the configured campaign.
 
     A backend failure mid-run leaves everything recorded so far on disk and
-    returns a failed outcome rather than raising.
+    returns a failed outcome rather than raising. Any other exception, an
+    interrupt included, leaves the same and is raised again. Either way
+    ``audit.log`` gets an ``abort`` line naming the error.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -639,10 +649,27 @@ def run_campaign(
     # capture stays off across a resume once a line on file has recorded the
     # fallback, as it does in an uninterrupted run
     logprobs_available = config.want_top_logprobs > 0 and not fallback
-    # queries whose backend call is dispatched but whose line is not yet
-    # committed, in plan order: (query, judged pair, answer)
-    pending: deque[tuple[PlannedQuery, JudgedPair | None, Callable]] = deque()
-    dispatch = _Dispatch(config.workers)
+    # the queries whose line is not yet committed, in plan order: [query,
+    # judged pair, answer], the answer None while the query is held
+    pending: deque[list] = deque()
+    # the held entries of pending, in plan order: judgments whose pair is
+    # not yet committed, which are not sent until it is
+    held: deque[list] = deque()
+    dispatch = _Dispatch(config.workers, logprobs_available)
+
+    def send(query: PlannedQuery) -> list:
+        # a completion that may ask for top logprobs goes to the lane
+        lane = query.task is Task.COMPLETION and logprobs_available
+        return [*_execute_query(
+            config, query, backend, space, run, logprobs_available,
+            dispatch.lane if lane else dispatch.submit,
+        )]
+
+    def release() -> None:
+        # held judgments are sent as their pairs commit, which is in plan order
+        while held and None not in run.pair(held[0][0]):
+            entry = held.popleft()
+            entry[:] = send(entry[0])
 
     def commit(fh: TextIO) -> None:
         nonlocal queried, logprobs_available
@@ -654,6 +681,7 @@ def run_campaign(
         run.add(query, line)
         _append_line(fh, line)
         queried += 1
+        release()
 
     try:
         with path.open("a") as fh:
@@ -664,32 +692,25 @@ def run_campaign(
                 fh.flush()
             # the plan past the queries the file answers
             for query in plan:
-                # a completion that may ask for top logprobs (the logprob
-                # lane), and a judgment whose pair is not yet committed, wait
-                # for every line before them
-                if (query.task is Task.COMPLETION and logprobs_available) or (
-                    query.task is Task.CONSISTENCY_JUDGMENT
-                    and None in run.pair(query)
-                ):
-                    while pending:
-                        commit(fh)
-                pending.append(
-                    _execute_query(
-                        config,
-                        query,
-                        backend,
-                        space,
-                        run,
-                        logprobs_available,
-                        dispatch.submit,
-                    )
-                )
+                if query.task is Task.CONSISTENCY_JUDGMENT and None in run.pair(query):
+                    held.append([query, None, None])
+                    pending.append(held[-1])
+                else:
+                    pending.append(send(query))
                 while len(pending) > dispatch.window:
                     commit(fh)
             while pending:
                 commit(fh)
-    except BackendError as exc:
-        audit.log(f"abort campaign={config.digest()} after {queried} queries: {exc}")
+    except BaseException as exc:
+        # a backend failure ends the run with a failed outcome; anything
+        # else, an interrupt included, is raised again once it is logged
+        failed = isinstance(exc, BackendError)
+        audit.log(
+            f"abort campaign={config.digest()} after {queried} queries: "
+            f"{exc if failed else repr(exc)}"
+        )
+        if not failed:
+            raise
         return CampaignOutcome(path, queried, skipped, failed=True, error=str(exc))
     finally:
         dispatch.close()
@@ -780,27 +801,69 @@ class _Dispatch:
     """Where backend calls run. With one worker a call is made inline when
     its answer is read; with more, on a pool of that many threads, and the
     run loop keeps at most ``window`` queries dispatched ahead of the oldest
-    uncommitted line."""
+    uncommitted line.
 
-    def __init__(self, workers: int):
-        self._pool = None
+    With more than one worker and top logprobs still captured (``capture``),
+    the requests that may ask for them go to the lane (:meth:`lane`): one
+    thread that sends them one at a time, in the order given, each once the
+    one before it is answered. The first lane answer without top logprobs
+    turns capture off: each later lane request is then sent to the pool
+    without asking for them. While capture is on, the pool's calls leave
+    one worker to the lane, so at most ``workers`` calls are in flight at
+    any moment and a lane request never waits behind the others."""
+
+    def __init__(self, workers: int, capture: bool):
+        self._pool = self._lane = None
         self.window = 0
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(workers, "ambigseq-backend")
-            self.window = 4 * workers
+            self.window = 16 * workers
+            self._slots = threading.Semaphore(workers - 1 if capture else workers)
+            if capture:
+                self._lane = ThreadPoolExecutor(1, "ambigseq-backend-lane")
+        self._capture = capture
 
     def submit(self, fn: Callable, *args) -> Callable[[], Any]:
         """A no-argument callable that returns ``fn(*args)`` or raises what
         it raised."""
         if self._pool is None:
             return partial(fn, *args)
-        return self._pool.submit(fn, *args).result
+        return self._pool.submit(self._slotted, fn, args).result
+
+    def lane(
+        self, fn: Callable, backend: Backend, prompt: RenderedPrompt, want: int
+    ) -> Callable[[], Any]:
+        """:meth:`submit` of ``fn(backend, prompt, want)``, a request for
+        ``want`` top logprobs that answers (text, top logprobs, note), by
+        way of the lane: ``want`` becomes 0 once capture is off."""
+        if self._lane is None:
+            return self.submit(fn, backend, prompt, want)
+        sequenced = self._lane.submit(self._sequenced, fn, backend, prompt, want)
+        return lambda: sequenced.result()()
+
+    def _slotted(self, fn: Callable, args: tuple) -> Any:
+        with self._slots:
+            return fn(*args)
+
+    def _sequenced(
+        self, fn: Callable, backend: Backend, prompt: RenderedPrompt, want: int
+    ) -> Callable[[], Any]:
+        """On the lane's thread: the request sent, in the lane while capture
+        is on, else to the pool; a no-argument callable for its answer."""
+        if not self._capture:
+            return self.submit(fn, backend, prompt, 0)
+        answer = fn(backend, prompt, want)
+        if answer[1] is None:
+            self._capture = False
+            self._slots.release()  # the pool may use the lane's worker now
+        return lambda: answer
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+        for executor in (self._lane, self._pool):
+            if executor is not None:
+                executor.shutdown(cancel_futures=True)
 
 
 def _append_line(fh: TextIO, line: dict) -> None:

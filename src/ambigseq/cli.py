@@ -327,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (CampaignError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,6 +4,7 @@ concurrent dispatch."""
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -1737,6 +1738,38 @@ class FakeEndpoint:
         return 200, {"choices": [choice]}
 
 
+class InFlight:
+    """Wraps a transport and counts the calls in it at once: ``peak`` of
+    all, ``lane_peak`` of those asking for top logprobs, whose user
+    messages ``asked_logprobs`` keeps in arrival order. Each call is held
+    ``hold`` seconds before it goes on."""
+
+    def __init__(self, inner, hold: float = 0.0):
+        self.inner = inner
+        self.hold = hold
+        self.asked_logprobs: list[str] = []
+        self.peak = self.lane_peak = 0
+        self._now = self._lane_now = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, url, headers, payload, timeout):
+        lane = bool(payload.get("logprobs"))
+        with self._lock:
+            self._now += 1
+            self.peak = max(self.peak, self._now)
+            if lane:
+                self._lane_now += 1
+                self.lane_peak = max(self.lane_peak, self._lane_now)
+                self.asked_logprobs.append(payload["messages"][-1]["content"])
+        try:
+            time.sleep(self.hold)
+            return self.inner(url, headers, payload, timeout)
+        finally:
+            with self._lock:
+                self._now -= 1
+                self._lane_now -= lane
+
+
 class TestMalformedTopLogprobs:
     """A top-logprobs entry without a finite logprob fails the campaign with
     a ``MalformedResponseError``; the lines before it stay on disk, and no
@@ -1814,7 +1847,7 @@ class TestConcurrentDispatch:
             sys.setswitchinterval(interval)
 
     @staticmethod
-    def run(tmp_path, mined_l3, endpoint, concurrency):
+    def run(tmp_path, mined_l3, endpoint, concurrency, **overrides):
         config = small_config(
             tmp_path,
             mined_l3,
@@ -1823,6 +1856,7 @@ class TestConcurrentDispatch:
             http_model="fake",
             limit_sequences=3,
             concurrency=concurrency,
+            **overrides,
         )
         backend = HttpBackend(
             config.http_base_url,
@@ -1832,24 +1866,101 @@ class TestConcurrentDispatch:
         )
         return run_campaign(config, backend)
 
-    @pytest.mark.parametrize("concurrency", [2, 8])
+    @pytest.mark.parametrize(
+        "lose_from, concurrency",
+        [
+            # the first two keep the ids they had before lose_from varied
+            pytest.param(LOSE_FROM, 2, id="2"),
+            pytest.param(LOSE_FROM, 8, id="8"),
+            *(
+                pytest.param(lose_from, concurrency, id=f"lose{lose_from}-{concurrency}")
+                for lose_from in (1, 6, 7, 12, None)
+                for concurrency in (1, 2, 8)
+            ),
+            pytest.param(LOSE_FROM, 1, id=f"lose{LOSE_FROM}-1"),
+        ],
+    )
     def test_results_identical_for_every_worker_count(
-        self, tmp_path, mined_l3, fast_switching, concurrency
+        self, tmp_path, mined_l3, fast_switching, lose_from, concurrency
     ):
-        serial = FakeEndpoint(lose_from=self.LOSE_FROM)
+        serial = FakeEndpoint(lose_from=lose_from)
         reference = self.run(tmp_path / "serial", mined_l3, serial, 1)
-        pooled = FakeEndpoint(lose_from=self.LOSE_FROM)
+        pooled = FakeEndpoint(lose_from=lose_from)
         outcome = self.run(tmp_path / "pooled", mined_l3, pooled, concurrency)
         assert not reference.failed and not outcome.failed
         assert outcome.queried == reference.queried == 36
         assert (
             outcome.results_file.read_bytes() == reference.results_file.read_bytes()
         )
-        # one worker calls the backend inline; more call it on the pool only
+        # one worker calls the backend inline; more call it on the pool (or
+        # the lane) only
         assert {thread for thread, _ in serial.requests} == {"MainThread"}
-        assert all(
-            thread.startswith("ambigseq-backend") for thread, _ in pooled.requests
-        )
+        if concurrency == 1:
+            assert {thread for thread, _ in pooled.requests} == {"MainThread"}
+        else:
+            assert all(
+                thread.startswith("ambigseq-backend") for thread, _ in pooled.requests
+            )
+
+    @pytest.mark.parametrize("concurrency", [2, 8])
+    def test_calls_in_flight_never_exceed_the_concurrency(
+        self, tmp_path, mined_l3, concurrency
+    ):
+        calls = InFlight(FakeEndpoint(lose_from=self.LOSE_FROM), hold=0.01)
+        outcome = self.run(tmp_path, mined_l3, calls, concurrency)
+        assert not outcome.failed and outcome.queried == 36
+        assert calls.asked_logprobs  # the lane was open
+        assert 1 < calls.peak <= concurrency
+
+    def test_other_requests_run_while_a_lane_request_is_out(self, tmp_path, mined_l3):
+        # the first request asking for top logprobs is answered only once a
+        # request that does not ask for them has arrived, or after 5 s
+        overlapped = threading.Event()
+        endpoint = FakeEndpoint(lose_from=self.LOSE_FROM)
+        first: list = []
+
+        def transport(url, headers, payload, timeout):
+            if not payload.get("logprobs"):
+                overlapped.set()
+            elif not first:
+                first.append(overlapped.wait(5))
+            return endpoint(url, headers, payload, timeout)
+
+        outcome = self.run(tmp_path, mined_l3, transport, 8)
+        assert not outcome.failed and outcome.queried == 36
+        assert first == [True]
+
+    def test_lane_requests_arrive_one_at_a_time_in_plan_order(
+        self, tmp_path, mined_l3, fast_switching
+    ):
+        serial = InFlight(FakeEndpoint(lose_from=self.LOSE_FROM), hold=0.002)
+        self.run(tmp_path / "serial", mined_l3, serial, 1)
+        pooled = InFlight(FakeEndpoint(lose_from=self.LOSE_FROM), hold=0.002)
+        outcome = self.run(tmp_path / "pooled", mined_l3, pooled, 8)
+        assert not outcome.failed and outcome.queried == 36
+        # a 429 is asked again at once, so its prompt arrives twice in a row
+        assert len(pooled.asked_logprobs) >= self.LOSE_FROM
+        assert pooled.asked_logprobs == serial.asked_logprobs
+        assert pooled.lane_peak == 1
+
+    def test_without_top_logprobs_no_worker_is_reserved(self, tmp_path, mined_l3):
+        # eight calls must be in the endpoint together to pass the barrier
+        barrier = threading.Barrier(8, timeout=5)
+        endpoint = FakeEndpoint()
+        arrivals = itertools.count()
+        met: list[bool] = []
+
+        def transport(url, headers, payload, timeout):
+            if next(arrivals) < 8:
+                try:
+                    met.append(barrier.wait() >= 0)
+                except threading.BrokenBarrierError:
+                    met.append(False)
+            return endpoint(url, headers, payload, timeout)
+
+        outcome = self.run(tmp_path, mined_l3, transport, 8, want_top_logprobs=0)
+        assert not outcome.failed and outcome.queried == 36
+        assert met == [True] * 8
 
     def test_oracle_results_identical_off_the_inline_path(
         self, tmp_path, mined_l3, fast_switching, monkeypatch
@@ -1932,6 +2043,43 @@ class TestConcurrentDispatch:
         cut.results_file.write_bytes(b"\n".join(lines[:4]) + b"\n")
         resumed = self.run(tmp_path / "cut", mined_l3, FakeEndpoint(lose_from=1), 8)
         assert resumed.skipped == 3
+        assert resumed.results_file.read_bytes() == expected
+
+    @pytest.mark.parametrize("concurrency", [1, 8])
+    def test_any_error_is_logged_as_the_abort_and_raised(
+        self, tmp_path, mined_l3, concurrency
+    ):
+        reference = self.run(tmp_path / "full", mined_l3, FakeEndpoint(), 1)
+        expected = reference.results_file.read_bytes()
+
+        # the backend raises a RuntimeError at its tenth call
+        endpoint = FakeEndpoint()
+        arrivals = itertools.count(1)
+        crashed: list = []
+
+        def transport(url, headers, payload, timeout):
+            if next(arrivals) == 10:
+                crashed.append(payload["messages"])
+                raise RuntimeError("transport crashed")
+            return endpoint(url, headers, payload, timeout)
+
+        with pytest.raises(RuntimeError, match="transport crashed"):
+            self.run(tmp_path / "crash", mined_l3, transport, concurrency)
+        out = tmp_path / "crash" / "out"
+        kept = (out / "results.jsonl").read_bytes()
+        assert expected.startswith(kept) and kept.endswith(b"\n")
+        last = (out / AUDIT_FILENAME).read_text().splitlines()[-1]
+        assert "abort campaign=" in last
+        committed = len(kept.splitlines()) - 1
+        assert last.endswith(f" after {committed} queries: RuntimeError('transport crashed')")
+        # both executors are shut down
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("ambigseq-backend")
+        ]
+        # the lines kept are every line before the crashed call's query
+        healthy = FakeEndpoint()
+        resumed = self.run(tmp_path / "crash", mined_l3, healthy, 1)
+        assert healthy.requests[0][1] == crashed[0]
         assert resumed.results_file.read_bytes() == expected
 
     @pytest.mark.parametrize("fail_at", [1, 10, 22])

@@ -355,6 +355,35 @@ class TestFailureExitCodes:
         assert main(["run", *flags(tmp_path / "nothing")]) == 1
         assert "mine stage" in capfd.readouterr().err
 
+    def test_an_interrupted_run_says_so_and_keeps_its_lines(
+        self, out_dir, monkeypatch, capfd
+    ):
+        # Ctrl-C arrives during the fifth backend call
+        from ambigseq import campaign
+
+        make_backend = campaign.make_backend
+
+        class Interrupted:
+            def __init__(self, inner):
+                self.inner, self.backend_id, self.calls = inner, inner.backend_id, 0
+
+            def complete(self, request):
+                self.calls += 1
+                if self.calls == 5:
+                    raise KeyboardInterrupt
+                return self.inner.complete(request)
+
+        monkeypatch.setattr(
+            campaign, "make_backend", lambda *args: Interrupted(make_backend(*args))
+        )
+        assert main(["run", *flags(out_dir)]) == 130
+        captured = capfd.readouterr()
+        assert captured.err == "interrupted\n" and captured.out == ""
+        assert len((out_dir / "results.jsonl").read_text().splitlines()) == 1 + 4
+        last = (out_dir / "audit.log").read_text().splitlines()[-1]
+        assert "abort campaign=" in last
+        assert last.endswith(" after 4 queries: KeyboardInterrupt()")
+
     def test_digest_mismatch(self, out_dir, capfd):
         assert main(["run", *flags(out_dir)]) == 0
         assert main(["run", *flags(out_dir), "--rng-seed", "99"]) == 1
