@@ -658,11 +658,8 @@ def run_campaign(
     dispatch = _Dispatch(config.workers, logprobs_available)
 
     def send(query: PlannedQuery) -> list:
-        # a completion that may ask for top logprobs goes to the lane
-        lane = query.task is Task.COMPLETION and logprobs_available
         return [*_execute_query(
-            config, query, backend, space, run, logprobs_available,
-            dispatch.lane if lane else dispatch.submit,
+            config, query, backend, space, run, logprobs_available, dispatch.ask
         )]
 
     def release() -> None:
@@ -798,19 +795,19 @@ class _RunLines:
 
 
 class _Dispatch:
-    """Where backend calls run. With one worker a call is made inline when
-    its answer is read; with more, on a pool of that many threads, and the
-    run loop keeps at most ``window`` queries dispatched ahead of the oldest
-    uncommitted line.
+    """Where the backend calls of :func:`_ask` run. With one worker a call
+    is made inline when its answer is read; with more, on a pool of that
+    many threads, and the run loop keeps at most ``window`` queries
+    dispatched ahead of the oldest uncommitted line.
 
     With more than one worker and top logprobs still captured (``capture``),
-    the requests that may ask for them go to the lane (:meth:`lane`): one
-    thread that sends them one at a time, in the order given, each once the
-    one before it is answered. The first lane answer without top logprobs
-    turns capture off: each later lane request is then sent to the pool
-    without asking for them. While capture is on, the pool's calls leave
-    one worker to the lane, so at most ``workers`` calls are in flight at
-    any moment and a lane request never waits behind the others."""
+    the requests that ask for them go to the lane: one thread that sends
+    them one at a time, in the order given, each once the one before it is
+    answered. The first lane answer with the logprob fallback's note turns
+    capture off: each later lane request is then sent to the pool asking
+    for none. While capture is on, the pool's calls leave one worker to the
+    lane, so at most ``workers`` calls are in flight at any moment and a
+    lane request never waits behind the others."""
 
     def __init__(self, workers: int, capture: bool):
         self._pool = self._lane = None
@@ -819,43 +816,37 @@ class _Dispatch:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(workers, "ambigseq-backend")
+            # wide enough that the lane starts on the next (length, run)
+            # block's completions before this block's tail is answered
             self.window = 16 * workers
             self._slots = threading.Semaphore(workers - 1 if capture else workers)
             if capture:
                 self._lane = ThreadPoolExecutor(1, "ambigseq-backend-lane")
         self._capture = capture
 
-    def submit(self, fn: Callable, *args) -> Callable[[], Any]:
-        """A no-argument callable that returns ``fn(*args)`` or raises what
-        it raised."""
+    def ask(self, backend: Backend, prompt: RenderedPrompt, want: int) -> Callable[[], Any]:
+        """A no-argument callable that returns ``_ask(backend, prompt,
+        want)`` or raises what it raised; by way of the lane when ``want``
+        asks for top logprobs and the lane is open."""
+        if want and self._lane is not None:
+            sequenced = self._lane.submit(self._sequenced, backend, prompt, want)
+            return lambda: sequenced.result()()
         if self._pool is None:
-            return partial(fn, *args)
-        return self._pool.submit(self._slotted, fn, args).result
+            return partial(_ask, backend, prompt, want)
+        return self._pool.submit(self._slotted, backend, prompt, want).result
 
-    def lane(
-        self, fn: Callable, backend: Backend, prompt: RenderedPrompt, want: int
-    ) -> Callable[[], Any]:
-        """:meth:`submit` of ``fn(backend, prompt, want)``, a request for
-        ``want`` top logprobs that answers (text, top logprobs, note), by
-        way of the lane: ``want`` becomes 0 once capture is off."""
-        if self._lane is None:
-            return self.submit(fn, backend, prompt, want)
-        sequenced = self._lane.submit(self._sequenced, fn, backend, prompt, want)
-        return lambda: sequenced.result()()
-
-    def _slotted(self, fn: Callable, args: tuple) -> Any:
+    def _slotted(self, *args) -> Any:
         with self._slots:
-            return fn(*args)
+            return _ask(*args)
 
-    def _sequenced(
-        self, fn: Callable, backend: Backend, prompt: RenderedPrompt, want: int
-    ) -> Callable[[], Any]:
+    def _sequenced(self, backend: Backend, prompt: RenderedPrompt, want: int) -> Callable[[], Any]:
         """On the lane's thread: the request sent, in the lane while capture
-        is on, else to the pool; a no-argument callable for its answer."""
+        is on, else to the pool asking for none; a no-argument callable for
+        its answer."""
         if not self._capture:
-            return self.submit(fn, backend, prompt, 0)
-        answer = fn(backend, prompt, want)
-        if answer[1] is None:
+            return self.ask(backend, prompt, 0)
+        answer = _ask(backend, prompt, want)
+        if answer[2] == LOGPROBS_UNAVAILABLE_NOTE:
             self._capture = False
             self._slots.release()  # the pool may use the lane's worker now
         return lambda: answer
@@ -904,9 +895,10 @@ def _execute_query(
     space: FunctionSpace,
     run: _RunLines,
     logprobs_available: bool,
-    submit: Callable,
+    ask: Callable,
 ) -> tuple[PlannedQuery, JudgedPair | None, Callable]:
-    """Build the query's prompt and hand its backend call to ``submit``.
+    """Build the query's prompt and hand its backend call to ``ask``, which
+    takes :func:`_ask`'s arguments.
 
     Returns the query's pending line: (query, judged pair, answer), where
     ``answer()`` gives the (text, top logprobs, note) to build it from.
@@ -934,7 +926,7 @@ def _execute_query(
         if (query.task is Task.COMPLETION and logprobs_available)
         else 0
     )
-    return query, judged, submit(_ask, backend, prompt, want_logprobs)
+    return query, judged, ask(backend, prompt, want_logprobs)
 
 
 def _ask(
