@@ -27,8 +27,10 @@ plan order, so the file is the same for every worker count. At most 16
 queries a worker are sent ahead of the oldest uncommitted line. A
 consistency judgment is held, unsent, until its run's completion and
 explanation lines are committed; the queries after it do not wait for it.
-While top logprobs are still captured, each completion that may ask for
-them goes to the logprob lane: one thread that sends these requests one at
+Whether a request still asks for top logprobs is decided in one place,
+:class:`_Dispatch`, which turns that capture off at the first answer
+without them. While it is on, each completion that asks for them goes to
+the logprob lane: one thread that sends these requests one at
 a time, in plan order, each once the one before it is answered, so an
 endpoint that stops sending top logprobs stops at the same query every run.
 The other requests run beside the lane on the pool, which leaves one worker
@@ -46,11 +48,17 @@ import hashlib
 import json
 import threading
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, TextIO
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: results files are not locked
+    fcntl = None
 
 from .backends import (
     BACKENDS,
@@ -122,10 +130,13 @@ def mine_datasets(config: CampaignConfig) -> dict[int, Dataset]:
     out_dir.mkdir(parents=True, exist_ok=True)
     space = config_space(config)
     datasets = {}
-    for length in config.lengths:
-        dataset = mine(space, length=length, base=config.base)
-        save_dataset(dataset, out_dir / dataset_filename(length), config.digest())
-        datasets[length] = dataset
+    results = results_path(out_dir)
+    # a run writing results over these datasets holds its results file's lock
+    with _claim(results) if results.exists() else nullcontext():
+        for length in config.lengths:
+            dataset = mine(space, length=length, base=config.base)
+            save_dataset(dataset, out_dir / dataset_filename(length), config.digest())
+            datasets[length] = dataset
     return datasets
 
 
@@ -625,7 +636,9 @@ def run_campaign(
     A backend failure mid-run leaves everything recorded so far on disk and
     returns a failed outcome rather than raising. Any other exception, an
     interrupt included, leaves the same and is raised again. Either way
-    ``audit.log`` gets an ``abort`` line naming the error.
+    ``audit.log`` gets an ``abort`` line naming the error. The results file
+    is locked from before it is read until the run ends (see
+    :func:`_claim`): a second writer is a :class:`CampaignError`.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -639,49 +652,44 @@ def run_campaign(
     header_line = canonical_json(_results_header(config)) + "\n"
     plan = plan_queries(config, datasets)
     run = _RunLines()
-    size, skipped, fallback = _resume_point(path, config, header_line, plan, run)
-    if size:
-        audit.log(f"resume campaign={config.digest()} existing_records={skipped}")
-    else:
-        audit.log(f"start campaign={config.digest()} backend={backend.backend_id}")
+    with _claim(path) as fh:
+        size, skipped, fallback = _resume_point(path, config, header_line, plan, run)
+        if size:
+            audit.log(f"resume campaign={config.digest()} existing_records={skipped}")
+        else:
+            audit.log(f"start campaign={config.digest()} backend={backend.backend_id}")
 
-    queried = 0
-    # capture stays off across a resume once a line on file has recorded the
-    # fallback, as it does in an uninterrupted run
-    logprobs_available = config.want_top_logprobs > 0 and not fallback
-    # the queries whose line is not yet committed, in plan order: [query,
-    # judged pair, answer], the answer None while the query is held
-    pending: deque[list] = deque()
-    # the held entries of pending, in plan order: judgments whose pair is
-    # not yet committed, which are not sent until it is
-    held: deque[list] = deque()
-    dispatch = _Dispatch(config.workers, logprobs_available)
+        queried = 0
+        # the queries whose line is not yet committed, in plan order: [query,
+        # judged pair, answer], the answer None while the query is held
+        pending: deque[list] = deque()
+        # the held entries of pending, in plan order: judgments whose pair is
+        # not yet committed, which are not sent until it is
+        held: deque[list] = deque()
+        # capture stays off across a resume once a line on file has recorded the
+        # fallback, as it does in an uninterrupted run
+        dispatch = _Dispatch(config.workers, config.want_top_logprobs > 0 and not fallback)
 
-    def send(query: PlannedQuery) -> list:
-        return [*_execute_query(
-            config, query, backend, space, run, logprobs_available, dispatch.ask
-        )]
+        def send(query: PlannedQuery) -> list:
+            return [*_execute_query(config, query, backend, space, run, dispatch.ask)]
 
-    def release() -> None:
-        # held judgments are sent as their pairs commit, which is in plan order
-        while held and None not in run.pair(held[0][0]):
-            entry = held.popleft()
-            entry[:] = send(entry[0])
+        def release() -> None:
+            # held judgments are sent as their pairs commit, which is in plan order
+            while held and None not in run.pair(held[0][0]):
+                entry = held.popleft()
+                entry[:] = send(entry[0])
 
-    def commit(fh: TextIO) -> None:
-        nonlocal queried, logprobs_available
-        query, judged, answer = pending.popleft()
-        text, top, note = answer()
-        if note == LOGPROBS_UNAVAILABLE_NOTE:
-            logprobs_available = False
-        line = _result_line(query, text, top, judged, note)
-        run.add(query, line)
-        _append_line(fh, line)
-        queried += 1
-        release()
+        def commit(fh: TextIO) -> None:
+            nonlocal queried
+            query, judged, answer = pending.popleft()
+            text, top, note = answer()
+            line = _result_line(query, text, top, judged, note)
+            run.add(query, line)
+            _append_line(fh, line)
+            queried += 1
+            release()
 
-    try:
-        with path.open("a") as fh:
+        try:
             # drop any torn tail so appends start on a line boundary
             fh.truncate(size)
             if not size:
@@ -698,24 +706,38 @@ def run_campaign(
                     commit(fh)
             while pending:
                 commit(fh)
-    except BaseException as exc:
-        # a backend failure ends the run with a failed outcome; anything
-        # else, an interrupt included, is raised again once it is logged
-        failed = isinstance(exc, BackendError)
-        audit.log(
-            f"abort campaign={config.digest()} after {queried} queries: "
-            f"{exc if failed else repr(exc)}"
-        )
-        if not failed:
-            raise
-        return CampaignOutcome(path, queried, skipped, failed=True, error=str(exc))
-    finally:
-        dispatch.close()
+        except BaseException as exc:
+            # a backend failure ends the run with a failed outcome; anything
+            # else, an interrupt included, is raised again once it is logged
+            failed = isinstance(exc, BackendError)
+            audit.log(
+                f"abort campaign={config.digest()} after {queried} queries: "
+                f"{exc if failed else repr(exc)}"
+            )
+            if not failed:
+                raise
+            return CampaignOutcome(path, queried, skipped, failed=True, error=str(exc))
+        finally:
+            dispatch.close()
 
     audit.log(
         f"finish campaign={config.digest()} queried={queried} skipped={skipped}"
     )
     return CampaignOutcome(path, queried, skipped)
+
+
+def _claim(path: Path) -> TextIO:
+    """``path`` opened for appending and locked until it is closed; a
+    :class:`CampaignError` while another open of it holds the lock. Without
+    ``fcntl`` (not POSIX) nothing is locked."""
+    fh = path.open("a")
+    if fcntl is not None:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.close()
+            raise CampaignError(f"{path} is being written by another run") from None
+    return fh
 
 
 def _resume_point(
@@ -795,19 +817,21 @@ class _RunLines:
 
 
 class _Dispatch:
-    """Where the backend calls of :func:`_ask` run. With one worker a call
-    is made inline when its answer is read; with more, on a pool of that
-    many threads, and the run loop keeps at most ``window`` queries
+    """Where the backend calls of :func:`_ask` run, and the one record of
+    whether top logprobs are still asked for (``capture``). With one worker
+    a call is made inline when its answer is read; with more, on a pool of
+    that many threads, and the run loop keeps at most ``window`` queries
     dispatched ahead of the oldest uncommitted line.
 
-    With more than one worker and top logprobs still captured (``capture``),
-    the requests that ask for them go to the lane: one thread that sends
-    them one at a time, in the order given, each once the one before it is
-    answered. The first lane answer with the logprob fallback's note turns
-    capture off: each later lane request is then sent to the pool asking
-    for none. While capture is on, the pool's calls leave one worker to the
-    lane, so at most ``workers`` calls are in flight at any moment and a
-    lane request never waits behind the others."""
+    While capture is on, a request that asks for top logprobs goes through
+    :meth:`_sequenced`, the one place that turns capture off: at the first
+    answer with the logprob fallback's note. Every other request asks for
+    none. With more than one worker such requests go to the lane: one
+    thread that sends them one at a time, in the order given, each once the
+    one before it is answered; a lane request sent after capture is off
+    goes to the pool asking for none. While capture is on, the pool's calls
+    leave one worker to the lane, so at most ``workers`` calls are in
+    flight at any moment and a lane request never waits behind the others."""
 
     def __init__(self, workers: int, capture: bool):
         self._pool = self._lane = None
@@ -822,33 +846,37 @@ class _Dispatch:
             self._slots = threading.Semaphore(workers - 1 if capture else workers)
             if capture:
                 self._lane = ThreadPoolExecutor(1, "ambigseq-backend-lane")
-        self._capture = capture
+        self.capture = capture
 
     def ask(self, backend: Backend, prompt: RenderedPrompt, want: int) -> Callable[[], Any]:
         """A no-argument callable that returns ``_ask(backend, prompt,
-        want)`` or raises what it raised; by way of the lane when ``want``
-        asks for top logprobs and the lane is open."""
-        if want and self._lane is not None:
+        want)`` or raises what it raised, with ``want`` 0 once capture is
+        off; by way of :meth:`_sequenced` while ``want`` asks for top
+        logprobs and capture is on."""
+        if want and self.capture:
+            if self._lane is None:
+                return lambda: self._sequenced(backend, prompt, want)()
             sequenced = self._lane.submit(self._sequenced, backend, prompt, want)
             return lambda: sequenced.result()()
         if self._pool is None:
-            return partial(_ask, backend, prompt, want)
-        return self._pool.submit(self._slotted, backend, prompt, want).result
+            return partial(_ask, backend, prompt, 0)
+        return self._pool.submit(self._slotted, backend, prompt).result
 
-    def _slotted(self, *args) -> Any:
+    def _slotted(self, backend: Backend, prompt: RenderedPrompt) -> Any:
         with self._slots:
-            return _ask(*args)
+            return _ask(backend, prompt, 0)
 
     def _sequenced(self, backend: Backend, prompt: RenderedPrompt, want: int) -> Callable[[], Any]:
-        """On the lane's thread: the request sent, in the lane while capture
-        is on, else to the pool asking for none; a no-argument callable for
-        its answer."""
-        if not self._capture:
+        """On the lane's thread, or inline at one worker: the request sent
+        while capture is on, else sent as asking for none; a no-argument
+        callable for its answer. The only place that turns capture off."""
+        if not self.capture:
             return self.ask(backend, prompt, 0)
         answer = _ask(backend, prompt, want)
         if answer[2] == LOGPROBS_UNAVAILABLE_NOTE:
-            self._capture = False
-            self._slots.release()  # the pool may use the lane's worker now
+            self.capture = False
+            if self._lane is not None:
+                self._slots.release()  # the pool may use the lane's worker now
         return lambda: answer
 
     def close(self) -> None:
@@ -894,7 +922,6 @@ def _execute_query(
     backend: Backend,
     space: FunctionSpace,
     run: _RunLines,
-    logprobs_available: bool,
     ask: Callable,
 ) -> tuple[PlannedQuery, JudgedPair | None, Callable]:
     """Build the query's prompt and hand its backend call to ``ask``, which
@@ -921,12 +948,8 @@ def _execute_query(
         model_name=config.model_name,
     )
     prompt = build_prompt(spec, query.record.sequence, space, judged)
-    want_logprobs = (
-        config.want_top_logprobs
-        if (query.task is Task.COMPLETION and logprobs_available)
-        else 0
-    )
-    return query, judged, ask(backend, prompt, want_logprobs)
+    want = config.want_top_logprobs if query.task is Task.COMPLETION else 0
+    return query, judged, ask(backend, prompt, want)
 
 
 def _ask(

@@ -22,6 +22,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+try:
+    import fcntl
+except ImportError:
+    fcntl = None
+
 from ambigseq.backends import (
     BackendError,
     CachingBackend,
@@ -1676,6 +1681,55 @@ class TestResumeAfterAnyCut:
             assert path.read_bytes() == uninterrupted
 
 
+@pytest.mark.skipif(fcntl is None, reason="no fcntl: results files are not locked")
+class TestOneWriter:
+    """A run holds its results file's lock from before it reads the file to
+    its end; a second run, or a mine, is refused while it is held."""
+
+    @pytest.fixture()
+    def cut(self, tmp_path, mined_l3) -> CampaignConfig:
+        # a finished campaign cut after its fifth line, with work left to do
+        config = small_config(tmp_path, mined_l3)
+        path = run_campaign(config).results_file
+        path.write_bytes(b"".join(path.read_bytes().splitlines(True)[:5]))
+        return config
+
+    @staticmethod
+    def held(path: Path):
+        fh = path.open("a")
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return fh
+
+    def test_a_second_run_is_refused(self, cut):
+        path = results_path(cut.output_dir)
+        audit = Path(cut.output_dir) / AUDIT_FILENAME
+        before, logged = path.read_bytes(), audit.read_bytes()
+        with self.held(path):
+            with pytest.raises(CampaignError, match="is being written by another run"):
+                run_campaign(cut)
+        assert path.read_bytes() == before
+        assert audit.read_bytes() == logged
+        assert run_campaign(cut).skipped == 4
+
+    def test_mine_is_refused(self, cut):
+        path = results_path(cut.output_dir)
+        dataset = Path(cut.output_dir) / dataset_filename(3)
+        dataset.unlink()
+        before = path.read_bytes()
+        with self.held(path):
+            with pytest.raises(CampaignError, match="is being written by another run"):
+                mine_datasets(cut)
+        assert path.read_bytes() == before
+        assert not dataset.exists()
+        mine_datasets(cut)
+        assert dataset.exists()
+
+    def test_without_fcntl_nothing_is_locked(self, cut, monkeypatch):
+        monkeypatch.setattr(campaign, "fcntl", None)
+        with self.held(results_path(cut.output_dir)):
+            assert run_campaign(cut).skipped == 4
+
+
 # ---------------------------------------------------------------------------
 # concurrent dispatch
 
@@ -2033,7 +2087,10 @@ class TestConcurrentDispatch:
         pairs = [tuple(j["judged"].values()) for j in judgments.values()]
         assert len(set(pairs)) > len(pairs) // 2
 
-    def test_resume_after_the_fallback_keeps_capture_off(self, tmp_path, mined_l3):
+    @pytest.mark.parametrize("concurrency", [1, 8])
+    def test_resume_after_the_fallback_keeps_capture_off(
+        self, tmp_path, mined_l3, concurrency
+    ):
         # an endpoint that never sends top logprobs: the first completion
         # files the fallback note and no later one asks for them again
         full = self.run(tmp_path / "full", mined_l3, FakeEndpoint(lose_from=1), 1)
@@ -2041,7 +2098,9 @@ class TestConcurrentDispatch:
         cut = self.run(tmp_path / "cut", mined_l3, FakeEndpoint(lose_from=1), 1)
         lines = expected.split(b"\n")
         cut.results_file.write_bytes(b"\n".join(lines[:4]) + b"\n")
-        resumed = self.run(tmp_path / "cut", mined_l3, FakeEndpoint(lose_from=1), 8)
+        resumed = self.run(
+            tmp_path / "cut", mined_l3, FakeEndpoint(lose_from=1), concurrency
+        )
         assert resumed.skipped == 3
         assert resumed.results_file.read_bytes() == expected
 

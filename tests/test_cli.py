@@ -2,14 +2,20 @@
 
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ambigseq
 from ambigseq.campaign import dataset_filename
 from ambigseq.cli import (
     REFERENCE_AMBIGUOUS_ONLY,
@@ -384,6 +390,20 @@ class TestFailureExitCodes:
         assert "abort campaign=" in last
         assert last.endswith(" after 4 queries: KeyboardInterrupt()")
 
+    @pytest.mark.parametrize("stage", ["mine", "run"])
+    def test_a_second_writer_is_refused(self, out_dir, capfd, stage):
+        fcntl = pytest.importorskip("fcntl")
+        assert main(["run", *flags(out_dir)]) == 0
+        files = {path: path.read_bytes() for path in out_dir.iterdir()}
+        with (out_dir / "results.jsonl").open("a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            capfd.readouterr()
+            assert main([stage, *flags(out_dir)]) == 1
+        assert capfd.readouterr().err == (
+            f"error: {out_dir / 'results.jsonl'} is being written by another run\n"
+        )
+        assert {path: path.read_bytes() for path in out_dir.iterdir()} == files
+
     def test_digest_mismatch(self, out_dir, capfd):
         assert main(["run", *flags(out_dir)]) == 0
         assert main(["run", *flags(out_dir), "--rng-seed", "99"]) == 1
@@ -741,6 +761,47 @@ class TestFailureExitCodes:
     def test_analyze_without_results(self, tmp_path, capfd):
         assert main(["analyze", *flags(tmp_path / "nothing")]) == 1
         assert "error" in capfd.readouterr().err
+
+
+class TestProcessDeath:
+    """A run stopped by a signal resumes to the bytes of one that was not."""
+
+    ANCHOR = "0b7130743ed42a43"  # results.jsonl of these flags at seed 0
+    QUERIES = 4806
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGKILL], ids=["SIGINT", "SIGKILL"])
+    def test_a_stopped_run_resumes_to_the_anchor(self, tmp_path, signum):
+        command = [sys.executable, "-m", "ambigseq"]
+        args = ["--output-dir", str(tmp_path), "--lengths", "3,4", "--n-runs", "3"]
+        env = {**os.environ, "PYTHONPATH": str(Path(ambigseq.__file__).parents[1])}
+        subprocess.run([*command, "mine", *args], env=env, capture_output=True, check=True)
+        results = tmp_path / "results.jsonl"
+        proc = subprocess.Popen(
+            [*command, "run", *args], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            while not (results.exists() and results.read_bytes().count(b"\n") >= 200):
+                assert proc.poll() is None, "the run ended before it could be stopped"
+                time.sleep(0.001)
+            proc.send_signal(signum)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        if signum == signal.SIGINT:
+            assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+            # the abort line's query count is not asserted: an interrupt
+            # between a line's write and its count leaves it one short
+            last = (tmp_path / "audit.log").read_text().splitlines()[-1]
+            assert "abort campaign=" in last and last.endswith(": KeyboardInterrupt()")
+        else:
+            assert proc.returncode == -signal.SIGKILL
+        present = results.read_bytes().count(b"\n") - 1
+
+        rerun = subprocess.run([*command, "run", *args], env=env, capture_output=True, text=True)
+        assert rerun.returncode == 0, rerun.stderr
+        assert f": {self.QUERIES - present} queried, {present} already present\n" in rerun.stdout
+        assert hashlib.sha256(results.read_bytes()).hexdigest()[:16] == self.ANCHOR
 
 
 class TestEntryPoints:
