@@ -869,7 +869,7 @@ class _Dispatch:
     def _sequenced(self, backend: Backend, prompt: RenderedPrompt, want: int) -> Callable[[], Any]:
         """On the lane's thread, or inline at one worker: the request sent
         while capture is on, else sent as asking for none; a no-argument
-        callable for its answer. The only place that turns capture off."""
+        callable for its answer."""
         if not self.capture:
             return self.ask(backend, prompt, 0)
         answer = _ask(backend, prompt, want)
